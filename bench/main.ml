@@ -1,5 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, plus the ablations listed in DESIGN.md.
+   evaluation, the ablations listed in DESIGN.md, and the bechamel
+   microbenchmarks of the simulator primitives.  The tolerance-0
+   regression gates live in [memhog gate], not here.
 
    Usage:
      bench/main.exe                      run everything
@@ -19,82 +21,11 @@
                                          derived simulated metrics
                                          (Memhog_core.Metrics), which are
                                          jobs- and wall-clock-independent
-                                         and back the CI regression gate
-                                         (memhog_cli compare --tolerance 0)
+                                         (builds the matrix if no selected
+                                         experiment did)
      bench/main.exe --trace DIR ...      also write one Chrome trace_event
                                          JSON per matrix cell into DIR
                                          (WORKLOAD-VARIANT.trace.json)
-     bench/main.exe smoke --quick ...    one-workload mini matrix (CI
-                                         smoke test; see @bench-smoke)
-     bench/main.exe chaos --quick ...    three canned fault plans through
-                                         the chaos layer with invariant
-                                         and governor checks; writes
-                                         CHAOS_metrics.json (CI gate; see
-                                         @chaos-smoke)
-     bench/main.exe audit --quick ...    page-lifecycle ledger audit: the
-                                         ledger's totals must reconcile
-                                         exactly with the VM's counters,
-                                         and the serialized metrics must
-                                         be byte-identical between serial
-                                         and pooled runs (see
-                                         @audit-smoke)
-     bench/main.exe perf --quick ...     wall-clock throughput bench:
-                                         events/sec, faults/sec, sim-ns
-                                         per wall-ns and GC allocation
-                                         rates per cell; writes
-                                         PERF_metrics.json whose "work"
-                                         counters are deterministic (CI
-                                         gate; see @perf-smoke) and whose
-                                         "wall" numbers are informational
-                                         (--perf is an alias;
-                                         --gc-minor-kb KB resizes the
-                                         minor heap first)
-     bench/main.exe serve --quick ...    open-loop KV server co-run with
-                                         the MATVEC hog at two offered
-                                         loads x {O,B}: p50/p99/p999 and
-                                         SLO attainment, with a built-in
-                                         check that the buffered-release
-                                         hog beats the un-released hog
-                                         on p999 at every load; writes
-                                         SERVE_metrics.json (CI gate;
-                                         see @serve-smoke) (--serve is
-                                         an alias)
-     bench/main.exe blame --quick ...    the serving grid with per-request
-                                         critical-path blame: additive
-                                         response-time decomposition by
-                                         percentile band, prefetch-race
-                                         and demand-disk attribution,
-                                         with a built-in check that every
-                                         sampled span's components sum
-                                         exactly to its response; writes
-                                         BLAME_metrics.json (CI gate; see
-                                         @blame-smoke) and the slowest
-                                         request's critical path as
-                                         BLAME_slowest.trace.json
-                                         (--blame is an alias)
-     bench/main.exe tiers --quick ...    tiered backing store: a backend-
-                                         mix matrix (swap / far / zram /
-                                         far+zram) plus a serving cell
-                                         whose far tier is hard-
-                                         partitioned mid-window, with
-                                         built-in checks that demotions
-                                         failed over, in-flight reads were
-                                         rescued, the breaker cycled and
-                                         post-window SLO attainment
-                                         recovered; writes
-                                         TIER_metrics.json (CI gate; see
-                                         @tier-smoke)
-     bench/main.exe obs --quick ...      observability brownout: the tiers
-                                         partition cell re-run with the
-                                         full telemetry probe set and the
-                                         default alert rules, with
-                                         built-in checks that the breaker-
-                                         flap and SLO-burn alerts fired
-                                         during the partition window and
-                                         cleared after; writes
-                                         OBS_metrics.json (CI gate; see
-                                         @obs-smoke) and the OpenMetrics
-                                         snapshot OBS_openmetrics.txt
      bench/main.exe --chaos SPEC ...     inject the given fault plan into
                                          every matrix cell
      bench/main.exe microbench           bechamel microbenchmarks of the
@@ -113,7 +44,7 @@
    Experiment ids: table1 table2 fig1 fig7 fig8 table3 fig9 fig10a fig10b
    fig10c ablation-batch ablation-hwbits ablation-conservative
    ablation-rescue ablation-drop ablation-tlb ext-freemem ext-reactive
-   ext-two-hogs smoke chaos audit perf serve blame tiers obs microbench *)
+   ext-two-hogs microbench *)
 
 open Memhog_core
 
@@ -131,13 +62,10 @@ let print_section s =
   Printf.printf "\n%s\n%s\n%s\n%!" (String.make 72 '=') s (String.make 72 '=')
 
 (* The matrix (all workloads x O/P/R/B next to the 5 s interactive task) is
-   shared by fig7, fig8, table3, fig9, fig10b and fig10c.  The cache lives
-   in the main domain only: run_matrix parallelizes internally, so no
-   worker ever touches this ref. *)
+   shared by fig7, fig8, table3, fig9, fig10b, fig10c and --json.  The
+   cache lives in the main domain only: run_matrix parallelizes
+   internally, so no worker ever touches this ref. *)
 let matrix_cache : Figures.matrix option ref = ref None
-
-(* Most recent matrix of any shape (full or smoke), for --json. *)
-let last_matrix : Figures.matrix option ref = ref None
 
 (* Set by --trace DIR: every matrix cell also writes a Chrome trace_event
    JSON file (WORKLOAD-VARIANT.trace.json) into the directory. *)
@@ -160,26 +88,11 @@ let get_matrix ~machine ~jobs () =
           ?chaos:!chaos_spec ()
       in
       matrix_cache := Some m;
-      last_matrix := Some m;
       m
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_matrix.json                                                   *)
 (* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let write_matrix_json ~path (m : Figures.matrix) =
   let serial_estimate =
@@ -198,7 +111,7 @@ let write_matrix_json ~path (m : Figures.matrix) =
       Printf.fprintf oc "{\n";
       Printf.fprintf oc "  \"schema_version\": 1,\n";
       Printf.fprintf oc "  \"machine\": \"%s\",\n"
-        (json_escape m.Figures.mx_machine.Machine.m_name);
+        (Json_str.escape m.Figures.mx_machine.Machine.m_name);
       Printf.fprintf oc "  \"jobs\": %d,\n" m.Figures.mx_jobs;
       Printf.fprintf oc "  \"total_wall_s\": %.6f,\n" m.Figures.mx_wall_s;
       Printf.fprintf oc "  \"serial_estimate_s\": %.6f,\n" serial_estimate;
@@ -208,7 +121,7 @@ let write_matrix_json ~path (m : Figures.matrix) =
       List.iteri
         (fun i (c : Figures.cell_timing) ->
           Printf.fprintf oc "    { \"label\": \"%s\", \"wall_s\": %.6f }%s\n"
-            (json_escape c.Figures.ct_label)
+            (Json_str.escape c.Figures.ct_label)
             c.Figures.ct_wall_s
             (if i = n - 1 then "" else ","))
         m.Figures.mx_cells;
@@ -308,424 +221,18 @@ let microbench ~smoke () =
       (Instance.monotonic_clock :> Measure.witness)
       results
   in
-  print_section
-    (if smoke then "Microbenchmarks (smoke mode, ns/run)"
-     else "Microbenchmarks (bechamel, monotonic clock, ns/run)");
+  let buf = Buffer.create 256 in
+  Printf.bprintf buf "Microbenchmarks (%s, ns/run)\n"
+    (if smoke then "smoke mode" else "bechamel, monotonic clock");
   Hashtbl.iter
     (fun name result ->
       match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "%-28s %12.1f ns\n" name est
-      | _ -> Printf.printf "%-28s (no estimate)\n" name)
-    results_analyzed
+      | Some [ est ] -> Printf.bprintf buf "%-28s %12.1f ns\n" name est
+      | _ -> Printf.bprintf buf "%-28s (no estimate)\n" name)
+    results_analyzed;
+  Buffer.contents buf
 
-(* ------------------------------------------------------------------ *)
-(* CI smoke: a one-workload mini matrix                                 *)
-(* ------------------------------------------------------------------ *)
-
-let smoke ~machine ~jobs () =
-  log (Printf.sprintf "smoke: MATVEC x O/P/R/B + interactive, %d jobs" jobs);
-  let m =
-    Figures.run_matrix ~machine ~workloads:[ "MATVEC" ] ~jobs ~log
-      ?trace_dir:!trace_dir ?chaos:!chaos_spec ()
-  in
-  last_matrix := Some m;
-  Figures.fig7 m
-
-(* ------------------------------------------------------------------ *)
-(* Chaos: canned fault plans + the degradation governor                 *)
-(* ------------------------------------------------------------------ *)
-
-module Workload = Memhog_workloads.Workload
-module Time_ns = Memhog_sim.Time_ns
-module Trace = Memhog_sim.Trace
-module E = Experiment
-
-(* Tighter ladder than the production default: the canned plans are short
-   (seconds of simulated time), so windows close faster and a single bad
-   window is enough to step down. *)
-let chaos_governor =
-  {
-    Memhog_runtime.Runtime.gv_window_ns = Time_ns.ms 100;
-    gv_min_samples = 4;
-    gv_bad_rate = 0.3;
-    gv_degrade_after = 1;
-    gv_recover_after = 3;
-  }
-
-type chaos_scenario = {
-  cs_name : string;
-  cs_workload : string;
-  cs_variant : E.variant;
-  cs_sleep : Time_ns.t option;
-  cs_spec : string;
-  cs_check : E.result -> unit;  (* raises Failure on a failed expectation *)
-}
-
-let require name cond msg =
-  if not cond then failwith (Printf.sprintf "chaos %s: %s" name msg)
-
-(* The brown-out must drive the governor all the way to demand paging
-   (level 2) and back — both directions visible as trace events. *)
-let check_brown_out (r : E.result) =
-  let reached_2 = ref false and recovered = ref false in
-  Trace.iter r.E.r_trace (fun ~time:_ ~stream:_ ev ->
-      match ev with
-      | Trace.Governor_transition { level_to = 2; _ } -> reached_2 := true
-      | Trace.Governor_transition { level_from = 2; _ } -> recovered := true
-      | _ -> ());
-  require "disk-brown-out" !reached_2
-    "governor never degraded to demand paging (level 2)";
-  require "disk-brown-out" !recovered
-    "governor never recovered from level 2";
-  (match r.E.r_runtime with
-  | Some rt ->
-      require "disk-brown-out"
-        (rt.Memhog_runtime.Runtime.rt_gov_degrades >= 2
-        && rt.Memhog_runtime.Runtime.rt_gov_recoveries >= 1)
-        "transition counters missing from runtime stats"
-  | None -> failwith "chaos disk-brown-out: no runtime stats");
-  match r.E.r_chaos with
-  | Some cs ->
-      require "disk-brown-out" (cs.Memhog_sim.Chaos.disk_faults > 0)
-        "no disk faults were injected"
-  | None -> failwith "chaos disk-brown-out: no chaos stats"
-
-let check_releaser_outage (r : E.result) =
-  match r.E.r_chaos with
-  | Some cs ->
-      require "releaser-outage"
-        (cs.Memhog_sim.Chaos.directives_dropped > 0)
-        "no release directives were dropped";
-      require "releaser-outage"
-        (cs.Memhog_sim.Chaos.releaser_stall_ns > 0)
-        "the releaser never stalled"
-  | None -> failwith "chaos releaser-outage: no chaos stats"
-
-let check_pressure (r : E.result) =
-  match r.E.r_chaos with
-  | Some cs ->
-      require "pressure-spike" (cs.Memhog_sim.Chaos.pressure_spikes > 0)
-        "no pressure spike fired";
-      require "pressure-spike" (cs.Memhog_sim.Chaos.pressure_pages > 0)
-        "the phantom competitor claimed no pages"
-  | None -> failwith "chaos pressure-spike: no chaos stats"
-
-let chaos_scenarios =
-  [
-    {
-      cs_name = "disk-brown-out";
-      cs_workload = "EMBAR";
-      cs_variant = E.B;
-      cs_sleep = None;
-      cs_spec = "disk-fault@2s-6s:p=0.8,retries=4;disk-slow@2s-6s:factor=32";
-      cs_check = check_brown_out;
-    };
-    {
-      cs_name = "releaser-outage";
-      cs_workload = "MATVEC";
-      cs_variant = E.B;
-      cs_sleep = None;
-      cs_spec = "releaser-stall@1s-3s;releaser-drop@1s-4s:p=0.5";
-      cs_check = check_releaser_outage;
-    };
-    {
-      cs_name = "pressure-spike";
-      cs_workload = "MATVEC";
-      cs_variant = E.R;
-      cs_sleep = Some (Time_ns.sec 2);
-      cs_spec = "pressure@10s-40s:pages=512,hold=2s";
-      cs_check = check_pressure;
-    };
-  ]
-
-let chaos_experiment ~machine ~jobs () =
-  let run (s : chaos_scenario) =
-    log
-      (Printf.sprintf "chaos %s: %s/%s under %S" s.cs_name s.cs_workload
-         (E.variant_name s.cs_variant) s.cs_spec);
-    let wl = Workload.find s.cs_workload in
-    let min_sim_time =
-      match s.cs_sleep with Some _ -> Time_ns.sec 45 | None -> 0
-    in
-    let r =
-      E.run
-        (E.setup ~machine ?interactive_sleep:s.cs_sleep ~min_sim_time
-           ~trace:(Trace.create ()) ~chaos:s.cs_spec ~governor:chaos_governor
-           ~workload:wl ~variant:s.cs_variant ())
-    in
-    if not r.E.r_invariants_ok then
-      failwith
-        (Printf.sprintf "chaos %s: OS invariants violated after the run"
-           s.cs_name);
-    s.cs_check r;
-    r
-  in
-  let results = Pool.map ~jobs run chaos_scenarios in
-  let label = Printf.sprintf "chaos scenarios, %s" machine.Machine.m_name in
-  Metrics_io.write_file ~path:"CHAOS_metrics.json"
-    (Metrics.of_results ~label results);
-  log "wrote CHAOS_metrics.json (deterministic)";
-  let rows =
-    List.map2
-      (fun (s : chaos_scenario) (r : E.result) ->
-        let cs = Option.get r.E.r_chaos in
-        let rt = Option.get r.E.r_runtime in
-        [
-          s.cs_name;
-          Printf.sprintf "%s/%s" s.cs_workload (E.variant_name s.cs_variant);
-          Time_ns.to_string r.E.r_elapsed;
-          string_of_int cs.Memhog_sim.Chaos.disk_faults;
-          string_of_int cs.Memhog_sim.Chaos.directives_dropped;
-          Printf.sprintf "%d/%d" cs.Memhog_sim.Chaos.pressure_spikes
-            cs.Memhog_sim.Chaos.pressure_pages;
-          Printf.sprintf "%d/%d" rt.Memhog_runtime.Runtime.rt_gov_degrades
-            rt.Memhog_runtime.Runtime.rt_gov_recoveries;
-          string_of_int rt.Memhog_runtime.Runtime.rt_prefetch_os_dropped;
-          "ok";
-        ])
-      chaos_scenarios results
-  in
-  Format.asprintf "@[<v>%t@]" (fun fmt ->
-      Report.table ~title:"Chaos scenarios (canned fault plans)"
-        ~header:
-          [
-            "scenario"; "run"; "elapsed"; "disk faults"; "dropped";
-            "pressure (spikes/pages)"; "governor (deg/rec)"; "prefetch drops";
-            "invariants";
-          ]
-        ~rows fmt ())
-
-(* ------------------------------------------------------------------ *)
-(* Audit: ledger reconciliation + --jobs determinism                    *)
-(* ------------------------------------------------------------------ *)
-
-module Ledger = Memhog_sim.Ledger
-
-(* The page-lifecycle ledger makes two hard promises (see @audit-smoke):
-   its totals reconcile exactly with the VM's own counters, and the
-   serialized metrics (ledger object included) are byte-identical whether
-   the cell ran on the main domain or inside the worker pool. *)
-let audit_experiment ~machine ~jobs () =
-  let wl = Workload.find "EMBAR" in
-  let run () = E.run (E.setup ~machine ~workload:wl ~variant:E.B ()) in
-  log (Printf.sprintf "audit: EMBAR/B serial + %d pooled replicas" jobs);
-  let serial = run () in
-  let pooled =
-    match Pool.map ~jobs run [ (); () ] with
-    | r :: _ -> r
-    | [] -> failwith "audit: pool returned no results"
-  in
-  let render r =
-    Metrics_io.to_string
-      (Metrics_io.metrics_json (Metrics.of_results ~label:"audit" [ r ]))
-  in
-  if render serial <> render pooled then
-    failwith "audit: metrics (ledger included) differ between serial and pooled runs";
-  let l = serial.E.r_ledger in
-  let s = serial.E.r_app_stats in
-  let module VS = Memhog_vm.Vm_stats in
-  let checks =
-    [
-      ("hard faults", l.Ledger.ls_hard_faults, s.VS.hard_faults);
-      ("soft faults", l.Ledger.ls_soft_faults, s.VS.soft_faults);
-      ("validation faults", l.Ledger.ls_validation_faults, s.VS.validation_faults);
-      ("zero fills", l.Ledger.ls_zero_fills, s.VS.zero_fills);
-      ("rescues", l.Ledger.ls_rescues, s.VS.rescued_daemon + s.VS.rescued_releaser);
-      ("prefetches issued", l.Ledger.ls_prefetches_issued, s.VS.prefetches_issued);
-      ("prefetches dropped", l.Ledger.ls_prefetches_dropped, s.VS.prefetches_dropped);
-      ("releases freed", l.Ledger.ls_releases_freed, s.VS.freed_by_releaser);
-      ("releases skipped", l.Ledger.ls_releases_skipped, s.VS.releases_skipped);
-    ]
-  in
-  List.iter
-    (fun (name, lv, vv) ->
-      if lv <> vv then
-        failwith
-          (Printf.sprintf "audit: %s: ledger %d <> vm %d" name lv vv))
-    checks;
-  if not (Ledger.invariants_ok l) then
-    failwith "audit: ledger summary violates its structural invariants";
-  Format.asprintf "@[<v>%t@]" (fun fmt ->
-      Report.table
-        ~title:
-          (Printf.sprintf
-             "Ledger audit: EMBAR/B, %d sites, %d pages (serial == pooled)"
-             (List.length l.Ledger.ls_sites)
-             l.Ledger.ls_pages_tracked)
-        ~header:[ "counter"; "ledger"; "vm" ]
-        ~rows:
-          (List.map
-             (fun (name, lv, vv) ->
-               [ name; Report.count lv; Report.count vv ])
-             checks)
-        fmt ())
-
-(* ------------------------------------------------------------------ *)
-(* Perf: wall-clock throughput trajectory (see @perf-smoke)             *)
-(* ------------------------------------------------------------------ *)
-
-(* Set by --gc-minor-kb KB: minor-heap tuning knob, recorded in the perf
-   JSON as informational. *)
-let gc_minor_kb : int option ref = ref None
-
-let perf_experiment ~machine ~jobs () =
-  log
-    (Printf.sprintf "perf: %d cells, %d jobs"
-       (List.length Perf.default_cells)
-       jobs);
-  let t = Perf.run ?gc_minor_kb:!gc_minor_kb ~machine ~jobs () in
-  Perf.write_file ~path:"PERF_metrics.json" t;
-  log "wrote PERF_metrics.json (work counters deterministic, wall informational)";
-  Perf.render t
-
-(* ------------------------------------------------------------------ *)
-(* Serve: open-loop tail latency under a hog (see @serve-smoke)        *)
-(* ------------------------------------------------------------------ *)
-
-module Server = Memhog_exec.Server
-
-(* Offered loads at and past the knee of each machine, where the
-   un-released hog's page stealing outruns the server's self-healing
-   urgent re-prefetches.  Below the knee both variants hold the SLO and
-   the comparison is noise. *)
-let serve_rates ~machine =
-  if machine.Machine.m_name = Machine.quick.Machine.m_name then
-    [ 1600.0; 3840.0 ]
-  else Serve.default_rates
-
-let serve_experiment ~machine ~jobs () =
-  let rates = serve_rates ~machine in
-  log
-    (Printf.sprintf "serve: %s hog x {O,B} at %s rps, %d jobs"
-       Serve.default_hog
-       (String.concat ", " (List.map (Printf.sprintf "%g") rates))
-       jobs);
-  let t = Serve.run ~machine ~rates ?chaos:!chaos_spec ~jobs ~log () in
-  Metrics_io.write_file ~path:"SERVE_metrics.json"
-    (Metrics.of_results
-       ~label:
-         (Printf.sprintf "serve %s %s" Serve.default_hog
-            machine.Machine.m_name)
-       (Serve.results t));
-  log "wrote SERVE_metrics.json (deterministic)";
-  (* Built-in physics gate: at every offered load, the buffered-release
-     hog must leave the server a strictly better p999 than the
-     un-released hog. *)
-  List.iter
-    (fun rate ->
-      let p999 v =
-        let _, r =
-          List.find
-            (fun ((c : Serve.cell), _) ->
-              c.Serve.sc_rate = rate && c.Serve.sc_variant = v)
-            (Serve.cells t)
-        in
-        Memhog_sim.Histogram.percentile (Serve.serving_exn r).Server.sm_hist
-          99.9
-      in
-      let o = p999 E.O and b = p999 E.B in
-      if not (b < o) then
-        failwith
-          (Printf.sprintf
-             "serve: at %g rps buffered release must beat the un-released \
-              hog on p999 (O %d ns, B %d ns)"
-             rate o b))
-    rates;
-  Serve.render t ^ "\n" ^ Figures.serve_tail t
-
-let blame_experiment ~machine ~jobs () =
-  let rates = serve_rates ~machine in
-  log
-    (Printf.sprintf "blame: %s hog x {O,B} at %s rps, %d jobs"
-       Serve.default_hog
-       (String.concat ", " (List.map (Printf.sprintf "%g") rates))
-       jobs);
-  let t = Serve.run ~machine ~rates ?chaos:!chaos_spec ~jobs ~log () in
-  (* Built-in additivity gate: for every span the deterministic reservoir
-     retained, the five blame components must sum exactly to the recorded
-     response — additivity is structural in Reqtrace, so any violation
-     means the span lifecycle was corrupted. *)
-  List.iter
-    (fun (r : E.result) ->
-      Memhog_sim.Reqtrace.iter_sampled r.E.r_reqtrace (fun sp ->
-          let open Memhog_sim.Reqtrace in
-          let parts =
-            sp.sp_queue + sp.sp_index + sp.sp_value + sp.sp_cpu
-            + sp.sp_compute
-          in
-          if parts <> sp.sp_response then
-            failwith
-              (Printf.sprintf
-                 "blame: span key=%d components sum to %d ns, response %d ns"
-                 sp.sp_key parts sp.sp_response)))
-    (Serve.results t);
-  Metrics_io.write_file ~path:"BLAME_metrics.json"
-    (Metrics.of_results
-       ~label:
-         (Printf.sprintf "blame %s %s" Serve.default_hog
-            machine.Machine.m_name)
-       (Serve.results t));
-  log "wrote BLAME_metrics.json (deterministic)";
-  (* The grid's slowest committed request, exported for humans: the CI
-     uploads it as an artifact so a tail regression comes with its own
-     openable critical path. *)
-  (match
-     List.fold_left
-       (fun acc (r : E.result) ->
-         match (acc, Memhog_sim.Reqtrace.slowest r.E.r_reqtrace) with
-         | None, sp -> sp
-         | Some a, Some sp
-           when sp.Memhog_sim.Reqtrace.sp_response
-                > a.Memhog_sim.Reqtrace.sp_response ->
-             Some sp
-         | acc, _ -> acc)
-       None (Serve.results t)
-   with
-  | Some sp ->
-      Trace_export.write_blame_span sp ~path:"BLAME_slowest.trace.json";
-      log "wrote BLAME_slowest.trace.json"
-  | None -> log "blame: no requests recorded, no slowest-request trace");
-  Serve.render_blame t ^ "\n" ^ Figures.serve_blame t
-
-let tiers_experiment ~machine ~jobs () =
-  (* The partition cell serves at the machine's at-the-knee load: low
-     enough that post-window recovery is physically possible, high enough
-     that the fault window sees thousands of in-flight requests. *)
-  let rate = List.hd (serve_rates ~machine) in
-  log
-    (Printf.sprintf
-       "tiers: backend-mix matrix + far partition mid-serve @ %g rps, %d jobs"
-       rate jobs);
-  let t = Tier_exp.run ~machine ~rate ~jobs ~log () in
-  Tier_exp.check t;
-  Metrics_io.write_file ~path:"TIER_metrics.json"
-    (Metrics.of_results
-       ~label:(Printf.sprintf "tiers %s" machine.Machine.m_name)
-       (Tier_exp.results t));
-  log "wrote TIER_metrics.json (deterministic)";
-  Tier_exp.render t
-
-let obs_experiment ~machine ~jobs () =
-  (* One cell — jobs only matters for the log line; the registry itself is
-     cell-private, so the frozen metrics are jobs-independent anyway. *)
-  let rate = List.hd (serve_rates ~machine) in
-  log
-    (Printf.sprintf "obs: telemetry brownout cell @ %g rps, %d jobs" rate jobs);
-  let t = Obs_exp.run ~machine ~rate ~log () in
-  Obs_exp.check t;
-  Metrics_io.write_file ~path:"OBS_metrics.json"
-    (Metrics.of_results
-       ~label:(Printf.sprintf "obs %s" machine.Machine.m_name)
-       (Obs_exp.results t));
-  log "wrote OBS_metrics.json (deterministic)";
-  (* The scrape-time exposition, for humans and for the CI artifact. *)
-  Out_channel.with_open_bin "OBS_openmetrics.txt" (fun oc ->
-      output_string oc
-        (Memhog_sim.Telemetry.to_openmetrics (Obs_exp.telemetry t)));
-  log "wrote OBS_openmetrics.txt";
-  Obs_exp.render t
-
-let experiments ~machine ~jobs =
+let experiments ~machine ~jobs ~smoke =
   [
     ("table1", fun () -> Figures.table1 ~machine ());
     ("table2", fun () -> Figures.table2 ~machine ());
@@ -747,28 +254,20 @@ let experiments ~machine ~jobs =
     ("ext-freemem", fun () -> Figures.ext_freemem ~machine ~jobs ~log ());
     ("ext-reactive", fun () -> Figures.ext_reactive ~machine ~jobs ~log ());
     ("ext-two-hogs", fun () -> Figures.ext_two_hogs ~machine ~jobs ~log ());
-    ("smoke", fun () -> smoke ~machine ~jobs ());
-    ("chaos", fun () -> chaos_experiment ~machine ~jobs ());
-    ("audit", fun () -> audit_experiment ~machine ~jobs ());
-    ("perf", fun () -> perf_experiment ~machine ~jobs ());
-    ("serve", fun () -> serve_experiment ~machine ~jobs ());
-    ("blame", fun () -> blame_experiment ~machine ~jobs ());
-    ("tiers", fun () -> tiers_experiment ~machine ~jobs ());
-    ("obs", fun () -> obs_experiment ~machine ~jobs ());
+    ("microbench", fun () -> microbench ~smoke ());
   ]
 
 let usage () =
   Printf.eprintf
     "usage: main.exe [--quick] [--jobs N] [--json] [--smoke] [--trace DIR] \
-     [--chaos SPEC] [--perf] [--serve] [--blame] [--gc-minor-kb KB] \
-     [EXPERIMENT ...]  (EXPERIMENT includes tiers and obs)\n"
+     [--chaos SPEC] [EXPERIMENT ...]\n"
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let jobs = ref (Pool.default_jobs ()) in
   let quick = ref false in
   let json = ref false in
-  let smoke_micro = ref false in
+  let smoke = ref false in
   let selected = ref [] in
   let rec parse = function
     | [] -> ()
@@ -779,7 +278,7 @@ let () =
         json := true;
         parse rest
     | "--smoke" :: rest ->
-        smoke_micro := true;
+        smoke := true;
         parse rest
     | "--jobs" :: n :: rest -> (
         match int_of_string_opt n with
@@ -800,28 +299,6 @@ let () =
         parse rest
     | "--trace" :: [] ->
         Printf.eprintf "--trace expects a directory argument\n";
-        usage ();
-        exit 2
-    | "--perf" :: rest ->
-        selected := "perf" :: !selected;
-        parse rest
-    | "--serve" :: rest ->
-        selected := "serve" :: !selected;
-        parse rest
-    | "--blame" :: rest ->
-        selected := "blame" :: !selected;
-        parse rest
-    | "--gc-minor-kb" :: kb :: rest -> (
-        match int_of_string_opt kb with
-        | Some kb when kb >= 32 ->
-            gc_minor_kb := Some kb;
-            parse rest
-        | _ ->
-            Printf.eprintf "--gc-minor-kb expects an integer >= 32, got %s\n" kb;
-            usage ();
-            exit 2)
-    | "--gc-minor-kb" :: [] ->
-        Printf.eprintf "--gc-minor-kb expects a size argument (KiB)\n";
         usage ();
         exit 2
     | "--chaos" :: spec :: rest -> (
@@ -846,27 +323,19 @@ let () =
         parse rest
   in
   parse args;
-  let selected = List.rev !selected in
   let machine = if !quick then Machine.quick else Machine.paper in
   let jobs = !jobs in
-  let run_micro = List.mem "microbench" selected in
-  let selected = List.filter (fun a -> a <> "microbench") selected in
-  let registry = experiments ~machine ~jobs in
+  let registry = experiments ~machine ~jobs ~smoke:!smoke in
   let to_run =
-    match selected with
-    | [] ->
-        List.filter
-          (fun (n, _) ->
-            n <> "smoke" && n <> "chaos" && n <> "audit" && n <> "perf"
-            && n <> "serve" && n <> "blame" && n <> "tiers" && n <> "obs")
-          registry
+    match List.rev !selected with
+    | [] -> registry
     | names ->
         List.map
           (fun n ->
             match List.assoc_opt n registry with
             | Some f -> (n, f)
             | None ->
-                Printf.eprintf "unknown experiment %s; known: %s microbench\n" n
+                Printf.eprintf "unknown experiment %s; known: %s\n" n
                   (String.concat " " (List.map fst registry));
                 exit 2)
           names
@@ -879,13 +348,8 @@ let () =
       print_string (f ());
       print_newline ())
     to_run;
-  if run_micro || selected = [] then microbench ~smoke:!smoke_micro ();
   if !json then begin
-    let m =
-      match !last_matrix with
-      | Some m -> m
-      | None -> get_matrix ~machine ~jobs ()
-    in
+    let m = get_matrix ~machine ~jobs () in
     write_matrix_json ~path:"BENCH_matrix.json" m;
     Metrics_io.write_file ~path:"BENCH_metrics.json" (Metrics.of_matrix m);
     log

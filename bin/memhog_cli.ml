@@ -10,9 +10,10 @@
      blame      per-request critical-path blame: additive response-time
                 decomposition, body vs tail, slowest-request trace export
      report     render metrics JSON files as human-readable tables
-     compare    diff two metrics JSON files (the CI regression gate)
+     compare    diff two metrics JSON files within a tolerance
      audit      per-directive-site efficacy report from the page ledger
-     perf       wall-clock throughput bench (events/sec; work counters gated)
+     perf       wall-clock throughput bench (events/sec, GC rates)
+     gate       re-run the tolerance-0 gates against the committed baselines
      top        replay a telemetry dump as a live terminal dashboard
 *)
 
@@ -666,20 +667,7 @@ let blame_cmd =
     print_string (Figures.serve_blame t);
     (match trace with
     | Some path -> (
-        (* the slowest committed request across the whole grid *)
-        let slowest =
-          List.fold_left
-            (fun acc (r : Experiment.result) ->
-              match (acc, Memhog_sim.Reqtrace.slowest r.Experiment.r_reqtrace) with
-              | None, sp -> sp
-              | Some a, Some sp
-                when sp.Memhog_sim.Reqtrace.sp_response
-                     > a.Memhog_sim.Reqtrace.sp_response ->
-                  Some sp
-              | acc, _ -> acc)
-            None (Serve.results t)
-        in
-        match slowest with
+        match Serve.slowest t with
         | Some sp ->
             Trace_export.write_blame_span sp ~path;
             Format.printf "slowest-request trace written to %s@." path
@@ -851,8 +839,9 @@ let compare_cmd =
     (Cmd.info "compare"
        ~doc:
          "Compare two metrics JSON files field by field; exit non-zero when \
-          any number drifts beyond the tolerance.  The CI regression gate \
-          runs this with --tolerance 0 against a committed baseline.")
+          any number drifts beyond the tolerance.  $(b,memhog gate) runs \
+          the same comparison at tolerance 0 against the committed \
+          baselines.")
     Term.(const run $ baseline $ current $ tolerance)
 
 (* ------------------------------------------------------------------ *)
@@ -1176,22 +1165,7 @@ let audit_cmd =
             Report.count l.Ledger.ls_unnecessary_releases ];
         ];
     (* --- reconciliation against the VM's own counters ---------------- *)
-    let s = r.Experiment.r_app_stats in
-    let checks =
-      [
-        ("hard faults", l.Ledger.ls_hard_faults, s.VS.hard_faults);
-        ("soft faults", l.Ledger.ls_soft_faults, s.VS.soft_faults);
-        ( "validation faults",
-          l.Ledger.ls_validation_faults,
-          s.VS.validation_faults );
-        ("zero fills", l.Ledger.ls_zero_fills, s.VS.zero_fills);
-        ("rescues", l.Ledger.ls_rescues, s.VS.rescued_daemon + s.VS.rescued_releaser);
-        ("prefetches issued", l.Ledger.ls_prefetches_issued, s.VS.prefetches_issued);
-        ("prefetches dropped", l.Ledger.ls_prefetches_dropped, s.VS.prefetches_dropped);
-        ("releases freed", l.Ledger.ls_releases_freed, s.VS.freed_by_releaser);
-        ("releases skipped", l.Ledger.ls_releases_skipped, s.VS.releases_skipped);
-      ]
-    in
+    let checks = Experiment.ledger_reconciliation r in
     table ~title:"Reconciliation (ledger vs Vm_stats)"
       ~header:[ "counter"; "ledger"; "vm"; "status" ]
       ~rows:
@@ -1261,79 +1235,112 @@ let perf_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Write the PERF metrics JSON to $(docv).")
   in
-  let check =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "check" ] ~docv:"BASELINE"
-          ~doc:
-            "Gate mode: compare deterministic work counters against the \
-             baseline PERF file (tolerance 0); exits non-zero on any \
-             divergence.  Wall-clock members are never compared.")
-  in
-  let current =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "current" ] ~docv:"FILE"
-          ~doc:
-            "With --check: compare this already-written PERF file instead \
-             of running the bench.")
-  in
-  let gate baseline current_json =
-    let diffs =
-      Metrics_io.compare_json ~tolerance:0.0
-        (Perf.work_projection baseline)
-        (Perf.work_projection current_json)
-    in
-    match diffs with
-    | [] ->
-        Format.printf "perf work counters match the baseline@.";
-        0
-    | diffs ->
-        Format.printf "@[<v>%d perf work counter(s) diverged from the baseline:@,%a@]@."
-          (List.length diffs)
-          (Metrics_io.pp_diffs ?limit:None)
-          diffs;
-        1
-  in
-  let run machine jobs gc_minor_kb ledger out check current =
-    match (check, current) with
-    | Some baseline, Some cur -> (
-        match (Perf.load_file ~path:baseline, Perf.load_file ~path:cur) with
-        | Error e, _ | _, Error e ->
-            Format.eprintf "memhog perf: %s@." e;
-            2
-        | Ok b, Ok c -> gate b c)
-    | _ -> (
-        let t = Perf.run ?gc_minor_kb ~ledger ~machine ~jobs () in
-        print_string (Perf.render t);
-        Option.iter
-          (fun path ->
-            Perf.write_file ~path t;
-            Format.printf "wrote %s@." path)
-          out;
-        match check with
-        | None -> 0
-        | Some baseline -> (
-            match Perf.load_file ~path:baseline with
-            | Error e ->
-                Format.eprintf "memhog perf: %s@." e;
-                2
-            | Ok b -> gate b (Perf.to_json t)))
+  let run machine jobs gc_minor_kb ledger out =
+    let t = Perf.run ?gc_minor_kb ~ledger ~machine ~jobs () in
+    print_string (Perf.render t);
+    Option.iter
+      (fun path ->
+        Perf.write_file ~path t;
+        Format.printf "wrote %s@." path)
+      out;
+    0
   in
   Cmd.v
     (Cmd.info "perf"
        ~doc:
          "Wall-clock throughput bench: run the perf workload cells and \
           report events/sec, faults/sec, simulated-ns per wall-ns and GC \
-          allocation rates.  Deterministic work counters (events executed, \
-          faults serviced, iterations, simulated time) can be gated against \
-          a committed PERF_metrics.json baseline with $(b,--check); \
-          wall-clock numbers are informational only.")
-    Term.(
-      const run $ machine_term $ jobs $ gc_minor_kb $ ledger $ out $ check
-      $ current)
+          allocation rates.  The deterministic work counters (events \
+          executed, faults serviced, iterations, simulated time) are gated \
+          by $(b,memhog gate perf); wall-clock numbers are informational \
+          only.")
+    Term.(const run $ machine_term $ jobs $ gc_minor_kb $ ledger $ out)
+
+(* ------------------------------------------------------------------ *)
+(* gate                                                                *)
+(* ------------------------------------------------------------------ *)
+
+let gate_cmd =
+  let names =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"NAME"
+          ~doc:
+            "Registry entries to run, in order (default: all of them — \
+             smoke, chaos, serve, tiers, obs, perf).")
+  in
+  let update =
+    Arg.(
+      value & flag
+      & info [ "update" ]
+          ~doc:
+            "Write each entry's document over its committed baseline \
+             instead of comparing: the deliberate regeneration after an \
+             intended behaviour change.")
+  in
+  let write path contents =
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+  in
+  (* Physics checks raise Failure; a baseline that cannot be read or does
+     not match is reported the same way, as an [Error] to print. *)
+  let verdict ~update (e : Gate.entry) =
+    match e.Gate.run () with
+    | exception Failure msg -> Error msg
+    | o -> (
+        List.iter (fun (file, data) -> write file data) o.Gate.artifacts;
+        let path = Filename.concat "bench" e.Gate.baseline in
+        if update then Ok (write path (Metrics_io.to_string o.Gate.doc))
+        else
+          match Metrics_io.read_file ~path with
+          | Error msg -> Error msg
+          | Ok baseline -> (
+              match Gate.compare ~baseline o.Gate.doc with
+              | [] -> Ok ()
+              | diffs ->
+                  Error
+                    (Format.asprintf "@[<v>%d number(s) differ from %s:@,%a@]"
+                       (List.length diffs) path
+                       (Metrics_io.pp_diffs ?limit:None)
+                       diffs)))
+  in
+  let run names update =
+    match Gate.select names with
+    | Error msg ->
+        Format.eprintf "memhog gate: %s@." msg;
+        2
+    | Ok entries ->
+        let failed =
+          List.filter
+            (fun (e : Gate.entry) ->
+              let t0 = Unix.gettimeofday () in
+              let v = verdict ~update e in
+              let wall = Unix.gettimeofday () -. t0 in
+              (match v with
+              | Ok () ->
+                  Format.printf "gate %s: %s (%.1f s)@." e.Gate.name
+                    (if update then "baseline written" else "ok")
+                    wall
+              | Error why ->
+                  Format.printf "gate %s: FAILED (%.1f s)@.%s@." e.Gate.name
+                    wall why);
+              Result.is_error v)
+            entries
+        in
+        if failed = [] then 0 else 1
+  in
+  Cmd.v
+    (Cmd.info "gate"
+       ~doc:
+         "Run the tolerance-0 regression gates from the repository root: \
+          each registry entry re-simulates its cells on the quick machine, \
+          fails on a broken physics check, and compares its metrics \
+          document with the committed baseline in $(b,bench/) (number \
+          lexemes must match exactly; the perf document's wall-clock \
+          members are ignored).  Informational artifacts \
+          (BLAME_slowest.trace.json, OBS_openmetrics.txt, \
+          PERF_metrics.json) are written to the current directory.  Every \
+          selected entry runs; the exit status is non-zero if any failed.")
+    Term.(const run $ names $ update)
 
 let () =
   let doc =
@@ -1347,5 +1354,5 @@ let () =
           [
             list_cmd; machine_cmd; compile_cmd; run_cmd; sweep_cmd;
             serve_cmd; blame_cmd; tiers_cmd; report_cmd; compare_cmd;
-            audit_cmd; perf_cmd; top_cmd;
+            audit_cmd; perf_cmd; gate_cmd; top_cmd;
           ]))

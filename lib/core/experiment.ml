@@ -526,3 +526,18 @@ let run_interactive_alone ?(machine = Machine.paper) ~sleep ~duration () =
          Engine.stop ()));
   Engine.run engine;
   summarize_interactive ~sleep task
+
+let ledger_reconciliation r =
+  let l = r.r_ledger and s = r.r_app_stats in
+  Vm_stats.
+    [
+      ("hard faults", l.Ledger.ls_hard_faults, s.hard_faults);
+      ("soft faults", l.Ledger.ls_soft_faults, s.soft_faults);
+      ("validation faults", l.Ledger.ls_validation_faults, s.validation_faults);
+      ("zero fills", l.Ledger.ls_zero_fills, s.zero_fills);
+      ("rescues", l.Ledger.ls_rescues, s.rescued_daemon + s.rescued_releaser);
+      ("prefetches issued", l.Ledger.ls_prefetches_issued, s.prefetches_issued);
+      ("prefetches dropped", l.Ledger.ls_prefetches_dropped, s.prefetches_dropped);
+      ("releases freed", l.Ledger.ls_releases_freed, s.freed_by_releaser);
+      ("releases skipped", l.Ledger.ls_releases_skipped, s.releases_skipped);
+    ]

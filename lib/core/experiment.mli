@@ -217,3 +217,15 @@ val run_interactive_alone :
   unit ->
   interactive_summary
 (** Baseline: the interactive task with the machine to itself. *)
+
+val ledger_reconciliation : result -> (string * int * int) list
+(** The page-lifecycle ledger's totals beside the VM's own counters for
+    the same facts, as [(counter, ledger, vm)] rows: hard, soft and
+    validation faults, zero fills, rescues, prefetches issued and dropped,
+    releases freed and skipped.  On a cell that ran with the ledger on,
+    the two columns agree row by row.
+
+    Precondition: the cell ran without a co-runner (no interactive task,
+    no server).  The ledger counts every process's pages, but
+    [r_app_stats] counts only the hog's, so beside a co-runner the rows
+    legitimately differ. *)

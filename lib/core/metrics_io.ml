@@ -637,29 +637,26 @@ let write_file ~path m =
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
-let load_file ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+let read_file ~path =
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | text -> (
-      match parse text with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-      | Ok j -> (
-          match (member "schema" j, member "schema_version" j) with
-          | Some (Str s), Some (Num (v, _))
-            when s = schema && int_of_float v = schema_version ->
-              Ok j
-          | Some (Str s), _ when s <> schema ->
-              Error (Printf.sprintf "%s: not a %s file" path schema)
-          | _, Some (Num (v, _)) when int_of_float v <> schema_version ->
-              Error
-                (Printf.sprintf "%s: schema_version %g, expected %d" path v
-                   schema_version)
-          | _ -> Error (Printf.sprintf "%s: missing schema header" path)))
+  | text -> Result.map_error (Printf.sprintf "%s: %s" path) (parse text)
+
+let load_file ~path =
+  match read_file ~path with
+  | Error e -> Error e
+  | Ok j -> (
+      match (member "schema" j, member "schema_version" j) with
+      | Some (Str s), Some (Num (v, _))
+        when s = schema && int_of_float v = schema_version ->
+          Ok j
+      | Some (Str s), _ when s <> schema ->
+          Error (Printf.sprintf "%s: not a %s file" path schema)
+      | _, Some (Num (v, _)) when int_of_float v <> schema_version ->
+          Error
+            (Printf.sprintf "%s: schema_version %g, expected %d" path v
+               schema_version)
+      | _ -> Error (Printf.sprintf "%s: missing schema header" path))
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)

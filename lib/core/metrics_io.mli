@@ -2,8 +2,8 @@
 
     The JSON writer is canonical: fixed key order, fixed number formatting,
     no locale or wall-clock dependence — two identical {!Metrics.t} values
-    produce byte-identical files, which is what lets the CI regression gate
-    run [compare --tolerance 0] against a committed baseline.
+    produce byte-identical files, which is what lets [memhog gate] compare
+    each run with a committed baseline at tolerance 0.
 
     The parser keeps each number's raw lexeme, so a zero-tolerance compare
     can demand textual equality rather than float equality. *)
@@ -42,9 +42,12 @@ val metrics_json : Metrics.t -> json
 
 val write_file : path:string -> Metrics.t -> unit
 
+val read_file : path:string -> (json, string) result
+(** Parse any JSON file; fails only when it is unreadable or malformed. *)
+
 val load_file : path:string -> (json, string) result
-(** Parse a metrics file; fails when the file is unreadable, malformed, or
-    does not carry the expected [schema]/[schema_version]. *)
+(** {!read_file} for a metrics file; also fails when it does not carry
+    the expected [schema]/[schema_version]. *)
 
 (** {1 Comparison} *)
 

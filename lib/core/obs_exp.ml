@@ -13,11 +13,7 @@ open Memhog_sim
 module E = Experiment
 module Workload = Memhog_workloads.Workload
 
-type t = {
-  ox_machine : Machine.t;
-  ox_rate : float;
-  ox_result : E.result;
-}
+type t = { ox_result : E.result }
 
 let results t = [ t.ox_result ]
 let telemetry t = t.ox_result.E.r_telemetry
@@ -31,10 +27,7 @@ let telemetry t = t.ox_result.E.r_telemetry
    rules cross for real, then clear as the window ends. *)
 let brownout_chaos = Tier_exp.partition_chaos ^ ";disk-slow@6s-9s:factor=4"
 
-let run ?(machine = Machine.paper) ~rate ?(log = fun (_ : string) -> ()) () =
-  log
-    (Printf.sprintf "obs: brownout serve cell @ %g rps under %S" rate
-       brownout_chaos);
+let run ?(machine = Machine.paper) ~rate () =
   let serve =
     E.serve_cfg ~machine ~mark:Tier_exp.partition_mark ~rate_rps:rate ()
   in
@@ -47,7 +40,7 @@ let run ?(machine = Machine.paper) ~rate ?(log = fun (_ : string) -> ()) () =
          ~chaos:brownout_chaos ~tiers:Tier_exp.partition_tiers
          ~trace:(Trace.create ()) ~serve ~telemetry:true ())
   in
-  { ox_machine = machine; ox_rate = rate; ox_result = r }
+  { ox_result = r }
 
 (* The chaos window of [Tier_exp.partition_chaos], plus the slack the
    rolling windows introduce: a rule watching a 2-5 s window crosses its
@@ -137,16 +130,3 @@ let check t =
            (if a.Telemetry.al_fired then "fired" else "cleared"));
       Hashtbl.replace seen a.Telemetry.al_rule a.Telemetry.al_fired)
     alerts
-
-let render t =
-  let buf = Buffer.create 2048 in
-  let fmt = Format.formatter_of_buffer buf in
-  Format.pp_open_vbox fmt 0;
-  Format.fprintf fmt
-    "Telemetry brownout: EMBAR/R + serve @ %g rps, %s over %s (%s)@,@,"
-    t.ox_rate Tier_exp.partition_chaos Tier_exp.partition_tiers
-    t.ox_machine.Machine.m_name;
-  Format.fprintf fmt "%a" Telemetry.pp (telemetry t);
-  Format.pp_close_box fmt ();
-  Format.pp_print_flush fmt ();
-  Buffer.contents buf

@@ -6,14 +6,10 @@
     other instrumentation, the alert timeline alone must show the
     breaker flapping and the SLO burning during the partition window,
     and both alerts clearing after the link heals.  The cell is
-    byte-deterministic at any [--jobs] level, so the CI freezes its
-    metrics document (telemetry object included) at tolerance 0. *)
+    byte-deterministic at any [--jobs] level, so [memhog gate obs] freezes
+    its metrics document (telemetry object included) at tolerance 0. *)
 
-type t = {
-  ox_machine : Machine.t;
-  ox_rate : float;       (** offered load (requests per second) *)
-  ox_result : Experiment.result;
-}
+type t = { ox_result : Experiment.result }
 
 val brownout_chaos : string
 (** {!Tier_exp.partition_chaos} plus a concurrent [disk-slow] over the
@@ -21,12 +17,7 @@ val brownout_chaos : string
     server never notices, so the brownout also degrades the swap volume
     the failover traffic lands on — that is what makes the SLO burn. *)
 
-val run :
-  ?machine:Machine.t ->
-  rate:float ->
-  ?log:(string -> unit) ->
-  unit ->
-  t
+val run : ?machine:Machine.t -> rate:float -> unit -> t
 (** One serving cell: the EMBAR/R hog next to the open-loop server, far
     tier under {!Tier_exp.partition_tiers}, chaos {!brownout_chaos},
     telemetry on. *)
@@ -44,7 +35,3 @@ val check : t -> unit
     just after) the partition window and cleared before the run ended,
     and the timeline alternates fire/clear per rule.
     @raise Failure on the first violated invariant. *)
-
-val render : t -> string
-(** Human-readable close-out: per-series summaries with sparklines, then
-    the alert timeline. *)

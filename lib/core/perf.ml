@@ -156,38 +156,22 @@ let to_json t =
       ])
 
 let write_file ~path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string (to_json t));
-      output_char oc '\n')
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (to_string (to_json t)))
 
 let load_file ~path =
-  match
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-    with Sys_error e -> Error e
-  with
+  match read_file ~path with
   | Error e -> Error e
-  | Ok body -> (
-      match parse body with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-      | Ok json -> (
-          match json with
-          | Obj kvs
-            when List.assoc_opt "schema" kvs = Some (Str schema)
-                 && (match List.assoc_opt "schema_version" kvs with
-                    | Some (Num (v, _)) -> int_of_float v = perf_schema_version
-                    | _ -> false) ->
-              Ok json
-          | _ ->
-              Error
-                (Printf.sprintf "%s: not a %s schema_version %d file" path
-                   schema perf_schema_version)))
+  | Ok (Obj kvs as json)
+    when List.assoc_opt "schema" kvs = Some (Str schema)
+         && (match List.assoc_opt "schema_version" kvs with
+            | Some (Num (v, _)) -> int_of_float v = perf_schema_version
+            | _ -> false) ->
+      Ok json
+  | Ok _ ->
+      Error
+        (Printf.sprintf "%s: not a %s schema_version %d file" path schema
+           perf_schema_version)
 
 (* Members that carry wall-clock or environment information; everything
    else in the document is deterministic work. *)
@@ -203,23 +187,6 @@ let rec work_projection = function
            kvs)
   | Arr xs -> Arr (List.map work_projection xs)
   | j -> j
-
-let check ~baseline ~current =
-  match (load_file ~path:baseline, load_file ~path:current) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok b, Ok c -> (
-      match
-        compare_json ~tolerance:0.0 (work_projection b) (work_projection c)
-      with
-      | [] -> Ok ()
-      | diffs ->
-          Error
-            (String.concat "\n"
-               (List.map
-                  (fun d ->
-                    Printf.sprintf "%s: expected %s, got %s (%s)" d.d_path
-                      d.d_expected d.d_got d.d_reason)
-                  diffs)))
 
 let render t =
   let rows =

@@ -1,4 +1,5 @@
-(** Wall-clock throughput benchmark ([memhog perf], [bench perf]).
+(** Wall-clock throughput benchmark ([memhog perf], and the [perf] entry
+    of {!Gate}).
 
     Runs a small grid of workload cells and measures how fast the simulator
     itself executes: events/sec, faults/sec, simulated-ns per wall-ns, and
@@ -8,7 +9,8 @@
 
     - ["work"] members are deterministic work counters (engine events
       executed, faults serviced, iterations, simulated ns) — identical at
-      any [--jobs] level and gated zero-tolerance in CI;
+      any [--jobs] level and gated at tolerance 0 by [memhog gate perf]
+      against [bench/PERF_metrics.json];
     - ["wall"] members are wall-clock and allocation numbers — recorded
       informationally, never gated.
 
@@ -20,7 +22,7 @@
 type cell = { pc_workload : string; pc_variant : Experiment.variant }
 
 val default_cells : cell list
-(** The @perf-smoke grid: MATVEC/O, MATVEC/R, EMBAR/B, CGM/P. *)
+(** The perf gate's grid: MATVEC/O, MATVEC/R, EMBAR/B, CGM/P. *)
 
 type cell_result = {
   pr_label : string;  (** "WORKLOAD/VARIANT" *)
@@ -81,13 +83,8 @@ val work_projection : Metrics_io.json -> Metrics_io.json
 (** Strip every informational member (["wall"], ["jobs"], ["gc_minor_kb"],
     ["total_wall_s"]) so only the gated work counters remain.  Two runs of
     the same grid — at any [--jobs], with any wall-clock — project to
-    byte-identical documents. *)
-
-val check :
-  baseline:string -> current:string -> (unit, string) result
-(** CI gate: load both files and compare their {!work_projection}s at
-    tolerance 0 (raw number lexemes must match).  [Error] lists the
-    divergent paths. *)
+    byte-identical documents; {!Gate.compare} compares these projections
+    at tolerance 0. *)
 
 val render : t -> string
 (** Human-readable table of the run (events/sec, faults/sec, sim-ns per

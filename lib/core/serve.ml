@@ -129,6 +129,17 @@ let blame_exn (r : E.result) =
   | Some b -> b
   | None -> invalid_arg "Serve: result has no blame summary"
 
+let slowest t =
+  List.fold_left
+    (fun acc (r : E.result) ->
+      match (acc, Reqtrace.slowest r.E.r_reqtrace) with
+      | None, sp -> sp
+      | Some a, Some sp when sp.Reqtrace.sp_response > a.Reqtrace.sp_response
+        ->
+          Some sp
+      | acc, _ -> acc)
+    None (results t)
+
 let render_blame t =
   let buf = Buffer.create 2048 in
   let fmt = Format.formatter_of_buffer buf in

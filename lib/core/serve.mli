@@ -66,6 +66,11 @@ val blame_exn : Experiment.result -> Memhog_sim.Reqtrace.summary
 (** The per-request blame close-out of a grid cell.
     @raise Invalid_argument on a non-serve result. *)
 
+val slowest : t -> Memhog_sim.Reqtrace.span option
+(** The slowest sampled request across the whole grid (the first such
+    cell in grid order on a tie), or [None] when no cell recorded one —
+    feed {!Trace_export.write_blame_span} to open its critical path. *)
+
 val render : t -> string
 (** Plain-text tail-latency table (p50/p99/p999 + SLO attainment), plus an
     explicit warning line for any cell that recorded no responses — its

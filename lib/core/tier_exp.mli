@@ -9,8 +9,8 @@
     demotions must fail over to the durable swap copy, in-flight reads
     must be rescued from it, the circuit breaker must open and probe
     closed again, and the server's SLO attainment after the fault window
-    must recover.  {!check} asserts all of that; the bench freezes the
-    numbers byte-for-byte in [bench/TIER_metrics.json].
+    must recover.  {!check} asserts all of that; [memhog gate tiers]
+    freezes the numbers byte-for-byte in [bench/TIER_metrics.json].
 
     Every cell is an independent simulation; results are bit-identical at
     any [jobs] level. *)

@@ -9,7 +9,6 @@ module Machine = Memhog_core.Machine
 module Metrics = Memhog_core.Metrics
 module Mio = Memhog_core.Metrics_io
 module Pool = Memhog_core.Pool
-module VS = Memhog_vm.Vm_stats
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -35,24 +34,10 @@ let test_jobs_determinism () =
 
 let test_reconciles_with_vm_stats () =
   let r = run_cell () in
-  let l = r.E.r_ledger in
-  let s = r.E.r_app_stats in
-  check_int "hard faults" s.VS.hard_faults l.Ledger.ls_hard_faults;
-  check_int "soft faults" s.VS.soft_faults l.Ledger.ls_soft_faults;
-  check_int "validation faults" s.VS.validation_faults
-    l.Ledger.ls_validation_faults;
-  check_int "zero fills" s.VS.zero_fills l.Ledger.ls_zero_fills;
-  check_int "rescues"
-    (s.VS.rescued_daemon + s.VS.rescued_releaser)
-    l.Ledger.ls_rescues;
-  check_int "prefetches issued" s.VS.prefetches_issued
-    l.Ledger.ls_prefetches_issued;
-  check_int "prefetches dropped" s.VS.prefetches_dropped
-    l.Ledger.ls_prefetches_dropped;
-  check_int "releases freed" s.VS.freed_by_releaser l.Ledger.ls_releases_freed;
-  check_int "releases skipped" s.VS.releases_skipped
-    l.Ledger.ls_releases_skipped;
-  check_bool "summary invariants" true (Ledger.invariants_ok l)
+  List.iter
+    (fun (counter, ledger, vm) -> check_int counter vm ledger)
+    (E.ledger_reconciliation r);
+  check_bool "summary invariants" true (Ledger.invariants_ok r.E.r_ledger)
 
 let test_null_and_empty () =
   check_bool "null disabled" false (Ledger.enabled Ledger.null);
