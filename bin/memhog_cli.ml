@@ -59,6 +59,38 @@ let variant_conv =
   in
   Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (Experiment.variant_name v))
 
+(* Numeric options refuse at parse time the values [Experiment.setup]
+   rejects, so a bad number is a usage error (exit 124) before anything is
+   simulated instead of an empty run or a crash mid-run. *)
+let checked ~expected ok conv =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let passes_conv = checked ~expected:"at least 1 pass" (fun n -> n >= 1) Arg.int
+
+let rate_conv =
+  checked ~expected:"a positive rate"
+    (fun f -> Float.is_finite f && f > 0.0)
+    Arg.float
+
+(* Seconds become simulated ns; a value that rounds to 0 ns (or overflows)
+   is as bad as a negative one. *)
+let seconds_conv ~positive =
+  checked
+    ~expected:
+      (if positive then "a positive number of seconds"
+       else "a non-negative number of seconds")
+    (fun f ->
+      let ns = Time_ns.of_sec_f f in
+      Float.is_finite f && f >= 0.0 && if positive then ns > 0 else ns >= 0)
+    Arg.float
+
 (* ------------------------------------------------------------------ *)
 (* list                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -142,14 +174,14 @@ let run_cmd =
   let interactive =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (seconds_conv ~positive:false)) None
       & info [ "interactive" ] ~docv:"SLEEP_S"
           ~doc:"Co-run the section-1.1 interactive task with this sleep time.")
   in
   let iterations =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some passes_conv) None
       & info [ "iterations"; "n" ] ~docv:"N" ~doc:"Main-computation passes.")
   in
   let conservative =
@@ -225,7 +257,7 @@ let run_cmd =
   let serve_rate =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some rate_conv) None
       & info [ "serve" ] ~docv:"RPS"
           ~doc:
             "Co-run the open-loop KVSERVE server at $(docv) requests/sec \
@@ -432,7 +464,9 @@ let sweep_cmd =
   let sleeps =
     Arg.(
       value
-      & opt (list float) [ 0.0; 0.5; 1.0; 2.0; 5.0; 10.0; 20.0 ]
+      & opt
+          (list (seconds_conv ~positive:false))
+          [ 0.0; 0.5; 1.0; 2.0; 5.0; 10.0; 20.0 ]
       & info [ "sleeps" ] ~docv:"S,S,..."
           ~doc:"Sleep times (seconds) to sweep.")
   in
@@ -524,7 +558,7 @@ let serve_grid_term =
   let rates =
     Arg.(
       value
-      & opt (list float) Serve.default_rates
+      & opt (list rate_conv) Serve.default_rates
       & info [ "rates" ] ~docv:"RPS,RPS,..."
           ~doc:"Offered loads (requests/sec) to sweep.")
   in
@@ -545,14 +579,14 @@ let serve_grid_term =
   let slo =
     Arg.(
       value
-      & opt float 0.03
+      & opt (seconds_conv ~positive:true) 0.03
       & info [ "slo" ] ~docv:"S"
           ~doc:"Per-request response-time target, in seconds.")
   in
   let duration =
     Arg.(
       value
-      & opt float 20.0
+      & opt (seconds_conv ~positive:true) 20.0
       & info [ "duration" ] ~docv:"S"
           ~doc:"Arrival-window length, in simulated seconds.")
   in
@@ -697,7 +731,7 @@ let tiers_cmd =
   let rate =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some rate_conv) None
       & info [ "rate" ] ~docv:"RPS"
           ~doc:
             "Offered load of the partition serving cell (default: the \
@@ -1031,7 +1065,7 @@ let audit_cmd =
   let iterations =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some passes_conv) None
       & info [ "iterations"; "n" ] ~docv:"N" ~doc:"Main-computation passes.")
   in
   let conservative =

@@ -58,10 +58,8 @@ type result = {
   r_account : Account.t;
   r_inter_breakdown : breakdown option;
   r_app_stats : Vm_stats.proc;
-  r_inter_stats : Vm_stats.proc option;
   r_global : Vm_stats.global;
   r_runtime : Runtime.stats option;
-  r_compiler : Pir.gen_stats;
   r_interactive : interactive_summary option;
   r_app_tlb_misses : int;
   r_telemetry : Telemetry.t;
@@ -81,7 +79,6 @@ type result = {
   r_sites : Pir.site_info list;
   r_events_executed : int;
   r_serving : Server.summary option;
-  r_blame : Reqtrace.summary option;
   r_reqtrace : Reqtrace.t;
 }
 
@@ -138,8 +135,25 @@ let setup ?(machine = Machine.paper) ?interactive_sleep ?iterations
     ?release_target ?(max_sim_time = Time_ns.sec 3600) ?trace ?chaos ?governor
     ?(ledger_on = true) ?serve ?tiers ?(telemetry = false) ~workload ~variant
     () =
-  (* Validate the specs eagerly so a bad --chaos or --tiers fails before
-     any work. *)
+  (* Validate eagerly so a bad number or spec fails before any work: out of
+     range, each of these would run nothing or die mid-run. *)
+  let reject fmt =
+    Printf.ksprintf (fun m -> invalid_arg ("Experiment.setup: " ^ m)) fmt
+  in
+  (match iterations with
+  | Some n when n < 1 -> reject "iterations must be at least 1 (got %d)" n
+  | _ -> ());
+  (match interactive_sleep with
+  | Some s when s < 0 -> reject "negative interactive sleep (%d ns)" s
+  | _ -> ());
+  (match serve with
+  | Some { Server.sv_rate_rps = rate; sv_duration; sv_slo; _ } ->
+      if not (Float.is_finite rate && rate > 0.0) then
+        reject "offered rate must be positive (got %g rps)" rate;
+      if sv_duration <= 0 then
+        reject "arrival window must be positive (got %d ns)" sv_duration;
+      if sv_slo <= 0 then reject "SLO must be positive (got %d ns)" sv_slo
+  | None -> ());
   (match chaos with
   | Some spec -> ignore (Chaos.create ~seed:machine.Machine.m_seed spec)
   | None -> ());
@@ -467,16 +481,11 @@ let run (s : setup) =
       Option.bind task (fun t ->
           Option.map breakdown_of_account (Interactive.account t));
     r_app_stats = asp.Memhog_vm.Address_space.stats;
-    r_inter_stats =
-      Option.map
-        (fun t -> (Interactive.asp t).Memhog_vm.Address_space.stats)
-        task;
     r_global = Os.global_stats os;
     r_runtime =
       (match s.variant with
       | O -> None
       | _ -> Some (Runtime.stats (App.runtime app)));
-    r_compiler = prog.Pir.px_stats;
     r_interactive =
       Option.map
         (fun t ->
@@ -508,7 +517,6 @@ let run (s : setup) =
     r_sites = Pir.sites prog;
     r_events_executed = Engine.events_executed engine;
     r_serving = Option.map Server.summary server;
-    r_blame = Option.map Server.blame server;
     r_reqtrace = reqtrace;
   }
 

@@ -48,10 +48,8 @@ type result = {
   r_inter_breakdown : breakdown option;
       (** the interactive task's Figure 7 components, when present *)
   r_app_stats : Memhog_vm.Vm_stats.proc;
-  r_inter_stats : Memhog_vm.Vm_stats.proc option;
   r_global : Memhog_vm.Vm_stats.global;
   r_runtime : Memhog_runtime.Runtime.stats option;
-  r_compiler : Memhog_compiler.Pir.gen_stats;
   r_interactive : interactive_summary option;
   r_app_tlb_misses : int;
   r_telemetry : Memhog_sim.Telemetry.t;
@@ -104,19 +102,16 @@ type result = {
   r_serving : Memhog_exec.Server.summary option;
       (** the open-loop server's close-out (arrivals, completions, SLO
           counters, response histogram), when the cell ran in serve mode *)
-  r_blame : Memhog_sim.Reqtrace.summary option;
-      (** per-request critical-path blame: response-time decomposition
-          (queue / index stall / value stall / CPU wait / compute,
-          additive by construction), percentile-band blame table,
-          prefetch race counters and demand-disk attribution.  Present
-          exactly when the cell ran in serve mode; cell-private and
-          byte-deterministic at any [--jobs]. *)
   r_reqtrace : Memhog_sim.Reqtrace.t;
-      (** the raw blame layer behind [r_blame] — kept (like [r_trace]) so
-          callers can reach the sampled spans themselves, e.g. to export
-          the slowest request's critical path as a Chrome trace
-          ({!Memhog_sim.Reqtrace.slowest});  {!Memhog_sim.Reqtrace.null}
-          for batch cells *)
+      (** the per-request critical-path blame layer, live exactly when the
+          cell ran in serve mode ({!Memhog_sim.Reqtrace.null} for batch
+          cells).  {!Memhog_sim.Reqtrace.summarize} gives the additive
+          response-time decomposition (queue / index stall / value stall /
+          CPU wait / compute), the percentile-band blame table, prefetch
+          race counters and demand-disk attribution; the sampled spans
+          themselves are reachable too, e.g. to export the slowest
+          request's critical path ({!Memhog_sim.Reqtrace.slowest}).
+          Cell-private and byte-deterministic at any [--jobs]. *)
 }
 
 type setup = {
@@ -206,7 +201,10 @@ val setup :
   variant:variant ->
   unit ->
   setup
-(** @raise Invalid_argument when [chaos] or [tiers] does not parse. *)
+(** @raise Invalid_argument when [chaos] or [tiers] does not parse, when
+    [iterations] is below 1, when [interactive_sleep] is negative, or when
+    [serve]'s offered rate (finite), arrival window or SLO is not
+    positive — before anything is simulated. *)
 
 val run : setup -> result
 

@@ -1,441 +1,6 @@
-open Memhog_sim
-module VS = Memhog_vm.Vm_stats
-module Runtime = Memhog_runtime.Runtime
-module E = Experiment
+type t = { m_label : string; m_results : Experiment.result list }
 
-type hist_summary = {
-  hs_count : int;
-  hs_sum : int;
-  hs_min : int;
-  hs_max : int;
-  hs_mean : float;
-  hs_p50 : int;
-  hs_p90 : int;
-  hs_p99 : int;
-  hs_p999 : int;
-  hs_buckets : (int * int) list;
-}
-
-let summarize_hist h =
-  {
-    hs_count = Histogram.count h;
-    hs_sum = Histogram.sum h;
-    hs_min = Option.value (Histogram.min_value h) ~default:0;
-    hs_max = Option.value (Histogram.max_value h) ~default:0;
-    hs_mean = Histogram.mean h;
-    hs_p50 = Histogram.percentile h 50.0;
-    hs_p90 = Histogram.percentile h 90.0;
-    hs_p99 = Histogram.percentile h 99.0;
-    hs_p999 = Histogram.percentile h 99.9;
-    hs_buckets = Histogram.to_alist h;
-  }
-
-type tel_series = {
-  es_name : string;
-  es_kind : string;
-  es_samples : int;
-  es_last : float;
-  es_min : float;
-  es_mean : float;
-  es_max : float;
-}
-
-type tel_alert = {
-  ea_time_ns : int;
-  ea_rule : string;
-  ea_fired : bool;
-  ea_value : float;
-}
-
-type telemetry_summary = {
-  tm_scrapes : int;
-  tm_series : tel_series list;
-  tm_alerts : tel_alert list;
-}
-
-let summarize_telemetry tl =
-  {
-    tm_scrapes = Telemetry.scrapes tl;
-    tm_series =
-      List.map
-        (fun (ts : Telemetry.series_summary) ->
-          {
-            es_name = ts.Telemetry.ts_name;
-            es_kind = Telemetry.kind_name ts.Telemetry.ts_kind;
-            es_samples = ts.Telemetry.ts_samples;
-            es_last = ts.Telemetry.ts_last;
-            es_min = ts.Telemetry.ts_min;
-            es_mean = ts.Telemetry.ts_mean;
-            es_max = ts.Telemetry.ts_max;
-          })
-        (Telemetry.summaries tl);
-    tm_alerts =
-      List.map
-        (fun (a : Telemetry.alert) ->
-          {
-            ea_time_ns = a.Telemetry.al_time;
-            ea_rule = a.Telemetry.al_rule;
-            ea_fired = a.Telemetry.al_fired;
-            ea_value = a.Telemetry.al_value;
-          })
-        (Telemetry.alerts tl);
-  }
-
-type release_accuracy = {
-  ra_requested : int;
-  ra_skipped : int;
-  ra_freed_daemon : int;
-  ra_freed_releaser : int;
-  ra_rescued_daemon : int;
-  ra_rescued_releaser : int;
-  ra_lost_daemon : int;
-  ra_lost_releaser : int;
-  ra_stale_dropped : int;
-  ra_rescue_ratio_daemon : float;
-  ra_rescue_ratio_releaser : float;
-}
-
-let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
-
-let release_accuracy_of (r : E.result) =
-  let s = r.E.r_app_stats in
-  {
-    ra_requested = s.VS.releases_requested;
-    ra_skipped = s.VS.releases_skipped;
-    ra_freed_daemon = s.VS.freed_by_daemon;
-    ra_freed_releaser = s.VS.freed_by_releaser;
-    ra_rescued_daemon = s.VS.rescued_daemon;
-    ra_rescued_releaser = s.VS.rescued_releaser;
-    ra_lost_daemon = s.VS.lost_daemon;
-    ra_lost_releaser = s.VS.lost_releaser;
-    ra_stale_dropped =
-      (match r.E.r_runtime with
-      | Some rt -> rt.Runtime.rt_release_stale_dropped
-      | None -> 0);
-    ra_rescue_ratio_daemon = ratio s.VS.rescued_daemon s.VS.freed_by_daemon;
-    ra_rescue_ratio_releaser =
-      ratio s.VS.rescued_releaser s.VS.freed_by_releaser;
-  }
-
-type governor_summary = {
-  g_level : int;
-  g_degrades : int;
-  g_recoveries : int;
-  g_suppressed : int;
-  g_prefetch_os_done : int;
-  g_prefetch_os_dropped : int;
-}
-
-type chaos_summary = {
-  ch_disk_faults : int;
-  ch_disk_retries : int;
-  ch_disk_backoff_ns : int;
-  ch_disk_timeouts : int;
-  ch_slow_requests : int;
-  ch_releaser_stall_ns : int;
-  ch_daemon_stall_ns : int;
-  ch_directives_dropped : int;
-  ch_pressure_spikes : int;
-  ch_pressure_pages : int;
-}
-
-type disk_summary = {
-  dk_reads : int;
-  dk_writes : int;
-  dk_timeouts : int;
-  dk_bypasses : int;
-  dk_busy_ns : int;
-}
-
-type tier_row = {
-  tr_tier : string;
-  tr_reads : int;
-  tr_writes : int;
-  tr_timeouts : int;
-  tr_retries : int;
-  tr_rejects : int;
-  tr_failovers : int;
-  tr_breaker_transitions : int;
-}
-
-type tiers_summary = {
-  ti_tiers : tier_row list;
-  ti_rescues : int;
-  ti_breaker_state : int;
-  ti_placed : int;
-  ti_zram_amplification : float;
-  ti_tier_buffered : int;
-}
-
-let disk_of (r : E.result) =
-  {
-    dk_reads = r.E.r_swap_reads;
-    dk_writes = r.E.r_swap_writes;
-    dk_timeouts = r.E.r_disk_timeouts;
-    dk_bypasses = r.E.r_disk_bypasses;
-    dk_busy_ns = r.E.r_disk_busy;
-  }
-
-let tier_row_of (t : Memhog_vm.Tiers.tier_summary) =
-  let module T = Memhog_vm.Tiers in
-  {
-    tr_tier = T.tier_name t.T.ts_tier;
-    tr_reads = t.T.ts_reads;
-    tr_writes = t.T.ts_writes;
-    tr_timeouts = t.T.ts_timeouts;
-    tr_retries = t.T.ts_retries;
-    tr_rejects = t.T.ts_rejects;
-    tr_failovers = t.T.ts_failovers;
-    tr_breaker_transitions = t.T.ts_breaker_transitions;
-  }
-
-let tiers_of ~tier_buffered (s : Memhog_vm.Tiers.summary) =
-  let module T = Memhog_vm.Tiers in
-  {
-    ti_tiers = List.map tier_row_of s.T.s_tiers;
-    ti_rescues = s.T.s_rescues;
-    ti_breaker_state = s.T.s_breaker_state;
-    ti_placed = s.T.s_placed;
-    ti_zram_amplification = s.T.s_zram_amplification;
-    ti_tier_buffered = tier_buffered;
-  }
-
-type serving_summary = {
-  sv_offered_rps : float;
-  sv_duration_ns : int;
-  sv_slo_ns : int;
-  sv_arrived : int;
-  sv_completed : int;
-  sv_recorded : int;
-  sv_max_queue : int;
-  sv_slo_ok : int;
-  sv_slo_attainment : float;
-  sv_mark_ns : int option;
-  sv_post_recorded : int;
-  sv_post_slo_ok : int;
-  sv_post_attainment : float;
-  sv_response : hist_summary;
-}
-
-let serving_of (s : Memhog_exec.Server.summary) =
-  let module Sv = Memhog_exec.Server in
-  {
-    sv_offered_rps = s.Sv.sm_offered_rps;
-    sv_duration_ns = s.Sv.sm_duration;
-    sv_slo_ns = s.Sv.sm_slo;
-    sv_arrived = s.Sv.sm_arrived;
-    sv_completed = s.Sv.sm_completed;
-    sv_recorded = s.Sv.sm_recorded;
-    sv_max_queue = s.Sv.sm_max_queue;
-    sv_slo_ok = s.Sv.sm_slo_ok;
-    sv_slo_attainment = Sv.slo_attainment s;
-    sv_mark_ns = s.Sv.sm_mark;
-    sv_post_recorded = s.Sv.sm_post_recorded;
-    sv_post_slo_ok = s.Sv.sm_post_slo_ok;
-    sv_post_attainment = Sv.post_attainment s;
-    sv_response = summarize_hist s.Sv.sm_hist;
-  }
-
-type blame_band = {
-  bb_label : string;
-  bb_count : int;
-  bb_queue_ns : int;
-  bb_index_ns : int;
-  bb_value_ns : int;
-  bb_cpu_ns : int;
-  bb_compute_ns : int;
-  bb_response_ns : int;
-}
-
-type blame_summary = {
-  bl_committed : int;
-  bl_sampled : int;
-  bl_cap : int;
-  bl_p50_ns : int;
-  bl_p99_ns : int;
-  bl_p999_ns : int;
-  bl_bands : blame_band list;
-  bl_response : hist_summary;
-  bl_queue : hist_summary;
-  bl_index : hist_summary;
-  bl_value : hist_summary;
-  bl_cpu : hist_summary;
-  bl_compute : hist_summary;
-  bl_pf_slack : hist_summary;
-  bl_pf_hidden : int;
-  bl_pf_lost : int;
-  bl_bypasses : int;
-  bl_disk_queue_ns : int;
-  bl_disk_service_ns : int;
-  bl_transit_ns : int;
-}
-
-let blame_band_of (b : Reqtrace.band) =
-  {
-    bb_label = b.Reqtrace.bd_label;
-    bb_count = b.Reqtrace.bd_count;
-    bb_queue_ns = b.Reqtrace.bd_queue;
-    bb_index_ns = b.Reqtrace.bd_index;
-    bb_value_ns = b.Reqtrace.bd_value;
-    bb_cpu_ns = b.Reqtrace.bd_cpu;
-    bb_compute_ns = b.Reqtrace.bd_compute;
-    bb_response_ns = b.Reqtrace.bd_response;
-  }
-
-let blame_of (s : Reqtrace.summary) =
-  {
-    bl_committed = s.Reqtrace.su_committed;
-    bl_sampled = s.Reqtrace.su_sampled;
-    bl_cap = s.Reqtrace.su_cap;
-    bl_p50_ns = s.Reqtrace.su_p50;
-    bl_p99_ns = s.Reqtrace.su_p99;
-    bl_p999_ns = s.Reqtrace.su_p999;
-    bl_bands = List.map blame_band_of s.Reqtrace.su_bands;
-    bl_response = summarize_hist s.Reqtrace.su_response;
-    bl_queue = summarize_hist s.Reqtrace.su_queue;
-    bl_index = summarize_hist s.Reqtrace.su_index;
-    bl_value = summarize_hist s.Reqtrace.su_value;
-    bl_cpu = summarize_hist s.Reqtrace.su_cpu;
-    bl_compute = summarize_hist s.Reqtrace.su_compute;
-    bl_pf_slack = summarize_hist s.Reqtrace.su_pf_slack;
-    bl_pf_hidden = s.Reqtrace.su_pf_hidden;
-    bl_pf_lost = s.Reqtrace.su_pf_lost;
-    bl_bypasses = s.Reqtrace.su_bypasses;
-    bl_disk_queue_ns = s.Reqtrace.su_disk_queue;
-    bl_disk_service_ns = s.Reqtrace.su_disk_service;
-    bl_transit_ns = s.Reqtrace.su_transit;
-  }
-
-type cell = {
-  c_workload : string;
-  c_variant : string;
-  c_elapsed_ns : int;
-  c_iterations : int;
-  c_app_breakdown : E.breakdown;
-  c_inter_breakdown : E.breakdown option;
-  c_fault : hist_summary;
-  c_prefetch : hist_summary;
-  c_response : hist_summary option;
-  c_release : release_accuracy;
-  c_telemetry : telemetry_summary;
-  c_hard_faults : int;
-  c_soft_faults : int;
-  c_swap_reads : int;
-  c_swap_writes : int;
-  c_governor : governor_summary option;
-  c_chaos : chaos_summary option;
-  c_disk : disk_summary;
-  c_tiers : tiers_summary option;
-  c_trace_dropped : int;
-  c_ledger : Ledger.summary;
-  c_sites : Memhog_compiler.Pir.site_info list;
-  c_serving : serving_summary option;
-  c_blame : blame_summary option;
-}
-
-let governor_of (rt : Runtime.stats) =
-  {
-    g_level = rt.Runtime.rt_gov_level;
-    g_degrades = rt.Runtime.rt_gov_degrades;
-    g_recoveries = rt.Runtime.rt_gov_recoveries;
-    g_suppressed = rt.Runtime.rt_gov_suppressed;
-    g_prefetch_os_done = rt.Runtime.rt_prefetch_os_done;
-    g_prefetch_os_dropped = rt.Runtime.rt_prefetch_os_dropped;
-  }
-
-let chaos_of ~disk_timeouts (cs : Chaos.stats) =
-  {
-    ch_disk_faults = cs.Chaos.disk_faults;
-    ch_disk_retries = cs.Chaos.disk_retries;
-    ch_disk_backoff_ns = cs.Chaos.disk_backoff_ns;
-    ch_disk_timeouts = disk_timeouts;
-    ch_slow_requests = cs.Chaos.slow_requests;
-    ch_releaser_stall_ns = cs.Chaos.releaser_stall_ns;
-    ch_daemon_stall_ns = cs.Chaos.daemon_stall_ns;
-    ch_directives_dropped = cs.Chaos.directives_dropped;
-    ch_pressure_spikes = cs.Chaos.pressure_spikes;
-    ch_pressure_pages = cs.Chaos.pressure_pages;
-  }
-
-let of_result (r : E.result) =
-  {
-    c_workload = r.E.r_workload;
-    c_variant = E.variant_name r.E.r_variant;
-    c_elapsed_ns = r.E.r_elapsed;
-    c_iterations = r.E.r_iterations;
-    c_app_breakdown = r.E.r_breakdown;
-    c_inter_breakdown = r.E.r_inter_breakdown;
-    c_fault = summarize_hist r.E.r_fault_hist;
-    c_prefetch = summarize_hist r.E.r_prefetch_hist;
-    c_response = Option.map summarize_hist r.E.r_response_hist;
-    c_release = release_accuracy_of r;
-    c_telemetry = summarize_telemetry r.E.r_telemetry;
-    c_hard_faults = r.E.r_app_stats.VS.hard_faults;
-    c_soft_faults = r.E.r_app_stats.VS.soft_faults;
-    c_swap_reads = r.E.r_swap_reads;
-    c_swap_writes = r.E.r_swap_writes;
-    c_governor = Option.map governor_of r.E.r_runtime;
-    c_chaos =
-      Option.map (chaos_of ~disk_timeouts:r.E.r_disk_timeouts) r.E.r_chaos;
-    c_disk = disk_of r;
-    c_tiers =
-      Option.map
-        (tiers_of
-           ~tier_buffered:
-             (match r.E.r_runtime with
-             | Some rt -> rt.Runtime.rt_tier_buffered
-             | None -> 0))
-        r.E.r_tiers;
-    c_trace_dropped = Trace.dropped r.E.r_trace;
-    c_ledger = r.E.r_ledger;
-    c_sites = r.E.r_sites;
-    c_serving = Option.map serving_of r.E.r_serving;
-    c_blame = Option.map blame_of r.E.r_blame;
-  }
-
-type totals = {
-  t_cells : int;
-  t_elapsed_ns : int;
-  t_breakdown : E.breakdown;
-  t_proc : VS.proc;
-  t_global : VS.global;
-  t_fault : hist_summary;
-  t_prefetch : hist_summary;
-  t_response : hist_summary;
-}
-
-let totals_of (results : E.result list) =
-  let acct = Account.create () in
-  let proc = VS.create_proc () in
-  let global = VS.create_global () in
-  let fault = Histogram.create () in
-  let prefetch = Histogram.create () in
-  let response = Histogram.create () in
-  List.iter
-    (fun (r : E.result) ->
-      Account.add_to acct r.E.r_account;
-      VS.add_proc proc r.E.r_app_stats;
-      VS.add_global global r.E.r_global;
-      Histogram.merge ~into:fault r.E.r_fault_hist;
-      Histogram.merge ~into:prefetch r.E.r_prefetch_hist;
-      Option.iter (Histogram.merge ~into:response) r.E.r_response_hist)
-    results;
-  {
-    t_cells = List.length results;
-    t_elapsed_ns =
-      List.fold_left (fun acc (r : E.result) -> acc + r.E.r_elapsed) 0 results;
-    t_breakdown = E.breakdown_of_account acct;
-    t_proc = proc;
-    t_global = global;
-    t_fault = summarize_hist fault;
-    t_prefetch = summarize_hist prefetch;
-    t_response = summarize_hist response;
-  }
-
-type t = { m_label : string; m_cells : cell list; m_totals : totals }
-
-let of_results ~label results =
-  { m_label = label; m_cells = List.map of_result results; m_totals = totals_of results }
+let of_results ~label results = { m_label = label; m_results = results }
 
 let of_matrix (m : Figures.matrix) =
   let label =

@@ -1,295 +1,21 @@
 (** Derived metrics: the stable, comparable summary of an experiment.
 
-    An {!Experiment.result} carries raw simulation state (histograms,
-    accounts, series, traces).  This module reduces it to plain data — the
-    quantities the paper's figures report plus service-time percentiles —
-    suitable for serialization ({!Metrics_io}), human tables
-    ([memhog_cli report]) and regression comparison ([memhog_cli compare]).
+    A labelled list of {!Experiment.result}s, the unit {!Metrics_io}
+    serializes ([memhog run --metrics], the gate baselines), renders
+    ([memhog report]) and compares ([memhog compare]).  The serializer
+    reads every number straight from the results; see {!Metrics_io} for
+    the document's keys.
 
-    Every field is derived from simulated time and deterministic counters
-    only — never wall-clock — so two runs of the same seed and
-    configuration produce identical metrics regardless of [--jobs]. *)
+    Every serialized number is derived from simulated time and
+    deterministic counters only — never wall-clock — so two runs of the
+    same seed and configuration produce identical documents regardless of
+    [--jobs]. *)
 
-type hist_summary = {
-  hs_count : int;
-  hs_sum : int;              (** sum of recorded values (simulated ns) *)
-  hs_min : int;              (** 0 when empty *)
-  hs_max : int;              (** 0 when empty *)
-  hs_mean : float;           (** 0.0 when empty *)
-  hs_p50 : int;
-  hs_p90 : int;
-  hs_p99 : int;
-  hs_p999 : int;
-      (** the serving story's headline percentile; from the same clamped
-          bucket walk as the others, so it inherits their tested semantics *)
-  hs_buckets : (int * int) list;
-      (** (bucket lower bound, count) for each non-empty bucket, ascending;
-          enough to rebuild the histogram
-          ({!Memhog_sim.Histogram.restore}) *)
-}
-
-val summarize_hist : Memhog_sim.Histogram.t -> hist_summary
-
-(** One registered telemetry series, reduced to its all-time aggregates. *)
-type tel_series = {
-  es_name : string;
-  es_kind : string;          (** "counter" or "gauge" *)
-  es_samples : int;
-  es_last : float;
-  es_min : float;            (** 0.0 everywhere when the series is empty *)
-  es_mean : float;
-  es_max : float;
-}
-
-(** One alert-rule transition (fire or clear) from the telemetry timeline. *)
-type tel_alert = {
-  ea_time_ns : int;
-  ea_rule : string;
-  ea_fired : bool;           (** [true] = fire, [false] = clear *)
-  ea_value : float;          (** the rule's signal at the transition *)
-}
-
-type telemetry_summary = {
-  tm_scrapes : int;
-  tm_series : tel_series list;   (** registration order *)
-  tm_alerts : tel_alert list;    (** chronological *)
-}
-
-val summarize_telemetry : Memhog_sim.Telemetry.t -> telemetry_summary
-
-(** Release accuracy (Figure 9 plus the run-time layer's own filters): how
-    many pages the application released, what happened to them, and the
-    rescue ratios that measure how often a release (or a daemon steal)
-    turned out to be premature. *)
-type release_accuracy = {
-  ra_requested : int;        (** release requests reaching the OS *)
-  ra_skipped : int;          (** re-referenced before the releaser acted *)
-  ra_freed_daemon : int;
-  ra_freed_releaser : int;
-  ra_rescued_daemon : int;
-  ra_rescued_releaser : int;
-  ra_lost_daemon : int;
-  ra_lost_releaser : int;
-  ra_stale_dropped : int;
-      (** run-time buffer entries invalidated before draining (0 for the
-          original variant, which has no run-time layer) *)
-  ra_rescue_ratio_daemon : float;
-      (** rescued / freed, 0.0 when nothing was freed *)
-  ra_rescue_ratio_releaser : float;
-}
-
-(** The run-time layer's graceful-degradation governor, as observed by the
-    cell's run (all zeros when the governor was disabled — the healthy
-    default). *)
-type governor_summary = {
-  g_level : int;         (** degradation level at end of run, 0..2 *)
-  g_degrades : int;      (** level-up (degrading) transitions *)
-  g_recoveries : int;    (** level-down (recovering) transitions *)
-  g_suppressed : int;    (** hints swallowed at level 2 (directives off) *)
-  g_prefetch_os_done : int;
-  g_prefetch_os_dropped : int;
-      (** the governor's OS-side prefetch signal: completed vs. dropped *)
-}
-
-(** Injected-fault counters of a chaos run ({!Memhog_sim.Chaos.stats} plus
-    the disks' timeout count). *)
-type chaos_summary = {
-  ch_disk_faults : int;
-  ch_disk_retries : int;
-  ch_disk_backoff_ns : int;
-  ch_disk_timeouts : int;
-  ch_slow_requests : int;
-  ch_releaser_stall_ns : int;
-  ch_daemon_stall_ns : int;
-  ch_directives_dropped : int;
-  ch_pressure_spikes : int;
-  ch_pressure_pages : int;
-}
-
-(** Swap-volume disk traffic, present in every cell (not only chaos runs,
-    where [ch_disk_timeouts] already appeared): reads, writes, per-request
-    deadline misses and demand-over-background bypasses summed over the
-    stripe's disks, plus summed busy time. *)
-type disk_summary = {
-  dk_reads : int;
-  dk_writes : int;
-  dk_timeouts : int;     (** requests whose total latency exceeded the
-                             per-request deadline *)
-  dk_bypasses : int;     (** demand requests that overtook queued
-                             background work at the arm scheduler *)
-  dk_busy_ns : int;      (** summed arm-busy time across disks *)
-}
-
-(** One backing tier's traffic row ({!Memhog_vm.Tiers.tier_summary} with
-    the tier id rendered as its name). *)
-type tier_row = {
-  tr_tier : string;      (** ["disk"], ["far"] or ["zram"] *)
-  tr_reads : int;
-  tr_writes : int;
-  tr_timeouts : int;     (** far only: RPC attempts aborted at deadline *)
-  tr_retries : int;      (** far only: re-issues after a timeout *)
-  tr_rejects : int;      (** zram only: stores refused at capacity *)
-  tr_failovers : int;    (** placements that fell back to the swap copy *)
-  tr_breaker_transitions : int;
-}
-
-(** The tiered-store close-out, present only when the cell ran with a
-    [--tiers] spec: per-tier traffic, cross-tier rescue count, the far
-    breaker's final state, and the governor's tier-aware buffering
-    count. *)
-type tiers_summary = {
-  ti_tiers : tier_row list;   (** tier-id order; disk always present *)
-  ti_rescues : int;      (** fetches satisfied from the durable swap copy
-                             after the fast tier failed or was open *)
-  ti_breaker_state : int;     (** 0 closed, 1 half-open, 2 open *)
-  ti_placed : int;            (** pages currently resident in a fast tier *)
-  ti_zram_amplification : float;
-      (** logical bytes stored per physical byte in the compressed tier
-          (0.0 without a zram tier or when it is empty) *)
-  ti_tier_buffered : int;
-      (** releases the run-time layer buffered locally because the far
-          breaker was open ({!Memhog_runtime.Runtime}[.rt_tier_buffered]) *)
-}
-
-(** The open-loop serving cell's close-out: offered load, SLO attainment
-    and the response-time distribution (responses measured from {e arrival}
-    — queueing delay under memory pressure is charged to the request). *)
-type serving_summary = {
-  sv_offered_rps : float;
-  sv_duration_ns : int;    (** arrival-window length *)
-  sv_slo_ns : int;         (** per-request response target *)
-  sv_arrived : int;
-  sv_completed : int;
-  sv_recorded : int;       (** completed minus warm-up skips *)
-  sv_max_queue : int;      (** deepest request backlog observed *)
-  sv_slo_ok : int;
-  sv_slo_attainment : float;
-      (** slo_ok / recorded; 0.0 when none were recorded (a starved cell
-          attained nothing) *)
-  sv_mark_ns : int option;
-      (** recovery mark (offset past window start), when the cell set one *)
-  sv_post_recorded : int;  (** recorded responses arriving post-mark *)
-  sv_post_slo_ok : int;
-  sv_post_attainment : float;
-      (** post-mark SLO attainment — the recovery figure a chaos scenario
-          asserts on; 0.0 without a mark *)
-  sv_response : hist_summary; (** p50/p99/p999 response times *)
-}
-
-val serving_of : Memhog_exec.Server.summary -> serving_summary
-
-(** One percentile band of the blame table: the summed response-time
-    decomposition of the sampled requests whose response fell in the band.
-    Within a band the five component sums add up exactly to
-    [bb_response_ns] — additivity is structural in {!Memhog_sim.Reqtrace}
-    and survives aggregation. *)
-type blame_band = {
-  bb_label : string;     (** ["body"] (< p99), ["tail"] (p99 ≤ r < p999)
-                             or ["deep"] (≥ p999) *)
-  bb_count : int;        (** sampled requests in the band *)
-  bb_queue_ns : int;     (** arrival → dequeue *)
-  bb_index_ns : int;     (** index-page touch stall *)
-  bb_value_ns : int;     (** value-page touch stall *)
-  bb_cpu_ns : int;       (** CPU-semaphore wait *)
-  bb_compute_ns : int;   (** per-request compute burst *)
-  bb_response_ns : int;  (** component sum = arrival → completion *)
-}
-
-(** The serve cell's per-request blame close-out ([memhog blame]): where
-    recorded response time went, for the body of the distribution and for
-    the tail separately.  Component histograms cover {e every} recorded
-    request (population-exact); the band table is built from the
-    deterministic reservoir sample ([bl_sampled] of [bl_committed],
-    capped at [bl_cap]). *)
-type blame_summary = {
-  bl_committed : int;       (** recorded requests (spans committed) *)
-  bl_sampled : int;         (** spans retained by the reservoir *)
-  bl_cap : int;             (** reservoir capacity *)
-  bl_p50_ns : int;
-  bl_p99_ns : int;
-  bl_p999_ns : int;         (** band boundaries, from [bl_response] *)
-  bl_bands : blame_band list;  (** body, tail, deep — in that order *)
-  bl_response : hist_summary;
-  bl_queue : hist_summary;
-  bl_index : hist_summary;
-  bl_value : hist_summary;
-  bl_cpu : hist_summary;
-  bl_compute : hist_summary;   (** per-component population histograms *)
-  bl_pf_slack : hist_summary;
-      (** prefetch slack: touch time minus (issue + observed I/O span) for
-          hidden prefetches — how much margin the arrival-time prefetch had *)
-  bl_pf_hidden : int;       (** touches whose prefetch won the race *)
-  bl_pf_lost : int;         (** touches that hard-faulted despite one *)
-  bl_bypasses : int;        (** demand arm acquisitions that overtook
-                                queued background work *)
-  bl_disk_queue_ns : int;   (** demand arm-queue wait, summed *)
-  bl_disk_service_ns : int; (** demand arm-held service time, summed *)
-  bl_transit_ns : int;      (** waits behind pages already in transit *)
-}
-
-val blame_of : Memhog_sim.Reqtrace.summary -> blame_summary
-
-type cell = {
-  c_workload : string;
-  c_variant : string;
-  c_elapsed_ns : int;
-  c_iterations : int;
-  c_app_breakdown : Experiment.breakdown;    (** Figure 7 components *)
-  c_inter_breakdown : Experiment.breakdown option;
-  c_fault : hist_summary;        (** demand-fault service times *)
-  c_prefetch : hist_summary;     (** completed-prefetch service times *)
-  c_response : hist_summary option;
-      (** interactive per-sweep response times (warm-up skipped) *)
-  c_release : release_accuracy;
-  c_telemetry : telemetry_summary;
-      (** the telemetry registry's close-out: per-series aggregates
-          ("free", "app-rss", ... plus the full probe set when the cell
-          ran with telemetry on) and the alert timeline *)
-  c_hard_faults : int;
-  c_soft_faults : int;
-  c_swap_reads : int;
-  c_swap_writes : int;
-  c_governor : governor_summary option;
-      (** present whenever the cell has a run-time layer (all variants but
-          O), even with the governor off, so the field's shape is stable *)
-  c_chaos : chaos_summary option;  (** present only for chaos runs *)
-  c_disk : disk_summary;           (** always present *)
-  c_tiers : tiers_summary option;  (** present only for tiered cells *)
-  c_trace_dropped : int;
-      (** events the cell's trace ring overwrote (0 when tracing was off);
-          a non-zero value warns that the exported Chrome trace is
-          truncated — the ledger, fed at the emit point, is not *)
-  c_ledger : Memhog_sim.Ledger.summary;
-      (** page-lifecycle close-out: wasted-work taxonomy and the
-          per-directive-site efficacy table *)
-  c_sites : Memhog_compiler.Pir.site_info list;
-      (** static directive sites of the cell's compiled program, joining
-          ledger rows back to source-level descriptions *)
-  c_serving : serving_summary option;  (** present only for serve cells *)
-  c_blame : blame_summary option;
-      (** per-request blame decomposition; present only for serve cells *)
-}
-
-(** Matrix-wide aggregates, built with {!Memhog_sim.Account.add_to},
-    {!Memhog_vm.Vm_stats.add_proc}, {!Memhog_vm.Vm_stats.add_global} and
-    {!Memhog_sim.Histogram.merge}. *)
-type totals = {
-  t_cells : int;
-  t_elapsed_ns : int;
-  t_breakdown : Experiment.breakdown;  (** summed app-driver accounts *)
-  t_proc : Memhog_vm.Vm_stats.proc;    (** summed app per-process counters *)
-  t_global : Memhog_vm.Vm_stats.global;
-  t_fault : hist_summary;              (** merged across cells *)
-  t_prefetch : hist_summary;
-  t_response : hist_summary;
-}
-
-type t = { m_label : string; m_cells : cell list; m_totals : totals }
-
-val of_result : Experiment.result -> cell
+type t = { m_label : string; m_results : Experiment.result list }
 
 val of_results : label:string -> Experiment.result list -> t
-(** Cells in the given order; totals aggregated over all of them. *)
+(** One cell per result, in the given order; totals aggregate all of
+    them. *)
 
 val of_matrix : Figures.matrix -> t
 (** The whole experiment matrix, cells in {!Figures.matrix_results} order.

@@ -276,152 +276,210 @@ let schema = "memhog-metrics"
    timeline (time, rule, fire|clear, signal value). *)
 let schema_version = 7
 
-let breakdown_json (b : Experiment.breakdown) =
+(* Every emitter below reads its numbers straight from the simulation's own
+   records; a new per-cell number needs only a line here.  Where a key's
+   meaning is not plain from its source field, the comment at its emitter
+   says what it holds. *)
+
+module E = Experiment
+module Histogram = Memhog_sim.Histogram
+module VS = Memhog_vm.Vm_stats
+module Runtime = Memhog_runtime.Runtime
+module Server = Memhog_exec.Server
+module Reqtrace = Memhog_sim.Reqtrace
+
+let opt f = function None -> Null | Some v -> f v
+
+let breakdown_json (b : E.breakdown) =
   Obj
     [
-      ("user_ns", num_of_int b.Experiment.b_user);
-      ("system_ns", num_of_int b.Experiment.b_system);
-      ("io_stall_ns", num_of_int b.Experiment.b_io_stall);
-      ("resource_stall_ns", num_of_int b.Experiment.b_resource_stall);
+      ("user_ns", num_of_int b.E.b_user);
+      ("system_ns", num_of_int b.E.b_system);
+      ("io_stall_ns", num_of_int b.E.b_io_stall);
+      ("resource_stall_ns", num_of_int b.E.b_resource_stall);
     ]
 
-let hist_json (h : Metrics.hist_summary) =
+(* An empty histogram has min and max 0 and mean 0.0.  All four
+   percentiles come from the same clamped bucket walk.  "buckets" holds
+   (lower bound, count) for each non-empty bucket, ascending: enough to
+   rebuild the histogram with [Histogram.restore]. *)
+let hist_json h =
   Obj
     [
-      ("count", num_of_int h.Metrics.hs_count);
-      ("sum_ns", num_of_int h.Metrics.hs_sum);
-      ("min_ns", num_of_int h.Metrics.hs_min);
-      ("max_ns", num_of_int h.Metrics.hs_max);
-      ("mean_ns", num_of_float h.Metrics.hs_mean);
-      ("p50_ns", num_of_int h.Metrics.hs_p50);
-      ("p90_ns", num_of_int h.Metrics.hs_p90);
-      ("p99_ns", num_of_int h.Metrics.hs_p99);
-      ("p999_ns", num_of_int h.Metrics.hs_p999);
+      ("count", num_of_int (Histogram.count h));
+      ("sum_ns", num_of_int (Histogram.sum h));
+      ("min_ns", num_of_int (Option.value (Histogram.min_value h) ~default:0));
+      ("max_ns", num_of_int (Option.value (Histogram.max_value h) ~default:0));
+      ("mean_ns", num_of_float (Histogram.mean h));
+      ("p50_ns", num_of_int (Histogram.percentile h 50.0));
+      ("p90_ns", num_of_int (Histogram.percentile h 90.0));
+      ("p99_ns", num_of_int (Histogram.percentile h 99.0));
+      ("p999_ns", num_of_int (Histogram.percentile h 99.9));
       ( "buckets",
         Arr
           (List.map
              (fun (lo, c) -> Arr [ num_of_int lo; num_of_int c ])
-             h.Metrics.hs_buckets) );
+             (Histogram.to_alist h)) );
     ]
 
-let release_json (ra : Metrics.release_accuracy) =
+let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
+
+(* Figure 9 plus the run-time layer's filters.  "requested" counts release
+   requests reaching the OS; "skipped" those re-referenced before the
+   releaser acted; "stale_dropped" run-time buffer entries invalidated
+   before draining (0 for O, which has no run-time layer).  A rescue ratio
+   is rescued / freed, 0.0 when nothing was freed. *)
+let release_json (r : E.result) =
+  let s = r.E.r_app_stats in
   Obj
     [
-      ("requested", num_of_int ra.Metrics.ra_requested);
-      ("skipped", num_of_int ra.Metrics.ra_skipped);
-      ("freed_daemon", num_of_int ra.Metrics.ra_freed_daemon);
-      ("freed_releaser", num_of_int ra.Metrics.ra_freed_releaser);
-      ("rescued_daemon", num_of_int ra.Metrics.ra_rescued_daemon);
-      ("rescued_releaser", num_of_int ra.Metrics.ra_rescued_releaser);
-      ("lost_daemon", num_of_int ra.Metrics.ra_lost_daemon);
-      ("lost_releaser", num_of_int ra.Metrics.ra_lost_releaser);
-      ("stale_dropped", num_of_int ra.Metrics.ra_stale_dropped);
-      ("rescue_ratio_daemon", num_of_float ra.Metrics.ra_rescue_ratio_daemon);
+      ("requested", num_of_int s.VS.releases_requested);
+      ("skipped", num_of_int s.VS.releases_skipped);
+      ("freed_daemon", num_of_int s.VS.freed_by_daemon);
+      ("freed_releaser", num_of_int s.VS.freed_by_releaser);
+      ("rescued_daemon", num_of_int s.VS.rescued_daemon);
+      ("rescued_releaser", num_of_int s.VS.rescued_releaser);
+      ("lost_daemon", num_of_int s.VS.lost_daemon);
+      ("lost_releaser", num_of_int s.VS.lost_releaser);
+      ( "stale_dropped",
+        num_of_int
+          (match r.E.r_runtime with
+          | Some rt -> rt.Runtime.rt_release_stale_dropped
+          | None -> 0) );
+      ( "rescue_ratio_daemon",
+        num_of_float (ratio s.VS.rescued_daemon s.VS.freed_by_daemon) );
       ( "rescue_ratio_releaser",
-        num_of_float ra.Metrics.ra_rescue_ratio_releaser );
+        num_of_float (ratio s.VS.rescued_releaser s.VS.freed_by_releaser) );
     ]
 
-let tel_series_json (s : Metrics.tel_series) =
+(* The telemetry registry's close-out: each series' all-time aggregates in
+   registration order (all 0.0 for an empty series), then the alert-rule
+   transitions in time order, each with the rule's signal at the
+   transition. *)
+let telemetry_json tl =
+  let module T = Memhog_sim.Telemetry in
+  let series (s : T.series_summary) =
+    Obj
+      [
+        ("name", Str s.T.ts_name);
+        ("kind", Str (T.kind_name s.T.ts_kind));
+        ("samples", num_of_int s.T.ts_samples);
+        ("last", num_of_float s.T.ts_last);
+        ("min", num_of_float s.T.ts_min);
+        ("mean", num_of_float s.T.ts_mean);
+        ("max", num_of_float s.T.ts_max);
+      ]
+  in
+  let alert (a : T.alert) =
+    Obj
+      [
+        ("time_ns", num_of_int a.T.al_time);
+        ("rule", Str a.T.al_rule);
+        ("event", Str (if a.T.al_fired then "fire" else "clear"));
+        ("value", num_of_float a.T.al_value);
+      ]
+  in
   Obj
     [
-      ("name", Str s.Metrics.es_name);
-      ("kind", Str s.Metrics.es_kind);
-      ("samples", num_of_int s.Metrics.es_samples);
-      ("last", num_of_float s.Metrics.es_last);
-      ("min", num_of_float s.Metrics.es_min);
-      ("mean", num_of_float s.Metrics.es_mean);
-      ("max", num_of_float s.Metrics.es_max);
+      ("scrapes", num_of_int (T.scrapes tl));
+      ("series", Arr (List.map series (T.summaries tl)));
+      ("alerts", Arr (List.map alert (T.alerts tl)));
     ]
 
-let tel_alert_json (a : Metrics.tel_alert) =
+(* The degradation governor at the end of the run: "level" 0..2,
+   transitions in each direction, hints swallowed at level 2 (directives
+   off) and its OS-side prefetch signal.  All zeros with the governor
+   off. *)
+let governor_json (rt : Runtime.stats) =
   Obj
     [
-      ("time_ns", num_of_int a.Metrics.ea_time_ns);
-      ("rule", Str a.Metrics.ea_rule);
-      ("event", Str (if a.Metrics.ea_fired then "fire" else "clear"));
-      ("value", num_of_float a.Metrics.ea_value);
+      ("level", num_of_int rt.Runtime.rt_gov_level);
+      ("degrades", num_of_int rt.Runtime.rt_gov_degrades);
+      ("recoveries", num_of_int rt.Runtime.rt_gov_recoveries);
+      ("suppressed", num_of_int rt.Runtime.rt_gov_suppressed);
+      ("prefetch_os_done", num_of_int rt.Runtime.rt_prefetch_os_done);
+      ("prefetch_os_dropped", num_of_int rt.Runtime.rt_prefetch_os_dropped);
     ]
 
-let telemetry_json (t : Metrics.telemetry_summary) =
+(* Injected-fault counters.  "disk_timeouts" is the disks' own deadline
+   count, the "disk" object's "timeouts". *)
+let chaos_json ~disk_timeouts (cs : Memhog_sim.Chaos.stats) =
+  let module C = Memhog_sim.Chaos in
   Obj
     [
-      ("scrapes", num_of_int t.Metrics.tm_scrapes);
-      ("series", Arr (List.map tel_series_json t.Metrics.tm_series));
-      ("alerts", Arr (List.map tel_alert_json t.Metrics.tm_alerts));
+      ("disk_faults", num_of_int cs.C.disk_faults);
+      ("disk_retries", num_of_int cs.C.disk_retries);
+      ("disk_backoff_ns", num_of_int cs.C.disk_backoff_ns);
+      ("disk_timeouts", num_of_int disk_timeouts);
+      ("slow_requests", num_of_int cs.C.slow_requests);
+      ("releaser_stall_ns", num_of_int cs.C.releaser_stall_ns);
+      ("daemon_stall_ns", num_of_int cs.C.daemon_stall_ns);
+      ("directives_dropped", num_of_int cs.C.directives_dropped);
+      ("pressure_spikes", num_of_int cs.C.pressure_spikes);
+      ("pressure_pages", num_of_int cs.C.pressure_pages);
     ]
 
-let opt f = function None -> Null | Some v -> f v
-
-let governor_json (g : Metrics.governor_summary) =
+(* Swap-volume traffic summed over the stripe's disks.  "timeouts" counts
+   requests whose total latency passed the per-request deadline;
+   "bypasses" demand requests that overtook queued background work at the
+   arm; "busy_ns" is summed arm-busy time. *)
+let disk_json (r : E.result) =
   Obj
     [
-      ("level", num_of_int g.Metrics.g_level);
-      ("degrades", num_of_int g.Metrics.g_degrades);
-      ("recoveries", num_of_int g.Metrics.g_recoveries);
-      ("suppressed", num_of_int g.Metrics.g_suppressed);
-      ("prefetch_os_done", num_of_int g.Metrics.g_prefetch_os_done);
-      ("prefetch_os_dropped", num_of_int g.Metrics.g_prefetch_os_dropped);
+      ("reads", num_of_int r.E.r_swap_reads);
+      ("writes", num_of_int r.E.r_swap_writes);
+      ("timeouts", num_of_int r.E.r_disk_timeouts);
+      ("bypasses", num_of_int r.E.r_disk_bypasses);
+      ("busy_ns", num_of_int r.E.r_disk_busy);
     ]
 
-let chaos_json (ch : Metrics.chaos_summary) =
+(* One row per tier in tier-id order, disk always present.  Only far moves
+   "timeouts" (RPC attempts aborted at the deadline) and "retries"; only
+   zram moves "rejects" (stores refused at capacity).  "rescues" counts
+   fetches served from the durable swap copy after the fast tier failed or
+   was open; "breaker_state" is 0 closed, 1 half-open, 2 open; "placed"
+   counts pages resident in a fast tier; "zram_amplification" is logical
+   bytes per physical byte, 0.0 without a zram tier or when it is empty;
+   "tier_buffered" counts releases the run-time layer kept because the far
+   breaker was open. *)
+let tiers_json ~tier_buffered (s : Memhog_vm.Tiers.summary) =
+  let module T = Memhog_vm.Tiers in
+  let row (t : T.tier_summary) =
+    Obj
+      [
+        ("tier", Str (T.tier_name t.T.ts_tier));
+        ("reads", num_of_int t.T.ts_reads);
+        ("writes", num_of_int t.T.ts_writes);
+        ("timeouts", num_of_int t.T.ts_timeouts);
+        ("retries", num_of_int t.T.ts_retries);
+        ("rejects", num_of_int t.T.ts_rejects);
+        ("failovers", num_of_int t.T.ts_failovers);
+        ("breaker_transitions", num_of_int t.T.ts_breaker_transitions);
+      ]
+  in
   Obj
     [
-      ("disk_faults", num_of_int ch.Metrics.ch_disk_faults);
-      ("disk_retries", num_of_int ch.Metrics.ch_disk_retries);
-      ("disk_backoff_ns", num_of_int ch.Metrics.ch_disk_backoff_ns);
-      ("disk_timeouts", num_of_int ch.Metrics.ch_disk_timeouts);
-      ("slow_requests", num_of_int ch.Metrics.ch_slow_requests);
-      ("releaser_stall_ns", num_of_int ch.Metrics.ch_releaser_stall_ns);
-      ("daemon_stall_ns", num_of_int ch.Metrics.ch_daemon_stall_ns);
-      ("directives_dropped", num_of_int ch.Metrics.ch_directives_dropped);
-      ("pressure_spikes", num_of_int ch.Metrics.ch_pressure_spikes);
-      ("pressure_pages", num_of_int ch.Metrics.ch_pressure_pages);
+      ("tiers", Arr (List.map row s.T.s_tiers));
+      ("rescues", num_of_int s.T.s_rescues);
+      ("breaker_state", num_of_int s.T.s_breaker_state);
+      ("placed", num_of_int s.T.s_placed);
+      ("zram_amplification", num_of_float s.T.s_zram_amplification);
+      ("tier_buffered", num_of_int tier_buffered);
     ]
 
-let disk_json (d : Metrics.disk_summary) =
-  Obj
-    [
-      ("reads", num_of_int d.Metrics.dk_reads);
-      ("writes", num_of_int d.Metrics.dk_writes);
-      ("timeouts", num_of_int d.Metrics.dk_timeouts);
-      ("bypasses", num_of_int d.Metrics.dk_bypasses);
-      ("busy_ns", num_of_int d.Metrics.dk_busy_ns);
-    ]
-
-let tier_row_json (t : Metrics.tier_row) =
-  Obj
-    [
-      ("tier", Str t.Metrics.tr_tier);
-      ("reads", num_of_int t.Metrics.tr_reads);
-      ("writes", num_of_int t.Metrics.tr_writes);
-      ("timeouts", num_of_int t.Metrics.tr_timeouts);
-      ("retries", num_of_int t.Metrics.tr_retries);
-      ("rejects", num_of_int t.Metrics.tr_rejects);
-      ("failovers", num_of_int t.Metrics.tr_failovers);
-      ("breaker_transitions", num_of_int t.Metrics.tr_breaker_transitions);
-    ]
-
-let tiers_json (ti : Metrics.tiers_summary) =
-  Obj
-    [
-      ("tiers", Arr (List.map tier_row_json ti.Metrics.ti_tiers));
-      ("rescues", num_of_int ti.Metrics.ti_rescues);
-      ("breaker_state", num_of_int ti.Metrics.ti_breaker_state);
-      ("placed", num_of_int ti.Metrics.ti_placed);
-      ("zram_amplification", num_of_float ti.Metrics.ti_zram_amplification);
-      ("tier_buffered", num_of_int ti.Metrics.ti_tier_buffered);
-    ]
-
-let ledger_json (c : Metrics.cell) =
+(* The page-lifecycle ledger: the wasted-work taxonomy, then one efficacy
+   row per directive site, joined to the compiled program's static site
+   table for its kind, description and priority. *)
+let ledger_json (r : E.result) =
   let module L = Memhog_sim.Ledger in
   let module P = Memhog_compiler.Pir in
-  let l = c.Metrics.c_ledger in
+  let l = r.E.r_ledger in
   let label tag =
-    List.find_opt (fun (si : P.site_info) -> si.P.si_tag = tag) c.Metrics.c_sites
+    List.find_opt (fun (si : P.site_info) -> si.P.si_tag = tag) r.E.r_sites
   in
-  let row (r : L.site_row) =
+  let row (sr : L.site_row) =
     let kind, desc, static_priority =
-      match label r.L.sr_site with
+      match label sr.L.sr_site with
       | Some si ->
           ( (match si.P.si_kind with
             | P.S_prefetch -> "prefetch"
@@ -432,32 +490,32 @@ let ledger_json (c : Metrics.cell) =
     in
     Obj
       [
-        ("site", num_of_int r.L.sr_site);
+        ("site", num_of_int sr.L.sr_site);
         ("kind", Str kind);
         ("desc", Str desc);
         ("static_priority", num_of_int static_priority);
-        ("pf_sent", num_of_int r.L.sr_pf_sent);
-        ("pf_issued", num_of_int r.L.sr_pf_issued);
-        ("pf_dropped", num_of_int r.L.sr_pf_dropped);
-        ("pf_raced", num_of_int r.L.sr_pf_raced);
-        ("pf_done", num_of_int r.L.sr_pf_done);
-        ("pf_referenced", num_of_int r.L.sr_pf_referenced);
-        ("pf_useless", num_of_int r.L.sr_pf_useless);
-        ("pf_late", num_of_int r.L.sr_pf_late);
-        ("pf_saved_ns", num_of_int r.L.sr_pf_saved_ns);
-        ("rel_hints", num_of_int r.L.sr_rel_hints);
-        ("rel_filtered", num_of_int r.L.sr_rel_filtered);
-        ("rel_buffered", num_of_int r.L.sr_rel_buffered);
-        ("rel_stale", num_of_int r.L.sr_rel_stale);
-        ("rel_sent", num_of_int r.L.sr_rel_sent);
-        ("rel_skipped", num_of_int r.L.sr_rel_skipped);
-        ("rel_freed", num_of_int r.L.sr_rel_freed);
-        ("rel_rescued", num_of_int r.L.sr_rel_rescued);
-        ("rel_refaulted", num_of_int r.L.sr_rel_refaulted);
-        ("rel_reused", num_of_int r.L.sr_rel_reused);
-        ("rel_unreclaimed", num_of_int r.L.sr_rel_unreclaimed);
-        ("priority_mean", num_of_float r.L.sr_priority_mean);
-        ("refault_pct", num_of_float r.L.sr_refault_pct);
+        ("pf_sent", num_of_int sr.L.sr_pf_sent);
+        ("pf_issued", num_of_int sr.L.sr_pf_issued);
+        ("pf_dropped", num_of_int sr.L.sr_pf_dropped);
+        ("pf_raced", num_of_int sr.L.sr_pf_raced);
+        ("pf_done", num_of_int sr.L.sr_pf_done);
+        ("pf_referenced", num_of_int sr.L.sr_pf_referenced);
+        ("pf_useless", num_of_int sr.L.sr_pf_useless);
+        ("pf_late", num_of_int sr.L.sr_pf_late);
+        ("pf_saved_ns", num_of_int sr.L.sr_pf_saved_ns);
+        ("rel_hints", num_of_int sr.L.sr_rel_hints);
+        ("rel_filtered", num_of_int sr.L.sr_rel_filtered);
+        ("rel_buffered", num_of_int sr.L.sr_rel_buffered);
+        ("rel_stale", num_of_int sr.L.sr_rel_stale);
+        ("rel_sent", num_of_int sr.L.sr_rel_sent);
+        ("rel_skipped", num_of_int sr.L.sr_rel_skipped);
+        ("rel_freed", num_of_int sr.L.sr_rel_freed);
+        ("rel_rescued", num_of_int sr.L.sr_rel_rescued);
+        ("rel_refaulted", num_of_int sr.L.sr_rel_refaulted);
+        ("rel_reused", num_of_int sr.L.sr_rel_reused);
+        ("rel_unreclaimed", num_of_int sr.L.sr_rel_unreclaimed);
+        ("priority_mean", num_of_float sr.L.sr_priority_mean);
+        ("refault_pct", num_of_float sr.L.sr_refault_pct);
       ]
   in
   Obj
@@ -481,94 +539,127 @@ let ledger_json (c : Metrics.cell) =
       ("sites", Arr (List.map row l.L.ls_sites));
     ]
 
-let serving_json (s : Metrics.serving_summary) =
+(* The open-loop server's close-out.  Responses are measured from arrival,
+   so queueing under memory pressure is charged to the request.
+   "recorded" is completions minus warm-up skips; "slo_attainment" is
+   slo_ok / recorded, 0.0 when nothing was recorded (a starved cell
+   attained nothing).  "mark_ns" is the recovery mark as an offset past
+   the window start, null when unset; the "post_" keys tally requests
+   arriving after it, and "post_attainment" is 0.0 without a mark. *)
+let serving_json (s : Server.summary) =
   Obj
     [
-      ("offered_rps", num_of_float s.Metrics.sv_offered_rps);
-      ("duration_ns", num_of_int s.Metrics.sv_duration_ns);
-      ("slo_ns", num_of_int s.Metrics.sv_slo_ns);
-      ("arrived", num_of_int s.Metrics.sv_arrived);
-      ("completed", num_of_int s.Metrics.sv_completed);
-      ("recorded", num_of_int s.Metrics.sv_recorded);
-      ("max_queue", num_of_int s.Metrics.sv_max_queue);
-      ("slo_ok", num_of_int s.Metrics.sv_slo_ok);
-      ("slo_attainment", num_of_float s.Metrics.sv_slo_attainment);
-      ("mark_ns", opt num_of_int s.Metrics.sv_mark_ns);
-      ("post_recorded", num_of_int s.Metrics.sv_post_recorded);
-      ("post_slo_ok", num_of_int s.Metrics.sv_post_slo_ok);
-      ("post_attainment", num_of_float s.Metrics.sv_post_attainment);
-      ("response_hist", hist_json s.Metrics.sv_response);
+      ("offered_rps", num_of_float s.Server.sm_offered_rps);
+      ("duration_ns", num_of_int s.Server.sm_duration);
+      ("slo_ns", num_of_int s.Server.sm_slo);
+      ("arrived", num_of_int s.Server.sm_arrived);
+      ("completed", num_of_int s.Server.sm_completed);
+      ("recorded", num_of_int s.Server.sm_recorded);
+      ("max_queue", num_of_int s.Server.sm_max_queue);
+      ("slo_ok", num_of_int s.Server.sm_slo_ok);
+      ("slo_attainment", num_of_float (Server.slo_attainment s));
+      ("mark_ns", opt num_of_int s.Server.sm_mark);
+      ("post_recorded", num_of_int s.Server.sm_post_recorded);
+      ("post_slo_ok", num_of_int s.Server.sm_post_slo_ok);
+      ("post_attainment", num_of_float (Server.post_attainment s));
+      ("response_hist", hist_json s.Server.sm_hist);
     ]
 
-let blame_band_json (b : Metrics.blame_band) =
+(* Per-request blame.  The component histograms cover every recorded
+   request.  The bands fold the reservoir sample ("sampled" of
+   "committed", at most "cap") at the p99 and p999 boundaries into body
+   (< p99), tail and deep (>= p999); within a band the five component sums
+   add up to "response_ns" exactly.  "pf_slack_hist" holds, per hidden
+   prefetch, touch time minus (issue + I/O span); "pf_lost" counts touches
+   that hard-faulted despite a prefetch; "bypasses", "disk_queue_ns" and
+   "disk_service_ns" attribute demand arm traffic; "transit_ns" sums waits
+   behind pages already in transit. *)
+let blame_json (s : Reqtrace.summary) =
+  let band (b : Reqtrace.band) =
+    Obj
+      [
+        ("band", Str b.Reqtrace.bd_label);
+        ("count", num_of_int b.Reqtrace.bd_count);
+        ("queue_ns", num_of_int b.Reqtrace.bd_queue);
+        ("index_ns", num_of_int b.Reqtrace.bd_index);
+        ("value_ns", num_of_int b.Reqtrace.bd_value);
+        ("cpu_ns", num_of_int b.Reqtrace.bd_cpu);
+        ("compute_ns", num_of_int b.Reqtrace.bd_compute);
+        ("response_ns", num_of_int b.Reqtrace.bd_response);
+      ]
+  in
   Obj
     [
-      ("band", Str b.Metrics.bb_label);
-      ("count", num_of_int b.Metrics.bb_count);
-      ("queue_ns", num_of_int b.Metrics.bb_queue_ns);
-      ("index_ns", num_of_int b.Metrics.bb_index_ns);
-      ("value_ns", num_of_int b.Metrics.bb_value_ns);
-      ("cpu_ns", num_of_int b.Metrics.bb_cpu_ns);
-      ("compute_ns", num_of_int b.Metrics.bb_compute_ns);
-      ("response_ns", num_of_int b.Metrics.bb_response_ns);
+      ("committed", num_of_int s.Reqtrace.su_committed);
+      ("sampled", num_of_int s.Reqtrace.su_sampled);
+      ("cap", num_of_int s.Reqtrace.su_cap);
+      ("p50_ns", num_of_int s.Reqtrace.su_p50);
+      ("p99_ns", num_of_int s.Reqtrace.su_p99);
+      ("p999_ns", num_of_int s.Reqtrace.su_p999);
+      ("bands", Arr (List.map band s.Reqtrace.su_bands));
+      ("response_hist", hist_json s.Reqtrace.su_response);
+      ("queue_hist", hist_json s.Reqtrace.su_queue);
+      ("index_hist", hist_json s.Reqtrace.su_index);
+      ("value_hist", hist_json s.Reqtrace.su_value);
+      ("cpu_hist", hist_json s.Reqtrace.su_cpu);
+      ("compute_hist", hist_json s.Reqtrace.su_compute);
+      ("pf_slack_hist", hist_json s.Reqtrace.su_pf_slack);
+      ("pf_hidden", num_of_int s.Reqtrace.su_pf_hidden);
+      ("pf_lost", num_of_int s.Reqtrace.su_pf_lost);
+      ("bypasses", num_of_int s.Reqtrace.su_bypasses);
+      ("disk_queue_ns", num_of_int s.Reqtrace.su_disk_queue);
+      ("disk_service_ns", num_of_int s.Reqtrace.su_disk_service);
+      ("transit_ns", num_of_int s.Reqtrace.su_transit);
     ]
 
-let blame_json (b : Metrics.blame_summary) =
+(* Optional objects are null when absent: "governor" for O (no run-time
+   layer; every other variant carries it, even with the governor off),
+   "chaos" without a fault plan, "tiers" without a tiers spec, "serving"
+   and "blame" for batch cells. *)
+let cell_json (r : E.result) =
   Obj
     [
-      ("committed", num_of_int b.Metrics.bl_committed);
-      ("sampled", num_of_int b.Metrics.bl_sampled);
-      ("cap", num_of_int b.Metrics.bl_cap);
-      ("p50_ns", num_of_int b.Metrics.bl_p50_ns);
-      ("p99_ns", num_of_int b.Metrics.bl_p99_ns);
-      ("p999_ns", num_of_int b.Metrics.bl_p999_ns);
-      ("bands", Arr (List.map blame_band_json b.Metrics.bl_bands));
-      ("response_hist", hist_json b.Metrics.bl_response);
-      ("queue_hist", hist_json b.Metrics.bl_queue);
-      ("index_hist", hist_json b.Metrics.bl_index);
-      ("value_hist", hist_json b.Metrics.bl_value);
-      ("cpu_hist", hist_json b.Metrics.bl_cpu);
-      ("compute_hist", hist_json b.Metrics.bl_compute);
-      ("pf_slack_hist", hist_json b.Metrics.bl_pf_slack);
-      ("pf_hidden", num_of_int b.Metrics.bl_pf_hidden);
-      ("pf_lost", num_of_int b.Metrics.bl_pf_lost);
-      ("bypasses", num_of_int b.Metrics.bl_bypasses);
-      ("disk_queue_ns", num_of_int b.Metrics.bl_disk_queue_ns);
-      ("disk_service_ns", num_of_int b.Metrics.bl_disk_service_ns);
-      ("transit_ns", num_of_int b.Metrics.bl_transit_ns);
+      ("workload", Str r.E.r_workload);
+      ("variant", Str (E.variant_name r.E.r_variant));
+      ("elapsed_ns", num_of_int r.E.r_elapsed);
+      ("iterations", num_of_int r.E.r_iterations);
+      ("app_breakdown", breakdown_json r.E.r_breakdown);
+      ("interactive_breakdown", opt breakdown_json r.E.r_inter_breakdown);
+      ("fault_hist", hist_json r.E.r_fault_hist);
+      ("prefetch_hist", hist_json r.E.r_prefetch_hist);
+      (* interactive per-sweep response times, warm-up sweep skipped *)
+      ("response_hist", opt hist_json r.E.r_response_hist);
+      ("release_accuracy", release_json r);
+      ("telemetry", telemetry_json r.E.r_telemetry);
+      ("hard_faults", num_of_int r.E.r_app_stats.VS.hard_faults);
+      ("soft_faults", num_of_int r.E.r_app_stats.VS.soft_faults);
+      ("swap_reads", num_of_int r.E.r_swap_reads);
+      ("swap_writes", num_of_int r.E.r_swap_writes);
+      ("governor", opt governor_json r.E.r_runtime);
+      ( "chaos",
+        opt (chaos_json ~disk_timeouts:r.E.r_disk_timeouts) r.E.r_chaos );
+      ("disk", disk_json r);
+      ( "tiers",
+        opt
+          (tiers_json
+             ~tier_buffered:
+               (match r.E.r_runtime with
+               | Some rt -> rt.Runtime.rt_tier_buffered
+               | None -> 0))
+          r.E.r_tiers );
+      (* events the trace ring overwrote (0 with tracing off): non-zero
+         warns that the Chrome trace is truncated; the ledger, fed at the
+         emit point, is not *)
+      ("trace_dropped", num_of_int (Memhog_sim.Trace.dropped r.E.r_trace));
+      ("ledger", ledger_json r);
+      ("serving", opt serving_json r.E.r_serving);
+      ( "blame",
+        opt
+          (fun _ -> blame_json (Reqtrace.summarize r.E.r_reqtrace))
+          r.E.r_serving );
     ]
 
-let cell_json (c : Metrics.cell) =
-  Obj
-    [
-      ("workload", Str c.Metrics.c_workload);
-      ("variant", Str c.Metrics.c_variant);
-      ("elapsed_ns", num_of_int c.Metrics.c_elapsed_ns);
-      ("iterations", num_of_int c.Metrics.c_iterations);
-      ("app_breakdown", breakdown_json c.Metrics.c_app_breakdown);
-      ( "interactive_breakdown",
-        opt breakdown_json c.Metrics.c_inter_breakdown );
-      ("fault_hist", hist_json c.Metrics.c_fault);
-      ("prefetch_hist", hist_json c.Metrics.c_prefetch);
-      ("response_hist", opt hist_json c.Metrics.c_response);
-      ("release_accuracy", release_json c.Metrics.c_release);
-      ("telemetry", telemetry_json c.Metrics.c_telemetry);
-      ("hard_faults", num_of_int c.Metrics.c_hard_faults);
-      ("soft_faults", num_of_int c.Metrics.c_soft_faults);
-      ("swap_reads", num_of_int c.Metrics.c_swap_reads);
-      ("swap_writes", num_of_int c.Metrics.c_swap_writes);
-      ("governor", opt governor_json c.Metrics.c_governor);
-      ("chaos", opt chaos_json c.Metrics.c_chaos);
-      ("disk", disk_json c.Metrics.c_disk);
-      ("tiers", opt tiers_json c.Metrics.c_tiers);
-      ("trace_dropped", num_of_int c.Metrics.c_trace_dropped);
-      ("ledger", ledger_json c);
-      ("serving", opt serving_json c.Metrics.c_serving);
-      ("blame", opt blame_json c.Metrics.c_blame);
-    ]
-
-let proc_json (p : Memhog_vm.Vm_stats.proc) =
-  let module VS = Memhog_vm.Vm_stats in
+let proc_json (p : VS.proc) =
   Obj
     [
       ("hard_faults", num_of_int p.VS.hard_faults);
@@ -592,8 +683,7 @@ let proc_json (p : Memhog_vm.Vm_stats.proc) =
       ("invalidations", num_of_int p.VS.invalidations);
     ]
 
-let global_json (g : Memhog_vm.Vm_stats.global) =
-  let module VS = Memhog_vm.Vm_stats in
+let global_json (g : VS.global) =
   Obj
     [
       ("daemon_activations", num_of_int g.VS.daemon_activations);
@@ -606,17 +696,37 @@ let global_json (g : Memhog_vm.Vm_stats.global) =
       ("allocation_waits", num_of_int g.VS.allocation_waits);
     ]
 
-let totals_json (t : Metrics.totals) =
+(* Aggregates over every cell: the app drivers' accounts, per-process and
+   global counters summed, histograms merged. *)
+let totals_json (results : E.result list) =
+  let acct = Memhog_sim.Account.create () in
+  let proc = VS.create_proc () in
+  let global = VS.create_global () in
+  let fault = Histogram.create () in
+  let prefetch = Histogram.create () in
+  let response = Histogram.create () in
+  List.iter
+    (fun (r : E.result) ->
+      Memhog_sim.Account.add_to acct r.E.r_account;
+      VS.add_proc proc r.E.r_app_stats;
+      VS.add_global global r.E.r_global;
+      Histogram.merge ~into:fault r.E.r_fault_hist;
+      Histogram.merge ~into:prefetch r.E.r_prefetch_hist;
+      Option.iter (Histogram.merge ~into:response) r.E.r_response_hist)
+    results;
   Obj
     [
-      ("cells", num_of_int t.Metrics.t_cells);
-      ("elapsed_ns", num_of_int t.Metrics.t_elapsed_ns);
-      ("breakdown", breakdown_json t.Metrics.t_breakdown);
-      ("proc", proc_json t.Metrics.t_proc);
-      ("global", global_json t.Metrics.t_global);
-      ("fault_hist", hist_json t.Metrics.t_fault);
-      ("prefetch_hist", hist_json t.Metrics.t_prefetch);
-      ("response_hist", hist_json t.Metrics.t_response);
+      ("cells", num_of_int (List.length results));
+      ( "elapsed_ns",
+        num_of_int
+          (List.fold_left (fun acc (r : E.result) -> acc + r.E.r_elapsed) 0
+             results) );
+      ("breakdown", breakdown_json (E.breakdown_of_account acct));
+      ("proc", proc_json proc);
+      ("global", global_json global);
+      ("fault_hist", hist_json fault);
+      ("prefetch_hist", hist_json prefetch);
+      ("response_hist", hist_json response);
     ]
 
 let metrics_json (m : Metrics.t) =
@@ -625,8 +735,8 @@ let metrics_json (m : Metrics.t) =
       ("schema", Str schema);
       ("schema_version", num_of_int schema_version);
       ("label", Str m.Metrics.m_label);
-      ("cells", Arr (List.map cell_json m.Metrics.m_cells));
-      ("totals", totals_json m.Metrics.m_totals);
+      ("cells", Arr (List.map cell_json m.Metrics.m_results));
+      ("totals", totals_json m.Metrics.m_results);
     ]
 
 let write_file ~path m =
@@ -736,7 +846,18 @@ let compare_json ~tolerance a b =
             if List.assoc_opt k xs = None then
               report (join path k) ~expected:"absent" ~got:(type_name y)
                 "not in baseline")
-          ys
+          ys;
+        (* The writer's key order is part of the bytes a baseline
+           freezes, so the shared keys must also come in the same order. *)
+        let shared kvs other =
+          List.filter_map
+            (fun (k, _) -> if List.mem_assoc k other then Some k else None)
+            kvs
+        in
+        let kx = shared xs ys and ky = shared ys xs in
+        if kx <> ky then
+          report path ~expected:(String.concat ", " kx)
+            ~got:(String.concat ", " ky) "key order changed"
     | x, y ->
         report path ~expected:(type_name x) ~got:(type_name y) "type changed"
   in
@@ -765,10 +886,16 @@ let int_member k j =
 
 let float_member k j = match member k j with Some (Num (f, _)) -> Some f | _ -> None
 
+(* Cell lookups for the tables: a missing member reads as [Null], and a
+   missing number renders as "-". *)
+let field k j = Option.value (member k j) ~default:Null
+let items k j = match member k j with Some (Arr xs) -> xs | _ -> []
+let has_obj k j = match member k j with Some (Obj _) -> true | _ -> false
 let istr k j = Option.value (str_member k j) ~default:"-"
 let icount k j =
   match int_member k j with Some i -> Report.count i | None -> "-"
 let ins k j = match int_member k j with Some i -> Report.ns i | None -> "-"
+let ifloat f k j = match float_member k j with Some x -> f x | None -> "-"
 
 let hist_row label h =
   [
@@ -787,490 +914,339 @@ let render j =
       let buf = Buffer.create 4096 in
       let fmt = Format.formatter_of_buffer buf in
       Format.pp_open_vbox fmt 0;
-      Format.fprintf fmt "Metrics: %s (%d cells)@,@," label (List.length cells);
+      Format.fprintf fmt "Metrics: %s (%d cells)@," label (List.length cells);
+      let table ~title ~header rows =
+        Format.fprintf fmt "@,";
+        Report.table ~title ~header ~rows fmt ()
+      in
+      let cells_with k = List.filter (has_obj k) cells in
       let run c = Printf.sprintf "%s/%s" (istr "workload" c) (istr "variant" c) in
-      let breakdown_row name b =
-        [
-          name;
-          ins "user_ns" b;
-          ins "system_ns" b;
-          ins "io_stall_ns" b;
-          ins "resource_stall_ns" b;
-        ]
-      in
-      Report.table ~title:"Execution (out-of-core application)"
+      table ~title:"Execution (out-of-core application)"
         ~header:[ "run"; "user"; "system"; "io stall"; "res stall"; "elapsed"; "iters" ]
-        ~rows:
-          (List.map
-             (fun c ->
-               let b = Option.value (member "app_breakdown" c) ~default:Null in
-               match breakdown_row (run c) b with
-               | name :: rest ->
-                   (name :: rest) @ [ ins "elapsed_ns" c; icount "iterations" c ]
-               | [] -> [])
-             cells)
-        fmt ();
-      Format.fprintf fmt "@,";
-      Report.table ~title:"Demand-fault service time"
+        (List.map
+           (fun c ->
+             let b = field "app_breakdown" c in
+             [
+               run c;
+               ins "user_ns" b;
+               ins "system_ns" b;
+               ins "io_stall_ns" b;
+               ins "resource_stall_ns" b;
+               ins "elapsed_ns" c;
+               icount "iterations" c;
+             ])
+           cells);
+      table ~title:"Demand-fault service time"
         ~header:[ "run"; "faults"; "p50"; "p90"; "p99"; "max" ]
-        ~rows:
-          (List.map
-             (fun c ->
-               hist_row (run c)
-                 (Option.value (member "fault_hist" c) ~default:Null))
-             cells)
-        fmt ();
-      Format.fprintf fmt "@,";
-      Report.table ~title:"Prefetch service time"
+        (List.map (fun c -> hist_row (run c) (field "fault_hist" c)) cells);
+      table ~title:"Prefetch service time"
         ~header:[ "run"; "prefetches"; "p50"; "p90"; "p99"; "max" ]
-        ~rows:
-          (List.map
-             (fun c ->
-               hist_row (run c)
-                 (Option.value (member "prefetch_hist" c) ~default:Null))
-             cells)
-        fmt ();
-      let with_response =
-        List.filter (fun c -> match member "response_hist" c with
-            | Some (Obj _) -> true | _ -> false)
-          cells
-      in
-      if with_response <> [] then begin
-        Format.fprintf fmt "@,";
-        Report.table ~title:"Interactive response time"
+        (List.map (fun c -> hist_row (run c) (field "prefetch_hist" c)) cells);
+      let with_response = cells_with "response_hist" in
+      if with_response <> [] then
+        table ~title:"Interactive response time"
           ~header:[ "run"; "sweeps"; "p50"; "p90"; "p99"; "max" ]
-          ~rows:
-            (List.map
-               (fun c ->
-                 hist_row (run c)
-                   (Option.value (member "response_hist" c) ~default:Null))
-               with_response)
-          fmt ()
-      end;
-      let with_serving =
-        List.filter (fun c -> match member "serving" c with
-            | Some (Obj _) -> true | _ -> false)
-          cells
-      in
-      if with_serving <> [] then begin
-        Format.fprintf fmt "@,";
-        Report.table ~title:"Serving tail latency (open-loop, SLO from arrival)"
+          (List.map
+             (fun c -> hist_row (run c) (field "response_hist" c))
+             with_response);
+      let with_serving = cells_with "serving" in
+      if with_serving <> [] then
+        table ~title:"Serving tail latency (open-loop, SLO from arrival)"
           ~header:
             [
               "run"; "offered"; "served"; "queue max"; "p50"; "p99"; "p999";
               "max"; "SLO";
             ]
-          ~rows:
-            (List.map
-               (fun c ->
-                 let s = Option.value (member "serving" c) ~default:Null in
-                 let h = Option.value (member "response_hist" s) ~default:Null in
-                 [
-                   run c;
-                   (match float_member "offered_rps" s with
-                   | Some f -> Printf.sprintf "%s rps" (Report.f1 f)
-                   | None -> "-");
-                   icount "recorded" s;
-                   icount "max_queue" s;
-                   ins "p50_ns" h;
-                   ins "p99_ns" h;
-                   ins "p999_ns" h;
-                   ins "max_ns" h;
-                   (match float_member "slo_attainment" s with
-                   | Some f -> Report.pct f
-                   | None -> "-");
-                 ])
-               with_serving)
-          fmt ()
-      end;
-      let with_blame =
-        List.filter (fun c -> match member "blame" c with
-            | Some (Obj _) -> true | _ -> false)
-          cells
-      in
-      if with_blame <> [] then begin
-        Format.fprintf fmt "@,";
-        Report.table
-          ~title:"Tail blame (mean per request, by percentile band)"
+          (List.map
+             (fun c ->
+               let s = field "serving" c in
+               let h = field "response_hist" s in
+               [
+                 run c;
+                 ifloat
+                   (fun f -> Printf.sprintf "%s rps" (Report.f1 f))
+                   "offered_rps" s;
+                 icount "recorded" s;
+                 icount "max_queue" s;
+                 ins "p50_ns" h;
+                 ins "p99_ns" h;
+                 ins "p999_ns" h;
+                 ins "max_ns" h;
+                 ifloat Report.pct "slo_attainment" s;
+               ])
+             with_serving);
+      let with_blame = cells_with "blame" in
+      if with_blame <> [] then
+        table ~title:"Tail blame (mean per request, by percentile band)"
           ~header:
             [
               "run"; "band"; "reqs"; "queue"; "index"; "value"; "cpu wait";
               "compute"; "response";
             ]
-          ~rows:
-            (List.concat_map
-               (fun c ->
-                 let b = Option.value (member "blame" c) ~default:Null in
-                 match member "bands" b with
-                 | Some (Arr bands) ->
-                     List.map
-                       (fun bd ->
-                         let n =
-                           max 1 (Option.value (int_member "count" bd) ~default:0)
-                         in
-                         let per k =
-                           match int_member k bd with
-                           | Some v -> Report.ns (v / n)
-                           | None -> "-"
-                         in
-                         [
-                           run c; istr "band" bd; icount "count" bd;
-                           per "queue_ns"; per "index_ns"; per "value_ns";
-                           per "cpu_ns"; per "compute_ns"; per "response_ns";
-                         ])
-                       bands
-                 | _ -> [])
-               with_blame)
-          fmt ()
-      end;
-      Format.fprintf fmt "@,";
-      Report.table ~title:"Release accuracy"
+          (List.concat_map
+             (fun c ->
+               List.map
+                 (fun bd ->
+                   let n =
+                     max 1 (Option.value (int_member "count" bd) ~default:0)
+                   in
+                   let per k =
+                     match int_member k bd with
+                     | Some v -> Report.ns (v / n)
+                     | None -> "-"
+                   in
+                   [
+                     run c; istr "band" bd; icount "count" bd;
+                     per "queue_ns"; per "index_ns"; per "value_ns";
+                     per "cpu_ns"; per "compute_ns"; per "response_ns";
+                   ])
+                 (items "bands" (field "blame" c)))
+             with_blame);
+      table ~title:"Release accuracy"
         ~header:
           [
             "run"; "requested"; "skipped"; "freed (d/r)"; "rescued (d/r)";
             "rescue ratio (d/r)"; "stale";
           ]
-        ~rows:
+        (List.map
+           (fun c ->
+             let ra = field "release_accuracy" c in
+             let pair show k1 k2 =
+               Printf.sprintf "%s/%s" (show k1 ra) (show k2 ra)
+             in
+             [
+               run c;
+               icount "requested" ra;
+               icount "skipped" ra;
+               pair icount "freed_daemon" "freed_releaser";
+               pair icount "rescued_daemon" "rescued_releaser";
+               pair (ifloat Report.pct) "rescue_ratio_daemon"
+                 "rescue_ratio_releaser";
+               icount "stale_dropped" ra;
+             ])
+           cells);
+      let with_disk = cells_with "disk" in
+      if with_disk <> [] then
+        table ~title:"Swap volume (per-request deadline + arm classes)"
+          ~header:[ "run"; "reads"; "writes"; "timeouts"; "bypasses"; "busy" ]
           (List.map
              (fun c ->
-               let ra =
-                 Option.value (member "release_accuracy" c) ~default:Null
-               in
-               let pair k1 k2 =
-                 Printf.sprintf "%s/%s" (icount k1 ra) (icount k2 ra)
-               in
-               let rpair k1 k2 =
-                 Printf.sprintf "%s/%s"
-                   (match float_member k1 ra with
-                   | Some f -> Report.pct f
-                   | None -> "-")
-                   (match float_member k2 ra with
-                   | Some f -> Report.pct f
-                   | None -> "-")
-               in
+               let d = field "disk" c in
                [
                  run c;
-                 icount "requested" ra;
-                 icount "skipped" ra;
-                 pair "freed_daemon" "freed_releaser";
-                 pair "rescued_daemon" "rescued_releaser";
-                 rpair "rescue_ratio_daemon" "rescue_ratio_releaser";
-                 icount "stale_dropped" ra;
+                 icount "reads" d;
+                 icount "writes" d;
+                 icount "timeouts" d;
+                 icount "bypasses" d;
+                 ins "busy_ns" d;
                ])
-             cells)
-        fmt ();
-      let with_disk =
-        List.filter
-          (fun c ->
-            match member "disk" c with Some (Obj _) -> true | _ -> false)
-          cells
-      in
-      if with_disk <> [] then begin
-        Format.fprintf fmt "@,";
-        Report.table ~title:"Swap volume (per-request deadline + arm classes)"
-          ~header:
-            [ "run"; "reads"; "writes"; "timeouts"; "bypasses"; "busy" ]
-          ~rows:
-            (List.map
-               (fun c ->
-                 let d = Option.value (member "disk" c) ~default:Null in
-                 [
-                   run c;
-                   icount "reads" d;
-                   icount "writes" d;
-                   icount "timeouts" d;
-                   icount "bypasses" d;
-                   ins "busy_ns" d;
-                 ])
-               with_disk)
-          fmt ()
-      end;
-      let with_tiers =
-        List.filter
-          (fun c ->
-            match member "tiers" c with Some (Obj _) -> true | _ -> false)
-          cells
-      in
+             with_disk);
+      let with_tiers = cells_with "tiers" in
       if with_tiers <> [] then begin
-        Format.fprintf fmt "@,";
-        Report.table ~title:"Backing tiers (traffic + breaker)"
+        table ~title:"Backing tiers (traffic + breaker)"
           ~header:
             [
               "run"; "tier"; "reads"; "writes"; "timeouts"; "retries";
               "rejects"; "failovers"; "breaker flips";
             ]
-          ~rows:
-            (List.concat_map
-               (fun c ->
-                 let ti = Option.value (member "tiers" c) ~default:Null in
-                 match member "tiers" ti with
-                 | Some (Arr rows) ->
-                     List.map
-                       (fun r ->
-                         [
-                           run c;
-                           istr "tier" r;
-                           icount "reads" r;
-                           icount "writes" r;
-                           icount "timeouts" r;
-                           icount "retries" r;
-                           icount "rejects" r;
-                           icount "failovers" r;
-                           icount "breaker_transitions" r;
-                         ])
-                       rows
-                 | _ -> [])
-               with_tiers)
-          fmt ();
-        Format.fprintf fmt "@,";
-        Report.table ~title:"Tier routing (rescues + breaker close-out)"
+          (List.concat_map
+             (fun c ->
+               List.map
+                 (fun r ->
+                   [
+                     run c;
+                     istr "tier" r;
+                     icount "reads" r;
+                     icount "writes" r;
+                     icount "timeouts" r;
+                     icount "retries" r;
+                     icount "rejects" r;
+                     icount "failovers" r;
+                     icount "breaker_transitions" r;
+                   ])
+                 (items "tiers" (field "tiers" c)))
+             with_tiers);
+        table ~title:"Tier routing (rescues + breaker close-out)"
           ~header:
             [
               "run"; "rescues"; "breaker"; "placed"; "zram ampl";
               "tier-buffered";
             ]
-          ~rows:
-            (List.map
-               (fun c ->
-                 let ti = Option.value (member "tiers" c) ~default:Null in
-                 [
-                   run c;
-                   icount "rescues" ti;
-                   (match int_member "breaker_state" ti with
-                   | Some 0 -> "closed"
-                   | Some 1 -> "half-open"
-                   | Some 2 -> "open"
-                   | _ -> "-");
-                   icount "placed" ti;
-                   (match float_member "zram_amplification" ti with
-                   | Some f -> Report.f1 f
-                   | None -> "-");
-                   icount "tier_buffered" ti;
-                 ])
-               with_tiers)
-          fmt ()
+          (List.map
+             (fun c ->
+               let ti = field "tiers" c in
+               [
+                 run c;
+                 icount "rescues" ti;
+                 (match int_member "breaker_state" ti with
+                 | Some 0 -> "closed"
+                 | Some 1 -> "half-open"
+                 | Some 2 -> "open"
+                 | _ -> "-");
+                 icount "placed" ti;
+                 ifloat Report.f1 "zram_amplification" ti;
+                 icount "tier_buffered" ti;
+               ])
+             with_tiers)
       end;
-      let with_ledger =
-        List.filter
-          (fun c ->
-            match member "ledger" c with Some (Obj _) -> true | _ -> false)
-          cells
-      in
+      let with_ledger = cells_with "ledger" in
       if with_ledger <> [] then begin
-        Format.fprintf fmt "@,";
-        Report.table ~title:"Wasted work (page-lifecycle ledger)"
+        table ~title:"Wasted work (page-lifecycle ledger)"
           ~header:
             [
               "run"; "pages"; "useless pf"; "late pf"; "early rel (resc/refault)";
               "useful rel"; "unnecessary rel"; "trace drops";
             ]
-          ~rows:
-            (List.map
-               (fun c ->
-                 let l = Option.value (member "ledger" c) ~default:Null in
-                 [
-                   run c;
-                   icount "pages_tracked" l;
-                   icount "useless_prefetches" l;
-                   icount "late_prefetches" l;
-                   Printf.sprintf "%s/%s" (icount "early_rescued" l)
-                     (icount "early_refaulted" l);
-                   icount "useful_releases" l;
-                   icount "unnecessary_releases" l;
-                   icount "trace_dropped" c;
-                 ])
-               with_ledger)
-          fmt ();
+          (List.map
+             (fun c ->
+               let l = field "ledger" c in
+               [
+                 run c;
+                 icount "pages_tracked" l;
+                 icount "useless_prefetches" l;
+                 icount "late_prefetches" l;
+                 Printf.sprintf "%s/%s" (icount "early_rescued" l)
+                   (icount "early_refaulted" l);
+                 icount "useful_releases" l;
+                 icount "unnecessary_releases" l;
+                 icount "trace_dropped" c;
+               ])
+             with_ledger);
         let site_rows =
           List.concat_map
             (fun c ->
-              match member "ledger" c with
-              | Some l -> (
-                  match member "sites" l with
-                  | Some (Arr rows) ->
-                      List.filter_map
-                        (fun r ->
-                          (* only rows with activity: keep the report short *)
-                          let any k =
-                            match int_member k r with
-                            | Some v -> v > 0
-                            | None -> false
-                          in
-                          if any "pf_sent" || any "rel_hints" then
-                            Some
-                              [
-                                run c;
-                                icount "site" r;
-                                Printf.sprintf "%s %s" (istr "kind" r)
-                                  (istr "desc" r);
-                                Printf.sprintf "%s/%s" (icount "pf_issued" r)
-                                  (icount "pf_dropped" r);
-                                Printf.sprintf "%s/%s"
-                                  (icount "pf_referenced" r)
-                                  (icount "pf_useless" r);
-                                ins "pf_saved_ns" r;
-                                Printf.sprintf "%s/%s" (icount "rel_sent" r)
-                                  (icount "rel_freed" r);
-                                Printf.sprintf "%s/%s"
-                                  (icount "rel_rescued" r)
-                                  (icount "rel_refaulted" r);
-                                icount "static_priority" r;
-                                (match float_member "refault_pct" r with
-                                | Some f -> Report.pct (f /. 100.0)
-                                | None -> "-");
-                              ]
-                          else None)
-                        rows
-                  | _ -> [])
-              | None -> [])
+              List.filter_map
+                (fun r ->
+                  (* only rows with activity: keep the report short *)
+                  let any k =
+                    match int_member k r with Some v -> v > 0 | None -> false
+                  in
+                  if any "pf_sent" || any "rel_hints" then
+                    Some
+                      [
+                        run c;
+                        icount "site" r;
+                        Printf.sprintf "%s %s" (istr "kind" r) (istr "desc" r);
+                        Printf.sprintf "%s/%s" (icount "pf_issued" r)
+                          (icount "pf_dropped" r);
+                        Printf.sprintf "%s/%s" (icount "pf_referenced" r)
+                          (icount "pf_useless" r);
+                        ins "pf_saved_ns" r;
+                        Printf.sprintf "%s/%s" (icount "rel_sent" r)
+                          (icount "rel_freed" r);
+                        Printf.sprintf "%s/%s" (icount "rel_rescued" r)
+                          (icount "rel_refaulted" r);
+                        icount "static_priority" r;
+                        ifloat (fun f -> Report.pct (f /. 100.0)) "refault_pct" r;
+                      ]
+                  else None)
+                (items "sites" (field "ledger" c)))
             with_ledger
         in
-        if site_rows <> [] then begin
-          Format.fprintf fmt "@,";
-          Report.table ~title:"Per-site efficacy"
+        if site_rows <> [] then
+          table ~title:"Per-site efficacy"
             ~header:
               [
                 "run"; "site"; "directive"; "pf iss/drop"; "pf ref/useless";
                 "saved"; "rel sent/freed"; "resc/refault"; "prio"; "refault%";
               ]
-            ~rows:site_rows fmt ()
-        end
+            site_rows
       end;
-      Format.fprintf fmt "@,";
-      Report.table ~title:"Telemetry (min / mean / max / last)"
-        ~header:
-          [ "run"; "series"; "kind"; "samples"; "min"; "mean"; "max"; "last" ]
-        ~rows:
-          (List.concat_map
-             (fun c ->
-               match member "telemetry" c with
-               | Some tel -> (
-                   match member "series" tel with
-                   | Some (Arr ss) ->
-                       List.map
-                         (fun s ->
-                           let f k =
-                             match float_member k s with
-                             | Some f -> Report.f1 f
-                             | None -> "-"
-                           in
-                           [
-                             run c; istr "name" s; istr "kind" s;
-                             icount "samples" s; f "min"; f "mean"; f "max";
-                             f "last";
-                           ])
-                         ss
-                   | _ -> [])
-               | _ -> [])
-             cells)
-        fmt ();
+      table ~title:"Telemetry (min / mean / max / last)"
+        ~header:[ "run"; "series"; "kind"; "samples"; "min"; "mean"; "max"; "last" ]
+        (List.concat_map
+           (fun c ->
+             List.map
+               (fun s ->
+                 let f k = ifloat Report.f1 k s in
+                 [
+                   run c; istr "name" s; istr "kind" s; icount "samples" s;
+                   f "min"; f "mean"; f "max"; f "last";
+                 ])
+               (items "series" (field "telemetry" c)))
+           cells);
       let alert_rows =
         List.concat_map
           (fun c ->
-            match member "telemetry" c with
-            | Some tel -> (
-                match member "alerts" tel with
-                | Some (Arr als) ->
-                    List.map
-                      (fun a ->
-                        [
-                          run c;
-                          ins "time_ns" a;
-                          istr "rule" a;
-                          istr "event" a;
-                          (match float_member "value" a with
-                          | Some f -> Report.f1 f
-                          | None -> "-");
-                        ])
-                      als
-                | _ -> [])
-            | _ -> [])
+            List.map
+              (fun a ->
+                [
+                  run c;
+                  ins "time_ns" a;
+                  istr "rule" a;
+                  istr "event" a;
+                  ifloat Report.f1 "value" a;
+                ])
+              (items "alerts" (field "telemetry" c)))
           cells
       in
-      if alert_rows <> [] then begin
-        Format.fprintf fmt "@,";
-        Report.table ~title:"Alert timeline"
+      if alert_rows <> [] then
+        table ~title:"Alert timeline"
           ~header:[ "run"; "time"; "rule"; "event"; "value" ]
-          ~rows:alert_rows fmt ()
-      end;
-      let with_chaos =
-        List.filter
-          (fun c ->
-            match member "chaos" c with Some (Obj _) -> true | _ -> false)
-          cells
-      in
+          alert_rows;
+      let with_chaos = cells_with "chaos" in
       if with_chaos <> [] then begin
-        Format.fprintf fmt "@,";
-        Report.table ~title:"Fault injection"
+        table ~title:"Fault injection"
           ~header:
             [
               "run"; "faults"; "retries"; "backoff"; "timeouts"; "slow";
               "stall (rel/dmn)"; "dropped"; "pressure";
             ]
-          ~rows:
-            (List.map
-               (fun c ->
-                 let ch = Option.value (member "chaos" c) ~default:Null in
-                 [
-                   run c;
-                   icount "disk_faults" ch;
-                   icount "disk_retries" ch;
-                   ins "disk_backoff_ns" ch;
-                   icount "disk_timeouts" ch;
-                   icount "slow_requests" ch;
-                   Printf.sprintf "%s/%s" (ins "releaser_stall_ns" ch)
-                     (ins "daemon_stall_ns" ch);
-                   icount "directives_dropped" ch;
-                   Printf.sprintf "%s spikes, %s pages"
-                     (icount "pressure_spikes" ch)
-                     (icount "pressure_pages" ch);
-                 ])
-               with_chaos)
-          fmt ();
-        Format.fprintf fmt "@,";
-        Report.table ~title:"Degradation governor"
+          (List.map
+             (fun c ->
+               let ch = field "chaos" c in
+               [
+                 run c;
+                 icount "disk_faults" ch;
+                 icount "disk_retries" ch;
+                 ins "disk_backoff_ns" ch;
+                 icount "disk_timeouts" ch;
+                 icount "slow_requests" ch;
+                 Printf.sprintf "%s/%s" (ins "releaser_stall_ns" ch)
+                   (ins "daemon_stall_ns" ch);
+                 icount "directives_dropped" ch;
+                 Printf.sprintf "%s spikes, %s pages"
+                   (icount "pressure_spikes" ch)
+                   (icount "pressure_pages" ch);
+               ])
+             with_chaos);
+        table ~title:"Degradation governor"
           ~header:
             [
               "run"; "level"; "degrades"; "recoveries"; "suppressed";
               "os prefetch (done/dropped)";
             ]
-          ~rows:
-            (List.filter_map
-               (fun c ->
-                 match member "governor" c with
-                 | Some (Obj _ as g) ->
-                     Some
-                       [
-                         run c;
-                         icount "level" g;
-                         icount "degrades" g;
-                         icount "recoveries" g;
-                         icount "suppressed" g;
-                         Printf.sprintf "%s/%s"
-                           (icount "prefetch_os_done" g)
-                           (icount "prefetch_os_dropped" g);
-                       ]
-                 | _ -> None)
-               with_chaos)
-          fmt ()
+          (List.filter_map
+             (fun c ->
+               match member "governor" c with
+               | Some (Obj _ as g) ->
+                   Some
+                     [
+                       run c;
+                       icount "level" g;
+                       icount "degrades" g;
+                       icount "recoveries" g;
+                       icount "suppressed" g;
+                       Printf.sprintf "%s/%s"
+                         (icount "prefetch_os_done" g)
+                         (icount "prefetch_os_dropped" g);
+                     ]
+               | _ -> None)
+             with_chaos)
       end;
       (match member "totals" j with
       | Some t ->
-          Format.fprintf fmt "@,";
-          Report.table ~title:"Totals (all cells)"
+          table ~title:"Totals (all cells)"
             ~header:[ ""; "count"; "p50"; "p90"; "p99"; "max" ]
-            ~rows:
-              (List.filter_map
-                 (fun (label, key) ->
-                   match member key t with
-                   | Some (Obj _ as h) -> Some (hist_row label h)
-                   | _ -> None)
-                 [
-                   ("demand faults", "fault_hist");
-                   ("prefetches", "prefetch_hist");
-                   ("interactive sweeps", "response_hist");
-                 ])
-            fmt ()
+            (List.filter_map
+               (fun (label, key) ->
+                 if has_obj key t then Some (hist_row label (field key t))
+                 else None)
+               [
+                 ("demand faults", "fault_hist");
+                 ("prefetches", "prefetch_hist");
+                 ("interactive sweeps", "response_hist");
+               ])
       | None -> ());
       Format.pp_close_box fmt ();
       Format.pp_print_flush fmt ();

@@ -38,7 +38,9 @@ val schema_version : int
 
 val metrics_json : Metrics.t -> json
 (** Stable-key document: [{"schema": "memhog-metrics", "schema_version": N,
-    "label": ..., "cells": [...], "totals": {...}}]. *)
+    "label": ..., "cells": [...], "totals": {...}}], one cell object per
+    result, read straight from the result's own records.  EXPERIMENTS.md
+    ("Derived metrics") tabulates every key and its meaning. *)
 
 val write_file : path:string -> Metrics.t -> unit
 
@@ -60,7 +62,9 @@ type diff = {
 
 val compare_json : tolerance:float -> json -> json -> diff list
 (** Structural comparison.  Non-numeric leaves and object/array shape must
-    match exactly.  Numbers: with [tolerance = 0] the raw lexemes must be
+    match exactly, and the keys two objects share must come in the same
+    order (a reordering is one diff at the object's path, listing both
+    orders).  Numbers: with [tolerance = 0] the raw lexemes must be
     byte-identical; otherwise the relative difference
     |a-b| / max(|a|,|b|) must not exceed [tolerance] percent. *)
 
@@ -74,6 +78,13 @@ val pp_diffs : ?limit:int -> Format.formatter -> diff list -> unit
 (** {1 Rendering} *)
 
 val render : json -> (string, string) result
-(** Human-readable tables ({!Report.table}) for a parsed metrics document:
-    per-cell response/fault percentiles, Figure 7 breakdowns, release
-    accuracy and telemetry ranges. *)
+(** Human-readable tables ({!Report.table}) for a parsed metrics document,
+    in this order: execution (Figure 7 breakdown), demand-fault service
+    time, prefetch service time, interactive response time, serving tail
+    latency, tail blame, release accuracy, swap volume, backing tiers,
+    tier routing, wasted work, per-site efficacy, telemetry, alert
+    timeline, fault injection, degradation governor and totals.  A table
+    whose source object is absent (or null) in every cell, or that would
+    have no rows, is left out; execution, the two service times, release
+    accuracy and telemetry are always drawn, and totals whenever the
+    document has them. *)

@@ -125,8 +125,8 @@ let render t =
   Buffer.contents buf
 
 let blame_exn (r : E.result) =
-  match r.E.r_blame with
-  | Some b -> b
+  match r.E.r_serving with
+  | Some _ -> Reqtrace.summarize r.E.r_reqtrace
   | None -> invalid_arg "Serve: result has no blame summary"
 
 let slowest t =
@@ -147,6 +147,7 @@ let render_blame t =
   Format.fprintf fmt
     "Blame: where response time went, body vs tail (%s hog, %s)@,@,"
     t.s_workload t.s_machine.Machine.m_name;
+  let blames = List.map (fun (c, r) -> (c, blame_exn r)) t.s_cells in
   (* Mean per-request decomposition, one row per percentile band: the five
      components are additive by construction, so each row's parts sum to
      its response column exactly. *)
@@ -158,8 +159,7 @@ let render_blame t =
       ]
     ~rows:
       (List.concat_map
-         (fun (c, r) ->
-           let b = blame_exn r in
+         (fun (c, b) ->
            List.map
              (fun (bd : Reqtrace.band) ->
                let n = max 1 bd.Reqtrace.bd_count in
@@ -178,7 +178,7 @@ let render_blame t =
                  per bd.Reqtrace.bd_response;
                ])
              b.Reqtrace.su_bands)
-         t.s_cells)
+         blames)
     fmt ();
   Format.fprintf fmt "@,";
   Report.table ~title:"Prefetch race and demand-disk attribution"
@@ -189,8 +189,7 @@ let render_blame t =
       ]
     ~rows:
       (List.map
-         (fun (c, r) ->
-           let b = blame_exn r in
+         (fun (c, b) ->
            [
              Printf.sprintf "%s/%s" t.s_workload (E.variant_name c.sc_variant);
              Printf.sprintf "%s rps" (Report.f1 c.sc_rate);
@@ -205,7 +204,7 @@ let render_blame t =
              Report.ns b.Reqtrace.su_disk_service;
              Report.ns b.Reqtrace.su_transit;
            ])
-         t.s_cells)
+         blames)
     fmt ();
   Format.pp_close_box fmt ();
   Format.pp_print_flush fmt ();

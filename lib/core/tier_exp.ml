@@ -124,9 +124,13 @@ let serving_exn (r : E.result) =
 let require name cond msg =
   if not cond then failwith (Printf.sprintf "tiers %s: %s" name msg)
 
-let tier_row (s : Tiers.summary) tier =
+let find_tier (s : Tiers.summary) tier =
   List.find_opt (fun (t : Tiers.tier_summary) -> t.Tiers.ts_tier = tier)
     s.Tiers.s_tiers
+
+(* A far-tier counter, 0 when the cell has no far tier. *)
+let far_count s f =
+  match find_tier s Tiers.tier_far with Some row -> f row | None -> 0
 
 (* The experiment's built-in gates: the robustness physics the metrics
    baseline then freezes byte-for-byte. *)
@@ -143,22 +147,13 @@ let check t =
           let s = tiers_exn r in
           if String.length spec >= 3 && String.sub spec 0 3 = "far" then
             require m.mx_name
-              (match tier_row s Tiers.tier_far with
-              | Some row -> row.Tiers.ts_writes > 0
-              | None -> false)
+              (far_count s (fun row -> row.Tiers.ts_writes) > 0)
               "far tier present but never written";
-          let has_zram =
-            List.exists
-              (fun (row : Tiers.tier_summary) ->
-                row.Tiers.ts_tier = Tiers.tier_zram)
-              s.Tiers.s_tiers
-          in
-          if has_zram then
-            require m.mx_name
-              (match tier_row s Tiers.tier_zram with
-              | Some row -> row.Tiers.ts_writes > 0
-              | None -> false)
-              "zram tier present but never written")
+          match find_tier s Tiers.tier_zram with
+          | Some row ->
+              require m.mx_name (row.Tiers.ts_writes > 0)
+                "zram tier present but never written"
+          | None -> ())
     t.tx_mixes;
   (* Partition scenario: the cell must complete (no fiber blocked forever
      on a dead tier — the arrival queue fully drains), demotions must
@@ -173,19 +168,13 @@ let check t =
   require "partition" (s.Tiers.s_rescues > 0)
     "no fetch was rescued from the swap copy";
   require "partition"
-    (match tier_row s Tiers.tier_far with
-    | Some row -> row.Tiers.ts_failovers > 0
-    | None -> false)
+    (far_count s (fun row -> row.Tiers.ts_failovers) > 0)
     "no demotion failed over to local swap";
   require "partition"
-    (match tier_row s Tiers.tier_far with
-    | Some row -> row.Tiers.ts_timeouts > 0
-    | None -> false)
+    (far_count s (fun row -> row.Tiers.ts_timeouts) > 0)
     "the partition produced no RPC timeouts";
   require "partition"
-    (match tier_row s Tiers.tier_far with
-    | Some row -> row.Tiers.ts_breaker_transitions > 0
-    | None -> false)
+    (far_count s (fun row -> row.Tiers.ts_breaker_transitions) > 0)
     "the breaker never transitioned";
   let sv = serving_exn r in
   require "partition" (sv.Server.sm_completed = sv.Server.sm_arrived)
@@ -256,8 +245,7 @@ let render t =
   let r = t.tx_partition in
   let s = tiers_exn r in
   let sv = serving_exn r in
-  let far = tier_row s Tiers.tier_far in
-  let far_get f = match far with Some row -> f row | None -> 0 in
+  let far_get = far_count s in
   Report.table
     ~title:
       (Printf.sprintf "Far-memory partition mid-serve (%s, %g rps)"

@@ -94,7 +94,6 @@ let create ~os ~cfg () =
 let asp t = t.asp
 let account t = Option.map (fun p -> p.Engine.account) t.proc
 let finished t = t.done_
-let reqtrace t = t.reqtrace
 let queue_depth t = Mailbox.length t.queue
 let arrived t = t.arrived
 let completed t = t.completed
@@ -260,5 +259,3 @@ let slo_attainment s =
 let post_attainment s =
   if s.sm_post_recorded = 0 then 0.0
   else float_of_int s.sm_post_slo_ok /. float_of_int s.sm_post_recorded
-
-let blame t = Reqtrace.summarize t.reqtrace

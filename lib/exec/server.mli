@@ -45,7 +45,11 @@ type cfg = {
 type t
 
 val create : os:Memhog_vm.Os.t -> cfg:cfg -> unit -> t
-(** Map the segments and build the sampler tables.
+(** Map the segments and build the sampler tables.  Requests are traced
+    on the kernel's per-request blame layer ({!Memhog_vm.Os.reqtrace}):
+    every served request becomes a span whose queue / index-stall /
+    value-stall / CPU-wait / compute components sum exactly to its
+    recorded response time.
     @raise Invalid_argument when the offered rate is not positive. *)
 
 val spawn : ?on_done:(unit -> unit) -> t -> Memhog_sim.Engine.proc
@@ -72,16 +76,6 @@ val slo_ok : t -> int
     {!recorded} this gives a running SLO-miss counter the telemetry
     scraper reads every cadence — {!summary} allocates and is meant for
     close-out, not per-scrape sampling. *)
-
-val reqtrace : t -> Memhog_sim.Reqtrace.t
-(** The per-request blame layer this server drives (the kernel's, from
-    {!Memhog_vm.Os.reqtrace}; {!Memhog_sim.Reqtrace.null} when blame was
-    not requested).  Every served request becomes a span whose queue /
-    index-stall / value-stall / CPU-wait / compute components sum exactly
-    to its recorded response time. *)
-
-val blame : t -> Memhog_sim.Reqtrace.summary
-(** {!Memhog_sim.Reqtrace.summarize} over this server's spans. *)
 
 type summary = {
   sm_offered_rps : float;

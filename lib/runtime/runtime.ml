@@ -82,15 +82,10 @@ type t = {
   mutable g_issued : int;
 }
 
-(* Events feed both the trace ring and the lifecycle ledger; a single guard
-   keeps the hot path to one branch when neither observer is on. *)
-let tracing t =
-  Trace.enabled (Os.trace t.os) || Ledger.enabled (Os.ledger t.os)
-
-let emit t ev =
-  let time = Engine.now_of (Os.engine t.os) in
-  Trace.emit (Os.trace t.os) ~time ~stream:t.asp.As.pid ev;
-  Ledger.observe (Os.ledger t.os) ~time ~stream:t.asp.As.pid ev
+(* The kernel's observers see run-time events on this process's stream; a
+   single guard keeps the hot path to one branch when none is on. *)
+let tracing t = Os.tracing t.os
+let emit t ev = Os.emit t.os ~stream:t.asp.As.pid ev
 
 let create ?(nthreads = 16) ?(release_target = 100) ?(headroom = 0)
     ?(filter_ns = 200) ?governor ~os ~asp ~policy () =

@@ -72,7 +72,6 @@ let free_pages t = Free_list.length t.free
 let cpus t = t.cpus
 let address_spaces t = List.rev t.space_list
 let trace t = t.trace
-let ledger t = t.ledger
 let chaos t = t.chaos
 let reqtrace t = t.reqtrace
 let fault_histogram t = t.h_fault

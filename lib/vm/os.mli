@@ -84,10 +84,16 @@ val trace : t -> Memhog_sim.Trace.t
     tracing was not requested); upper layers reuse it for their own
     events. *)
 
-val ledger : t -> Memhog_sim.Ledger.t
-(** The lifecycle ledger this kernel feeds ({!Memhog_sim.Ledger.null} when
-    not requested); upper layers feed it their own events alongside the
-    trace. *)
+val tracing : t -> bool
+(** True when any observer is on: the trace ring, the lifecycle ledger or
+    the per-request blame layer.  Emit sites guard with it so disabled
+    observation builds no event values on the hot path. *)
+
+val emit : t -> stream:int -> Memhog_sim.Trace.event -> unit
+(** Hand one event, stamped with the engine's current time, to every
+    observer in turn: the trace ring, the lifecycle ledger ({!create}'s
+    [ledger]) and the per-request blame layer.  Upper layers emit their
+    own events through it, on their process's stream. *)
 
 val chaos : t -> Memhog_sim.Chaos.t
 (** The active fault plan ({!Memhog_sim.Chaos.none} when not injecting). *)

@@ -130,6 +130,37 @@ let test_run_produces_telemetry () =
   check_bool "full probe set off by default" true
     (Telemetry.summary_of tl "hard-faults" = None)
 
+(* Out-of-range numbers must fail in [setup], before anything runs: each
+   would otherwise run zero passes or die inside the engine mid-run. *)
+let test_setup_rejects_out_of_range () =
+  let wl = Memhog_workloads.Workload.find "EMBAR" in
+  let batch ?iterations ?interactive_sleep () =
+    E.setup ?iterations ?interactive_sleep ~workload:wl ~variant:E.R ()
+  in
+  let served ?slo ?duration rate_rps =
+    let cfg = E.serve_cfg ~machine:Machine.quick ?slo ?duration ~rate_rps () in
+    E.setup ~serve:cfg ~workload:wl ~variant:E.B ()
+  in
+  List.iter
+    (fun (name, build) ->
+      check_bool name true
+        (match build () with
+        | (_ : E.setup) -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ("zero iterations", fun () -> batch ~iterations:0 ());
+      ("negative iterations", fun () -> batch ~iterations:(-3) ());
+      ("negative interactive sleep", fun () -> batch ~interactive_sleep:(-1) ());
+      ("zero rate", fun () -> served 0.0);
+      ("negative rate", fun () -> served (-1.0));
+      ("nan rate", fun () -> served Float.nan);
+      ("negative duration", fun () -> served ~duration:(-1) 100.0);
+      ("zero SLO", fun () -> served ~slo:0 100.0);
+    ];
+  (* the boundary values stay legal *)
+  ignore (batch ~iterations:1 ~interactive_sleep:0 ());
+  ignore (served ~slo:1 ~duration:1 0.5)
+
 let () =
   Alcotest.run "memhog_core"
     [
@@ -154,5 +185,7 @@ let () =
           Alcotest.test_case "variants" `Quick test_variant_mapping;
           Alcotest.test_case "breakdown" `Quick test_breakdown_total;
           Alcotest.test_case "telemetry" `Quick test_run_produces_telemetry;
+          Alcotest.test_case "setup rejects out-of-range numbers" `Quick
+            test_setup_rejects_out_of_range;
         ] );
     ]

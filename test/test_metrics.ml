@@ -175,7 +175,18 @@ let test_compare_structure () =
        (Mio.Arr [ Mio.Null; Mio.Null ])
      <> []);
   check_bool "type change flagged" true
-    (Mio.compare_json ~tolerance:100.0 (Mio.Str "1") (Mio.num_of_int 1) <> [])
+    (Mio.compare_json ~tolerance:100.0 (Mio.Str "1") (Mio.num_of_int 1) <> []);
+  (* Same members, different order: the bytes differ, so a tolerance-0
+     gate must not pass it. *)
+  let ab = Mio.Obj [ ("a", Mio.num_of_int 1); ("b", Mio.num_of_int 2) ] in
+  let ba = Mio.Obj [ ("b", Mio.num_of_int 2); ("a", Mio.num_of_int 1) ] in
+  let wrap o = Mio.Obj [ ("cells", Mio.Arr [ o ]) ] in
+  match Mio.compare_json ~tolerance:0.0 (wrap ab) (wrap ba) with
+  | [ d ] ->
+      check_str "reorder path" "cells[0]" d.Mio.d_path;
+      check_str "baseline order" "a, b" d.Mio.d_expected;
+      check_str "current order" "b, a" d.Mio.d_got
+  | ds -> Alcotest.failf "key reorder: expected one diff, got %d" (List.length ds)
 
 (* ------------------------------------------------------------------ *)
 (* Golden metrics for one small workload cell                          *)
@@ -204,33 +215,24 @@ let golden_metrics () =
    requests past the deadline that a healthy run meets. *)
 let disk_cell ?chaos () =
   let wl = Memhog_workloads.Workload.find "EMBAR" in
-  let r =
-    E.run
-      (E.setup ~machine:Machine.quick ~workload:wl ~variant:E.R ~iterations:1
-         ?chaos ())
-  in
-  (Metrics.of_result r).Metrics.c_disk
+  E.run
+    (E.setup ~machine:Machine.quick ~workload:wl ~variant:E.R ~iterations:1
+       ?chaos ())
 
 let test_disk_slow_moves_timeouts () =
   let healthy = disk_cell () in
   let slowed = disk_cell ~chaos:"disk-slow@0s-60s:factor=20" () in
   check_bool "disk traffic present" true
-    (healthy.Metrics.dk_reads > 0 && healthy.Metrics.dk_writes > 0);
+    (healthy.E.r_swap_reads > 0 && healthy.E.r_swap_writes > 0);
   check_bool "slow window adds deadline misses" true
-    (slowed.Metrics.dk_timeouts > healthy.Metrics.dk_timeouts);
+    (slowed.E.r_disk_timeouts > healthy.E.r_disk_timeouts);
   check_bool "busy time inflated too" true
-    (slowed.Metrics.dk_busy_ns > healthy.Metrics.dk_busy_ns);
+    (slowed.E.r_disk_busy > healthy.E.r_disk_busy);
   (* And the counter is the one the report table renders. *)
-  let m =
-    Metrics.of_results ~label:"disk-slow"
-      [
-        E.run
-          (E.setup ~machine:Machine.quick
-             ~workload:(Memhog_workloads.Workload.find "EMBAR") ~variant:E.R
-             ~iterations:1 ~chaos:"disk-slow@0s-60s:factor=20" ());
-      ]
-  in
-  match Mio.render (Mio.metrics_json m) with
+  match
+    Mio.render
+      (Mio.metrics_json (Metrics.of_results ~label:"disk-slow" [ slowed ]))
+  with
   | Ok text ->
       check_bool "report renders the swap-volume table" true
         (let contains hay needle =
