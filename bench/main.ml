@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, the ablations listed in DESIGN.md, and the bechamel
-   microbenchmarks of the simulator primitives.  The tolerance-0
-   regression gates live in [memhog gate], not here.
+   evaluation and the ablations listed in DESIGN.md.  The tolerance-0
+   regression gates live in [memhog gate], and the simulator's own speed
+   is measured by perfbench/, not here.
 
    Usage:
      bench/main.exe                      run everything
@@ -28,9 +28,6 @@
                                          (WORKLOAD-VARIANT.trace.json)
      bench/main.exe --chaos SPEC ...     inject the given fault plan into
                                          every matrix cell
-     bench/main.exe microbench           bechamel microbenchmarks of the
-                                         simulator primitives (--smoke for
-                                         a CI-safe short run)
 
    BENCH_matrix.json schema (schema_version 1):
      { "schema_version": 1,
@@ -44,7 +41,7 @@
    Experiment ids: table1 table2 fig1 fig7 fig8 table3 fig9 fig10a fig10b
    fig10c ablation-batch ablation-hwbits ablation-conservative
    ablation-rescue ablation-drop ablation-tlb ext-freemem ext-reactive
-   ext-two-hogs microbench *)
+   ext-two-hogs *)
 
 open Memhog_core
 
@@ -130,109 +127,7 @@ let write_matrix_json ~path (m : Figures.matrix) =
   log (Printf.sprintf "wrote %s (%d cells, %.2fs wall, %.2fx vs serial)" path
          (List.length m.Figures.mx_cells) m.Figures.mx_wall_s speedup)
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the substrate                            *)
-(* ------------------------------------------------------------------ *)
-
-let microbench ~smoke () =
-  let open Bechamel in
-  let open Toolkit in
-  let sim_spin n =
-    Staged.stage (fun () ->
-        let e = Memhog_sim.Engine.create () in
-        ignore
-          (Memhog_sim.Engine.spawn e ~name:"spin" (fun () ->
-               for _ = 1 to n do
-                 Memhog_sim.Engine.delay ~cat:Memhog_sim.Account.User 10
-               done));
-        Memhog_sim.Engine.run e)
-  in
-  let vm_touch n =
-    Staged.stage (fun () ->
-        let config =
-          { Memhog_vm.Config.default with Memhog_vm.Config.total_frames = 256 }
-        in
-        let e = Memhog_sim.Engine.create () in
-        let os = Memhog_vm.Os.create ~config ~engine:e () in
-        ignore
-          (Memhog_sim.Engine.spawn e ~name:"toucher" (fun () ->
-               let asp = Memhog_vm.Os.new_process os ~name:"t" in
-               let seg =
-                 Memhog_vm.Os.map_segment os asp ~name:"d"
-                   ~bytes:(128 * 16384) ~on_swap:true
-               in
-               for i = 0 to n - 1 do
-                 ignore
-                   (Memhog_vm.Os.touch os asp
-                      ~vpn:(seg.Memhog_vm.Address_space.base_vpn + (i mod 128))
-                      ~write:false)
-               done;
-               Memhog_sim.Engine.stop ()));
-        Memhog_sim.Engine.run e)
-  in
-  let heap_churn n =
-    Staged.stage (fun () ->
-        let h = Memhog_sim.Heap.create ~dummy:0 () in
-        for i = 0 to n - 1 do
-          Memhog_sim.Heap.add h ~key:(i * 7919 mod 1000) ~seq:i i
-        done;
-        let rec drain () =
-          match Memhog_sim.Heap.pop_min h with
-          | Some _ -> drain ()
-          | None -> ()
-        in
-        drain ())
-  in
-  let release_churn n =
-    Staged.stage (fun () ->
-        let b = Memhog_runtime.Release_buffer.create () in
-        for i = 0 to n - 1 do
-          let tag = i mod 97 in
-          Memhog_runtime.Release_buffer.add b ~tag ~priority:((tag mod 3) + 1)
-            ~vpn:i
-        done;
-        let rec drain () =
-          if Array.length (Memhog_runtime.Release_buffer.pop_lowest b ~max:100)
-             > 0
-          then drain ()
-        in
-        drain ())
-  in
-  let test =
-    Test.make_grouped ~name:"memhog"
-      [
-        Test.make ~name:"engine: 10k events" (sim_spin 10_000);
-        Test.make ~name:"vm: 10k warm touches" (vm_touch 10_000);
-        Test.make ~name:"heap: 10k push/pop" (heap_churn 10_000);
-        Test.make ~name:"release buffer: 10k pages" (release_churn 10_000);
-      ]
-  in
-  let benchmark () =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      if smoke then Benchmark.cfg ~limit:20 ~quota:(Time.second 0.2) ()
-      else Benchmark.cfg ~limit:200 ~quota:(Time.second 2.0) ()
-    in
-    Benchmark.all cfg instances test
-  in
-  let results = benchmark () in
-  let results_analyzed =
-    Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
-      (Instance.monotonic_clock :> Measure.witness)
-      results
-  in
-  let buf = Buffer.create 256 in
-  Printf.bprintf buf "Microbenchmarks (%s, ns/run)\n"
-    (if smoke then "smoke mode" else "bechamel, monotonic clock");
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.bprintf buf "%-28s %12.1f ns\n" name est
-      | _ -> Printf.bprintf buf "%-28s (no estimate)\n" name)
-    results_analyzed;
-  Buffer.contents buf
-
-let experiments ~machine ~jobs ~smoke =
+let experiments ~machine ~jobs =
   [
     ("table1", fun () -> Figures.table1 ~machine ());
     ("table2", fun () -> Figures.table2 ~machine ());
@@ -254,20 +149,18 @@ let experiments ~machine ~jobs ~smoke =
     ("ext-freemem", fun () -> Figures.ext_freemem ~machine ~jobs ~log ());
     ("ext-reactive", fun () -> Figures.ext_reactive ~machine ~jobs ~log ());
     ("ext-two-hogs", fun () -> Figures.ext_two_hogs ~machine ~jobs ~log ());
-    ("microbench", fun () -> microbench ~smoke ());
   ]
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [--quick] [--jobs N] [--json] [--smoke] [--trace DIR] \
-     [--chaos SPEC] [EXPERIMENT ...]\n"
+    "usage: main.exe [--quick] [--jobs N] [--json] [--trace DIR] [--chaos \
+     SPEC] [EXPERIMENT ...]\n"
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let jobs = ref (Pool.default_jobs ()) in
   let quick = ref false in
   let json = ref false in
-  let smoke = ref false in
   let selected = ref [] in
   let rec parse = function
     | [] -> ()
@@ -276,9 +169,6 @@ let () =
         parse rest
     | "--json" :: rest ->
         json := true;
-        parse rest
-    | "--smoke" :: rest ->
-        smoke := true;
         parse rest
     | "--jobs" :: n :: rest -> (
         match int_of_string_opt n with
@@ -325,7 +215,7 @@ let () =
   parse args;
   let machine = if !quick then Machine.quick else Machine.paper in
   let jobs = !jobs in
-  let registry = experiments ~machine ~jobs ~smoke:!smoke in
+  let registry = experiments ~machine ~jobs in
   let to_run =
     match List.rev !selected with
     | [] -> registry

@@ -9,10 +9,10 @@
      serve      open-loop KV server tail latency vs offered load x hog variant
      blame      per-request critical-path blame: additive response-time
                 decomposition, body vs tail, slowest-request trace export
+     tiers      tiered backing store: backend mix and far-tier partition
      report     render metrics JSON files as human-readable tables
      compare    diff two metrics JSON files within a tolerance
      audit      per-directive-site efficacy report from the page ledger
-     perf       wall-clock throughput bench (events/sec, GC rates)
      gate       re-run the tolerance-0 gates against the committed baselines
      top        replay a telemetry dump as a live terminal dashboard
 *)
@@ -59,8 +59,9 @@ let variant_conv =
   in
   Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (Experiment.variant_name v))
 
-(* Numeric options refuse at parse time the values [Experiment.setup]
-   rejects, so a bad number is a usage error (exit 124) before anything is
+(* Numeric options refuse at parse time the values the code they feed
+   rejects ([Experiment.setup], [Metrics_io.compare_json], [top]'s width
+   and speed), so a bad number is a usage error (exit 124) before anything is
    simulated instead of an empty run or a crash mid-run. *)
 let checked ~expected ok conv =
   let parse s =
@@ -90,6 +91,27 @@ let seconds_conv ~positive =
       let ns = Time_ns.of_sec_f f in
       Float.is_finite f && f >= 0.0 && if positive then ns > 0 else ns >= 0)
     Arg.float
+
+(* An output file, or the directory [run --telemetry] creates: its parent
+   must exist already, so a mistyped path fails before the simulation
+   rather than after it. *)
+let out_path_conv =
+  let parse s =
+    let dir = Filename.dirname s in
+    if Sys.file_exists dir && Sys.is_directory dir then Ok s
+    else
+      Error
+        (`Msg (Printf.sprintf "invalid path '%s', no directory %s" s dir))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+let chaos_conv =
+  let parse s =
+    match Memhog_sim.Chaos.parse s with
+    | Ok _ -> Ok s
+    | Error e -> Error (`Msg e)
+  in
+  Arg.conv (parse, Format.pp_print_string)
 
 (* ------------------------------------------------------------------ *)
 (* list                                                                *)
@@ -193,7 +215,7 @@ let run_cmd =
   let telemetry =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_path_conv) None
       & info [ "telemetry" ] ~docv:"DIR"
           ~doc:
             "Register the full telemetry probe set (VM, disk, tiers, \
@@ -206,7 +228,7 @@ let run_cmd =
   let csv =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_path_conv) None
       & info [ "series"; "csv" ] ~docv:"FILE"
           ~doc:
             "Write the sampled time series to a CSV file \
@@ -217,7 +239,7 @@ let run_cmd =
   let trace =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_path_conv) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Record a structured event trace (faults, prefetches, releases, \
@@ -227,20 +249,12 @@ let run_cmd =
   let metrics =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_path_conv) None
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:
             "Write the derived metrics (service-time histograms, Figure 7 \
              breakdown, release accuracy, telemetry ranges) as canonical \
              JSON, readable by $(b,memhog report) and $(b,memhog compare).")
-  in
-  let chaos_conv =
-    let parse s =
-      match Memhog_sim.Chaos.parse s with
-      | Ok _ -> Ok s
-      | Error e -> Error (`Msg (Printf.sprintf "bad chaos spec: %s" e))
-    in
-    Arg.conv (parse, Format.pp_print_string)
   in
   let chaos =
     Arg.(
@@ -593,7 +607,7 @@ let serve_grid_term =
   let chaos =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some chaos_conv) None
       & info [ "chaos" ] ~docv:"SPEC"
           ~doc:"Apply this fault-injection plan to every cell.")
   in
@@ -613,15 +627,7 @@ let serve_grid_term =
           sg_jobs })
     $ rates $ variants $ hog $ slo $ duration $ chaos $ jobs)
 
-let run_serve_grid ~cmd ~machine g =
-  (match g.sg_chaos with
-  | Some spec -> (
-      match Memhog_sim.Chaos.parse spec with
-      | Ok _ -> ()
-      | Error e ->
-          Format.eprintf "memhog %s: bad chaos spec: %s@." cmd e;
-          exit 2)
-  | None -> ());
+let run_serve_grid ~machine g =
   Serve.run ~machine ~workload:g.sg_hog.Workload.w_name ~rates:g.sg_rates
     ~variants:g.sg_variants
     ~slo:(Time_ns.of_sec_f g.sg_slo)
@@ -640,7 +646,7 @@ let write_serve_metrics ~machine ~hog ~path t =
 let metrics_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some out_path_conv) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
           "Write the grid's derived metrics (including the per-cell \
@@ -657,7 +663,7 @@ let serve_cmd =
              up with $(b,memhog blame).")
   in
   let run machine g blame metrics =
-    let t = run_serve_grid ~cmd:"serve" ~machine g in
+    let t = run_serve_grid ~machine g in
     print_string (Serve.render t);
     print_newline ();
     print_string (Figures.serve_tail t);
@@ -685,7 +691,7 @@ let blame_cmd =
   let trace =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_path_conv) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Write the slowest sampled request's critical path (request \
@@ -693,7 +699,7 @@ let blame_cmd =
              as Chrome trace-event JSON, openable in Perfetto.")
   in
   let run machine g trace metrics =
-    let t = run_serve_grid ~cmd:"blame" ~machine g in
+    let t = run_serve_grid ~machine g in
     print_string (Serve.render t);
     print_newline ();
     print_string (Serve.render_blame t);
@@ -749,7 +755,7 @@ let tiers_cmd =
   let metrics =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_path_conv) None
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:
             "Write the experiment's derived metrics (including the \
@@ -844,7 +850,11 @@ let compare_cmd =
   let tolerance =
     Arg.(
       value
-      & opt float 0.0
+      & opt
+          (checked ~expected:"a finite percentage, at least 0"
+             (fun f -> Float.is_finite f && f >= 0.0)
+             Arg.float)
+          0.0
       & info [ "tolerance" ] ~docv:"PCT"
           ~doc:
             "Allowed relative drift per numeric field, in percent.  0 \
@@ -987,7 +997,11 @@ let top_cmd =
   let speed =
     Arg.(
       value
-      & opt float 4.0
+      & opt
+          (checked ~expected:"a playback rate, at least 0"
+             (fun f -> f >= 0.0)
+             Arg.float)
+          4.0
       & info [ "speed" ] ~docv:"X"
           ~doc:
             "Playback rate: $(docv) seconds of simulated time per wall \
@@ -997,7 +1011,9 @@ let top_cmd =
   let width =
     Arg.(
       value
-      & opt int 60
+      & opt
+          (checked ~expected:"at least 1 column" (fun n -> n >= 1) Arg.int)
+          60
       & info [ "width" ] ~docv:"COLS" ~doc:"Sparkline width in columns.")
   in
   let run dir speed width =
@@ -1015,7 +1031,7 @@ let top_cmd =
             List.fold_left (fun acc (t, _) -> max acc t) acc samples)
           0 series
       in
-      if speed <= 0.0 then
+      if speed = 0.0 then
         print_string (render_frame ~width ~now:t_end series alerts)
       else begin
         let frames = 120 in
@@ -1230,67 +1246,6 @@ let audit_cmd =
       $ conservative)
 
 (* ------------------------------------------------------------------ *)
-(* perf                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let perf_cmd =
-  let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Run the perf cells on $(docv) worker domains.  The gated work \
-             counters are identical at any job count; only the wall-clock \
-             members change.")
-  in
-  let gc_minor_kb =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "gc-minor-kb" ] ~docv:"KB"
-          ~doc:
-            "Resize the GC minor heap to $(docv) KiB before running (a \
-             tuning knob; recorded in the output as informational).")
-  in
-  let ledger =
-    Arg.(
-      value & flag
-      & info [ "ledger" ]
-          ~doc:
-            "Keep the page-lifecycle ledger on inside the cells (the \
-             production default) instead of benchmarking the bare kernel.  \
-             Work counters are identical either way.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the PERF metrics JSON to $(docv).")
-  in
-  let run machine jobs gc_minor_kb ledger out =
-    let t = Perf.run ?gc_minor_kb ~ledger ~machine ~jobs () in
-    print_string (Perf.render t);
-    Option.iter
-      (fun path ->
-        Perf.write_file ~path t;
-        Format.printf "wrote %s@." path)
-      out;
-    0
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:
-         "Wall-clock throughput bench: run the perf workload cells and \
-          report events/sec, faults/sec, simulated-ns per wall-ns and GC \
-          allocation rates.  The deterministic work counters (events \
-          executed, faults serviced, iterations, simulated time) are gated \
-          by $(b,memhog gate perf); wall-clock numbers are informational \
-          only.")
-    Term.(const run $ machine_term $ jobs $ gc_minor_kb $ ledger $ out)
-
-(* ------------------------------------------------------------------ *)
 (* gate                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1369,11 +1324,10 @@ let gate_cmd =
           each registry entry re-simulates its cells on the quick machine, \
           fails on a broken physics check, and compares its metrics \
           document with the committed baseline in $(b,bench/) (number \
-          lexemes must match exactly; the perf document's wall-clock \
-          members are ignored).  Informational artifacts \
-          (BLAME_slowest.trace.json, OBS_openmetrics.txt, \
-          PERF_metrics.json) are written to the current directory.  Every \
-          selected entry runs; the exit status is non-zero if any failed.")
+          lexemes must match exactly).  Informational artifacts \
+          (BLAME_slowest.trace.json, OBS_openmetrics.txt) are written to \
+          the current directory.  Every selected entry runs; the exit \
+          status is non-zero if any failed.")
     Term.(const run $ names $ update)
 
 let () =
@@ -1388,5 +1342,5 @@ let () =
           [
             list_cmd; machine_cmd; compile_cmd; run_cmd; sweep_cmd;
             serve_cmd; blame_cmd; tiers_cmd; report_cmd; compare_cmd;
-            audit_cmd; perf_cmd; gate_cmd; top_cmd;
+            audit_cmd; gate_cmd; top_cmd;
           ]))

@@ -92,7 +92,6 @@ type setup = {
   conservative : bool;
   reactive : bool;
   release_target : int option;
-  max_sim_time : Time_ns.t;
   trace : Trace.t option;
   chaos : string option;
   governor : Runtime.governor_cfg option;
@@ -132,9 +131,8 @@ let serve_cfg ?(slo = Time_ns.ms 30) ?(duration = Time_ns.sec 20)
 
 let setup ?(machine = Machine.paper) ?interactive_sleep ?iterations
     ?(min_sim_time = 0) ?(conservative = false) ?(reactive = false)
-    ?release_target ?(max_sim_time = Time_ns.sec 3600) ?trace ?chaos ?governor
-    ?(ledger_on = true) ?serve ?tiers ?(telemetry = false) ~workload ~variant
-    () =
+    ?release_target ?trace ?chaos ?governor ?(ledger_on = true) ?serve ?tiers
+    ?(telemetry = false) ~workload ~variant () =
   (* Validate eagerly so a bad number or spec fails before any work: out of
      range, each of these would run nothing or die mid-run. *)
   let reject fmt =
@@ -170,7 +168,6 @@ let setup ?(machine = Machine.paper) ?interactive_sleep ?iterations
     conservative;
     reactive;
     release_target;
-    max_sim_time;
     trace;
     chaos;
     governor;
@@ -189,9 +186,12 @@ let summarize_interactive ~sleep (task : Interactive.t) =
     is_alone_response = Interactive.alone_response task;
   }
 
+(* A run that outlives this much simulated time is cut off by the engine. *)
+let max_sim_time = Time_ns.sec 3600
+
 let run (s : setup) =
   let m = s.machine in
-  let engine = Engine.create ~max_time:s.max_sim_time () in
+  let engine = Engine.create ~max_time:max_sim_time () in
   (* Each run builds its own plan from (machine seed, spec): worker domains
      never share mutable chaos state, so the injected schedule — and the
      metrics — are identical at any --jobs level. *)
@@ -203,7 +203,7 @@ let run (s : setup) =
   (* The lifecycle ledger is on by default: it is cheap (hash-table updates
      at emit points, no simulated-time interaction) and private to this
      cell, so its summary is byte-identical at any --jobs level.  The perf
-     harness turns it off ([ledger_on = false]) to measure the bare kernel;
+     gate and perfbench's sinks-off runs turn it off ([ledger_on = false]);
      the ledger never interacts with the engine, so all deterministic work
      counters are unaffected either way. *)
   let ledger = if s.ledger_on then Ledger.create () else Ledger.null in

@@ -131,7 +131,6 @@ type setup = {
           instead of releasing proactively *)
   release_target : int option;
       (** pages drained per run-time buffering decision (paper: 100) *)
-  max_sim_time : Memhog_sim.Time_ns.t;
   trace : Memhog_sim.Trace.t option;
       (** collect kernel/runtime/application events into this trace *)
   chaos : string option;
@@ -141,8 +140,8 @@ type setup = {
   governor : Memhog_runtime.Runtime.governor_cfg option;
       (** explicit governor configuration (overrides the chaos default) *)
   ledger_on : bool;
-      (** collect the page-lifecycle ledger (default).  The perf harness
-          disables it to benchmark the bare kernel; the ledger never touches
+      (** collect the page-lifecycle ledger (default).  The perf gate and
+          perfbench's sinks-off runs disable it; the ledger never touches
           the engine, so work counters are identical either way. *)
   serve : Memhog_exec.Server.cfg option;
       (** [Some cfg]: serve mode — co-run the open-loop key-value server
@@ -189,7 +188,6 @@ val setup :
   ?conservative:bool ->
   ?reactive:bool ->
   ?release_target:int ->
-  ?max_sim_time:Memhog_sim.Time_ns.t ->
   ?trace:Memhog_sim.Trace.t ->
   ?chaos:string ->
   ?governor:Memhog_runtime.Runtime.governor_cfg ->
@@ -207,6 +205,8 @@ val setup :
     positive — before anything is simulated. *)
 
 val run : setup -> result
+(** Simulate the cell; the engine cuts it off after 3600 s of simulated
+    time. *)
 
 val run_interactive_alone :
   ?machine:Machine.t ->

@@ -257,12 +257,7 @@ let obs () =
 (* perf: the throughput cells' work counters                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One job on purpose: a cell's wall-clock and GC numbers mean something
-   only when it has a domain to itself (Gc.quick_stat aggregates across
-   domains).  The gated work counters are the same at any job count. *)
-let perf () =
-  let doc = Perf.to_json (Perf.run ~machine ~jobs:1 ()) in
-  { doc; artifacts = [ ("PERF_metrics.json", Metrics_io.to_string doc) ] }
+let perf () = { doc = Perf.run ~machine ~jobs:2 (); artifacts = [] }
 
 let entries =
   [
@@ -284,7 +279,4 @@ let select names =
            (String.concat ", " unknown)
            (String.concat ", " (List.map (fun e -> e.name) entries)))
 
-let compare ~baseline doc =
-  Metrics_io.compare_json ~tolerance:0.0
-    (Perf.work_projection baseline)
-    (Perf.work_projection doc)
+let compare ~baseline doc = Metrics_io.compare_json ~tolerance:0.0 baseline doc

@@ -28,8 +28,8 @@ type entry = {
 val entries : entry list
 (** [smoke] (BENCH), [chaos] (CHAOS), [serve] (SERVE, plus the slowest
     request's critical path), [tiers] (TIER), [obs] (OBS, plus the
-    OpenMetrics snapshot) and [perf] (PERF, plus the full document with
-    its wall-clock numbers). *)
+    OpenMetrics snapshot) and [perf] (PERF, the throughput cells' work
+    counters). *)
 
 val select : string list -> (entry list, string) result
 (** The named entries in the order given, or every entry for [[]].  An
@@ -37,7 +37,6 @@ val select : string list -> (entry list, string) result
 
 val compare :
   baseline:Metrics_io.json -> Metrics_io.json -> Metrics_io.diff list
-(** {!Metrics_io.compare_json} at tolerance 0 after {!Perf.work_projection}
-    of both sides: number lexemes must match exactly, except in the
-    wall-clock members of a perf document, which no other document
-    carries. *)
+(** {!Metrics_io.compare_json} at tolerance 0: every number lexeme must
+    match exactly.  No baseline carries a wall-clock member, so each is a
+    pure function of the code. *)

@@ -788,6 +788,12 @@ let type_name = function
   | Obj _ -> "object"
 
 let compare_json ~tolerance a b =
+  if not (Float.is_finite tolerance && tolerance >= 0.0) then
+    invalid_arg
+      (Printf.sprintf
+         "Metrics_io.compare_json: tolerance must be a finite percentage, at \
+          least 0 (got %g)"
+         tolerance);
   let diffs = ref [] in
   let report path ~expected ~got reason =
     diffs :=
@@ -808,7 +814,7 @@ let compare_json ~tolerance a b =
             ~got:(Printf.sprintf "%S" y)
             "string changed"
     | Num (x, lx), Num (y, ly) ->
-        if tolerance <= 0.0 then begin
+        if tolerance = 0.0 then begin
           if lx <> ly then
             report path ~expected:lx ~got:ly "lexeme differs (tolerance 0%)"
         end

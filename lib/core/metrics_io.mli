@@ -66,7 +66,8 @@ val compare_json : tolerance:float -> json -> json -> diff list
     order (a reordering is one diff at the object's path, listing both
     orders).  Numbers: with [tolerance = 0] the raw lexemes must be
     byte-identical; otherwise the relative difference
-    |a-b| / max(|a|,|b|) must not exceed [tolerance] percent. *)
+    |a-b| / max(|a|,|b|) must not exceed [tolerance] percent.
+    @raise Invalid_argument unless [tolerance] is finite and at least 0. *)
 
 val pp_diffs : ?limit:int -> Format.formatter -> diff list -> unit
 (** Regression-gate failure report: for the first [limit] (default 8)

@@ -151,10 +151,6 @@ type proto = {
   pr_params : (string * string) list;  (* values still textual *)
 }
 
-let split_on_string ~sep s =
-  (* OCaml's String.split_on_char is enough: all our separators are chars *)
-  String.split_on_char sep s
-
 let parse_clause clause =
   match String.index_opt clause '@' with
   | None -> bad "clause %S: expected kind@start-stop[:params]" clause
@@ -180,207 +176,16 @@ let parse_clause clause =
                           ( String.trim (String.sub kv 0 e),
                             String.sub kv (e + 1) (String.length kv - e - 1)
                           ))
-                (split_on_string ~sep:',' p)
+                (String.split_on_char ',' p)
             in
             (w, kvs)
       in
       let start, stop =
-        match split_on_string ~sep:'-' window with
+        match String.split_on_char '-' window with
         | [ a; b ] -> (parse_time a, parse_time b)
         | _ -> bad "bad window %S (expected start-stop)" window
       in
       { pr_kind = kind; pr_start = start; pr_stop = stop; pr_params = params }
-
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON reader (self-contained: this library sits below the
-   metrics layer, so it cannot reuse Metrics_io's parser).              *)
-(* ------------------------------------------------------------------ *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> bad "JSON: expected %C at offset %d" c !pos
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> bad "JSON: unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some ('"' as c) | Some ('\\' as c) | Some ('/' as c) ->
-              Buffer.add_char buf c;
-              advance ();
-              go ()
-          | Some 'n' ->
-              Buffer.add_char buf '\n';
-              advance ();
-              go ()
-          | Some 't' ->
-              Buffer.add_char buf '\t';
-              advance ();
-              go ()
-          | _ -> bad "JSON: unsupported escape in string")
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> bad "JSON: unexpected end of input"
-    | Some '"' -> Jstr (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (
-          advance ();
-          Jobj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> bad "JSON: expected ',' or '}' at offset %d" !pos
-          in
-          Jobj (members [])
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (
-          advance ();
-          Jarr [])
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> bad "JSON: expected ',' or ']' at offset %d" !pos
-          in
-          Jarr (elements [])
-    | Some 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then (
-          pos := !pos + 4;
-          Jbool true)
-        else bad "JSON: bad literal at offset %d" !pos
-    | Some 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then (
-          pos := !pos + 5;
-          Jbool false)
-        else bad "JSON: bad literal at offset %d" !pos
-    | Some 'n' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "null" then (
-          pos := !pos + 4;
-          Jnull)
-        else bad "JSON: bad literal at offset %d" !pos
-    | Some _ ->
-        let start = !pos in
-        let rec num_end () =
-          match peek () with
-          | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') ->
-              advance ();
-              num_end ()
-          | _ -> ()
-        in
-        num_end ();
-        let lit = String.sub s start (!pos - start) in
-        (match float_of_string_opt lit with
-        | Some v -> Jnum v
-        | None -> bad "JSON: bad number %S at offset %d" lit start)
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then bad "JSON: trailing garbage at offset %d" !pos;
-  v
-
-let json_time = function
-  | Jstr s -> parse_time s
-  | Jnum v when v >= 0.0 -> int_of_float (v *. 1e9)
-  | _ -> bad "JSON: bad time value"
-
-let json_param_string = function
-  | Jstr s -> s
-  | Jnum v ->
-      if Float.is_integer v then string_of_int (int_of_float v)
-      else string_of_float v
-  | Jbool b -> string_of_bool b
-  | _ -> bad "JSON: bad parameter value"
-
-let proto_of_json = function
-  | Jobj fields ->
-      let find k = List.assoc_opt k fields in
-      let kind =
-        match find "fault" with
-        | Some (Jstr k) -> kind_of_string k
-        | _ -> bad "JSON rule: missing \"fault\" kind"
-      in
-      let start =
-        match find "start" with
-        | Some v -> json_time v
-        | None -> bad "JSON rule: missing \"start\""
-      in
-      let stop =
-        match find "stop" with
-        | Some v -> json_time v
-        | None -> bad "JSON rule: missing \"stop\""
-      in
-      let params =
-        List.filter_map
-          (fun (k, v) ->
-            match k with
-            | "fault" | "start" | "stop" -> None
-            | "backoff" | "hold" | "latency" ->
-                (* times: normalise to a textual ns value the DSL path
-                   understands *)
-                Some (k, string_of_int (json_time v) ^ "ns")
-            | _ -> Some (k, json_param_string v))
-          fields
-      in
-      { pr_kind = kind; pr_start = start; pr_stop = stop; pr_params = params }
-  | _ -> bad "JSON rule: expected an object"
 
 (* ------------------------------------------------------------------ *)
 (* Rule construction and validation                                    *)
@@ -467,68 +272,46 @@ let rule_of_proto ~seed ~index pr =
     rng = Rng.create ~seed:(seed lxor (0x9E3779B9 * (index + 1)));
   }
 
-let build ~seed protos =
-  let rules = List.mapi (fun i pr -> rule_of_proto ~seed ~index:i pr) protos in
-  { rules; st = fresh_stats () }
-
 let parse ?(seed = 0) spec =
-  let trimmed = String.trim spec in
   try
-    if trimmed = "" then Ok { none with st = fresh_stats () }
-    else if trimmed.[0] = '[' || trimmed.[0] = '{' then (
-      let j = parse_json trimmed in
-      let seed, rules_json =
-        match j with
-        | Jarr rules -> (seed, rules)
-        | Jobj fields -> (
-            let s =
-              match List.assoc_opt "seed" fields with
-              | Some (Jnum v) -> int_of_float v
-              | Some _ -> bad "JSON: \"seed\" must be a number"
-              | None -> seed
-            in
-            match List.assoc_opt "rules" fields with
-            | Some (Jarr rules) -> (s, rules)
-            | _ -> bad "JSON: expected a \"rules\" array")
-        | _ -> bad "JSON: expected an array of rules or an object"
-      in
-      Ok (build ~seed (List.map proto_of_json rules_json)))
-    else
-      let clauses =
-        List.filter_map
-          (fun c ->
-            let c = String.trim c in
-            if c = "" then None else Some c)
-          (split_on_string ~sep:';' trimmed)
-      in
-      let seed =
-        List.fold_left
-          (fun acc c ->
-            match String.index_opt c '=' with
-            | Some e
-              when String.index_opt c '@' = None
-                   && String.trim (String.sub c 0 e) = "seed" ->
-                parse_int "seed"
-                  (String.sub c (e + 1) (String.length c - e - 1))
-            | _ -> acc)
-          seed clauses
-      in
-      let protos =
-        List.filter_map
-          (fun c ->
-            match String.index_opt c '@' with
-            | Some _ -> Some (parse_clause c)
-            | None -> (
-                (* only seed= clauses may omit the window; anything else
-                   without one is a typo, not something to ignore *)
-                match String.index_opt c '=' with
-                | Some e when String.trim (String.sub c 0 e) = "seed" -> None
-                | _ ->
-                    bad "clause %S: expected kind@start-stop[:params] or seed=N"
-                      c))
-          clauses
-      in
-      Ok (build ~seed protos)
+    let clauses =
+      List.filter_map
+        (fun c ->
+          let c = String.trim c in
+          if c = "" then None else Some c)
+        (String.split_on_char ';' spec)
+    in
+    let seed =
+      List.fold_left
+        (fun acc c ->
+          match String.index_opt c '=' with
+          | Some e
+            when String.index_opt c '@' = None
+                 && String.trim (String.sub c 0 e) = "seed" ->
+              parse_int "seed" (String.sub c (e + 1) (String.length c - e - 1))
+          | _ -> acc)
+        seed clauses
+    in
+    let protos =
+      List.filter_map
+        (fun c ->
+          match String.index_opt c '@' with
+          | Some _ -> Some (parse_clause c)
+          | None -> (
+              (* only seed= clauses may omit the window; anything else
+                 without one is a typo, not something to ignore *)
+              match String.index_opt c '=' with
+              | Some e when String.trim (String.sub c 0 e) = "seed" -> None
+              | _ ->
+                  bad "clause %S: expected kind@start-stop[:params] or seed=N"
+                    c))
+        clauses
+    in
+    Ok
+      {
+        rules = List.mapi (fun i pr -> rule_of_proto ~seed ~index:i pr) protos;
+        st = fresh_stats ();
+      }
   with Bad msg -> Error (Printf.sprintf "chaos spec: %s" msg)
 
 let create ?seed spec =

@@ -1,12 +1,12 @@
 (** Deterministic fault-injection plans.
 
     A chaos plan is a list of timed fault rules parsed from a compact spec
-    string (or an equivalent JSON document).  Components ask the plan at
-    well-defined hook points — "should this disk request fail?", "is the
-    releaser stalled right now?" — and the plan answers from per-rule
-    deterministic {!Rng} streams, so a fixed [(seed, spec)] pair yields the
-    same injected schedule on every run, at any [--jobs] level (each worker
-    owns its engine and its own [Chaos.t]).
+    string.  Components ask the plan at well-defined hook points — "should
+    this disk request fail?", "is the releaser stalled right now?" — and
+    the plan answers from per-rule deterministic {!Rng} streams, so a fixed
+    [(seed, spec)] pair yields the same injected schedule on every run, at
+    any [--jobs] level (each worker owns its engine and its own
+    [Chaos.t]).
 
     {2 Spec syntax}
 
@@ -49,12 +49,7 @@
 
     Example: a disk brown-out, then a pressure spike while it recovers:
 
-    {v disk-fault@10s-20s:p=0.5,retries=4;pressure@18s-30s:pages=256,hold=8s v}
-
-    The JSON form is accepted when the spec starts with [\[] or [{]: an
-    array of rule objects ([{"fault":"disk-fault","start":"10s","stop":"20s",
-    "p":0.5}, ...]) or [{"seed":N,"rules":[...]}].  Times may be strings
-    with units or plain numbers (seconds). *)
+    {v disk-fault@10s-20s:p=0.5,retries=4;pressure@18s-30s:pages=256,hold=8s v} *)
 
 type t
 
@@ -80,8 +75,8 @@ val is_none : t -> bool
 (** [true] iff the plan has no rules ({!none} or an empty spec). *)
 
 val parse : ?seed:int -> string -> (t, string) result
-(** Parse a spec (DSL or JSON).  [seed] (default 0) seeds the per-rule
-    random streams unless the spec itself carries a [seed=] clause. *)
+(** Parse a spec.  [seed] (default 0) seeds the per-rule random streams
+    unless the spec itself carries a [seed=] clause. *)
 
 val create : ?seed:int -> string -> t
 (** Like {!parse} but raises [Invalid_argument] on a malformed spec. *)

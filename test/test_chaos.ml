@@ -1,7 +1,7 @@
-(* Tests for the deterministic fault-injection layer: the spec DSL and its
-   JSON form, draw determinism, the disk retry/backoff/timeout path, the
-   sequentiality fix for faulted requests, and end-to-end chaos runs with
-   OS-invariant and byte-determinism checks. *)
+(* Tests for the deterministic fault-injection layer: the spec DSL, draw
+   determinism, the disk retry/backoff/timeout path, the sequentiality fix
+   for faulted requests, and end-to-end chaos runs with OS-invariant and
+   byte-determinism checks. *)
 
 open Memhog_sim
 module Disk = Memhog_disk.Disk
@@ -74,15 +74,18 @@ let test_parse_errors () =
       "net-jitter@0s-1s:latency=0";
       "net-jitter@0s-1s:latency=-5us";
       "net-jitter@0s-1s:latency=soon";
+      (* the clause grammar is the only format: no JSON plans *)
+      {|[{"fault":"disk-fault","start":"1s","stop":"3s"}]|};
+      {|{"seed":7,"rules":[]}|};
     ];
   Alcotest.check_raises "create raises on bad spec"
     (Invalid_argument "chaos spec: unknown fault kind \"explode\"")
     (fun () -> ignore (Chaos.create "explode@0s-1s"))
 
 (* A fixed (seed, spec) pair must give the same injected schedule on every
-   run; the JSON form and the seed= clause must be draw-for-draw equivalent
-   to the DSL form.  The per-rule streams are stateful, so every comparison
-   builds its plans fresh. *)
+   run; the seed= clause must be draw-for-draw equivalent to [~seed].  The
+   per-rule streams are stateful, so every comparison builds its plans
+   fresh. *)
 let draws t =
   List.init 100 (fun i ->
       Chaos.disk_fault t ~now:(Time_ns.ms (1_000 + (i * 13))))
@@ -96,20 +99,6 @@ let test_draw_determinism () =
     (a = draws (Chaos.create ~seed:43 spec));
   check_bool "some requests fault" true (List.exists Option.is_some a);
   check_bool "some requests pass" true (List.exists Option.is_none a)
-
-let test_json_form_equivalent () =
-  let dsl = "disk-fault@1s-3s:p=0.5,retries=3,backoff=250us" in
-  let json =
-    {|[{"fault":"disk-fault","start":"1s","stop":"3s","p":0.5,"retries":3,"backoff":"250us"}]|}
-  in
-  check_bool "JSON draws match DSL draws" true
-    (draws (Chaos.create ~seed:7 dsl) = draws (Chaos.create ~seed:7 json));
-  (* the wrapped object form carries the seed itself *)
-  let wrapped =
-    {|{"seed":7,"rules":[{"fault":"disk-fault","start":"1s","stop":"3s","p":0.5,"retries":3,"backoff":"250us"}]}|}
-  in
-  check_bool "embedded seed matches ~seed" true
-    (draws (Chaos.create ~seed:7 dsl) = draws (Chaos.create wrapped))
 
 let test_seed_clause () =
   let spec = "disk-fault@1s-3s:p=0.5" in
@@ -290,7 +279,6 @@ let () =
           Alcotest.test_case "all kinds parse" `Quick test_parse_all_kinds;
           Alcotest.test_case "malformed specs rejected" `Quick test_parse_errors;
           Alcotest.test_case "draw determinism" `Quick test_draw_determinism;
-          Alcotest.test_case "JSON form equivalent" `Quick test_json_form_equivalent;
           Alcotest.test_case "seed clause" `Quick test_seed_clause;
         ] );
       ( "hooks",

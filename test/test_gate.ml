@@ -1,7 +1,6 @@
 (* Tests for the gate registry behind [memhog gate]: unique names, every
    committed baseline present and loadable, what the tolerance-0
-   comparison reports, the perf document's wall-clock exemption, and name
-   selection.  The entries' simulations stay out of this suite: running
+   comparison reports, and name selection.  The entries' simulations stay out of this suite: running
    them is the gate's job. *)
 
 module Gate = Memhog_core.Gate
@@ -41,8 +40,7 @@ let test_names_unique () =
   check_int "no duplicate names" (List.length names)
     (List.length (List.sort_uniq compare names))
 
-(* Each baseline carries its schema header, and the work projection the
-   comparison applies is the identity on every document but PERF's. *)
+(* Each baseline carries its schema header. *)
 let test_baselines_load () =
   List.iter
     (fun (e : Gate.entry) ->
@@ -51,12 +49,7 @@ let test_baselines_load () =
       in
       match load ~path:(path e) with
       | Error msg -> Alcotest.fail msg
-      | Ok j ->
-          if e.Gate.name <> "perf" then
-            check_bool
-              (e.Gate.baseline ^ ": work projection changes nothing")
-              true
-              (Perf.work_projection j = j))
+      | Ok _ -> ())
     Gate.entries
 
 let test_compare_names_path () =
@@ -66,26 +59,6 @@ let test_compare_names_path () =
   let current = bump [ `K "cells"; `I 0; `K "fault_hist"; `K "p99_ns" ] base in
   match Gate.compare ~baseline:base current with
   | [ d ] -> check_str "path" "cells[0].fault_hist.p99_ns" d.Mio.d_path
-  | ds -> Alcotest.failf "expected one diff, got %d" (List.length ds)
-
-let test_perf_ignores_wall () =
-  let base = baseline "perf" in
-  let wall_only =
-    List.fold_left
-      (fun j keys -> bump keys j)
-      base
-      [
-        [ `K "jobs" ];
-        [ `K "total_wall_s" ];
-        [ `K "cells"; `I 0; `K "wall"; `K "wall_s" ];
-      ]
-  in
-  check_int "wall-clock members ignored" 0
-    (List.length (Gate.compare ~baseline:base wall_only));
-  let work = bump [ `K "cells"; `I 3; `K "work"; `K "events" ] base in
-  match Gate.compare ~baseline:base work with
-  | [ d ] ->
-      check_str "work counter flagged" "cells[3].work.events" d.Mio.d_path
   | ds -> Alcotest.failf "expected one diff, got %d" (List.length ds)
 
 let test_select () =
@@ -118,8 +91,6 @@ let () =
             test_baselines_load;
           Alcotest.test_case "compare names the perturbed path" `Quick
             test_compare_names_path;
-          Alcotest.test_case "perf compare ignores wall" `Quick
-            test_perf_ignores_wall;
           Alcotest.test_case "unknown name rejected, known listed" `Quick
             test_select;
         ] );

@@ -160,7 +160,18 @@ let test_compare_tolerance () =
   check_int "10% beyond 5%" 1 (List.length (diffs 5.0 100 110));
   (match diffs 0.0 100 101 with
   | [ d ] -> check_str "path" "cells[0].fault_hist.p99_ns" d.Mio.d_path
-  | _ -> Alcotest.fail "expected one diff")
+  | _ -> Alcotest.fail "expected one diff");
+  (* A tolerance that is not a finite percentage would pass any drift (nan,
+     inf) or silently act as 0 (negative). *)
+  List.iter
+    (fun t ->
+      check_bool
+        (Printf.sprintf "tolerance %g rejected" t)
+        true
+        (match diffs t 100 130 with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ Float.nan; Float.infinity; -1.0 ]
 
 let test_compare_structure () =
   let a = Mio.Obj [ ("x", Mio.num_of_int 1) ] in

@@ -1,17 +1,16 @@
-(* Tests for the wall-clock throughput harness: the deterministic work
-   projection of a PERF document must be byte-identical at any --jobs, the
-   projection must strip every informational (wall-clock/environment)
-   member, and running with the ledger off must not perturb the work
-   counters. *)
+(* Tests for the perf gate's document: it must be byte-identical at any
+   --jobs, and running with the ledger off must not perturb the work
+   counters it records. *)
 
 module E = Memhog_core.Experiment
 module Machine = Memhog_core.Machine
 module Mio = Memhog_core.Metrics_io
 module Perf = Memhog_core.Perf
+module VS = Memhog_vm.Vm_stats
+module Workload = Memhog_workloads.Workload
 
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
-let check_bool = Alcotest.(check bool)
 
 (* Two small cells keep the test quick while still exercising the pool. *)
 let cells =
@@ -20,43 +19,26 @@ let cells =
     { Perf.pc_workload = "EMBAR"; pc_variant = E.B };
   ]
 
-let projection ~jobs =
-  Mio.to_string
-    (Perf.work_projection
-       (Perf.to_json (Perf.run ~cells ~machine:Machine.quick ~jobs ())))
+let document ~jobs =
+  Mio.to_string (Perf.run ~cells ~machine:Machine.quick ~jobs ())
 
 let test_jobs_determinism () =
-  check_str "--jobs 1 == --jobs 8" (projection ~jobs:1) (projection ~jobs:8)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let test_projection_strips_wall () =
-  let t =
-    Perf.run ~cells:[ List.hd cells ] ~machine:Machine.quick ~jobs:1 ()
-  in
-  let full = Mio.to_string (Perf.to_json t) in
-  let proj = Mio.to_string (Perf.work_projection (Perf.to_json t)) in
-  check_bool "full document has wall data" true (contains full "\"wall\"");
-  check_bool "projection drops wall" false (contains proj "wall");
-  check_bool "projection drops jobs" false (contains proj "\"jobs\"");
-  check_bool "projection keeps work" true (contains proj "\"events\"")
+  check_str "--jobs 1 == --jobs 8" (document ~jobs:1) (document ~jobs:8)
 
 let test_ledger_off_same_work () =
-  let run ledger =
-    List.hd
-      (Perf.run ~cells:[ List.hd cells ] ~ledger ~machine:Machine.quick ~jobs:1
-         ())
-        .Perf.p_cells
+  let run ledger_on =
+    E.run
+      (E.setup ~machine:Machine.quick ~workload:(Workload.find "MATVEC")
+         ~variant:E.O ~ledger_on ())
   in
   let on = run true and off = run false in
-  check_int "events" on.Perf.pr_events off.Perf.pr_events;
-  check_int "hard faults" on.Perf.pr_hard_faults off.Perf.pr_hard_faults;
-  check_int "soft faults" on.Perf.pr_soft_faults off.Perf.pr_soft_faults;
-  check_int "iterations" on.Perf.pr_iterations off.Perf.pr_iterations;
-  check_int "sim ns" on.Perf.pr_sim_ns off.Perf.pr_sim_ns
+  check_int "events" on.E.r_events_executed off.E.r_events_executed;
+  check_int "hard faults" on.E.r_app_stats.VS.hard_faults
+    off.E.r_app_stats.VS.hard_faults;
+  check_int "soft faults" on.E.r_app_stats.VS.soft_faults
+    off.E.r_app_stats.VS.soft_faults;
+  check_int "iterations" on.E.r_iterations off.E.r_iterations;
+  check_int "sim ns" on.E.r_elapsed off.E.r_elapsed
 
 let () =
   Alcotest.run "memhog_perf"
@@ -65,8 +47,6 @@ let () =
         [
           Alcotest.test_case "--jobs 1 == --jobs 8 (work projection)" `Quick
             test_jobs_determinism;
-          Alcotest.test_case "projection strips informational members" `Quick
-            test_projection_strips_wall;
           Alcotest.test_case "ledger off leaves work unchanged" `Quick
             test_ledger_off_same_work;
         ] );
