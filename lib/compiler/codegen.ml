@@ -7,6 +7,7 @@ type ctx = {
   conservative : bool;
   stats : Pir.gen_stats;
   mutable next_tag : int;
+  slots : (string, int) Hashtbl.t;  (* run-time name -> environment slot *)
 }
 
 let fresh_tag ctx =
@@ -21,18 +22,18 @@ let emit_release ctx = ctx.variant = Pir.V_release
 (* Runtime-expression helpers                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rt_bound b env = Ir.eval_bound env b
-let rt_const n _env = n
+(* Parameters, loop variables and call bindings share one namespace, as in
+   [Ir.env]; each name gets the next slot the first time it is seen. *)
+let slot_of ctx name =
+  match Hashtbl.find_opt ctx.slots name with
+  | Some s -> s
+  | None ->
+      let s = Hashtbl.length ctx.slots in
+      Hashtbl.add ctx.slots name s;
+      s
 
-let with_binding env var value f =
-  let old = Hashtbl.find_opt env var in
-  Hashtbl.replace env var value;
-  Fun.protect
-    ~finally:(fun () ->
-      match old with
-      | Some o -> Hashtbl.replace env var o
-      | None -> Hashtbl.remove env var)
-    (fun () -> f env)
+let rt_bound ctx b = Ir.compile_bound ~slot:(slot_of ctx) b
+let rt_const n _env = n
 
 (* The term actually moving [var] (opaque terms included: generated code
    computes real addresses even when the analysis was blind to them). *)
@@ -48,16 +49,19 @@ let actual_advance (path : Ir.loop list) (s : Ir.subscript) =
       match actual_term s l.Ir.l_var with Some _ -> Some l.Ir.l_var | None -> acc)
     None path
 
-let stride_rt s var env =
-  match actual_term s var with Some c -> Ir.coef_value env c | None -> 0
+let stride_rt ctx s var =
+  match actual_term s var with
+  | Some c -> Ir.compile_coef ~slot:(slot_of ctx) c
+  | None -> rt_const 0
 
-let sub_rt s env = Ir.eval_subscript env s
+let sub_rt ctx s = Ir.compile_subscript ~slot:(slot_of ctx) s
 
-let sub_shifted_rt s var delta env =
-  Ir.eval_subscript env s + (delta * stride_rt s var env)
+let sub_shifted_rt ctx s var delta =
+  let sub = sub_rt ctx s and stride = stride_rt ctx s var in
+  fun env -> sub env + (delta * stride env)
 
 (* Subscript with [var] pinned to the loop's lower bound (for prologues). *)
-let sub_at_rt s var at env = with_binding env var (at env) (fun env -> Ir.eval_subscript env s)
+let sub_at_rt ctx s var at = Ir.compile_subscript ~pin:(var, at) ~slot:(slot_of ctx) s
 
 (* ------------------------------------------------------------------ *)
 (* Pipelining distance                                                 *)
@@ -116,9 +120,9 @@ let prefetches_for ctx ~var ~lo ~hi ~step ~dist (sites : ref_site list) =
           let prologue =
             Pir.P_prefetch
               (mk_dir ctx ~array
-                 ~first:(sub_at_rt s var lo)
+                 ~first:(sub_at_rt ctx s var lo)
                  ~count:(fun env -> max 0 (min dist (hi env - lo env)))
-                 ~stride:(stride_rt s var)
+                 ~stride:(stride_rt ctx s var)
                  ~desc:(desc ^ " prologue"))
           in
           (* Steady state: fetch [dist] ahead of the current position.  The
@@ -129,9 +133,9 @@ let prefetches_for ctx ~var ~lo ~hi ~step ~dist (sites : ref_site list) =
           let steady_d =
             Pir.P_prefetch
               (mk_dir ctx ~array
-                 ~first:(sub_shifted_rt s var dist)
+                 ~first:(sub_shifted_rt ctx s var dist)
                  ~count:(rt_const step)
-                 ~stride:(stride_rt s var)
+                 ~stride:(stride_rt ctx s var)
                  ~desc)
           in
           (prologue :: pro, steady_d :: steady)
@@ -152,6 +156,7 @@ let releases_for ctx ~var ~lo ~hi ~step (sites : ref_site list) =
             let array = ra.A.ra_ref.Ir.r_array in
             let desc = Printf.sprintf "%s@%s" array var in
             let priority = d.A.da_priority in
+            let v_slot = slot_of ctx var in
             (* Steady state: release the chunk the trailing reference has
                fully passed (one step behind). *)
             let steady_d =
@@ -159,12 +164,12 @@ let releases_for ctx ~var ~lo ~hi ~step (sites : ref_site list) =
                 {
                   dir =
                     mk_dir ctx ~array
-                      ~first:(sub_shifted_rt s var (-step))
+                      ~first:(sub_shifted_rt ctx s var (-step))
                       ~count:(fun env ->
-                        let v = Hashtbl.find env var in
+                        let v = env.(v_slot) in
                         if v - step < lo env then 0
                         else max 0 (min step (hi env - (v - step))))
-                      ~stride:(stride_rt s var)
+                      ~stride:(stride_rt ctx s var)
                       ~desc;
                   priority;
                 }
@@ -179,9 +184,9 @@ let releases_for ctx ~var ~lo ~hi ~step (sites : ref_site list) =
                 {
                   dir =
                     mk_dir ctx ~array
-                      ~first:(sub_at_rt s var last_start)
+                      ~first:(sub_at_rt ctx s var last_start)
                       ~count:(fun env -> max 0 (hi env - last_start env))
-                      ~stride:(stride_rt s var)
+                      ~stride:(stride_rt ctx s var)
                       ~desc:(desc ^ " epilogue");
                   priority;
                 }
@@ -212,14 +217,14 @@ let touches_for ctx ~chunk_count (ba : A.body_ann) =
             Pir.P_touch
               {
                 array = r.Ir.r_array;
-                first = sub_rt s;
+                first = sub_rt ctx s;
                 count = chunk_count;
                 stride =
                   (match ba.A.ba_path with
                   | [] -> rt_const 0
                   | path ->
                       let inner = (List.nth path (List.length path - 1)).Ir.l_var in
-                      stride_rt s inner);
+                      stride_rt ctx s inner);
                 write = r.Ir.r_write;
               };
           ]
@@ -275,7 +280,8 @@ let rec direct_bodies = function
 let gen_chunk_loop ctx (l : Ir.loop) (bodies : A.body_ann list) =
   ctx.stats.Pir.gs_chunk_loops <- ctx.stats.Pir.gs_chunk_loops + 1;
   let var = l.Ir.l_var in
-  let lo = rt_bound l.Ir.l_lo and hi = rt_bound l.Ir.l_hi in
+  let slot = slot_of ctx var in
+  let lo = rt_bound ctx l.Ir.l_lo and hi = rt_bound ctx l.Ir.l_hi in
   let k =
     List.fold_left (fun acc b -> min acc (elems_per_page ctx b.A.ba_body)) max_int
       bodies
@@ -289,10 +295,7 @@ let gen_chunk_loop ctx (l : Ir.loop) (bodies : A.body_ann list) =
   ctx.stats.Pir.gs_prefetch_distance <-
     max ctx.stats.Pir.gs_prefetch_distance dist_chunks;
   let dist = dist_chunks * k in
-  let chunk_count env =
-    let v = Hashtbl.find env var in
-    max 0 (min k (hi env - v))
-  in
+  let chunk_count env = max 0 (min k (hi env - env.(slot))) in
   let all_pro = ref [] and all_steady_pf = ref [] in
   let all_steady_rel = ref [] and all_epi = ref [] in
   let all_touches = ref [] in
@@ -316,6 +319,7 @@ let gen_chunk_loop ctx (l : Ir.loop) (bodies : A.body_ann list) =
         Pir.P_loop
           {
             var;
+            slot;
             lo;
             hi;
             step = k;
@@ -346,7 +350,10 @@ let rec gen ctx ~(depth : int) (ann : A.ann_stmt) =
   | A.A_seq ss -> Pir.P_seq (List.map (gen ctx ~depth) ss)
   | A.A_call (name, binds) ->
       Pir.P_call
-        { proc = name; binds = List.map (fun (p, b) -> (p, rt_bound b)) binds }
+        {
+          proc = name;
+          binds = List.map (fun (p, b) -> (slot_of ctx p, rt_bound ctx b)) binds;
+        }
   | A.A_loop (l, child) -> (
       match direct_bodies child with
       | Some bodies -> wrap_invariants ctx ~depth l child (gen_chunk_loop ctx l bodies)
@@ -354,7 +361,8 @@ let rec gen ctx ~(depth : int) (ann : A.ann_stmt) =
           (* Element loop: place directives for references that advance at
              this level around the child statement. *)
           let var = l.Ir.l_var in
-          let lo = rt_bound l.Ir.l_lo and hi = rt_bound l.Ir.l_hi in
+          let slot = slot_of ctx var in
+          let lo = rt_bound ctx l.Ir.l_lo and hi = rt_bound ctx l.Ir.l_hi in
           let sites =
             List.concat_map (fun ba -> sites_advancing ba var) (bodies_in child)
           in
@@ -363,7 +371,7 @@ let rec gen ctx ~(depth : int) (ann : A.ann_stmt) =
           let inner = gen ctx ~depth:(depth + 1) child in
           let body = Pir.P_seq (steady_pf @ [ inner ] @ steady_rel) in
           wrap_invariants ctx ~depth l child
-            (Pir.P_seq (pro @ [ Pir.P_loop { var; lo; hi; step = 1; body } ] @ epi)))
+            (Pir.P_seq (pro @ [ Pir.P_loop { var; slot; lo; hi; step = 1; body } ] @ epi)))
 
 (* At the root of a nest, add one-shot prefetch/release for references that
    never advance inside it. *)
@@ -382,7 +390,7 @@ and wrap_invariants ctx ~depth l child pstmt =
             if emit_prefetch ctx && ra.A.ra_is_leader then begin
               ctx.stats.Pir.gs_prefetch_sites <- ctx.stats.Pir.gs_prefetch_sites + 1;
               Pir.P_prefetch
-                (mk_dir ctx ~array ~first:(sub_rt s) ~count:(rt_const 1)
+                (mk_dir ctx ~array ~first:(sub_rt ctx s) ~count:(rt_const 1)
                    ~stride:(rt_const 0)
                    ~desc:(array ^ " invariant"))
               :: pre
@@ -398,7 +406,7 @@ and wrap_invariants ctx ~depth l child pstmt =
                 Pir.P_release
                   {
                     dir =
-                      mk_dir ctx ~array ~first:(sub_rt s) ~count:(rt_const 1)
+                      mk_dir ctx ~array ~first:(sub_rt ctx s) ~count:(rt_const 1)
                         ~stride:(rt_const 0)
                         ~desc:(array ^ " invariant");
                     priority = d.A.da_priority;
@@ -429,14 +437,18 @@ let compile ?(conservative = false) ~variant (ann : A.t) =
       conservative;
       stats;
       next_tag = 0;
+      slots = Hashtbl.create 16;
     }
   in
   let main = gen ctx ~depth:0 ann.A.ap_main in
   let procs = List.map (fun (name, a) -> (name, gen ctx ~depth:0 a)) ann.A.ap_procs in
+  let slots = Array.make (Hashtbl.length ctx.slots) "" in
+  Hashtbl.iter (fun name s -> slots.(s) <- name) ctx.slots;
   {
     Pir.px_name = ann.A.ap_prog.Ir.prog_name;
     px_arrays = ann.A.ap_prog.Ir.arrays;
     px_params = ann.A.ap_prog.Ir.assumptions;
+    px_slots = slots;
     px_main = main;
     px_procs = procs;
     px_variant = variant;

@@ -39,6 +39,25 @@ let lookup env name =
 let eval_bound env b =
   List.fold_left (fun acc (p, k) -> acc + (k * lookup env p)) b.bc b.bt
 
+(* [c + sum k * env.(s)], specialised for the one- and two-term shapes the
+   workloads use; longer forms loop over unboxed arrays. *)
+let compile_linear c = function
+  | [] -> fun _ -> c
+  | [ (s, k) ] -> fun env -> c + (k * env.(s))
+  | [ (s1, k1); (s2, k2) ] -> fun env -> c + (k1 * env.(s1)) + (k2 * env.(s2))
+  | terms ->
+      let ss = Array.of_list (List.map fst terms) in
+      let ks = Array.of_list (List.map snd terms) in
+      fun env ->
+        let acc = ref c in
+        for i = 0 to Array.length ss - 1 do
+          acc := !acc + (ks.(i) * env.(ss.(i)))
+        done;
+        !acc
+
+let compile_bound ~slot b =
+  compile_linear b.bc (List.map (fun (p, k) -> (slot p, k)) b.bt)
+
 type coef = C_const of int | C_param of string | C_opaque of string
 
 type subscript = {
@@ -69,6 +88,53 @@ let eval_subscript env s =
   List.fold_left
     (fun acc (v, c) -> acc + (lookup env v * coef_value env c))
     base s.st
+
+let compile_coef ~slot = function
+  | C_const c -> fun _ -> c
+  | C_param p | C_opaque p ->
+      let s = slot p in
+      fun env -> env.(s)
+
+(* Parameter offsets and constant strides form a linear part; a parameter
+   or opaque stride multiplies two slots. *)
+let compile_subscript ?pin ~slot s =
+  let linear =
+    List.map (fun (p, k) -> (slot p, k)) s.sp
+    @ List.filter_map
+        (function v, C_const k -> Some (slot v, k) | _ -> None)
+        s.st
+  in
+  let products =
+    List.filter_map
+      (function v, (C_param p | C_opaque p) -> Some (slot v, slot p) | _ -> None)
+      s.st
+  in
+  let lin = compile_linear s.sc linear in
+  let f =
+    match products with
+    | [] -> lin
+    | [ (a, b) ] -> fun env -> lin env + (env.(a) * env.(b))
+    | _ ->
+        let xs = Array.of_list (List.map fst products) in
+        let ys = Array.of_list (List.map snd products) in
+        fun env ->
+          let acc = ref (lin env) in
+          for i = 0 to Array.length xs - 1 do
+            acc := !acc + (env.(xs.(i)) * env.(ys.(i)))
+          done;
+          !acc
+  in
+  match pin with
+  | None -> f
+  | Some (v, at) ->
+      let sv = slot v in
+      fun env ->
+        let x = at env in
+        let saved = env.(sv) in
+        env.(sv) <- x;
+        let r = f env in
+        env.(sv) <- saved;
+        r
 
 let coef_visible = function C_const _ | C_param _ -> true | C_opaque _ -> false
 

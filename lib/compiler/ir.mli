@@ -33,10 +33,18 @@ val add : bound -> bound -> bound
 val add_const : bound -> int -> bound
 
 type env = (string, int) Hashtbl.t
-(** Runtime values of parameters and loop variables. *)
+(** Runtime values of parameters and loop variables, by name.  Array sizing
+    and workload footprints evaluate against it; so does the reference
+    semantics of the slot compilers below. *)
 
 val env_of_list : (string * int) list -> env
 val eval_bound : env -> bound -> int
+
+val compile_bound : slot:(string -> int) -> bound -> int array -> int
+(** Slot-compiled {!eval_bound}: [slot] resolves each name to its index in
+    an [int array] environment once, at compile time, so evaluation reads
+    array cells instead of hashing names.  Equal to {!eval_bound} whenever
+    the array holds the values the table would. *)
 
 (** {1 References} *)
 
@@ -79,6 +87,17 @@ val coef_value : env -> coef -> int
 val eval_subscript : env -> subscript -> int
 (** Element index given runtime values; opaque coefficients are looked up
     like parameters. *)
+
+val compile_coef : slot:(string -> int) -> coef -> int array -> int
+(** Slot-compiled {!coef_value}. *)
+
+val compile_subscript :
+  ?pin:string * (int array -> int) -> slot:(string -> int) -> subscript ->
+  int array -> int
+(** Slot-compiled {!eval_subscript}.  [pin = (v, at)] evaluates with [v]
+    bound to [at env] (the prologue of a pipelined loop reads its subscript
+    at the loop's lower bound): [v]'s slot holds that value while the
+    subscript is read and gets its own value back afterwards. *)
 
 val coef_visible : coef -> bool
 (** False for [C_opaque]: dependence analysis must ignore the term. *)

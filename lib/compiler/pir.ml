@@ -1,4 +1,4 @@
-type rt = Ir.env -> int
+type rt = int array -> int
 
 type directive = {
   d_array : string;
@@ -11,7 +11,7 @@ type directive = {
 
 type pstmt =
   | P_seq of pstmt list
-  | P_loop of { var : string; lo : rt; hi : rt; step : int; body : pstmt }
+  | P_loop of { var : string; slot : int; lo : rt; hi : rt; step : int; body : pstmt }
   | P_touch of { array : string; first : rt; count : rt; stride : rt; write : bool }
   | P_compute of { ns : rt }
   | P_prefetch of directive
@@ -24,7 +24,7 @@ type pstmt =
       prefetch : bool;
       stream : int;
     }
-  | P_call of { proc : string; binds : (string * rt) list }
+  | P_call of { proc : string; binds : (int * rt) list }
 
 type variant = V_original | V_prefetch | V_release
 
@@ -49,6 +49,7 @@ type prog = {
   px_name : string;
   px_arrays : Ir.array_decl list;
   px_params : (string * int option) list;
+  px_slots : string array;
   px_main : pstmt;
   px_procs : (string * pstmt) list;
   px_variant : variant;

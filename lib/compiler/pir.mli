@@ -5,13 +5,15 @@
     calls scheduled by software pipelining (Figure 5 shows the corresponding
     source-level output of the real compiler).
 
-    Index expressions are runtime closures over an environment binding loop
-    variables and program parameters, so a single compiled program can be
-    run with different runtime parameter values — which is exactly how
-    MGRID ends up with suboptimal releases: one compiled version, many
-    bindings. *)
+    Index expressions are closures over an [int array] environment.  The
+    code generator resolves every name they read (program parameters, loop
+    variables, call bindings) to a slot of that array, listed in
+    [px_slots]; loops and calls write the slots they bind.  A single
+    compiled program can therefore be run with different runtime parameter
+    values — which is exactly how MGRID ends up with suboptimal releases:
+    one compiled version, many bindings. *)
 
-type rt = Ir.env -> int
+type rt = int array -> int
 
 type directive = {
   d_array : string;
@@ -24,7 +26,14 @@ type directive = {
 
 type pstmt =
   | P_seq of pstmt list
-  | P_loop of { var : string; lo : rt; hi : rt; step : int; body : pstmt }
+  | P_loop of {
+      var : string;
+      slot : int;  (** holds [var] on each iteration *)
+      lo : rt;
+      hi : rt;
+      step : int;
+      body : pstmt;
+    }
   | P_touch of { array : string; first : rt; count : rt; stride : rt; write : bool }
       (** reference the pages covering [first + k*stride | 0 <= k < count] *)
   | P_compute of { ns : rt }
@@ -39,7 +48,9 @@ type pstmt =
       stream : int;        (** stable stream id: the same random index
                                sequence is drawn in every variant *)
     }
-  | P_call of { proc : string; binds : (string * rt) list }
+  | P_call of { proc : string; binds : (int * rt) list }
+      (** each bound slot takes its value, evaluated in the caller, for the
+          duration of the call *)
 
 type variant = V_original | V_prefetch | V_release
 
@@ -59,6 +70,8 @@ type prog = {
   px_name : string;
   px_arrays : Ir.array_decl list;
   px_params : (string * int option) list;  (** assumptions, for reference *)
+  px_slots : string array;
+      (** slot [i] of the environment holds the variable [px_slots.(i)] *)
   px_main : pstmt;
   px_procs : (string * pstmt) list;
   px_variant : variant;

@@ -16,83 +16,61 @@ type t = {
   os : Os.t;
   asp : As.t;
   rt : Runtime.t;
-  prog : Pir.prog;
-  env : Ir.env;
-  segs : (string, As.segment * int (* elem bytes *)) Hashtbl.t;
-  streams : (int, stream) Hashtbl.t;
-  seed : int;
-  page_bytes : int;
+  name : string;
+  segs : (string * (As.segment * int (* elem bytes *))) list;
   mutable touches : int;
+  mutable main : unit -> unit;
+      (* the compiled main computation; set once, by [create] *)
 }
 
 let asp t = t.asp
 let runtime t = t.rt
-let env t = t.env
 let touched_pages t = t.touches
 
-let segment_of_array t name =
-  match Hashtbl.find_opt t.segs name with
-  | Some (seg, _) -> seg
+let segment_and_elem t name =
+  match List.assoc_opt name t.segs with
+  | Some s -> s
   | None -> invalid_arg (Printf.sprintf "App: unknown array %s" name)
 
-let create ?(seed = 17) ?(runtime_policy = Runtime.Aggressive) ?release_target
-    ?rt_threads ?governor ~os ~params prog =
-  let asp = Os.new_process os ~name:prog.Pir.px_name in
-  let env = Ir.env_of_list params in
-  let segs = Hashtbl.create 8 in
-  List.iter
-    (fun (a : Ir.array_decl) ->
-      let elems = Ir.eval_bound env a.Ir.a_size_elems in
-      let bytes = elems * a.Ir.a_elem_bytes in
-      let seg =
-        Os.map_segment os asp ~name:a.Ir.a_name ~bytes ~on_swap:a.Ir.a_on_swap
-      in
-      Os.attach_paging_directed os asp seg;
-      Hashtbl.replace segs a.Ir.a_name (seg, a.Ir.a_elem_bytes))
-    prog.Pir.px_arrays;
-  let rt =
-    Runtime.create ?release_target ?nthreads:rt_threads ?governor ~os ~asp
-      ~policy:runtime_policy ()
-  in
-  {
-    os;
-    asp;
-    rt;
-    prog;
-    env;
-    segs;
-    streams = Hashtbl.create 8;
-    seed;
-    page_bytes = (Os.config os).Memhog_vm.Config.page_bytes;
-    touches = 0;
-  }
+let segment_of_array t name = fst (segment_and_elem t name)
 
 (* ------------------------------------------------------------------ *)
 (* Page expansion                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* One array's geometry, resolved per site when the program is compiled. *)
+type span = { base_vpn : int; elem_bytes : int; seg_elems : int; page_bytes : int }
+
+let span_of t ~page_bytes array =
+  let seg, elem_bytes = segment_and_elem t array in
+  {
+    base_vpn = seg.As.base_vpn;
+    elem_bytes;
+    seg_elems = seg.As.npages * page_bytes / elem_bytes;
+    page_bytes;
+  }
+
+let page_of sp e = e * sp.elem_bytes / sp.page_bytes
+let clamp sp e = max 0 (min (sp.seg_elems - 1) e)
+
 (* Enumerate the distinct pages covered by [count] accesses starting at
    element [first] with [stride] elements between accesses.  Pages are
    reported in access order; out-of-bounds accesses are clamped away. *)
-let iter_pages t array ~first ~count ~stride f =
+let iter_pages sp ~first ~count ~stride f =
   if count > 0 then begin
-    let seg, elem_bytes = Hashtbl.find t.segs array in
-    let seg_elems = seg.As.npages * t.page_bytes / elem_bytes in
-    let page_of e = e * elem_bytes / t.page_bytes in
-    let clamp e = max 0 (min (seg_elems - 1) e) in
-    if stride = 0 then f (seg.As.base_vpn + page_of (clamp first))
-    else if abs stride * elem_bytes < t.page_bytes then begin
+    if stride = 0 then f (sp.base_vpn + page_of sp (clamp sp first))
+    else if abs stride * sp.elem_bytes < sp.page_bytes then begin
       (* dense: the accesses sweep a contiguous range; report each page *)
       let last = first + ((count - 1) * stride) in
-      let lo = clamp (min first last) and hi = clamp (max first last) in
-      let plo = page_of lo and phi = page_of hi in
+      let lo = clamp sp (min first last) and hi = clamp sp (max first last) in
+      let plo = page_of sp lo and phi = page_of sp hi in
       if stride > 0 then
         for p = plo to phi do
-          f (seg.As.base_vpn + p)
+          f (sp.base_vpn + p)
         done
       else
         for p = phi downto plo do
-          f (seg.As.base_vpn + p)
+          f (sp.base_vpn + p)
         done
     end
     else begin
@@ -100,11 +78,11 @@ let iter_pages t array ~first ~count ~stride f =
       let prev = ref min_int in
       for k = 0 to count - 1 do
         let e = first + (k * stride) in
-        if e >= 0 && e < seg_elems then begin
-          let p = page_of e in
+        if e >= 0 && e < sp.seg_elems then begin
+          let p = page_of sp e in
           if p <> !prev then begin
             prev := p;
-            f (seg.As.base_vpn + p)
+            f (sp.base_vpn + p)
           end
         end
       done
@@ -117,20 +95,13 @@ let iter_pages t array ~first ~count ~stride f =
 
 let ring_size = 1024
 
-let stream_for t id =
-  match Hashtbl.find_opt t.streams id with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          sr_rng = Rng.create ~seed:(t.seed lxor (id * 0x9E3779B9));
-          sr_pos = 0;
-          sr_ring = Array.make ring_size 0;
-          sr_drawn = 0;
-        }
-      in
-      Hashtbl.replace t.streams id s;
-      s
+let new_stream ~seed id =
+  {
+    sr_rng = Rng.create ~seed:(seed lxor (id * 0x9E3779B9));
+    sr_pos = 0;
+    sr_ring = Array.make ring_size 0;
+    sr_drawn = 0;
+  }
 
 (* Page offset (within the array's segment) touched at stream position
    [pos]; draws lazily, in order, so the sequence is deterministic. *)
@@ -144,7 +115,7 @@ let stream_page s ~npages pos =
   s.sr_ring.(pos mod ring_size)
 
 (* ------------------------------------------------------------------ *)
-(* Interpretation                                                      *)
+(* Compilation to closures                                             *)
 (* ------------------------------------------------------------------ *)
 
 let compute t ns =
@@ -155,60 +126,159 @@ let compute t ns =
     Semaphore.release cpus
   end
 
-let rec exec t (stmt : Pir.pstmt) =
-  match stmt with
-  | Pir.P_seq ss -> List.iter (exec t) ss
-  | Pir.P_loop { var; lo; hi; step; body } ->
-      let l = lo t.env and h = hi t.env in
-      let v = ref l in
-      while !v < h do
-        Hashtbl.replace t.env var !v;
-        exec t body;
-        v := !v + step
-      done;
-      Hashtbl.remove t.env var
-  | Pir.P_touch { array; first; count; stride; write } ->
-      iter_pages t array ~first:(first t.env) ~count:(count t.env)
-        ~stride:(stride t.env) (fun vpn ->
+let rec seq = function
+  | [] -> ignore
+  | [ f ] -> f
+  | f :: rest ->
+      let g = seq rest in
+      fun () ->
+        f ();
+        g ()
+
+(* Compile [prog] once into closures over the slot array [env].  Segments,
+   indirect streams, per-site page callbacks and procedure bodies are
+   resolved here, so running a statement hashes nothing and allocates no
+   callback. *)
+let compile t ~seed ~page_bytes env (prog : Pir.prog) =
+  let streams = Hashtbl.create 8 in
+  let stream_for id =
+    match Hashtbl.find_opt streams id with
+    | Some s -> s
+    | None ->
+        let s = new_stream ~seed id in
+        Hashtbl.replace streams id s;
+        s
+  in
+  let procs = Hashtbl.create 8 in
+  let directive (d : Pir.directive) on_page =
+    let sp = span_of t ~page_bytes d.Pir.d_array in
+    let first = d.Pir.d_first and count = d.Pir.d_count and stride = d.Pir.d_stride in
+    fun () ->
+      iter_pages sp ~first:(first env) ~count:(count env) ~stride:(stride env) on_page
+  in
+  let rec stmt = function
+    | Pir.P_seq ss -> seq (List.map stmt ss)
+    | Pir.P_loop { slot; lo; hi; step; body; _ } ->
+        let body = stmt body in
+        fun () ->
+          let h = hi env in
+          let v = ref (lo env) in
+          while !v < h do
+            env.(slot) <- !v;
+            body ();
+            v := !v + step
+          done
+    | Pir.P_touch { array; first; count; stride; write } ->
+        let sp = span_of t ~page_bytes array in
+        let touch vpn =
           t.touches <- t.touches + 1;
-          ignore (Os.touch t.os t.asp ~vpn ~write))
-  | Pir.P_compute { ns } -> compute t (ns t.env)
-  | Pir.P_prefetch d ->
-      iter_pages t d.Pir.d_array ~first:(d.Pir.d_first t.env)
-        ~count:(d.Pir.d_count t.env) ~stride:(d.Pir.d_stride t.env) (fun vpn ->
-          Runtime.prefetch_page t.rt ~vpn ~site:d.Pir.d_tag)
-  | Pir.P_release { dir = d; priority } ->
-      iter_pages t d.Pir.d_array ~first:(d.Pir.d_first t.env)
-        ~count:(d.Pir.d_count t.env) ~stride:(d.Pir.d_stride t.env) (fun vpn ->
-          Runtime.release_page t.rt ~vpn ~priority ~tag:d.Pir.d_tag)
-  | Pir.P_indirect { array; count; write; lookahead; prefetch; stream } ->
-      let seg, _ = Hashtbl.find t.segs array in
-      let s = stream_for t stream in
-      let n = count t.env in
-      for _ = 1 to n do
-        let pos = s.sr_pos in
-        s.sr_pos <- pos + 1;
-        if prefetch then begin
-          let ahead = stream_page s ~npages:seg.As.npages (pos + lookahead) in
-          Runtime.prefetch_page t.rt ~vpn:(seg.As.base_vpn + ahead)
-        end;
-        let page = stream_page s ~npages:seg.As.npages pos in
-        t.touches <- t.touches + 1;
-        ignore (Os.touch t.os t.asp ~vpn:(seg.As.base_vpn + page) ~write)
-      done
-  | Pir.P_call { proc; binds } ->
-      let values = List.map (fun (p, rt) -> (p, rt t.env)) binds in
-      let saved =
-        List.map (fun (p, _) -> (p, Hashtbl.find_opt t.env p)) values
-      in
-      List.iter (fun (p, v) -> Hashtbl.replace t.env p v) values;
-      exec t (Pir.find_proc t.prog proc);
-      List.iter
-        (fun (p, old) ->
-          match old with
-          | Some v -> Hashtbl.replace t.env p v
-          | None -> Hashtbl.remove t.env p)
-        saved
+          ignore (Os.touch t.os t.asp ~vpn ~write)
+        in
+        fun () ->
+          iter_pages sp ~first:(first env) ~count:(count env) ~stride:(stride env) touch
+    | Pir.P_compute { ns } -> fun () -> compute t (ns env)
+    | Pir.P_prefetch d ->
+        let site = Some d.Pir.d_tag in
+        directive d (fun vpn -> Runtime.prefetch_page ?site t.rt ~vpn)
+    | Pir.P_release { dir = d; priority } ->
+        let tag = d.Pir.d_tag in
+        directive d (fun vpn -> Runtime.release_page t.rt ~vpn ~priority ~tag)
+    | Pir.P_indirect { array; count; write; lookahead; prefetch; stream } ->
+        let seg = segment_of_array t array in
+        let base = seg.As.base_vpn and npages = seg.As.npages in
+        let s = stream_for stream in
+        fun () ->
+          for _ = 1 to count env do
+            let pos = s.sr_pos in
+            s.sr_pos <- pos + 1;
+            if prefetch then begin
+              let ahead = stream_page s ~npages (pos + lookahead) in
+              Runtime.prefetch_page t.rt ~vpn:(base + ahead)
+            end;
+            let page = stream_page s ~npages pos in
+            t.touches <- t.touches + 1;
+            ignore (Os.touch t.os t.asp ~vpn:(base + page) ~write)
+          done
+    | Pir.P_call { proc; binds } ->
+        let body = proc_body proc in
+        let set values = List.iter2 (fun (s, _) v -> env.(s) <- v) binds values in
+        fun () ->
+          (* every binding is evaluated in the caller before any is made *)
+          let values = List.map (fun (_, rt) -> rt env) binds in
+          let saved = List.map (fun (s, _) -> env.(s)) binds in
+          set values;
+          !body ();
+          set saved
+  and proc_body name =
+    match Hashtbl.find_opt procs name with
+    | Some body -> body
+    | None ->
+        (* the cell is registered before its body compiles, so a
+           recursive call refers to it instead of unfolding forever *)
+        let body = ref ignore in
+        Hashtbl.replace procs name body;
+        body := stmt (Pir.find_proc prog name);
+        body
+  in
+  stmt prog.Pir.px_main
+
+(* Names the program reads that no loop, call or parameter binds: with
+   nothing to write their slots they would silently read 0. *)
+let unbound_slots (prog : Pir.prog) ~params =
+  let bound = Array.map (fun name -> List.mem_assoc name params) prog.Pir.px_slots in
+  let rec walk = function
+    | Pir.P_seq ss -> List.iter walk ss
+    | Pir.P_loop { slot; body; _ } ->
+        bound.(slot) <- true;
+        walk body
+    | Pir.P_call { binds; _ } -> List.iter (fun (s, _) -> bound.(s) <- true) binds
+    | Pir.P_touch _ | Pir.P_compute _ | Pir.P_prefetch _ | Pir.P_release _
+    | Pir.P_indirect _ ->
+        ()
+  in
+  walk prog.Pir.px_main;
+  List.iter (fun (_, body) -> walk body) prog.Pir.px_procs;
+  List.filteri (fun i _ -> not bound.(i)) (Array.to_list prog.Pir.px_slots)
+
+let create ?(seed = 17) ?(runtime_policy = Runtime.Aggressive) ?release_target
+    ?rt_threads ?governor ~os ~params prog =
+  (match unbound_slots prog ~params with
+  | [] -> ()
+  | names ->
+      invalid_arg
+        (Printf.sprintf "App.create: %s reads %s, which no loop, call or parameter binds"
+           prog.Pir.px_name (String.concat ", " names)));
+  let asp = Os.new_process os ~name:prog.Pir.px_name in
+  let sizes = Ir.env_of_list params in
+  let segs =
+    List.map
+      (fun (a : Ir.array_decl) ->
+        let elems = Ir.eval_bound sizes a.Ir.a_size_elems in
+        let bytes = elems * a.Ir.a_elem_bytes in
+        let seg =
+          Os.map_segment os asp ~name:a.Ir.a_name ~bytes ~on_swap:a.Ir.a_on_swap
+        in
+        Os.attach_paging_directed os asp seg;
+        (a.Ir.a_name, (seg, a.Ir.a_elem_bytes)))
+      prog.Pir.px_arrays
+  in
+  let rt =
+    Runtime.create ?release_target ?nthreads:rt_threads ?governor ~os ~asp
+      ~policy:runtime_policy ()
+  in
+  let t =
+    { os; asp; rt; name = prog.Pir.px_name; segs; touches = 0; main = ignore }
+  in
+  (* the last binding of a repeated parameter wins, as in [Ir.env_of_list] *)
+  let env =
+    Array.map
+      (fun name ->
+        List.fold_left (fun v (p, x) -> if p = name then x else v) 0 params)
+      prog.Pir.px_slots
+  in
+  let page_bytes = (Os.config os).Memhog_vm.Config.page_bytes in
+  t.main <- compile t ~seed ~page_bytes env prog;
+  t
 
 let emit_phase t ev =
   let trace = Os.trace t.os in
@@ -220,7 +290,7 @@ let emit_phase t ev =
 let exec_main t =
   Runtime.start t.rt;
   emit_phase t (Trace.Phase_begin { name = "main" });
-  exec t t.prog.Pir.px_main;
+  t.main ();
   emit_phase t (Trace.Phase_end { name = "main" })
 
 let finish t =
@@ -238,6 +308,6 @@ let run t ~iterations =
   finish t
 
 let spawn t ~iterations ~on_done =
-  Engine.spawn (Os.engine t.os) ~name:t.prog.Pir.px_name (fun () ->
+  Engine.spawn (Os.engine t.os) ~name:t.name (fun () ->
       run t ~iterations;
       on_done ())

@@ -208,8 +208,9 @@ let run t =
 
 (* Process-side operations.  [now]/[self]/[stop]/[spawn_child] read the
    engine straight from domain-local storage — no effect round trip, no
-   handler dispatch.  [delay] and [suspend] must capture the continuation,
-   so they still perform (constant, payload-free) effects. *)
+   handler dispatch.  [suspend], and any [delay] that cannot finish inline,
+   must capture the continuation, so they perform (constant, payload-free)
+   effects. *)
 
 let now () = (cur ()).now
 
@@ -217,11 +218,34 @@ let self () =
   let p = (cur ()).current in
   if p == dummy_proc then raise Not_in_simulation else p
 
+(* A delay that the queue would hand straight back to its caller finishes
+   inline: when the caller is the running fiber, no stop is pending, the
+   wake-up is within [max_time] and every queued event is strictly later
+   (an event at the same instant holds a smaller sequence number and would
+   run first), the round trip through the handler and the heap would only
+   resume this fiber at [now + d].  Doing its bookkeeping here (account,
+   clock, sequence number, executed count) leaves every observable of the
+   run as it was; all other cases take the queue. *)
 let delay ~cat d =
   let t = cur () in
-  t.sc_cat <- cat;
-  t.sc_ns <- d;
-  try perform E_delay with Effect.Unhandled _ -> raise Not_in_simulation
+  let p = t.current in
+  if
+    p.state == Ready
+    && (not t.stop_requested)
+    && d >= 0
+    && d <= t.max_time - t.now
+    && (Heap.is_empty t.events || Heap.min_key t.events > t.now + d)
+  then begin
+    Account.add p.account cat d;
+    t.now <- t.now + d;
+    t.seq <- t.seq + 1;
+    t.executed <- t.executed + 1
+  end
+  else begin
+    t.sc_cat <- cat;
+    t.sc_ns <- d;
+    try perform E_delay with Effect.Unhandled _ -> raise Not_in_simulation
+  end
 
 let suspend register =
   let t = cur () in

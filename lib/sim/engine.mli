@@ -44,9 +44,11 @@ val now_of : t -> Time_ns.t
 (** Current simulated time (readable from outside processes too). *)
 
 val events_executed : t -> int
-(** Total events popped from the queue and executed so far.  Deterministic:
-    a fixed setup yields the same count on every run, so it doubles as a
-    work counter for throughput benchmarks. *)
+(** Total events executed so far: those popped from the queue plus the
+    delays that finished inline (see {!delay}), so the count is the same as
+    if every delay had been queued.  Deterministic: a fixed setup yields the
+    same count on every run, so it doubles as a work counter for throughput
+    benchmarks. *)
 
 val spawn : t -> name:string -> (unit -> unit) -> proc
 (** Register a new process; it starts at the current simulated time once
@@ -78,7 +80,18 @@ val self : unit -> proc
 
 val delay : cat:Account.category -> Time_ns.t -> unit
 (** Advance this process's clock by the given duration, charging the time to
-    [cat] in its account. *)
+    [cat] in its account.
+
+    When the queue would resume the caller next anyway, the delay finishes
+    inline, without an effect or a heap push: the caller is the running
+    fiber, no stop has been requested, [now + d <= max_time], and every
+    queued event is strictly later than [now + d].  It charges the account,
+    advances the clock and counts one event, exactly as the queued path
+    does, so schedules, accounts and {!events_executed} are the same either
+    way.  Otherwise the fiber suspends until its wake-up event is popped.
+    A negative duration raises [Invalid_argument] inside the fiber; outside
+    a running fiber (a [suspend] callback, a [wake_after] thunk) [delay]
+    raises [Not_in_simulation]. *)
 
 val suspend : (waker -> unit) -> unit
 (** Block until the waker passed to the callback is invoked.  The callback

@@ -103,8 +103,6 @@ let pop_min t =
     Some (key, seq, pop t)
   end
 
-let peek_key t = if t.size = 0 then None else Some (t.keys.(0), t.seqs.(0))
-
 let clear t =
   Array.fill t.vals 0 t.size t.dummy;
   t.size <- 0

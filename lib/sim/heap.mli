@@ -34,7 +34,5 @@ val pop : 'a t -> 'a
 val pop_min : 'a t -> (int * int * 'a) option
 (** Remove and return the entry with the smallest [(key, seq)]. *)
 
-val peek_key : 'a t -> (int * int) option
-
 val clear : 'a t -> unit
 (** Empty the heap, dropping every stored payload reference. *)

@@ -48,6 +48,78 @@ let test_opaque_eval_uses_runtime_value () =
   check_bool "but is invisible to analysis" false
     (Ir.coef_visible (Ir.C_opaque "S"))
 
+(* The slot compilers against the name-keyed evaluators they replace on the
+   execution path.  Slots are assigned in reverse name order so that a
+   compiler mixing up names and slot indices cannot pass by accident.  The
+   pinned case checks [compile_subscript ~pin] against rebinding the name
+   in the table; its value reads the environment, and the pinned slot must
+   get its own value back afterwards. *)
+let slot_names = [| "N"; "M"; "S"; "i"; "j"; "k" |]
+
+let slot_of name =
+  let rec find i = if slot_names.(i) = name then i else find (i + 1) in
+  Array.length slot_names - 1 - find 0
+
+let compiled_case_arb =
+  let open QCheck.Gen in
+  let name = oneofa slot_names and small = int_range (-50) 50 in
+  let coef =
+    oneof
+      [
+        map (fun c -> Ir.C_const c) small;
+        map (fun p -> Ir.C_param p) name;
+        map (fun p -> Ir.C_opaque p) name;
+      ]
+  in
+  let gen =
+    let* bc = small in
+    let* bt = list_size (int_range 0 4) (pair name small) in
+    let* sc = small in
+    let* sp = list_size (int_range 0 4) (pair name small) in
+    let* st = list_size (int_range 0 4) (pair name coef) in
+    let* values =
+      array_size (return (Array.length slot_names)) (int_range (-1000) 1000)
+    in
+    let* pin = opt (triple name name small) in
+    return ({ Ir.bc; bt }, { Ir.sc; sp; st }, values, pin)
+  in
+  QCheck.make gen ~print:(fun (b, s, values, pin) ->
+      Format.asprintf "bound %a; subscript %a; values %s; pin %s" Ir.pp_bound b
+        Ir.pp_subscript s
+        (String.concat ","
+           (Array.to_list
+              (Array.mapi (fun i n -> Printf.sprintf "%s=%d" n values.(i)) slot_names)))
+        (match pin with
+        | Some (v, w, x) -> Printf.sprintf "%s := %s + %d" v w x
+        | None -> "none"))
+
+let prop_compiled_matches_ir =
+  QCheck.Test.make ~name:"slot-compiled bounds and subscripts equal Ir's evaluators"
+    ~count:1000 compiled_case_arb (fun (b, s, values, pin) ->
+      let env =
+        Ir.env_of_list
+          (List.mapi (fun i n -> (n, values.(i))) (Array.to_list slot_names))
+      in
+      let slots = Array.make (Array.length slot_names) 0 in
+      Array.iteri (fun i n -> slots.(slot_of n) <- values.(i)) slot_names;
+      let before = Array.copy slots in
+      let coefs_agree =
+        List.for_all
+          (fun (_, c) -> Ir.compile_coef ~slot:slot_of c slots = Ir.coef_value env c)
+          s.Ir.st
+      in
+      let bound_agrees = Ir.compile_bound ~slot:slot_of b slots = Ir.eval_bound env b in
+      let subscript_agrees =
+        match pin with
+        | None -> Ir.compile_subscript ~slot:slot_of s slots = Ir.eval_subscript env s
+        | Some (v, w, x) ->
+            let at env = env.(slot_of w) + x in
+            let got = Ir.compile_subscript ~pin:(v, at) ~slot:slot_of s slots in
+            Hashtbl.replace env v (Hashtbl.find env w + x);
+            got = Ir.eval_subscript env s
+      in
+      coefs_agree && bound_agrees && subscript_agrees && slots = before)
+
 let test_validate_catches_errors () =
   let bad =
     {
@@ -527,5 +599,7 @@ let () =
         [ Alcotest.test_case "all compile" `Quick test_all_workloads_compile ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_priority_monotone; prop_compile_deterministic ] );
+          [
+            prop_priority_monotone; prop_compile_deterministic; prop_compiled_matches_ir;
+          ] );
     ]

@@ -14,6 +14,11 @@ module Interactive = Memhog_exec.Interactive
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let contains haystack needle =
+  let hl = String.length haystack and nl = String.length needle in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  nl = 0 || go 0
+
 let small_config =
   { Vm.Config.default with Vm.Config.total_frames = 128; min_freemem = 4; desfree = 16 }
 
@@ -113,8 +118,8 @@ let test_release_variant_returns_memory () =
   check_bool "releases performed" true
     ((App.asp app).As.stats.Vm.Vm_stats.freed_by_releaser > 0)
 
-let test_proc_call_binds_params () =
-  let prog_ir =
+(* Two calls of one procedure, each binding the loop range it sweeps. *)
+let calls_prog =
     {
       Ir.prog_name = "calls";
       arrays = [ Ir.array_decl "a" ~size:(Ir.cst (64 * 2048)) ];
@@ -142,11 +147,57 @@ let test_proc_call_binds_params () =
                 [ ("LO", Ir.cst (32 * 2048)); ("HI", Ir.cst (48 * 2048)) ] );
           ];
     }
-  in
-  let prog = Compile.compile ~target ~variant:Pir.V_original prog_ir in
+
+let test_proc_call_binds_params () =
+  let prog = Compile.compile ~target ~variant:Pir.V_original calls_prog in
   let app, _ = run_app ~params:[ ("LO", 0); ("HI", 0) ] prog in
   check_int "two disjoint 16-page ranges" 32
     (App.asp app).As.stats.Vm.Vm_stats.hard_faults
+
+(* A name that nothing binds would read its slot's initial 0: a loop bound
+   over an omitted parameter would then touch nothing and the run would
+   look fine.  [App.create] must refuse it, naming every such name; names
+   bound by a loop or a call need no parameter. *)
+let test_unbound_names_rejected () =
+  let prog_ir =
+    {
+      Ir.prog_name = "unbound";
+      arrays = [ Ir.array_decl "a" ~size:(Ir.cst (16 * 2048)) ];
+      assumptions = [ ("ROWS", None); ("SHIFT", None) ];
+      procs = [];
+      main =
+        Ir.loop ~var:"i" ~lo:(Ir.cst 0) ~hi:(Ir.param "ROWS")
+          (Ir.S_body
+             {
+               Ir.refs =
+                 [
+                   Ir.direct "a" ~param_off:[ ("SHIFT", 1) ] [ ("i", Ir.C_const 1) ]
+                     ~write:false;
+                 ];
+               work_ns_per_iter = 10;
+             });
+    }
+  in
+  let os () =
+    Os.create ~config:small_config ~engine:(Engine.create ()) ()
+  in
+  List.iter
+    (fun variant ->
+      let prog = Compile.compile ~target ~variant prog_ir in
+      (match App.create ~os:(os ()) ~params:[ ("ROWS", 8) ] prog with
+      | _ -> Alcotest.fail "created with SHIFT unbound"
+      | exception Invalid_argument msg ->
+          check_bool ("names SHIFT: " ^ msg) true (contains msg "SHIFT");
+          check_bool ("does not name ROWS: " ^ msg) false (contains msg "ROWS"));
+      match App.create ~os:(os ()) ~params:[] prog with
+      | _ -> Alcotest.fail "created with ROWS and SHIFT unbound"
+      | exception Invalid_argument msg ->
+          check_bool ("names ROWS and SHIFT: " ^ msg) true
+            (contains msg "ROWS" && contains msg "SHIFT"))
+    Compile.all_variants;
+  let calls = Compile.compile ~target ~variant:Pir.V_release calls_prog in
+  let app, _ = run_app ~params:[] calls in
+  check_int "call-bound names need no parameter" 32 (App.touched_pages app)
 
 let indirect_prog ~every =
   {
@@ -436,6 +487,7 @@ let () =
           Alcotest.test_case "release returns memory" `Quick
             test_release_variant_returns_memory;
           Alcotest.test_case "proc calls bind params" `Quick test_proc_call_binds_params;
+          Alcotest.test_case "unbound names rejected" `Quick test_unbound_names_rejected;
           Alcotest.test_case "epilogue release coverage" `Quick
             test_release_covers_whole_array_including_epilogue;
           Alcotest.test_case "prologue prefetch" `Quick test_prologue_prefetches_first_pages;

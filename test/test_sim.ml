@@ -387,6 +387,218 @@ let prop_engine_deterministic =
       in
       run () = run ())
 
+(* Outside a running fiber there is no process to advance: a suspend
+   callback runs in the handler while its process is blocked, and a timer
+   thunk runs between fibers.  [delay] there must fail loudly, not move the
+   blocked process's clock. *)
+let test_delay_in_suspend_callback () =
+  let e = Engine.create () in
+  let p =
+    Engine.spawn e ~name:"p" (fun () ->
+        Engine.suspend (fun _waker -> Engine.delay ~cat:Account.User 5))
+  in
+  Alcotest.check_raises "delay in suspend callback" Engine.Not_in_simulation
+    (fun () -> Engine.run e);
+  check_int "clock unmoved" 0 (Engine.now_of e);
+  check_int "nothing charged" 0 (Account.total p.Engine.account)
+
+let test_delay_in_wake_after_thunk () =
+  let e = Engine.create () in
+  Engine.wake_after e 5 (fun () -> Engine.delay ~cat:Account.User 1);
+  Alcotest.check_raises "delay in timer thunk" Engine.Not_in_simulation (fun () ->
+      Engine.run e)
+
+let test_negative_delay_raises_in_fiber () =
+  let e = Engine.create () in
+  let caught = ref false in
+  let p =
+    Engine.spawn e ~name:"p" (fun () ->
+        (try Engine.delay ~cat:Account.User (-1)
+         with Invalid_argument _ -> caught := true);
+        Engine.delay ~cat:Account.User 3)
+  in
+  Engine.run e;
+  check_bool "raised inside the fiber" true !caught;
+  check_int "fiber went on" 3 (Engine.now_of e);
+  check_int "only the valid delay charged" 3 (Account.total p.Engine.account);
+  check_bool "no crash" true (Engine.crashes e = [])
+
+(* ------------------------------------------------------------------ *)
+(* Engine against a reference model                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Random process programs run on [Engine] and on a naive model of its
+   semantics in which every delay goes through a list-based event queue
+   (scanned for the least (time, sequence) pair).  Delays that the engine
+   finishes inline must leave no trace: the same (time, pid, step) log,
+   accounts, event count and final clock. *)
+
+type step =
+  | Delay of int  (* charged to User when even, System when odd *)
+  | Sleep of int  (* suspend, woken by wake_after *)
+  | Spawn of step list  (* spawn_child running this program *)
+  | Stop
+
+let cat_of d = if d land 1 = 0 then Account.User else Account.System
+
+type outcome = {
+  o_log : (int * int * int) list;  (* (time, pid, step index), in order *)
+  o_accounts : (int * int * int) list;  (* (pid, user, system), by pid *)
+  o_events : int;
+  o_now : int;
+}
+
+let run_engine ?max_time progs =
+  let e = Engine.create ?max_time () in
+  let log = ref [] and procs = ref [] in
+  let rec body prog () =
+    let pid = (Engine.self ()).Engine.pid in
+    List.iteri
+      (fun i step ->
+        log := (Engine.now (), pid, i) :: !log;
+        match step with
+        | Delay d -> Engine.delay ~cat:(cat_of d) d
+        | Sleep d -> Engine.suspend (fun w -> Engine.wake_after e d w)
+        | Spawn child ->
+            procs := Engine.spawn_child ~name:"child" (body child) :: !procs
+        | Stop -> Engine.stop ())
+      prog
+  in
+  List.iter (fun prog -> procs := Engine.spawn e ~name:"p" (body prog) :: !procs) progs;
+  Engine.run e;
+  let account (p : Engine.proc) =
+    ( p.Engine.pid,
+      Account.get p.Engine.account Account.User,
+      Account.get p.Engine.account Account.System )
+  in
+  {
+    o_log = List.rev !log;
+    o_accounts = List.sort compare (List.map account !procs);
+    o_events = Engine.events_executed e;
+    o_now = Engine.now_of e;
+  }
+
+type mproc = {
+  m_pid : int;
+  mutable m_rest : (int * step) list;
+  mutable m_user : int;
+  mutable m_system : int;
+}
+
+type mevent = M_run of mproc | M_wake of mproc
+
+let run_model ?(max_time = Time_ns.sec 10_000_000) progs =
+  let now = ref 0 and seq = ref 0 and executed = ref 0 and stop = ref false in
+  let events = ref [] and next_pid = ref 0 and log = ref [] and procs = ref [] in
+  let schedule time ev =
+    incr seq;
+    events := (time, !seq, ev) :: !events
+  in
+  let spawn prog =
+    let p =
+      {
+        m_pid = !next_pid;
+        m_rest = List.mapi (fun i s -> (i, s)) prog;
+        m_user = 0;
+        m_system = 0;
+      }
+    in
+    incr next_pid;
+    procs := p :: !procs;
+    schedule !now (M_run p)
+  in
+  (* run [p] until it blocks or finishes *)
+  let rec run p =
+    match p.m_rest with
+    | [] -> ()
+    | (i, s) :: rest -> (
+        p.m_rest <- rest;
+        log := (!now, p.m_pid, i) :: !log;
+        match s with
+        | Delay d ->
+            if cat_of d = Account.User then p.m_user <- p.m_user + d
+            else p.m_system <- p.m_system + d;
+            schedule (!now + d) (M_run p)
+        | Sleep d -> schedule (!now + d) (M_wake p)
+        | Spawn child ->
+            spawn child;
+            run p
+        | Stop ->
+            stop := true;
+            run p)
+  in
+  List.iter spawn progs;
+  let rec loop () =
+    match !events with
+    | [] -> ()
+    | _ when !stop -> ()
+    | first :: rest ->
+        let ((time, _, ev) as next) =
+          List.fold_left
+            (fun ((t0, s0, _) as a) ((t1, s1, _) as b) ->
+              if (t1, s1) < (t0, s0) then b else a)
+            first rest
+        in
+        if time > max_time then stop := true
+        else begin
+          events := List.filter (fun e -> e != next) !events;
+          now := time;
+          incr executed;
+          (match ev with M_run p -> run p | M_wake p -> schedule !now (M_run p));
+          loop ()
+        end
+  in
+  loop ();
+  {
+    o_log = List.rev !log;
+    o_accounts =
+      List.sort compare (List.map (fun p -> (p.m_pid, p.m_user, p.m_system)) !procs);
+    o_events = !executed;
+    o_now = !now;
+  }
+
+let rec pp_steps steps =
+  String.concat "; "
+    (List.map
+       (function
+         | Delay d -> Printf.sprintf "delay %d" d
+         | Sleep d -> Printf.sprintf "sleep %d" d
+         | Spawn c -> Printf.sprintf "spawn [%s]" (pp_steps c)
+         | Stop -> "stop")
+       steps)
+
+(* 2-8 fibers; delays of 0-20 ns so ties are common; children one level
+   deep.  A third of the cases may stop, a third cap [max_time] low. *)
+let engine_case_arb =
+  let open QCheck.Gen in
+  let steps ~stop ~spawn =
+    let rec go depth =
+      list_size (int_range 0 8)
+        (frequency
+           ([ (6, map (fun d -> Delay d) (int_range 0 20));
+              (2, map (fun d -> Sleep d) (int_range 0 20)) ]
+           @ (if spawn && depth > 0 then [ (1, map (fun c -> Spawn c) (go (depth - 1))) ]
+              else [])
+           @ if stop then [ (1, return Stop) ] else []))
+    in
+    go 1
+  in
+  let gen =
+    let* mode = int_range 0 2 in
+    let* progs = list_size (int_range 2 8) (steps ~stop:(mode = 1) ~spawn:true) in
+    let* cap = int_range 0 60 in
+    return (progs, if mode = 2 then Some cap else None)
+  in
+  QCheck.make gen ~print:(fun (progs, cap) ->
+      Printf.sprintf "max_time=%s\n%s"
+        (match cap with Some c -> string_of_int c | None -> "default")
+        (String.concat "\n" (List.map (fun p -> "[" ^ pp_steps p ^ "]") progs)))
+
+let prop_engine_matches_model =
+  QCheck.Test.make ~name:"engine matches a list-queue reference model" ~count:500
+    engine_case_arb (fun (progs, max_time) ->
+      run_engine ?max_time progs = run_model ?max_time progs)
+
 (* ------------------------------------------------------------------ *)
 (* Semaphore                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -720,6 +932,12 @@ let () =
           Alcotest.test_case "crash recorded" `Quick test_crash_recorded;
           Alcotest.test_case "not in simulation" `Quick test_not_in_simulation;
           Alcotest.test_case "max time cap" `Quick test_max_time_cap;
+          Alcotest.test_case "delay in suspend callback" `Quick
+            test_delay_in_suspend_callback;
+          Alcotest.test_case "delay in wake_after thunk" `Quick
+            test_delay_in_wake_after_thunk;
+          Alcotest.test_case "negative delay raises in fiber" `Quick
+            test_negative_delay_raises_in_fiber;
         ] );
       ( "semaphore",
         [
@@ -760,6 +978,7 @@ let () =
           prop_exponential_positive;
           prop_zipf_in_range;
           prop_engine_deterministic;
+          prop_engine_matches_model;
           prop_series_mean_bounded;
         ];
     ]
