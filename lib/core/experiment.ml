@@ -200,12 +200,13 @@ let run (s : setup) =
     | Some spec -> Chaos.create ~seed:m.Machine.m_seed spec
     | None -> Chaos.none
   in
-  (* The lifecycle ledger is on by default: it is cheap (hash-table updates
-     at emit points, no simulated-time interaction) and private to this
-     cell, so its summary is byte-identical at any --jobs level.  The perf
-     gate and perfbench's sinks-off runs turn it off ([ledger_on = false]);
-     the ledger never interacts with the engine, so all deterministic work
-     counters are unaffected either way. *)
+  (* The lifecycle ledger is on by default: it is cheap (an int-array
+     store per event it receives from the observation bus, no
+     simulated-time interaction) and private to this cell, so its summary
+     is byte-identical at any --jobs level.  The perf gate and perfbench's
+     sinks-off runs turn it off ([ledger_on = false]); the ledger never
+     interacts with the engine, so all deterministic work counters are
+     unaffected either way. *)
   let ledger = if s.ledger_on then Ledger.create () else Ledger.null in
   (* The per-request blame layer exists only in serve mode: it is keyed by
      request lifecycles, which only the open-loop server drives.  Like the
@@ -217,13 +218,13 @@ let run (s : setup) =
     | Some _ -> Reqtrace.create ~seed:m.Machine.m_seed ()
     | None -> Reqtrace.null
   in
+  let obs = Obs.create ?trace:s.trace ~ledger ~reqtrace () in
   let os =
     Os.create ~swap_config:m.Machine.m_swap
       ?tiers:(Option.map Memhog_vm.Tiers.spec_of_string_exn s.tiers)
-      ?trace:s.trace ~ledger ~chaos ~reqtrace ~config:m.Machine.m_config
-      ~engine ()
+      ~obs ~chaos ~config:m.Machine.m_config ~engine ()
   in
-  let trace = Os.trace os in
+  let trace = Obs.trace obs in
   let prog_ir, params =
     s.workload.Workload.w_make
       ~mem_bytes:(Machine.mem_bytes m)
@@ -279,7 +280,7 @@ let run (s : setup) =
      closure read at scrape time; scraping never touches the engine, so
      the sampler fiber's event schedule — and every gated work counter —
      is identical whether the registry holds four series or twenty. *)
-  let tl = Telemetry.create ~trace () in
+  let tl = Telemetry.create ~obs () in
   let app_asp = App.asp app in
   (* The legacy [--series] trio (plus the interactive task's RSS), under
      their historical names. *)
@@ -405,29 +406,29 @@ let run (s : setup) =
            let now = Engine.now () in
            Telemetry.scrape tl ~time:now;
            let app_rss = app_asp.Memhog_vm.Address_space.rss in
-           if Trace.enabled trace then begin
+           if Obs.on obs then begin
              let pid = app_asp.Memhog_vm.Address_space.pid in
-             Trace.emit trace ~time:now ~stream:pid
+             Obs.emit obs ~time:now ~stream:pid
                (Trace.Rss_sample { owner = pid; pages = app_rss });
-             Trace.emit trace ~time:now ~stream:pid
+             Obs.emit obs ~time:now ~stream:pid
                (Trace.Upper_limit_sample
                   { owner = pid; pages = Os.shared_upper_limit os app_asp })
            end;
            (match server with
-           | Some sv when Trace.enabled trace ->
+           | Some sv when Obs.on obs ->
                (* Request-queue backlog, on the server's stream: lines up
                   with the RSS counters so a trace viewer shows queue
                   build-up against the hog's residency. *)
                let pid = (Server.asp sv).Memhog_vm.Address_space.pid in
-               Trace.emit trace ~time:now ~stream:pid
+               Obs.emit obs ~time:now ~stream:pid
                  (Trace.Queue_depth { owner = pid; depth = Server.queue_depth sv })
            | _ -> ());
            match task with
            | Some t ->
                let iasp = Interactive.asp t in
-               if Trace.enabled trace then
+               if Obs.on obs then
                  let pid = iasp.Memhog_vm.Address_space.pid in
-                 Trace.emit trace ~time:now ~stream:pid
+                 Obs.emit obs ~time:now ~stream:pid
                    (Trace.Rss_sample
                       { owner = pid; pages = iasp.Memhog_vm.Address_space.rss })
            | None -> ()

@@ -39,8 +39,7 @@ type t = {
   background_q : Engine.waker Queue.t;
   bus : Semaphore.t option;
   chaos : Chaos.t;
-  trace : Trace.t;
-  reqtrace : Reqtrace.t;
+  obs : Obs.t;
   mutable last_block : int;
   mutable reads : int;
   mutable writes : int;
@@ -56,7 +55,7 @@ type t = {
 }
 
 let create ?(params = cheetah_4lp) ?bus ?(chaos = Chaos.none)
-    ?(trace = Trace.null) ?(reqtrace = Reqtrace.null) ~id () =
+    ?(obs = Obs.null) ~id () =
   {
     id;
     params;
@@ -65,8 +64,7 @@ let create ?(params = cheetah_4lp) ?bus ?(chaos = Chaos.none)
     background_q = Queue.create ();
     bus;
     chaos;
-    trace;
-    reqtrace;
+    obs;
     last_block = min_int;
     reads = 0;
     writes = 0;
@@ -97,9 +95,10 @@ let acquire_arm ~cat t ~background =
     let self = Engine.self () in
     let waited = Engine.now () - t0 in
     Account.add self.account cat waited;
-    if (not background) && Reqtrace.enabled t.reqtrace then
-      Reqtrace.note_disk_queue t.reqtrace ~pid:self.Engine.pid ~start:t0
-        ~ns:waited ~bypassed
+    let rq = Obs.reqtrace t.obs in
+    if (not background) && Reqtrace.enabled rq then
+      Reqtrace.note_disk_queue rq ~pid:self.Engine.pid ~start:t0 ~ns:waited
+        ~bypassed
   end
 
 (* Direct handoff: the arm stays busy and ownership moves to the waiter.
@@ -152,9 +151,8 @@ let inject_failures ?(cat = Account.Io_stall) t ~block ~is_write =
       for i = 1 to k do
         t.busy <- t.busy + t.params.overhead_ns;
         Engine.delay ~cat t.params.overhead_ns;
-        if Trace.enabled t.trace then
-          Trace.emit t.trace ~time:(Engine.now ())
-            ~stream:Trace.chaos_stream
+        if Obs.on t.obs then
+          Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.chaos_stream
             (Trace.Chaos_disk_fault { disk = t.id; block; attempt = i });
         let b =
           Chaos.backoff_delay ~base:backoff_base ~cap:(Time_ns.sec 10)
@@ -195,15 +193,16 @@ let do_io ?(cat = Account.Io_stall) ?(background = false) t ~block ~bytes
   release_arm t;
   let elapsed = Engine.now () - started in
   if elapsed > t.params.request_timeout_ns then t.timeouts <- t.timeouts + 1;
-  if (not background) && Reqtrace.enabled t.reqtrace then
-    Reqtrace.note_disk_service t.reqtrace ~pid:(Engine.self ()).Engine.pid
+  let rq = Obs.reqtrace t.obs in
+  if (not background) && Reqtrace.enabled rq then
+    Reqtrace.note_disk_service rq ~pid:(Engine.self ()).Engine.pid
       ~start:arm_acquired
       ~ns:(Engine.now () - arm_acquired);
   (* One completion event per request, spanning queueing + positioning +
      transfer (+ injected retries); the Chrome exporter links directive →
      disk request → fault chains through these. *)
-  if Trace.enabled t.trace then
-    Trace.emit t.trace ~time:(Engine.now ()) ~stream:Trace.disk_stream
+  if Obs.on t.obs then
+    Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.disk_stream
       (Trace.Disk_io { disk = t.id; block; write = is_write; ns = elapsed })
 
 let read ?cat ?background t ~block ~bytes =

@@ -36,8 +36,7 @@ val create :
   ?params:params ->
   ?bus:Memhog_sim.Semaphore.t ->
   ?chaos:Memhog_sim.Chaos.t ->
-  ?trace:Memhog_sim.Trace.t ->
-  ?reqtrace:Memhog_sim.Reqtrace.t ->
+  ?obs:Memhog_sim.Obs.t ->
   id:int ->
   unit ->
   t
@@ -45,10 +44,12 @@ val create :
     of each request holds it, so disks sharing an adapter serialize their
     transfers (positioning still overlaps).
 
-    [reqtrace] (default {!Memhog_sim.Reqtrace.null}) receives per-request
-    blame attribution for {e demand} requests: arm-queue waits (with the
-    bypassed-background flag) and positioning+transfer service spans,
-    charged to the calling fiber's pid.
+    [obs] (default {!Memhog_sim.Obs.null}) is the observation bus.  Each
+    request's completion is emitted on it as a [Disk_io] event on
+    [Trace.disk_stream].  Its blame layer ({!Memhog_sim.Obs.reqtrace})
+    receives per-request attribution for {e demand} requests: arm-queue
+    waits (with the bypassed-background flag) and positioning+transfer
+    service spans, charged to the calling fiber's pid.
 
     [chaos] (default {!Memhog_sim.Chaos.none}) injects transient failures
     and latency spikes: a faulted request retries with exponential backoff
@@ -56,7 +57,7 @@ val create :
     a failed read invalidates the sequentiality state — the head's position
     is unknown after an error, so the successful retry pays full
     positioning instead of earning the sequential / near-skip discount.
-    Injected faults are emitted to [trace] on [Trace.chaos_stream]. *)
+    Injected faults are emitted on [obs], on [Trace.chaos_stream]. *)
 
 val id : t -> int
 

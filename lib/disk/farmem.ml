@@ -27,7 +27,7 @@ type t = {
   page_bytes : int;
   engine : Engine.t;
   chaos : Chaos.t;
-  trace : Trace.t;
+  obs : Obs.t;
   trace_id : int;
   stats : Backend.stats;
   (* Fluid-flow model of the shared link: a transfer occupies the wire for
@@ -36,7 +36,7 @@ type t = {
 }
 
 let create ?(params = default_params) ?(chaos = Chaos.none)
-    ?(trace = Trace.null) ?(trace_id = 1) ~engine ~page_bytes () =
+    ?(obs = Obs.null) ?(trace_id = 1) ~engine ~page_bytes () =
   if params.attempts < 1 then invalid_arg "Farmem.create: attempts must be >= 1";
   if params.bandwidth_mb_s <= 0.0 then
     invalid_arg "Farmem.create: bandwidth must be positive";
@@ -45,7 +45,7 @@ let create ?(params = default_params) ?(chaos = Chaos.none)
     page_bytes;
     engine;
     chaos;
-    trace;
+    obs;
     trace_id;
     stats = Backend.fresh_stats ();
     link_free = 0;
@@ -88,7 +88,7 @@ let attempt t ~cat =
         (factor *. float_of_int (t.params.base_latency_ns + txn_ns))
       + jitter
     in
-    let start = max now t.link_free in
+    let start = Int.max now t.link_free in
     let response = start - now + service in
     if response <= t.params.timeout_ns then t.link_free <- start + txn_ns;
     race_deadline t ~cat ~response:(Some response)
@@ -99,8 +99,8 @@ let rpc t ~cat ~background:_ ~page =
     if attempt t ~cat then Ok i
     else begin
       t.stats.Backend.timeouts <- t.stats.Backend.timeouts + 1;
-      if Trace.enabled t.trace then
-        Trace.emit t.trace ~time:(Engine.now ()) ~stream:Trace.tier_stream
+      if Obs.on t.obs then
+        Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.tier_stream
           (Trace.Tier_timeout { page; tier = t.trace_id; attempt = i });
       if i >= t.params.attempts then Error i
       else begin

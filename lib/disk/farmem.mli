@@ -36,14 +36,15 @@ type t
 val create :
   ?params:params ->
   ?chaos:Chaos.t ->
-  ?trace:Trace.t ->
+  ?obs:Obs.t ->
   ?trace_id:int ->
   engine:Engine.t ->
   page_bytes:int ->
   unit ->
   t
-(** [engine] is needed for the deadline timers ([wake_after]); [trace_id]
-    (default 1) labels this tier's trace events. *)
+(** [engine] is needed for the deadline timers ([wake_after]).  Timed-out
+    attempts are emitted on [obs] (default {!Obs.null}) as [Tier_timeout]
+    events; [trace_id] (default 1) labels their tier. *)
 
 val stats : t -> Backend.stats
 

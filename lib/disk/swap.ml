@@ -15,7 +15,7 @@ type t = {
   mutable page_writes : int;
 }
 
-let create ?(config = default_config) ?chaos ?trace ?reqtrace ~page_bytes () =
+let create ?(config = default_config) ?chaos ?obs ~page_bytes () =
   if config.num_disks < 1 then invalid_arg "Swap.create: need at least one disk";
   if config.disks_per_controller < 1 then
     invalid_arg "Swap.create: need at least one disk per controller";
@@ -35,7 +35,7 @@ let create ?(config = default_config) ?chaos ?trace ?reqtrace ~page_bytes () =
       Array.init config.num_disks (fun id ->
           Disk.create ~params:config.disk_params
             ~bus:buses.(id / config.disks_per_controller)
-            ?chaos ?trace ?reqtrace ~id ());
+            ?chaos ?obs ~id ());
     page_reads = 0;
     page_writes = 0;
   }

@@ -22,13 +22,13 @@ type t
 val create :
   ?config:config ->
   ?chaos:Memhog_sim.Chaos.t ->
-  ?trace:Memhog_sim.Trace.t ->
-  ?reqtrace:Memhog_sim.Reqtrace.t ->
+  ?obs:Memhog_sim.Obs.t ->
   page_bytes:int ->
   unit ->
   t
-(** [chaos], [trace] and [reqtrace] are handed to every striped disk (see
-    {!Disk.create}); all disks share one fault plan. *)
+(** [chaos] and [obs] are handed to every striped disk (see
+    {!Disk.create}); all disks share one fault plan and one observation
+    bus. *)
 
 val num_disks : t -> int
 

@@ -51,7 +51,7 @@ let span_of t ~page_bytes array =
   }
 
 let page_of sp e = e * sp.elem_bytes / sp.page_bytes
-let clamp sp e = max 0 (min (sp.seg_elems - 1) e)
+let clamp sp e = Int.max 0 (Int.min (sp.seg_elems - 1) e)
 
 (* Enumerate the distinct pages covered by [count] accesses starting at
    element [first] with [stride] elements between accesses.  Pages are
@@ -62,7 +62,8 @@ let iter_pages sp ~first ~count ~stride f =
     else if abs stride * sp.elem_bytes < sp.page_bytes then begin
       (* dense: the accesses sweep a contiguous range; report each page *)
       let last = first + ((count - 1) * stride) in
-      let lo = clamp sp (min first last) and hi = clamp sp (max first last) in
+      let lo = clamp sp (Int.min first last)
+      and hi = clamp sp (Int.max first last) in
       let plo = page_of sp lo and phi = page_of sp hi in
       if stride > 0 then
         for p = plo to phi do
@@ -281,11 +282,9 @@ let create ?(seed = 17) ?(runtime_policy = Runtime.Aggressive) ?release_target
   t
 
 let emit_phase t ev =
-  let trace = Os.trace t.os in
-  if Trace.enabled trace then
-    Trace.emit trace
-      ~time:(Engine.now_of (Os.engine t.os))
-      ~stream:t.asp.As.pid ev
+  let obs = Os.obs t.os in
+  if Obs.on obs then
+    Obs.emit obs ~time:(Engine.now ()) ~stream:t.asp.As.pid ev
 
 let exec_main t =
   Runtime.start t.rt;

@@ -35,12 +35,15 @@ let account t = Option.map (fun p -> p.Engine.account) t.proc
 
 let alone_response t = t.seg.As.npages * t.work_per_page_ns
 
-let emit_phase t ev =
-  let trace = Os.trace t.os in
-  if Trace.enabled trace then
-    Trace.emit trace
-      ~time:(Engine.now_of (Os.engine t.os))
-      ~stream:t.it_asp.As.pid ev
+(* Sweep [index]'s phase boundary; the name is built only when the bus
+   is on. *)
+let emit_phase t ~begin_ index =
+  let obs = Os.obs t.os in
+  if Obs.on obs then begin
+    let name = Printf.sprintf "sweep-%d" index in
+    Obs.emit obs ~time:(Engine.now ()) ~stream:t.it_asp.As.pid
+      (if begin_ then Trace.Phase_begin { name } else Trace.Phase_end { name })
+  end
 
 let loop t () =
   let index = ref 0 in
@@ -48,12 +51,12 @@ let loop t () =
     let t0 = Engine.now () in
     let hard0 = t.it_asp.As.stats.Vm_stats.hard_faults in
     let soft0 = t.it_asp.As.stats.Vm_stats.soft_faults in
-    emit_phase t (Trace.Phase_begin { name = Printf.sprintf "sweep-%d" !index });
+    emit_phase t ~begin_:true !index;
     for p = 0 to t.seg.As.npages - 1 do
       ignore (Os.touch t.os t.it_asp ~vpn:(t.seg.As.base_vpn + p) ~write:false);
       Engine.delay ~cat:Account.User t.work_per_page_ns
     done;
-    emit_phase t (Trace.Phase_end { name = Printf.sprintf "sweep-%d" !index });
+    emit_phase t ~begin_:false !index;
     let sweep =
       {
         sw_index = !index;

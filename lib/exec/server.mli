@@ -46,7 +46,8 @@ type t
 
 val create : os:Memhog_vm.Os.t -> cfg:cfg -> unit -> t
 (** Map the segments and build the sampler tables.  Requests are traced
-    on the kernel's per-request blame layer ({!Memhog_vm.Os.reqtrace}):
+    on the per-request blame layer of the kernel's observation bus
+    ({!Memhog_sim.Obs.reqtrace} of {!Memhog_vm.Os.obs}):
     every served request becomes a span whose queue / index-stall /
     value-stall / CPU-wait / compute components sum exactly to its
     recorded response time.

@@ -92,11 +92,11 @@ let lowest_priority t =
   | Some (p, _) -> Some p
   | None -> None
 
-let pop_lowest t ~max =
+let pop_lowest t ~max:limit =
   let out = ref [] in
   let n = ref 0 in
   let continue_ = ref true in
-  while !continue_ && !n < max do
+  while !continue_ && !n < limit do
     match IntMap.min_binding_opt t.by_priority with
     | None -> continue_ := false
     | Some (_, level) ->
@@ -104,7 +104,7 @@ let pop_lowest t ~max =
            insertion order, until the budget is spent or the level empties
            (emptied queues are unlinked as we pass them). *)
         let cursor = ref level.lv_head in
-        while !n < max && level.lv_head <> None do
+        while !n < limit && level.lv_head <> None do
           match !cursor with
           | None -> cursor := level.lv_head (* wrap: next round *)
           | Some q ->

@@ -56,6 +56,7 @@ type work =
 
 type t = {
   os : Os.t;
+  obs : Obs.t;
   asp : As.t;
   pol : policy;
   nthreads : int;
@@ -82,15 +83,16 @@ type t = {
   mutable g_issued : int;
 }
 
-(* The kernel's observers see run-time events on this process's stream; a
-   single guard keeps the hot path to one branch when none is on. *)
-let tracing t = Os.tracing t.os
-let emit t ev = Os.emit t.os ~stream:t.asp.As.pid ev
+(* Run-time events go on the kernel's observation bus, on this process's
+   stream.  Call sites guard with [Obs.on t.obs], one branch that builds
+   no event when the bus is off. *)
+let emit t ev = Obs.emit t.obs ~time:(Engine.now ()) ~stream:t.asp.As.pid ev
 
 let create ?(nthreads = 16) ?(release_target = 100) ?(headroom = 0)
     ?(filter_ns = 200) ?governor ~os ~asp ~policy () =
   {
     os;
+    obs = Os.obs os;
     asp;
     pol = policy;
     nthreads;
@@ -185,7 +187,7 @@ let gov_transition t ~level_to ~drop_pct ~stale_pct =
   if level_to > level_from then
     t.st.rt_gov_degrades <- t.st.rt_gov_degrades + 1
   else t.st.rt_gov_recoveries <- t.st.rt_gov_recoveries + 1;
-  if tracing t then
+  if Obs.on t.obs then
     emit t (Trace.Governor_transition { level_from; level_to; drop_pct; stale_pct })
 
 let gov_tick t =
@@ -200,11 +202,11 @@ let gov_tick t =
         let rescued = t.asp.As.stats.rescued_releaser - t.g_rescued in
         let issued = t.st.rt_release_issued - t.g_issued in
         let pf_total = pf_done + pf_dropped in
-        let drop_rate = float_of_int pf_dropped /. float_of_int (max 1 pf_total) in
+        let drop_rate = float_of_int pf_dropped /. float_of_int (Int.max 1 pf_total) in
         (* Release badness: hints that aged out in the buffer (stale drops)
            or were issued so early the OS had to rescue the page back. *)
         let stale_rate =
-          float_of_int (stale + rescued) /. float_of_int (max 1 issued)
+          float_of_int (stale + rescued) /. float_of_int (Int.max 1 issued)
         in
         let bad =
           pf_total + issued >= cfg.gv_min_samples
@@ -261,14 +263,14 @@ let prefetch_page ?(site = Trace.no_site) ?(urgent = false) t ~vpn =
     t.st.rt_prefetch_filtered <- t.st.rt_prefetch_filtered + 1
   else begin
     t.st.rt_prefetch_enqueued <- t.st.rt_prefetch_enqueued + 1;
-    if tracing t then emit t (Trace.Rt_prefetch_sent { vpn; site });
+    if Obs.on t.obs then emit t (Trace.Rt_prefetch_sent { vpn; site });
     Mailbox.send t.queue (W_prefetch (vpn, site, urgent))
   end
 
 let issue_release t triples =
   if Array.length triples > 0 then begin
     t.st.rt_release_issued <- t.st.rt_release_issued + Array.length triples;
-    if tracing t then begin
+    if Obs.on t.obs then begin
       Array.iter
         (fun (vpn, site, _prio) -> emit t (Trace.Rt_release_sent { vpn; site }))
         triples;
@@ -286,7 +288,7 @@ let drop_stale t triples =
       let live = Os.page_resident t.asp ~vpn in
       if not live then begin
         t.st.rt_release_stale_dropped <- t.st.rt_release_stale_dropped + 1;
-        if tracing t then emit t (Trace.Rt_stale_dropped { vpn; site })
+        if Obs.on t.obs then emit t (Trace.Rt_stale_dropped { vpn; site })
       end;
       live)
     triples
@@ -300,7 +302,7 @@ let maybe_drain t =
     t.st.rt_buffer_drains <- t.st.rt_buffer_drains + 1;
     let pairs = Release_buffer.pop_lowest t.buffer ~max:t.release_target in
     let pairs = Array.of_list (drop_stale t (Array.to_list pairs)) in
-    if tracing t then
+    if Obs.on t.obs then
       emit t (Trace.Rt_release_drained { count = Array.length pairs });
     issue_release t pairs
   end
@@ -309,7 +311,7 @@ let maybe_drain t =
 let handle_release t ~vpn ~priority ~tag =
   if not (Os.page_resident t.asp ~vpn) then begin
     t.st.rt_release_filtered_bitmap <- t.st.rt_release_filtered_bitmap + 1;
-    if tracing t then
+    if Obs.on t.obs then
       emit t (Trace.Rt_release_filtered { vpn; reason = "bitmap"; site = tag })
   end
   else
@@ -335,7 +337,7 @@ let handle_release t ~vpn ~priority ~tag =
         if priority <= 0 then issue_release t [| (vpn, tag, priority) |]
         else begin
           t.st.rt_release_buffered <- t.st.rt_release_buffered + 1;
-          if tracing t then
+          if Obs.on t.obs then
             emit t (Trace.Rt_release_buffered { vpn; tag; priority });
           Release_buffer.add t.buffer ~tag ~priority ~vpn;
           maybe_drain t
@@ -347,7 +349,7 @@ let handle_release t ~vpn ~priority ~tag =
         if priority < 0 then issue_release t [| (vpn, tag, priority) |]
         else begin
           t.st.rt_release_buffered <- t.st.rt_release_buffered + 1;
-          if tracing t then
+          if Obs.on t.obs then
             emit t (Trace.Rt_release_buffered { vpn; tag; priority });
           Release_buffer.add t.buffer ~tag ~priority:(priority + 1) ~vpn
         end
@@ -356,11 +358,11 @@ let release_page t ~vpn ~priority ~tag =
   t.st.rt_release_requests <- t.st.rt_release_requests + 1;
   charge_filter t;
   gov_tick t;
-  if tracing t then emit t (Trace.Rt_release_hint { vpn; site = tag; priority });
+  if Obs.on t.obs then emit t (Trace.Rt_release_hint { vpn; site = tag; priority });
   if gov_suppressed t then ()
   else if not (Os.page_resident t.asp ~vpn) then begin
     t.st.rt_release_filtered_bitmap <- t.st.rt_release_filtered_bitmap + 1;
-    if tracing t then
+    if Obs.on t.obs then
       emit t (Trace.Rt_release_filtered { vpn; reason = "bitmap"; site = tag })
   end
   else
@@ -372,7 +374,7 @@ let release_page t ~vpn ~priority ~tag =
     match Hashtbl.find_opt t.last_release tag with
     | Some (prev, _) when prev = vpn ->
         t.st.rt_release_filtered_same <- t.st.rt_release_filtered_same + 1;
-        if tracing t then
+        if Obs.on t.obs then
           emit t (Trace.Rt_release_filtered { vpn; reason = "same"; site = tag })
     | Some (prev, prev_priority) ->
         Hashtbl.replace t.last_release tag (vpn, priority);
@@ -413,4 +415,4 @@ let drain t =
     else drained
   in
   let drained = go (List.length pending) in
-  if tracing t then emit t (Trace.Rt_release_drained { count = drained })
+  if Obs.on t.obs then emit t (Trace.Rt_release_drained { count = drained })

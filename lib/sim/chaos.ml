@@ -363,7 +363,7 @@ let stall_until t who ~now =
     (fun acc r ->
       if r.kind = kind && active r ~now then
         match acc with
-        | Some stop -> Some (max stop r.stop)
+        | Some stop -> Some (Int.max stop r.stop)
         | None -> Some r.stop
       else acc)
     None t.rules

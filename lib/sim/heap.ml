@@ -23,7 +23,7 @@ let is_empty t = t.size = 0
 let length t = t.size
 
 let grow t =
-  let cap = max 16 (2 * Array.length t.keys) in
+  let cap = Int.max 16 (2 * Array.length t.keys) in
   let keys = Array.make cap 0 and seqs = Array.make cap 0 in
   let vals = Array.make cap t.dummy in
   Array.blit t.keys 0 keys 0 t.size;

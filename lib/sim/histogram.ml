@@ -103,13 +103,13 @@ let percentile t p =
   else if p <= 0.0 then t.min_v
   else begin
     let rank = int_of_float (ceil (p /. 100.0 *. float_of_int t.total)) in
-    let rank = max 1 (min rank t.total) in
+    let rank = Int.max 1 (Int.min rank t.total) in
     let cum = ref 0 and i = ref 0 in
     while !cum < rank do
       cum := !cum + t.counts.(!i);
       if !cum < rank then incr i
     done;
-    min (max (bucket_hi !i) t.min_v) t.max_v
+    Int.min (Int.max (bucket_hi !i) t.min_v) t.max_v
   end
 
 let to_alist t =

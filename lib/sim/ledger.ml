@@ -11,35 +11,25 @@
    one experiment cell, performs no Engine interaction, and its summary
    sorts all tables — so the output is byte-identical at any --jobs. *)
 
-type pstate =
-  | Not_resident
-  | Pf_sent of int  (* site: intent accepted by the run-time layer *)
-  | Pf_inflight of int  (* site: OS started the asynchronous fetch *)
-  | Prefetched of { site : int; ns : int }
-      (* resident via a completed prefetch, not yet referenced *)
-  | Resident
-  | Released of int  (* site: release forwarded to the OS, not yet freed *)
-  | Freed of int  (* site: on the free list via the releaser *)
-  | Freed_daemon  (* on the free list via a daemon steal *)
-  | Gone of int  (* site: freed frame was reused; contents only on swap *)
-
-type page = { mutable st : pstate }
-
-(* Int-specialized hash tables for the two hot lookups ([page] on every
-   fault/touch event, [site_stats] on every charge).  The generic functorial
-   interface with an int key avoids the polymorphic-hash dispatch and the
-   (pid, vpn) tuple allocation per lookup. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
-
-(* (owner pid, vpn) packed into one immediate int.  40 bits of vpn is
-   orders of magnitude beyond any simulated address space; pids are small
-   non-negative stream ids. *)
-let page_key ~pid ~vpn = (pid lsl 40) lor vpn
+(* Page states, one int per (owner pid, vpn): the lifecycle tag in the low
+   four bits and the directive site above them (arithmetic shift, so
+   [no_site] = -1 round-trips).  [Prefetched] also keeps the fetch's I/O
+   span, in the parallel [ns] arrays.  [unseen] marks a page no event has
+   named yet; the first lookup turns it into [not_resident] and counts it
+   in [ls_pages_tracked]. *)
+let unseen = 0
+let not_resident = 1
+let pf_sent = 2  (* intent accepted by the run-time layer *)
+let pf_inflight = 3  (* OS started the asynchronous fetch *)
+let prefetched = 4  (* resident via a completed prefetch, not yet referenced *)
+let resident = 5
+let released = 6  (* release forwarded to the OS, not yet freed *)
+let freed = 7  (* on the free list via the releaser *)
+let freed_daemon = 8  (* on the free list via a daemon steal *)
+let gone = 9  (* freed frame was reused; contents only on swap *)
+let[@inline] state tag site = tag lor (site lsl 4)
+let[@inline] tag_of st = st land 15
+let[@inline] site_of st = st asr 4
 
 type site_stats = {
   mutable pf_sent : int;
@@ -66,10 +56,43 @@ type site_stats = {
   mutable priority_n : int;
 }
 
+let new_stats () =
+  {
+    pf_sent = 0;
+    pf_issued = 0;
+    pf_dropped = 0;
+    pf_raced = 0;
+    pf_done = 0;
+    pf_referenced = 0;
+    pf_useless = 0;
+    pf_late = 0;
+    pf_saved_ns = 0;
+    rel_hints = 0;
+    rel_filtered = 0;
+    rel_buffered = 0;
+    rel_stale = 0;
+    rel_sent = 0;
+    rel_skipped = 0;
+    rel_freed = 0;
+    rel_rescued = 0;
+    rel_refaulted = 0;
+    rel_reused = 0;
+    rel_unreclaimed = 0;
+    priority_sum = 0;
+    priority_n = 0;
+  }
+
+(* Marks an empty slot of the site table; never charged. *)
+let no_row = new_stats ()
+
 type t = {
   l_enabled : bool;
-  pages : page Itbl.t;  (* [page_key] -> state *)
-  sites : site_stats Itbl.t;
+  (* Pid-indexed, then vpn-indexed; pids and vpns are dense from 0. *)
+  mutable states : int array array;
+  mutable ns : int array array;
+  mutable pages_tracked : int;
+  (* Indexed by site + 1, so [no_site] is slot 0; [no_row] when unused. *)
+  mutable sites : site_stats array;
   (* Global tallies, used to reconcile against Vm_stats. *)
   mutable hard_faults : int;
   mutable soft_faults : int;
@@ -94,11 +117,13 @@ type t = {
   mutable tier_rescues : int;
 }
 
-let create () =
+let make ~enabled =
   {
-    l_enabled = true;
-    pages = Itbl.create 4096;
-    sites = Itbl.create 64;
+    l_enabled = enabled;
+    states = [||];
+    ns = [||];
+    pages_tracked = 0;
+    sites = [||];
     hard_faults = 0;
     soft_faults = 0;
     validation_faults = 0;
@@ -119,93 +144,83 @@ let create () =
     tier_rescues = 0;
   }
 
-let null =
-  {
-    l_enabled = false;
-    pages = Itbl.create 1;
-    sites = Itbl.create 1;
-    hard_faults = 0;
-    soft_faults = 0;
-    validation_faults = 0;
-    zero_fills = 0;
-    rescues = 0;
-    prefetches_issued = 0;
-    prefetches_dropped = 0;
-    releases_freed = 0;
-    releases_skipped = 0;
-    useless_prefetches = 0;
-    late_prefetches = 0;
-    early_rescued = 0;
-    early_refaulted = 0;
-    useful_releases = 0;
-    tier_demotions = 0;
-    tier_fetches = 0;
-    tier_failovers = 0;
-    tier_rescues = 0;
-  }
-
+let create () = make ~enabled:true
+let null = make ~enabled:false
 let enabled t = t.l_enabled
 let refaults t = t.early_refaulted
 let early_rescues t = t.early_rescued
 
-let site_stats t site =
-  match Itbl.find_opt t.sites site with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          pf_sent = 0;
-          pf_issued = 0;
-          pf_dropped = 0;
-          pf_raced = 0;
-          pf_done = 0;
-          pf_referenced = 0;
-          pf_useless = 0;
-          pf_late = 0;
-          pf_saved_ns = 0;
-          rel_hints = 0;
-          rel_filtered = 0;
-          rel_buffered = 0;
-          rel_stale = 0;
-          rel_sent = 0;
-          rel_skipped = 0;
-          rel_freed = 0;
-          rel_rescued = 0;
-          rel_refaulted = 0;
-          rel_reused = 0;
-          rel_unreclaimed = 0;
-          priority_sum = 0;
-          priority_n = 0;
-        }
-      in
-      Itbl.add t.sites site s;
-      s
+(* Grow [a] (doubling) so that index [i] fits, filling with [fill]. *)
+let grown a i fill =
+  let b = Array.make (Int.max (i + 1) (Int.max 64 (2 * Array.length a))) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
+let site_stats t site =
+  if site < Trace.no_site then
+    invalid_arg (Printf.sprintf "Ledger.observe: site %d" site);
+  let i = site + 1 in
+  if i >= Array.length t.sites then t.sites <- grown t.sites i no_row;
+  let s = t.sites.(i) in
+  if s != no_row then s
+  else begin
+    let s = new_stats () in
+    t.sites.(i) <- s;
+    s
+  end
+
+(* The state array holding page (pid, vpn), grown to cover it; the page
+   is counted the first time any event names it. *)
 let page t ~pid ~vpn =
-  let key = page_key ~pid ~vpn in
-  match Itbl.find_opt t.pages key with
-  | Some p -> p
-  | None ->
-      let p = { st = Not_resident } in
-      Itbl.add t.pages key p;
-      p
+  if pid < 0 || vpn < 0 then
+    invalid_arg (Printf.sprintf "Ledger.observe: page (%d, %d)" pid vpn);
+  if pid >= Array.length t.states then begin
+    t.states <- grown t.states pid [||];
+    t.ns <- grown t.ns pid [||]
+  end;
+  let a = t.states.(pid) in
+  let a =
+    if vpn < Array.length a then a
+    else begin
+      let a = grown a vpn unseen in
+      t.states.(pid) <- a;
+      t.ns.(pid) <- grown t.ns.(pid) vpn 0;
+      a
+    end
+  in
+  if a.(vpn) = unseen then begin
+    a.(vpn) <- not_resident;
+    t.pages_tracked <- t.pages_tracked + 1
+  end;
+  a
 
 (* A prefetched-but-unreferenced page leaving residency (or being released)
    makes its prefetch useless; charge the prefetching site. *)
 let charge_useless t site =
-  (site_stats t site).pf_useless <- (site_stats t site).pf_useless + 1;
+  let s = site_stats t site in
+  s.pf_useless <- s.pf_useless + 1;
   t.useless_prefetches <- t.useless_prefetches + 1
 
 (* A reference arriving at a page a directive released earlier: cheap if the
    page is still on the free list (rescue), expensive if the frame is gone
    (hard refault).  Charge the releasing site. *)
 let charge_rescued t site =
-  (site_stats t site).rel_rescued <- (site_stats t site).rel_rescued + 1;
+  let s = site_stats t site in
+  s.rel_rescued <- s.rel_rescued + 1;
   t.early_rescued <- t.early_rescued + 1
 
 let charge_refaulted t site =
-  (site_stats t site).rel_refaulted <- (site_stats t site).rel_refaulted + 1;
+  let s = site_stats t site in
+  s.rel_refaulted <- s.rel_refaulted + 1;
   t.early_refaulted <- t.early_refaulted + 1
+
+(* A referencing fault on a page still [Prefetched]: the touch profits. *)
+let credit_prefetch t ~pid st vpn =
+  if tag_of st = prefetched then begin
+    let s = site_stats t (site_of st) in
+    s.pf_referenced <- s.pf_referenced + 1;
+    s.pf_saved_ns <- s.pf_saved_ns + t.ns.(pid).(vpn)
+  end
 
 let observe t ~time:_ ~stream ev =
   if t.l_enabled then
@@ -213,80 +228,80 @@ let observe t ~time:_ ~stream ev =
     (* ---- demand faults (stream = faulting pid) ---- *)
     | Hard_fault { vpn } ->
         t.hard_faults <- t.hard_faults + 1;
-        let p = page t ~pid:stream ~vpn in
-        (match p.st with
-        | Pf_sent site | Pf_inflight site ->
-            let s = site_stats t site in
-            s.pf_late <- s.pf_late + 1;
-            t.late_prefetches <- t.late_prefetches + 1
-        | Released site | Freed site | Gone site ->
-            if site <> Trace.no_site then charge_refaulted t site
-        | Prefetched { site; _ } -> charge_useless t site
-        | Not_resident | Resident | Freed_daemon -> ());
-        p.st <- Resident
+        let a = page t ~pid:stream ~vpn in
+        let st = a.(vpn) in
+        let tag = tag_of st and site = site_of st in
+        if tag = pf_sent || tag = pf_inflight then begin
+          let s = site_stats t site in
+          s.pf_late <- s.pf_late + 1;
+          t.late_prefetches <- t.late_prefetches + 1
+        end
+        else if tag = released || tag = freed || tag = gone then begin
+          if site <> Trace.no_site then charge_refaulted t site
+        end
+        else if tag = prefetched then charge_useless t site;
+        a.(vpn) <- resident
     | Soft_fault { vpn } ->
+        (* invalidated before validation; a prefetched page still profits *)
         t.soft_faults <- t.soft_faults + 1;
-        let p = page t ~pid:stream ~vpn in
-        (match p.st with
-        | Prefetched { site; ns } ->
-            (* invalidated before validation; the touch still profits *)
-            let s = site_stats t site in
-            s.pf_referenced <- s.pf_referenced + 1;
-            s.pf_saved_ns <- s.pf_saved_ns + ns
-        | _ -> ());
-        p.st <- Resident
+        let a = page t ~pid:stream ~vpn in
+        credit_prefetch t ~pid:stream a.(vpn) vpn;
+        a.(vpn) <- resident
     | Validation_fault { vpn } ->
         t.validation_faults <- t.validation_faults + 1;
-        let p = page t ~pid:stream ~vpn in
-        (match p.st with
-        | Prefetched { site; ns } ->
-            let s = site_stats t site in
-            s.pf_referenced <- s.pf_referenced + 1;
-            s.pf_saved_ns <- s.pf_saved_ns + ns
-        | _ -> ());
-        p.st <- Resident
+        let a = page t ~pid:stream ~vpn in
+        credit_prefetch t ~pid:stream a.(vpn) vpn;
+        a.(vpn) <- resident
     | Zero_fill { vpn } ->
         t.zero_fills <- t.zero_fills + 1;
-        (page t ~pid:stream ~vpn).st <- Resident
+        (page t ~pid:stream ~vpn).(vpn) <- resident
     | Rescue { vpn; for_prefetch; site } ->
         t.rescues <- t.rescues + 1;
-        let p = page t ~pid:stream ~vpn in
+        let a = page t ~pid:stream ~vpn in
+        let st = a.(vpn) in
+        let tag = tag_of st in
         (* [site] is the site whose release freed the frame (no_site for a
            daemon steal); the ledger's own state agrees when the rescue is
            attributable. *)
-        (match p.st with
-        | Freed s | Released s | Gone s ->
-            let s = if site <> Trace.no_site then site else s in
-            if s <> Trace.no_site then charge_rescued t s
-        | _ -> if site <> Trace.no_site then charge_rescued t site);
+        (if tag = freed || tag = released || tag = gone then begin
+           let s = if site <> Trace.no_site then site else site_of st in
+           if s <> Trace.no_site then charge_rescued t s
+         end
+         else if site <> Trace.no_site then charge_rescued t site);
         (* A demand rescue leaves the page resident; a prefetch rescue will
            be followed by Prefetch_done, which takes the state over. *)
-        if not for_prefetch then p.st <- Resident
+        if not for_prefetch then a.(vpn) <- resident
     (* ---- prefetch pipeline (stream = prefetching pid) ---- *)
     | Rt_prefetch_sent { vpn; site } ->
-        (site_stats t site).pf_sent <- (site_stats t site).pf_sent + 1;
-        let p = page t ~pid:stream ~vpn in
-        (match p.st with
-        | Not_resident | Freed _ | Freed_daemon | Gone _ | Pf_sent _
-        | Pf_inflight _ | Released _ ->
-            p.st <- Pf_sent site
-        | Resident | Prefetched _ -> ())
+        let s = site_stats t site in
+        s.pf_sent <- s.pf_sent + 1;
+        let a = page t ~pid:stream ~vpn in
+        let tag = tag_of a.(vpn) in
+        if not (tag = resident || tag = prefetched) then
+          a.(vpn) <- state pf_sent site
     | Prefetch_issued { vpn; site } ->
         t.prefetches_issued <- t.prefetches_issued + 1;
-        (site_stats t site).pf_issued <- (site_stats t site).pf_issued + 1;
-        (page t ~pid:stream ~vpn).st <- Pf_inflight site
+        let s = site_stats t site in
+        s.pf_issued <- s.pf_issued + 1;
+        (page t ~pid:stream ~vpn).(vpn) <- state pf_inflight site
     | Prefetch_dropped { vpn; site } ->
         t.prefetches_dropped <- t.prefetches_dropped + 1;
-        (site_stats t site).pf_dropped <- (site_stats t site).pf_dropped + 1;
-        let p = page t ~pid:stream ~vpn in
-        (match p.st with Pf_sent _ | Pf_inflight _ -> p.st <- Not_resident | _ -> ())
+        let s = site_stats t site in
+        s.pf_dropped <- s.pf_dropped + 1;
+        let a = page t ~pid:stream ~vpn in
+        let tag = tag_of a.(vpn) in
+        if tag = pf_sent || tag = pf_inflight then a.(vpn) <- not_resident
     | Prefetch_raced { vpn; site } ->
-        (site_stats t site).pf_raced <- (site_stats t site).pf_raced + 1;
-        let p = page t ~pid:stream ~vpn in
-        (match p.st with Pf_sent _ | Pf_inflight _ -> p.st <- Resident | _ -> ())
+        let s = site_stats t site in
+        s.pf_raced <- s.pf_raced + 1;
+        let a = page t ~pid:stream ~vpn in
+        let tag = tag_of a.(vpn) in
+        if tag = pf_sent || tag = pf_inflight then a.(vpn) <- resident
     | Prefetch_done { vpn; site; ns } ->
-        (site_stats t site).pf_done <- (site_stats t site).pf_done + 1;
-        (page t ~pid:stream ~vpn).st <- Prefetched { site; ns }
+        let s = site_stats t site in
+        s.pf_done <- s.pf_done + 1;
+        (page t ~pid:stream ~vpn).(vpn) <- state prefetched site;
+        t.ns.(stream).(vpn) <- ns
     (* ---- release pipeline ---- *)
     | Rt_release_hint { vpn = _; site; priority } ->
         let s = site_stats t site in
@@ -294,47 +309,56 @@ let observe t ~time:_ ~stream ev =
         s.priority_sum <- s.priority_sum + priority;
         s.priority_n <- s.priority_n + 1
     | Rt_release_filtered { site; _ } ->
-        (site_stats t site).rel_filtered <- (site_stats t site).rel_filtered + 1
+        let s = site_stats t site in
+        s.rel_filtered <- s.rel_filtered + 1
     | Rt_release_buffered { tag; _ } ->
-        (site_stats t tag).rel_buffered <- (site_stats t tag).rel_buffered + 1
+        let s = site_stats t tag in
+        s.rel_buffered <- s.rel_buffered + 1
     | Rt_stale_dropped { site; _ } ->
-        (site_stats t site).rel_stale <- (site_stats t site).rel_stale + 1
+        let s = site_stats t site in
+        s.rel_stale <- s.rel_stale + 1
     | Rt_release_sent { vpn; site } ->
-        (site_stats t site).rel_sent <- (site_stats t site).rel_sent + 1;
-        let p = page t ~pid:stream ~vpn in
-        (match p.st with
-        | Prefetched { site = pf; _ } ->
-            charge_useless t pf;
-            p.st <- Released site
-        | Resident | Not_resident | Released _ -> p.st <- Released site
-        | _ -> ())
+        let s = site_stats t site in
+        s.rel_sent <- s.rel_sent + 1;
+        let a = page t ~pid:stream ~vpn in
+        let st = a.(vpn) in
+        let tag = tag_of st in
+        if tag = prefetched then begin
+          charge_useless t (site_of st);
+          a.(vpn) <- state released site
+        end
+        else if tag = resident || tag = not_resident || tag = released then
+          a.(vpn) <- state released site
     | Release_skipped { vpn; owner; site } ->
         t.releases_skipped <- t.releases_skipped + 1;
-        (site_stats t site).rel_skipped <- (site_stats t site).rel_skipped + 1;
-        (page t ~pid:owner ~vpn).st <- Resident
+        let s = site_stats t site in
+        s.rel_skipped <- s.rel_skipped + 1;
+        (page t ~pid:owner ~vpn).(vpn) <- resident
     | Releaser_free { vpn; owner; site } ->
         t.releases_freed <- t.releases_freed + 1;
-        (site_stats t site).rel_freed <- (site_stats t site).rel_freed + 1;
-        (page t ~pid:owner ~vpn).st <- Freed site
+        let s = site_stats t site in
+        s.rel_freed <- s.rel_freed + 1;
+        (page t ~pid:owner ~vpn).(vpn) <- state freed site
     | Daemon_steal { vpn; owner } ->
-        let p = page t ~pid:owner ~vpn in
-        (match p.st with
-        | Prefetched { site; _ } -> charge_useless t site
-        | _ -> ());
-        p.st <- Freed_daemon
+        let a = page t ~pid:owner ~vpn in
+        let st = a.(vpn) in
+        if tag_of st = prefetched then charge_useless t (site_of st);
+        a.(vpn) <- freed_daemon
     | Daemon_invalidate _ | Writeback_complete _ -> ()
     | Frame_reused { vpn; owner } ->
-        let p = page t ~pid:owner ~vpn in
-        (match p.st with
-        | Freed site ->
-            if site <> Trace.no_site then begin
-              let s = site_stats t site in
-              s.rel_reused <- s.rel_reused + 1;
-              t.useful_releases <- t.useful_releases + 1
-            end;
-            p.st <- Gone site
-        | Freed_daemon -> p.st <- Not_resident
-        | _ -> ())
+        let a = page t ~pid:owner ~vpn in
+        let st = a.(vpn) in
+        let tag = tag_of st in
+        if tag = freed then begin
+          let site = site_of st in
+          if site <> Trace.no_site then begin
+            let s = site_stats t site in
+            s.rel_reused <- s.rel_reused + 1;
+            t.useful_releases <- t.useful_releases + 1
+          end;
+          a.(vpn) <- state gone site
+        end
+        else if tag = freed_daemon then a.(vpn) <- not_resident
     (* ---- cross-tier transitions (tiered backing store) ---- *)
     | Tier_demote _ -> t.tier_demotions <- t.tier_demotions + 1
     | Tier_fetch _ -> t.tier_fetches <- t.tier_fetches + 1
@@ -407,72 +431,38 @@ type summary = {
    taxonomy residue.  Charges go to a copy of the site table so [summarize]
    is safe to call more than once (it never mutates the live ledger). *)
 let summarize t =
-  let final = Itbl.create (max 1 (Itbl.length t.sites)) in
-  Itbl.iter
-    (fun site s ->
-      Itbl.replace final site
-        {
-          s with
-          pf_sent = s.pf_sent (* force a copy of the mutable record *);
-        })
-    t.sites;
-  let final_stats site =
-    match Itbl.find_opt final site with
-    | Some s -> s
-    | None ->
-        let s =
-          {
-            pf_sent = 0;
-            pf_issued = 0;
-            pf_dropped = 0;
-            pf_raced = 0;
-            pf_done = 0;
-            pf_referenced = 0;
-            pf_useless = 0;
-            pf_late = 0;
-            pf_saved_ns = 0;
-            rel_hints = 0;
-            rel_filtered = 0;
-            rel_buffered = 0;
-            rel_stale = 0;
-            rel_sent = 0;
-            rel_skipped = 0;
-            rel_freed = 0;
-            rel_rescued = 0;
-            rel_refaulted = 0;
-            rel_reused = 0;
-            rel_unreclaimed = 0;
-            priority_sum = 0;
-            priority_n = 0;
-          }
-        in
-        Itbl.add final site s;
-        s
+  let final =
+    Array.map
+      (fun s -> if s == no_row then s else { s with pf_sent = s.pf_sent })
+      t.sites
   in
   let useless = ref t.useless_prefetches in
   let unnecessary = ref 0 in
-  Itbl.iter
-    (fun _ p ->
-      match p.st with
-      | Prefetched { site; _ } ->
-          let s = final_stats site in
-          s.pf_useless <- s.pf_useless + 1;
-          incr useless
-      | Freed site ->
-          (* never rescued, never refaulted, never reused: the free did no
-             work for anybody *)
-          if site <> Trace.no_site then begin
-            let s = final_stats site in
-            s.rel_unreclaimed <- s.rel_unreclaimed + 1
-          end;
-          incr unnecessary
-      | _ -> ())
-    t.pages;
-  let rows =
-    Itbl.fold
-      (fun site s acc ->
+  Array.iter
+    (Array.iter (fun st ->
+         let tag = tag_of st and site = site_of st in
+         if tag = prefetched then begin
+           let s = final.(site + 1) in
+           s.pf_useless <- s.pf_useless + 1;
+           incr useless
+         end
+         else if tag = freed then begin
+           (* never rescued, never refaulted, never reused: the free did no
+              work for anybody *)
+           if site <> Trace.no_site then begin
+             let s = final.(site + 1) in
+             s.rel_unreclaimed <- s.rel_unreclaimed + 1
+           end;
+           incr unnecessary
+         end))
+    t.states;
+  let rows = ref [] in
+  for i = Array.length final - 1 downto 0 do
+    let s = final.(i) in
+    if s != no_row then
+      rows :=
         {
-          sr_site = site;
+          sr_site = i - 1;
           sr_pf_sent = s.pf_sent;
           sr_pf_issued = s.pf_issued;
           sr_pf_dropped = s.pf_dropped;
@@ -503,13 +493,11 @@ let summarize t =
                *. float_of_int (s.rel_rescued + s.rel_refaulted)
                /. float_of_int s.rel_freed);
         }
-        :: acc)
-      final []
-    |> List.sort (fun a b -> compare a.sr_site b.sr_site)
-  in
+        :: !rows
+  done;
   {
-    ls_sites = rows;
-    ls_pages_tracked = Itbl.length t.pages;
+    ls_sites = !rows;
+    ls_pages_tracked = t.pages_tracked;
     ls_useless_prefetches = !useless;
     ls_late_prefetches = t.late_prefetches;
     ls_early_rescued = t.early_rescued;

@@ -1,8 +1,9 @@
 (** Per-page lifecycle ledger with causal attribution to directive sites.
 
-    The ledger consumes the same typed events {!Trace} records, fed directly
-    at the emit point (never by replaying the ring, so ring overflow cannot
-    truncate it).  It tracks a lifecycle state machine per (owner pid, vpn) —
+    The ledger consumes the same typed events {!Trace} records, fed to it by
+    the observation bus ({!Obs.emit}) at the emit point — never by
+    replaying the ring, so ring overflow cannot truncate it.  It tracks a
+    lifecycle state machine per (owner pid, vpn) —
     prefetch-sent → in-flight → resident(prefetched) → referenced →
     release-sent → freed → rescued / refaulted / reused — and charges every
     transition to the static directive site ({!Memhog_compiler.Pir.directive}
@@ -16,6 +17,12 @@
       page was rescued off the free list, expensive when it hard-refaulted;
     - {e unnecessary release}: freed but never reclaimed under pressure
       (the frame was never reused and the page never touched again).
+
+    Page states are ints in per-process arrays indexed by vpn, and the
+    per-site tallies sit in an array indexed by site, so {!observe} does no
+    hashing and allocates only when an array grows.  Pids and vpns are
+    dense from 0 (address spaces number their pages from 0); sites are
+    {!Trace.no_site} or a directive tag.
 
     Driven only by simulated-time events inside one experiment cell, with
     sorted summary tables, so the output is byte-identical at any [--jobs]. *)
@@ -41,8 +48,10 @@ val early_rescues : t -> int
 val observe : t -> time:Time_ns.t -> stream:int -> Trace.event -> unit
 (** Feed one event.  [stream] follows the {!Trace.emit} convention: the
     acting process's pid for application-stream events; daemon-side events
-    carry the owning pid in the event payload.  Total: never raises, for any
-    event interleaving (see {!invariants_ok}). *)
+    carry the owning pid in the event payload.  Any interleaving of
+    well-formed events is legal (see {!invariants_ok}).
+    @raise Invalid_argument when the event names a page by a negative pid
+    or vpn, or carries a site below {!Trace.no_site}. *)
 
 (** One row of the per-directive-site efficacy table. *)
 type site_row = {

@@ -1,4 +1,7 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* xoshiro256**'s four 64-bit state words live unboxed in 32 bytes, read
+   and written with [Bytes.get_int64_ne]/[set_int64_ne]: a draw stores no
+   boxed [int64] and so allocates nothing. *)
+type t = Bytes.t
 
 (* splitmix64, used only to expand a seed into the xoshiro state. *)
 let splitmix64 state =
@@ -11,31 +14,43 @@ let splitmix64 state =
 
 let create ~seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_ne t (8 * i) (splitmix64 state)
+  done;
+  t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+(* One xoshiro256** step: advance the state and return the step's output
+   shifted right by [shift] bits, truncated to a native int.  Every draw
+   but [bits64] goes through here, so the output never leaves registers. *)
+let next t shift =
+  let open Int64 in
+  let s0 = Bytes.get_int64_ne t 0 in
+  let s1 = Bytes.get_int64_ne t 8 in
+  let s2 = Bytes.get_int64_ne t 16 in
+  let s3 = Bytes.get_int64_ne t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1' = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  Bytes.set_int64_ne t 0 s0;
+  Bytes.set_int64_ne t 8 s1';
+  Bytes.set_int64_ne t 16 (logxor s2 (shift_left s1 17));
+  Bytes.set_int64_ne t 24 (rotl s3 45);
+  to_int (shift_right_logical result shift)
 
 let bits64 t =
-  let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
-  result
+  (* The output is a function of [s1] alone, read before the step. *)
+  let s1 = Bytes.get_int64_ne t 8 in
+  ignore (next t 0);
+  Int64.mul (rotl (Int64.mul s1 5L) 7) 9L
 
-let split t =
-  let seed = Int64.to_int (bits64 t) in
-  create ~seed
-
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let split t = create ~seed:(next t 0)
+let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -48,17 +63,20 @@ let int t bound =
      native int, so the 62-bit limit computation would wrap negative and
      reject every draw. *)
   let limit = 0x2000000000000000 (* 2^61 *) / bound * bound in
-  let rec draw () =
-    let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 3) in
-    if v >= limit then draw () else v mod bound
-  in
-  draw ()
+  let v = ref (next t 3) in
+  while !v >= limit do
+    v := next t 3
+  done;
+  !v mod bound
 
+(* 53 bits fit a native int exactly, so converting through [int] is the
+   same value [Int64.to_float] gave. *)
 let float t bound =
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+  let v = float_of_int (next t 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+(* Bit 0 of the output survives the truncation to a native int. *)
+let bool t = next t 0 land 1 = 1
 
 let exponential t ~mean =
   if not (mean > 0.0) then invalid_arg "Rng.exponential: mean must be positive";

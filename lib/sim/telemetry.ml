@@ -52,7 +52,7 @@ type alert = {
 type t = {
   tl_enabled : bool;
   tl_capacity : int;
-  tl_trace : Trace.t;
+  tl_obs : Obs.t;
   tl_index : (string, series) Hashtbl.t;
   mutable tl_series : series list;  (* reverse registration order *)
   mutable tl_rules : rule list;  (* reverse registration order *)
@@ -61,12 +61,12 @@ type t = {
   mutable tl_alerts : alert list;  (* reverse chronological *)
 }
 
-let create ?(capacity = 720) ?(trace = Trace.null) () =
+let create ?(capacity = 720) ?(obs = Obs.null) () =
   if capacity < 1 then invalid_arg "Telemetry.create: capacity must be >= 1";
   {
     tl_enabled = true;
     tl_capacity = capacity;
-    tl_trace = trace;
+    tl_obs = obs;
     tl_index = Hashtbl.create 32;
     tl_series = [];
     tl_rules = [];
@@ -79,7 +79,7 @@ let null =
   {
     tl_enabled = false;
     tl_capacity = 1;
-    tl_trace = Trace.null;
+    tl_obs = Obs.null;
     tl_index = Hashtbl.create 1;
     tl_series = [];
     tl_rules = [];
@@ -199,7 +199,7 @@ let window_signal s ~window ~denom = function
   | Window_mean | Window_min | Window_max as sig_ ->
       if s.r_len = 0 then 0.0
       else begin
-        let first = max 0 (s.r_len - window) in
+        let first = Int.max 0 (s.r_len - window) in
         let n = s.r_len - first in
         let acc = ref (ring_value s first) in
         for i = first + 1 to s.r_len - 1 do
@@ -207,8 +207,8 @@ let window_signal s ~window ~denom = function
           acc :=
             (match sig_ with
             | Window_mean -> !acc +. v
-            | Window_min -> min !acc v
-            | Window_max -> max !acc v
+            | Window_min -> Stdlib.min !acc v
+            | Window_max -> Stdlib.max !acc v
             | _ -> assert false)
         done;
         if sig_ = Window_mean then !acc /. float_of_int n else !acc
@@ -216,7 +216,7 @@ let window_signal s ~window ~denom = function
   | Window_rate ->
       if s.r_len < 2 then 0.0
       else
-        let first = max 0 (s.r_len - 1 - window) in
+        let first = Int.max 0 (s.r_len - 1 - window) in
         ring_value s (s.r_len - 1) -. ring_value s first
   | Window_ratio _ -> (
       match denom with
@@ -225,7 +225,7 @@ let window_signal s ~window ~denom = function
           let delta se =
             if se.r_len < 2 then 0.0
             else
-              let first = max 0 (se.r_len - 1 - window) in
+              let first = Int.max 0 (se.r_len - 1 - window) in
               ring_value se (se.r_len - 1) -. ring_value se first
           in
           let dd = delta d in
@@ -250,9 +250,9 @@ let eval_rule t ~time r =
     t.tl_alerts <-
       { al_time = time; al_rule = r.ru_name; al_fired = fired; al_value = v }
       :: t.tl_alerts;
-    if Trace.enabled t.tl_trace then begin
+    if Obs.on t.tl_obs then begin
       let value_ppm = int_of_float (Float.round (v *. 1e6)) in
-      Trace.emit t.tl_trace ~time ~stream:Trace.telemetry_stream
+      Obs.emit t.tl_obs ~time ~stream:Trace.telemetry_stream
         (if fired then Trace.Alert_fire { rule = r.ru_name; value_ppm }
          else Trace.Alert_clear { rule = r.ru_name; value_ppm })
     end
@@ -344,14 +344,14 @@ let sparkline_of ?(width = 60) samples =
   | [] -> "(no samples)"
   | (t0, v0) :: _ ->
       let t1, _ = List.nth samples (List.length samples - 1) in
-      let span = max 1 (t1 - t0) in
+      let span = Int.max 1 (t1 - t0) in
       (* average the samples landing in each bucket; carry the previous
          level across empty buckets *)
       let sums = Array.make width 0.0 and counts = Array.make width 0 in
       let lo = ref v0 and hi = ref v0 in
       List.iter
         (fun (time, v) ->
-          let b = min (width - 1) ((time - t0) * width / span) in
+          let b = Int.min (width - 1) ((time - t0) * width / span) in
           sums.(b) <- sums.(b) +. v;
           counts.(b) <- counts.(b) + 1;
           if v < !lo then lo := v;
@@ -364,7 +364,7 @@ let sparkline_of ?(width = 60) samples =
       for b = 0 to width - 1 do
         if counts.(b) > 0 then level := sums.(b) /. float_of_int counts.(b);
         let g = 1 + int_of_float (7.99 *. (!level -. lo) /. range) in
-        Buffer.add_string buf glyphs.(max 1 (min 8 g))
+        Buffer.add_string buf glyphs.(Int.max 1 (Int.min 8 g))
       done;
       Buffer.contents buf
 

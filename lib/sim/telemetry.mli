@@ -14,8 +14,9 @@
     {e inactive} only when it crosses the (strictly separated) clear
     threshold — a signal oscillating strictly between the two thresholds
     never chatters.  Every transition is appended to the alert timeline and
-    emitted as a typed {!Trace} event ([Alert_fire] / [Alert_clear] on
-    {!Trace.telemetry_stream}), so alerts land in the Chrome trace.
+    emitted on the observation bus ({!Obs}) as a typed {!Trace} event
+    ([Alert_fire] / [Alert_clear] on {!Trace.telemetry_stream}), so alerts
+    land in the Chrome trace.
 
     Exporters: OpenMetrics text exposition ({!to_openmetrics}), per-series
     CSV ({!to_csv}), alert-timeline CSV ({!alerts_csv}), and unicode
@@ -23,12 +24,12 @@
 
 type t
 
-val create : ?capacity:int -> ?trace:Trace.t -> unit -> t
+val create : ?capacity:int -> ?obs:Obs.t -> unit -> t
 (** A live registry.  [capacity] (default 720) is the per-series retained
     ring size — at the harness's 100 ms scrape cadence, 72 s of history.
     All-time aggregates (count/last/min/max/mean) are exact regardless of
-    what the ring has dropped.  [trace] (default {!Trace.null}) receives
-    alert fire/clear events. *)
+    what the ring has dropped.  Alert fire/clear events are emitted on
+    [obs] (default {!Obs.null}). *)
 
 val null : t
 (** The disabled registry: {!register_gauge}, {!register_counter},

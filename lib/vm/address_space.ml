@@ -109,7 +109,7 @@ let add_segment t ~name ~npages ~swap_base ~on_swap =
   (* Amortized O(1) append; [base_vpn] is monotonically increasing, so the
      array stays sorted by construction. *)
   if t.nsegs = Array.length t.seg_arr then begin
-    let cap = max 8 (2 * Array.length t.seg_arr) in
+    let cap = Int.max 8 (2 * Array.length t.seg_arr) in
     let arr = Array.make cap dummy_segment in
     Array.blit t.seg_arr 0 arr 0 t.nsegs;
     t.seg_arr <- arr

@@ -62,8 +62,8 @@ let scaled ?(factor = 4) cfg =
     total_frames = cfg.total_frames / factor;
     (* keep enough free-list headroom for the prefetch pipeline even on
        small machines *)
-    min_freemem = max 16 (cfg.min_freemem / factor);
-    desfree = max 96 (cfg.desfree / factor);
+    min_freemem = Int.max 16 (cfg.min_freemem / factor);
+    desfree = Int.max 96 (cfg.desfree / factor);
     maxrss = (if cfg.maxrss = max_int then max_int else cfg.maxrss / factor);
   }
 

@@ -35,24 +35,26 @@ type prefetch_result =
 val create :
   ?swap_config:Memhog_disk.Swap.config ->
   ?tiers:Tiers.spec ->
-  ?trace:Memhog_sim.Trace.t ->
-  ?ledger:Memhog_sim.Ledger.t ->
+  ?obs:Memhog_sim.Obs.t ->
   ?chaos:Memhog_sim.Chaos.t ->
-  ?reqtrace:Memhog_sim.Reqtrace.t ->
   config:Config.t ->
   engine:Memhog_sim.Engine.t ->
   unit ->
   t
 (** Build the kernel state and spawn the paging daemon and releaser daemon
-    processes.  [trace] (default {!Memhog_sim.Trace.null}) receives kernel
-    events: faults, prefetch outcomes, daemon steals and invalidations,
-    releaser frees and skips, writeback completions, and free-list depth
-    samples at each daemon tick.
+    processes.
 
-    [ledger] (default {!Memhog_sim.Ledger.null}) receives the same events
-    directly at the emit point — independent of the trace ring's capacity —
-    and folds them into the per-page lifecycle state machine and the
-    per-directive-site efficacy table.
+    [obs] (default {!Memhog_sim.Obs.null}) is the observation bus, handed
+    to every swap disk and the tier router too.  Kernel events go on it:
+    faults, prefetch outcomes, daemon steals and invalidations, releaser
+    frees and skips, writeback completions, and free-list depth samples at
+    each daemon tick.  The bus feeds them to its trace ring and its
+    page-lifecycle ledger (which folds them into the per-page state
+    machine and the per-directive-site efficacy table).  Its per-request
+    blame layer is called directly, keyed by the faulting fiber's pid:
+    the fault path reports in-transit waits, every completed prefetch
+    reports its I/O span (for slack accounting), and the disks report
+    demand arm-queue and service attribution.
 
     [chaos] (default {!Memhog_sim.Chaos.none}) is the fault-injection plan:
     it is handed to every swap disk (transient errors and latency spikes),
@@ -63,13 +65,6 @@ val create :
     that grabs free frames at the planned times and holds them, slamming
     [tot_freemem] through Equation 1.
 
-    [reqtrace] (default {!Memhog_sim.Reqtrace.null}) is the per-request
-    blame layer: it is handed to every swap disk (demand arm-queue and
-    service attribution), observes [Prefetch_done] events at the emit
-    point (prefetch I/O spans for slack accounting), and is fed
-    in-transit wait intervals from the fault path — all keyed by the
-    faulting fiber's pid.
-
     [tiers] (default absent) installs a {!Tiers} router over the swap
     volume: released pages gain fast-tier copies (far memory, compressed
     RAM) routed by their Eq. 2 priorities, and page reads go to wherever
@@ -79,29 +74,14 @@ val create :
 val config : t -> Config.t
 val engine : t -> Memhog_sim.Engine.t
 
-val trace : t -> Memhog_sim.Trace.t
-(** The event trace this kernel emits into ({!Memhog_sim.Trace.null} when
-    tracing was not requested); upper layers reuse it for their own
-    events. *)
-
-val tracing : t -> bool
-(** True when any observer is on: the trace ring, the lifecycle ledger or
-    the per-request blame layer.  Emit sites guard with it so disabled
-    observation builds no event values on the hot path. *)
-
-val emit : t -> stream:int -> Memhog_sim.Trace.event -> unit
-(** Hand one event, stamped with the engine's current time, to every
-    observer in turn: the trace ring, the lifecycle ledger ({!create}'s
-    [ledger]) and the per-request blame layer.  Upper layers emit their
-    own events through it, on their process's stream. *)
+val obs : t -> Memhog_sim.Obs.t
+(** The observation bus this kernel emits on ({!Memhog_sim.Obs.null} when
+    none was given).  Upper layers emit their own events on it, on their
+    process's stream; the open-loop server drives request lifecycles on
+    its blame layer. *)
 
 val chaos : t -> Memhog_sim.Chaos.t
 (** The active fault plan ({!Memhog_sim.Chaos.none} when not injecting). *)
-
-val reqtrace : t -> Memhog_sim.Reqtrace.t
-(** The per-request blame layer this kernel feeds
-    ({!Memhog_sim.Reqtrace.null} when not requested); the open-loop
-    server drives request lifecycles on it. *)
 
 val swap : t -> Memhog_disk.Swap.t
 

@@ -244,15 +244,14 @@ type t = {
   mutable far_failovers : int;
   mutable zram_failovers : int;
   mutable rescues : int;
-  emit : Trace.event -> unit;
+  obs : Obs.t;
 }
 
-let create ?(emit = fun _ -> ()) ?chaos ?trace ~engine ~page_bytes ~swap spec
-    () =
+let create ?(obs = Obs.null) ?chaos ~engine ~page_bytes ~swap spec () =
   let far =
     Option.map
       (fun params ->
-        Farmem.create ~params ?chaos ?trace ~trace_id:tier_far ~engine
+        Farmem.create ~params ?chaos ~obs ~trace_id:tier_far ~engine
           ~page_bytes ())
       spec.sp_far
   in
@@ -278,8 +277,13 @@ let create ?(emit = fun _ -> ()) ?chaos ?trace ~engine ~page_bytes ~swap spec
     far_failovers = 0;
     zram_failovers = 0;
     rescues = 0;
-    emit;
+    obs;
   }
+
+(* Tier events go on the tier stream, stamped with the engine's clock.
+   Callers guard with [Obs.on] so a disabled bus builds no event. *)
+let emit t ev =
+  Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.tier_stream ev
 
 let far_open t = t.far <> None && t.breaker.b_state = Open
 let rescues t = t.rescues
@@ -297,13 +301,14 @@ let transition t ~to_ =
     let from = b.b_state in
     b.b_state <- to_;
     b.b_transitions <- b.b_transitions + 1;
-    t.emit
-      (Trace.Breaker_transition
-         {
-           tier = tier_far;
-           state_from = state_code from;
-           state_to = state_code to_;
-         })
+    if Obs.on t.obs then
+      emit t
+        (Trace.Breaker_transition
+           {
+             tier = tier_far;
+             state_from = state_code from;
+             state_to = state_code to_;
+           })
   end
 
 (* Admission control for the far tier.  While open, requests are refused
@@ -339,7 +344,7 @@ let record t ~now ~probe ~ok =
       transition t ~to_:Closed
     end
     else begin
-      b.b_hold <- min (b.b_hold * 2) t.route.r_hold_cap;
+      b.b_hold <- Int.min (b.b_hold * 2) t.route.r_hold_cap;
       b.b_since <- now;
       transition t ~to_:Open
     end
@@ -368,8 +373,10 @@ let place_far t fm ~page =
   match admit t ~now with
   | A_no ->
       t.far_failovers <- t.far_failovers + 1;
-      t.emit
-        (Trace.Tier_failover { page; tier_from = tier_far; tier_to = tier_disk });
+      if Obs.on t.obs then
+        emit t
+          (Trace.Tier_failover
+             { page; tier_from = tier_far; tier_to = tier_disk });
       false
   | (A_normal | A_probe) as a ->
       let ok =
@@ -380,9 +387,10 @@ let place_far t fm ~page =
       record t ~now:(Engine.now ()) ~probe:(a = A_probe) ~ok;
       if not ok then begin
         t.far_failovers <- t.far_failovers + 1;
-        t.emit
-          (Trace.Tier_failover
-             { page; tier_from = tier_far; tier_to = tier_disk })
+        if Obs.on t.obs then
+          emit t
+            (Trace.Tier_failover
+               { page; tier_from = tier_far; tier_to = tier_disk })
       end;
       ok
 
@@ -391,9 +399,10 @@ let place_zram t z ~page ~site =
   | Backend.W_ok _ -> true
   | Backend.W_rejected _ ->
       t.zram_failovers <- t.zram_failovers + 1;
-      t.emit
-        (Trace.Tier_failover
-           { page; tier_from = tier_zram; tier_to = tier_disk });
+      if Obs.on t.obs then
+        emit t
+          (Trace.Tier_failover
+             { page; tier_from = tier_zram; tier_to = tier_disk });
       false
 
 (* The durable copy is already on local swap (the caller's write-back is
@@ -418,7 +427,7 @@ let demote t ~page ~pid ~vpn ~site ~priority =
       if placed then begin
         Hashtbl.replace t.locs page
           { l_tier = tier; l_pid = pid; l_vpn = vpn; l_site = site };
-        t.emit (Trace.Tier_demote { page; tier; site })
+        if Obs.on t.obs then emit t (Trace.Tier_demote { page; tier; site })
       end
 
 (* ------------------------------------------------------------------ *)
@@ -432,7 +441,7 @@ let rescue t ~cat ~background ~page ~site =
   Hashtbl.remove t.locs page;
   Swap.read_page ~cat ~background t.swap ~page;
   t.rescues <- t.rescues + 1;
-  t.emit (Trace.Tier_rescue { page; site })
+  if Obs.on t.obs then emit t (Trace.Tier_rescue { page; site })
 
 let fetch_far t fm ~cat ~background ~page ~site =
   let now = Engine.now () in
@@ -444,7 +453,7 @@ let fetch_far t fm ~cat ~background ~page ~site =
       record t ~now:(Engine.now ()) ~probe:(a = A_probe) ~ok;
       if ok then begin
         Hashtbl.remove t.locs page;
-        t.emit (Trace.Tier_fetch { page; tier = tier_far })
+        if Obs.on t.obs then emit t (Trace.Tier_fetch { page; tier = tier_far })
       end
       else rescue t ~cat ~background ~page ~site)
 
@@ -452,7 +461,7 @@ let fetch_zram t z ~cat ~background ~page ~site =
   match Zram.read_page ~cat ~background z ~page with
   | Backend.R_ok _ ->
       Hashtbl.remove t.locs page;
-      t.emit (Trace.Tier_fetch { page; tier = tier_zram })
+      if Obs.on t.obs then emit t (Trace.Tier_fetch { page; tier = tier_zram })
   | Backend.R_failed _ ->
       (* location map said zram: only reachable if the copy vanished, which
          the invariants rule out — but recover anyway rather than trust. *)

@@ -70,18 +70,18 @@ val spec_of_string_exn : string -> spec
 type t
 
 val create :
-  ?emit:(Trace.event -> unit) ->
+  ?obs:Obs.t ->
   ?chaos:Chaos.t ->
-  ?trace:Trace.t ->
   engine:Engine.t ->
   page_bytes:int ->
   swap:Swap.t ->
   spec ->
   unit ->
   t
-(** [emit] receives every tier event ({!Trace.Tier_demote} … and
-    {!Trace.Breaker_transition}); the owner routes them to its observers.
-    [chaos]/[trace] are handed to the far tier for its own fault hooks. *)
+(** Every tier event ({!Trace.Tier_demote} … and
+    {!Trace.Breaker_transition}) is emitted on [obs] (default {!Obs.null}),
+    on {!Trace.tier_stream}.  [chaos] and [obs] are handed to the far tier
+    for its own fault hooks. *)
 
 val demote : t -> page:int -> pid:int -> vpn:int -> site:int ->
   priority:int option -> unit

@@ -141,6 +141,153 @@ let prop_rng_float_range =
       let v = Rng.float r bound in
       v >= 0.0 && v < bound)
 
+(* The boxed-[int64] xoshiro256** that [Rng] replaced, kept as the
+   reference model: the unboxed state must reproduce its streams bit for
+   bit, or every seeded run (and every baseline) would move. *)
+module Rng_ref = struct
+  type t = {
+    mutable s0 : int64;
+    mutable s1 : int64;
+    mutable s2 : int64;
+    mutable s3 : int64;
+  }
+
+  let splitmix64 state =
+    let open Int64 in
+    state := add !state 0x9E3779B97F4A7C15L;
+    let z = !state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let create ~seed =
+    let state = ref (Int64.of_int seed) in
+    let s0 = splitmix64 state in
+    let s1 = splitmix64 state in
+    let s2 = splitmix64 state in
+    let s3 = splitmix64 state in
+    { s0; s1; s2; s3 }
+
+  let rotl x k =
+    Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+  let bits64 t =
+    let open Int64 in
+    let result = mul (rotl (mul t.s1 5L) 7) 9L in
+    let tmp = shift_left t.s1 17 in
+    t.s2 <- logxor t.s2 t.s0;
+    t.s3 <- logxor t.s3 t.s1;
+    t.s1 <- logxor t.s1 t.s2;
+    t.s0 <- logxor t.s0 t.s3;
+    t.s2 <- logxor t.s2 tmp;
+    t.s3 <- rotl t.s3 45;
+    result
+
+  let split t = create ~seed:(Int64.to_int (bits64 t))
+  let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+
+  let int t bound =
+    if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
+    let limit = 0x2000000000000000 / bound * bound in
+    let rec draw () =
+      let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 3) in
+      if v >= limit then draw () else v mod bound
+    in
+    draw ()
+
+  let float t bound =
+    let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+    bound *. (v /. 9007199254740992.0)
+
+  let bool t = Int64.logand (bits64 t) 1L = 1L
+
+  let exponential t ~mean = -.mean *. Float.log1p (-.float t 1.0)
+
+  let zipf_create ~n ~theta =
+    let cdf = Array.make n 0.0 in
+    let acc = ref 0.0 in
+    for i = 0 to n - 1 do
+      let r = float_of_int (i + 1) in
+      let w = if theta = 1.0 then 1.0 /. r else r ** -.theta in
+      acc := !acc +. w;
+      cdf.(i) <- !acc
+    done;
+    let total = !acc in
+    for i = 0 to n - 1 do
+      cdf.(i) <- cdf.(i) /. total
+    done;
+    cdf.(n - 1) <- 1.0;
+    cdf
+
+  let zipf t cdf =
+    let u = float t 1.0 in
+    let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cdf.(mid) > u then hi := mid else lo := mid + 1
+    done;
+    !lo
+
+  let shuffle_in_place t arr =
+    for i = Array.length arr - 1 downto 1 do
+      let j = int t (i + 1) in
+      let tmp = arr.(i) in
+      arr.(i) <- arr.(j);
+      arr.(j) <- tmp
+    done
+end
+
+(* Drive [Rng] and the reference through the same random program of
+   draws from the same seed; every output must agree.  [split] and [copy]
+   fork both streams, and the forks are drawn from too. *)
+let prop_rng_matches_reference =
+  let op =
+    QCheck.Gen.(
+      pair (int_bound 9) (pair (int_range 1 1_000_000) (float_range 0.0 3.0)))
+  in
+  QCheck.Test.make ~name:"Rng streams equal the boxed reference" ~count:300
+    QCheck.(
+      pair int (make ~print:(fun l -> string_of_int (List.length l))
+                  Gen.(list_size (1 -- 200) op)))
+    (fun (seed, ops) ->
+      let r = ref (Rng.create ~seed) and m = ref (Rng_ref.create ~seed) in
+      List.for_all
+        (fun (k, (bound, theta)) ->
+          match k with
+          | 0 -> Rng.int !r bound = Rng_ref.int !m bound
+          | 1 ->
+              Int64.equal
+                (Int64.bits_of_float (Rng.float !r 3.5))
+                (Int64.bits_of_float (Rng_ref.float !m 3.5))
+          | 2 -> Rng.bool !r = Rng_ref.bool !m
+          | 3 -> Int64.equal (Rng.bits64 !r) (Rng_ref.bits64 !m)
+          | 4 ->
+              r := Rng.split !r;
+              m := Rng_ref.split !m;
+              Int64.equal (Rng.bits64 !r) (Rng_ref.bits64 !m)
+          | 5 ->
+              (* Draw from the copy, then check the original was left
+                 where it was. *)
+              let rc = Rng.copy !r and mc = Rng_ref.copy !m in
+              Rng.int rc bound = Rng_ref.int mc bound
+              && Int64.equal (Rng.bits64 !r) (Rng_ref.bits64 !m)
+          | 6 ->
+              let mean = float_of_int bound in
+              Int64.equal
+                (Int64.bits_of_float (Rng.exponential !r ~mean))
+                (Int64.bits_of_float (Rng_ref.exponential !m ~mean))
+          | 7 ->
+              let n = 1 + (bound mod 500) in
+              Rng.zipf !r (Rng.zipf_create ~n ~theta)
+              = Rng_ref.zipf !m (Rng_ref.zipf_create ~n ~theta)
+          | _ ->
+              let a = Array.init (bound mod 64) Fun.id in
+              let b = Array.copy a in
+              Rng.shuffle_in_place !r a;
+              Rng_ref.shuffle_in_place !m b;
+              a = b)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Samplers: Rng.int uniformity, exponential, zipf                     *)
 (* ------------------------------------------------------------------ *)
@@ -975,6 +1122,7 @@ let () =
           prop_heap_sorts;
           prop_rng_float_range;
           prop_rng_int_range;
+          prop_rng_matches_reference;
           prop_exponential_positive;
           prop_zipf_in_range;
           prop_engine_deterministic;

@@ -6,6 +6,7 @@
 
 module Telemetry = Memhog_sim.Telemetry
 module Trace = Memhog_sim.Trace
+module Obs = Memhog_sim.Obs
 module E = Memhog_core.Experiment
 module Machine = Memhog_core.Machine
 module Metrics = Memhog_core.Metrics
@@ -18,8 +19,8 @@ let check_str = Alcotest.(check string)
 
 (* One gauge driven through a ref, scraped once per value at times
    0, 100, 200, ... *)
-let scrape_values ?capacity ?trace values =
-  let tl = Telemetry.create ?capacity ?trace () in
+let scrape_values ?capacity values =
+  let tl = Telemetry.create ?capacity () in
   let v = ref 0.0 in
   Telemetry.register_gauge tl ~name:"x" (fun () -> !v);
   List.iteri
@@ -105,7 +106,7 @@ let prop_no_chatter_between_thresholds =
 
 let test_hysteresis_cycle () =
   let trace = Trace.create () in
-  let tl = Telemetry.create ~trace () in
+  let tl = Telemetry.create ~obs:(Obs.create ~trace ()) () in
   let v = ref 0.0 in
   Telemetry.register_gauge tl ~name:"x" (fun () -> !v);
   Telemetry.add_rule tl ~name:"r" ~series:"x" ~signal:Telemetry.Last
@@ -189,7 +190,7 @@ let test_window_ratio_burn_rate () =
 
 let test_openmetrics_well_formed () =
   let trace = Trace.create () in
-  let tl = Telemetry.create ~trace () in
+  let tl = Telemetry.create ~obs:(Obs.create ~trace ()) () in
   let v = ref 0.0 in
   Telemetry.register_gauge tl ~help:"free frames" ~name:"free" (fun () -> !v);
   Telemetry.register_counter tl ~name:"hard-faults" (fun () -> !v *. 2.0);

@@ -47,12 +47,22 @@ let test_disabled_traces_record_nothing () =
   Trace.emit Trace.null ~time:Time_ns.zero ~stream:0 (Trace.Soft_fault { vpn = 1 });
   check_bool "null disabled" false (Trace.enabled Trace.null);
   check_int "null stays empty" 0 (Trace.length Trace.null);
-  let t = Trace.create ~capacity:8 ~enabled:false () in
+  let t = Trace.create ~capacity:0 () in
   Trace.emit t ~time:Time_ns.zero ~stream:0 (Trace.Soft_fault { vpn = 1 });
+  check_bool "capacity 0 is disabled" false (Trace.enabled t);
   check_int "disabled trace stays empty" 0 (Trace.length t);
-  Trace.set_enabled t true;
-  Trace.emit t ~time:Time_ns.zero ~stream:0 (Trace.Soft_fault { vpn = 1 });
-  check_int "recording after enable" 1 (Trace.length t)
+  check_int "nothing dropped" 0 (Trace.dropped t);
+  (* The bus is off exactly when neither event sink is on. *)
+  check_bool "null bus off" false (Obs.on Obs.null);
+  check_bool "bus over a disabled ring off" false
+    (Obs.on (Obs.create ~trace:t ~reqtrace:(Reqtrace.create ~seed:1 ()) ()));
+  let ring = Trace.create ~capacity:8 () in
+  let obs = Obs.create ~trace:ring () in
+  check_bool "ring turns the bus on" true (Obs.on obs);
+  check_bool "ledger turns the bus on" true
+    (Obs.on (Obs.create ~ledger:(Ledger.create ()) ()));
+  Obs.emit obs ~time:Time_ns.zero ~stream:0 (Trace.Soft_fault { vpn = 1 });
+  check_int "bus feeds the ring" 1 (Trace.length ring)
 
 let test_stream_names_and_tallies () =
   let t = Trace.create ~capacity:16 () in
@@ -81,6 +91,96 @@ let test_event_names_and_args () =
   check_string "phase name" "phase_begin"
     (Trace.event_name (Trace.Phase_begin { name = "main" }))
 
+(* Reference model of the ring: the list of every emitted (time, stream,
+   event) triple.  Whatever is emitted — any of the 45 constructors,
+   string payloads (fresh copies as well as shared literals), [no_site],
+   negative streams — [iter] must give back exactly the last [capacity]
+   triples, oldest first, and [dropped] the overflow. *)
+let event_gen =
+  let open QCheck.Gen in
+  let i = oneof [ int_range (-1) 9; int_range (-1_000_000) 1_000_000_000 ] in
+  let str = oneof [ return "bitmap"; return "same"; string_size ~gen:printable (0 -- 6) ] in
+  let ev =
+    [
+      map (fun vpn -> Trace.Hard_fault { vpn }) i;
+      map (fun vpn -> Trace.Soft_fault { vpn }) i;
+      map (fun vpn -> Trace.Validation_fault { vpn }) i;
+      map (fun vpn -> Trace.Zero_fill { vpn }) i;
+      map3 (fun vpn for_prefetch site -> Trace.Rescue { vpn; for_prefetch; site }) i bool i;
+      map2 (fun vpn site -> Trace.Prefetch_issued { vpn; site }) i i;
+      map2 (fun vpn site -> Trace.Prefetch_dropped { vpn; site }) i i;
+      map2 (fun vpn site -> Trace.Prefetch_raced { vpn; site }) i i;
+      map3 (fun vpn site ns -> Trace.Prefetch_done { vpn; site; ns }) i i i;
+      map2 (fun vpn owner -> Trace.Daemon_steal { vpn; owner }) i i;
+      map2 (fun vpn owner -> Trace.Daemon_invalidate { vpn; owner }) i i;
+      map3 (fun vpn owner site -> Trace.Releaser_free { vpn; owner; site }) i i i;
+      map2 (fun owner count -> Trace.Release_requested { owner; count }) i i;
+      map3 (fun vpn owner site -> Trace.Release_skipped { vpn; owner; site }) i i i;
+      map2 (fun vpn owner -> Trace.Writeback_complete { vpn; owner }) i i;
+      map2 (fun vpn owner -> Trace.Frame_reused { vpn; owner }) i i;
+      map2 (fun vpn site -> Trace.Rt_prefetch_sent { vpn; site }) i i;
+      map3 (fun vpn site priority -> Trace.Rt_release_hint { vpn; site; priority }) i i i;
+      map2 (fun vpn site -> Trace.Rt_release_sent { vpn; site }) i i;
+      map3 (fun vpn reason site -> Trace.Rt_release_filtered { vpn; reason; site }) i str i;
+      map3 (fun vpn tag priority -> Trace.Rt_release_buffered { vpn; tag; priority }) i i i;
+      map (fun count -> Trace.Rt_release_issued { count }) i;
+      map (fun count -> Trace.Rt_release_drained { count }) i;
+      map2 (fun vpn site -> Trace.Rt_stale_dropped { vpn; site }) i i;
+      map4 (fun disk block write ns -> Trace.Disk_io { disk; block; write; ns }) i i bool i;
+      map (fun pages -> Trace.Free_depth { pages }) i;
+      map2 (fun owner pages -> Trace.Rss_sample { owner; pages }) i i;
+      map2 (fun owner pages -> Trace.Upper_limit_sample { owner; pages }) i i;
+      map2 (fun owner depth -> Trace.Queue_depth { owner; depth }) i i;
+      map (fun name -> Trace.Phase_begin { name }) str;
+      map (fun name -> Trace.Phase_end { name }) str;
+      map3 (fun disk block attempt -> Trace.Chaos_disk_fault { disk; block; attempt }) i i i;
+      map2 (fun who until -> Trace.Chaos_stall { who; until }) str i;
+      map (fun count -> Trace.Chaos_drop_directive { count }) i;
+      map2 (fun pages hold -> Trace.Chaos_pressure { pages; hold }) i i;
+      map (fun pages -> Trace.Chaos_pressure_end { pages }) i;
+      map4
+        (fun level_from level_to drop_pct stale_pct ->
+          Trace.Governor_transition { level_from; level_to; drop_pct; stale_pct })
+        i i i i;
+      map3 (fun page tier site -> Trace.Tier_demote { page; tier; site }) i i i;
+      map2 (fun page tier -> Trace.Tier_fetch { page; tier }) i i;
+      map3 (fun page tier attempt -> Trace.Tier_timeout { page; tier; attempt }) i i i;
+      map3 (fun page tier_from tier_to -> Trace.Tier_failover { page; tier_from; tier_to }) i i i;
+      map2 (fun page site -> Trace.Tier_rescue { page; site }) i i;
+      map3
+        (fun tier state_from state_to -> Trace.Breaker_transition { tier; state_from; state_to })
+        i i i;
+      map2 (fun rule value_ppm -> Trace.Alert_fire { rule; value_ppm }) str i;
+      map2 (fun rule value_ppm -> Trace.Alert_clear { rule; value_ppm }) str i;
+    ]
+  in
+  assert (List.length ev = 45);
+  triple (int_bound 1_000_000) (int_range (-8) 1000) (oneof ev)
+
+let prop_ring_keeps_last_capacity =
+  QCheck.Test.make ~name:"ring keeps exactly the last capacity events"
+    ~count:500
+    QCheck.(
+      pair (int_range 1 8)
+        (make
+           ~print:(fun l ->
+             String.concat "; "
+               (List.map
+                  (fun (t, s, ev) ->
+                    Printf.sprintf "%d@%d:%s" s t (Trace.event_name ev))
+                  l))
+           Gen.(list_size (0 -- 40) event_gen)))
+    (fun (capacity, emitted) ->
+      let t = Trace.create ~capacity () in
+      List.iter (fun (time, stream, ev) -> Trace.emit t ~time ~stream ev) emitted;
+      let got = ref [] in
+      Trace.iter t (fun ~time ~stream ev -> got := (time, stream, ev) :: !got);
+      let n = List.length emitted in
+      let kept = List.filteri (fun k _ -> k >= n - capacity) emitted in
+      List.rev !got = kept
+      && Trace.length t = List.length kept
+      && Trace.dropped t = Int.max 0 (n - capacity))
+
 (* ------------------------------------------------------------------ *)
 (* Events from a live simulation                                       *)
 (* ------------------------------------------------------------------ *)
@@ -93,7 +193,9 @@ let small_config =
 let traced_run () =
   let engine = Engine.create ~max_time:(Time_ns.sec 3600) () in
   let trace = Trace.create () in
-  let os = Os.create ~trace ~config:small_config ~engine () in
+  let os =
+    Os.create ~obs:(Obs.create ~trace ()) ~config:small_config ~engine ()
+  in
   ignore
     (Engine.spawn engine ~name:"main" (fun () ->
          Fun.protect ~finally:Engine.stop (fun () ->
@@ -163,8 +265,7 @@ let test_disabled_trace_counts_unchanged () =
              Engine.delay ~cat:Account.Sleep (Time_ns.ms 100);
              hard := asp.As.stats.Vm.Vm_stats.hard_faults)));
   Engine.run engine;
-  check_bool "default trace is the null trace" false
-    (Trace.enabled (Os.trace os));
+  check_bool "default bus is the null bus" false (Obs.on (Os.obs os));
   check_int "stats identical to the traced run" 8 !hard
 
 (* ------------------------------------------------------------------ *)
@@ -293,6 +394,7 @@ let () =
             test_stream_names_and_tallies;
           Alcotest.test_case "event names and args" `Quick
             test_event_names_and_args;
+          QCheck_alcotest.to_alcotest prop_ring_keeps_last_capacity;
         ] );
       ( "live",
         [
