@@ -75,6 +75,16 @@ let checked ~expected ok conv =
 
 let passes_conv = checked ~expected:"at least 1 pass" (fun n -> n >= 1) Arg.int
 
+let jobs_term =
+  Arg.(
+    value
+    & opt (checked ~expected:"at least 1 job" (fun n -> n >= 1) Arg.int) 1
+    & info [ "jobs"; "j" ] ~docv:"N"
+        ~doc:
+          "Run the independent simulations on $(docv) worker domains.  \
+           Results are bit-identical to --jobs 1: each simulation owns its \
+           engine, OS and RNG.")
+
 let rate_conv =
   checked ~expected:"a positive rate"
     (fun f -> Float.is_finite f && f > 0.0)
@@ -303,9 +313,7 @@ let run_cmd =
       csv trace metrics chaos serve_rate tiers =
     let interactive_sleep = Option.map Time_ns.of_sec_f interactive in
     let min_sim_time =
-      match interactive_sleep with
-      | Some s -> max (Time_ns.sec 45) ((8 * s) + Time_ns.sec 20)
-      | None -> 0
+      Option.fold ~none:0 ~some:Experiment.run_length interactive_sleep
     in
     let trace_buf = Option.map (fun _ -> Memhog_sim.Trace.create ()) trace in
     let serve =
@@ -484,65 +492,11 @@ let sweep_cmd =
       & info [ "sleeps" ] ~docv:"S,S,..."
           ~doc:"Sleep times (seconds) to sweep.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Run the sweep's independent simulations on $(docv) worker \
-             domains.  Results are identical to --jobs 1; each cell owns \
-             its own simulation.")
-  in
   let run machine workload sleeps jobs =
-    (* Each (sleep, variant) cell is an independent simulation; fan them
-       out over the pool and print in input order afterwards. *)
-    let specs =
-      List.concat_map
-        (fun s ->
-          (s, None)
-          :: List.map (fun v -> (s, Some v)) Experiment.all_variants)
-        sleeps
+    let e =
+      Figures.fig10a ~workload:workload.Workload.w_name ~sleeps_s:sleeps machine
     in
-    let cell (s, which) =
-      let sleep = Time_ns.of_sec_f s in
-      let min_sim_time = max (Time_ns.sec 45) ((8 * sleep) + Time_ns.sec 20) in
-      match which with
-      | None ->
-          let alone =
-            Experiment.run_interactive_alone ~machine ~sleep
-              ~duration:min_sim_time ()
-          in
-          (match alone.Experiment.is_avg_response with
-          | Some t -> Time_ns.to_string t
-          | None -> "-")
-      | Some variant ->
-          let r =
-            Experiment.run
-              (Experiment.setup ~machine ~interactive_sleep:sleep ~min_sim_time
-                 ~workload ~variant ())
-          in
-          (match r.Experiment.r_interactive with
-          | Some i -> (
-              match i.Experiment.is_avg_response with
-              | Some t -> Time_ns.to_string t
-              | None -> "-")
-          | None -> "-")
-    in
-    let results = List.combine specs (Pool.map ~jobs cell specs) in
-    Format.printf "%-9s %10s" "sleep(s)" "alone";
-    List.iter
-      (fun v -> Format.printf " %10s" (Experiment.variant_name v))
-      Experiment.all_variants;
-    Format.printf "@.";
-    List.iter
-      (fun s ->
-        Format.printf "%-9.1f" s;
-        List.iter
-          (fun ((s', _), out) -> if s' = s then Format.printf " %10s" out)
-          results;
-        Format.printf "@.")
-      sleeps;
+    print_string (e.Figures.render (Figures.simulate ~jobs e.Figures.cells));
     0
   in
   Cmd.v
@@ -550,7 +504,7 @@ let sweep_cmd =
        ~doc:
          "Interactive response vs sleep time for one benchmark across all \
           four variants (Figures 1/10a for any workload).")
-    Term.(const run $ machine_term $ workload_term $ sleeps $ jobs)
+    Term.(const run $ machine_term $ workload_term $ sleeps $ jobs_term)
 
 (* ------------------------------------------------------------------ *)
 (* serve / blame                                                       *)
@@ -611,21 +565,12 @@ let serve_grid_term =
       & info [ "chaos" ] ~docv:"SPEC"
           ~doc:"Apply this fault-injection plan to every cell.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Run the grid cells on $(docv) worker domains.  Results are \
-             bit-identical to --jobs 1.")
-  in
   Term.(
     const (fun sg_rates sg_variants sg_hog sg_slo sg_duration sg_chaos
                sg_jobs ->
         { sg_rates; sg_variants; sg_hog; sg_slo; sg_duration; sg_chaos;
           sg_jobs })
-    $ rates $ variants $ hog $ slo $ duration $ chaos $ jobs)
+    $ rates $ variants $ hog $ slo $ duration $ chaos $ jobs_term)
 
 let run_serve_grid ~machine g =
   Serve.run ~machine ~workload:g.sg_hog.Workload.w_name ~rates:g.sg_rates
@@ -743,15 +688,6 @@ let tiers_cmd =
             "Offered load of the partition serving cell (default: the \
              machine's at-the-knee load).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Run the cells on $(docv) worker domains.  Results are \
-             bit-identical to --jobs 1.")
-  in
   let metrics =
     Arg.(
       value
@@ -797,7 +733,7 @@ let tiers_cmd =
           fail over to the durable swap copy, in-flight reads must be \
           rescued, the circuit breaker must cycle, and post-window SLO \
           attainment must recover.")
-    Term.(const run $ machine_term $ rate $ jobs $ metrics)
+    Term.(const run $ machine_term $ rate $ jobs_term $ metrics)
 
 (* ------------------------------------------------------------------ *)
 (* report / compare                                                    *)

@@ -189,6 +189,16 @@ let summarize_interactive ~sleep (task : Interactive.t) =
 (* A run that outlives this much simulated time is cut off by the engine. *)
 let max_sim_time = Time_ns.sec 3600
 
+let run_length sleep = Int.max (Time_ns.sec 45) ((8 * sleep) + Time_ns.sec 20)
+
+let check_crashes ~what engine =
+  match Engine.crashes engine with
+  | [] -> ()
+  | (name, e) :: _ ->
+      failwith
+        (Printf.sprintf "%s: process %s crashed: %s" what name
+           (Printexc.to_string e))
+
 let run (s : setup) =
   let m = s.machine in
   let engine = Engine.create ~max_time:max_sim_time () in
@@ -458,13 +468,10 @@ let run (s : setup) =
         Engine.stop ())
   in
   Engine.run engine;
-  (match Engine.crashes engine with
-  | [] -> ()
-  | (name, e) :: _ ->
-      failwith
-        (Printf.sprintf "experiment %s/%s: process %s crashed: %s"
-           s.workload.Workload.w_name (variant_name s.variant) name
-           (Printexc.to_string e)));
+  check_crashes engine
+    ~what:
+      (Printf.sprintf "experiment %s/%s" s.workload.Workload.w_name
+         (variant_name s.variant));
   let asp = App.asp app in
   (* The application executed inside the driver process: its account holds
      the Figure 7 time components. *)
@@ -534,6 +541,7 @@ let run_interactive_alone ?(machine = Machine.paper) ~sleep ~duration () =
          Engine.delay ~cat:Account.Sleep duration;
          Engine.stop ()));
   Engine.run engine;
+  check_crashes engine ~what:"interactive task alone";
   summarize_interactive ~sleep task
 
 let ledger_reconciliation r =

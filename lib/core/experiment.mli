@@ -204,9 +204,21 @@ val setup :
     [serve]'s offered rate (finite), arrival window or SLO is not
     positive — before anything is simulated. *)
 
+val run_length : Memhog_sim.Time_ns.t -> Memhog_sim.Time_ns.t
+(** [run_length sleep] = max 45 s (8·sleep + 20 s): how long a co-run with
+    the interactive task at this sleep keeps repeating the hog's main
+    computation (its [min_sim_time]), and how long the interactive task
+    runs alone for its baseline, so every sleep gets enough sweeps to
+    average over. *)
+
+val check_crashes : what:string -> Memhog_sim.Engine.t -> unit
+(** After [Engine.run]: @raise Failure naming [what] and the first process
+    that crashed, if any did.  {!run} and {!run_interactive_alone} call it,
+    so a crash never yields a result built from a partial run. *)
+
 val run : setup -> result
 (** Simulate the cell; the engine cuts it off after 3600 s of simulated
-    time. *)
+    time.  @raise Failure if a process crashed ({!check_crashes}). *)
 
 val run_interactive_alone :
   ?machine:Machine.t ->
@@ -214,7 +226,8 @@ val run_interactive_alone :
   duration:Memhog_sim.Time_ns.t ->
   unit ->
   interactive_summary
-(** Baseline: the interactive task with the machine to itself. *)
+(** Baseline: the interactive task with the machine to itself.
+    @raise Failure if the task crashed ({!check_crashes}). *)
 
 val ledger_reconciliation : result -> (string * int * int) list
 (** The page-lifecycle ledger's totals beside the VM's own counters for

@@ -6,121 +6,217 @@ module Compile = Memhog_compiler.Compile
 module Pir = Memhog_compiler.Pir
 module Analysis = Memhog_compiler.Analysis
 
-type cell_timing = { ct_label : string; ct_wall_s : float }
+(* ------------------------------------------------------------------ *)
+(* Cells and the runner                                                *)
+(* ------------------------------------------------------------------ *)
+
+type corun = {
+  c_machine : Machine.t;
+  c_workload : string;
+  c_variant : E.variant;
+  c_sleep : Time_ns.t option;
+  c_conservative : bool;
+  c_reactive : bool;
+  c_release_target : int option;
+  c_chaos : string option;
+  c_traced : bool;
+}
+
+type cell =
+  | Corun of corun
+  | Alone of Machine.t * Time_ns.t
+  | Two_hogs of Machine.t * Pir.variant
+
+let corun ?sleep ?(conservative = false) ?(reactive = false) ?release_target
+    ?chaos ?(traced = false) machine workload variant =
+  Corun
+    {
+      c_machine = machine;
+      c_workload = workload;
+      c_variant = variant;
+      c_sleep = sleep;
+      c_conservative = conservative;
+      c_reactive = reactive;
+      c_release_target = release_target;
+      c_chaos = chaos;
+      c_traced = traced;
+    }
+
+let label = function
+  | Corun c ->
+      let opt f = Option.fold ~none:[] ~some:(fun x -> [ f x ]) in
+      let flag b s = if b then [ s ] else [] in
+      String.concat " "
+        ((Printf.sprintf "%s/%s" c.c_workload (E.variant_name c.c_variant)
+         :: opt (fun s -> "sleep " ^ Time_ns.to_string s) c.c_sleep)
+        @ flag c.c_conservative "conservative"
+        @ flag c.c_reactive "reactive"
+        @ opt (Printf.sprintf "target %d") c.c_release_target
+        @ opt (Printf.sprintf "chaos %s") c.c_chaos
+        @ flag c.c_traced "traced"
+        @ [ "on " ^ c.c_machine.Machine.m_name ])
+  | Alone (machine, sleep) ->
+      Printf.sprintf "interactive alone sleep %s on %s" (Time_ns.to_string sleep)
+        machine.Machine.m_name
+  | Two_hogs (machine, variant) ->
+      Printf.sprintf "MATVEC + EMBAR, both %s, on %s"
+        (Pir.variant_letter variant) machine.Machine.m_name
+
+let distinct cells =
+  List.rev
+    (List.fold_left
+       (fun seen c -> if List.mem c seen then seen else c :: seen)
+       [] cells)
+
+type outcome =
+  | Result of E.result
+  | Alone_summary of E.interactive_summary
+  | Pair of { matvec_done : Time_ns.t; embar_done : Time_ns.t; stolen : int }
+
+type lookup = (cell * outcome) list
+
+(* MATVEC and EMBAR, two passes each, on one OS: the only cell that builds
+   its own engine rather than going through [Experiment.run]. *)
+let two_hogs machine variant =
+  let module Os = Memhog_vm.Os in
+  let module App = Memhog_exec.App in
+  let cap = Time_ns.sec 14400 in
+  let engine = Engine.create ~max_time:cap () in
+  let os =
+    Os.create ~swap_config:machine.Machine.m_swap
+      ~config:machine.Machine.m_config ~engine ()
+  in
+  let finished = ref 0 in
+  let spawn name =
+    let wl = Workload.find name in
+    let prog_ir, params =
+      wl.Workload.w_make
+        ~mem_bytes:(Machine.mem_bytes machine)
+        ~page_bytes:machine.Machine.m_config.Memhog_vm.Config.page_bytes
+    in
+    let prog =
+      Compile.compile ~target:(Machine.compiler_target machine) ~variant prog_ir
+    in
+    let app = App.create ~seed:machine.Machine.m_seed ~os ~params prog in
+    let done_at = ref 0 in
+    ignore
+      (Engine.spawn engine ~name:("hog " ^ name) (fun () ->
+           App.run app ~iterations:2;
+           done_at := Engine.now ();
+           incr finished;
+           if !finished = 2 then Engine.stop ()));
+    done_at
+  in
+  let matvec = spawn "MATVEC" and embar = spawn "EMBAR" in
+  Engine.run engine;
+  let what = "two hogs, both " ^ Pir.variant_letter variant in
+  E.check_crashes ~what engine;
+  if !finished < 2 then
+    failwith
+      (Printf.sprintf "%s: %d of 2 hogs finished before the %s cap" what
+         !finished (Time_ns.to_string cap));
+  Pair
+    {
+      matvec_done = !matvec;
+      embar_done = !embar;
+      stolen = (Os.global_stats os).VS.daemon_pages_stolen;
+    }
+
+let simulate_cell = function
+  | Corun c ->
+      Result
+        (E.run
+           (E.setup ~machine:c.c_machine ?interactive_sleep:c.c_sleep
+              ~min_sim_time:(Option.fold ~none:0 ~some:E.run_length c.c_sleep)
+              ~conservative:c.c_conservative ~reactive:c.c_reactive
+              ?release_target:c.c_release_target
+              ?trace:(if c.c_traced then Some (Trace.create ()) else None)
+              ?chaos:c.c_chaos
+              ~workload:(Workload.find c.c_workload)
+              ~variant:c.c_variant ()))
+  | Alone (machine, sleep) ->
+      Alone_summary
+        (E.run_interactive_alone ~machine ~sleep ~duration:(E.run_length sleep)
+           ())
+  | Two_hogs (machine, variant) -> two_hogs machine variant
+
+let no_log _ = ()
+
+(* Every cell owns its engine, OS and RNG, so it is deterministic on its
+   own and [jobs] moves only the wall time.  Cells run on worker domains;
+   one lock keeps the caller's log lines whole. *)
+let simulate ?(jobs = 1) ?(log = no_log) cells =
+  let cells = distinct cells in
+  let n = List.length cells in
+  let lock = Mutex.create () in
+  Pool.map ~jobs
+    (fun (i, c) ->
+      Mutex.protect lock (fun () ->
+          log (Printf.sprintf "cell %d/%d: %s" (i + 1) n (label c)));
+      (c, simulate_cell c))
+    (List.mapi (fun i c -> (i, c)) cells)
+
+let find (l : lookup) c =
+  match List.assoc_opt c l with
+  | Some o -> o
+  | None -> invalid_arg ("Figures: cell not in the plan: " ^ label c)
+
+let result l c =
+  match find l c with Result r -> r | _ -> invalid_arg "Figures.result"
+
+let alone_summary l c =
+  match find l c with
+  | Alone_summary a -> a
+  | _ -> invalid_arg "Figures.alone_summary"
+
+let write_traces ?(log = no_log) ~dir (l : lookup) =
+  List.iter
+    (function
+      | Corun ({ c_traced = true; _ } as c), Result r ->
+          let file =
+            Filename.concat dir
+              (Printf.sprintf "%s-%s.trace.json" c.c_workload
+                 (E.variant_name c.c_variant))
+          in
+          Trace_export.write_chrome_json r.E.r_trace ~path:file;
+          log (Printf.sprintf "wrote %s" file)
+      | _ -> ())
+    l
+
+type experiment = { id : string; cells : cell list; render : lookup -> string }
+
+(* ------------------------------------------------------------------ *)
+(* The Figure 7 matrix                                                 *)
+(* ------------------------------------------------------------------ *)
 
 type matrix = {
   mx_machine : Machine.t;
   mx_sleep : Time_ns.t;
   mx_results : (string * (E.variant * E.result) list) list;
   mx_alone : E.interactive_summary;
-  mx_jobs : int;
-  mx_wall_s : float;
-  mx_cells : cell_timing list;
 }
 
 let matrix_results m =
   List.concat_map (fun (_, per_variant) -> List.map snd per_variant) m.mx_results
 
-let no_log _ = ()
-
-(* Jobs run on worker domains; serialize calls into the caller's logger. *)
-let locked_log log =
-  let m = Mutex.create () in
-  fun s ->
-    Mutex.lock m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> log s)
-
-(* Run each spec as an independent pool job and keep per-cell wall-clock.
-   Results come back in input order whatever the schedule, and every
-   simulation owns its engine/OS/RNG, so the output is bit-identical to the
-   serial run. *)
-let timed_pmap ~jobs ~label ~run specs =
-  Pool.map ~jobs
-    (fun spec ->
-      let t0 = Unix.gettimeofday () in
-      let r = run spec in
-      ({ ct_label = label spec; ct_wall_s = Unix.gettimeofday () -. t0 }, r))
-    specs
-
-let pmap ~jobs run specs = Pool.map ~jobs run specs
-
-let sweep_min_time ~sleep = max (Time_ns.sec 45) ((8 * sleep) + Time_ns.sec 20)
-
-type matrix_cell = Cell_run of string * E.variant | Cell_alone
-
-let run_matrix ?(machine = Machine.paper) ?(sleep = Time_ns.sec 5)
-    ?(workloads = Workload.names) ?(jobs = 1) ?(log = no_log) ?trace_dir ?chaos
-    () =
-  let log = locked_log log in
-  let min_sim_time = sweep_min_time ~sleep in
-  let t_start = Unix.gettimeofday () in
-  let cells =
-    List.concat_map
-      (fun name -> List.map (fun v -> Cell_run (name, v)) E.all_variants)
-      workloads
-    @ [ Cell_alone ]
-  in
-  let label = function
-    | Cell_run (name, v) -> Printf.sprintf "%s/%s" name (E.variant_name v)
-    | Cell_alone -> "interactive-alone"
-  in
-  let run = function
-    | Cell_run (name, v) ->
-        log (Printf.sprintf "running %s/%s ..." name (E.variant_name v));
-        let wl = Workload.find name in
-        let trace =
-          Option.map (fun _ -> Memhog_sim.Trace.create ()) trace_dir
-        in
-        let r =
-          E.run
-            (E.setup ~machine ~interactive_sleep:sleep ~min_sim_time ?trace
-               ?chaos ~workload:wl ~variant:v ())
-        in
-        (match trace_dir with
-        | Some dir ->
-            let file =
-              Filename.concat dir
-                (Printf.sprintf "%s-%s.trace.json" name (E.variant_name v))
-            in
-            Trace_export.write_chrome_json r.E.r_trace ~path:file;
-            log (Printf.sprintf "wrote %s" file)
-        | None -> ());
-        `Run r
-    | Cell_alone ->
-        log "running interactive task alone ...";
-        `Alone (E.run_interactive_alone ~machine ~sleep ~duration:min_sim_time ())
-  in
-  let outcomes = timed_pmap ~jobs ~label ~run cells in
-  let tagged = List.combine cells outcomes in
-  let results =
-    List.map
-      (fun name ->
-        ( name,
-          List.filter_map
-            (function
-              | Cell_run (n, v), (_, `Run r) when n = name -> Some (v, r)
-              | _ -> None)
-            tagged ))
-      workloads
-  in
-  let alone =
-    match
-      List.find_map
-        (function Cell_alone, (_, `Alone a) -> Some a | _ -> None)
-        tagged
-    with
-    | Some a -> a
-    | None -> assert false
-  in
-  {
-    mx_machine = machine;
-    mx_sleep = sleep;
-    mx_results = results;
-    mx_alone = alone;
-    mx_jobs = jobs;
-    mx_wall_s = Unix.gettimeofday () -. t_start;
-    mx_cells = List.map fst outcomes;
-  }
+(* Figures 7-10b/c all co-run the interactive task at a 5 s sleep. *)
+let matrix ~machine ?(workloads = Workload.names) ?chaos ?(traced = false) () =
+  let sleep = Time_ns.sec 5 in
+  let cell w v = corun ~sleep ?chaos ~traced machine w v in
+  let alone = Alone (machine, sleep) in
+  ( List.concat_map (fun w -> List.map (cell w) E.all_variants) workloads
+    @ [ alone ],
+    fun l ->
+      {
+        mx_machine = machine;
+        mx_sleep = sleep;
+        mx_results =
+          List.map
+            (fun w ->
+              (w, List.map (fun v -> (v, result l (cell w v))) E.all_variants))
+            workloads;
+        mx_alone = alone_summary l alone;
+      } )
 
 let render f = Format.asprintf "@[<v>%t@]" f
 
@@ -174,83 +270,51 @@ let table2 ?(machine = Machine.paper) () =
 
 let default_sleeps = [ 0.0; 0.5; 1.0; 2.0; 5.0; 10.0; 20.0; 30.0 ]
 
-let response_sweep ~machine ~sleeps_s ~variants ~jobs ~log =
-  let wl = Workload.find "MATVEC" in
-  let specs =
-    List.concat_map
-      (fun s -> (s, None) :: List.map (fun v -> (s, Some v)) variants)
-      sleeps_s
-  in
-  let run (s, which) =
-    let sleep = Time_ns.of_sec_f s in
-    let min_sim_time = sweep_min_time ~sleep in
-    match which with
-    | None ->
-        log (Printf.sprintf "sleep %.1fs ..." s);
-        `Alone (E.run_interactive_alone ~machine ~sleep ~duration:min_sim_time ())
-    | Some v ->
-        `Run
-          ( v,
-            E.run
-              (E.setup ~machine ~interactive_sleep:sleep ~min_sim_time
-                 ~workload:wl ~variant:v ()) )
-  in
-  let tagged = List.combine specs (pmap ~jobs run specs) in
-  List.map
-    (fun s ->
-      let alone =
-        match
-          List.find_map
-            (function (s', None), `Alone a when s' = s -> Some a | _ -> None)
-            tagged
-        with
-        | Some a -> a
-        | None -> assert false
-      in
-      let per_variant =
-        List.filter_map
-          (function (s', Some _), `Run (v, r) when s' = s -> Some (v, r) | _ -> None)
-          tagged
-      in
-      (s, alone, per_variant))
-    sleeps_s
+let interactive_response (r : E.result) =
+  match r.E.r_interactive with
+  | Some i -> Report.ns_opt i.E.is_avg_response
+  | None -> "-"
 
-let response_rows sweep =
-  List.map
-    (fun (s, (alone : E.interactive_summary), per_variant) ->
-      Printf.sprintf "%.1f" s
-      :: Report.ns_opt alone.E.is_avg_response
-      :: List.map
-           (fun (_, (r : E.result)) ->
-             match r.E.r_interactive with
-             | Some i -> Report.ns_opt i.E.is_avg_response
-             | None -> "-")
-           per_variant)
-    sweep
+(* One row per sleep: the interactive task alone, then next to each of
+   [variants] (column header, variant). *)
+let response_sweep ~id ~title ~variants ~workload ~sleeps_s machine =
+  let alone s = Alone (machine, Time_ns.of_sec_f s) in
+  let cell s v = corun ~sleep:(Time_ns.of_sec_f s) machine workload v in
+  {
+    id;
+    cells =
+      List.concat_map
+        (fun s -> alone s :: List.map (fun (_, v) -> cell s v) variants)
+        sleeps_s;
+    render =
+      (fun l ->
+        let row s =
+          Printf.sprintf "%.1f" s
+          :: Report.ns_opt (alone_summary l (alone s)).E.is_avg_response
+          :: List.map (fun (_, v) -> interactive_response (result l (cell s v)))
+               variants
+        in
+        render (fun fmt ->
+            Report.table ~title
+              ~header:("sleep (s)" :: "alone" :: List.map fst variants)
+              ~rows:(List.map row sleeps_s) fmt ()));
+  }
 
-let fig1 ?(machine = Machine.paper) ?(sleeps_s = default_sleeps) ?(jobs = 1)
-    ?(log = no_log) () =
-  let log = locked_log log in
-  let sweep = response_sweep ~machine ~sleeps_s ~variants:[ E.O; E.P ] ~jobs ~log in
-  render (fun fmt ->
-      Report.table
-        ~title:
-          "Figure 1: interactive response time vs sleep time (MATVEC 400MB \
-           co-running)"
-        ~header:[ "sleep (s)"; "alone"; "w/ original"; "w/ prefetching" ]
-        ~rows:(response_rows sweep) fmt ())
+let fig1 machine =
+  response_sweep ~id:"fig1"
+    ~title:
+      "Figure 1: interactive response time vs sleep time (MATVEC 400MB \
+       co-running)"
+    ~variants:[ ("w/ original", E.O); ("w/ prefetching", E.P) ]
+    ~workload:"MATVEC" ~sleeps_s:default_sleeps machine
 
-let fig10a ?(machine = Machine.paper) ?(sleeps_s = default_sleeps) ?(jobs = 1)
-    ?(log = no_log) () =
-  let log = locked_log log in
-  let sweep =
-    response_sweep ~machine ~sleeps_s ~variants:E.all_variants ~jobs ~log
-  in
-  render (fun fmt ->
-      Report.table
-        ~title:"Figure 10(a): interactive response vs sleep time (MATVEC)"
-        ~header:[ "sleep (s)"; "alone"; "O"; "P"; "R"; "B" ]
-        ~rows:(response_rows sweep) fmt ())
+let fig10a ?(workload = "MATVEC") ?(sleeps_s = default_sleeps) machine =
+  response_sweep ~id:"fig10a"
+    ~title:
+      (Printf.sprintf "Figure 10(a): interactive response vs sleep time (%s)"
+         workload)
+    ~variants:(List.map (fun v -> (E.variant_name v, v)) E.all_variants)
+    ~workload ~sleeps_s machine
 
 (* ------------------------------------------------------------------ *)
 (* Figure 7                                                            *)
@@ -475,403 +539,297 @@ let fig10c (m : matrix) =
 (* Ablations                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let ablation_batch ?(machine = Machine.paper)
-    ?(targets = [ 10; 50; 100; 400; 1600 ]) ?(jobs = 1) ?(log = no_log) () =
+(* A table with one row per co-run cell, read from that cell's result. *)
+let cell_table ~id ~title ~header rows =
+  {
+    id;
+    cells = List.map fst rows;
+    render =
+      (fun l ->
+        render (fun fmt ->
+            Report.table ~title ~header
+              ~rows:(List.map (fun (c, row) -> row (result l c)) rows)
+              fmt ()));
+  }
+
+let with_config (machine : Machine.t) suffix f =
+  {
+    machine with
+    Machine.m_config = f machine.Machine.m_config;
+    m_name = machine.Machine.m_name ^ suffix;
+  }
+
+let run_name w v = Printf.sprintf "%s/%s" w (E.variant_name v)
+let per_pass (r : E.result) = Report.ns (r.E.r_elapsed / r.E.r_iterations)
+
+let ablation_batch machine =
   (* FFTPDE under the buffered policy keeps its whole release stream in the
      priority queues (false temporal reuse), so the drain batch size is the
      only thing between the application and the paging daemon. *)
-  let log = locked_log log in
-  let wl = Workload.find "FFTPDE" in
-  let sleep = Time_ns.sec 5 in
-  let rows =
-    pmap ~jobs
-      (fun target ->
-        log (Printf.sprintf "release target %d ..." target);
-        let r =
-          E.run
-            (E.setup ~machine ~interactive_sleep:sleep
-               ~min_sim_time:(sweep_min_time ~sleep) ~workload:wl ~variant:E.B
-               ~release_target:target ())
-        in
-        [
-          string_of_int target;
-          Report.ns (r.E.r_elapsed / r.E.r_iterations);
-          Report.count
-            (match r.E.r_runtime with
-            | Some rt -> rt.Memhog_runtime.Runtime.rt_buffer_drains
-            | None -> 0);
-          Report.count r.E.r_global.VS.daemon_pages_stolen;
-          (match r.E.r_interactive with
-          | Some i -> Report.ns_opt i.E.is_avg_response
-          | None -> "-");
-        ])
-      targets
-  in
-  render (fun fmt ->
-      Report.table
-        ~title:
-          "Ablation: release batch size (pages drained per buffering \
-           decision; paper fixes 100 and never varied it).  FFTPDE B."
-        ~header:
-          [ "batch"; "per-pass"; "drains"; "daemon stole"; "interactive" ]
-        ~rows fmt ())
+  cell_table ~id:"ablation-batch"
+    ~title:
+      "Ablation: release batch size (pages drained per buffering decision; \
+       paper fixes 100 and never varied it).  FFTPDE B."
+    ~header:[ "batch"; "per-pass"; "drains"; "daemon stole"; "interactive" ]
+    (List.map
+       (fun target ->
+         ( corun ~sleep:(Time_ns.sec 5) ~release_target:target machine "FFTPDE"
+             E.B,
+           fun (r : E.result) ->
+             [
+               string_of_int target;
+               per_pass r;
+               Report.count
+                 (match r.E.r_runtime with
+                 | Some rt -> rt.Memhog_runtime.Runtime.rt_buffer_drains
+                 | None -> 0);
+               Report.count r.E.r_global.VS.daemon_pages_stolen;
+               interactive_response r;
+             ] ))
+       [ 10; 50; 100; 400; 1600 ])
 
-let ablation_hwbits ?(machine = Machine.paper) ?(jobs = 1) ?(log = no_log) () =
-  let log = locked_log log in
-  let hw_machine =
-    {
-      machine with
-      Machine.m_config =
-        { machine.Machine.m_config with Memhog_vm.Config.hw_ref_bits = true };
-      m_name = machine.Machine.m_name ^ " + hardware reference bits";
-    }
+let ablation_hwbits machine =
+  let hw =
+    with_config machine " + hardware reference bits" (fun c ->
+        { c with Memhog_vm.Config.hw_ref_bits = true })
   in
-  let specs =
-    List.concat_map
-      (fun wname ->
-        List.concat_map
-          (fun v ->
-            List.map
-              (fun lm -> (wname, v, lm))
-              [ ("software", machine); ("hardware", hw_machine) ])
-          [ E.P; E.R ])
-      [ "EMBAR"; "MATVEC" ]
-  in
-  let rows =
-    pmap ~jobs
-      (fun (wname, v, (label, m)) ->
-        log (Printf.sprintf "%s/%s (%s) ..." wname (E.variant_name v) label);
-        let wl = Workload.find wname in
-        let r = E.run (E.setup ~machine:m ~workload:wl ~variant:v ()) in
-        [
-          Printf.sprintf "%s/%s" wname (E.variant_name v);
-          label;
-          Report.ns r.E.r_elapsed;
-          Report.count r.E.r_app_stats.VS.soft_faults;
-          Report.ns r.E.r_breakdown.E.b_resource_stall;
-        ])
-      specs
-  in
-  render (fun fmt ->
-      Report.table
-        ~title:
-          "Ablation: software-simulated vs hardware reference bits (the \
-           paper's section-6 question)"
-        ~header:[ "run"; "ref bits"; "elapsed"; "soft faults"; "resource stall" ]
-        ~rows fmt ())
+  cell_table ~id:"ablation-hwbits"
+    ~title:
+      "Ablation: software-simulated vs hardware reference bits (the paper's \
+       section-6 question)"
+    ~header:[ "run"; "ref bits"; "elapsed"; "soft faults"; "resource stall" ]
+    (List.concat_map
+       (fun w ->
+         List.concat_map
+           (fun v ->
+             List.map
+               (fun (label, m) ->
+                 ( corun m w v,
+                   fun (r : E.result) ->
+                     [
+                       run_name w v;
+                       label;
+                       Report.ns r.E.r_elapsed;
+                       Report.count r.E.r_app_stats.VS.soft_faults;
+                       Report.ns r.E.r_breakdown.E.b_resource_stall;
+                     ] ))
+               [ ("software", machine); ("hardware", hw) ])
+           [ E.P; E.R ])
+       [ "EMBAR"; "MATVEC" ])
 
-let ablation_conservative ?(machine = Machine.paper) ?(jobs = 1) ?(log = no_log)
-    () =
-  let log = locked_log log in
-  let specs =
-    List.concat_map
-      (fun wname ->
-        List.concat_map
-          (fun v ->
-            List.map
-              (fun lc -> (wname, v, lc))
-              [ ("aggressive", false); ("conservative", true) ])
-          [ E.R; E.B ])
-      [ "MATVEC" ]
-  in
-  let rows =
-    pmap ~jobs
-      (fun (wname, v, (label, conservative)) ->
-        log (Printf.sprintf "%s/%s (%s) ..." wname (E.variant_name v) label);
-        let wl = Workload.find wname in
-        let r = E.run (E.setup ~machine ~conservative ~workload:wl ~variant:v ()) in
-        [
-          Printf.sprintf "%s/%s" wname (E.variant_name v);
-          label;
-          Report.ns r.E.r_elapsed;
-          Report.count r.E.r_app_stats.VS.releases_requested;
-          Report.count r.E.r_app_stats.VS.rescued_releaser;
-        ])
-      specs
-  in
-  render (fun fmt ->
-      Report.table
-        ~title:
-          "Ablation: aggressive (paper) vs conservative (section 2.3.2) \
-           release insertion"
-        ~header:[ "run"; "insertion"; "elapsed"; "release reqs"; "rescued" ]
-        ~rows fmt ())
+let ablation_conservative machine =
+  cell_table ~id:"ablation-conservative"
+    ~title:
+      "Ablation: aggressive (paper) vs conservative (section 2.3.2) release \
+       insertion"
+    ~header:[ "run"; "insertion"; "elapsed"; "release reqs"; "rescued" ]
+    (List.concat_map
+       (fun v ->
+         List.map
+           (fun (label, conservative) ->
+             ( corun ~conservative machine "MATVEC" v,
+               fun (r : E.result) ->
+                 [
+                   run_name "MATVEC" v;
+                   label;
+                   Report.ns r.E.r_elapsed;
+                   Report.count r.E.r_app_stats.VS.releases_requested;
+                   Report.count r.E.r_app_stats.VS.rescued_releaser;
+                 ] ))
+           [ ("aggressive", false); ("conservative", true) ])
+       [ E.R; E.B ])
 
-let ablation_rescue ?(machine = Machine.paper) ?(jobs = 1) ?(log = no_log) () =
-  let log = locked_log log in
+let ablation_rescue machine =
   let no_rescue =
-    {
-      machine with
-      Machine.m_config =
-        {
-          machine.Machine.m_config with
-          Memhog_vm.Config.rescue_from_free_list = false;
-        };
-      m_name = machine.Machine.m_name ^ " - rescue disabled";
-    }
+    with_config machine " - rescue disabled" (fun c ->
+        { c with Memhog_vm.Config.rescue_from_free_list = false })
   in
-  let specs =
-    List.concat_map
-      (fun wname ->
-        List.map
-          (fun lm -> (wname, lm))
-          [ ("rescue on", machine); ("rescue off", no_rescue) ])
-      [ "MATVEC"; "MGRID" ]
-  in
-  let rows =
-    pmap ~jobs
-      (fun (wname, (label, m)) ->
-        log (Printf.sprintf "%s/R (%s) ..." wname label);
-        let wl = Workload.find wname in
-        let r = E.run (E.setup ~machine:m ~workload:wl ~variant:E.R ()) in
-        [
-          Printf.sprintf "%s/R" wname;
-          label;
-          Report.ns r.E.r_elapsed;
-          Report.count
-            (r.E.r_app_stats.VS.rescued_daemon
-            + r.E.r_app_stats.VS.rescued_releaser);
-          Report.count r.E.r_app_stats.VS.hard_faults;
-        ])
-      specs
-  in
-  render (fun fmt ->
-      Report.table
-        ~title:"Ablation: rescuing freed pages from the free-list tail"
-        ~header:[ "run"; "rescue"; "elapsed"; "rescued"; "hard faults" ]
-        ~rows fmt ())
+  cell_table ~id:"ablation-rescue"
+    ~title:"Ablation: rescuing freed pages from the free-list tail"
+    ~header:[ "run"; "rescue"; "elapsed"; "rescued"; "hard faults" ]
+    (List.concat_map
+       (fun w ->
+         List.map
+           (fun (label, m) ->
+             ( corun m w E.R,
+               fun (r : E.result) ->
+                 [
+                   run_name w E.R;
+                   label;
+                   Report.ns r.E.r_elapsed;
+                   Report.count
+                     (r.E.r_app_stats.VS.rescued_daemon
+                     + r.E.r_app_stats.VS.rescued_releaser);
+                   Report.count r.E.r_app_stats.VS.hard_faults;
+                 ] ))
+           [ ("rescue on", machine); ("rescue off", no_rescue) ])
+       [ "MATVEC"; "MGRID" ])
 
-let ablation_drop ?(machine = Machine.paper) ?(jobs = 1) ?(log = no_log) () =
-  let log = locked_log log in
+let ablation_drop machine =
   let no_drop =
-    {
-      machine with
-      Machine.m_config =
-        {
-          machine.Machine.m_config with
-          Memhog_vm.Config.drop_prefetch_when_low = false;
-        };
-      m_name = machine.Machine.m_name ^ " - prefetch drop disabled";
-    }
+    with_config machine " - prefetch drop disabled" (fun c ->
+        { c with Memhog_vm.Config.drop_prefetch_when_low = false })
   in
-  let wl = Workload.find "MATVEC" in
-  let sleep = Time_ns.sec 5 in
-  let rows =
-    pmap ~jobs
-      (fun (label, m) ->
-        log (Printf.sprintf "MATVEC/P (%s) ..." label);
-        let r =
-          E.run
-            (E.setup ~machine:m ~interactive_sleep:sleep
-               ~min_sim_time:(sweep_min_time ~sleep) ~workload:wl ~variant:E.P ())
-        in
-        [
-          label;
-          Report.ns r.E.r_elapsed;
-          Report.count r.E.r_app_stats.VS.prefetches_dropped;
-          (match r.E.r_interactive with
-          | Some i -> Report.ns_opt i.E.is_avg_response
-          | None -> "-");
-        ])
-      [ ("drop when low (paper)", machine); ("block for memory", no_drop) ]
-  in
-  render (fun fmt ->
-      Report.table
-        ~title:
-          "Ablation: discarding prefetches when memory is exhausted \
-           (section 3.1.2)"
-        ~header:
-          [ "policy"; "MATVEC P elapsed"; "dropped"; "interactive response" ]
-        ~rows fmt ())
+  cell_table ~id:"ablation-drop"
+    ~title:
+      "Ablation: discarding prefetches when memory is exhausted (section \
+       3.1.2)"
+    ~header:[ "policy"; "MATVEC P elapsed"; "dropped"; "interactive response" ]
+    (List.map
+       (fun (label, m) ->
+         ( corun ~sleep:(Time_ns.sec 5) m "MATVEC" E.P,
+           fun (r : E.result) ->
+             [
+               label;
+               Report.ns r.E.r_elapsed;
+               Report.count r.E.r_app_stats.VS.prefetches_dropped;
+               interactive_response r;
+             ] ))
+       [ ("drop when low (paper)", machine); ("block for memory", no_drop) ])
 
-let ablation_tlb ?(machine = Machine.paper) ?(jobs = 1) ?(log = no_log) () =
-  let log = locked_log log in
+let ablation_tlb machine =
   let fills =
-    {
-      machine with
-      Machine.m_config =
-        { machine.Machine.m_config with Memhog_vm.Config.prefetch_fills_tlb = true };
-      m_name = machine.Machine.m_name ^ " + prefetch fills TLB";
-    }
+    with_config machine " + prefetch fills TLB" (fun c ->
+        { c with Memhog_vm.Config.prefetch_fills_tlb = true })
   in
-  let specs =
-    List.concat_map
-      (fun wname ->
-        List.map
-          (fun lm -> (wname, lm))
-          [ ("no TLB entry (paper)", machine); ("fills TLB", fills) ])
-      [ "MATVEC"; "CGM" ]
-  in
-  let rows =
-    pmap ~jobs
-      (fun (wname, (label, m)) ->
-        log (Printf.sprintf "%s/P (%s) ..." wname label);
-        let wl = Workload.find wname in
-        let r = E.run (E.setup ~machine:m ~workload:wl ~variant:E.P ()) in
-        [
-          Printf.sprintf "%s/P" wname;
-          label;
-          Report.ns (r.E.r_elapsed / r.E.r_iterations);
-          Report.count r.E.r_app_tlb_misses;
-        ])
-      specs
-  in
-  render (fun fmt ->
-      Report.table
-        ~title:
-          "Ablation: prefetched pages and the TLB (section 3.1.2: completed \
-           prefetches are not validated and make no TLB entry)"
-        ~header:[ "run"; "policy"; "per-pass"; "TLB misses" ]
-        ~rows fmt ())
+  cell_table ~id:"ablation-tlb"
+    ~title:
+      "Ablation: prefetched pages and the TLB (section 3.1.2: completed \
+       prefetches are not validated and make no TLB entry)"
+    ~header:[ "run"; "policy"; "per-pass"; "TLB misses" ]
+    (List.concat_map
+       (fun w ->
+         List.map
+           (fun (label, m) ->
+             ( corun m w E.P,
+               fun (r : E.result) ->
+                 [
+                   run_name w E.P;
+                   label;
+                   per_pass r;
+                   Report.count r.E.r_app_tlb_misses;
+                 ] ))
+           [ ("no TLB entry (paper)", machine); ("fills TLB", fills) ])
+       [ "MATVEC"; "CGM" ])
 
 (* ------------------------------------------------------------------ *)
 (* Extensions                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let ext_freemem ?(machine = Machine.paper) ?(jobs = 1) ?(log = no_log) () =
-  let log = locked_log log in
-  let wl = Workload.find "MATVEC" in
-  let sleep = Time_ns.sec 5 in
-  let runs =
-    pmap ~jobs
-      (fun v ->
-        log (Printf.sprintf "MATVEC/%s ..." (E.variant_name v));
-        let r =
-          E.run
-            (E.setup ~machine ~interactive_sleep:sleep
-               ~min_sim_time:(sweep_min_time ~sleep) ~workload:wl ~variant:v ())
-        in
-        (v, r))
-      E.all_variants
-  in
-  render (fun fmt ->
-      Format.fprintf fmt
-        "Extension: free physical memory over time (MATVEC + interactive, \
-         %d-frame machine)@,@,"
-        machine.Machine.m_config.Memhog_vm.Config.total_frames;
-      List.iter
-        (fun (v, (r : E.result)) ->
-          Format.fprintf fmt "%s:@," (E.variant_name v);
-          List.iter
-            (fun s ->
-              Format.fprintf fmt "  %a@," Memhog_sim.Telemetry.pp_summary s)
-            (Memhog_sim.Telemetry.summaries r.E.r_telemetry);
-          Format.fprintf fmt "@,")
-        runs)
+let ext_freemem machine =
+  let cell v = corun ~sleep:(Time_ns.sec 5) machine "MATVEC" v in
+  {
+    id = "ext-freemem";
+    cells = List.map cell E.all_variants;
+    render =
+      (fun l ->
+        render (fun fmt ->
+            Format.fprintf fmt
+              "Extension: free physical memory over time (MATVEC + \
+               interactive, %d-frame machine)@,@,"
+              machine.Machine.m_config.Memhog_vm.Config.total_frames;
+            List.iter
+              (fun v ->
+                Format.fprintf fmt "%s:@," (E.variant_name v);
+                List.iter
+                  (fun s -> Format.fprintf fmt "  %a@," Telemetry.pp_summary s)
+                  (Telemetry.summaries (result l (cell v)).E.r_telemetry);
+                Format.fprintf fmt "@,")
+              E.all_variants));
+  }
 
-let ext_two_hogs ?(machine = Machine.paper) ?(jobs = 1) ?(log = no_log) () =
-  let log = locked_log log in
-  let module Os = Memhog_vm.Os in
-  let module App = Memhog_exec.App in
-  let run_pair variant =
-    log
-      (Printf.sprintf "MATVEC + EMBAR, both %s ..." (Pir.variant_letter variant));
-    let engine =
-      Memhog_sim.Engine.create ~max_time:(Time_ns.sec 14400) ()
-    in
-    let os =
-      Os.create ~swap_config:machine.Machine.m_swap
-        ~config:machine.Machine.m_config ~engine ()
-    in
-    let build name =
-      let wl = Workload.find name in
-      let prog_ir, params =
-        wl.Workload.w_make
-          ~mem_bytes:(Machine.mem_bytes machine)
-          ~page_bytes:machine.Machine.m_config.Memhog_vm.Config.page_bytes
-      in
-      let prog =
-        Compile.compile ~target:(Machine.compiler_target machine) ~variant
-          prog_ir
-      in
-      App.create ~seed:machine.Machine.m_seed ~os ~params prog
-    in
-    let a = build "MATVEC" and b = build "EMBAR" in
-    let done_a = ref 0 and done_b = ref 0 in
-    let finished = ref 0 in
-    let spawn_app app done_ =
-      ignore
-        (Memhog_sim.Engine.spawn engine ~name:"hog" (fun () ->
-             App.run app ~iterations:2;
-             done_ := Memhog_sim.Engine.now ();
-             incr finished;
-             if !finished = 2 then Memhog_sim.Engine.stop ()))
-    in
-    spawn_app a done_a;
-    spawn_app b done_b;
-    Memhog_sim.Engine.run engine;
-    (!done_a, !done_b, (Os.global_stats os).VS.daemon_pages_stolen)
+let ext_two_hogs machine =
+  let rows =
+    [
+      ("both original", Two_hogs (machine, Pir.V_original));
+      ("both prefetch+release", Two_hogs (machine, Pir.V_release));
+    ]
   in
-  let (o_a, o_b, o_stolen), (r_a, r_b, r_stolen) =
-    match pmap ~jobs run_pair [ Pir.V_original; Pir.V_release ] with
-    | [ o; r ] -> (o, r)
-    | _ -> assert false
-  in
-  render (fun fmt ->
-      Report.table
-        ~title:
-          "Extension: two out-of-core programs sharing the machine (2 passes \
-           each)"
-        ~header:[ "configuration"; "MATVEC done"; "EMBAR done"; "daemon stole" ]
-        ~rows:
-          [
-            [
-              "both original";
-              Report.ns o_a;
-              Report.ns o_b;
-              Report.count o_stolen;
-            ];
-            [
-              "both prefetch+release";
-              Report.ns r_a;
-              Report.ns r_b;
-              Report.count r_stolen;
-            ];
-          ]
-        fmt ())
+  {
+    id = "ext-two-hogs";
+    cells = List.map snd rows;
+    render =
+      (fun l ->
+        render (fun fmt ->
+            Report.table
+              ~title:
+                "Extension: two out-of-core programs sharing the machine (2 \
+                 passes each)"
+              ~header:
+                [ "configuration"; "MATVEC done"; "EMBAR done"; "daemon stole" ]
+              ~rows:
+                (List.map
+                   (fun (label, c) ->
+                     match find l c with
+                     | Pair p ->
+                         [
+                           label;
+                           Report.ns p.matvec_done;
+                           Report.ns p.embar_done;
+                           Report.count p.stolen;
+                         ]
+                     | _ -> invalid_arg "Figures.ext_two_hogs")
+                   rows)
+              fmt ()));
+  }
 
-let ext_reactive ?(machine = Machine.paper) ?(jobs = 1) ?(log = no_log) () =
+let ext_reactive machine =
   (* BUK is the benchmark where application knowledge beats the clock: the
      default policy evicts pages of the randomly-accessed bucket array,
      which the application knows it will need again. *)
-  let log = locked_log log in
-  let wl = Workload.find "BUK" in
-  let sleep = Time_ns.sec 5 in
-  let one (label, variant, reactive) =
-    log (Printf.sprintf "BUK %s ..." label);
-    let r =
-      E.run
-        (E.setup ~machine ~interactive_sleep:sleep
-           ~min_sim_time:(sweep_min_time ~sleep) ~workload:wl ~variant ~reactive
-           ())
-    in
-    [
-      label;
-      Report.ns (r.E.r_elapsed / r.E.r_iterations);
-      Report.count (r.E.r_app_stats.VS.hard_faults / r.E.r_iterations);
-      Report.count r.E.r_global.VS.daemon_pages_stolen;
-      (match r.E.r_interactive with
-      | Some i -> Report.ns_opt i.E.is_avg_response
-      | None -> "-");
-    ]
-  in
-  let rows =
-    pmap ~jobs one
-      [
-        ("prefetch only (P)", E.P, false);
-        ("reactive eviction (sec. 2.2)", E.R, true);
-        ("pro-active release (R)", E.R, false);
-      ]
-  in
-  render (fun fmt ->
-      Report.table
-        ~title:
-          "Extension: reactive (application-chosen eviction on demand) vs \
-           pro-active releasing — section 2.2's argument.  BUK + interactive \
-           task, 5 s sleep."
-        ~header:
-          [ "scheme"; "hog per-pass"; "hog faults/pass"; "daemon stole"; "interactive" ]
-        ~rows fmt ())
+  cell_table ~id:"ext-reactive"
+    ~title:
+      "Extension: reactive (application-chosen eviction on demand) vs \
+       pro-active releasing — section 2.2's argument.  BUK + interactive \
+       task, 5 s sleep."
+    ~header:
+      [ "scheme"; "hog per-pass"; "hog faults/pass"; "daemon stole"; "interactive" ]
+    (List.map
+       (fun (label, variant, reactive) ->
+         ( corun ~sleep:(Time_ns.sec 5) ~reactive machine "BUK" variant,
+           fun (r : E.result) ->
+             [
+               label;
+               per_pass r;
+               Report.count (r.E.r_app_stats.VS.hard_faults / r.E.r_iterations);
+               Report.count r.E.r_global.VS.daemon_pages_stolen;
+               interactive_response r;
+             ] ))
+       [
+         ("prefetch only (P)", E.P, false);
+         ("reactive eviction (sec. 2.2)", E.R, true);
+         ("pro-active release (R)", E.R, false);
+       ])
+
+(* ------------------------------------------------------------------ *)
+(* The registry                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let experiments ?chaos ?traced machine =
+  let mcells, read = matrix ~machine ?chaos ?traced () in
+  let of_matrix id fig = { id; cells = mcells; render = (fun l -> fig (read l)) } in
+  let static id text = { id; cells = []; render = (fun _ -> text ()) } in
+  [
+    static "table1" (table1 ~machine);
+    static "table2" (table2 ~machine);
+    fig1 machine;
+    of_matrix "fig7" fig7;
+    of_matrix "fig8" fig8;
+    of_matrix "table3" table3;
+    of_matrix "fig9" fig9;
+    fig10a machine;
+    of_matrix "fig10b" fig10b;
+    of_matrix "fig10c" fig10c;
+    ablation_batch machine;
+    ablation_hwbits machine;
+    ablation_conservative machine;
+    ablation_rescue machine;
+    ablation_drop machine;
+    ablation_tlb machine;
+    ext_freemem machine;
+    ext_reactive machine;
+    ext_two_hogs machine;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Serving extension (ROADMAP item 5)                                  *)

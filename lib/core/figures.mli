@@ -1,58 +1,141 @@
 (** Drivers that regenerate every table and figure of the paper's
     evaluation (section 4), plus the ablation studies listed in DESIGN.md.
 
-    Most figures share one experiment matrix — every workload crossed with
-    the four variants O/P/R/B, co-run with the interactive task at a 5 s
-    sleep — so the matrix is built once ({!run_matrix}) and formatted many
-    ways.  All output is plain text, printed in the same rows/series the
-    paper reports. *)
+    The evaluation is a few tables over one space of simulations: a
+    workload crossed with the variants O/P/R/B and an interactive sleep,
+    plus one machine knob per ablation.  Each experiment declares the
+    {!cell}s it reads; {!simulate} runs each distinct cell once, and the
+    experiment renders its text from the resulting {!lookup}.  All output
+    is plain text, printed in the same rows/series the paper reports. *)
 
-type cell_timing = {
-  ct_label : string;   (** ["WORKLOAD/VARIANT"] or ["interactive-alone"] *)
-  ct_wall_s : float;   (** wall-clock seconds spent simulating that cell *)
+(** {1 Cells and the runner} *)
+
+type corun = {
+  c_machine : Machine.t;
+  c_workload : string;  (** a {!Memhog_workloads.Workload} name *)
+  c_variant : Experiment.variant;
+  c_sleep : Memhog_sim.Time_ns.t option;
+      (** [Some s]: co-run the interactive task at sleep [s], for
+          {!Experiment.run_length}[ s]; [None]: a batch cell *)
+  c_conservative : bool;
+  c_reactive : bool;
+  c_release_target : int option;
+  c_chaos : string option;  (** fault plan ({!Memhog_sim.Chaos} spec) *)
+  c_traced : bool;
+      (** attach a trace ring.  Part of the key: the ring's drop counter is
+          a telemetry series, so a traced cell never stands in for an
+          untraced one. *)
 }
+(** The inputs of one {!Experiment.setup}, as the setup receives them: a
+    field left at its default differs from the same value passed
+    explicitly. *)
+
+(** One simulation, as plain data naming every input that can move a
+    printed number.  Two structurally equal cells are the same
+    simulation. *)
+type cell =
+  | Corun of corun  (** {!Experiment.run}, with or without the interactive task *)
+  | Alone of Machine.t * Memhog_sim.Time_ns.t
+      (** the interactive task alone at this sleep
+          ({!Experiment.run_interactive_alone}) *)
+  | Two_hogs of Machine.t * Memhog_compiler.Pir.variant
+      (** MATVEC and EMBAR, two passes each, sharing one OS *)
+
+val distinct : cell list -> cell list
+(** The cells without duplicates (structural equality), each at its first
+    position. *)
+
+type lookup
+(** The outcome of every cell a plan simulated. *)
+
+val simulate : ?jobs:int -> ?log:(string -> unit) -> cell list -> lookup
+(** Run each {!distinct} cell once, on one {!Pool} of [jobs] (default 1)
+    worker domains.  Every cell owns its engine, OS and RNG, so the lookup
+    is identical for any [jobs].  [log] gets one line per cell when it
+    starts; calls may come from worker domains but are serialized.  The
+    first exception a cell raises is re-raised: at [jobs <= 1] the cells
+    after it never run; with more jobs it is re-raised after every other
+    cell has finished or been abandoned ({!Pool.run_list}). *)
+
+val write_traces : ?log:(string -> unit) -> dir:string -> lookup -> unit
+(** Write each traced cell's ring as Chrome trace_event JSON into [dir],
+    one [WORKLOAD-VARIANT.trace.json] per cell. *)
+
+(** {1 Experiments} *)
+
+type experiment = {
+  id : string;
+  cells : cell list;  (** what [render] reads *)
+  render : lookup -> string;
+}
+
+val experiments : ?chaos:string -> ?traced:bool -> Machine.t -> experiment list
+(** The 19 experiments of [bench/main.exe], in order:
+    - [table1]: hardware characteristics;
+    - [table2]: benchmark characteristics, with the compiler's analysis
+      statistics;
+    - [fig1]: interactive response vs sleep, MATVEC original vs
+      prefetching (section 1.1's motivating experiment);
+    - [fig7], [fig8], [table3], [fig9], [fig10b], [fig10c]: the {!matrix}
+      read six ways: normalized execution time by component; soft faults
+      from the daemon's reference-bit invalidations; daemon activations and
+      steals, O vs R; who freed pages and how many were rescued; interactive
+      response normalized to alone; interactive hard faults per sweep;
+    - [fig10a]: {!fig10a} on MATVEC;
+    - [ablation-batch]: the run-time layer's release batch size (the paper
+      fixes 100 pages);
+    - [ablation-hwbits]: hardware vs software-simulated reference bits
+      (section 6's question);
+    - [ablation-conservative]: aggressive insertion vs the idealized
+      section-2.3.2 rule;
+    - [ablation-rescue]: free-list rescue on and off;
+    - [ablation-drop]: dropping prefetches when memory is low vs blocking;
+    - [ablation-tlb]: prefetched pages making no TLB entry (section 3.1.2)
+      vs filling it;
+    - [ext-freemem]: free memory over time for MATVEC O/P/R/B next to the
+      interactive task;
+    - [ext-reactive]: a reactive (VINO-style) scheme vs pro-active
+      releasing (section 2.2's argument);
+    - [ext-two-hogs]: two out-of-core programs sharing the machine, both
+      original vs both prefetch+release.
+
+    [chaos] and [traced] apply to the matrix cells only. *)
+
+val fig10a :
+  ?workload:string -> ?sleeps_s:float list -> Machine.t -> experiment
+(** Interactive response vs sleep time next to [workload] (default
+    MATVEC) for all four variants, plus the task alone, at each of
+    [sleeps_s] (default 0, 0.5, 1, 2, 5, 10, 20 and 30 s). *)
+
+(** {1 The Figure 7 matrix} *)
 
 type matrix = {
   mx_machine : Machine.t;
   mx_sleep : Memhog_sim.Time_ns.t;
   mx_results : (string * (Experiment.variant * Experiment.result) list) list;
   mx_alone : Experiment.interactive_summary;
-  mx_jobs : int;       (** worker domains the matrix was built with *)
-  mx_wall_s : float;   (** wall-clock seconds for the whole matrix *)
-  mx_cells : cell_timing list;  (** per-cell wall-clock, in submission order *)
 }
+
+val matrix :
+  machine:Machine.t ->
+  ?workloads:string list ->
+  ?chaos:string ->
+  ?traced:bool ->
+  unit ->
+  cell list * (lookup -> matrix)
+(** The matrix's cells and how to read it back from a lookup that holds
+    them: 4 variants per workload (default: all six), each next to the
+    interactive task at a 5 s sleep (the setting of Figures 7-10b/c), plus
+    the interactive-alone baseline.  [chaos] applies to every out-of-core
+    cell, never to the baseline; [traced] attaches a trace ring to each
+    of them ({!write_traces}). *)
 
 val matrix_results : matrix -> Experiment.result list
 (** Every cell result, flattened in matrix order (workloads in submission
     order, variants O/P/R/B within each) — the order {!Metrics.of_matrix}
     serializes cells in. *)
 
-val run_matrix :
-  ?machine:Machine.t ->
-  ?sleep:Memhog_sim.Time_ns.t ->
-  ?workloads:string list ->
-  ?jobs:int ->
-  ?log:(string -> unit) ->
-  ?trace_dir:string ->
-  ?chaos:string ->
-  unit ->
-  matrix
-(** Runs 4 variants per workload (default: all six), each next to the
-    interactive task (default sleep: 5 s, the setting of Figures 7-10b/c),
-    plus the interactive-alone baseline.
-
-    [jobs] (default 1) runs the matrix cells on that many worker domains
-    ({!Pool}).  Every cell is an independent simulation with its own
-    engine, OS and RNG, so [mx_results] and [mx_alone] are bit-identical
-    for any [jobs] — only [mx_wall_s]/[mx_cells] change.  [log] may be
-    called from worker domains, but calls are serialized.
-
-    [chaos] applies the fault-injection plan ({!Memhog_sim.Chaos} spec) to
-    every out-of-core cell; each cell rebuilds the plan from the machine
-    seed, so determinism across [jobs] is preserved.  The interactive-alone
-    baseline is never subjected to chaos. *)
-
-(** {1 The paper's tables and figures} *)
+(** {1 Tables without simulation} *)
 
 val table1 : ?machine:Machine.t -> unit -> string
 (** Hardware characteristics. *)
@@ -61,104 +144,7 @@ val table2 : ?machine:Machine.t -> unit -> string
 (** Benchmark characteristics: what each computes, data-set size, traits,
     and the compiler's analysis statistics. *)
 
-val fig1 :
-  ?machine:Machine.t ->
-  ?sleeps_s:float list ->
-  ?jobs:int ->
-  ?log:(string -> unit) ->
-  unit ->
-  string
-(** Interactive response time vs sleep time, out-of-core MATVEC original
-    vs prefetching (section 1.1's motivating experiment). *)
-
-val fig7 : matrix -> string
-(** Normalized execution time of the out-of-core applications, broken into
-    user / system / I/O stall / resource stall, for O/P/R/B. *)
-
-val fig8 : matrix -> string
-(** Soft page faults caused by the paging daemon's reference-bit
-    invalidations. *)
-
-val table3 : matrix -> string
-(** Paging-daemon activity: activations and pages stolen, original vs
-    prefetch+release. *)
-
-val fig9 : matrix -> string
-(** Outcomes of freed pages: who freed them (daemon vs releaser) and how
-    many were rescued from the free list. *)
-
-val fig10a :
-  ?machine:Machine.t ->
-  ?sleeps_s:float list ->
-  ?jobs:int ->
-  ?log:(string -> unit) ->
-  unit ->
-  string
-(** Interactive response vs sleep time for all four MATVEC variants. *)
-
-val fig10b : matrix -> string
-(** Interactive response at a 5 s sleep, normalized to running alone. *)
-
-val fig10c : matrix -> string
-(** Interactive hard page faults per sweep. *)
-
-(** {1 Ablations} *)
-
-val ablation_batch :
-  ?machine:Machine.t ->
-  ?targets:int list ->
-  ?jobs:int ->
-  ?log:(string -> unit) ->
-  unit ->
-  string
-(** Sweep the run-time layer's release batch size (the paper fixes 100
-    pages and notes it never varied it). *)
-
-val ablation_hwbits :
-  ?machine:Machine.t -> ?jobs:int -> ?log:(string -> unit) -> unit -> string
-(** Hardware vs software-simulated reference bits: does releasing still pay
-    when the daemon does not need to invalidate?  (The paper's section 6
-    question.) *)
-
-val ablation_conservative :
-  ?machine:Machine.t -> ?jobs:int -> ?log:(string -> unit) -> unit -> string
-(** Aggressive insertion (paper) vs the idealized section-2.3.2 rule. *)
-
-val ablation_rescue :
-  ?machine:Machine.t -> ?jobs:int -> ?log:(string -> unit) -> unit -> string
-(** Free-list rescue on/off: the value of freeing to the tail. *)
-
-val ablation_drop :
-  ?machine:Machine.t -> ?jobs:int -> ?log:(string -> unit) -> unit -> string
-(** Dropping prefetches when memory is low vs letting them block. *)
-
-val ablation_tlb :
-  ?machine:Machine.t -> ?jobs:int -> ?log:(string -> unit) -> unit -> string
-(** Section 3.1.2's second PM feature: prefetched pages make no TLB entry.
-    Compares TLB misses and run time when prefetches are allowed to
-    displace live entries. *)
-
-(** {1 Extensions beyond the paper's evaluation} *)
-
-val ext_freemem :
-  ?machine:Machine.t -> ?jobs:int -> ?log:(string -> unit) -> unit -> string
-(** Free-memory-over-time telemetry for MATVEC O/P/R/B next to the
-    interactive task: makes the mechanism of Figures 1/10 visible — the
-    free pool collapses under prefetching and stays healthy under
-    releasing. *)
-
-val ext_reactive :
-  ?machine:Machine.t -> ?jobs:int -> ?log:(string -> unit) -> unit -> string
-(** Section 2.2's argument, demonstrated: a reactive (VINO-style) scheme in
-    which the application only surrenders pages when the OS asks improves
-    its own replacement but cannot protect the interactive task, unlike
-    pro-active releasing. *)
-
-val ext_two_hogs :
-  ?machine:Machine.t -> ?jobs:int -> ?log:(string -> unit) -> unit -> string
-(** Two out-of-core applications sharing the machine (the multiprogramming
-    scenario section 1 motivates but the paper's evaluation does not run):
-    both original vs both prefetch+release. *)
+(** {1 Serving} *)
 
 val serve_tail : Serve.t -> string
 (** Figures 1/10 retold for the open-loop server: p999 response and SLO

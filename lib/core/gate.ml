@@ -25,7 +25,8 @@ let metrics ~label results =
 (* ------------------------------------------------------------------ *)
 
 let smoke () =
-  let m = Figures.run_matrix ~machine ~workloads:[ "MATVEC" ] ~jobs:2 () in
+  let cells, read = Figures.matrix ~machine ~workloads:[ "MATVEC" ] () in
+  let m = read (Figures.simulate ~jobs:2 cells) in
   List.iter
     (fun (r : E.result) ->
       require "smoke" r.E.r_invariants_ok
@@ -120,7 +121,7 @@ let chaos_plans =
 let chaos () =
   let run p =
     let gate = "chaos " ^ p.cp_name in
-    let min_sim_time = if p.cp_sleep = None then 0 else Time_ns.sec 45 in
+    let min_sim_time = Option.fold ~none:0 ~some:E.run_length p.cp_sleep in
     let r =
       E.run
         (E.setup ~machine ?interactive_sleep:p.cp_sleep ~min_sim_time

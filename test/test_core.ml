@@ -161,6 +161,28 @@ let test_setup_rejects_out_of_range () =
   ignore (batch ~iterations:1 ~interactive_sleep:0 ());
   ignore (served ~slo:1 ~duration:1 0.5)
 
+(* A crashed process must fail the cell, naming the process, instead of
+   yielding numbers from a partial run. *)
+let test_check_crashes () =
+  let module Engine = Memhog_sim.Engine in
+  let engine = Engine.create () in
+  ignore
+    (Engine.spawn engine ~name:"steady" (fun () ->
+         Engine.delay ~cat:Memhog_sim.Account.User 10));
+  E.check_crashes ~what:"healthy" engine;
+  ignore (Engine.spawn engine ~name:"boom" (fun () -> failwith "injected"));
+  Engine.run engine;
+  match E.check_crashes ~what:"cell" engine with
+  | () -> Alcotest.fail "a crashed process passed the check"
+  | exception Failure msg ->
+      check_bool ("names the process: " ^ msg) true
+        (contains msg "cell" && contains msg "boom" && contains msg "injected")
+
+let test_run_length () =
+  let sec = Memhog_sim.Time_ns.sec in
+  check_int "floor" (sec 45) (E.run_length (sec 2));
+  check_int "8 sleeps + 20 s" (sec 260) (E.run_length (sec 30))
+
 let () =
   Alcotest.run "memhog_core"
     [
@@ -187,5 +209,8 @@ let () =
           Alcotest.test_case "telemetry" `Quick test_run_produces_telemetry;
           Alcotest.test_case "setup rejects out-of-range numbers" `Quick
             test_setup_rejects_out_of_range;
+          Alcotest.test_case "crash check names the process" `Quick
+            test_check_crashes;
+          Alcotest.test_case "run length" `Quick test_run_length;
         ] );
     ]

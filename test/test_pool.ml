@@ -1,6 +1,7 @@
-(* Tests for the Domain worker pool and the parallel experiment matrix:
-   order preservation, exception propagation, pool reuse, and the harness's
-   bit-identical --jobs 1 / --jobs N guarantee. *)
+(* Tests for the Domain worker pool and the cell plan: order
+   preservation, exception propagation, pool reuse, each distinct cell
+   simulated once, and the harness's bit-identical --jobs 1 / --jobs N
+   guarantee. *)
 
 open Memhog_core
 
@@ -76,29 +77,64 @@ let test_simulations_in_workers () =
   Alcotest.(check (list int)) "simulated in parallel" expected got
 
 (* ------------------------------------------------------------------ *)
-(* Matrix determinism                                                  *)
+(* The cell plan                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The harness's hard guarantee: the matrix is bit-identical however many
-   worker domains build it.  Results carry live registries (probe
-   closures), so the comparison goes through the canonical metrics
-   serialization — the same bytes the CI gates freeze. *)
+let distinct_count exps =
+  List.length
+    (Figures.distinct
+       (List.concat_map (fun (e : Figures.experiment) -> e.Figures.cells) exps))
+
+(* What bench/main.exe reads at paper scale, counted without simulating.
+   The six matrix readers declare one list, which a harness without a
+   shared plan simulated once, so equal lists count once. *)
+let test_plan_counts () =
+  let exps = Figures.experiments Machine.paper in
+  check_int "experiments" 19 (List.length exps);
+  check_int "cells read" 125
+    (List.length
+       (List.concat
+          (List.sort_uniq compare
+             (List.map (fun (e : Figures.experiment) -> e.Figures.cells) exps))));
+  check_int "distinct cells" 86 (distinct_count exps);
+  (* A fault plan or a trace ring on the matrix makes its co-run cells
+     different simulations from fig10a's 5 s row and ext-reactive's P/R
+     rows; the interactive-alone baseline stays shared. *)
+  check_int "distinct cells, chaos on the matrix" 92
+    (distinct_count
+       (Figures.experiments ~chaos:"disk-slow@2s-6s:factor=4" Machine.paper));
+  check_int "distinct cells, traced matrix" 92
+    (distinct_count (Figures.experiments ~traced:true Machine.paper))
+
+(* The harness's hard guarantee: an experiment's text depends only on its
+   cells, not on the job count or on what else shares the plan.  The
+   EMBAR matrix and the EMBAR sweep at 5 s read the same five cells, so
+   one serial plan of those cells is each experiment's own plan.  Results
+   carry live registries (probe closures), so the matrix is compared
+   through the canonical metrics serialization — the same bytes the CI
+   gates freeze. *)
 let test_matrix_deterministic_across_jobs () =
-  let build jobs =
-    Figures.run_matrix ~machine:Machine.quick ~workloads:[ "EMBAR" ] ~jobs ()
+  let machine = Machine.quick in
+  let cells, read = Figures.matrix ~machine ~workloads:[ "EMBAR" ] () in
+  let sweep = Figures.fig10a ~workload:"EMBAR" ~sleeps_s:[ 5.0 ] machine in
+  check_bool "same cells" true
+    (List.sort compare cells = List.sort compare sweep.Figures.cells);
+  let simulated = ref 0 in
+  let both =
+    Figures.simulate ~jobs:2
+      ~log:(fun _ -> incr simulated)
+      (cells @ sweep.Figures.cells)
   in
-  let render m = Metrics_io.to_string (Metrics_io.metrics_json (Metrics.of_matrix m)) in
-  let serial = build 1 in
-  let parallel = build 4 in
-  check_int "jobs recorded (serial)" 1 serial.Figures.mx_jobs;
-  check_int "jobs recorded (parallel)" 4 parallel.Figures.mx_jobs;
-  Alcotest.(check string)
-    "results identical" (render serial) (render parallel);
+  check_int "combined plan simulates each cell once" 5 !simulated;
+  let own = Figures.simulate ~jobs:1 sweep.Figures.cells in
+  let metrics l =
+    Metrics_io.to_string (Metrics_io.metrics_json (Metrics.of_matrix (read l)))
+  in
+  Alcotest.(check string) "results identical" (metrics own) (metrics both);
   check_bool "alone identical" true
-    (serial.Figures.mx_alone = parallel.Figures.mx_alone);
-  (* one timing record per cell: 4 variants + interactive-alone *)
-  check_int "cell timings" 5 (List.length parallel.Figures.mx_cells);
-  check_bool "wall clock recorded" true (parallel.Figures.mx_wall_s > 0.0)
+    ((read own).Figures.mx_alone = (read both).Figures.mx_alone);
+  Alcotest.(check string)
+    "sweep identical" (sweep.Figures.render own) (sweep.Figures.render both)
 
 let () =
   Alcotest.run "memhog_pool"
@@ -113,6 +149,8 @@ let () =
           Alcotest.test_case "simulations in workers" `Quick
             test_simulations_in_workers;
         ] );
+      ( "plan",
+        [ Alcotest.test_case "cell counts" `Quick test_plan_counts ] );
       ( "matrix",
         [
           Alcotest.test_case "deterministic across jobs" `Slow
