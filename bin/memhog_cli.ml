@@ -4,22 +4,22 @@
      list       the benchmark suite (Table 2)
      machine    the simulated machine (Table 1)
      compile    run the compiler on a benchmark and dump analysis + code
-     run        run one experiment and print every collected metric
+     run        run one experiment and print its metrics document's tables
+                (the Metrics_io.render of what --metrics writes)
      sweep      interactive response vs sleep time for any benchmark
      serve      open-loop KV server tail latency vs offered load x hog variant
-     blame      per-request critical-path blame: additive response-time
-                decomposition, body vs tail, slowest-request trace export
+     blame      the serve grid plus per-request critical-path blame:
+                additive response-time decomposition, body vs tail,
+                slowest-request trace export
      tiers      tiered backing store: backend mix and far-tier partition
      report     render metrics JSON files as human-readable tables
      compare    diff two metrics JSON files within a tolerance
-     audit      per-directive-site efficacy report from the page ledger
      gate       re-run the tolerance-0 gates against the committed baselines
      top        replay a telemetry dump as a live terminal dashboard
 *)
 
 open Cmdliner
 open Memhog_core
-module VS = Memhog_vm.Vm_stats
 module Time_ns = Memhog_sim.Time_ns
 module Workload = Memhog_workloads.Workload
 
@@ -230,10 +230,11 @@ let run_cmd =
           ~doc:
             "Register the full telemetry probe set (VM, disk, tiers, \
              runtime, server) and the default alert rules, print every \
-             series as a sparkline with the alert timeline, and dump the \
-             registry into $(docv): $(b,openmetrics.txt) (text \
-             exposition), $(b,series.csv) and $(b,alerts.csv) — the \
-             files $(b,memhog top) replays.")
+             series as a sparkline (the telemetry and alert-timeline \
+             tables carry its numbers), and dump the registry into \
+             $(docv): $(b,openmetrics.txt) (text exposition), \
+             $(b,series.csv) and $(b,alerts.csv) — the files \
+             $(b,memhog top) replays.")
   in
   let csv =
     Arg.(
@@ -262,9 +263,9 @@ let run_cmd =
       & opt (some out_path_conv) None
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:
-            "Write the derived metrics (service-time histograms, Figure 7 \
-             breakdown, release accuracy, telemetry ranges) as canonical \
-             JSON, readable by $(b,memhog report) and $(b,memhog compare).")
+            "Write the metrics document whose tables $(b,run) prints as \
+             canonical JSON, readable by $(b,memhog report) and \
+             $(b,memhog compare).")
   in
   let chaos =
     Arg.(
@@ -327,120 +328,23 @@ let run_cmd =
            ~conservative ?trace:trace_buf ?chaos ?serve ?tiers
            ~telemetry:(telemetry <> None) ~workload ~variant ())
     in
-    let b = r.Experiment.r_breakdown in
-    Format.printf "workload:   %s  variant: %s@." r.Experiment.r_workload
-      (Experiment.variant_name r.Experiment.r_variant);
-    Format.printf "elapsed:    %s over %d passes (%s per pass)@."
-      (Time_ns.to_string r.Experiment.r_elapsed)
-      r.Experiment.r_iterations
-      (Time_ns.to_string (r.Experiment.r_elapsed / r.Experiment.r_iterations));
-    Format.printf "breakdown:  user %s | system %s | io %s | resource %s@."
-      (Time_ns.to_string b.Experiment.b_user)
-      (Time_ns.to_string b.Experiment.b_system)
-      (Time_ns.to_string b.Experiment.b_io_stall)
-      (Time_ns.to_string b.Experiment.b_resource_stall);
-    let s = r.Experiment.r_app_stats in
-    Format.printf "faults:     hard %d | soft %d (daemon %d) | validations %d@."
-      s.VS.hard_faults s.VS.soft_faults s.VS.soft_faults_daemon
-      s.VS.validation_faults;
-    Format.printf "freed:      by daemon %d | by release %d | rescued %d+%d@."
-      s.VS.freed_by_daemon s.VS.freed_by_releaser s.VS.rescued_daemon
-      s.VS.rescued_releaser;
-    Format.printf "daemon:     activations %d | pages stolen %d | invalidations %d@."
-      r.Experiment.r_global.VS.daemon_activations
-      r.Experiment.r_global.VS.daemon_pages_stolen
-      r.Experiment.r_global.VS.daemon_invalidations;
-    Format.printf "swap:       %d reads | %d writes@." r.Experiment.r_swap_reads
-      r.Experiment.r_swap_writes;
-    (match r.Experiment.r_runtime with
-    | Some rt ->
-        Format.printf
-          "runtime:    prefetch req %d (filtered %d) | release req %d (same \
-           %d, gone %d) | issued %d | buffered %d | stale dropped %d@."
-          rt.Memhog_runtime.Runtime.rt_prefetch_requests
-          rt.Memhog_runtime.Runtime.rt_prefetch_filtered
-          rt.Memhog_runtime.Runtime.rt_release_requests
-          rt.Memhog_runtime.Runtime.rt_release_filtered_same
-          rt.Memhog_runtime.Runtime.rt_release_filtered_bitmap
-          rt.Memhog_runtime.Runtime.rt_release_issued
-          rt.Memhog_runtime.Runtime.rt_release_buffered
-          rt.Memhog_runtime.Runtime.rt_release_stale_dropped
-    | None -> ());
-    (match r.Experiment.r_chaos with
-    | Some cs ->
-        Format.printf "chaos:      %a | disk timeouts %d@."
-          Memhog_sim.Chaos.pp_stats cs r.Experiment.r_disk_timeouts;
-        (match r.Experiment.r_runtime with
-        | Some rt ->
-            Format.printf
-              "governor:   level %d | degrades %d | recoveries %d | \
-               suppressed %d | os prefetch done %d dropped %d@."
-              rt.Memhog_runtime.Runtime.rt_gov_level
-              rt.Memhog_runtime.Runtime.rt_gov_degrades
-              rt.Memhog_runtime.Runtime.rt_gov_recoveries
-              rt.Memhog_runtime.Runtime.rt_gov_suppressed
-              rt.Memhog_runtime.Runtime.rt_prefetch_os_done
-              rt.Memhog_runtime.Runtime.rt_prefetch_os_dropped
-        | None -> ())
-    | None -> ());
-    (match r.Experiment.r_tiers with
-    | Some ts ->
-        let module Tiers = Memhog_vm.Tiers in
-        List.iter
-          (fun (row : Tiers.tier_summary) ->
-            Format.printf
-              "tier %-5s %d reads | %d writes | %d timeouts (%d retries) | \
-               %d rejects | %d failovers | %d breaker flips@."
-              (Tiers.tier_name row.Tiers.ts_tier)
-              row.Tiers.ts_reads row.Tiers.ts_writes row.Tiers.ts_timeouts
-              row.Tiers.ts_retries row.Tiers.ts_rejects row.Tiers.ts_failovers
-              row.Tiers.ts_breaker_transitions)
-          ts.Tiers.s_tiers;
-        Format.printf
-          "tiers:      rescued %d | placed %d | breaker %s | zram ampl %.2f@."
-          ts.Tiers.s_rescues ts.Tiers.s_placed
-          (match ts.Tiers.s_breaker_state with
-          | 0 -> "closed"
-          | 1 -> "half-open"
-          | _ -> "open")
-          ts.Tiers.s_zram_amplification
-    | None -> ());
-    (match r.Experiment.r_serving with
-    | Some s ->
-        let module Server = Memhog_exec.Server in
-        let h = s.Server.sm_hist in
-        let pct p = Time_ns.to_string (Memhog_sim.Histogram.percentile h p) in
-        Format.printf
-          "serving:    %g rps offered | %d arrived, %d served (%d recorded) \
-           | queue max %d@."
-          s.Server.sm_offered_rps s.Server.sm_arrived s.Server.sm_completed
-          s.Server.sm_recorded s.Server.sm_max_queue;
-        Format.printf
-          "  response: p50 %s | p99 %s | p999 %s | max %s | SLO(%s) %.1f%%@."
-          (pct 50.0) (pct 99.0) (pct 99.9)
-          (Time_ns.to_string
-             (Option.value (Memhog_sim.Histogram.max_value h) ~default:0))
-          (Time_ns.to_string s.Server.sm_slo)
-          (100.0 *. Server.slo_attainment s)
-    | None -> ());
-    (match r.Experiment.r_interactive with
-    | Some i ->
-        Format.printf
-          "interactive: response %s (alone %s) | hard faults per sweep %s | \
-           %d sweeps@."
-          (match i.Experiment.is_avg_response with
-          | Some t -> Time_ns.to_string t
-          | None -> "-")
-          (Time_ns.to_string i.Experiment.is_alone_response)
-          (match i.Experiment.is_avg_hard_faults with
-          | Some f -> Printf.sprintf "%.1f" f
-          | None -> "-")
-          i.Experiment.is_sweeps
-    | None -> ());
+    let label =
+      Printf.sprintf "%s %s/%s" machine.Machine.m_name r.Experiment.r_workload
+        (Experiment.variant_name r.Experiment.r_variant)
+    in
+    let doc = Metrics.of_results ~label [ r ] in
+    print_string
+      (Result.get_ok (Metrics_io.render (Metrics_io.metrics_json doc)));
+    print_newline ();
     (match telemetry with
     | Some dir ->
-        Format.printf "%a" Memhog_sim.Telemetry.pp r.Experiment.r_telemetry;
-        Trace_export.write_telemetry r.Experiment.r_telemetry ~dir;
+        let module Telemetry = Memhog_sim.Telemetry in
+        let tl = r.Experiment.r_telemetry in
+        List.iter
+          (fun name ->
+            Format.printf "  %-20s |%s|@." name (Telemetry.sparkline tl name))
+          (Telemetry.series_names tl);
+        Trace_export.write_telemetry tl ~dir;
         Format.printf
           "telemetry written to %s (openmetrics.txt, series.csv, \
            alerts.csv); replay with: memhog top %s@."
@@ -459,12 +363,7 @@ let run_cmd =
     | None -> ());
     (match metrics with
     | Some path ->
-        let label =
-          Printf.sprintf "%s %s/%s" machine.Machine.m_name
-            r.Experiment.r_workload
-            (Experiment.variant_name r.Experiment.r_variant)
-        in
-        Metrics_io.write_file ~path (Metrics.of_results ~label [ r ]);
+        Metrics_io.write_file ~path doc;
         Format.printf "metrics written to %s@." path
     | None -> ());
     Format.printf "invariants: %s@."
@@ -472,7 +371,14 @@ let run_cmd =
     if r.Experiment.r_invariants_ok then 0 else 1
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run one experiment and print every metric.")
+    (Cmd.info "run"
+       ~doc:
+         "Run one experiment and print its metrics document as tables (the \
+          same tables $(b,memhog report) draws from $(b,--metrics)'s file): \
+          execution, faults and the paging daemon, service times, release \
+          accuracy, the run-time layer, per-directive-site efficacy and the \
+          wasted-work taxonomy from the page-lifecycle ledger, plus every \
+          optional layer the run enabled.")
     Term.(
       const run $ machine_term $ workload_term $ variant $ interactive
       $ iterations $ conservative $ telemetry $ csv $ trace $ metrics $ chaos
@@ -598,26 +504,11 @@ let metrics_arg =
            $(b,serving) and $(b,blame) objects) as canonical JSON.")
 
 let serve_cmd =
-  let blame =
-    Arg.(
-      value & flag
-      & info [ "blame" ]
-          ~doc:
-            "Also print the per-request blame tables (response-time \
-             decomposition by percentile band) — shorthand for following \
-             up with $(b,memhog blame).")
-  in
-  let run machine g blame metrics =
+  let run machine g metrics =
     let t = run_serve_grid ~machine g in
     print_string (Serve.render t);
     print_newline ();
     print_string (Figures.serve_tail t);
-    if blame then begin
-      print_newline ();
-      print_string (Serve.render_blame t);
-      print_newline ();
-      print_string (Figures.serve_blame t)
-    end;
     (match metrics with
     | Some path -> write_serve_metrics ~machine ~hog:g.sg_hog ~path t
     | None -> ());
@@ -630,7 +521,7 @@ let serve_cmd =
           variant and report tail latency (p50/p99/p999, measured from \
           arrival) and SLO attainment — the serving analogue of the \
           paper's interactivity figures.")
-    Term.(const run $ machine_term $ serve_grid_term $ blame $ metrics_arg)
+    Term.(const run $ machine_term $ serve_grid_term $ metrics_arg)
 
 let blame_cmd =
   let trace =
@@ -646,6 +537,8 @@ let blame_cmd =
   let run machine g trace metrics =
     let t = run_serve_grid ~machine g in
     print_string (Serve.render t);
+    print_newline ();
+    print_string (Figures.serve_tail t);
     print_newline ();
     print_string (Serve.render_blame t);
     print_newline ();
@@ -1001,187 +894,6 @@ let top_cmd =
     Term.(const run $ dir $ speed $ width)
 
 (* ------------------------------------------------------------------ *)
-(* audit                                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Ledger = Memhog_sim.Ledger
-module Pir = Memhog_compiler.Pir
-
-let audit_cmd =
-  let variant =
-    Arg.(
-      value
-      & opt variant_conv Experiment.R
-      & info [ "variant"; "v" ] ~docv:"V" ~doc:"Variant to audit (O, P, R, B).")
-  in
-  let iterations =
-    Arg.(
-      value
-      & opt (some passes_conv) None
-      & info [ "iterations"; "n" ] ~docv:"N" ~doc:"Main-computation passes.")
-  in
-  let conservative =
-    Arg.(
-      value & flag
-      & info [ "conservative" ]
-          ~doc:"Use the idealized section-2.3.2 insertion rule.")
-  in
-  let run machine workload variant iterations conservative =
-    let r =
-      Experiment.run
-        (Experiment.setup ~machine ?iterations ~conservative ~workload ~variant
-           ())
-    in
-    let l = r.Experiment.r_ledger in
-    let site_info tag =
-      List.find_opt (fun si -> si.Pir.si_tag = tag) r.Experiment.r_sites
-    in
-    let site_desc tag =
-      if tag = Memhog_sim.Trace.no_site then "(unattributed)"
-      else
-        match site_info tag with
-        | Some si -> si.Pir.si_desc
-        | None -> "?"
-    in
-    let table ~title ~header ~rows =
-      if rows <> [] then
-        Format.printf "@[<v>%t@]@."
-          (fun fmt -> Report.table ~title ~header ~rows fmt ())
-    in
-    Format.printf "audit: %s/%s on %s, %d passes, elapsed %s@."
-      r.Experiment.r_workload
-      (Experiment.variant_name r.Experiment.r_variant)
-      machine.Machine.m_name r.Experiment.r_iterations
-      (Time_ns.to_string r.Experiment.r_elapsed);
-    Format.printf "%d static directive sites, %d pages tracked@.@."
-      (List.length r.Experiment.r_sites)
-      l.Ledger.ls_pages_tracked;
-    (* --- per-site efficacy: prefetch sites --------------------------- *)
-    let is_release (row : Ledger.site_row) =
-      match site_info row.sr_site with
-      | Some si -> si.Pir.si_kind = Pir.S_release
-      | None -> row.sr_rel_hints > 0 || row.sr_rel_freed > 0
-    in
-    let pf_rows =
-      List.filter_map
-        (fun (row : Ledger.site_row) ->
-          if is_release row || row.sr_pf_sent = 0 then None
-          else
-            Some
-              [
-                (if row.sr_site = Memhog_sim.Trace.no_site then "-"
-                 else string_of_int row.sr_site);
-                site_desc row.sr_site;
-                Report.count row.sr_pf_sent;
-                Report.count row.sr_pf_issued;
-                Report.count row.sr_pf_dropped;
-                Report.count row.sr_pf_raced;
-                Report.count row.sr_pf_done;
-                Report.count row.sr_pf_referenced;
-                Report.count row.sr_pf_useless;
-                Report.count row.sr_pf_late;
-                Report.ns row.sr_pf_saved_ns;
-              ])
-        l.Ledger.ls_sites
-    in
-    table ~title:"Prefetch sites"
-      ~header:
-        [
-          "site"; "directive"; "sent"; "issued"; "dropped"; "raced"; "done";
-          "refd"; "useless"; "late"; "latency saved";
-        ]
-      ~rows:pf_rows;
-    (* --- per-site efficacy: release sites ---------------------------- *)
-    let rel_rows =
-      List.filter_map
-        (fun (row : Ledger.site_row) ->
-          if not (is_release row) then None
-          else
-            let static_prio =
-              match site_info row.sr_site with
-              | Some si -> string_of_int si.Pir.si_priority
-              | None -> "-"
-            in
-            Some
-              [
-                (if row.sr_site = Memhog_sim.Trace.no_site then "-"
-                 else string_of_int row.sr_site);
-                site_desc row.sr_site;
-                static_prio;
-                Report.f1 row.sr_priority_mean;
-                Report.count row.sr_rel_hints;
-                Report.count row.sr_rel_filtered;
-                Report.count row.sr_rel_buffered;
-                Report.count row.sr_rel_stale;
-                Report.count row.sr_rel_sent;
-                Report.count row.sr_rel_skipped;
-                Report.count row.sr_rel_freed;
-                Report.count row.sr_rel_rescued;
-                Report.count row.sr_rel_refaulted;
-                Report.count row.sr_rel_reused;
-                Report.count row.sr_rel_unreclaimed;
-                Report.pct row.sr_refault_pct;
-              ])
-        l.Ledger.ls_sites
-    in
-    table ~title:"Release sites (Eq. 2 priority vs observed refault rate)"
-      ~header:
-        [
-          "site"; "directive"; "prio"; "mean"; "hints"; "filt"; "buf"; "stale";
-          "sent"; "skip"; "freed"; "resc"; "refault"; "reused"; "unrecl";
-          "refault%";
-        ]
-      ~rows:rel_rows;
-    (* --- wasted-work taxonomy ---------------------------------------- *)
-    table ~title:"Wasted-work taxonomy"
-      ~header:[ "category"; "pages" ]
-      ~rows:
-        [
-          [ "useless prefetches (fetched, never referenced)";
-            Report.count l.Ledger.ls_useless_prefetches ];
-          [ "late prefetches (demand fault won the race)";
-            Report.count l.Ledger.ls_late_prefetches ];
-          [ "too-early releases, rescued (cheap)";
-            Report.count l.Ledger.ls_early_rescued ];
-          [ "too-early releases, refaulted (expensive)";
-            Report.count l.Ledger.ls_early_refaulted ];
-          [ "useful releases (freed frame reused)";
-            Report.count l.Ledger.ls_useful_releases ];
-          [ "unnecessary releases (freed, never reclaimed)";
-            Report.count l.Ledger.ls_unnecessary_releases ];
-        ];
-    (* --- reconciliation against the VM's own counters ---------------- *)
-    let checks = Experiment.ledger_reconciliation r in
-    table ~title:"Reconciliation (ledger vs Vm_stats)"
-      ~header:[ "counter"; "ledger"; "vm"; "status" ]
-      ~rows:
-        (List.map
-           (fun (name, lv, vv) ->
-             [
-               name; Report.count lv; Report.count vv;
-               (if lv = vv then "ok" else "MISMATCH");
-             ])
-           checks);
-    let reconciled = List.for_all (fun (_, lv, vv) -> lv = vv) checks in
-    let legal = Ledger.invariants_ok l in
-    if not legal then Format.printf "ledger invariants: VIOLATED@.";
-    Format.printf "audit: %s@."
-      (if reconciled && legal then "all counters reconcile"
-       else "RECONCILIATION FAILED");
-    if reconciled && legal && r.Experiment.r_invariants_ok then 0 else 1
-  in
-  Cmd.v
-    (Cmd.info "audit"
-       ~doc:
-         "Run one fixed-seed experiment and report the page-lifecycle \
-          ledger: per-directive-site efficacy, the wasted-work taxonomy, \
-          and an exact reconciliation of the ledger's totals against the \
-          VM's own counters (exits non-zero when they disagree).")
-    Term.(
-      const run $ machine_term $ workload_term $ variant $ iterations
-      $ conservative)
-
-(* ------------------------------------------------------------------ *)
 (* gate                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1278,5 +990,5 @@ let () =
           [
             list_cmd; machine_cmd; compile_cmd; run_cmd; sweep_cmd;
             serve_cmd; blame_cmd; tiers_cmd; report_cmd; compare_cmd;
-            audit_cmd; gate_cmd; top_cmd;
+            gate_cmd; top_cmd;
           ]))

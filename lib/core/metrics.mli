@@ -2,7 +2,7 @@
 
     A labelled list of {!Experiment.result}s, the unit {!Metrics_io}
     serializes ([memhog run --metrics], the gate baselines), renders
-    ([memhog report]) and compares ([memhog compare]).  The serializer
+    ([memhog run], [memhog report]) and compares ([memhog compare]).  The serializer
     reads every number straight from the results; see {!Metrics_io} for
     the document's keys.
 

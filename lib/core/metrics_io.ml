@@ -273,8 +273,15 @@ let schema = "memhog-metrics"
    aggregates (name, kind, samples, last/min/mean/max; the legacy trio
    plus a "trace-dropped" counter, and the full VM/disk/tiers/runtime/
    server probe set for cells run with telemetry on) and the alert-rule
-   timeline (time, rule, fire|clear, signal value). *)
-let schema_version = 7
+   timeline (time, rule, fire|clear, signal value).
+   v8: only keys added, so that the document carries every number
+   [memhog run] prints.  Cells gained "soft_faults_daemon" and
+   "validation_faults" (Figure 8), "global" (the system-wide VM counters,
+   Table 3's daemon activations and steals), "runtime" (the run-time
+   layer's filter and buffer counters; null for O) and "interactive" (the
+   task's alone response and hard faults per sweep, Figure 10c; null
+   without it); the "chaos" object gained the far-link counters. *)
+let schema_version = 8
 
 (* Every emitter below reads its numbers straight from the simulation's own
    records; a new per-cell number needs only a line here.  Where a key's
@@ -386,6 +393,38 @@ let telemetry_json tl =
       ("alerts", Arr (List.map alert (T.alerts tl)));
     ]
 
+(* The run-time layer's filters and buffer (section 2.4).  Requests come
+   from the application; "prefetch_filtered" drops pages already resident,
+   "release_filtered_same" repeats of the tag's previous page and
+   "release_filtered_bitmap" pages no longer resident.  "release_issued"
+   reached the OS, "release_buffered" waited in the priority buffer, and
+   "buffer_drains" counts the buffer's drain decisions. *)
+let runtime_json (rt : Runtime.stats) =
+  Obj
+    [
+      ("prefetch_requests", num_of_int rt.Runtime.rt_prefetch_requests);
+      ("prefetch_filtered", num_of_int rt.Runtime.rt_prefetch_filtered);
+      ("prefetch_enqueued", num_of_int rt.Runtime.rt_prefetch_enqueued);
+      ("release_requests", num_of_int rt.Runtime.rt_release_requests);
+      ("release_filtered_same", num_of_int rt.Runtime.rt_release_filtered_same);
+      ( "release_filtered_bitmap",
+        num_of_int rt.Runtime.rt_release_filtered_bitmap );
+      ("release_issued", num_of_int rt.Runtime.rt_release_issued);
+      ("release_buffered", num_of_int rt.Runtime.rt_release_buffered);
+      ("buffer_drains", num_of_int rt.Runtime.rt_buffer_drains);
+    ]
+
+(* The interactive task beside the hog: its warm response with the
+   machine to itself, and its hard faults per sweep, warm-up skipped (null
+   with no sweep past the warm-up).  The mean response is
+   "response_hist"'s "mean_ns". *)
+let interactive_json (i : E.interactive_summary) =
+  Obj
+    [
+      ("alone_ns", num_of_int i.E.is_alone_response);
+      ("avg_hard_faults", opt num_of_float i.E.is_avg_hard_faults);
+    ]
+
 (* The degradation governor at the end of the run: "level" 0..2,
    transitions in each direction, hints swallowed at level 2 (directives
    off) and its OS-side prefetch signal.  All zeros with the governor
@@ -417,6 +456,9 @@ let chaos_json ~disk_timeouts (cs : Memhog_sim.Chaos.stats) =
       ("directives_dropped", num_of_int cs.C.directives_dropped);
       ("pressure_spikes", num_of_int cs.C.pressure_spikes);
       ("pressure_pages", num_of_int cs.C.pressure_pages);
+      ("net_partition_drops", num_of_int cs.C.net_partition_drops);
+      ("net_slow_requests", num_of_int cs.C.net_slow_requests);
+      ("net_jitter_ns", num_of_int cs.C.net_jitter_ns);
     ]
 
 (* Swap-volume traffic summed over the stripe's disks.  "timeouts" counts
@@ -612,10 +654,24 @@ let blame_json (s : Reqtrace.summary) =
       ("transit_ns", num_of_int s.Reqtrace.su_transit);
     ]
 
-(* Optional objects are null when absent: "governor" for O (no run-time
-   layer; every other variant carries it, even with the governor off),
-   "chaos" without a fault plan, "tiers" without a tiers spec, "serving"
-   and "blame" for batch cells. *)
+let global_json (g : VS.global) =
+  Obj
+    [
+      ("daemon_activations", num_of_int g.VS.daemon_activations);
+      ("daemon_pages_stolen", num_of_int g.VS.daemon_pages_stolen);
+      ("daemon_frames_scanned", num_of_int g.VS.daemon_frames_scanned);
+      ("daemon_invalidations", num_of_int g.VS.daemon_invalidations);
+      ("releaser_batches", num_of_int g.VS.releaser_batches);
+      ("releaser_pages_freed", num_of_int g.VS.releaser_pages_freed);
+      ("allocations", num_of_int g.VS.allocations);
+      ("allocation_waits", num_of_int g.VS.allocation_waits);
+    ]
+
+(* Optional objects are null when absent: "interactive" without the
+   interactive task, "runtime" and "governor" for O (no run-time layer;
+   every other variant carries them, even with the governor off), "chaos"
+   without a fault plan, "tiers" without a tiers spec, "serving" and
+   "blame" for batch cells. *)
 let cell_json (r : E.result) =
   Obj
     [
@@ -629,12 +685,19 @@ let cell_json (r : E.result) =
       ("prefetch_hist", hist_json r.E.r_prefetch_hist);
       (* interactive per-sweep response times, warm-up sweep skipped *)
       ("response_hist", opt hist_json r.E.r_response_hist);
+      ("interactive", opt interactive_json r.E.r_interactive);
       ("release_accuracy", release_json r);
       ("telemetry", telemetry_json r.E.r_telemetry);
       ("hard_faults", num_of_int r.E.r_app_stats.VS.hard_faults);
       ("soft_faults", num_of_int r.E.r_app_stats.VS.soft_faults);
+      (* soft faults after daemon reference-bit invalidations *)
+      ( "soft_faults_daemon",
+        num_of_int r.E.r_app_stats.VS.soft_faults_daemon );
+      ("validation_faults", num_of_int r.E.r_app_stats.VS.validation_faults);
+      ("global", global_json r.E.r_global);
       ("swap_reads", num_of_int r.E.r_swap_reads);
       ("swap_writes", num_of_int r.E.r_swap_writes);
+      ("runtime", opt runtime_json r.E.r_runtime);
       ("governor", opt governor_json r.E.r_runtime);
       ( "chaos",
         opt (chaos_json ~disk_timeouts:r.E.r_disk_timeouts) r.E.r_chaos );
@@ -681,19 +744,6 @@ let proc_json (p : VS.proc) =
       ("prefetch_rescues", num_of_int p.VS.prefetch_rescues);
       ("writebacks", num_of_int p.VS.writebacks);
       ("invalidations", num_of_int p.VS.invalidations);
-    ]
-
-let global_json (g : VS.global) =
-  Obj
-    [
-      ("daemon_activations", num_of_int g.VS.daemon_activations);
-      ("daemon_pages_stolen", num_of_int g.VS.daemon_pages_stolen);
-      ("daemon_frames_scanned", num_of_int g.VS.daemon_frames_scanned);
-      ("daemon_invalidations", num_of_int g.VS.daemon_invalidations);
-      ("releaser_batches", num_of_int g.VS.releaser_batches);
-      ("releaser_pages_freed", num_of_int g.VS.releaser_pages_freed);
-      ("allocations", num_of_int g.VS.allocations);
-      ("allocation_waits", num_of_int g.VS.allocation_waits);
     ]
 
 (* Aggregates over every cell: the app drivers' accounts, per-process and
@@ -900,6 +950,7 @@ let has_obj k j = match member k j with Some (Obj _) -> true | _ -> false
 let istr k j = Option.value (str_member k j) ~default:"-"
 let icount k j =
   match int_member k j with Some i -> Report.count i | None -> "-"
+let counts j keys = List.map (fun k -> icount k j) keys
 let ins k j = match int_member k j with Some i -> Report.ns i | None -> "-"
 let ifloat f k j = match float_member k j with Some x -> f x | None -> "-"
 
@@ -912,6 +963,27 @@ let hist_row label h =
     ins "p99_ns" h;
     ins "max_ns" h;
   ]
+
+(* The fields shared by both site tables: the site's tag ("-" for work no
+   site claimed) and its directive. *)
+let site_cols r =
+  [
+    (match int_member "site" r with
+    | Some s when s >= 0 -> string_of_int s
+    | _ -> "-");
+    (if istr "kind" r = "unattributed" then "(unattributed)"
+     else istr "desc" r);
+  ]
+
+let positive k j = match int_member k j with Some v -> v > 0 | None -> false
+
+(* A ledger row is a release site by its static kind; a row no site
+   claimed counts as one if it saw release work. *)
+let is_release_site r =
+  match istr "kind" r with
+  | "release" -> true
+  | "prefetch" -> false
+  | _ -> positive "rel_hints" r || positive "rel_freed" r
 
 let render j =
   match member "cells" j with
@@ -928,7 +1000,11 @@ let render j =
       let cells_with k = List.filter (has_obj k) cells in
       let run c = Printf.sprintf "%s/%s" (istr "workload" c) (istr "variant" c) in
       table ~title:"Execution (out-of-core application)"
-        ~header:[ "run"; "user"; "system"; "io stall"; "res stall"; "elapsed"; "iters" ]
+        ~header:
+          [
+            "run"; "user"; "system"; "io stall"; "res stall"; "elapsed";
+            "iters"; "per pass";
+          ]
         (List.map
            (fun c ->
              let b = field "app_breakdown" c in
@@ -940,7 +1016,31 @@ let render j =
                ins "resource_stall_ns" b;
                ins "elapsed_ns" c;
                icount "iterations" c;
+               (match
+                  (int_member "elapsed_ns" c, int_member "iterations" c)
+                with
+               | Some e, Some n when n > 0 -> Report.ns (e / n)
+               | _ -> "-");
              ])
+           cells);
+      table ~title:"Faults and paging daemon (Figures 8 and 10c, Table 3)"
+        ~header:
+          [
+            "run"; "hard"; "soft"; "soft (daemon)"; "validations";
+            "daemon runs"; "stolen"; "invalidations";
+          ]
+        (List.map
+           (fun c ->
+             (run c :: counts c
+                [
+                  "hard_faults"; "soft_faults"; "soft_faults_daemon";
+                  "validation_faults";
+                ])
+             @ counts (field "global" c)
+                 [
+                   "daemon_activations"; "daemon_pages_stolen";
+                   "daemon_invalidations";
+                 ])
            cells);
       table ~title:"Demand-fault service time"
         ~header:[ "run"; "faults"; "p50"; "p90"; "p99"; "max" ]
@@ -950,18 +1050,30 @@ let render j =
         (List.map (fun c -> hist_row (run c) (field "prefetch_hist" c)) cells);
       let with_response = cells_with "response_hist" in
       if with_response <> [] then
-        table ~title:"Interactive response time"
-          ~header:[ "run"; "sweeps"; "p50"; "p90"; "p99"; "max" ]
+        table ~title:"Interactive response (recorded sweeps, warm-up excluded)"
+          ~header:
+            [
+              "run"; "sweeps"; "p50"; "p90"; "p99"; "max"; "mean"; "alone";
+              "faults/sweep";
+            ]
           (List.map
-             (fun c -> hist_row (run c) (field "response_hist" c))
+             (fun c ->
+               let h = field "response_hist" c and i = field "interactive" c in
+               hist_row (run c) h
+               @ [
+                   ifloat (fun m -> Report.ns (Float.to_int (Float.round m)))
+                     "mean_ns" h;
+                   ins "alone_ns" i;
+                   ifloat Report.f1 "avg_hard_faults" i;
+                 ])
              with_response);
       let with_serving = cells_with "serving" in
       if with_serving <> [] then
         table ~title:"Serving tail latency (open-loop, SLO from arrival)"
           ~header:
             [
-              "run"; "offered"; "served"; "queue max"; "p50"; "p99"; "p999";
-              "max"; "SLO";
+              "run"; "offered"; "arrived"; "completed"; "recorded";
+              "queue max"; "p50"; "p99"; "p999"; "max"; "SLO target"; "SLO";
             ]
           (List.map
              (fun c ->
@@ -972,12 +1084,15 @@ let render j =
                  ifloat
                    (fun f -> Printf.sprintf "%s rps" (Report.f1 f))
                    "offered_rps" s;
+                 icount "arrived" s;
+                 icount "completed" s;
                  icount "recorded" s;
                  icount "max_queue" s;
                  ins "p50_ns" h;
                  ins "p99_ns" h;
                  ins "p999_ns" h;
                  ins "max_ns" h;
+                 ins "slo_ns" s;
                  ifloat Report.pct "slo_attainment" s;
                ])
              with_serving);
@@ -1031,6 +1146,26 @@ let render j =
                icount "stale_dropped" ra;
              ])
            cells);
+      (* its stale drops are Release accuracy's "stale" column *)
+      let with_runtime = cells_with "runtime" in
+      if with_runtime <> [] then
+        table ~title:"Run-time layer (requests, filters, buffer)"
+          ~header:
+            [
+              "run"; "prefetch req"; "filtered"; "enqueued"; "release req";
+              "same page"; "not resident"; "issued"; "buffered"; "drains";
+            ]
+          (List.map
+             (fun c ->
+               run c
+               :: counts (field "runtime" c)
+                    [
+                      "prefetch_requests"; "prefetch_filtered";
+                      "prefetch_enqueued"; "release_requests";
+                      "release_filtered_same"; "release_filtered_bitmap";
+                      "release_issued"; "release_buffered"; "buffer_drains";
+                    ])
+             with_runtime);
       let with_disk = cells_with "disk" in
       if with_disk <> [] then
         table ~title:"Swap volume (per-request deadline + arm classes)"
@@ -1090,7 +1225,7 @@ let render j =
                  | Some 2 -> "open"
                  | _ -> "-");
                  icount "placed" ti;
-                 ifloat Report.f1 "zram_amplification" ti;
+                 ifloat Report.ratio "zram_amplification" ti;
                  icount "tier_buffered" ti;
                ])
              with_tiers)
@@ -1118,45 +1253,59 @@ let render j =
                  icount "trace_dropped" c;
                ])
              with_ledger);
-        let site_rows =
+        let site_rows keep cols =
           List.concat_map
             (fun c ->
               List.filter_map
                 (fun r ->
-                  (* only rows with activity: keep the report short *)
-                  let any k =
-                    match int_member k r with Some v -> v > 0 | None -> false
-                  in
-                  if any "pf_sent" || any "rel_hints" then
-                    Some
-                      [
-                        run c;
-                        icount "site" r;
-                        Printf.sprintf "%s %s" (istr "kind" r) (istr "desc" r);
-                        Printf.sprintf "%s/%s" (icount "pf_issued" r)
-                          (icount "pf_dropped" r);
-                        Printf.sprintf "%s/%s" (icount "pf_referenced" r)
-                          (icount "pf_useless" r);
-                        ins "pf_saved_ns" r;
-                        Printf.sprintf "%s/%s" (icount "rel_sent" r)
-                          (icount "rel_freed" r);
-                        Printf.sprintf "%s/%s" (icount "rel_rescued" r)
-                          (icount "rel_refaulted" r);
-                        icount "static_priority" r;
-                        ifloat (fun f -> Report.pct (f /. 100.0)) "refault_pct" r;
-                      ]
+                  if keep r then Some ((run c :: site_cols r) @ cols r)
                   else None)
                 (items "sites" (field "ledger" c)))
             with_ledger
         in
-        if site_rows <> [] then
-          table ~title:"Per-site efficacy"
+        let pf_rows =
+          site_rows
+            (fun r -> (not (is_release_site r)) && positive "pf_sent" r)
+            (fun r ->
+              counts r
+                [
+                  "pf_sent"; "pf_issued"; "pf_dropped"; "pf_raced"; "pf_done";
+                  "pf_referenced"; "pf_useless"; "pf_late";
+                ]
+              @ [ ins "pf_saved_ns" r ])
+        in
+        if pf_rows <> [] then
+          table ~title:"Prefetch sites"
             ~header:
               [
-                "run"; "site"; "directive"; "pf iss/drop"; "pf ref/useless";
-                "saved"; "rel sent/freed"; "resc/refault"; "prio"; "refault%";
+                "run"; "site"; "directive"; "sent"; "issued"; "dropped";
+                "raced"; "done"; "refd"; "useless"; "late"; "latency saved";
               ]
-            site_rows
+            pf_rows;
+        let rel_rows =
+          site_rows is_release_site (fun r ->
+              [
+                (if istr "kind" r = "release" then icount "static_priority" r
+                 else "-");
+                ifloat Report.f1 "priority_mean" r;
+              ]
+              @ counts r
+                  [
+                    "rel_hints"; "rel_filtered"; "rel_buffered"; "rel_stale";
+                    "rel_sent"; "rel_skipped"; "rel_freed"; "rel_rescued";
+                    "rel_refaulted"; "rel_reused"; "rel_unreclaimed";
+                  ]
+              @ [ ifloat (fun f -> Report.pct (f /. 100.0)) "refault_pct" r ])
+        in
+        if rel_rows <> [] then
+          table ~title:"Release sites (Eq. 2 priority vs observed refault rate)"
+            ~header:
+              [
+                "run"; "site"; "directive"; "prio"; "mean"; "hints"; "filt";
+                "buf"; "stale"; "sent"; "skip"; "freed"; "resc"; "refault";
+                "reused"; "unrecl"; "refault%";
+              ]
+            rel_rows
       end;
       table ~title:"Telemetry (min / mean / max / last)"
         ~header:[ "run"; "series"; "kind"; "samples"; "min"; "mean"; "max"; "last" ]
@@ -1196,7 +1345,8 @@ let render j =
           ~header:
             [
               "run"; "faults"; "retries"; "backoff"; "timeouts"; "slow";
-              "stall (rel/dmn)"; "dropped"; "pressure";
+              "stall (rel/dmn)"; "dropped"; "pressure"; "net drops";
+              "net slow"; "net jitter";
             ]
           (List.map
              (fun c ->
@@ -1214,6 +1364,9 @@ let render j =
                  Printf.sprintf "%s spikes, %s pages"
                    (icount "pressure_spikes" ch)
                    (icount "pressure_pages" ch);
+                 icount "net_partition_drops" ch;
+                 icount "net_slow_requests" ch;
+                 ins "net_jitter_ns" ch;
                ])
              with_chaos);
         table ~title:"Degradation governor"
@@ -1240,8 +1393,9 @@ let render j =
                | _ -> None)
              with_chaos)
       end;
+      (* one cell's totals repeat its own rows *)
       (match member "totals" j with
-      | Some t ->
+      | Some t when List.length cells > 1 ->
           table ~title:"Totals (all cells)"
             ~header:[ ""; "count"; "p50"; "p90"; "p99"; "max" ]
             (List.filter_map
@@ -1253,7 +1407,7 @@ let render j =
                  ("prefetches", "prefetch_hist");
                  ("interactive sweeps", "response_hist");
                ])
-      | None -> ());
+      | _ -> ());
       Format.pp_close_box fmt ();
       Format.pp_print_flush fmt ();
       Ok (Buffer.contents buf)

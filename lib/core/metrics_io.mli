@@ -80,12 +80,15 @@ val pp_diffs : ?limit:int -> Format.formatter -> diff list -> unit
 
 val render : json -> (string, string) result
 (** Human-readable tables ({!Report.table}) for a parsed metrics document,
-    in this order: execution (Figure 7 breakdown), demand-fault service
-    time, prefetch service time, interactive response time, serving tail
-    latency, tail blame, release accuracy, swap volume, backing tiers,
-    tier routing, wasted work, per-site efficacy, telemetry, alert
-    timeline, fault injection, degradation governor and totals.  A table
-    whose source object is absent (or null) in every cell, or that would
-    have no rows, is left out; execution, the two service times, release
+    one row per cell: the only view of a run's numbers ([memhog run]
+    prints it for its own one-cell document, [memhog report] for files).
+    In this order: execution (Figure 7 breakdown and time per pass),
+    faults and paging daemon, demand-fault service time, prefetch service
+    time, interactive response, serving tail latency, tail blame, release
+    accuracy, run-time layer, swap volume, backing tiers, tier routing,
+    wasted work, prefetch sites, release sites, telemetry, alert timeline,
+    fault injection, degradation governor and totals.  A table whose
+    source object is absent (or null) in every cell, or that would have no
+    rows, is left out; execution, faults, the two service times, release
     accuracy and telemetry are always drawn, and totals whenever the
-    document has them. *)
+    document has them and more than one cell. *)

@@ -33,8 +33,8 @@ let results t = List.map snd t.s_cells
 
 let run ?(machine = Machine.paper) ?(workload = default_hog)
     ?(rates = default_rates) ?(variants = default_variants)
-    ?(slo = Time_ns.ms 30) ?(duration = Time_ns.sec 20) ?chaos ?tiers ?mark
-    ?(jobs = 1) ?(log = fun (_ : string) -> ()) () =
+    ?(slo = Time_ns.ms 30) ?(duration = Time_ns.sec 20) ?chaos ?(jobs = 1)
+    ?(log = fun (_ : string) -> ()) () =
   let w = Workload.find workload in
   let grid =
     List.concat_map
@@ -49,11 +49,10 @@ let run ?(machine = Machine.paper) ?(workload = default_hog)
           (Printf.sprintf "serve: %s/%s hog @ %g rps" workload
              (E.variant_name c.sc_variant) c.sc_rate);
         let serve =
-          E.serve_cfg ~machine ~slo ~duration ?mark ~rate_rps:c.sc_rate ()
+          E.serve_cfg ~machine ~slo ~duration ~rate_rps:c.sc_rate ()
         in
         E.run
-          (E.setup ~machine ~workload:w ~variant:c.sc_variant ?chaos ?tiers
-             ~serve ()))
+          (E.setup ~machine ~workload:w ~variant:c.sc_variant ?chaos ~serve ()))
       grid
   in
   {

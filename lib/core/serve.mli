@@ -41,17 +41,13 @@ val run :
   ?slo:Memhog_sim.Time_ns.t ->
   ?duration:Memhog_sim.Time_ns.t ->
   ?chaos:string ->
-  ?tiers:string ->
-  ?mark:Memhog_sim.Time_ns.t ->
   ?jobs:int ->
   ?log:(string -> unit) ->
   unit ->
   t
 (** Run the grid on [jobs] worker domains.  [chaos] applies the same
     fault-injection spec to every cell (rebuilt per cell from the machine
-    seed, preserving determinism); [tiers] likewise installs the same
-    tiered backing store in every cell, and [mark] sets the server's
-    post-window recovery mark ({!Memhog_exec.Server.cfg}[.sv_mark]).
+    seed, preserving determinism).
     @raise Failure when [workload] is unknown. *)
 
 val cells : t -> (cell * Experiment.result) list

@@ -18,7 +18,11 @@ module Workload = Memhog_workloads.Workload
 
 type mix = { mx_name : string; mx_tiers : string option }
 
-let default_mixes =
+(* The matrix: EMBAR/B over every backend mix. *)
+let workload = "EMBAR"
+let variant = E.B
+
+let mixes =
   [
     { mx_name = "swap"; mx_tiers = None };
     { mx_name = "far"; mx_tiers = Some "far" };
@@ -42,8 +46,6 @@ let partition_mark = Time_ns.sec 10
 
 type t = {
   tx_machine : Machine.t;
-  tx_workload : string;
-  tx_variant : E.variant;
   tx_mixes : (mix * E.result) list;
   tx_rate : float;
   tx_partition : E.result;
@@ -51,8 +53,7 @@ type t = {
 
 let results t = List.map snd t.tx_mixes @ [ t.tx_partition ]
 
-let run ?(machine = Machine.paper) ?(workload = "EMBAR") ?(variant = E.B)
-    ?(mixes = default_mixes) ~rate ?(jobs = 1)
+let run ?(machine = Machine.paper) ~rate ?(jobs = 1)
     ?(log = fun (_ : string) -> ()) () =
   let w = Workload.find workload in
   (* One flat list of thunks so the pool overlaps the matrix cells with
@@ -104,8 +105,6 @@ let run ?(machine = Machine.paper) ?(workload = "EMBAR") ?(variant = E.B)
   in
   {
     tx_machine = machine;
-    tx_workload = workload;
-    tx_variant = variant;
     tx_mixes = mix_results;
     tx_rate = rate;
     tx_partition = partition;
@@ -194,8 +193,8 @@ let render t =
   let fmt = Format.formatter_of_buffer buf in
   Format.pp_open_vbox fmt 0;
   Format.fprintf fmt
-    "Tiered backing store: %s/%s over backend mixes (%s)@,@," t.tx_workload
-    (E.variant_name t.tx_variant) t.tx_machine.Machine.m_name;
+    "Tiered backing store: %s/%s over backend mixes (%s)@,@," workload
+    (E.variant_name variant) t.tx_machine.Machine.m_name;
   Report.table ~title:"Execution by backend mix (Figure 7 components)"
     ~header:
       [ "mix"; "user"; "system"; "io stall"; "res stall"; "elapsed" ]

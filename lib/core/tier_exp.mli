@@ -18,8 +18,9 @@
 type mix = { mx_name : string; mx_tiers : string option }
 (** One backend mix of the matrix: [None] is the swap-only baseline. *)
 
-val default_mixes : mix list
-(** swap, far, zram, far+zram. *)
+val mixes : mix list
+(** The matrix's backend mixes, each run under EMBAR/B: swap, far, zram,
+    far+zram. *)
 
 val partition_tiers : string
 (** The partition scenario's tier spec: far memory with a short breaker
@@ -34,8 +35,6 @@ val partition_mark : Memhog_sim.Time_ns.t
 
 type t = {
   tx_machine : Machine.t;
-  tx_workload : string;          (** the matrix workload *)
-  tx_variant : Experiment.variant;
   tx_mixes : (mix * Experiment.result) list;
   tx_rate : float;               (** partition cell's offered load (rps) *)
   tx_partition : Experiment.result;
@@ -43,9 +42,6 @@ type t = {
 
 val run :
   ?machine:Machine.t ->
-  ?workload:string ->
-  ?variant:Experiment.variant ->
-  ?mixes:mix list ->
   rate:float ->
   ?jobs:int ->
   ?log:(string -> unit) ->
@@ -55,8 +51,7 @@ val run :
     The partition cell co-runs the EMBAR/R hog (dirty releases, so
     demotions stay in flight through the fault window; aggressive, so
     the governor's tier-aware rung is exercised while the breaker is
-    open) with the open-loop server at [rate] rps.
-    @raise Failure when [workload] is unknown. *)
+    open) with the open-loop server at [rate] rps. *)
 
 val results : t -> Experiment.result list
 (** Matrix cells in mix order, then the partition cell — ready for

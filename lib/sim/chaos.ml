@@ -65,30 +65,11 @@ let none = { rules = []; st = fresh_stats () }
 let is_none t = t.rules = []
 let stats t = t.st
 
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "@[<v>disk faults: %d (%d retries, %s backoff)@,\
-     slow requests: %d@,\
-     stalls: releaser %s, daemon %s@,\
-     directives dropped: %d@,\
-     pressure: %d spikes, %d pages@,\
-     net: %d partition drops, %d slow requests, %s jitter@]"
-    s.disk_faults s.disk_retries
-    (Time_ns.to_string s.disk_backoff_ns)
-    s.slow_requests
-    (Time_ns.to_string s.releaser_stall_ns)
-    (Time_ns.to_string s.daemon_stall_ns)
-    s.directives_dropped s.pressure_spikes s.pressure_pages
-    s.net_partition_drops s.net_slow_requests
-    (Time_ns.to_string s.net_jitter_ns)
-
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-exception Bad of string
-
-let bad fmt = Format.kasprintf (fun s -> raise (Bad s)) fmt
+let bad = Spec_lex.bad
 
 let kind_of_string = function
   | "disk-fault" -> Disk_fault
@@ -102,47 +83,6 @@ let kind_of_string = function
   | "net-jitter" -> Net_jitter
   | s -> bad "unknown fault kind %S" s
 
-let parse_time s =
-  let s = String.trim s in
-  let num, unit_ =
-    let n = String.length s in
-    let rec split i =
-      if i = 0 then bad "bad time %S" s
-      else
-        let c = s.[i - 1] in
-        if (c >= '0' && c <= '9') || c = '.' then
-          (String.sub s 0 i, String.sub s i (n - i))
-        else split (i - 1)
-    in
-    if n = 0 then bad "empty time" else split n
-  in
-  let v =
-    match float_of_string_opt num with
-    | Some v when v >= 0.0 -> v
-    | _ -> bad "bad time %S" s
-  in
-  let scale =
-    match unit_ with
-    | "ns" -> 1.0
-    | "us" -> 1e3
-    | "ms" -> 1e6
-    | "" | "s" -> 1e9
-    | "m" -> 60e9
-    | "h" -> 3600e9
-    | u -> bad "unknown time unit %S in %S" u s
-  in
-  int_of_float (v *. scale)
-
-let parse_float k s =
-  match float_of_string_opt (String.trim s) with
-  | Some v -> v
-  | None -> bad "bad number %S for %s" s k
-
-let parse_int k s =
-  match int_of_string_opt (String.trim s) with
-  | Some v -> v
-  | None -> bad "bad integer %S for %s" s k
-
 (* A clause before RNG assignment. *)
 type proto = {
   pr_kind : kind;
@@ -155,34 +95,21 @@ let parse_clause clause =
   match String.index_opt clause '@' with
   | None -> bad "clause %S: expected kind@start-stop[:params]" clause
   | Some at ->
-      let kind = kind_of_string (String.trim (String.sub clause 0 at)) in
+      let name = String.trim (String.sub clause 0 at) in
+      let kind = kind_of_string name in
       let rest = String.sub clause (at + 1) (String.length clause - at - 1) in
       let window, params =
         match String.index_opt rest ':' with
         | None -> (rest, [])
         | Some c ->
-            let w = String.sub rest 0 c in
-            let p = String.sub rest (c + 1) (String.length rest - c - 1) in
-            let kvs =
-              List.filter_map
-                (fun kv ->
-                  let kv = String.trim kv in
-                  if kv = "" then None
-                  else
-                    match String.index_opt kv '=' with
-                    | None -> bad "bad parameter %S (expected key=value)" kv
-                    | Some e ->
-                        Some
-                          ( String.trim (String.sub kv 0 e),
-                            String.sub kv (e + 1) (String.length kv - e - 1)
-                          ))
-                (String.split_on_char ',' p)
-            in
-            (w, kvs)
+            ( String.sub rest 0 c,
+              Spec_lex.kvs ~clause:name
+                (String.sub rest (c + 1) (String.length rest - c - 1)) )
       in
       let start, stop =
         match String.split_on_char '-' window with
-        | [ a; b ] -> (parse_time a, parse_time b)
+        | [ a; b ] ->
+            (Spec_lex.time ~key:"start" a, Spec_lex.time ~key:"stop" b)
         | _ -> bad "bad window %S (expected start-stop)" window
       in
       { pr_kind = kind; pr_start = start; pr_stop = stop; pr_params = params }
@@ -208,18 +135,18 @@ let rule_of_proto ~seed ~index pr =
   List.iter
     (fun (k, v) ->
       match k with
-      | "p" -> p := parse_float k v
-      | "retries" -> retries := parse_int k v
-      | "fails" -> fails := Some (parse_int k v)
-      | "backoff" -> backoff := parse_time v
+      | "p" -> p := Spec_lex.float ~key:k v
+      | "retries" -> retries := Spec_lex.int ~key:k v
+      | "fails" -> fails := Some (Spec_lex.int ~key:k v)
+      | "backoff" -> backoff := Spec_lex.time ~key:k v
       | "factor" ->
-          factor := parse_float k v;
+          factor := Spec_lex.float ~key:k v;
           net_shape_given := true
-      | "pages" -> pages := parse_int k v
-      | "hold" -> hold := parse_time v
-      | "latency" -> latency := parse_time v
+      | "pages" -> pages := Spec_lex.int ~key:k v
+      | "hold" -> hold := Spec_lex.time ~key:k v
+      | "latency" -> latency := Spec_lex.time ~key:k v
       | "bandwidth" ->
-          bandwidth := parse_float k v;
+          bandwidth := Spec_lex.float ~key:k v;
           net_shape_given := true
       | _ -> bad "unknown parameter %S" k)
     pr.pr_params;
@@ -288,7 +215,8 @@ let parse ?(seed = 0) spec =
           | Some e
             when String.index_opt c '@' = None
                  && String.trim (String.sub c 0 e) = "seed" ->
-              parse_int "seed" (String.sub c (e + 1) (String.length c - e - 1))
+              Spec_lex.int ~key:"seed"
+                (String.sub c (e + 1) (String.length c - e - 1))
           | _ -> acc)
         seed clauses
     in
@@ -312,7 +240,7 @@ let parse ?(seed = 0) spec =
         rules = List.mapi (fun i pr -> rule_of_proto ~seed ~index:i pr) protos;
         st = fresh_stats ();
       }
-  with Bad msg -> Error (Printf.sprintf "chaos spec: %s" msg)
+  with Spec_lex.Bad msg -> Error (Printf.sprintf "chaos spec: %s" msg)
 
 let create ?seed spec =
   match parse ?seed spec with

@@ -85,8 +85,6 @@ val stats : t -> stats
 (** Live counters, incremented as faults are drawn.  The record for
     {!none} is shared and stays zero. *)
 
-val pp_stats : Format.formatter -> stats -> unit
-
 (** {2 Hook points} *)
 
 val disk_fault : t -> now:Time_ns.t -> (int * Time_ns.t) option

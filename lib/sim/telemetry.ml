@@ -319,11 +319,6 @@ let window t name =
   | Some s ->
       List.init s.r_len (fun i -> (ring_time s i, ring_value s i))
 
-let last_value t name =
-  match Hashtbl.find_opt t.tl_index name with
-  | Some s when s.a_count > 0 -> Some s.a_last
-  | _ -> None
-
 let alerts t = List.rev t.tl_alerts
 
 let active_rules t =
@@ -376,26 +371,6 @@ let pp_summary fmt ts =
   else
     Format.fprintf fmt "%-16s min %.0f  mean %.0f  max %.0f  last %.0f"
       ts.ts_name ts.ts_min ts.ts_mean ts.ts_max ts.ts_last
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>telemetry: %d series, %d scrapes@,"
-    (List.length t.tl_series) t.tl_scrapes;
-  List.iter
-    (fun s ->
-      Format.fprintf fmt "  %a  |%s|@," pp_summary (summarize s)
-        (sparkline_of (List.init s.r_len (fun i -> (ring_time s i, ring_value s i)))))
-    (in_order t);
-  (match alerts t with
-  | [] -> Format.fprintf fmt "  (no alerts)@,"
-  | als ->
-      List.iter
-        (fun a ->
-          Format.fprintf fmt "  %s %s %s (%.3f)@,"
-            (Time_ns.to_string a.al_time)
-            (if a.al_fired then "FIRE " else "clear")
-            a.al_rule a.al_value)
-        als);
-  Format.fprintf fmt "@]"
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)

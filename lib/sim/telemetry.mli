@@ -128,8 +128,6 @@ val summary_of : t -> string -> series_summary option
 val window : t -> string -> (Time_ns.t * float) list
 (** The retained ring of a series, oldest first; [[]] for unknown names. *)
 
-val last_value : t -> string -> float option
-
 val alerts : t -> alert list
 (** The full fire/clear timeline, chronological. *)
 
@@ -149,9 +147,6 @@ val sparkline : ?width:int -> t -> string -> string
 
 val pp_summary : Format.formatter -> series_summary -> unit
 (** One line: name, min/mean/max/last. *)
-
-val pp : Format.formatter -> t -> unit
-(** Every series' summary plus its sparkline, then the alert timeline. *)
 
 val to_openmetrics : t -> string
 (** OpenMetrics text exposition: [# TYPE]/[# HELP] metadata per metric,

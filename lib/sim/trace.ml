@@ -477,14 +477,6 @@ let counts t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let pp_summary ppf t =
-  Format.fprintf ppf "@[<v>trace: %d events retained, %d dropped@," t.len
-    t.dropped;
-  List.iter
-    (fun (name, n) -> Format.fprintf ppf "  %-22s %d@," name n)
-    (counts t);
-  Format.fprintf ppf "@]"
-
 let daemon_stream = -1
 let releaser_stream = -2
 let writeback_stream = -3

@@ -158,8 +158,6 @@ val event_args : event -> (string * string) list
 val counts : t -> (string * int) list
 (** Retained event tally by [event_name], sorted by name. *)
 
-val pp_summary : Format.formatter -> t -> unit
-
 (** {1 Reserved daemon stream ids} *)
 
 val daemon_stream : int

@@ -47,38 +47,7 @@ type spec = {
   sp_route : route;
 }
 
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
-
-(* Same time grammar as the chaos DSL: "500us", "2ms", "1s", bare = s. *)
-let parse_time k s =
-  let s = String.trim s in
-  let n = String.length s in
-  let rec split i =
-    if i = 0 then bad "%s: bad time %S" k s
-    else
-      let c = s.[i - 1] in
-      if (c >= '0' && c <= '9') || c = '.' then
-        (String.sub s 0 i, String.sub s i (n - i))
-      else split (i - 1)
-  in
-  if n = 0 then bad "%s: empty time" k;
-  let num, unit_ = split n in
-  let v =
-    match float_of_string_opt num with
-    | Some v when v >= 0.0 -> v
-    | _ -> bad "%s: bad time %S" k s
-  in
-  let scale =
-    match unit_ with
-    | "ns" -> 1.0
-    | "us" -> 1e3
-    | "ms" -> 1e6
-    | "" | "s" -> 1e9
-    | u -> bad "%s: unknown time unit %S" k u
-  in
-  int_of_float (v *. scale)
+let bad = Spec_lex.bad
 
 let parse_bytes k s =
   let s = String.trim s in
@@ -96,41 +65,19 @@ let parse_bytes k s =
   | Some v when v > 0 -> v * mult
   | _ -> bad "%s: bad size %S" k s
 
-let parse_int k s =
-  match int_of_string_opt (String.trim s) with
-  | Some v -> v
-  | None -> bad "%s: bad integer %S" k s
-
-let parse_float k s =
-  match float_of_string_opt (String.trim s) with
-  | Some v -> v
-  | None -> bad "%s: bad number %S" k s
-
-let parse_kvs clause body =
-  List.filter_map
-    (fun kv ->
-      let kv = String.trim kv in
-      if kv = "" then None
-      else
-        match String.index_opt kv '=' with
-        | None -> bad "%s: expected key=value, got %S" clause kv
-        | Some eq ->
-            Some
-              ( String.trim (String.sub kv 0 eq),
-                String.sub kv (eq + 1) (String.length kv - eq - 1) ))
-    (String.split_on_char ',' body)
-
 let parse_far kvs =
   let p = ref Farmem.default_params in
   List.iter
     (fun (k, v) ->
       match k with
-      | "latency" -> p := { !p with Farmem.base_latency_ns = parse_time k v }
-      | "bw" -> p := { !p with Farmem.bandwidth_mb_s = parse_float k v }
-      | "timeout" -> p := { !p with Farmem.timeout_ns = parse_time k v }
-      | "attempts" -> p := { !p with Farmem.attempts = parse_int k v }
-      | "backoff" -> p := { !p with Farmem.backoff_ns = parse_time k v }
-      | "cap" -> p := { !p with Farmem.backoff_cap_ns = parse_time k v }
+      | "latency" ->
+          p := { !p with Farmem.base_latency_ns = Spec_lex.time ~key:k v }
+      | "bw" -> p := { !p with Farmem.bandwidth_mb_s = Spec_lex.float ~key:k v }
+      | "timeout" -> p := { !p with Farmem.timeout_ns = Spec_lex.time ~key:k v }
+      | "attempts" -> p := { !p with Farmem.attempts = Spec_lex.int ~key:k v }
+      | "backoff" -> p := { !p with Farmem.backoff_ns = Spec_lex.time ~key:k v }
+      | "cap" ->
+          p := { !p with Farmem.backoff_cap_ns = Spec_lex.time ~key:k v }
       | _ -> bad "far: unknown key %S" k)
     kvs;
   if !p.Farmem.attempts < 1 then bad "far: attempts must be >= 1";
@@ -147,9 +94,10 @@ let parse_zram kvs =
     (fun (k, v) ->
       match k with
       | "cap" -> p := { !p with Zram.capacity_bytes = parse_bytes k v }
-      | "compress" -> p := { !p with Zram.compress_ns_per_kb = parse_time k v }
+      | "compress" ->
+          p := { !p with Zram.compress_ns_per_kb = Spec_lex.time ~key:k v }
       | "decompress" ->
-          p := { !p with Zram.decompress_ns_per_kb = parse_time k v }
+          p := { !p with Zram.decompress_ns_per_kb = Spec_lex.time ~key:k v }
       | _ -> bad "zram: unknown key %S" k)
     kvs;
   !p
@@ -159,12 +107,12 @@ let parse_route kvs =
   List.iter
     (fun (k, v) ->
       match k with
-      | "thresh" -> r := { !r with r_thresh = parse_int k v }
-      | "ewma" -> r := { !r with r_ewma = parse_float k v }
-      | "open" -> r := { !r with r_open = parse_float k v }
-      | "min" -> r := { !r with r_min = parse_int k v }
-      | "hold" -> r := { !r with r_hold = parse_time k v }
-      | "cap" -> r := { !r with r_hold_cap = parse_time k v }
+      | "thresh" -> r := { !r with r_thresh = Spec_lex.int ~key:k v }
+      | "ewma" -> r := { !r with r_ewma = Spec_lex.float ~key:k v }
+      | "open" -> r := { !r with r_open = Spec_lex.float ~key:k v }
+      | "min" -> r := { !r with r_min = Spec_lex.int ~key:k v }
+      | "hold" -> r := { !r with r_hold = Spec_lex.time ~key:k v }
+      | "cap" -> r := { !r with r_hold_cap = Spec_lex.time ~key:k v }
       | _ -> bad "route: unknown key %S" k)
     kvs;
   if !r.r_ewma <= 0.0 || !r.r_ewma > 1.0 then bad "route: ewma out of (0,1]";
@@ -189,7 +137,7 @@ let spec_of_string s =
                 ( String.sub clause 0 c,
                   String.sub clause (c + 1) (String.length clause - c - 1) )
           in
-          let kvs = parse_kvs name body in
+          let kvs = Spec_lex.kvs ~clause:(String.trim name) body in
           match String.trim name with
           | "far" ->
               if !far <> None then bad "duplicate far clause";
@@ -203,7 +151,7 @@ let spec_of_string s =
     if !far = None && !zram = None then
       bad "spec %S names no tier (add far and/or zram)" s;
     Ok { sp_far = !far; sp_zram = !zram; sp_route = !route }
-  with Bad m -> Error m
+  with Spec_lex.Bad m -> Error m
 
 let spec_of_string_exn s =
   match spec_of_string s with Ok sp -> sp | Error m -> invalid_arg m

@@ -39,8 +39,9 @@ val tier_name : int -> string
     [far\[:latency=5us,bw=1000,timeout=500us,attempts=4,backoff=50us,cap=2ms\]],
     [zram\[:cap=16M,compress=900ns,decompress=400ns\]],
     [route\[:thresh=3,ewma=0.3,open=0.5,min=3,hold=50ms,cap=1s\]].
-    At least one of [far]/[zram] must be named.  Times use the chaos DSL
-    grammar ("500us", "2ms", bare seconds); sizes take K/M/G suffixes. *)
+    At least one of [far]/[zram] must be named.  Times, integers and
+    numbers go through {!Memhog_sim.Spec_lex}, as in chaos plans ("500us",
+    "2ms", "1m", bare seconds); sizes take K/M/G suffixes. *)
 
 type route = {
   r_thresh : int;  (** priorities >= thresh go to zram, below to far *)

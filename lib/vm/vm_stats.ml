@@ -1,7 +1,5 @@
 type freer = Daemon | Releaser
 
-let freer_name = function Daemon -> "daemon" | Releaser -> "releaser"
-
 type proc = {
   mutable hard_faults : int;
   mutable soft_faults : int;
@@ -68,16 +66,6 @@ let add_proc dst src =
   dst.writebacks <- dst.writebacks + src.writebacks;
   dst.invalidations <- dst.invalidations + src.invalidations
 
-let total_faults p = p.hard_faults + p.soft_faults + p.validation_faults
-
-let rescued p = function
-  | Daemon -> p.rescued_daemon
-  | Releaser -> p.rescued_releaser
-
-let freed_by p = function
-  | Daemon -> p.freed_by_daemon
-  | Releaser -> p.freed_by_releaser
-
 type global = {
   mutable daemon_activations : int;
   mutable daemon_pages_stolen : int;
@@ -112,24 +100,3 @@ let add_global dst src =
   dst.releaser_pages_freed <- dst.releaser_pages_freed + src.releaser_pages_freed;
   dst.allocations <- dst.allocations + src.allocations;
   dst.allocation_waits <- dst.allocation_waits + src.allocation_waits
-
-let pp_proc fmt p =
-  Format.fprintf fmt
-    "@[<v>faults: hard=%d soft=%d valid=%d zero=%d@,\
-     freed: daemon=%d releaser=%d@,\
-     rescued: daemon=%d releaser=%d  lost: daemon=%d releaser=%d@,\
-     releases: req=%d skipped=%d  prefetch: ok=%d drop=%d useless=%d rescue=%d@,\
-     writebacks=%d invalidations=%d@]"
-    p.hard_faults p.soft_faults p.validation_faults p.zero_fills
-    p.freed_by_daemon p.freed_by_releaser p.rescued_daemon p.rescued_releaser
-    p.lost_daemon p.lost_releaser p.releases_requested p.releases_skipped
-    p.prefetches_issued p.prefetches_dropped p.prefetches_useless
-    p.prefetch_rescues p.writebacks p.invalidations
-
-let pp_global fmt g =
-  Format.fprintf fmt
-    "@[<v>daemon: activations=%d stolen=%d scanned=%d invalidations=%d@,\
-     releaser: batches=%d freed=%d@,allocations=%d (blocked %d)@]"
-    g.daemon_activations g.daemon_pages_stolen g.daemon_frames_scanned
-    g.daemon_invalidations g.releaser_batches g.releaser_pages_freed
-    g.allocations g.allocation_waits

@@ -8,8 +8,6 @@
 
 type freer = Daemon | Releaser
 
-val freer_name : freer -> string
-
 (** Per-process counters. *)
 type proc = {
   mutable hard_faults : int;      (** faults requiring swap I/O *)
@@ -38,9 +36,6 @@ type proc = {
 
 val create_proc : unit -> proc
 val add_proc : proc -> proc -> unit
-val total_faults : proc -> int
-val rescued : proc -> freer -> int
-val freed_by : proc -> freer -> int
 
 (** Global (system-wide) counters. *)
 type global = {
@@ -60,6 +55,3 @@ val create_global : unit -> global
 val add_global : global -> global -> unit
 (** [add_global dst src] merges [src] into [dst] (field-wise sum), the
     global-counter counterpart of {!add_proc}. *)
-
-val pp_proc : Format.formatter -> proc -> unit
-val pp_global : Format.formatter -> global -> unit

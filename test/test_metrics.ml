@@ -254,6 +254,106 @@ let test_disk_slow_moves_timeouts () =
          contains text "Swap volume")
   | Error e -> Alcotest.failf "render failed: %s" e
 
+(* ------------------------------------------------------------------ *)
+(* Schema 8: every number [memhog run] prints is a document key        *)
+(* ------------------------------------------------------------------ *)
+
+let get k = function
+  | Mio.Obj kvs -> (
+      match List.assoc_opt k kvs with
+      | Some v -> v
+      | None -> Alcotest.failf "no key %S" k)
+  | _ -> Alcotest.failf "not an object where %S was expected" k
+
+let lexeme = function Mio.Num (_, l) -> l | Mio.Null -> "null" | _ -> "?"
+
+(* Each (key, source value) pair: the key's number is its source's. *)
+let check_ints what obj pairs =
+  List.iter
+    (fun (k, v) ->
+      check_str (Printf.sprintf "%s.%s" what k) (string_of_int v)
+        (lexeme (get k obj)))
+    pairs
+
+let test_schema8_keys () =
+  let module VS = Memhog_vm.Vm_stats in
+  let module Rt = Memhog_runtime.Runtime in
+  let module Chaos = Memhog_sim.Chaos in
+  let cell ?interactive_sleep ?chaos ?tiers w variant =
+    E.run
+      (E.setup ~machine:Machine.quick
+         ~workload:(Memhog_workloads.Workload.find w)
+         ~variant ~iterations:1 ?interactive_sleep ?chaos ?tiers ())
+  in
+  let co =
+    cell ~interactive_sleep:(Memhog_sim.Time_ns.sec 1)
+      ~chaos:"net-partition@1s-3s" ~tiers:"far" "EMBAR" E.B
+  in
+  let batch = cell "MATVEC" E.O in
+  let doc = Mio.metrics_json (Metrics.of_results ~label:"v8" [ co; batch ]) in
+  let c, o =
+    match get "cells" doc with
+    | Mio.Arr [ c; o ] -> (c, o)
+    | _ -> Alcotest.fail "expected two cells"
+  in
+  List.iter
+    (fun (j, (r : E.result)) ->
+      let s = r.E.r_app_stats in
+      check_ints r.E.r_workload j
+        [
+          ("soft_faults_daemon", s.VS.soft_faults_daemon);
+          ("validation_faults", s.VS.validation_faults);
+        ];
+      let g = r.E.r_global in
+      check_ints "global" (get "global" j)
+        [
+          ("daemon_activations", g.VS.daemon_activations);
+          ("daemon_pages_stolen", g.VS.daemon_pages_stolen);
+          ("daemon_frames_scanned", g.VS.daemon_frames_scanned);
+          ("daemon_invalidations", g.VS.daemon_invalidations);
+          ("releaser_batches", g.VS.releaser_batches);
+          ("releaser_pages_freed", g.VS.releaser_pages_freed);
+          ("allocations", g.VS.allocations);
+          ("allocation_waits", g.VS.allocation_waits);
+        ])
+    [ (c, co); (o, batch) ];
+  let rt = Option.get co.E.r_runtime in
+  check_ints "runtime" (get "runtime" c)
+    [
+      ("prefetch_requests", rt.Rt.rt_prefetch_requests);
+      ("prefetch_filtered", rt.Rt.rt_prefetch_filtered);
+      ("prefetch_enqueued", rt.Rt.rt_prefetch_enqueued);
+      ("release_requests", rt.Rt.rt_release_requests);
+      ("release_filtered_same", rt.Rt.rt_release_filtered_same);
+      ("release_filtered_bitmap", rt.Rt.rt_release_filtered_bitmap);
+      ("release_issued", rt.Rt.rt_release_issued);
+      ("release_buffered", rt.Rt.rt_release_buffered);
+      ("buffer_drains", rt.Rt.rt_buffer_drains);
+    ];
+  check_bool "the run-time layer saw requests" true
+    (rt.Rt.rt_prefetch_requests > 0 && rt.Rt.rt_release_requests > 0);
+  let i = Option.get co.E.r_interactive in
+  let ij = get "interactive" c in
+  check_ints "interactive" ij [ ("alone_ns", i.E.is_alone_response) ];
+  check_str "interactive.avg_hard_faults"
+    (lexeme
+       (match i.E.is_avg_hard_faults with
+       | Some f -> Mio.num_of_float f
+       | None -> Mio.Null))
+    (lexeme (get "avg_hard_faults" ij));
+  let cs = Option.get co.E.r_chaos in
+  check_ints "chaos" (get "chaos" c)
+    [
+      ("net_partition_drops", cs.Chaos.net_partition_drops);
+      ("net_slow_requests", cs.Chaos.net_slow_requests);
+      ("net_jitter_ns", cs.Chaos.net_jitter_ns);
+    ];
+  check_bool "the partition dropped far-link requests" true
+    (cs.Chaos.net_partition_drops > 0);
+  check_bool "runtime null for O" true (get "runtime" o = Mio.Null);
+  check_bool "interactive null without the task" true
+    (get "interactive" o = Mio.Null)
+
 let golden_path = "golden_metrics.json"
 
 let test_golden_cell () =
@@ -338,6 +438,11 @@ let () =
         [
           Alcotest.test_case "disk-slow window moves the timeout counter"
             `Slow test_disk_slow_moves_timeouts;
+        ] );
+      ( "schema 8",
+        [
+          Alcotest.test_case "new keys equal their source records" `Quick
+            test_schema8_keys;
         ] );
       ( "golden",
         [ Alcotest.test_case "EMBAR/R cell" `Quick test_golden_cell ] );

@@ -59,6 +59,49 @@ let test_spec_exn () =
     (Invalid_argument "unknown tier \"nope\" (expected far, zram or route)")
     (fun () -> ignore (Tiers.spec_of_string_exn "nope"))
 
+(* Chaos plans and tiers specs read their values through one lexer
+   (Spec_lex): each value of a table is accepted by both grammars or by
+   neither, and a value the lexer rejects draws the lexer's own message
+   from both. *)
+let test_specs_lex_alike () =
+  let verdict = function Ok _ -> "accepts" | Error e -> "rejects: " ^ e in
+  let alike ~lex ~chaos ~tiers values =
+    List.iter
+      (fun v ->
+        let c = Result.map ignore (Chaos.parse (chaos ^ v))
+        and t = Result.map ignore (Tiers.spec_of_string (tiers ^ v)) in
+        (match (c, t) with
+        | Ok _, Ok _ | Error _, Error _ -> ()
+        | _ ->
+            Alcotest.failf "%S: chaos %s, tiers %s" v (verdict c) (verdict t));
+        match lex ~key:"k" v with
+        | _ -> ()
+        | exception Spec_lex.Bad m ->
+            let m = String.sub m 3 (String.length m - 3) (* drop "k: " *) in
+            List.iter
+              (fun (grammar, r) ->
+                check_bool
+                  (Printf.sprintf "%s on %S %s" grammar v (verdict r))
+                  true
+                  (match r with
+                  | Error e -> String.ends_with ~suffix:m e
+                  | Ok _ -> false))
+              [ ("chaos", c); ("tiers", t) ])
+      values
+  in
+  alike ~lex:Spec_lex.time ~chaos:"disk-fault@0s-1s:backoff="
+    ~tiers:"far:timeout="
+    [
+      "1s"; "500us"; "2ms"; "250ns"; "1m"; "1h"; "10"; "1.5s"; " 3s "; "0";
+      "0q"; "banana"; ""; "-1s"; "ms";
+    ];
+  alike ~lex:Spec_lex.int ~chaos:"disk-fault@0s-1s:retries="
+    ~tiers:"far:attempts="
+    [ "1"; "4"; " 3 "; "0"; "-2"; "x"; "1.5"; "" ];
+  alike ~lex:Spec_lex.float
+    ~chaos:"net-brownout@0s-1s:factor=2,bandwidth=" ~tiers:"far+route:ewma="
+    [ "0.5"; "1"; "1.0"; "1e-3"; "0"; "1.5"; "-0.1"; "abc"; "" ]
+
 (* ------------------------------------------------------------------ *)
 (* Circuit breaker state machine                                       *)
 (* ------------------------------------------------------------------ *)
@@ -271,6 +314,8 @@ let () =
           Alcotest.test_case "rejects malformed specs" `Quick
             test_spec_rejects;
           Alcotest.test_case "exn variant raises" `Quick test_spec_exn;
+          Alcotest.test_case "values lexed alike by chaos and tiers" `Quick
+            test_specs_lex_alike;
         ] );
       ( "breaker",
         [
