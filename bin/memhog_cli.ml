@@ -274,7 +274,7 @@ let run_cmd =
       & info [ "chaos" ] ~docv:"SPEC"
           ~doc:
             "Inject faults from this plan (e.g. \
-             $(b,disk-fault\\@10s-20s:p=0.5;pressure\\@30s-31s:pages=128)).  \
+             $(b,disk-fault@10s-20s:p=0.5;pressure@30s-31s:pages=128)).  \
              The plan is seeded with the machine seed, so repeated runs \
              inject the identical schedule.  Also enables the run-time \
              layer's graceful-degradation governor.")
@@ -507,8 +507,6 @@ let serve_cmd =
   let run machine g metrics =
     let t = run_serve_grid ~machine g in
     print_string (Serve.render t);
-    print_newline ();
-    print_string (Figures.serve_tail t);
     (match metrics with
     | Some path -> write_serve_metrics ~machine ~hog:g.sg_hog ~path t
     | None -> ());
@@ -538,11 +536,7 @@ let blame_cmd =
     let t = run_serve_grid ~machine g in
     print_string (Serve.render t);
     print_newline ();
-    print_string (Figures.serve_tail t);
-    print_newline ();
     print_string (Serve.render_blame t);
-    print_newline ();
-    print_string (Figures.serve_blame t);
     (match trace with
     | Some path -> (
         match Serve.slowest t with
@@ -918,10 +912,12 @@ let gate_cmd =
   let write path contents =
     Out_channel.with_open_bin path (fun oc -> output_string oc contents)
   in
-  (* Physics checks raise Failure; a baseline that cannot be read or does
-     not match is reported the same way, as an [Error] to print. *)
+  (* Every entry simulates its cells at 2 jobs; the documents do not depend
+     on the job count.  The runner's checks and the entry's physics checks
+     raise Failure; a baseline that cannot be read or does not match is
+     reported the same way, as an [Error] to print. *)
   let verdict ~update (e : Gate.entry) =
-    match e.Gate.run () with
+    match e.Gate.read (Figures.simulate ~jobs:2 e.Gate.cells) with
     | exception Failure msg -> Error msg
     | o -> (
         List.iter (fun (file, data) -> write file data) o.Gate.artifacts;

@@ -85,14 +85,6 @@ type t = {
 
 val analyze : target:target -> Ir.program -> t
 
-val assumed_value : Ir.program -> string -> int option
-(** Compile-time assumption for a parameter, if any. *)
-
-val assumed_coef : Ir.program -> Ir.coef -> int option
-(** Statically assumed element stride of a subscript term; [None] when the
-    parameter has no assumption.  Opaque coefficients report [Some 0]:
-    dependence analysis does not see them. *)
-
 val priority_of : temporal:(string * int) list -> int
 (** Equation 2, exposed for direct testing. *)
 

@@ -174,8 +174,8 @@ type program = {
   main : stmt;
 }
 
-let array_decl ?(elem_bytes = 8) ?(on_swap = true) name ~size =
-  { a_name = name; a_elem_bytes = elem_bytes; a_size_elems = size; a_on_swap = on_swap }
+let array_decl ?(on_swap = true) name ~size =
+  { a_name = name; a_elem_bytes = 8; a_size_elems = size; a_on_swap = on_swap }
 
 let find_array prog name =
   match List.find_opt (fun a -> a.a_name = name) prog.arrays with
@@ -186,11 +186,6 @@ let find_proc prog name =
   match List.find_opt (fun p -> p.p_name = name) prog.procs with
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Ir: unknown procedure %s" name)
-
-let array_pages prog env ~page_bytes name =
-  let a = find_array prog name in
-  let bytes = eval_bound env a.a_size_elems * a.a_elem_bytes in
-  (bytes + page_bytes - 1) / page_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)

@@ -148,14 +148,11 @@ type program = {
   main : stmt;
 }
 
-val array_decl :
-  ?elem_bytes:int -> ?on_swap:bool -> string -> size:bound -> array_decl
+val array_decl : ?on_swap:bool -> string -> size:bound -> array_decl
+(** An array of 8-byte elements. *)
 
 val find_array : program -> string -> array_decl
 val find_proc : program -> string -> proc
-
-val array_pages : program -> env -> page_bytes:int -> string -> int
-(** Size of an array in pages under runtime parameter values. *)
 
 val validate : program -> (string, string) result
 (** Static sanity checks: referenced arrays/procedures exist, loop variables

@@ -102,12 +102,12 @@ type setup = {
 }
 
 (* Machine-relative serving cell: the keyspace shapes come from
-   {!Kvserve.sizing} and the traffic knobs default to a 20-second arrival
-   window, 200 us of compute per request and a 30 ms SLO — far above a
+   {!Kvserve.sizing}; every request costs 200 us of compute, the first 32
+   completions are warm-up, and arrivals prefetch.  The traffic knobs
+   default to a 20-second arrival window and a 30 ms SLO — far above a
    warm response (two resident touches) and below a couple of hard
    faults' worth of stall, so attainment separates the variants. *)
 let serve_cfg ?(slo = Time_ns.ms 30) ?(duration = Time_ns.sec 20)
-    ?(warmup = 32) ?(work_ns = Time_ns.us 200) ?(prefetch = true)
     ?(machine = Machine.paper) ?mark ~rate_rps () =
   let s =
     Kvserve.sizing
@@ -121,10 +121,10 @@ let serve_cfg ?(slo = Time_ns.ms 30) ?(duration = Time_ns.sec 20)
     sv_values_bytes = s.Kvserve.kv_values_bytes;
     sv_rate_rps = rate_rps;
     sv_duration = duration;
-    sv_warmup = warmup;
-    sv_work_ns = work_ns;
+    sv_warmup = 32;
+    sv_work_ns = Time_ns.us 200;
     sv_slo = slo;
-    sv_prefetch = prefetch;
+    sv_prefetch = true;
     sv_seed = machine.Machine.m_seed;
     sv_mark = mark;
   }
@@ -198,6 +198,16 @@ let check_crashes ~what engine =
       failwith
         (Printf.sprintf "%s: process %s crashed: %s" what name
            (Printexc.to_string e))
+
+let check_result ~what r =
+  if not r.r_invariants_ok then
+    failwith (what ^ ": OS invariants violated after the run");
+  match r.r_serving with
+  | Some sv when sv.Server.sm_completed <> sv.Server.sm_arrived ->
+      failwith
+        (Printf.sprintf "%s: the server completed %d of %d arrived requests"
+           what sv.Server.sm_completed sv.Server.sm_arrived)
+  | _ -> ()
 
 let run (s : setup) =
   let m = s.machine in

@@ -165,20 +165,18 @@ type setup = {
 val serve_cfg :
   ?slo:Memhog_sim.Time_ns.t ->
   ?duration:Memhog_sim.Time_ns.t ->
-  ?warmup:int ->
-  ?work_ns:Memhog_sim.Time_ns.t ->
-  ?prefetch:bool ->
   ?machine:Machine.t ->
   ?mark:Memhog_sim.Time_ns.t ->
   rate_rps:float ->
   unit ->
   Memhog_exec.Server.cfg
 (** Machine-relative serving configuration: keyspace shapes from
-    {!Memhog_workloads.Kvserve.sizing}, seeded with the machine seed.
-    Defaults: 30 ms SLO, 20 s arrival window, 32 warm-up requests, 200 us
-    of compute per request, arrival-time prefetching on.  [mark] (default
-    off) additionally tallies SLO attainment over requests arriving after
-    that offset — the recovery figure of the chaos scenarios. *)
+    {!Memhog_workloads.Kvserve.sizing}, seeded with the machine seed; 32
+    warm-up requests, 200 us of compute per request, arrival-time
+    prefetching on.  Defaults: 30 ms SLO, 20 s arrival window.  [mark]
+    (default off) additionally tallies SLO attainment over requests
+    arriving after that offset — the recovery figure of the chaos
+    scenarios. *)
 
 val setup :
   ?machine:Machine.t ->
@@ -215,6 +213,12 @@ val check_crashes : what:string -> Memhog_sim.Engine.t -> unit
 (** After [Engine.run]: @raise Failure naming [what] and the first process
     that crashed, if any did.  {!run} and {!run_interactive_alone} call it,
     so a crash never yields a result built from a partial run. *)
+
+val check_result : what:string -> result -> unit
+(** The oracle every simulated grid cell passes ({!Figures.simulate} calls
+    it once per co-run result): @raise Failure naming [what] when the OS
+    invariants do not hold after the run, or when a serving cell did not
+    complete every request that arrived (a fiber blocked forever). *)
 
 val run : setup -> result
 (** Simulate the cell; the engine cuts it off after 3600 s of simulated

@@ -1,6 +1,7 @@
 open Memhog_sim
 module E = Experiment
 module VS = Memhog_vm.Vm_stats
+module Server = Memhog_exec.Server
 module Workload = Memhog_workloads.Workload
 module Compile = Memhog_compiler.Compile
 module Pir = Memhog_compiler.Pir
@@ -20,6 +21,11 @@ type corun = {
   c_release_target : int option;
   c_chaos : string option;
   c_traced : bool;
+  c_serve : Server.cfg option;
+  c_tiers : string option;
+  c_telemetry : bool;
+  c_governor : Memhog_runtime.Runtime.governor_cfg option;
+  c_ledger : bool;
 }
 
 type cell =
@@ -28,7 +34,8 @@ type cell =
   | Two_hogs of Machine.t * Pir.variant
 
 let corun ?sleep ?(conservative = false) ?(reactive = false) ?release_target
-    ?chaos ?(traced = false) machine workload variant =
+    ?chaos ?(traced = false) ?serve ?tiers ?(telemetry = false) ?governor
+    ?(ledger = true) machine workload variant =
   Corun
     {
       c_machine = machine;
@@ -40,6 +47,11 @@ let corun ?sleep ?(conservative = false) ?(reactive = false) ?release_target
       c_release_target = release_target;
       c_chaos = chaos;
       c_traced = traced;
+      c_serve = serve;
+      c_tiers = tiers;
+      c_telemetry = telemetry;
+      c_governor = governor;
+      c_ledger = ledger;
     }
 
 let label = function
@@ -54,6 +66,13 @@ let label = function
         @ opt (Printf.sprintf "target %d") c.c_release_target
         @ opt (Printf.sprintf "chaos %s") c.c_chaos
         @ flag c.c_traced "traced"
+        @ opt
+            (fun sv -> Printf.sprintf "serve %g rps" sv.Server.sv_rate_rps)
+            c.c_serve
+        @ opt (Printf.sprintf "tiers %s") c.c_tiers
+        @ flag c.c_telemetry "telemetry"
+        @ flag (c.c_governor <> None) "governor"
+        @ flag (not c.c_ledger) "ledger off"
         @ [ "on " ^ c.c_machine.Machine.m_name ])
   | Alone (machine, sleep) ->
       Printf.sprintf "interactive alone sleep %s on %s" (Time_ns.to_string sleep)
@@ -122,18 +141,23 @@ let two_hogs machine variant =
       stolen = (Os.global_stats os).VS.daemon_pages_stolen;
     }
 
-let simulate_cell = function
+let simulate_cell cell =
+  match cell with
   | Corun c ->
-      Result
-        (E.run
-           (E.setup ~machine:c.c_machine ?interactive_sleep:c.c_sleep
-              ~min_sim_time:(Option.fold ~none:0 ~some:E.run_length c.c_sleep)
-              ~conservative:c.c_conservative ~reactive:c.c_reactive
-              ?release_target:c.c_release_target
-              ?trace:(if c.c_traced then Some (Trace.create ()) else None)
-              ?chaos:c.c_chaos
-              ~workload:(Workload.find c.c_workload)
-              ~variant:c.c_variant ()))
+      let r =
+        E.run
+          (E.setup ~machine:c.c_machine ?interactive_sleep:c.c_sleep
+             ~min_sim_time:(Option.fold ~none:0 ~some:E.run_length c.c_sleep)
+             ~conservative:c.c_conservative ~reactive:c.c_reactive
+             ?release_target:c.c_release_target
+             ?trace:(if c.c_traced then Some (Trace.create ()) else None)
+             ?chaos:c.c_chaos ?governor:c.c_governor ~ledger_on:c.c_ledger
+             ?serve:c.c_serve ?tiers:c.c_tiers ~telemetry:c.c_telemetry
+             ~workload:(Workload.find c.c_workload)
+             ~variant:c.c_variant ())
+      in
+      E.check_result ~what:(label cell) r;
+      Result r
   | Alone (machine, sleep) ->
       Alone_summary
         (E.run_interactive_alone ~machine ~sleep ~duration:(E.run_length sleep)
@@ -144,7 +168,9 @@ let no_log _ = ()
 
 (* Every cell owns its engine, OS and RNG, so it is deterministic on its
    own and [jobs] moves only the wall time.  Cells run on worker domains;
-   one lock keeps the caller's log lines whole. *)
+   one lock keeps the caller's log lines whole.  This is the one place a
+   grid of simulations runs, so it is the one place each co-run result is
+   checked ([simulate_cell]). *)
 let simulate ?(jobs = 1) ?(log = no_log) cells =
   let cells = distinct cells in
   let n = List.length cells in
@@ -830,111 +856,3 @@ let experiments ?chaos ?traced machine =
     ext_reactive machine;
     ext_two_hogs machine;
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Serving extension (ROADMAP item 5)                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Figures 1/10 retold for an open-loop server: the hog's releases are what
-   keep the server's tail latency flat as offered load rises. *)
-let serve_tail (t : Serve.t) =
-  let module Sv = Memhog_exec.Server in
-  let rates =
-    List.sort_uniq compare
-      (List.map (fun (c, _) -> c.Serve.sc_rate) t.Serve.s_cells)
-  in
-  let variants =
-    List.filter
-      (fun v ->
-        List.exists (fun (c, _) -> c.Serve.sc_variant = v) t.Serve.s_cells)
-      E.all_variants
-  in
-  let lookup rate v =
-    List.find_opt
-      (fun (c, _) -> c.Serve.sc_rate = rate && c.Serve.sc_variant = v)
-      t.Serve.s_cells
-    |> Option.map (fun (_, r) -> Serve.serving_exn r)
-  in
-  let p999 s = Histogram.percentile s.Sv.sm_hist 99.9 in
-  let rows =
-    List.map
-      (fun rate ->
-        let per_variant =
-          List.concat_map
-            (fun v ->
-              match lookup rate v with
-              | Some s -> [ Report.ns (p999 s); Report.pct (Sv.slo_attainment s) ]
-              | None -> [ "-"; "-" ])
-            variants
-        in
-        let spread =
-          match (lookup rate E.O, lookup rate E.B) with
-          | Some o, Some b when p999 b > 0 ->
-              Report.ratio (float_of_int (p999 o) /. float_of_int (p999 b))
-          | _ -> "-"
-        in
-        (Printf.sprintf "%s rps" (Report.f1 rate) :: per_variant) @ [ spread ])
-      rates
-  in
-  render (fun fmt ->
-      Report.table
-        ~title:
-          (Printf.sprintf
-             "Serving tail vs offered load: %s hog, SLO %s from arrival"
-             t.Serve.s_workload
-             (Time_ns.to_string t.Serve.s_slo))
-        ~header:
-          ("offered"
-          :: List.concat_map
-               (fun v ->
-                 let n = E.variant_name v in
-                 [ n ^ " p999"; n ^ " SLO" ])
-               variants
-          @ [ "O/B p999" ])
-        ~rows fmt ())
-
-(* The p999 ratio says the un-released hog hurts the tail; the blame shares
-   say how: under O the tail's time concentrates in queue and value-stall,
-   under B it stays in compute.  Shares are over the tail bands (p99 and
-   beyond) of each cell's deterministic span sample. *)
-let serve_blame (t : Serve.t) =
-  let rows =
-    List.map
-      (fun (c, r) ->
-        let b = Serve.blame_exn r in
-        let tail =
-          List.filter
-            (fun (bd : Reqtrace.band) -> bd.Reqtrace.bd_label <> "body")
-            b.Reqtrace.su_bands
-        in
-        let sum f = List.fold_left (fun a bd -> a + f bd) 0 tail in
-        let resp = sum (fun bd -> bd.Reqtrace.bd_response) in
-        let share v =
-          if resp = 0 then "-"
-          else Report.pct (float_of_int v /. float_of_int resp)
-        in
-        [
-          Printf.sprintf "%s/%s" t.Serve.s_workload
-            (E.variant_name c.Serve.sc_variant);
-          Printf.sprintf "%s rps" (Report.f1 c.Serve.sc_rate);
-          Report.count (sum (fun bd -> bd.Reqtrace.bd_count));
-          share (sum (fun bd -> bd.Reqtrace.bd_queue));
-          share (sum (fun bd -> bd.Reqtrace.bd_index));
-          share (sum (fun bd -> bd.Reqtrace.bd_value));
-          share (sum (fun bd -> bd.Reqtrace.bd_cpu));
-          share (sum (fun bd -> bd.Reqtrace.bd_compute));
-        ])
-      t.Serve.s_cells
-  in
-  render (fun fmt ->
-      Report.table
-        ~title:
-          (Printf.sprintf
-             "Tail blame shares (p99 and beyond): %s hog, sampled requests"
-             t.Serve.s_workload)
-        ~header:
-          [
-            "hog"; "offered"; "tail reqs"; "queue"; "index"; "value";
-            "cpu wait"; "compute";
-          ]
-        ~rows fmt ())

@@ -1,12 +1,16 @@
-(** Drivers that regenerate every table and figure of the paper's
-    evaluation (section 4), plus the ablation studies listed in DESIGN.md.
+(** The cell plan, and the drivers that regenerate every table and figure
+    of the paper's evaluation (section 4) plus the ablation studies listed
+    in DESIGN.md.
 
     The evaluation is a few tables over one space of simulations: a
     workload crossed with the variants O/P/R/B and an interactive sleep,
     plus one machine knob per ablation.  Each experiment declares the
     {!cell}s it reads; {!simulate} runs each distinct cell once, and the
     experiment renders its text from the resulting {!lookup}.  All output
-    is plain text, printed in the same rows/series the paper reports. *)
+    is plain text, printed in the same rows/series the paper reports.
+    Every other grid in the library ({!Serve}, {!Tier_exp}, {!Perf}, the
+    {!Gate} entries) is cells and a reading of the same kind: {!simulate}
+    is the only code that runs a grid. *)
 
 (** {1 Cells and the runner} *)
 
@@ -25,6 +29,12 @@ type corun = {
       (** attach a trace ring.  Part of the key: the ring's drop counter is
           a telemetry series, so a traced cell never stands in for an
           untraced one. *)
+  c_serve : Memhog_exec.Server.cfg option;
+      (** co-run the open-loop server ({!Experiment.serve_cfg}) *)
+  c_tiers : string option;  (** tiered store ({!Memhog_vm.Tiers} spec) *)
+  c_telemetry : bool;  (** full probe set and alert rules *)
+  c_governor : Memhog_runtime.Runtime.governor_cfg option;
+  c_ledger : bool;  (** collect the page-lifecycle ledger *)
 }
 (** The inputs of one {!Experiment.setup}, as the setup receives them: a
     field left at its default differs from the same value passed
@@ -41,6 +51,24 @@ type cell =
   | Two_hogs of Machine.t * Memhog_compiler.Pir.variant
       (** MATVEC and EMBAR, two passes each, sharing one OS *)
 
+val corun :
+  ?sleep:Memhog_sim.Time_ns.t ->
+  ?conservative:bool ->
+  ?reactive:bool ->
+  ?release_target:int ->
+  ?chaos:string ->
+  ?traced:bool ->
+  ?serve:Memhog_exec.Server.cfg ->
+  ?tiers:string ->
+  ?telemetry:bool ->
+  ?governor:Memhog_runtime.Runtime.governor_cfg ->
+  ?ledger:bool ->
+  Machine.t ->
+  string ->
+  Experiment.variant ->
+  cell
+(** A {!Corun} cell; every flag defaults to off, except [ledger] (on). *)
+
 val distinct : cell list -> cell list
 (** The cells without duplicates (structural equality), each at its first
     position. *)
@@ -49,13 +77,19 @@ type lookup
 (** The outcome of every cell a plan simulated. *)
 
 val simulate : ?jobs:int -> ?log:(string -> unit) -> cell list -> lookup
-(** Run each {!distinct} cell once, on one {!Pool} of [jobs] (default 1)
-    worker domains.  Every cell owns its engine, OS and RNG, so the lookup
+(** Run each {!distinct} cell once, on [jobs] (default 1) worker domains
+    (a {!Pool}).  Every cell owns its engine, OS and RNG, so the lookup
     is identical for any [jobs].  [log] gets one line per cell when it
-    starts; calls may come from worker domains but are serialized.  The
-    first exception a cell raises is re-raised: at [jobs <= 1] the cells
-    after it never run; with more jobs it is re-raised after every other
-    cell has finished or been abandoned ({!Pool.run_list}). *)
+    starts; calls may come from worker domains but are serialized.  Each
+    co-run result passes {!Experiment.check_result}, which names the cell
+    by its inputs, before anything reads it.  The first exception a cell
+    raises is re-raised: at [jobs <= 1] the cells after it never run; with
+    more jobs it is re-raised after every other cell has finished. *)
+
+val result : lookup -> cell -> Experiment.result
+(** A co-run cell's result.
+    @raise Invalid_argument when the cell is not in the lookup or is not a
+    {!Corun}. *)
 
 val write_traces : ?log:(string -> unit) -> dir:string -> lookup -> unit
 (** Write each traced cell's ring as Chrome trace_event JSON into [dir],
@@ -143,17 +177,3 @@ val table1 : ?machine:Machine.t -> unit -> string
 val table2 : ?machine:Machine.t -> unit -> string
 (** Benchmark characteristics: what each computes, data-set size, traits,
     and the compiler's analysis statistics. *)
-
-(** {1 Serving} *)
-
-val serve_tail : Serve.t -> string
-(** Figures 1/10 retold for the open-loop server: p999 response and SLO
-    attainment per offered-load level and hog variant, plus the O/B p999
-    ratio — the serving analogue of the normalized-response figure. *)
-
-val serve_blame : Serve.t -> string
-(** The blame complement to {!serve_tail}: each cell's tail bands (p99 and
-    beyond) reduced to the share of response time spent in queue / index
-    stall / value stall / CPU wait / compute — showing {e how} the
-    un-released hog hurts the tail (queueing and value stalls), not just
-    that it does. *)

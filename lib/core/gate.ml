@@ -1,16 +1,23 @@
 (* The tolerance-0 gate registry: one entry per committed baseline in
-   bench/.  Each entry simulates on the quick machine with the job count
-   its baseline was produced at, fails on the physics it exists to hold,
-   and hands back the canonical document the baseline freezes. *)
+   bench/.  Each entry names the cells it simulates on the quick machine
+   and reads its outcome back from the runner's lookup: the physics it
+   exists to hold, then the canonical document the baseline freezes.  The
+   runner checks every co-run cell's OS invariants and request
+   conservation before any entry reads it. *)
 
 open Memhog_sim
 module E = Experiment
 module Runtime = Memhog_runtime.Runtime
 module Server = Memhog_exec.Server
-module Workload = Memhog_workloads.Workload
 
 type outcome = { doc : Metrics_io.json; artifacts : (string * string) list }
-type entry = { name : string; baseline : string; run : unit -> outcome }
+
+type entry = {
+  name : string;
+  baseline : string;
+  cells : Figures.cell list;
+  read : Figures.lookup -> outcome;
+}
 
 let machine = Machine.quick
 
@@ -24,17 +31,13 @@ let metrics ~label results =
 (* smoke: the Figure 7 matrix cut down to MATVEC                       *)
 (* ------------------------------------------------------------------ *)
 
-let smoke () =
+let smoke =
   let cells, read = Figures.matrix ~machine ~workloads:[ "MATVEC" ] () in
-  let m = read (Figures.simulate ~jobs:2 cells) in
-  List.iter
-    (fun (r : E.result) ->
-      require "smoke" r.E.r_invariants_ok
-        (Printf.sprintf "%s/%s: OS invariants violated after the run"
-           r.E.r_workload
-           (E.variant_name r.E.r_variant)))
-    (Figures.matrix_results m);
-  { doc = Metrics_io.metrics_json (Metrics.of_matrix m); artifacts = [] }
+  let read l =
+    let doc = Metrics_io.metrics_json (Metrics.of_matrix (read l)) in
+    { doc; artifacts = [] }
+  in
+  { name = "smoke"; baseline = "BENCH_metrics.json"; cells; read }
 
 (* ------------------------------------------------------------------ *)
 (* chaos: canned fault plans and the degradation governor              *)
@@ -51,15 +54,6 @@ let chaos_governor =
     gv_degrade_after = 1;
     gv_recover_after = 3;
   }
-
-type chaos_plan = {
-  cp_name : string;
-  cp_workload : string;
-  cp_variant : E.variant;
-  cp_sleep : Time_ns.t option;  (** co-run the interactive task *)
-  cp_spec : string;
-  cp_check : string -> E.result -> Chaos.stats -> unit;
-}
 
 (* The brown-out must drive the governor all the way to demand paging
    (level 2) and back — both directions visible as trace events. *)
@@ -90,57 +84,39 @@ let check_pressure gate _ (cs : Chaos.stats) =
   require gate (cs.Chaos.pressure_pages > 0)
     "the phantom competitor claimed no pages"
 
+(* Each plan is a traced cell under the tight governor, named, with the
+   check its injected faults must pass. *)
 let chaos_plans =
+  let plan name ?sleep workload variant spec check =
+    ( "chaos " ^ name,
+      Figures.corun ?sleep ~traced:true ~chaos:spec ~governor:chaos_governor
+        machine workload variant,
+      check )
+  in
   [
-    {
-      cp_name = "disk-brown-out";
-      cp_workload = "EMBAR";
-      cp_variant = E.B;
-      cp_sleep = None;
-      cp_spec = "disk-fault@2s-6s:p=0.8,retries=4;disk-slow@2s-6s:factor=32";
-      cp_check = check_brown_out;
-    };
-    {
-      cp_name = "releaser-outage";
-      cp_workload = "MATVEC";
-      cp_variant = E.B;
-      cp_sleep = None;
-      cp_spec = "releaser-stall@1s-3s;releaser-drop@1s-4s:p=0.5";
-      cp_check = check_releaser_outage;
-    };
-    {
-      cp_name = "pressure-spike";
-      cp_workload = "MATVEC";
-      cp_variant = E.R;
-      cp_sleep = Some (Time_ns.sec 2);
-      cp_spec = "pressure@10s-40s:pages=512,hold=2s";
-      cp_check = check_pressure;
-    };
+    plan "disk-brown-out" "EMBAR" E.B
+      "disk-fault@2s-6s:p=0.8,retries=4;disk-slow@2s-6s:factor=32"
+      check_brown_out;
+    plan "releaser-outage" "MATVEC" E.B
+      "releaser-stall@1s-3s;releaser-drop@1s-4s:p=0.5" check_releaser_outage;
+    plan "pressure-spike" ~sleep:(Time_ns.sec 2) "MATVEC" E.R
+      "pressure@10s-40s:pages=512,hold=2s" check_pressure;
   ]
 
-let chaos () =
-  let run p =
-    let gate = "chaos " ^ p.cp_name in
-    let min_sim_time = Option.fold ~none:0 ~some:E.run_length p.cp_sleep in
-    let r =
-      E.run
-        (E.setup ~machine ?interactive_sleep:p.cp_sleep ~min_sim_time
-           ~trace:(Trace.create ()) ~chaos:p.cp_spec ~governor:chaos_governor
-           ~workload:(Workload.find p.cp_workload) ~variant:p.cp_variant ())
+let chaos =
+  let read l =
+    let check (gate, cell, check) =
+      let r = Figures.result l cell in
+      (match r.E.r_chaos with
+      | Some cs -> check gate r cs
+      | None -> failwith (gate ^ ": no chaos stats"));
+      r
     in
-    require gate r.E.r_invariants_ok "OS invariants violated after the run";
-    (match r.E.r_chaos with
-    | Some cs -> p.cp_check gate r cs
-    | None -> failwith (gate ^ ": no chaos stats"));
-    r
+    let label = Printf.sprintf "chaos scenarios, %s" machine.Machine.m_name in
+    { doc = metrics ~label (List.map check chaos_plans); artifacts = [] }
   in
-  {
-    doc =
-      metrics
-        ~label:(Printf.sprintf "chaos scenarios, %s" machine.Machine.m_name)
-        (Pool.map ~jobs:2 run chaos_plans);
-    artifacts = [];
-  }
+  let cells = List.map (fun (_, cell, _) -> cell) chaos_plans in
+  { name = "chaos"; baseline = "CHAOS_metrics.json"; cells; read }
 
 (* ------------------------------------------------------------------ *)
 (* serve: tail latency under a hog, with per-request blame            *)
@@ -152,58 +128,59 @@ let chaos () =
    the comparison is noise. *)
 let serve_rates = [ 1600.0; 3840.0 ]
 
-let serve () =
-  let t = Serve.run ~machine ~rates:serve_rates ~jobs:2 () in
-  List.iter
-    (fun rate ->
-      let p999 v =
-        let _, r =
-          List.find
-            (fun ((c : Serve.cell), _) ->
-              c.Serve.sc_rate = rate && c.Serve.sc_variant = v)
-            (Serve.cells t)
-        in
-        Histogram.percentile (Serve.serving_exn r).Server.sm_hist 99.9
-      in
-      let o = p999 E.O and b = p999 E.B in
-      require "serve" (b < o)
-        (Printf.sprintf
-           "at %g rps buffered release must beat the un-released hog on \
-            p999 (O %d ns, B %d ns)"
-           rate o b))
-    serve_rates;
-  (* Additivity is structural in Reqtrace: a sampled span whose five
-     components miss its response means the span lifecycle was
-     corrupted. *)
-  List.iter
-    (fun (r : E.result) ->
-      Reqtrace.iter_sampled r.E.r_reqtrace (fun sp ->
-          let open Reqtrace in
-          let parts =
-            sp.sp_queue + sp.sp_index + sp.sp_value + sp.sp_cpu + sp.sp_compute
+let serve =
+  let cells, read = Serve.plan ~machine ~rates:serve_rates () in
+  let read l =
+    let t = read l in
+    List.iter
+      (fun rate ->
+        let p999 v =
+          let r =
+            List.assoc { Serve.sc_rate = rate; sc_variant = v } (Serve.cells t)
           in
-          if parts <> sp.sp_response then
-            failwith
-              (Printf.sprintf
-                 "serve: span key=%d components sum to %d ns, response %d ns"
-                 sp.sp_key parts sp.sp_response)))
-    (Serve.results t);
-  {
-    doc =
-      metrics
-        ~label:
-          (Printf.sprintf "serve %s %s" Serve.default_hog
-             machine.Machine.m_name)
-        (Serve.results t);
-    artifacts =
-      (match Serve.slowest t with
-      | Some sp ->
-          [
-            ( "BLAME_slowest.trace.json",
-              Trace_export.blame_span_to_chrome_json sp );
-          ]
-      | None -> []);
-  }
+          Histogram.percentile (Serve.serving_exn r).Server.sm_hist 99.9
+        in
+        let o = p999 E.O and b = p999 E.B in
+        require "serve" (b < o)
+          (Printf.sprintf
+             "at %g rps buffered release must beat the un-released hog on \
+              p999 (O %d ns, B %d ns)"
+             rate o b))
+      serve_rates;
+    (* Additivity is structural in Reqtrace: a sampled span whose five
+       components miss its response means the span lifecycle was
+       corrupted. *)
+    List.iter
+      (fun (r : E.result) ->
+        Reqtrace.iter_sampled r.E.r_reqtrace (fun sp ->
+            let open Reqtrace in
+            let parts =
+              sp.sp_queue + sp.sp_index + sp.sp_value + sp.sp_cpu + sp.sp_compute
+            in
+            if parts <> sp.sp_response then
+              failwith
+                (Printf.sprintf
+                   "serve: span key=%d components sum to %d ns, response %d ns"
+                   sp.sp_key parts sp.sp_response)))
+      (Serve.results t);
+    {
+      doc =
+        metrics
+          ~label:
+            (Printf.sprintf "serve %s %s" Serve.default_hog
+               machine.Machine.m_name)
+          (Serve.results t);
+      artifacts =
+        (match Serve.slowest t with
+        | Some sp ->
+            [
+              ( "BLAME_slowest.trace.json",
+                Trace_export.blame_span_to_chrome_json sp );
+            ]
+        | None -> []);
+    }
+  in
+  { name = "serve"; baseline = "SERVE_metrics.json"; cells; read }
 
 (* ------------------------------------------------------------------ *)
 (* tiers, obs: the tiered store and its telemetry brownout             *)
@@ -214,61 +191,150 @@ let serve () =
    sees thousands of in-flight requests. *)
 let partition_rate = List.hd serve_rates
 
-let tiers () =
-  let t = Tier_exp.run ~machine ~rate:partition_rate ~jobs:2 () in
-  Tier_exp.check t;
-  (* The mix cells run the hog alone, so the ledger must reconcile with
-     the VM's counters exactly (the swap mix is plain EMBAR/B). *)
-  List.iter
-    (fun ((m : Tier_exp.mix), (r : E.result)) ->
-      let gate = "tiers " ^ m.Tier_exp.mx_name in
-      List.iter
-        (fun (counter, ledger, vm) ->
-          require gate (ledger = vm)
-            (Printf.sprintf "%s: ledger %d <> vm %d" counter ledger vm))
-        (E.ledger_reconciliation r);
-      require gate
-        (Ledger.invariants_ok r.E.r_ledger)
-        "ledger summary violates its structural invariants")
-    t.Tier_exp.tx_mixes;
-  {
-    doc =
-      metrics
-        ~label:(Printf.sprintf "tiers %s" machine.Machine.m_name)
-        (Tier_exp.results t);
-    artifacts = [];
-  }
+let tiers =
+  let cells, read = Tier_exp.plan ~machine ~rate:partition_rate () in
+  let read l =
+    let t = read l in
+    Tier_exp.check t;
+    (* The mix cells run the hog alone, so the ledger must reconcile with
+       the VM's counters exactly (the swap mix is plain EMBAR/B). *)
+    List.iter
+      (fun ((m : Tier_exp.mix), (r : E.result)) ->
+        let gate = "tiers " ^ m.Tier_exp.mx_name in
+        List.iter
+          (fun (counter, ledger, vm) ->
+            require gate (ledger = vm)
+              (Printf.sprintf "%s: ledger %d <> vm %d" counter ledger vm))
+          (E.ledger_reconciliation r);
+        require gate
+          (Ledger.invariants_ok r.E.r_ledger)
+          "ledger summary violates its structural invariants")
+      t.Tier_exp.tx_mixes;
+    {
+      doc =
+        metrics
+          ~label:(Printf.sprintf "tiers %s" machine.Machine.m_name)
+          (Tier_exp.results t);
+      artifacts = [];
+    }
+  in
+  { name = "tiers"; baseline = "TIER_metrics.json"; cells; read }
 
-let obs () =
-  let t = Obs_exp.run ~machine ~rate:partition_rate () in
-  Obs_exp.check t;
-  {
-    doc =
-      metrics
-        ~label:(Printf.sprintf "obs %s" machine.Machine.m_name)
-        (Obs_exp.results t);
-    artifacts =
-      [
-        ( "OBS_openmetrics.txt",
-          Telemetry.to_openmetrics (Obs_exp.telemetry t) );
-      ];
-  }
+(* obs: the tiers partition cell re-run with the full telemetry probe set
+   and the default alert rules, as a brownout.  The breaker handles a
+   clean far-link partition so well that the server never notices (that
+   is the tiers entry's own check), so on its own the partition flaps the
+   breaker without burning the SLO.  Slowing the swap volume over the same
+   window puts the failover traffic on a degraded disk: demand fetches
+   queue behind the rescued demotions and the burn-rate rules cross for
+   real, then clear as the window ends.  With no other instrumentation,
+   the alert timeline alone must tell that story. *)
+let brownout_chaos = Tier_exp.partition_chaos ^ ";disk-slow@6s-9s:factor=4"
+
+(* The chaos window, plus the slack the rolling windows introduce: a rule
+   watching a 2-5 s window crosses its threshold only after enough
+   post-fault scrapes accumulate, and clears only after the window slides
+   past the burst. *)
+let window_start = Time_ns.sec 6
+let window_end = Time_ns.sec 9
+let fire_slack = Time_ns.sec 3
+
+let check_obs (r : E.result) =
+  let require name = require ("obs " ^ name) in
+  let tl = r.E.r_telemetry in
+  require "registry" (Telemetry.enabled tl) "telemetry registry not enabled";
+  require "registry" (Telemetry.scrapes tl > 0) "registry never scraped";
+  (* Every subsystem must have registered: a missing probe silently
+     narrows the dashboard, so presence is part of the gate. *)
+  List.iter
+    (fun name ->
+      require "probes"
+        (Telemetry.summary_of tl name <> None)
+        (Printf.sprintf "series %S missing from the registry" name))
+    [
+      "free"; "app-rss"; "app-limit"; "trace-dropped"; "hard-faults";
+      "refaults"; "swap-queue"; "swap-timeouts"; "breaker-state";
+      "breaker-transitions"; "release-buffer"; "gov-level"; "queue-depth";
+      "arrivals"; "slo-recorded"; "slo-missed";
+    ];
+  let alerts = Telemetry.alerts tl in
+  require "alerts" (alerts <> []) "the brownout produced no alerts";
+  (* A named rule must fire inside (or just after — rolling-window lag)
+     the partition window, and clear again before the run ends.  Fires
+     outside the window (the warm-up turbulence trips the burn rules
+     early, honestly) don't count. *)
+  let fired_in_window rule (a : Telemetry.alert) =
+    a.Telemetry.al_rule = rule && a.Telemetry.al_fired
+    && a.Telemetry.al_time >= window_start
+    && a.Telemetry.al_time <= window_end + fire_slack
+  in
+  let fired_then_cleared rule =
+    match List.find_opt (fired_in_window rule) alerts with
+    | None -> require rule false "never fired inside the partition window"
+    | Some fire ->
+        require rule
+          (List.exists
+             (fun (a : Telemetry.alert) ->
+               a.Telemetry.al_rule = rule
+               && (not a.Telemetry.al_fired)
+               && a.Telemetry.al_time > fire.Telemetry.al_time)
+             alerts)
+          "fired during the window but never cleared"
+  in
+  fired_then_cleared "breaker_flap";
+  (* Either burn-rate rule counts as "the SLO burned": the fast rule
+     needs a half-missed 500 ms window, the slow one a fifth-missed 3 s
+     window; which one trips first depends on the machine's headroom. *)
+  (match
+     List.find_opt
+       (fun rule -> List.exists (fired_in_window rule) alerts)
+       [ "slo_fast_burn"; "slo_slow_burn" ]
+   with
+  | Some rule -> fired_then_cleared rule
+  | None ->
+      require "slo_burn" false
+        "no SLO burn-rate rule fired inside the partition window");
+  (* The timeline itself must be consistent: alternating fire/clear per
+     rule, nondecreasing times. *)
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun (a : Telemetry.alert) ->
+      let prev =
+        Option.value (Hashtbl.find_opt seen a.Telemetry.al_rule) ~default:false
+      in
+      require "timeline"
+        (a.Telemetry.al_fired = not prev)
+        (Printf.sprintf "rule %S %s twice in a row" a.Telemetry.al_rule
+           (if a.Telemetry.al_fired then "fired" else "cleared"));
+      Hashtbl.replace seen a.Telemetry.al_rule a.Telemetry.al_fired)
+    alerts
+
+let obs =
+  let cell =
+    Tier_exp.partition_cell ~chaos:brownout_chaos ~telemetry:true machine
+      ~rate:partition_rate
+  in
+  let read l =
+    let r = Figures.result l cell in
+    check_obs r;
+    {
+      doc = metrics ~label:("obs " ^ machine.Machine.m_name) [ r ];
+      artifacts =
+        [ ("OBS_openmetrics.txt", Telemetry.to_openmetrics r.E.r_telemetry) ];
+    }
+  in
+  { name = "obs"; baseline = "OBS_metrics.json"; cells = [ cell ]; read }
 
 (* ------------------------------------------------------------------ *)
 (* perf: the throughput cells' work counters                           *)
 (* ------------------------------------------------------------------ *)
 
-let perf () = { doc = Perf.run ~machine ~jobs:2 (); artifacts = [] }
+let perf =
+  let cells, read = Perf.plan ~machine () in
+  let read l = { doc = read l; artifacts = [] } in
+  { name = "perf"; baseline = "PERF_metrics.json"; cells; read }
 
-let entries =
-  [
-    { name = "smoke"; baseline = "BENCH_metrics.json"; run = smoke };
-    { name = "chaos"; baseline = "CHAOS_metrics.json"; run = chaos };
-    { name = "serve"; baseline = "SERVE_metrics.json"; run = serve };
-    { name = "tiers"; baseline = "TIER_metrics.json"; run = tiers };
-    { name = "obs"; baseline = "OBS_metrics.json"; run = obs };
-    { name = "perf"; baseline = "PERF_metrics.json"; run = perf };
-  ]
+let entries = [ smoke; chaos; serve; tiers; obs; perf ]
 
 let select names =
   let find n = List.find_opt (fun e -> e.name = n) entries in

@@ -1,12 +1,15 @@
 (** The tolerance-0 gate registry behind [memhog gate].
 
-    Each entry re-simulates a fixed set of cells on {!Machine.quick}, raises
-    when the run breaks one of the results the entry exists to hold (a
-    failed physics check), and returns a canonical document that must match
-    its committed baseline in [bench/] number lexeme for number lexeme.
+    Each entry names a fixed set of cells on {!Machine.quick} and reads its
+    outcome back from their lookup: it raises when the run breaks one of
+    the results the entry exists to hold (a failed physics check), and
+    returns a canonical document that must match its committed baseline in
+    [bench/] number lexeme for number lexeme.  The runner
+    ({!Figures.simulate}) has already checked every co-run cell's OS
+    invariants and request conservation.
 
-    Building the registry runs nothing: every simulation waits for its
-    entry's [run]. *)
+    Building the registry runs nothing: every simulation waits for the
+    caller to simulate the entry's [cells]. *)
 
 type outcome = {
   doc : Metrics_io.json;
@@ -19,10 +22,9 @@ type outcome = {
 type entry = {
   name : string;
   baseline : string;  (** file name of the committed baseline in [bench/] *)
-  run : unit -> outcome;
-      (** Simulate the entry's cells on the quick machine, with a fixed job
-          count.
-          @raise Failure naming the first failed physics check *)
+  cells : Figures.cell list;  (** what [read] reads, on the quick machine *)
+  read : Figures.lookup -> outcome;
+      (** @raise Failure naming the first failed physics check *)
 }
 
 val entries : entry list

@@ -8,4 +8,3 @@ val escape : string -> string
 val add_escaped : Buffer.t -> string -> unit
 (** Append the escaped string {e with} surrounding quotes. *)
 
-val add_escaped_body : Buffer.t -> string -> unit

@@ -1,5 +1,4 @@
 module E = Experiment
-module Workload = Memhog_workloads.Workload
 module VS = Memhog_vm.Vm_stats
 
 type cell = { pc_workload : string; pc_variant : E.variant }
@@ -19,37 +18,41 @@ let perf_schema_version = 2
 
 (* The ledger never touches the engine, so turning it off changes no work
    counter; it only keeps the cells lean. *)
-let run_cell ~machine (c : cell) =
-  let r =
-    E.run
-      (E.setup ~machine ~workload:(Workload.find c.pc_workload)
-         ~variant:c.pc_variant ~ledger_on:false ())
+let plan ?(cells = default_cells) ~machine () =
+  let cell c = Figures.corun ~ledger:false machine c.pc_workload c.pc_variant in
+  let work l c =
+    let r = Figures.result l (cell c) in
+    Obj
+      [
+        ( "label",
+          Str
+            (Printf.sprintf "%s/%s" c.pc_workload (E.variant_name c.pc_variant))
+        );
+        ( "work",
+          Obj
+            [
+              ("events", num_of_int r.E.r_events_executed);
+              ("hard_faults", num_of_int r.E.r_app_stats.VS.hard_faults);
+              ("soft_faults", num_of_int r.E.r_app_stats.VS.soft_faults);
+              ("iterations", num_of_int r.E.r_iterations);
+              ("sim_ns", num_of_int r.E.r_elapsed);
+            ] );
+      ]
   in
-  Obj
-    [
-      ( "label",
-        Str (Printf.sprintf "%s/%s" c.pc_workload (E.variant_name c.pc_variant))
-      );
-      ( "work",
-        Obj
-          [
-            ("events", num_of_int r.E.r_events_executed);
-            ("hard_faults", num_of_int r.E.r_app_stats.VS.hard_faults);
-            ("soft_faults", num_of_int r.E.r_app_stats.VS.soft_faults);
-            ("iterations", num_of_int r.E.r_iterations);
-            ("sim_ns", num_of_int r.E.r_elapsed);
-          ] );
-    ]
+  ( List.map cell cells,
+    fun l ->
+      Obj
+        [
+          ("schema", Str schema);
+          ("schema_version", num_of_int perf_schema_version);
+          ("machine", Str machine.Machine.m_name);
+          ("ledger", Bool false);
+          ("cells", Arr (List.map (work l) cells));
+        ] )
 
-let run ?(cells = default_cells) ~machine ~jobs () =
-  Obj
-    [
-      ("schema", Str schema);
-      ("schema_version", num_of_int perf_schema_version);
-      ("machine", Str machine.Machine.m_name);
-      ("ledger", Bool false);
-      ("cells", Arr (Pool.map ~jobs (run_cell ~machine) cells));
-    ]
+let run ?cells ~machine ~jobs () =
+  let cells, read = plan ?cells ~machine () in
+  read (Figures.simulate ~jobs cells)
 
 let load_file ~path =
   match read_file ~path with

@@ -11,15 +11,21 @@
 
 type cell = { pc_workload : string; pc_variant : Experiment.variant }
 
-val default_cells : cell list
-(** The perf gate's grid: MATVEC/O, MATVEC/R, EMBAR/B, CGM/P. *)
+val plan :
+  ?cells:cell list ->
+  machine:Machine.t ->
+  unit ->
+  Figures.cell list * (Figures.lookup -> Metrics_io.json)
+(** The ledger-off cells (default: the perf gate's grid, MATVEC/O,
+    MATVEC/R, EMBAR/B, CGM/P) and how to read the document
+    [{"schema": "memhog-perf", "schema_version": 2, "machine": ...,
+    "ledger": false, "cells": [{"label", "work": {"events", "hard_faults",
+    "soft_faults", "iterations", "sim_ns"}}, ...]}] back from a lookup
+    that holds them. *)
 
 val run :
   ?cells:cell list -> machine:Machine.t -> jobs:int -> unit -> Metrics_io.json
-(** Run the cells on a {!Pool} with [jobs] workers and return the document
-    [{"schema": "memhog-perf", "schema_version": 2, "machine": ...,
-    "ledger": false, "cells": [{"label", "work": {"events", "hard_faults",
-    "soft_faults", "iterations", "sim_ns"}}, ...]}]. *)
+(** {!plan}, simulated on [jobs] worker domains. *)
 
 val load_file : path:string -> (Metrics_io.json, string) result
 (** Parse a perf file; fails when unreadable, malformed, or not carrying

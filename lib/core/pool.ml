@@ -2,124 +2,33 @@ let clamp_jobs jobs = max 1 (min 64 jobs)
 
 let default_jobs () = clamp_jobs (Domain.recommended_domain_count ())
 
-type t = {
-  p_jobs : int;
-  p_mutex : Mutex.t;
-  p_work_ready : Condition.t;
-  p_queue : (unit -> unit) Queue.t;
-  mutable p_shutdown : bool;
-  mutable p_workers : unit Domain.t list;
-}
-
-(* Workers block on the condition variable until a task or shutdown
-   arrives.  Tasks are wrapped by [run_list] and never raise. *)
-let worker t () =
-  let rec next () =
-    Mutex.lock t.p_mutex;
-    let rec take () =
-      match Queue.take_opt t.p_queue with
-      | Some task ->
-          Mutex.unlock t.p_mutex;
-          Some task
-      | None ->
-          if t.p_shutdown then begin
-            Mutex.unlock t.p_mutex;
-            None
-          end
-          else begin
-            Condition.wait t.p_work_ready t.p_mutex;
-            take ()
-          end
-    in
-    match take () with
-    | None -> ()
-    | Some task ->
-        task ();
-        next ()
-  in
-  next ()
-
-let create ~jobs =
-  let jobs = clamp_jobs jobs in
-  let t =
-    {
-      p_jobs = jobs;
-      p_mutex = Mutex.create ();
-      p_work_ready = Condition.create ();
-      p_queue = Queue.create ();
-      p_shutdown = false;
-      p_workers = [];
-    }
-  in
-  if jobs > 1 then
-    t.p_workers <- List.init jobs (fun _ -> Domain.spawn (worker t));
-  t
-
-let jobs t = t.p_jobs
-
-let shutdown t =
-  Mutex.lock t.p_mutex;
-  t.p_shutdown <- true;
-  Condition.broadcast t.p_work_ready;
-  Mutex.unlock t.p_mutex;
-  let workers = t.p_workers in
-  t.p_workers <- [];
-  List.iter Domain.join workers
-
-let submit t task =
-  Mutex.lock t.p_mutex;
-  Queue.add task t.p_queue;
-  Condition.signal t.p_work_ready;
-  Mutex.unlock t.p_mutex
-
-let run_list t f xs =
-  if t.p_jobs <= 1 || t.p_workers = [] then List.map f xs
+(* Each worker claims the next index from one atomic counter until none
+   is left; a task's exception is kept (first one wins) rather than
+   stopping its worker, so every task runs.  Joining the workers orders
+   their writes to [results] before the caller reads them. *)
+let map ~jobs f xs =
+  let tasks = Array.of_list xs in
+  let n = Array.length tasks in
+  let jobs = min (clamp_jobs jobs) n in
+  if jobs <= 1 then List.map f xs
   else begin
-    let arr = Array.of_list xs in
-    let n = Array.length arr in
-    if n = 0 then []
-    else begin
-      let results = Array.make n None in
-      let first_error = Atomic.make None in
-      let remaining = Atomic.make n in
-      let done_mutex = Mutex.create () in
-      let done_cond = Condition.create () in
-      let task i () =
-        (match f arr.(i) with
+    let results = Array.make n None in
+    let next = Atomic.make 0 in
+    let first_error = Atomic.make None in
+    let rec work () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (match f tasks.(i) with
         | v -> results.(i) <- Some v
         | exception e ->
             let bt = Printexc.get_raw_backtrace () in
             ignore (Atomic.compare_and_set first_error None (Some (e, bt))));
-        if Atomic.fetch_and_add remaining (-1) = 1 then begin
-          Mutex.lock done_mutex;
-          Condition.broadcast done_cond;
-          Mutex.unlock done_mutex
-        end
-      in
-      for i = 0 to n - 1 do
-        submit t (task i)
-      done;
-      Mutex.lock done_mutex;
-      while Atomic.get remaining > 0 do
-        Condition.wait done_cond done_mutex
-      done;
-      Mutex.unlock done_mutex;
-      (match Atomic.get first_error with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ());
-      Array.to_list
-        (Array.map (function Some v -> v | None -> assert false) results)
-    end
+        work ()
+      end
+    in
+    List.iter Domain.join (List.init jobs (fun _ -> Domain.spawn work));
+    (match Atomic.get first_error with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ());
+    Array.to_list (Array.map Option.get results)
   end
-
-let map ~jobs f xs =
-  let jobs = clamp_jobs jobs in
-  if jobs <= 1 then List.map f xs
-  else begin
-    let t = create ~jobs:(min jobs (List.length xs)) in
-    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> run_list t f xs)
-  end
-
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

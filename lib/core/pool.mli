@@ -1,43 +1,23 @@
-(** Fixed-size [Domain]-based worker pool with a shared work queue.
+(** A parallel [List.map] over [Domain]s.
 
-    The experiment matrix is a grid of independent, deterministic
-    simulations (each [Experiment.run] builds its own engine, OS and RNG),
-    so the cells parallelize across domains with no shared state.  The pool
-    owns [jobs] worker domains that pull tasks off one queue; [map]
-    preserves input order and re-raises the first task exception in the
-    caller, so results are indistinguishable from [List.map] — the harness
-    relies on this for its bit-identical [--jobs 1] / [--jobs N] guarantee.
+    The experiment grids are independent, deterministic simulations (each
+    [Experiment.run] builds its own engine, OS and RNG), so the cells
+    parallelize across domains with no shared state.  [map] preserves
+    input order and re-raises the first task exception in the caller, so
+    results are indistinguishable from [List.map] — the harness relies on
+    this for its bit-identical [--jobs 1] / [--jobs N] guarantee.
 
     With [jobs <= 1] (or a single-element list) everything runs in the
     calling domain and no worker is ever spawned: the serial path is the
     parallel path's own baseline. *)
 
-type t
-
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], clamped to [\[1; 64\]]. *)
 
-val create : jobs:int -> t
-(** Spawn [jobs] worker domains (clamped to [\[1; 64\]]; [jobs = 1] spawns
-    none).  The pool must be released with [shutdown]. *)
-
-val jobs : t -> int
-(** Worker count the pool was created with (after clamping). *)
-
-val shutdown : t -> unit
-(** Signal the workers to exit and join them.  Idempotent.  Pending tasks
-    submitted by a concurrent [run_list] finish first. *)
-
-val run_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Run one task per list element on the pool's workers and wait for all of
-    them.  Results are in input order.  If any task raises, the first
-    exception (in completion order) is re-raised in the caller after every
-    task has finished or been abandoned. *)
-
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] = create a pool, [run_list], shut it down.  With
-    [jobs <= 1] this is exactly [List.map f xs] in the calling domain. *)
-
-val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] with a fresh pool and always shuts the
-    pool down, even if [f] raises. *)
+(** [map ~jobs f xs] runs [f] on every element on [jobs] worker domains
+    (clamped to [\[1; 64\]] and to the list length), which take the next
+    element as they finish the last.  Results are in input order.  Every
+    task runs; if any raises, the first exception (in completion order) is
+    re-raised in the caller once every task has ended.  With [jobs <= 1]
+    this is exactly [List.map f xs] in the calling domain. *)

@@ -2,17 +2,16 @@
    a memory hog, swept over offered load x hog variant.
 
    Each cell is an independent simulation (own engine, OS, RNG streams), so
-   the grid is bit-identical at any --jobs level; Pool.map only changes
-   wall-clock.  The headline comparison is the paper's interactivity story
-   retold for tail latency: at the same offered load, the un-released hog
-   (O) steals the server's pages and p999 collapses under queueing, while
-   the buffered-release hog (B) keeps the free pool healthy and the tail
-   survives. *)
+   the grid is bit-identical at any --jobs level; the job count only
+   changes wall-clock.  The headline comparison is the paper's
+   interactivity story retold for tail latency: at the same offered load,
+   the un-released hog (O) steals the server's pages and p999 collapses
+   under queueing, while the buffered-release hog (B) keeps the free pool
+   healthy and the tail survives. *)
 
 open Memhog_sim
 module E = Experiment
 module Server = Memhog_exec.Server
-module Workload = Memhog_workloads.Workload
 
 type cell = { sc_rate : float; sc_variant : E.variant }
 
@@ -31,47 +30,97 @@ let default_hog = "MATVEC"
 let cells t = t.s_cells
 let results t = List.map snd t.s_cells
 
-let run ?(machine = Machine.paper) ?(workload = default_hog)
+let plan ?(machine = Machine.paper) ?(workload = default_hog)
     ?(rates = default_rates) ?(variants = default_variants)
-    ?(slo = Time_ns.ms 30) ?(duration = Time_ns.sec 20) ?chaos ?(jobs = 1)
-    ?(log = fun (_ : string) -> ()) () =
-  let w = Workload.find workload in
+    ?(slo = Time_ns.ms 30) ?(duration = Time_ns.sec 20) ?chaos () =
   let grid =
     List.concat_map
       (fun rate ->
         List.map (fun v -> { sc_rate = rate; sc_variant = v }) variants)
       rates
   in
-  let results =
-    Pool.map ~jobs
-      (fun c ->
-        log
-          (Printf.sprintf "serve: %s/%s hog @ %g rps" workload
-             (E.variant_name c.sc_variant) c.sc_rate);
-        let serve =
-          E.serve_cfg ~machine ~slo ~duration ~rate_rps:c.sc_rate ()
-        in
-        E.run
-          (E.setup ~machine ~workload:w ~variant:c.sc_variant ?chaos ~serve ()))
-      grid
+  let cell c =
+    Figures.corun ?chaos
+      ~serve:(E.serve_cfg ~machine ~slo ~duration ~rate_rps:c.sc_rate ())
+      machine workload c.sc_variant
   in
-  {
-    s_machine = machine;
-    s_workload = workload;
-    s_slo = slo;
-    s_chaos = chaos;
-    s_cells = List.combine grid results;
-  }
+  ( List.map cell grid,
+    fun l ->
+      {
+        s_machine = machine;
+        s_workload = workload;
+        s_slo = slo;
+        s_chaos = chaos;
+        s_cells = List.map (fun c -> (c, Figures.result l (cell c))) grid;
+      } )
+
+let run ?machine ?workload ?rates ?variants ?slo ?duration ?chaos ?jobs ?log
+    () =
+  let cells, read =
+    plan ?machine ?workload ?rates ?variants ?slo ?duration ?chaos ()
+  in
+  read (Figures.simulate ?jobs ?log cells)
 
 let serving_exn (r : E.result) =
   match r.E.r_serving with
   | Some s -> s
   | None -> invalid_arg "Serve: result has no serving summary"
 
-let render t =
-  let buf = Buffer.create 1024 in
-  let fmt = Format.formatter_of_buffer buf in
-  Format.pp_open_vbox fmt 0;
+(* Figures 1/10 retold for an open-loop server: the hog's releases are what
+   keep the server's tail latency flat as offered load rises.  p999 and SLO
+   attainment per offered load and hog variant, plus the O/B p999 ratio. *)
+let tail t =
+  let rates =
+    List.sort_uniq compare (List.map (fun (c, _) -> c.sc_rate) t.s_cells)
+  in
+  let variants =
+    List.filter
+      (fun v -> List.exists (fun (c, _) -> c.sc_variant = v) t.s_cells)
+      E.all_variants
+  in
+  let lookup rate v =
+    Option.map serving_exn
+      (List.assoc_opt { sc_rate = rate; sc_variant = v } t.s_cells)
+  in
+  let p999 s = Histogram.percentile s.Server.sm_hist 99.9 in
+  let rows =
+    List.map
+      (fun rate ->
+        let per_variant =
+          List.concat_map
+            (fun v ->
+              match lookup rate v with
+              | Some s ->
+                  [ Report.ns (p999 s); Report.pct (Server.slo_attainment s) ]
+              | None -> [ "-"; "-" ])
+            variants
+        in
+        let spread =
+          match (lookup rate E.O, lookup rate E.B) with
+          | Some o, Some b when p999 b > 0 ->
+              Report.ratio (float_of_int (p999 o) /. float_of_int (p999 b))
+          | _ -> "-"
+        in
+        (Printf.sprintf "%s rps" (Report.f1 rate) :: per_variant) @ [ spread ])
+      rates
+  in
+  Format.asprintf "@[<v>%t@]" (fun fmt ->
+      Report.table
+        ~title:
+          (Printf.sprintf
+             "Serving tail vs offered load: %s hog, SLO %s from arrival"
+             t.s_workload (Time_ns.to_string t.s_slo))
+        ~header:
+          ("offered"
+          :: List.concat_map
+               (fun v ->
+                 let n = E.variant_name v in
+                 [ n ^ " p999"; n ^ " SLO" ])
+               variants
+          @ [ "O/B p999" ])
+        ~rows fmt ())
+
+let pp_latency fmt t =
   Format.fprintf fmt
     "Serving under a %s hog (%s)%s@,SLO: %s from arrival@,@," t.s_workload
     t.s_machine.Machine.m_name
@@ -118,10 +167,9 @@ let render t =
           t.s_workload
           (E.variant_name c.sc_variant)
           (Report.f1 c.sc_rate) s.Server.sm_completed)
-    t.s_cells;
-  Format.pp_close_box fmt ();
-  Format.pp_print_flush fmt ();
-  Buffer.contents buf
+    t.s_cells
+
+let render t = Format.asprintf "@[<v>%a@]" pp_latency t ^ "\n" ^ tail t
 
 let blame_exn (r : E.result) =
   match r.E.r_serving with
@@ -139,10 +187,52 @@ let slowest t =
       | acc, _ -> acc)
     None (results t)
 
-let render_blame t =
-  let buf = Buffer.create 2048 in
-  let fmt = Format.formatter_of_buffer buf in
-  Format.pp_open_vbox fmt 0;
+(* The p999 ratio says the un-released hog hurts the tail; the blame shares
+   say how: under O the tail's time concentrates in queue and value-stall,
+   under B it stays in compute.  Shares are over the tail bands (p99 and
+   beyond) of each cell's deterministic span sample. *)
+let tail_shares t =
+  let rows =
+    List.map
+      (fun (c, r) ->
+        let b = blame_exn r in
+        let tail =
+          List.filter
+            (fun (bd : Reqtrace.band) -> bd.Reqtrace.bd_label <> "body")
+            b.Reqtrace.su_bands
+        in
+        let sum f = List.fold_left (fun a bd -> a + f bd) 0 tail in
+        let resp = sum (fun bd -> bd.Reqtrace.bd_response) in
+        let share v =
+          if resp = 0 then "-"
+          else Report.pct (float_of_int v /. float_of_int resp)
+        in
+        [
+          Printf.sprintf "%s/%s" t.s_workload (E.variant_name c.sc_variant);
+          Printf.sprintf "%s rps" (Report.f1 c.sc_rate);
+          Report.count (sum (fun bd -> bd.Reqtrace.bd_count));
+          share (sum (fun bd -> bd.Reqtrace.bd_queue));
+          share (sum (fun bd -> bd.Reqtrace.bd_index));
+          share (sum (fun bd -> bd.Reqtrace.bd_value));
+          share (sum (fun bd -> bd.Reqtrace.bd_cpu));
+          share (sum (fun bd -> bd.Reqtrace.bd_compute));
+        ])
+      t.s_cells
+  in
+  Format.asprintf "@[<v>%t@]" (fun fmt ->
+      Report.table
+        ~title:
+          (Printf.sprintf
+             "Tail blame shares (p99 and beyond): %s hog, sampled requests"
+             t.s_workload)
+        ~header:
+          [
+            "hog"; "offered"; "tail reqs"; "queue"; "index"; "value";
+            "cpu wait"; "compute";
+          ]
+        ~rows fmt ())
+
+let pp_blame fmt t =
   Format.fprintf fmt
     "Blame: where response time went, body vs tail (%s hog, %s)@,@,"
     t.s_workload t.s_machine.Machine.m_name;
@@ -204,7 +294,7 @@ let render_blame t =
              Report.ns b.Reqtrace.su_transit;
            ])
          blames)
-    fmt ();
-  Format.pp_close_box fmt ();
-  Format.pp_print_flush fmt ();
-  Buffer.contents buf
+    fmt ()
+
+let render_blame t =
+  Format.asprintf "@[<v>%a@]" pp_blame t ^ "\n" ^ tail_shares t

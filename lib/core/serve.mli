@@ -8,8 +8,10 @@
     p999 through queueing on hard faults, while buffered releasing (B)
     keeps the free pool healthy and the tail flat.
 
-    Every cell is an independent simulation; results are bit-identical at
-    any [jobs] level. *)
+    The grid is {!Figures.cell}s run by {!Figures.simulate}: every cell is
+    an independent simulation, so results are bit-identical at any [jobs]
+    level, and each passes {!Experiment.check_result} (invariants, every
+    arrived request completed). *)
 
 type cell = { sc_rate : float; sc_variant : Experiment.variant }
 
@@ -33,6 +35,21 @@ val default_variants : Experiment.variant list
 val default_hog : string
 (** MATVEC, the hog of the paper's interactivity experiments. *)
 
+val plan :
+  ?machine:Machine.t ->
+  ?workload:string ->
+  ?rates:float list ->
+  ?variants:Experiment.variant list ->
+  ?slo:Memhog_sim.Time_ns.t ->
+  ?duration:Memhog_sim.Time_ns.t ->
+  ?chaos:string ->
+  unit ->
+  Figures.cell list * (Figures.lookup -> t)
+(** The grid's cells, rate-major, and how to read it back from a lookup
+    that holds them.  [chaos] applies the same fault-injection spec to
+    every cell (rebuilt per cell from the machine seed, preserving
+    determinism). *)
+
 val run :
   ?machine:Machine.t ->
   ?workload:string ->
@@ -45,10 +62,9 @@ val run :
   ?log:(string -> unit) ->
   unit ->
   t
-(** Run the grid on [jobs] worker domains.  [chaos] applies the same
-    fault-injection spec to every cell (rebuilt per cell from the machine
-    seed, preserving determinism).
-    @raise Failure when [workload] is unknown. *)
+(** {!plan}, simulated on [jobs] worker domains; [log] gets the runner's
+    [cell i/N:] lines.
+    @raise Failure when [workload] is unknown or a cell fails its check. *)
 
 val cells : t -> (cell * Experiment.result) list
 val results : t -> Experiment.result list
@@ -70,10 +86,14 @@ val slowest : t -> Memhog_sim.Reqtrace.span option
 val render : t -> string
 (** Plain-text tail-latency table (p50/p99/p999 + SLO attainment), plus an
     explicit warning line for any cell that recorded no responses — its
-    0% attainment is vacuous, not measured. *)
+    0% attainment is vacuous, not measured — and Figures 1/10 retold for
+    the server: p999 and SLO attainment per offered load and hog variant,
+    with the O/B p999 ratio. *)
 
 val render_blame : t -> string
 (** Plain-text blame tables: mean per-request response-time decomposition
     by percentile band (the [memhog blame] headline — components sum to
-    the response column exactly), plus the prefetch-race and demand-disk
-    attribution counters per cell. *)
+    the response column exactly), the prefetch-race and demand-disk
+    attribution counters per cell, and each cell's tail bands (p99 and
+    beyond) as shares of response time — {e how} the un-released hog hurts
+    the tail (queueing and value stalls), not just that it does. *)

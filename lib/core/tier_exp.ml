@@ -8,13 +8,14 @@
 
    Each cell is an independent simulation (own engine, OS, tier router,
    RNG streams), so the whole experiment is byte-identical at any
-   [--jobs] level. *)
+   [--jobs] level.  The cells run through the plan's runner, which checks
+   the OS invariants and that the partition cell's server completed
+   every request (no fiber blocked forever on the dead tier). *)
 
 open Memhog_sim
 module E = Experiment
 module Server = Memhog_exec.Server
 module Tiers = Memhog_vm.Tiers
-module Workload = Memhog_workloads.Workload
 
 type mix = { mx_name : string; mx_tiers : string option }
 
@@ -53,72 +54,41 @@ type t = {
 
 let results t = List.map snd t.tx_mixes @ [ t.tx_partition ]
 
-let run ?(machine = Machine.paper) ~rate ?(jobs = 1)
-    ?(log = fun (_ : string) -> ()) () =
-  let w = Workload.find workload in
-  (* One flat list of thunks so the pool overlaps the matrix cells with
-     the (longer) partition cell instead of running the phases back to
-     back. *)
-  let mix_cell m () =
-    log
-      (Printf.sprintf "tiers: %s/%s on %s" workload (E.variant_name variant)
-         m.mx_name);
-    E.run (E.setup ~machine ~workload:w ~variant ?tiers:m.mx_tiers ())
-  in
-  let partition_cell () =
-    log
-      (Printf.sprintf "tiers: partition serve cell @ %g rps under %S" rate
-         partition_chaos);
-    let serve =
-      E.serve_cfg ~machine ~mark:partition_mark ~rate_rps:rate ()
-    in
-    (* EMBAR dirties the pages it releases (MATVEC's are clean), so the
-       write-back path keeps demoting to the far tier throughout — the
-       partition therefore hits in-flight placements and fetches, and the
-       post-heal traffic drives the half-open probe that closes the
-       breaker again.  Variant R (aggressive release) so the governor's
-       tier-aware rung is exercised: while the breaker is open,
-       aggressive releases are forced into the local buffer instead of
-       being demoted to a dead tier. *)
-    E.run
-      (E.setup ~machine ~workload:(Workload.find "EMBAR") ~variant:E.R
-         ~chaos:partition_chaos ~tiers:partition_tiers
-         ~trace:(Trace.create ()) ~serve ())
-  in
-  let cells =
-    List.map (fun m -> `Mix m) mixes @ [ `Partition ]
-  in
-  let run_one = function
-    | `Mix m -> (Some m, mix_cell m ())
-    | `Partition -> (None, partition_cell ())
-  in
-  let results = Pool.map ~jobs run_one cells in
-  let mix_results =
-    List.filter_map
-      (function Some m, r -> Some (m, r) | None, _ -> None)
-      results
-  in
-  let partition =
-    match List.find_opt (fun (m, _) -> m = None) results with
-    | Some (_, r) -> r
-    | None -> failwith "Tier_exp.run: partition cell missing"
-  in
-  {
-    tx_machine = machine;
-    tx_mixes = mix_results;
-    tx_rate = rate;
-    tx_partition = partition;
-  }
+(* EMBAR dirties the pages it releases (MATVEC's are clean), so the
+   write-back path keeps demoting to the far tier throughout — the
+   partition therefore hits in-flight placements and fetches, and the
+   post-heal traffic drives the half-open probe that closes the breaker
+   again.  Variant R (aggressive release) so the governor's tier-aware
+   rung is exercised: while the breaker is open, aggressive releases are
+   forced into the local buffer instead of being demoted to a dead
+   tier. *)
+let partition_cell ?(chaos = partition_chaos) ?telemetry machine ~rate =
+  Figures.corun ~chaos ~tiers:partition_tiers ~traced:true
+    ~serve:(E.serve_cfg ~machine ~mark:partition_mark ~rate_rps:rate ())
+    ?telemetry machine "EMBAR" E.R
+
+let plan ?(machine = Machine.paper) ~rate () =
+  let mix_cell m = Figures.corun ?tiers:m.mx_tiers machine workload variant in
+  let partition = partition_cell machine ~rate in
+  (* One plan, so the pool overlaps the matrix cells with the (longer)
+     partition cell instead of running the phases back to back. *)
+  ( List.map mix_cell mixes @ [ partition ],
+    fun l ->
+      {
+        tx_machine = machine;
+        tx_mixes = List.map (fun m -> (m, Figures.result l (mix_cell m))) mixes;
+        tx_rate = rate;
+        tx_partition = Figures.result l partition;
+      } )
+
+let run ?machine ~rate ?jobs ?log () =
+  let cells, read = plan ?machine ~rate () in
+  read (Figures.simulate ?jobs ?log cells)
 
 let tiers_exn (r : E.result) =
   match r.E.r_tiers with
   | Some s -> s
   | None -> invalid_arg "Tier_exp: result has no tiers summary"
-
-let serving_exn (r : E.result) =
-  match r.E.r_serving with
-  | Some s -> s
-  | None -> invalid_arg "Tier_exp: result has no serving summary"
 
 let require name cond msg =
   if not cond then failwith (Printf.sprintf "tiers %s: %s" name msg)
@@ -136,8 +106,6 @@ let far_count s f =
 let check t =
   List.iter
     (fun (m, (r : E.result)) ->
-      require m.mx_name r.E.r_invariants_ok
-        "OS invariants violated after the run";
       match m.mx_tiers with
       | None ->
           require m.mx_name (r.E.r_tiers = None)
@@ -154,15 +122,12 @@ let check t =
                 "zram tier present but never written"
           | None -> ())
     t.tx_mixes;
-  (* Partition scenario: the cell must complete (no fiber blocked forever
-     on a dead tier — the arrival queue fully drains), demotions must
-     have failed over, in-flight reads must have been rescued from the
-     durable swap copy, the breaker must have opened, and the server's
-     SLO attainment after the window must be no worse than its
-     window-inclusive figure. *)
+  (* Partition scenario (the runner has already checked that the server
+     drained its queue): demotions must have failed over, in-flight reads
+     must have been rescued from the durable swap copy, the breaker must
+     have opened, and the server's SLO attainment after the window must
+     be no worse than its window-inclusive figure. *)
   let r = t.tx_partition in
-  require "partition" r.E.r_invariants_ok
-    "OS invariants violated after the partition run";
   let s = tiers_exn r in
   require "partition" (s.Tiers.s_rescues > 0)
     "no fetch was rescued from the swap copy";
@@ -175,9 +140,7 @@ let check t =
   require "partition"
     (far_count s (fun row -> row.Tiers.ts_breaker_transitions) > 0)
     "the breaker never transitioned";
-  let sv = serving_exn r in
-  require "partition" (sv.Server.sm_completed = sv.Server.sm_arrived)
-    "the server did not drain its queue (a fiber blocked forever?)";
+  let sv = Serve.serving_exn r in
   require "partition" (sv.Server.sm_post_recorded > 0)
     "no requests recorded after the recovery mark";
   require "partition"
@@ -243,7 +206,7 @@ let render t =
   Format.fprintf fmt "@,";
   let r = t.tx_partition in
   let s = tiers_exn r in
-  let sv = serving_exn r in
+  let sv = Serve.serving_exn r in
   let far_get = far_count s in
   Report.table
     ~title:

@@ -5,33 +5,32 @@
     and fetches are in flight.
 
     The partition scenario is the acceptance test of the fault-tolerant
-    store: the cell must complete with no fiber blocked on the dead tier,
-    demotions must fail over to the durable swap copy, in-flight reads
-    must be rescued from it, the circuit breaker must open and probe
-    closed again, and the server's SLO attainment after the fault window
-    must recover.  {!check} asserts all of that; [memhog gate tiers]
-    freezes the numbers byte-for-byte in [bench/TIER_metrics.json].
+    store: the cell must complete with no fiber blocked on the dead tier
+    (the runner, {!Figures.simulate}, checks that every arrived request
+    completed), demotions must fail over to the durable swap copy,
+    in-flight reads must be rescued from it, the circuit breaker must open
+    and probe closed again, and the server's SLO attainment after the
+    fault window must recover.  {!check} asserts the rest; [memhog gate
+    tiers] freezes the numbers byte-for-byte in [bench/TIER_metrics.json].
 
     Every cell is an independent simulation; results are bit-identical at
     any [jobs] level. *)
 
 type mix = { mx_name : string; mx_tiers : string option }
-(** One backend mix of the matrix: [None] is the swap-only baseline. *)
-
-val mixes : mix list
-(** The matrix's backend mixes, each run under EMBAR/B: swap, far, zram,
-    far+zram. *)
-
-val partition_tiers : string
-(** The partition scenario's tier spec: far memory with a short breaker
-    hold-off so the half-open probe cycle fits the serving window. *)
+(** One backend mix of the matrix (swap, far, zram, far+zram, each under
+    EMBAR/B): [None] is the swap-only baseline. *)
 
 val partition_chaos : string
 (** Hard partition of the far link mid-window ([net-partition@6s-9s]). *)
 
-val partition_mark : Memhog_sim.Time_ns.t
-(** The server's recovery mark: SLO attainment is tallied separately for
-    requests arriving after this offset, one second past the heal. *)
+val partition_cell :
+  ?chaos:string -> ?telemetry:bool -> Machine.t -> rate:float -> Figures.cell
+(** The partition scenario's serving cell: the EMBAR/R hog next to the
+    open-loop server at [rate] rps, far memory with a short breaker
+    hold-off (so the half-open probe cycle fits the serving window), a
+    trace ring, chaos [chaos] (default {!partition_chaos}), the server's
+    recovery mark one second past the heal, and with [telemetry] the full
+    probe set and alert rules. *)
 
 type t = {
   tx_machine : Machine.t;
@@ -40,6 +39,15 @@ type t = {
   tx_partition : Experiment.result;
 }
 
+val plan :
+  ?machine:Machine.t ->
+  rate:float ->
+  unit ->
+  Figures.cell list * (Figures.lookup -> t)
+(** The matrix's cells in mix order, then the {!partition_cell} at
+    [rate] rps, and how to read the experiment back from a lookup that
+    holds them. *)
+
 val run :
   ?machine:Machine.t ->
   rate:float ->
@@ -47,22 +55,19 @@ val run :
   ?log:(string -> unit) ->
   unit ->
   t
-(** Run the matrix and the partition scenario on [jobs] worker domains.
-    The partition cell co-runs the EMBAR/R hog (dirty releases, so
-    demotions stay in flight through the fault window; aggressive, so
-    the governor's tier-aware rung is exercised while the breaker is
-    open) with the open-loop server at [rate] rps. *)
+(** {!plan}, simulated on [jobs] worker domains; [log] gets the runner's
+    [cell i/N:] lines.
+    @raise Failure when a cell fails the runner's check. *)
 
 val results : t -> Experiment.result list
 (** Matrix cells in mix order, then the partition cell — ready for
     {!Metrics.of_results}. *)
 
 val check : t -> unit
-(** The experiment's built-in gates.  Matrix: invariants hold and each
-    configured fast tier saw writes.  Partition: invariants hold, the
-    server drained its queue (no fiber blocked forever), nonzero far
-    timeouts, failovers, rescues and breaker transitions, and post-mark
-    SLO attainment at least the window-inclusive figure.
+(** The experiment's built-in gates.  Matrix: each configured fast tier
+    saw writes.  Partition: nonzero far timeouts, failovers, rescues and
+    breaker transitions, and post-mark SLO attainment at least the
+    window-inclusive figure.
     @raise Failure naming the first violated gate. *)
 
 val render : t -> string

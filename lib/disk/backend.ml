@@ -36,22 +36,3 @@ let write_page ?(cat = Account.Io_stall) ?(background = false)
     ?(site = Trace.no_site) t ~page =
   t.write ~cat ~background ~site ~page
 
-(* The paper's striped swap volume, adapted behind the interface.  Local
-   disks neither time out (the SCSI deadline stays accounting-only there)
-   nor reject writes, so every request completes in one attempt. *)
-let of_swap sw =
-  let stats = fresh_stats () in
-  {
-    name = "swap";
-    read =
-      (fun ~cat ~background ~site:_ ~page ->
-        stats.reads <- stats.reads + 1;
-        Swap.read_page ~cat ~background sw ~page;
-        R_ok 1);
-    write =
-      (fun ~cat ~background ~site:_ ~page ->
-        stats.writes <- stats.writes + 1;
-        Swap.write_page ~cat ~background sw ~page;
-        W_ok 1);
-    stats;
-  }

@@ -5,7 +5,7 @@
     blocking time to an {!Memhog_sim.Account} category, [background] marks
     the request as overtakeable by demand traffic, and [site] carries the
     static directive tag for attribution.  Three implementations exist:
-    the local striped {!Swap} volume ({!of_swap}), the {!Farmem} network
+    the local striped {!Swap} volume, the {!Farmem} network
     tier and the {!Zram} compressed-RAM tier; the [Memhog_vm.Tiers] router
     composes them into a fault-tolerant tiered store. *)
 
@@ -64,7 +64,3 @@ val write_page :
   t ->
   page:int ->
   write_result
-
-val of_swap : Swap.t -> t
-(** The striped local swap volume behind the interface.  Never times out,
-    never rejects; every request is [R_ok 1] / [W_ok 1]. *)

@@ -43,7 +43,6 @@ type t = {
   mutable last_block : int;
   mutable reads : int;
   mutable writes : int;
-  mutable bytes : int;
   mutable busy : int;
   mutable seq_hits : int;
   mutable near_hits : int;
@@ -68,7 +67,6 @@ let create ?(params = cheetah_4lp) ?bus ?(chaos = Chaos.none)
     last_block = min_int;
     reads = 0;
     writes = 0;
-    bytes = 0;
     busy = 0;
     seq_hits = 0;
     near_hits = 0;
@@ -181,7 +179,6 @@ let do_io ?(cat = Account.Io_stall) ?(background = false) t ~block ~bytes
   and transfer = scale_ns slow transfer in
   if not is_write then t.last_block <- block;
   if is_write then t.writes <- t.writes + 1 else t.reads <- t.reads + 1;
-  t.bytes <- t.bytes + bytes;
   t.busy <- t.busy + positioning + transfer;
   Engine.delay ~cat positioning;
   (match t.bus with
@@ -213,7 +210,6 @@ let write ?cat ?background t ~block ~bytes =
 
 let reads t = t.reads
 let writes t = t.writes
-let bytes_moved t = t.bytes
 let busy_time t = t.busy
 let sequential_hits t = t.seq_hits
 let near_hits t = t.near_hits

@@ -87,7 +87,6 @@ val write :
 
 val reads : t -> int
 val writes : t -> int
-val bytes_moved : t -> int
 val busy_time : t -> Time_ns.t
 val sequential_hits : t -> int
 val near_hits : t -> int

@@ -51,7 +51,6 @@ let compressed_bytes t ~site ~page =
   int_of_float (ratio ~site ~page *. float_of_int t.page_bytes)
 
 let stats t = t.stats
-let used_bytes t = t.used_bytes
 let stored_pages t = Hashtbl.length t.table
 let capacity_bytes t = t.params.capacity_bytes
 

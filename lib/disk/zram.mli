@@ -30,8 +30,6 @@ val ratio : site:int -> page:int -> float
 (** Deterministic per-page compressibility in [0.15, 0.90] (compressed
     fraction of the page). *)
 
-val compressed_bytes : t -> site:int -> page:int -> int
-
 val read_page :
   ?cat:Account.category -> ?background:bool -> t -> page:int ->
   Backend.read_result
@@ -50,7 +48,6 @@ val drop : t -> page:int -> unit
     stale, not wanted).  No-op when the page is absent. *)
 
 val stats : t -> Backend.stats
-val used_bytes : t -> int
 val stored_pages : t -> int
 val capacity_bytes : t -> int
 

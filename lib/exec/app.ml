@@ -242,7 +242,7 @@ let unbound_slots (prog : Pir.prog) ~params =
   List.filteri (fun i _ -> not bound.(i)) (Array.to_list prog.Pir.px_slots)
 
 let create ?(seed = 17) ?(runtime_policy = Runtime.Aggressive) ?release_target
-    ?rt_threads ?governor ~os ~params prog =
+    ?governor ~os ~params prog =
   (match unbound_slots prog ~params with
   | [] -> ()
   | names ->
@@ -264,7 +264,7 @@ let create ?(seed = 17) ?(runtime_policy = Runtime.Aggressive) ?release_target
       prog.Pir.px_arrays
   in
   let rt =
-    Runtime.create ?release_target ?nthreads:rt_threads ?governor ~os ~asp
+    Runtime.create ?release_target ?governor ~os ~asp
       ~policy:runtime_policy ()
   in
   let t =

@@ -21,7 +21,6 @@ val create :
   ?seed:int ->
   ?runtime_policy:Memhog_runtime.Runtime.policy ->
   ?release_target:int ->
-  ?rt_threads:int ->
   ?governor:Memhog_runtime.Runtime.governor_cfg ->
   os:Memhog_vm.Os.t ->
   params:(string * int) list ->
@@ -38,8 +37,6 @@ val create :
 
 val asp : t -> Memhog_vm.Address_space.t
 val runtime : t -> Memhog_runtime.Runtime.t
-
-val segment_of_array : t -> string -> Memhog_vm.Address_space.segment
 
 val run : t -> iterations:int -> unit
 (** Run the whole program [iterations] times.  Must be called from inside a

@@ -75,23 +75,25 @@ let spawn t =
   t.proc <- Some p;
   p
 
-let stats_over ?(skip = 1) t f =
-  let usable = List.filter (fun s -> s.sw_index >= skip) (sweeps t) in
+(* Statistics skip the first sweep, which absorbs the initial demand
+   paging. *)
+let warm s = s.sw_index >= 1
+
+let stats_over t f =
+  let usable = List.filter warm (sweeps t) in
   match usable with
   | [] -> None
   | l ->
       let sum = List.fold_left (fun acc s -> acc +. f s) 0.0 l in
       Some (sum /. float_of_int (List.length l))
 
-let avg_response ?skip t =
-  stats_over ?skip t (fun s -> float_of_int s.sw_response)
+let avg_response t =
+  stats_over t (fun s -> float_of_int s.sw_response)
   |> Option.map (fun avg -> int_of_float (Float.round avg))
 
-let avg_hard_faults ?skip t = stats_over ?skip t (fun s -> float_of_int s.sw_hard_faults)
+let avg_hard_faults t = stats_over t (fun s -> float_of_int s.sw_hard_faults)
 
-let response_histogram ?(skip = 1) t =
+let response_histogram t =
   let h = Histogram.create () in
-  List.iter
-    (fun s -> if s.sw_index >= skip then Histogram.record h s.sw_response)
-    (sweeps t);
+  List.iter (fun s -> if warm s then Histogram.record h s.sw_response) (sweeps t);
   h

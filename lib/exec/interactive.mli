@@ -30,16 +30,17 @@ val asp : t -> Memhog_vm.Address_space.t
 val sweeps : t -> sweep list
 (** Completed sweeps, oldest first. *)
 
-val avg_response : ?skip:int -> t -> Memhog_sim.Time_ns.t option
-(** Mean response over completed sweeps, skipping the first [skip] warm-up
-    sweeps (default 1, which absorbs the initial demand paging). *)
+val avg_response : t -> Memhog_sim.Time_ns.t option
+(** Mean response over completed sweeps, skipping the first (warm-up)
+    sweep, which absorbs the initial demand paging. *)
 
-val avg_hard_faults : ?skip:int -> t -> float option
+val avg_hard_faults : t -> float option
+(** Mean hard faults per sweep, skipping the warm-up sweep. *)
 
-val response_histogram : ?skip:int -> t -> Memhog_sim.Histogram.t
-(** Per-sweep response times as a histogram, skipping the first [skip]
-    warm-up sweeps (default 1, matching {!avg_response}); feeds the derived
-    metrics layer's p50/p90/p99 response percentiles. *)
+val response_histogram : t -> Memhog_sim.Histogram.t
+(** Per-sweep response times as a histogram, skipping the warm-up sweep
+    (matching {!avg_response}); feeds the derived metrics layer's
+    p50/p90/p99 response percentiles. *)
 
 val account : t -> Memhog_sim.Account.t option
 (** The task's per-category time account, once {!spawn} has run. *)

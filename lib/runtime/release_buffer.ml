@@ -85,7 +85,6 @@ let add t ~tag ~priority ~vpn =
   t.total <- t.total + 1
 
 let total t = t.total
-let queue_count t = Hashtbl.length t.tags
 
 let lowest_priority t =
   match IntMap.min_binding_opt t.by_priority with

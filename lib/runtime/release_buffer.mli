@@ -36,5 +36,4 @@ val flush_tag : t -> tag:int -> int array
     application's plans for a tagged array change wholesale — e.g. a
     re-touch invalidates the buffered releases. *)
 
-val queue_count : t -> int
 val lowest_priority : t -> int option

@@ -4,11 +4,6 @@ module As = Memhog_vm.Address_space
 
 type policy = Aggressive | Buffered | Reactive
 
-let policy_name = function
-  | Aggressive -> "aggressive"
-  | Buffered -> "buffered"
-  | Reactive -> "reactive"
-
 type stats = {
   mutable rt_prefetch_requests : int;
   mutable rt_prefetch_filtered : int;
@@ -59,10 +54,7 @@ type t = {
   obs : Obs.t;
   asp : As.t;
   pol : policy;
-  nthreads : int;
   release_target : int;
-  headroom : int;
-  filter_ns : int;
   queue : work Mailbox.t;
   buffer : Release_buffer.t;
   last_release : (int, int * int) Hashtbl.t;
@@ -88,17 +80,13 @@ type t = {
    no event when the bus is off. *)
 let emit t ev = Obs.emit t.obs ~time:(Engine.now ()) ~stream:t.asp.As.pid ev
 
-let create ?(nthreads = 16) ?(release_target = 100) ?(headroom = 0)
-    ?(filter_ns = 200) ?governor ~os ~asp ~policy () =
+let create ?(release_target = 100) ?governor ~os ~asp ~policy () =
   {
     os;
     obs = Os.obs os;
     asp;
     pol = policy;
-    nthreads;
     release_target;
-    headroom;
-    filter_ns;
     queue = Mailbox.create ~name:"runtime-work" ();
     buffer = Release_buffer.create ();
     last_release = Hashtbl.create 64;
@@ -156,10 +144,13 @@ let thread_loop t () =
           ~priorities:(Array.map (fun (_, _, prio) -> prio) triples)
   done
 
+(* Helper threads per process. *)
+let nthreads = 16
+
 let start t =
   if not t.started then begin
     t.started <- true;
-    for i = 1 to t.nthreads do
+    for i = 1 to nthreads do
       ignore
         (Engine.spawn (Os.engine t.os)
            ~name:(Printf.sprintf "%s-rt-thread-%d" t.asp.As.as_name i)
@@ -167,7 +158,8 @@ let start t =
     done
   end
 
-let charge_filter t = Engine.delay ~cat:Account.User t.filter_ns
+(* The user-time cost of one request's filter checks. *)
+let charge_filter () = Engine.delay ~cat:Account.User 200
 
 (* --- Graceful-degradation governor -------------------------------- *)
 
@@ -256,7 +248,7 @@ let gov_suppressed t =
 
 let prefetch_page ?(site = Trace.no_site) ?(urgent = false) t ~vpn =
   t.st.rt_prefetch_requests <- t.st.rt_prefetch_requests + 1;
-  charge_filter t;
+  charge_filter ();
   gov_tick t;
   if gov_suppressed t then ()
   else if Os.page_resident t.asp ~vpn then
@@ -293,12 +285,12 @@ let drop_stale t triples =
       live)
     triples
 
-(* Drain the lowest-priority queues when usage approaches the limit the OS
+(* Drain the lowest-priority queues when usage reaches the limit the OS
    published in the shared page. *)
 let maybe_drain t =
   let usage = Os.shared_current_usage t.os t.asp in
   let limit = Os.shared_upper_limit t.os t.asp in
-  if usage + t.headroom >= limit && Release_buffer.total t.buffer > 0 then begin
+  if usage >= limit && Release_buffer.total t.buffer > 0 then begin
     t.st.rt_buffer_drains <- t.st.rt_buffer_drains + 1;
     let pairs = Release_buffer.pop_lowest t.buffer ~max:t.release_target in
     let pairs = Array.of_list (drop_stale t (Array.to_list pairs)) in
@@ -356,7 +348,7 @@ let handle_release t ~vpn ~priority ~tag =
 
 let release_page t ~vpn ~priority ~tag =
   t.st.rt_release_requests <- t.st.rt_release_requests + 1;
-  charge_filter t;
+  charge_filter ();
   gov_tick t;
   if Obs.on t.obs then emit t (Trace.Rt_release_hint { vpn; site = tag; priority });
   if gov_suppressed t then ()

@@ -22,8 +22,6 @@ type policy =
           the OS asks (via {!advise_evict}, wired to
           {!Memhog_vm.Os.set_eviction_advisor}) *)
 
-val policy_name : policy -> string
-
 type stats = {
   mutable rt_prefetch_requests : int;   (** seen from the application *)
   mutable rt_prefetch_filtered : int;   (** dropped: already resident *)
@@ -87,10 +85,7 @@ val default_governor : governor_cfg
 type t
 
 val create :
-  ?nthreads:int ->
   ?release_target:int ->
-  ?headroom:int ->
-  ?filter_ns:Memhog_sim.Time_ns.t ->
   ?governor:governor_cfg ->
   os:Memhog_vm.Os.t ->
   asp:Memhog_vm.Address_space.t ->
@@ -98,10 +93,10 @@ val create :
   unit ->
   t
 (** [release_target] is the number of pages drained per buffering decision
-    (the paper fixes 100 and notes it did not experiment with it);
-    [headroom] is how close to the upper limit usage may get before a
-    drain; [filter_ns] is the per-request user-time cost of the checks.
-    [governor] (default off) enables graceful degradation — it is switched
+    (the paper fixes 100 and notes it did not experiment with it); the
+    buffer drains once usage reaches the upper limit, 16 helper threads
+    serve the process, and each request's filter checks cost 200 ns of
+    user time.  [governor] (default off) enables graceful degradation — it is switched
     on by the experiment driver whenever a chaos plan is active. *)
 
 val start : t -> unit

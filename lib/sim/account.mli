@@ -13,9 +13,6 @@ type category =
   | Resource_stall (** blocked on memory, locks, or CPUs *)
   | Sleep          (** voluntary sleep *)
 
-val all_categories : category list
-val category_name : category -> string
-
 type t
 
 val create : unit -> t

@@ -2,14 +2,12 @@ type 'a t = {
   name : string;
   items : 'a Queue.t;
   receivers : ('a option ref * Engine.waker) Queue.t;
-  mutable sent : int;
 }
 
 let create ?(name = "mailbox") () =
-  { name; items = Queue.create (); receivers = Queue.create (); sent = 0 }
+  { name; items = Queue.create (); receivers = Queue.create () }
 
 let send t v =
-  t.sent <- t.sent + 1;
   match Queue.take_opt t.receivers with
   | Some (cell, waker) ->
       cell := Some v;
@@ -32,4 +30,3 @@ let recv ?(cat = Account.Sleep) t =
 let try_recv t = Queue.take_opt t.items
 let length t = Queue.length t.items
 let is_empty t = Queue.is_empty t.items
-let sent_count t = t.sent

@@ -18,4 +18,3 @@ val recv : ?cat:Account.category -> 'a t -> 'a
 val try_recv : 'a t -> 'a option
 val length : 'a t -> int
 val is_empty : 'a t -> bool
-val sent_count : 'a t -> int

@@ -83,10 +83,8 @@ type span = {
 
 val children : span -> (string * Time_ns.t * Time_ns.t) list
 (** Recorded child intervals as [(kind, start, dur)], oldest first.
-    Kinds: ["disk_queue"], ["disk_io"], ["transit"].  At most
-    {!max_children} are kept per span; later ones are dropped. *)
-
-val max_children : int
+    Kinds: ["disk_queue"], ["disk_io"], ["transit"].  At most 16 are kept
+    per span; later ones are dropped. *)
 
 type t
 

@@ -4,7 +4,6 @@ type t = {
   mutable avail : int;
   waiters : Engine.waker Queue.t;
   mutable total_wait : int;
-  mutable acquisitions : int;
   mutable contended : int;
 }
 
@@ -16,7 +15,6 @@ let create ?(name = "sem") n =
     avail = n;
     waiters = Queue.create ();
     total_wait = 0;
-    acquisitions = 0;
     contended = 0;
   }
 
@@ -26,7 +24,6 @@ let available t = t.avail
 let waiting t = Queue.length t.waiters
 
 let acquire ?(cat = Account.Resource_stall) t =
-  t.acquisitions <- t.acquisitions + 1;
   if t.avail > 0 && Queue.is_empty t.waiters then t.avail <- t.avail - 1
   else begin
     t.contended <- t.contended + 1;
@@ -45,16 +42,5 @@ let release t =
         invalid_arg (Printf.sprintf "Semaphore.release(%s): over-release" t.name);
       t.avail <- t.avail + 1
 
-let with_ ?cat t f =
-  acquire ?cat t;
-  match f () with
-  | v ->
-      release t;
-      v
-  | exception e ->
-      release t;
-      raise e
-
 let total_wait t = t.total_wait
-let acquisitions t = t.acquisitions
 let contended_acquisitions t = t.contended

@@ -20,11 +20,7 @@ val waiting : t -> int
 val acquire : ?cat:Account.category -> t -> unit
 val release : t -> unit
 
-val with_ : ?cat:Account.category -> t -> (unit -> 'a) -> 'a
-(** [with_ t f] runs [f] holding one unit, releasing on return or exception. *)
-
 val total_wait : t -> Time_ns.t
 (** Cumulative time processes spent blocked on this semaphore. *)
 
-val acquisitions : t -> int
 val contended_acquisitions : t -> int

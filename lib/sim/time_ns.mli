@@ -16,11 +16,8 @@ val ms : int -> t
 val sec : int -> t
 val of_sec_f : float -> t
 
-(** Conversions to floating-point coarser units. *)
-
-val to_us_f : t -> float
-val to_ms_f : t -> float
 val to_sec_f : t -> float
+(** Conversion to floating-point seconds. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering with an adaptive unit (ns/us/ms/s). *)

@@ -120,11 +120,6 @@ let add_segment t ~name ~npages ~swap_base ~on_swap =
 
 let attach_pm _t seg = seg.pm_attached <- true
 
-let iter_segments t f =
-  for i = 0 to t.nsegs - 1 do
-    f t.seg_arr.(i)
-  done
-
 let fold_segments t ~init f =
   let acc = ref init in
   for i = 0 to t.nsegs - 1 do

@@ -93,13 +93,7 @@ val attach_pm : t -> segment -> unit
 
 val segments : t -> segment list
 (** The mapped segments in [base_vpn] order.  Allocates a fresh list per
-    call: hot callers should use {!iter_segments} or {!fold_segments}. *)
-
-val iter_segments : t -> (segment -> unit) -> unit
-(** Apply to each mapped segment in [base_vpn] order, allocation-free. *)
-
-val fold_segments : t -> init:'a -> ('a -> segment -> 'a) -> 'a
-(** Fold over the mapped segments in [base_vpn] order, allocation-free. *)
+    call. *)
 
 val find_segment : t -> vpn:int -> segment
 (** Raises [Not_found] for an unmapped page.  O(1) when [vpn] lands in the

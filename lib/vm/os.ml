@@ -39,7 +39,6 @@ type t = {
   memory_lock : Semaphore.t;
   cpus : Semaphore.t;
   spaces : (int, As.t) Hashtbl.t;
-  mutable space_list : As.t list;
   releaser_box : releaser_msg Mailbox.t;
   gstats : Vm_stats.global;
   obs : Obs.t;
@@ -68,7 +67,6 @@ let tier_far_open t = match t.tiers with None -> false | Some tr -> Tiers.far_op
 let global_stats t = t.gstats
 let free_pages t = Free_list.length t.free
 let cpus t = t.cpus
-let address_spaces t = List.rev t.space_list
 let obs t = t.obs
 let chaos t = t.chaos
 let fault_histogram t = t.h_fault
@@ -202,7 +200,6 @@ let new_process t ~name =
   let asp = As.create ~tlb_entries:t.config.tlb_entries ~pid:t.next_pid ~name () in
   t.next_pid <- t.next_pid + 1;
   Hashtbl.replace t.spaces asp.As.pid asp;
-  t.space_list <- asp :: t.space_list;
   Trace.set_stream_name (Obs.trace t.obs) asp.As.pid name;
   asp
 
@@ -1082,7 +1079,6 @@ let create ?swap_config ?tiers:tiers_spec ?(obs = Obs.null)
       memory_lock = Semaphore.create ~name:"memory-lock" 1;
       cpus = Semaphore.create ~name:"cpus" cfg.num_cpus;
       spaces = Hashtbl.create 16;
-      space_list = [];
       releaser_box = Mailbox.create ~name:"releaser" ();
       gstats = Vm_stats.create_global ();
       obs;

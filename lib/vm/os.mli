@@ -112,7 +112,6 @@ val cpus : t -> Memhog_sim.Semaphore.t
 (** {1 Process and memory setup} *)
 
 val new_process : t -> name:string -> Address_space.t
-val address_spaces : t -> Address_space.t list
 
 val map_segment :
   t ->

@@ -236,7 +236,6 @@ let emit t ev =
 let far_open t = t.far <> None && t.breaker.b_state = Open
 let rescues t = t.rescues
 let far_failovers t = t.far_failovers
-let zram_failovers t = t.zram_failovers
 let breaker_transitions t = t.breaker.b_transitions
 let breaker_state t = state_code t.breaker.b_state
 let placed_pages t = Hashtbl.length t.locs

@@ -26,7 +26,6 @@ module Swap = Memhog_disk.Swap
 module Farmem = Memhog_disk.Farmem
 module Zram = Memhog_disk.Zram
 
-val tier_disk : int
 val tier_far : int
 val tier_zram : int
 
@@ -51,8 +50,6 @@ type route = {
   r_hold : Time_ns.t;  (** initial open hold-off before a probe *)
   r_hold_cap : Time_ns.t;  (** hold-off saturation under repeated failure *)
 }
-
-val default_route : route
 
 type spec = {
   sp_far : Farmem.params option;
@@ -109,7 +106,6 @@ val far_open : t -> bool
 
 val rescues : t -> int
 val far_failovers : t -> int
-val zram_failovers : t -> int
 val breaker_transitions : t -> int
 
 val breaker_state : t -> int

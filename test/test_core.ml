@@ -1,5 +1,6 @@
 (* Tests for the experiment-harness core: report formatting, machine
-   descriptions, and the figure generators' static parts. *)
+   descriptions, the figure generators' static parts, and the runner's
+   per-cell checks. *)
 
 module Report = Memhog_core.Report
 module Machine = Memhog_core.Machine
@@ -178,6 +179,39 @@ let test_check_crashes () =
       check_bool ("names the process: " ^ msg) true
         (contains msg "cell" && contains msg "boom" && contains msg "injected")
 
+(* The runner's oracle: a co-run cell whose OS invariants fail, or whose
+   server left an arrived request unserved, fails naming the cell instead
+   of handing its numbers to a table. *)
+let test_check_result () =
+  let module Server = Memhog_exec.Server in
+  let machine = Machine.quick in
+  let batch = Figures.corun machine "EMBAR" E.O in
+  let served =
+    Figures.corun
+      ~serve:
+        (E.serve_cfg ~machine ~duration:(Memhog_sim.Time_ns.sec 1)
+           ~rate_rps:400.0 ())
+      machine "EMBAR" E.B
+  in
+  let l = Figures.simulate ~jobs:2 [ batch; served ] in
+  let batch = Figures.result l batch and served = Figures.result l served in
+  E.check_result ~what:"EMBAR/O" batch;
+  E.check_result ~what:"EMBAR/B serve" served;
+  let fails what r =
+    match E.check_result ~what r with
+    | () -> Alcotest.failf "%s passed the check" what
+    | exception Failure msg ->
+        check_bool ("names the cell: " ^ msg) true (contains msg what)
+  in
+  fails "EMBAR/O" { batch with E.r_invariants_ok = false };
+  let sv = Option.get served.E.r_serving in
+  fails "EMBAR/B serve"
+    {
+      served with
+      E.r_serving =
+        Some { sv with Server.sm_completed = sv.Server.sm_completed - 1 };
+    }
+
 let test_run_length () =
   let sec = Memhog_sim.Time_ns.sec in
   check_int "floor" (sec 45) (E.run_length (sec 2));
@@ -211,6 +245,8 @@ let () =
             test_setup_rejects_out_of_range;
           Alcotest.test_case "crash check names the process" `Quick
             test_check_crashes;
+          Alcotest.test_case "result check names the cell" `Quick
+            test_check_result;
           Alcotest.test_case "run length" `Quick test_run_length;
         ] );
     ]

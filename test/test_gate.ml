@@ -1,9 +1,10 @@
-(* Tests for the gate registry behind [memhog gate]: unique names, every
-   committed baseline present and loadable, what the tolerance-0
-   comparison reports, and name selection.  The entries' simulations stay out of this suite: running
-   them is the gate's job. *)
+(* Tests for the gate registry behind [memhog gate]: unique names, each
+   entry's cells, every committed baseline present and loadable, what the
+   tolerance-0 comparison reports, and name selection.  The entries'
+   simulations stay out of this suite: running them is the gate's job. *)
 
 module Gate = Memhog_core.Gate
+module Figures = Memhog_core.Figures
 module Mio = Memhog_core.Metrics_io
 module Perf = Memhog_core.Perf
 
@@ -39,6 +40,24 @@ let contains hay needle =
 let test_names_unique () =
   check_int "no duplicate names" (List.length names)
     (List.length (List.sort_uniq compare names))
+
+(* Every cell an entry declares is its own simulation: a grid whose cells
+   collapse under the plan's dedupe would silently read one result twice.
+   Counted without simulating. *)
+let test_entry_cells_distinct () =
+  List.iter
+    (fun (e : Gate.entry) ->
+      let n = List.length e.Gate.cells in
+      check_int (e.Gate.name ^ " cells distinct") n
+        (List.length (Figures.distinct e.Gate.cells));
+      check_int (e.Gate.name ^ " cell count")
+        (List.assoc e.Gate.name
+           [
+             ("smoke", 5); ("chaos", 3); ("serve", 4); ("tiers", 5); ("obs", 1);
+             ("perf", 4);
+           ])
+        n)
+    Gate.entries
 
 (* Each baseline carries its schema header. *)
 let test_baselines_load () =
@@ -87,6 +106,8 @@ let () =
       ( "gate",
         [
           Alcotest.test_case "registry names unique" `Quick test_names_unique;
+          Alcotest.test_case "entry cells are distinct" `Quick
+            test_entry_cells_distinct;
           Alcotest.test_case "baselines exist and load" `Quick
             test_baselines_load;
           Alcotest.test_case "compare names the perturbed path" `Quick

@@ -1,7 +1,6 @@
-(* Tests for the Domain worker pool and the cell plan: order
-   preservation, exception propagation, pool reuse, each distinct cell
-   simulated once, and the harness's bit-identical --jobs 1 / --jobs N
-   guarantee. *)
+(* Tests for the parallel map and the cell plan: order preservation,
+   exception propagation, each distinct cell simulated once, and the
+   harness's bit-identical --jobs 1 / --jobs N guarantee. *)
 
 open Memhog_core
 
@@ -41,21 +40,6 @@ let test_map_propagates_exceptions () =
       | _ -> Alcotest.failf "jobs=%d: expected Boom" jobs
       | exception Boom 13 -> ())
     [ 1; 4 ]
-
-let test_pool_reuse () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      check_int "jobs" 3 (Pool.jobs pool);
-      let a = Pool.run_list pool (fun x -> x + 1) [ 1; 2; 3 ] in
-      let b = Pool.run_list pool (fun x -> x * 2) [ 4; 5; 6 ] in
-      Alcotest.(check (list int)) "first batch" [ 2; 3; 4 ] a;
-      Alcotest.(check (list int)) "second batch" [ 8; 10; 12 ] b)
-
-let test_shutdown_idempotent () =
-  let pool = Pool.create ~jobs:2 in
-  let r = Pool.run_list pool Fun.id [ 1; 2; 3 ] in
-  Alcotest.(check (list int)) "ran" [ 1; 2; 3 ] r;
-  Pool.shutdown pool;
-  Pool.shutdown pool
 
 (* Worker domains must be able to run whole simulations (the engine's
    effect handlers are per-fiber, not per-process). *)
@@ -144,8 +128,6 @@ let () =
           Alcotest.test_case "order" `Quick test_map_preserves_order;
           Alcotest.test_case "edge shapes" `Quick test_map_edge_shapes;
           Alcotest.test_case "exceptions" `Quick test_map_propagates_exceptions;
-          Alcotest.test_case "reuse" `Quick test_pool_reuse;
-          Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
           Alcotest.test_case "simulations in workers" `Quick
             test_simulations_in_workers;
         ] );
