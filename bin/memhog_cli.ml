@@ -5,12 +5,11 @@
      machine    the simulated machine (Table 1)
      compile    run the compiler on a benchmark and dump analysis + code
      run        run one experiment and print its metrics document's tables
-                (the Metrics_io.render of what --metrics writes)
+                (the Metrics_io.render of what --metrics writes, as serve
+                and tiers do for their grids)
      sweep      interactive response vs sleep time for any benchmark
-     serve      open-loop KV server tail latency vs offered load x hog variant
-     blame      the serve grid plus per-request critical-path blame:
-                additive response-time decomposition, body vs tail,
-                slowest-request trace export
+     serve      open-loop KV server tail latency and per-request blame vs
+                offered load x hog variant, slowest-request trace export
      tiers      tiered backing store: backend mix and far-tier partition
      report     render metrics JSON files as human-readable tables
      compare    diff two metrics JSON files within a tolerance
@@ -74,6 +73,13 @@ let checked ~expected ok conv =
   Arg.conv (parse, Arg.conv_printer conv)
 
 let passes_conv = checked ~expected:"at least 1 pass" (fun n -> n >= 1) Arg.int
+
+(* A list option names a grid's rows: an empty list would simulate nothing
+   and a repeated value would list one simulation twice under one name. *)
+let distinct_list conv =
+  checked ~expected:"a non-empty list without repeats"
+    (fun l -> l <> [] && List.length (List.sort_uniq compare l) = List.length l)
+    (Arg.list conv)
 
 let jobs_term =
   Arg.(
@@ -196,6 +202,27 @@ let compile_cmd =
 (* run                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* [run], [serve] and [tiers] print the tables of the document their
+   --metrics writes. *)
+let print_render doc =
+  print_string (Result.get_ok (Metrics_io.render (Metrics_io.metrics_json doc)))
+
+let write_metrics doc = function
+  | Some path ->
+      Metrics_io.write_file ~path doc;
+      Format.printf "metrics written to %s@." path
+  | None -> ()
+
+let metrics_arg =
+  Arg.(
+    value
+    & opt (some out_path_conv) None
+    & info [ "metrics" ] ~docv:"FILE"
+        ~doc:
+          "Write the metrics document whose tables the verb prints as \
+           canonical JSON, readable by $(b,memhog report) and $(b,memhog \
+           compare).")
+
 let run_cmd =
   let variant =
     Arg.(
@@ -256,16 +283,6 @@ let run_cmd =
             "Record a structured event trace (faults, prefetches, releases, \
              daemon steals, rescues) and write it as Chrome trace_event \
              JSON, loadable in chrome://tracing or Perfetto.")
-  in
-  let metrics =
-    Arg.(
-      value
-      & opt (some out_path_conv) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Write the metrics document whose tables $(b,run) prints as \
-             canonical JSON, readable by $(b,memhog report) and \
-             $(b,memhog compare).")
   in
   let chaos =
     Arg.(
@@ -333,8 +350,7 @@ let run_cmd =
         (Experiment.variant_name r.Experiment.r_variant)
     in
     let doc = Metrics.of_results ~label [ r ] in
-    print_string
-      (Result.get_ok (Metrics_io.render (Metrics_io.metrics_json doc)));
+    print_render doc;
     print_newline ();
     (match telemetry with
     | Some dir ->
@@ -361,11 +377,7 @@ let run_cmd =
         print_string (Trace_export.summary r.Experiment.r_trace);
         Format.printf "trace written to %s@." path
     | None -> ());
-    (match metrics with
-    | Some path ->
-        Metrics_io.write_file ~path doc;
-        Format.printf "metrics written to %s@." path
-    | None -> ());
+    write_metrics doc metrics;
     Format.printf "invariants: %s@."
       (if r.Experiment.r_invariants_ok then "ok" else "VIOLATED");
     if r.Experiment.r_invariants_ok then 0 else 1
@@ -381,8 +393,8 @@ let run_cmd =
           optional layer the run enabled.")
     Term.(
       const run $ machine_term $ workload_term $ variant $ interactive
-      $ iterations $ conservative $ telemetry $ csv $ trace $ metrics $ chaos
-      $ serve_rate $ tiers)
+      $ iterations $ conservative $ telemetry $ csv $ trace $ metrics_arg
+      $ chaos $ serve_rate $ tiers)
 
 (* ------------------------------------------------------------------ *)
 (* sweep                                                               *)
@@ -393,7 +405,7 @@ let sweep_cmd =
     Arg.(
       value
       & opt
-          (list (seconds_conv ~positive:false))
+          (distinct_list (seconds_conv ~positive:false))
           [ 0.0; 0.5; 1.0; 2.0; 5.0; 10.0; 20.0 ]
       & info [ "sleeps" ] ~docv:"S,S,..."
           ~doc:"Sleep times (seconds) to sweep.")
@@ -413,33 +425,21 @@ let sweep_cmd =
     Term.(const run $ machine_term $ workload_term $ sleeps $ jobs_term)
 
 (* ------------------------------------------------------------------ *)
-(* serve / blame                                                       *)
+(* serve                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The serve and blame verbs sweep the same grid; they share its
-   argument set. *)
-type serve_grid = {
-  sg_rates : float list;
-  sg_variants : Experiment.variant list;
-  sg_hog : Workload.t;
-  sg_slo : float;
-  sg_duration : float;
-  sg_chaos : string option;
-  sg_jobs : int;
-}
-
-let serve_grid_term =
+let serve_cmd =
   let rates =
     Arg.(
       value
-      & opt (list rate_conv) Serve.default_rates
+      & opt (distinct_list rate_conv) Serve.default_rates
       & info [ "rates" ] ~docv:"RPS,RPS,..."
           ~doc:"Offered loads (requests/sec) to sweep.")
   in
   let variants =
     Arg.(
       value
-      & opt (list variant_conv) Serve.default_variants
+      & opt (distinct_list variant_conv) Serve.default_variants
       & info [ "variants" ] ~docv:"V,V,..."
           ~doc:"Hog variants to co-run (default: O,B — the bookends).")
   in
@@ -471,57 +471,6 @@ let serve_grid_term =
       & info [ "chaos" ] ~docv:"SPEC"
           ~doc:"Apply this fault-injection plan to every cell.")
   in
-  Term.(
-    const (fun sg_rates sg_variants sg_hog sg_slo sg_duration sg_chaos
-               sg_jobs ->
-        { sg_rates; sg_variants; sg_hog; sg_slo; sg_duration; sg_chaos;
-          sg_jobs })
-    $ rates $ variants $ hog $ slo $ duration $ chaos $ jobs_term)
-
-let run_serve_grid ~machine g =
-  Serve.run ~machine ~workload:g.sg_hog.Workload.w_name ~rates:g.sg_rates
-    ~variants:g.sg_variants
-    ~slo:(Time_ns.of_sec_f g.sg_slo)
-    ~duration:(Time_ns.of_sec_f g.sg_duration)
-    ?chaos:g.sg_chaos ~jobs:g.sg_jobs
-    ~log:(fun m -> Format.eprintf "%s@." m)
-    ()
-
-let write_serve_metrics ~machine ~hog ~path t =
-  let label =
-    Printf.sprintf "%s serve %s" machine.Machine.m_name hog.Workload.w_name
-  in
-  Metrics_io.write_file ~path (Metrics.of_results ~label (Serve.results t));
-  Format.printf "metrics written to %s@." path
-
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some out_path_conv) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Write the grid's derived metrics (including the per-cell \
-           $(b,serving) and $(b,blame) objects) as canonical JSON.")
-
-let serve_cmd =
-  let run machine g metrics =
-    let t = run_serve_grid ~machine g in
-    print_string (Serve.render t);
-    (match metrics with
-    | Some path -> write_serve_metrics ~machine ~hog:g.sg_hog ~path t
-    | None -> ());
-    0
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Sweep the open-loop KVSERVE server over offered load x hog \
-          variant and report tail latency (p50/p99/p999, measured from \
-          arrival) and SLO attainment — the serving analogue of the \
-          paper's interactivity figures.")
-    Term.(const run $ machine_term $ serve_grid_term $ metrics_arg)
-
-let blame_cmd =
   let trace =
     Arg.(
       value
@@ -532,34 +481,45 @@ let blame_cmd =
              slice, additive blame components, disk/transit sub-intervals) \
              as Chrome trace-event JSON, openable in Perfetto.")
   in
-  let run machine g trace metrics =
-    let t = run_serve_grid ~machine g in
-    print_string (Serve.render t);
+  let run machine rates variants hog slo duration chaos jobs metrics trace =
+    let t =
+      Serve.run ~machine ~workload:hog.Workload.w_name ~rates ~variants
+        ~slo:(Time_ns.of_sec_f slo)
+        ~duration:(Time_ns.of_sec_f duration)
+        ?chaos ~jobs
+        ~log:(fun m -> Format.eprintf "%s@." m)
+        ()
+    in
+    let doc = Serve.metrics t in
+    print_render doc;
     print_newline ();
-    print_string (Serve.render_blame t);
+    print_string (Serve.tail t);
+    write_metrics doc metrics;
     (match trace with
     | Some path -> (
         match Serve.slowest t with
         | Some sp ->
             Trace_export.write_blame_span sp ~path;
             Format.printf "slowest-request trace written to %s@." path
-        | None -> Format.eprintf "memhog blame: no requests recorded@.")
-    | None -> ());
-    (match metrics with
-    | Some path -> write_serve_metrics ~machine ~hog:g.sg_hog ~path t
+        | None -> Format.eprintf "memhog serve: no requests recorded@.")
     | None -> ());
     0
   in
   Cmd.v
-    (Cmd.info "blame"
+    (Cmd.info "serve"
        ~doc:
-         "Run the serving grid and decompose every sampled request's \
-          response time into additive critical-path components (queue \
-          wait, index/value fault stalls, CPU wait, compute — summing \
-          exactly to the response), then report where the tail's time \
-          went, body vs p99+ bands, plus prefetch-race and demand-disk \
-          attribution.")
-    Term.(const run $ machine_term $ serve_grid_term $ trace $ metrics_arg)
+         "Sweep the open-loop KVSERVE server over offered load x hog \
+          variant and print the grid's metrics document as tables: tail \
+          latency (p50/p99/p999, measured from arrival) and SLO attainment, \
+          each sampled request's response time decomposed into additive \
+          critical-path components (queue wait, index/value fault stalls, \
+          CPU wait, compute) by percentile band, prefetch-race and \
+          demand-disk attribution — then the p999 and SLO pivot over \
+          offered load, the serving analogue of the paper's interactivity \
+          figures.")
+    Term.(
+      const run $ machine_term $ rates $ variants $ hog $ slo $ duration $ chaos
+      $ jobs_term $ metrics_arg $ trace)
 
 (* ------------------------------------------------------------------ *)
 (* tiers                                                               *)
@@ -575,15 +535,6 @@ let tiers_cmd =
             "Offered load of the partition serving cell (default: the \
              machine's at-the-knee load).")
   in
-  let metrics =
-    Arg.(
-      value
-      & opt (some out_path_conv) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Write the experiment's derived metrics (including the \
-             per-cell $(b,tiers) objects) as canonical JSON.")
-  in
   let run machine rate jobs metrics =
     let rate =
       match rate with
@@ -597,14 +548,9 @@ let tiers_cmd =
         ~log:(fun m -> Format.eprintf "%s@." m)
         ()
     in
-    print_string (Tier_exp.render t);
-    (match metrics with
-    | Some path ->
-        let label = Printf.sprintf "tiers %s" machine.Machine.m_name in
-        Metrics_io.write_file ~path
-          (Metrics.of_results ~label (Tier_exp.results t));
-        Format.printf "metrics written to %s@." path
-    | None -> ());
+    let doc = Tier_exp.metrics t in
+    print_render doc;
+    write_metrics doc metrics;
     match Tier_exp.check t with
     | () -> 0
     | exception Failure msg ->
@@ -620,7 +566,7 @@ let tiers_cmd =
           fail over to the durable swap copy, in-flight reads must be \
           rescued, the circuit breaker must cycle, and post-window SLO \
           attainment must recover.")
-    Term.(const run $ machine_term $ rate $ jobs_term $ metrics)
+    Term.(const run $ machine_term $ rate $ jobs_term $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* report / compare                                                    *)
@@ -840,44 +786,47 @@ let top_cmd =
       & info [ "width" ] ~docv:"COLS" ~doc:"Sparkline width in columns.")
   in
   let run dir speed width =
-    let series = read_series (Filename.concat dir "series.csv") in
-    let alerts = read_alerts (Filename.concat dir "alerts.csv") in
-    if series = [] then begin
-      Format.eprintf "memhog top: no samples in %s@."
-        (Filename.concat dir "series.csv");
-      1
-    end
-    else begin
-      let t_end =
-        List.fold_left
-          (fun acc (_, samples) ->
-            List.fold_left (fun acc (t, _) -> max acc t) acc samples)
-          0 series
-      in
-      if speed = 0.0 then
-        print_string (render_frame ~width ~now:t_end series alerts)
-      else begin
-        let frames = 120 in
-        let dt = max 1 (t_end / frames) in
-        (* Clear once, then repaint from the home position each frame —
-           flicker-free on any VT100-compatible terminal. *)
-        print_string "\027[2J";
-        let rec play now =
-          let now = min now t_end in
-          print_string "\027[H";
-          print_string (render_frame ~width ~now series alerts);
-          print_string "\027[J";
-          flush stdout;
-          if now < t_end then begin
-            Unix.sleepf (Time_ns.to_sec_f dt /. speed);
-            play (now + dt)
-          end
+    match
+      ( read_series (Filename.concat dir "series.csv"),
+        read_alerts (Filename.concat dir "alerts.csv") )
+    with
+    | exception Sys_error msg ->
+        Format.eprintf "memhog top: %s@." msg;
+        1
+    | [], _ ->
+        Format.eprintf "memhog top: no samples in %s@."
+          (Filename.concat dir "series.csv");
+        1
+    | series, alerts ->
+        let t_end =
+          List.fold_left
+            (fun acc (_, samples) ->
+              List.fold_left (fun acc (t, _) -> max acc t) acc samples)
+            0 series
         in
-        play dt;
-        print_newline ()
-      end;
-      0
-    end
+        if speed = 0.0 then
+          print_string (render_frame ~width ~now:t_end series alerts)
+        else begin
+          let frames = 120 in
+          let dt = max 1 (t_end / frames) in
+          (* Clear once, then repaint from the home position each frame —
+             flicker-free on any VT100-compatible terminal. *)
+          print_string "\027[2J";
+          let rec play now =
+            let now = min now t_end in
+            print_string "\027[H";
+            print_string (render_frame ~width ~now series alerts);
+            print_string "\027[J";
+            flush stdout;
+            if now < t_end then begin
+              Unix.sleepf (Time_ns.to_sec_f dt /. speed);
+              play (now + dt)
+            end
+          in
+          play dt;
+          print_newline ()
+        end;
+        0
   in
   Cmd.v
     (Cmd.info "top"
@@ -985,6 +934,6 @@ let () =
           (Cmd.info "memhog" ~version:"1.0.0" ~doc)
           [
             list_cmd; machine_cmd; compile_cmd; run_cmd; sweep_cmd;
-            serve_cmd; blame_cmd; tiers_cmd; report_cmd; compare_cmd;
+            serve_cmd; tiers_cmd; report_cmd; compare_cmd;
             gate_cmd; top_cmd;
           ]))

@@ -164,12 +164,7 @@ let serve =
                    sp.sp_key parts sp.sp_response)))
       (Serve.results t);
     {
-      doc =
-        metrics
-          ~label:
-            (Printf.sprintf "serve %s %s" Serve.default_hog
-               machine.Machine.m_name)
-          (Serve.results t);
+      doc = Metrics_io.metrics_json (Serve.metrics t);
       artifacts =
         (match Serve.slowest t with
         | Some sp ->
@@ -211,10 +206,7 @@ let tiers =
           "ledger summary violates its structural invariants")
       t.Tier_exp.tx_mixes;
     {
-      doc =
-        metrics
-          ~label:(Printf.sprintf "tiers %s" machine.Machine.m_name)
-          (Tier_exp.results t);
+      doc = Metrics_io.metrics_json (Tier_exp.metrics t);
       artifacts = [];
     }
   in

@@ -998,7 +998,24 @@ let render j =
         Report.table ~title ~header ~rows fmt ()
       in
       let cells_with k = List.filter (has_obj k) cells in
-      let run c = Printf.sprintf "%s/%s" (istr "workload" c) (istr "variant" c) in
+      (* A row is named by what tells its cell apart inside a grid: the
+         hog, then its fast tiers (the tier rows other than disk), then
+         the server's offered load. *)
+      let run c =
+        let fast =
+          List.filter_map
+            (fun r ->
+              match str_member "tier" r with
+              | Some "disk" | None -> None
+              | t -> t)
+            (items "tiers" (field "tiers" c))
+        in
+        Printf.sprintf "%s/%s%s%s" (istr "workload" c) (istr "variant" c)
+          (if fast = [] then "" else " " ^ String.concat "+" fast)
+          (match float_member "offered_rps" (field "serving" c) with
+          | Some rps -> Printf.sprintf " @ %g rps" rps
+          | None -> "")
+      in
       table ~title:"Execution (out-of-core application)"
         ~header:
           [
@@ -1068,12 +1085,13 @@ let render j =
                  ])
              with_response);
       let with_serving = cells_with "serving" in
-      if with_serving <> [] then
+      if with_serving <> [] then begin
         table ~title:"Serving tail latency (open-loop, SLO from arrival)"
           ~header:
             [
               "run"; "offered"; "arrived"; "completed"; "recorded";
               "queue max"; "p50"; "p99"; "p999"; "max"; "SLO target"; "SLO";
+              "SLO post-mark";
             ]
           (List.map
              (fun c ->
@@ -1094,10 +1112,25 @@ let render j =
                  ins "max_ns" h;
                  ins "slo_ns" s;
                  ifloat Report.pct "slo_attainment" s;
+                 (if int_member "mark_ns" s = None then "-"
+                  else ifloat Report.pct "post_attainment" s);
                ])
              with_serving);
+        (* A starved cell's 0% attainment is easy to misread as merely
+           bad: it measured nothing. *)
+        List.iter
+          (fun c ->
+            let s = field "serving" c in
+            if int_member "recorded" s = Some 0 then
+              Format.fprintf fmt
+                "WARNING: %s recorded no responses (%s completed, none past \
+                 warm-up): the server starved; its 0%% SLO attainment is \
+                 vacuous, not measured.@,"
+                (run c) (icount "completed" s))
+          with_serving
+      end;
       let with_blame = cells_with "blame" in
-      if with_blame <> [] then
+      if with_blame <> [] then begin
         table ~title:"Tail blame (mean per request, by percentile band)"
           ~header:
             [
@@ -1123,6 +1156,64 @@ let render j =
                    ])
                  (items "bands" (field "blame" c)))
              with_blame);
+        table ~title:"Prefetch race and demand-disk attribution"
+          ~header:
+            [
+              "run"; "sampled"; "pf hidden"; "pf lost"; "slack p50";
+              "bypasses"; "arm queue"; "arm service"; "transit";
+            ]
+          (List.map
+             (fun c ->
+               let b = field "blame" c in
+               [
+                 run c;
+                 Printf.sprintf "%s/%s" (icount "sampled" b)
+                   (icount "committed" b);
+                 icount "pf_hidden" b;
+                 icount "pf_lost" b;
+                 ins "p50_ns" (field "pf_slack_hist" b);
+                 icount "bypasses" b;
+                 ins "disk_queue_ns" b;
+                 ins "disk_service_ns" b;
+                 ins "transit_ns" b;
+               ])
+             with_blame);
+        (* The bands past the body (p99 and beyond) summed, each component
+           as a share of their summed response. *)
+        table ~title:"Tail blame shares (p99 and beyond)"
+          ~header:
+            [
+              "run"; "tail reqs"; "queue"; "index"; "value"; "cpu wait";
+              "compute";
+            ]
+          (List.map
+             (fun c ->
+               let tail =
+                 List.filter
+                   (fun bd -> istr "band" bd <> "body")
+                   (items "bands" (field "blame" c))
+               in
+               let sum k =
+                 List.fold_left
+                   (fun a bd -> a + Option.value (int_member k bd) ~default:0)
+                   0 tail
+               in
+               let resp = sum "response_ns" in
+               let share k =
+                 if resp = 0 then "-"
+                 else Report.pct (float_of_int (sum k) /. float_of_int resp)
+               in
+               [
+                 run c;
+                 Report.count (sum "count");
+                 share "queue_ns";
+                 share "index_ns";
+                 share "value_ns";
+                 share "cpu_ns";
+                 share "compute_ns";
+               ])
+             with_blame)
+      end;
       table ~title:"Release accuracy"
         ~header:
           [

@@ -80,15 +80,20 @@ val pp_diffs : ?limit:int -> Format.formatter -> diff list -> unit
 
 val render : json -> (string, string) result
 (** Human-readable tables ({!Report.table}) for a parsed metrics document,
-    one row per cell: the only view of a run's numbers ([memhog run]
-    prints it for its own one-cell document, [memhog report] for files).
+    one row per cell: the only per-cell view of a run's numbers ([memhog
+    run], [serve] and [tiers] print it for the document they build,
+    [memhog report] for files).  A row is named
+    [workload/variant], then the cell's fast tiers joined by [+] (its
+    [tiers] rows other than [disk]), then [@ R rps] for a serving cell.
     In this order: execution (Figure 7 breakdown and time per pass),
     faults and paging daemon, demand-fault service time, prefetch service
-    time, interactive response, serving tail latency, tail blame, release
-    accuracy, run-time layer, swap volume, backing tiers, tier routing,
-    wasted work, prefetch sites, release sites, telemetry, alert timeline,
-    fault injection, degradation governor and totals.  A table whose
-    source object is absent (or null) in every cell, or that would have no
-    rows, is left out; execution, faults, the two service times, release
-    accuracy and telemetry are always drawn, and totals whenever the
-    document has them and more than one cell. *)
+    time, interactive response, serving tail latency (with a warning line
+    under it for each serving cell that recorded no response), tail blame
+    by percentile band, prefetch race and demand-disk attribution, tail
+    blame shares, release accuracy, run-time layer, swap volume, backing
+    tiers, tier routing, wasted work, prefetch sites, release sites,
+    telemetry, alert timeline, fault injection, degradation governor and
+    totals.  A table whose source object is absent (or null) in every
+    cell, or that would have no rows, is left out; execution, faults, the
+    two service times, release accuracy and telemetry are always drawn,
+    and totals whenever the document has them and more than one cell. *)

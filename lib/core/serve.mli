@@ -68,14 +68,16 @@ val run :
 
 val cells : t -> (cell * Experiment.result) list
 val results : t -> Experiment.result list
-(** Flattened grid-order results, ready for {!Metrics.of_results}. *)
+(** Flattened grid-order results. *)
+
+val metrics : t -> Metrics.t
+(** The grid's document, cells in grid order, labelled
+    [serve HOG MACHINE] (plus [, chaos SPEC] under a fault plan) like
+    [bench/SERVE_metrics.json], which [memhog gate serve] writes from
+    this document. *)
 
 val serving_exn : Experiment.result -> Memhog_exec.Server.summary
 (** The serving close-out of a grid cell.
-    @raise Invalid_argument on a non-serve result. *)
-
-val blame_exn : Experiment.result -> Memhog_sim.Reqtrace.summary
-(** The per-request blame close-out of a grid cell.
     @raise Invalid_argument on a non-serve result. *)
 
 val slowest : t -> Memhog_sim.Reqtrace.span option
@@ -83,17 +85,7 @@ val slowest : t -> Memhog_sim.Reqtrace.span option
     cell in grid order on a tie), or [None] when no cell recorded one —
     feed {!Trace_export.write_blame_span} to open its critical path. *)
 
-val render : t -> string
-(** Plain-text tail-latency table (p50/p99/p999 + SLO attainment), plus an
-    explicit warning line for any cell that recorded no responses — its
-    0% attainment is vacuous, not measured — and Figures 1/10 retold for
-    the server: p999 and SLO attainment per offered load and hog variant,
-    with the O/B p999 ratio. *)
-
-val render_blame : t -> string
-(** Plain-text blame tables: mean per-request response-time decomposition
-    by percentile band (the [memhog blame] headline — components sum to
-    the response column exactly), the prefetch-race and demand-disk
-    attribution counters per cell, and each cell's tail bands (p99 and
-    beyond) as shares of response time — {e how} the un-released hog hurts
-    the tail (queueing and value stalls), not just that it does. *)
+val tail : t -> string
+(** Figures 1/10 retold for the server, the one cross-cell figure
+    {!Metrics_io.render} cannot draw: p999 and SLO attainment per offered
+    load and hog variant, with the O/B p999 ratio. *)

@@ -48,11 +48,13 @@ let partition_mark = Time_ns.sec 10
 type t = {
   tx_machine : Machine.t;
   tx_mixes : (mix * E.result) list;
-  tx_rate : float;
   tx_partition : E.result;
 }
 
-let results t = List.map snd t.tx_mixes @ [ t.tx_partition ]
+let metrics t =
+  Metrics.of_results
+    ~label:(Printf.sprintf "tiers %s" t.tx_machine.Machine.m_name)
+    (List.map snd t.tx_mixes @ [ t.tx_partition ])
 
 (* EMBAR dirties the pages it releases (MATVEC's are clean), so the
    write-back path keeps demoting to the far tier throughout — the
@@ -77,7 +79,6 @@ let plan ?(machine = Machine.paper) ~rate () =
       {
         tx_machine = machine;
         tx_mixes = List.map (fun m -> (m, Figures.result l (mix_cell m))) mixes;
-        tx_rate = rate;
         tx_partition = Figures.result l partition;
       } )
 
@@ -150,91 +151,3 @@ let check t =
         overall %.3f)"
        (Server.post_attainment sv)
        (Server.slo_attainment sv))
-
-let render t =
-  let buf = Buffer.create 2048 in
-  let fmt = Format.formatter_of_buffer buf in
-  Format.pp_open_vbox fmt 0;
-  Format.fprintf fmt
-    "Tiered backing store: %s/%s over backend mixes (%s)@,@," workload
-    (E.variant_name variant) t.tx_machine.Machine.m_name;
-  Report.table ~title:"Execution by backend mix (Figure 7 components)"
-    ~header:
-      [ "mix"; "user"; "system"; "io stall"; "res stall"; "elapsed" ]
-    ~rows:
-      (List.map
-         (fun (m, (r : E.result)) ->
-           let b = r.E.r_breakdown in
-           [
-             m.mx_name;
-             Report.ns b.E.b_user;
-             Report.ns b.E.b_system;
-             Report.ns b.E.b_io_stall;
-             Report.ns b.E.b_resource_stall;
-             Report.ns r.E.r_elapsed;
-           ])
-         t.tx_mixes)
-    fmt ();
-  Format.fprintf fmt "@,";
-  Report.table ~title:"Tier traffic by backend mix"
-    ~header:
-      [
-        "mix"; "tier"; "reads"; "writes"; "timeouts"; "failovers";
-        "rescues"; "placed";
-      ]
-    ~rows:
-      (List.concat_map
-         (fun (m, (r : E.result)) ->
-           match r.E.r_tiers with
-           | None -> [ [ m.mx_name; "swap"; "-"; "-"; "-"; "-"; "-"; "-" ] ]
-           | Some s ->
-               List.map
-                 (fun (row : Tiers.tier_summary) ->
-                   [
-                     m.mx_name;
-                     Tiers.tier_name row.Tiers.ts_tier;
-                     Report.count row.Tiers.ts_reads;
-                     Report.count row.Tiers.ts_writes;
-                     Report.count row.Tiers.ts_timeouts;
-                     Report.count row.Tiers.ts_failovers;
-                     Report.count s.Tiers.s_rescues;
-                     Report.count s.Tiers.s_placed;
-                   ])
-                 s.Tiers.s_tiers)
-         t.tx_mixes)
-    fmt ();
-  Format.fprintf fmt "@,";
-  let r = t.tx_partition in
-  let s = tiers_exn r in
-  let sv = Serve.serving_exn r in
-  let far_get = far_count s in
-  Report.table
-    ~title:
-      (Printf.sprintf "Far-memory partition mid-serve (%s, %g rps)"
-         partition_chaos t.tx_rate)
-    ~header:
-      [
-        "timeouts"; "retries"; "failovers"; "rescues"; "breaker flips";
-        "tier-buffered"; "SLO"; "SLO post-mark";
-      ]
-    ~rows:
-      [
-        [
-          Report.count (far_get (fun row -> row.Tiers.ts_timeouts));
-          Report.count (far_get (fun row -> row.Tiers.ts_retries));
-          Report.count (far_get (fun row -> row.Tiers.ts_failovers));
-          Report.count s.Tiers.s_rescues;
-          Report.count
-            (far_get (fun row -> row.Tiers.ts_breaker_transitions));
-          (match r.E.r_runtime with
-          | Some rt ->
-              Report.count rt.Memhog_runtime.Runtime.rt_tier_buffered
-          | None -> "-");
-          Report.pct (Server.slo_attainment sv);
-          Report.pct (Server.post_attainment sv);
-        ];
-      ]
-    fmt ();
-  Format.pp_close_box fmt ();
-  Format.pp_print_flush fmt ();
-  Buffer.contents buf

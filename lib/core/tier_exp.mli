@@ -35,7 +35,6 @@ val partition_cell :
 type t = {
   tx_machine : Machine.t;
   tx_mixes : (mix * Experiment.result) list;
-  tx_rate : float;               (** partition cell's offered load (rps) *)
   tx_partition : Experiment.result;
 }
 
@@ -59,9 +58,11 @@ val run :
     [cell i/N:] lines.
     @raise Failure when a cell fails the runner's check. *)
 
-val results : t -> Experiment.result list
-(** Matrix cells in mix order, then the partition cell — ready for
-    {!Metrics.of_results}. *)
+val metrics : t -> Metrics.t
+(** The experiment's document: the matrix cells in mix order, then the
+    partition cell, labelled [tiers MACHINE] like
+    [bench/TIER_metrics.json], which [memhog gate tiers] writes from this
+    document. *)
 
 val check : t -> unit
 (** The experiment's built-in gates.  Matrix: each configured fast tier
@@ -69,7 +70,3 @@ val check : t -> unit
     breaker transitions, and post-mark SLO attainment at least the
     window-inclusive figure.
     @raise Failure naming the first violated gate. *)
-
-val render : t -> string
-(** Plain-text tables: Figure 7 components by mix, per-tier traffic by
-    mix, and the partition cell's robustness close-out. *)

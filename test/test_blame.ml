@@ -1,8 +1,9 @@
-(* Tests for the per-request blame layer ([memhog blame]): structural
+(* Tests for the per-request blame layer ([memhog serve]): structural
    additivity of the span decomposition (components sum exactly to the
    recorded response, for synthetic lifecycles and for a real serving
    grid), byte-identical blame output at any --jobs, percentile-band
-   bookkeeping, and the slo_attainment zero-recorded fix. *)
+   bookkeeping, the rendered blame tables, and the slo_attainment
+   zero-recorded fix. *)
 
 open Memhog_sim
 module E = Memhog_core.Experiment
@@ -10,6 +11,7 @@ module Machine = Memhog_core.Machine
 module Metrics = Memhog_core.Metrics
 module Mio = Memhog_core.Metrics_io
 module Serve = Memhog_core.Serve
+module Report = Memhog_core.Report
 module Server = Memhog_exec.Server
 
 let check_bool = Alcotest.(check bool)
@@ -195,7 +197,7 @@ let test_grid_additivity_and_books () =
       check_bool "every sampled span additive" true
         (spans_additive r.E.r_reqtrace);
       let s = Serve.serving_exn r in
-      let b = Serve.blame_exn r in
+      let b = Reqtrace.summarize r.E.r_reqtrace in
       check_int "committed spans == recorded responses"
         s.Server.sm_recorded b.Reqtrace.su_committed;
       check_bool "sampled bounded by cap" true
@@ -232,9 +234,9 @@ let test_grid_additivity_and_books () =
                 (s.Reqtrace.sp_response <= sp.Reqtrace.sp_response)))
     (Serve.results t)
 
-(* Byte-equality of the blame output at --jobs 1 vs --jobs 8: both the
-   serialized metrics (the "blame" object rides in every serve cell at
-   schema v5) and the rendered blame tables. *)
+(* Byte-equality of the serialized metrics at --jobs 1 vs --jobs 8: the
+   "blame" object rides in every serve cell, and every table [memhog
+   serve] prints is drawn from this document. *)
 let render_metrics t =
   Mio.to_string
     (Mio.metrics_json (Metrics.of_results ~label:"blame" (Serve.results t)))
@@ -242,9 +244,72 @@ let render_metrics t =
 let test_jobs_determinism () =
   let serial = run_grid ~jobs:1 () and pooled = run_grid ~jobs:8 () in
   check_str "metrics (with blame) jobs 1 == jobs 8" (render_metrics serial)
-    (render_metrics pooled);
-  check_str "blame tables jobs 1 == jobs 8" (Serve.render_blame serial)
-    (Serve.render_blame pooled)
+    (render_metrics pooled)
+
+(* The rows of the rendered table titled [title], each as its trimmed
+   cells. *)
+let table_rows text title =
+  let rec find = function
+    | l :: _header :: _rule :: rest when l = title -> rows rest
+    | _ :: rest -> find rest
+    | [] -> Alcotest.failf "no table %S in the render" title
+  and rows = function
+    | l :: rest when l <> "" ->
+        List.map String.trim (String.split_on_char '|' l) :: rows rest
+    | _ -> []
+  in
+  find (String.split_on_char '\n' text)
+
+(* The render of the grid's document prints, on each cell's row, the
+   prefetch race and the tail bands' shares that its blame summary
+   holds. *)
+let test_render_blame_figures () =
+  let t = Lazy.force grid in
+  let text = Result.get_ok (Mio.render (Mio.metrics_json (Serve.metrics t))) in
+  let race = table_rows text "Prefetch race and demand-disk attribution"
+  and shares = table_rows text "Tail blame shares (p99 and beyond)" in
+  List.iter
+    (fun ((c : Serve.cell), (r : E.result)) ->
+      let name =
+        Printf.sprintf "MATVEC/%s @ 3840 rps"
+          (E.variant_name c.Serve.sc_variant)
+      in
+      let row rows =
+        match List.filter (fun row -> List.hd row = name) rows with
+        | [ row ] -> List.tl row
+        | rows -> Alcotest.failf "%d rows named %S" (List.length rows) name
+      in
+      let b = Reqtrace.summarize r.E.r_reqtrace in
+      (match row race with
+      | _sampled :: hidden :: lost :: _ ->
+          check_str (name ^ " pf hidden")
+            (Report.count b.Reqtrace.su_pf_hidden)
+            hidden;
+          check_str (name ^ " pf lost") (Report.count b.Reqtrace.su_pf_lost) lost
+      | _ -> Alcotest.failf "short race row for %S" name);
+      let tail =
+        List.filter
+          (fun (bd : Reqtrace.band) -> bd.Reqtrace.bd_label <> "body")
+          b.Reqtrace.su_bands
+      in
+      let sum f = List.fold_left (fun a bd -> a + f bd) 0 tail in
+      let resp = sum (fun bd -> bd.Reqtrace.bd_response) in
+      check_bool (name ^ " has a tail") true (resp > 0);
+      let share f =
+        Report.pct (float_of_int (sum f) /. float_of_int resp)
+      in
+      Alcotest.(check (list string))
+        (name ^ " tail requests and shares")
+        [
+          Report.count (sum (fun bd -> bd.Reqtrace.bd_count));
+          share (fun bd -> bd.Reqtrace.bd_queue);
+          share (fun bd -> bd.Reqtrace.bd_index);
+          share (fun bd -> bd.Reqtrace.bd_value);
+          share (fun bd -> bd.Reqtrace.bd_cpu);
+          share (fun bd -> bd.Reqtrace.bd_compute);
+        ]
+        (row shares))
+    (Serve.cells t)
 
 (* The slowest request's exported critical path is valid JSON with the
    request slice and the five component slices. *)
@@ -336,6 +401,8 @@ let () =
             test_jobs_determinism;
           Alcotest.test_case "slowest-request trace export" `Quick
             test_blame_span_export;
+          Alcotest.test_case "render prints each cell's blame figures" `Quick
+            test_render_blame_figures;
         ] );
       ( "server",
         [

@@ -12,6 +12,11 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let hist_of l =
   let h = H.create () in
   List.iter (fun v -> H.record h v) l;
@@ -246,12 +251,7 @@ let test_disk_slow_moves_timeouts () =
   with
   | Ok text ->
       check_bool "report renders the swap-volume table" true
-        (let contains hay needle =
-           let nl = String.length needle and hl = String.length hay in
-           let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-           go 0
-         in
-         contains text "Swap volume")
+        (contains text "Swap volume")
   | Error e -> Alcotest.failf "render failed: %s" e
 
 (* ------------------------------------------------------------------ *)
@@ -407,6 +407,79 @@ let test_perturbed_percentile_detected () =
       check_int "tolerance 0 flags it too" 1
         (List.length (Mio.compare_json ~tolerance:0.0 g perturbed))
 
+(* ------------------------------------------------------------------ *)
+(* Rendering                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The first cells of the rows of the rendered table titled [title]. *)
+let row_names text title =
+  let rec find = function
+    | l :: _header :: _rule :: rest when l = title -> names rest
+    | _ :: rest -> find rest
+    | [] -> Alcotest.failf "no table %S in the render" title
+  and names = function
+    | l :: rest when l <> "" ->
+        String.trim (List.hd (String.split_on_char '|' l)) :: names rest
+    | _ -> []
+  in
+  find (String.split_on_char '\n' text)
+
+(* Every committed document names each of its rows apart, so a grid whose
+   cells differ only by tier or offered load reads unambiguously. *)
+let test_render_distinct_rows () =
+  List.iter
+    (fun path ->
+      let text =
+        match Result.bind (Mio.load_file ~path) Mio.render with
+        | Ok text -> text
+        | Error e -> Alcotest.failf "%s: %s" path e
+      in
+      let names = row_names text "Execution (out-of-core application)" in
+      let rec repeats = function
+        | a :: (b :: _ as rest) ->
+            if a = b then a :: repeats rest else repeats rest
+        | _ -> []
+      in
+      check_bool (path ^ " has rows") true (names <> []);
+      Alcotest.(check (list string))
+        (path ^ " repeated row names")
+        []
+        (repeats (List.sort compare names)))
+    [
+      "../bench/BENCH_metrics.json"; "../bench/CHAOS_metrics.json";
+      "../bench/SERVE_metrics.json"; "../bench/TIER_metrics.json";
+      "../bench/OBS_metrics.json"; golden_path;
+    ]
+
+(* A serving cell that recorded nothing is called out under the serving
+   table: its 0% attainment measured nothing. *)
+let test_render_starved_cell () =
+  let n = Mio.num_of_int in
+  let serving =
+    Mio.Obj
+      [
+        ("offered_rps", Mio.num_of_float 4480.0);
+        ("arrived", n 12);
+        ("completed", n 12);
+        ("recorded", n 0);
+      ]
+  in
+  let cell =
+    Mio.Obj
+      [
+        ("workload", Mio.Str "MATVEC");
+        ("variant", Mio.Str "O");
+        ("serving", serving);
+      ]
+  in
+  match Mio.render (Mio.Obj [ ("cells", Mio.Arr [ cell ]) ]) with
+  | Error e -> Alcotest.failf "render failed: %s" e
+  | Ok text ->
+      check_bool "starved-cell line" true
+        (contains text
+           "WARNING: MATVEC/O @ 4480 rps recorded no responses (12 \
+            completed, none past warm-up)")
+
 let () =
   Alcotest.run "memhog_metrics"
     [
@@ -446,4 +519,11 @@ let () =
         ] );
       ( "golden",
         [ Alcotest.test_case "EMBAR/R cell" `Quick test_golden_cell ] );
+      ( "render",
+        [
+          Alcotest.test_case "names rows distinctly" `Quick
+            test_render_distinct_rows;
+          Alcotest.test_case "starved serving cell called out" `Quick
+            test_render_starved_cell;
+        ] );
     ]
