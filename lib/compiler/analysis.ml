@@ -81,7 +81,7 @@ let assumed_trips prog (l : Ir.loop) =
   if not l.Ir.l_known then None
   else
     match (assumed_bound prog l.Ir.l_lo, assumed_bound prog l.Ir.l_hi) with
-    | Some lo, Some hi -> Some (max 0 (hi - lo))
+    | Some lo, Some hi -> Some (Int.max 0 (hi - lo))
     | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -153,7 +153,9 @@ let pages_touched prog ~page_bytes ~(inside : Ir.loop list) (r : Ir.ref_) =
         Some (((elems * arr.Ir.a_elem_bytes) + page_bytes - 1) / page_bytes)
     | None -> None
   in
-  let capped pages = match cap with Some c -> Some (min pages c) | None -> Some pages in
+  let capped pages =
+    match cap with Some c -> Some (Int.min pages c) | None -> Some pages
+  in
   match r.Ir.r_access with
   | Ir.Indirect _ ->
       (* every iteration may touch a fresh random page *)
@@ -166,7 +168,7 @@ let pages_touched prog ~page_bytes ~(inside : Ir.loop list) (r : Ir.ref_) =
           (Some 1) inside
       in
       (match (total_trips, cap) with
-      | Some t, Some c -> Some (min t c)
+      | Some t, Some c -> Some (Int.min t c)
       | Some t, None -> Some t
       | None, Some c -> Some c
       | None, None -> None)
@@ -182,7 +184,7 @@ let pages_touched prog ~page_bytes ~(inside : Ir.loop list) (r : Ir.ref_) =
                 with
                 | Some 0, _ -> acc
                 | Some c, Some trips ->
-                    Some (bytes + (abs c * elem_bytes_of arr * max 0 (trips - 1)))
+                    Some (bytes + (abs c * elem_bytes_of arr * Int.max 0 (trips - 1)))
                 | Some _, None | None, _ -> None))
           (Some (elem_bytes_of arr)) inside
       in
@@ -329,7 +331,7 @@ let analyze ~target prog =
     let refs = b.Ir.refs in
     let groups, dvecs = group_refs prog ~page_bytes ~path refs in
     let ngroups =
-      Array.fold_left (fun acc g -> max acc (g + 1)) 0 groups
+      Array.fold_left (fun acc g -> Int.max acc (g + 1)) 0 groups
     in
     stats.st_groups <- stats.st_groups + ngroups;
     (* leader = lexicographically greatest delta vector within the group

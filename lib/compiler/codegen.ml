@@ -72,7 +72,7 @@ let prefetch_distance_chunks ~(target : A.target) ~chunk_ns =
     if chunk_ns <= 0 then 64
     else (target.A.fault_latency_ns + chunk_ns - 1) / chunk_ns
   in
-  max 1 (min 64 d)
+  Int.max 1 (Int.min 64 d)
 
 (* ------------------------------------------------------------------ *)
 (* Directive construction                                              *)
@@ -121,7 +121,7 @@ let prefetches_for ctx ~var ~lo ~hi ~step ~dist (sites : ref_site list) =
             Pir.P_prefetch
               (mk_dir ctx ~array
                  ~first:(sub_at_rt ctx s var lo)
-                 ~count:(fun env -> max 0 (min dist (hi env - lo env)))
+                 ~count:(fun env -> Int.max 0 (Int.min dist (hi env - lo env)))
                  ~stride:(stride_rt ctx s var)
                  ~desc:(desc ^ " prologue"))
           in
@@ -168,7 +168,7 @@ let releases_for ctx ~var ~lo ~hi ~step (sites : ref_site list) =
                       ~count:(fun env ->
                         let v = env.(v_slot) in
                         if v - step < lo env then 0
-                        else max 0 (min step (hi env - (v - step))))
+                        else Int.max 0 (Int.min step (hi env - (v - step))))
                       ~stride:(stride_rt ctx s var)
                       ~desc;
                   priority;
@@ -185,7 +185,7 @@ let releases_for ctx ~var ~lo ~hi ~step (sites : ref_site list) =
                   dir =
                     mk_dir ctx ~array
                       ~first:(sub_at_rt ctx s var last_start)
-                      ~count:(fun env -> max 0 (hi env - last_start env))
+                      ~count:(fun env -> Int.max 0 (hi env - last_start env))
                       ~stride:(stride_rt ctx s var)
                       ~desc:(desc ^ " epilogue");
                   priority;
@@ -202,10 +202,10 @@ let releases_for ctx ~var ~lo ~hi ~step (sites : ref_site list) =
 let elems_per_page ctx (b : Ir.body) =
   let max_elem =
     List.fold_left
-      (fun acc r -> max acc (Ir.find_array ctx.prog r.Ir.r_array).Ir.a_elem_bytes)
+      (fun acc r -> Int.max acc (Ir.find_array ctx.prog r.Ir.r_array).Ir.a_elem_bytes)
       8 b.Ir.refs
   in
-  max 1 (ctx.target.A.page_bytes / max_elem)
+  Int.max 1 (ctx.target.A.page_bytes / max_elem)
 
 let touches_for ctx ~chunk_count (ba : A.body_ann) =
   List.concat_map
@@ -283,7 +283,7 @@ let gen_chunk_loop ctx (l : Ir.loop) (bodies : A.body_ann list) =
   let slot = slot_of ctx var in
   let lo = rt_bound ctx l.Ir.l_lo and hi = rt_bound ctx l.Ir.l_hi in
   let k =
-    List.fold_left (fun acc b -> min acc (elems_per_page ctx b.A.ba_body)) max_int
+    List.fold_left (fun acc b -> Int.min acc (elems_per_page ctx b.A.ba_body)) max_int
       bodies
   in
   let k = if k = max_int then 2048 else k in
@@ -293,9 +293,9 @@ let gen_chunk_loop ctx (l : Ir.loop) (bodies : A.body_ann list) =
   let chunk_ns = k * work_ns in
   let dist_chunks = prefetch_distance_chunks ~target:ctx.target ~chunk_ns in
   ctx.stats.Pir.gs_prefetch_distance <-
-    max ctx.stats.Pir.gs_prefetch_distance dist_chunks;
+    Int.max ctx.stats.Pir.gs_prefetch_distance dist_chunks;
   let dist = dist_chunks * k in
-  let chunk_count env = max 0 (min k (hi env - env.(slot))) in
+  let chunk_count env = Int.max 0 (Int.min k (hi env - env.(slot))) in
   let all_pro = ref [] and all_steady_pf = ref [] in
   let all_steady_rel = ref [] and all_epi = ref [] in
   let all_touches = ref [] in

@@ -43,19 +43,15 @@ let default_governor =
     gv_recover_after = 4;
   }
 
-(* Work items carry the static directive site so the OS-side events stay
-   attributable after the asynchronous hop through the helper threads. *)
-type work =
-  | W_prefetch of int * int * bool  (* vpn, site, urgent *)
-  | W_release of (int * int * int) array  (* (vpn, site, priority) triples *)
-
 type t = {
   os : Os.t;
   obs : Obs.t;
   asp : As.t;
   pol : policy;
   release_target : int;
-  queue : work Mailbox.t;
+  queue : Work_fifo.t;
+      (* work items carry the static directive site so the OS-side events
+         stay attributable after the asynchronous hop through the helpers *)
   buffer : Release_buffer.t;
   last_release : (int, int * int) Hashtbl.t;
       (* tag -> (page, priority) recorded when first seen, one behind; the
@@ -87,7 +83,7 @@ let create ?(release_target = 100) ?governor ~os ~asp ~policy () =
     asp;
     pol = policy;
     release_target;
-    queue = Mailbox.create ~name:"runtime-work" ();
+    queue = Work_fifo.create ();
     buffer = Release_buffer.create ();
     last_release = Hashtbl.create 64;
     st =
@@ -128,16 +124,23 @@ let buffered_pages t = Release_buffer.total t.buffer
 
 (* Helper threads: issue prefetches and release requests to the
    PagingDirected PM, waiting out the I/O so the application does not. *)
-let thread_loop t () =
+let issue_prefetch t slot ~urgent =
+  match
+    Os.prefetch t.os t.asp ~vpn:(Work_fifo.vpn slot) ~site:(Work_fifo.site slot)
+      ~urgent
+  with
+  | Os.P_dropped ->
+      t.st.rt_prefetch_os_dropped <- t.st.rt_prefetch_os_dropped + 1
+  | Os.P_fetched | Os.P_rescued | Os.P_already ->
+      t.st.rt_prefetch_os_done <- t.st.rt_prefetch_os_done + 1
+
+let thread_loop t slot () =
   while true do
-    match Mailbox.recv t.queue with
-    | W_prefetch (vpn, site, urgent) -> (
-        match Os.prefetch t.os t.asp ~vpn ~site ~urgent with
-        | Os.P_dropped ->
-            t.st.rt_prefetch_os_dropped <- t.st.rt_prefetch_os_dropped + 1
-        | Os.P_fetched | Os.P_rescued | Os.P_already ->
-            t.st.rt_prefetch_os_done <- t.st.rt_prefetch_os_done + 1)
-    | W_release triples ->
+    match Work_fifo.recv t.queue slot with
+    | Work_fifo.Prefetch -> issue_prefetch t slot ~urgent:false
+    | Work_fifo.Urgent_prefetch -> issue_prefetch t slot ~urgent:true
+    | Work_fifo.Release ->
+        let triples = Work_fifo.take_batch slot in
         Os.release_request t.os t.asp
           ~vpns:(Array.map (fun (vpn, _, _) -> vpn) triples)
           ~sites:(Array.map (fun (_, site, _) -> site) triples)
@@ -154,7 +157,7 @@ let start t =
       ignore
         (Engine.spawn (Os.engine t.os)
            ~name:(Printf.sprintf "%s-rt-thread-%d" t.asp.As.as_name i)
-           (thread_loop t))
+           (thread_loop t (Work_fifo.slot t.queue)))
     done
   end
 
@@ -256,7 +259,7 @@ let prefetch_page ?(site = Trace.no_site) ?(urgent = false) t ~vpn =
   else begin
     t.st.rt_prefetch_enqueued <- t.st.rt_prefetch_enqueued + 1;
     if Obs.on t.obs then emit t (Trace.Rt_prefetch_sent { vpn; site });
-    Mailbox.send t.queue (W_prefetch (vpn, site, urgent))
+    Work_fifo.send_prefetch t.queue ~vpn ~site ~urgent
   end
 
 let issue_release t triples =
@@ -268,7 +271,7 @@ let issue_release t triples =
         triples;
       emit t (Trace.Rt_release_issued { count = Array.length triples })
     end;
-    Mailbox.send t.queue (W_release triples)
+    Work_fifo.send_release t.queue triples
   end
 
 (* Stale entries (pages already stolen or released behind our back) are

@@ -95,12 +95,15 @@ val create :
 (** [release_target] is the number of pages drained per buffering decision
     (the paper fixes 100 and notes it did not experiment with it); the
     buffer drains once usage reaches the upper limit, 16 helper threads
-    serve the process, and each request's filter checks cost 200 ns of
-    user time.  [governor] (default off) enables graceful degradation — it is switched
-    on by the experiment driver whenever a chaos plan is active. *)
+    serve the process from one {!Work_fifo}, and each request's filter
+    checks cost 200 ns of user time.  [governor] (default off) enables
+    graceful degradation — it is switched on by the experiment driver
+    whenever a chaos plan is active. *)
 
 val start : t -> unit
-(** Spawn the helper threads (call once, from any process or before run). *)
+(** Spawn the 16 helper threads, each receiving prefetches and release
+    batches from the process's {!Work_fifo} into its own slot (call once,
+    from any process or before run). *)
 
 val policy : t -> policy
 val stats : t -> stats

@@ -1,0 +1,52 @@
+(** The helper threads' work FIFO: prefetch hints and release batches on
+    their way from the run-time layer to its helper threads (section 3.3).
+
+    It behaves exactly as a {!Memhog_sim.Mailbox} of work items would.  An
+    item sent while a helper is idle goes straight to the helper that has
+    been idle longest; otherwise it joins the tail, and the next helper to
+    receive takes the head.  A helper that finds the FIFO empty suspends
+    until an item is handed to it, and the wait is charged to its
+    {!Memhog_sim.Account.Sleep} account.
+
+    A waiting item is plain ints, not a boxed message: prefetches wait in a
+    struct-of-arrays ring of (vpn, site, kind) that doubles when full, and a
+    release batch's triples wait in a FIFO of payloads beside it.  A helper
+    receives into its own {!slot}, so neither sending a prefetch nor
+    receiving allocates once the ring has grown.  The queue can run tens of
+    thousands of items deep, and boxed items that wait that long are
+    promoted to the major heap. *)
+
+type t
+
+type kind =
+  | Prefetch
+  | Urgent_prefetch  (** a prefetch that rides the disk's demand class *)
+  | Release  (** a batch of (vpn, site, priority) triples *)
+
+type slot
+(** One helper's receive slot: the item it last received. *)
+
+val create : unit -> t
+
+val slot : t -> slot
+(** A fresh receive slot for one helper of [t]. *)
+
+val send_prefetch : t -> vpn:int -> site:int -> urgent:bool -> unit
+(** Never blocks. *)
+
+val send_release : t -> (int * int * int) array -> unit
+(** Post a batch of (vpn, site, priority) triples.  Never blocks. *)
+
+val recv : t -> slot -> kind
+(** Receive the next item into [slot] and return its kind.  Blocks (from
+    process context) while the FIFO is empty. *)
+
+val vpn : slot -> int
+(** The page of the prefetch last received into the slot. *)
+
+val site : slot -> int
+(** The directive site of the prefetch last received into the slot. *)
+
+val take_batch : slot -> (int * int * int) array
+(** The triples of the release batch last received into the slot; the slot
+    lets go of them. *)

@@ -1,8 +1,11 @@
 (** Unbounded FIFO message queue with blocking receive.
 
-    Used for daemon work queues: the PagingDirected policy module posts
-    release requests to the releaser daemon's mailbox; prefetch threads pull
-    work from the run-time layer's queue. *)
+    Used for shallow work queues: the PagingDirected policy module posts
+    release requests to the releaser daemon's mailbox, and the kvserve
+    server takes its requests from one.  The run-time layer's helper
+    threads, whose queue runs thousands of items deep, pull work from an
+    int-only FIFO with the same semantics instead
+    ([Memhog_runtime.Work_fifo]). *)
 
 type 'a t
 

@@ -431,8 +431,7 @@ let touch t asp ~vpn ~write =
 (* PagingDirected requests                                             *)
 (* ------------------------------------------------------------------ *)
 
-let rec prefetch t ?(site = Trace.no_site) ?(urgent = false) (asp : As.t) ~vpn
-    =
+let rec prefetch t ~site ~urgent (asp : As.t) ~vpn =
   let cfg = t.config in
   let stats = asp.As.stats in
   sys_delay t cfg.pm_call_ns;
@@ -551,9 +550,9 @@ let rec prefetch t ?(site = Trace.no_site) ?(urgent = false) (asp : As.t) ~vpn
    no-ops and would only blur the service-time distribution. *)
 let prefetch_inner = prefetch
 
-let prefetch t ?(site = Trace.no_site) ?urgent asp ~vpn =
+let prefetch t ~site ~urgent asp ~vpn =
   let t0 = Engine.now_of t.engine in
-  let r = prefetch_inner t asp ~site ?urgent ~vpn in
+  let r = prefetch_inner t asp ~site ~urgent ~vpn in
   (match r with
   | P_fetched | P_rescued ->
       let ns = Engine.now_of t.engine - t0 in

@@ -131,12 +131,12 @@ val touch : t -> Address_space.t -> vpn:int -> write:bool -> touch_result
 (** Reference one virtual page, faulting as needed. *)
 
 val prefetch :
-  t -> ?site:int -> ?urgent:bool -> Address_space.t -> vpn:int -> prefetch_result
+  t -> site:int -> urgent:bool -> Address_space.t -> vpn:int -> prefetch_result
 (** PagingDirected prefetch request: like a fault, except it is discarded
     when memory is exhausted, and the page is left unvalidated (no TLB
-    entry) so it cannot displace active mappings.  [site] (default
-    {!Memhog_sim.Trace.no_site}) is the static directive site stamped on
-    the emitted prefetch events.  [urgent] (default [false]) rides the
+    entry) so it cannot displace active mappings.  [site] is the static
+    directive site stamped on the emitted prefetch events
+    ({!Memhog_sim.Trace.no_site} for none).  [urgent] rides the
     disk's demand class instead of the background class — for prefetches
     with a deadline (a request already queued behind the page), in the
     spirit of TIP's cost-benefit scheduling.  Capacity-driven sweeps ahead

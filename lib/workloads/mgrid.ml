@@ -68,7 +68,7 @@ let sweep_proc name ~stencil_reads ~point_reads ~writes ~work =
 let make ~mem_bytes ~page_bytes =
   ignore page_bytes;
   let nf = icbrt (mem_bytes * 18 / 10 / 8) in
-  let nf = max 32 (nf / 16 * 16) in
+  let nf = Int.max 32 (nf / 16 * 16) in
   let levels = [ nf; nf / 2; nf / 4; nf / 8 ] in
   let base_of =
     let rec go acc = function

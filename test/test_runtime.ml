@@ -1,5 +1,5 @@
 (* Tests for the run-time layer: the priority release buffer, the request
-   filters, and the two release policies. *)
+   filters, the release policies and the helper threads' work FIFO. *)
 
 open Memhog_sim
 module Vm = Memhog_vm
@@ -661,6 +661,166 @@ let test_governor_off_by_default () =
   check_int "no transitions" 0 (s.Runtime.rt_gov_degrades + s.Runtime.rt_gov_recoveries);
   check_bool "drops happened anyway" true (s.Runtime.rt_prefetch_os_dropped > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Helper work FIFO                                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Work_fifo = Memhog_runtime.Work_fifo
+
+(* The messages the FIFO replaced, for the reference model. *)
+type work =
+  | W_prefetch of int * int * bool
+  | W_release of (int * int * int) array
+
+(* Item [id] of a program: a prefetch of page [id] or a release batch whose
+   first page is [id], so a received item names its id. *)
+let fifo_site id = 1000 + id
+let fifo_triples id extra =
+  Array.init (1 + extra) (fun j -> (id + j, fifo_site id + j, j))
+
+let describe_prefetch ~vpn ~site ~urgent =
+  Printf.sprintf "prefetch vpn=%d site=%d urgent=%b" vpn site urgent
+
+let describe_release triples =
+  "release"
+  ^ String.concat ""
+      (Array.to_list
+         (Array.map (fun (v, s, p) -> Printf.sprintf " (%d,%d,%d)" v s p) triples))
+
+(* Run one program against a queue: [nhelpers] helpers loop receiving and
+   then working for the item's delay; one sender posts each burst after
+   its gap.  [post id kind extra] sends item [id]; [receiver ()] makes one
+   helper's blocking receive, returning the item's id and description.
+   Returns the (helper, id, item, time) log and each helper's sleep. *)
+let run_fifo_program (nhelpers, bursts) ~post ~receiver =
+  let items = List.concat_map snd bursts in
+  let delays = Array.of_list (List.map (fun (d, _, _) -> d) items) in
+  let e = Engine.create () in
+  let log = ref [] in
+  let helpers =
+    List.init nhelpers (fun h ->
+        let recv = receiver () in
+        Engine.spawn e ~name:(Printf.sprintf "helper-%d" h) (fun () ->
+            while true do
+              let id, item = recv () in
+              log := (h, id, item, Engine.now ()) :: !log;
+              Engine.delay ~cat:Account.User delays.(id)
+            done))
+  in
+  ignore
+    (Engine.spawn e ~name:"sender" (fun () ->
+         let next = ref 0 in
+         List.iter
+           (fun (gap, burst) ->
+             Engine.delay ~cat:Account.User gap;
+             List.iter
+               (fun (_, kind, extra) ->
+                 post !next kind extra;
+                 incr next)
+               burst)
+           bursts));
+  Engine.run e;
+  ( List.rev !log,
+    List.map (fun p -> Account.get p.Engine.account Account.Sleep) helpers )
+
+let run_on_mailbox prog =
+  let box = Mailbox.create () in
+  run_fifo_program prog
+    ~post:(fun id kind extra ->
+      Mailbox.send box
+        (if kind = 2 then W_release (fifo_triples id extra)
+         else W_prefetch (id, fifo_site id, kind = 1)))
+    ~receiver:(fun () () ->
+      match Mailbox.recv box with
+      | W_prefetch (vpn, site, urgent) ->
+          (vpn, describe_prefetch ~vpn ~site ~urgent)
+      | W_release triples ->
+          let id, _, _ = triples.(0) in
+          (id, describe_release triples))
+
+let run_on_work_fifo prog =
+  let q = Work_fifo.create () in
+  run_fifo_program prog
+    ~post:(fun id kind extra ->
+      if kind = 2 then Work_fifo.send_release q (fifo_triples id extra)
+      else Work_fifo.send_prefetch q ~vpn:id ~site:(fifo_site id) ~urgent:(kind = 1))
+    ~receiver:(fun () ->
+      let slot = Work_fifo.slot q in
+      fun () ->
+        let prefetch ~urgent =
+          let vpn = Work_fifo.vpn slot in
+          (vpn, describe_prefetch ~vpn ~site:(Work_fifo.site slot) ~urgent)
+        in
+        match Work_fifo.recv q slot with
+        | Work_fifo.Prefetch -> prefetch ~urgent:false
+        | Work_fifo.Urgent_prefetch -> prefetch ~urgent:true
+        | Work_fifo.Release ->
+            let triples = Work_fifo.take_batch slot in
+            let id, _, _ = triples.(0) in
+            (id, describe_release triples))
+
+(* A program: 1-8 helpers, then bursts posted after gaps of {0,1,2,3,7} ns.
+   An item is (work delay in {0,1,2,5} ns, kind, extra): kind 0 is a
+   prefetch, 1 an urgent prefetch, 2 a release of 1 + extra triples.  Zero
+   delays and gaps make same-instant races between a post and a helper
+   coming back for work; one burst in four outgrows the ring's first 16
+   slots, so it grows and wraps. *)
+let arb_fifo_program =
+  let num = QCheck.oneofl ~print:string_of_int in
+  let item = QCheck.(triple (num [ 0; 1; 2; 5 ]) (int_range 0 2) (int_bound 2)) in
+  let burst_size = QCheck.Gen.(frequency [ (3, int_range 0 4); (1, int_range 17 40) ]) in
+  QCheck.(
+    pair (int_range 1 8)
+      (list_of_size (Gen.int_range 1 10)
+         (pair (num [ 0; 1; 2; 3; 7 ]) (list_of_size burst_size item))))
+
+let prop_fifo_matches_mailbox =
+  QCheck.Test.make ~name:"work fifo: same schedule as a mailbox" ~count:300
+    arb_fifo_program (fun prog ->
+      let log_m, sleep_m = run_on_mailbox prog in
+      let log_f, sleep_f = run_on_work_fifo prog in
+      let show (h, id, item, time) =
+        Printf.sprintf "helper %d got item %d (%s) at %d ns" h id item time
+      in
+      let rec first_diff = function
+        | a :: ra, b :: rb -> if a = b then first_diff (ra, rb) else Some (show a, show b)
+        | a :: _, [] -> Some (show a, "nothing")
+        | [], b :: _ -> Some ("nothing", show b)
+        | [], [] -> None
+      in
+      (match first_diff (log_m, log_f) with
+      | Some (m, f) -> QCheck.Test.fail_reportf "mailbox: %s; fifo: %s" m f
+      | None -> ());
+      if sleep_m <> sleep_f then
+        QCheck.Test.fail_reportf "helper sleep: mailbox [%s], fifo [%s]"
+          (String.concat "; " (List.map string_of_int sleep_m))
+          (String.concat "; " (List.map string_of_int sleep_f));
+      true)
+
+(* Queued items are ints: once the ring has grown, posting and receiving
+   allocate nothing. *)
+let test_fifo_no_allocation () =
+  let n = 10_000 in
+  let q = Work_fifo.create () in
+  let slot = Work_fifo.slot q in
+  let cycle () =
+    for i = 1 to n do
+      Work_fifo.send_prefetch q ~vpn:i ~site:i ~urgent:(i land 1 = 0)
+    done;
+    for _ = 1 to n do
+      ignore (Work_fifo.recv q slot : Work_fifo.kind)
+    done
+  in
+  cycle ();
+  let before = Gc.minor_words () in
+  cycle ();
+  let words = Gc.minor_words () -. before in
+  check_int "last item" n (Work_fifo.vpn slot);
+  check_bool
+    (Printf.sprintf "%.0f minor words for %d items" words n)
+    true
+    (words < 0.01 *. float_of_int n)
+
 let () =
   Alcotest.run "memhog_runtime"
     [
@@ -701,6 +861,11 @@ let () =
             test_negative_priority_bypasses_buffer;
           Alcotest.test_case "reactive priority routing" `Quick
             test_reactive_priority_routing;
+        ] );
+      ( "work fifo",
+        [
+          Alcotest.test_case "no allocation per item" `Quick test_fifo_no_allocation;
+          QCheck_alcotest.to_alcotest prop_fifo_matches_mailbox;
         ] );
       ( "governor",
         [

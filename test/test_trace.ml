@@ -206,7 +206,8 @@ let traced_run () =
              for i = 0 to 7 do
                ignore (Os.touch os asp ~vpn:(seg.As.base_vpn + i) ~write:false)
              done;
-             ignore (Os.prefetch os asp ~vpn:(seg.As.base_vpn + 8));
+             ignore (Os.prefetch os asp ~site:Trace.no_site
+                 ~urgent:false ~vpn:(seg.As.base_vpn + 8));
              ignore (Os.touch os asp ~vpn:(seg.As.base_vpn + 8) ~write:false);
              Os.release_request os asp
                ~vpns:(Array.init 4 (fun i -> seg.As.base_vpn + i));
@@ -258,7 +259,8 @@ let test_disabled_trace_counts_unchanged () =
              for i = 0 to 7 do
                ignore (Os.touch os asp ~vpn:(seg.As.base_vpn + i) ~write:false)
              done;
-             ignore (Os.prefetch os asp ~vpn:(seg.As.base_vpn + 8));
+             ignore (Os.prefetch os asp ~site:Trace.no_site
+                 ~urgent:false ~vpn:(seg.As.base_vpn + 8));
              ignore (Os.touch os asp ~vpn:(seg.As.base_vpn + 8) ~write:false);
              Os.release_request os asp
                ~vpns:(Array.init 4 (fun i -> seg.As.base_vpn + i));

@@ -402,7 +402,8 @@ let test_prefetch_then_validate () =
         let asp = Os.new_process os ~name:"app" in
         let seg = Os.map_segment os asp ~name:"d" ~bytes:(4 * 16384) ~on_swap:true in
         check_bool "prefetch fetched" true
-          (Os.prefetch os asp ~vpn:seg.As.base_vpn = Os.P_fetched);
+          (Os.prefetch os asp ~site:Trace.no_site ~urgent:false
+               ~vpn:seg.As.base_vpn = Os.P_fetched);
         check_bool "bit set by prefetch" true
           (Os.page_resident asp ~vpn:seg.As.base_vpn);
         (* Touch after prefetch: cheap validation fault, no I/O. *)
@@ -412,7 +413,8 @@ let test_prefetch_then_validate () =
         check_int "no further I/O" reads_before
           (Memhog_disk.Swap.page_reads (Os.swap os));
         check_bool "redundant prefetch" true
-          (Os.prefetch os asp ~vpn:seg.As.base_vpn = Os.P_already);
+          (Os.prefetch os asp ~site:Trace.no_site ~urgent:false
+               ~vpn:seg.As.base_vpn = Os.P_already);
         check_int "useless counted" 1 asp.As.stats.Vm.Vm_stats.prefetches_useless)
   in
   assert_invariants os
@@ -430,7 +432,8 @@ let test_prefetch_dropped_when_no_free_memory () =
         done;
         check_int "memory exhausted" 0 (Os.free_pages os);
         check_bool "prefetch dropped" true
-          (Os.prefetch os asp ~vpn:(seg.As.base_vpn + 65) = Os.P_dropped);
+          (Os.prefetch os asp ~site:Trace.no_site ~urgent:false
+               ~vpn:(seg.As.base_vpn + 65) = Os.P_dropped);
         check_int "dropped counted" 1 asp.As.stats.Vm.Vm_stats.prefetches_dropped)
   in
   assert_invariants os
@@ -461,7 +464,8 @@ let test_prefetch_race_with_demand_fault () =
         let target = seg.As.base_vpn + 65 in
         ignore
           (Engine.spawn (Os.engine os) ~name:"prefetcher" (fun () ->
-               ignore (Os.prefetch os asp ~vpn:target)));
+               ignore (Os.prefetch os asp ~site:Trace.no_site
+                   ~urgent:false ~vpn:target)));
         (* Let the prefetcher reach alloc_frame_blocking and park. *)
         Engine.delay ~cat:Account.Sleep (Time_ns.ms 1);
         ignore
@@ -642,7 +646,8 @@ let test_prefetch_makes_no_tlb_entry () =
     with_os (fun os ->
         let asp = Os.new_process os ~name:"app" in
         let seg = Os.map_segment os asp ~name:"d" ~bytes:(4 * 16384) ~on_swap:true in
-        ignore (Os.prefetch os asp ~vpn:seg.As.base_vpn);
+        ignore (Os.prefetch os asp ~site:Trace.no_site
+            ~urgent:false ~vpn:seg.As.base_vpn);
         check_bool "no TLB entry after prefetch" false
           (Vm.Tlb.hit asp.As.tlb ~vpn:seg.As.base_vpn);
         ignore (Os.touch os asp ~vpn:seg.As.base_vpn ~write:false);
@@ -657,7 +662,8 @@ let test_prefetch_fills_tlb_when_enabled () =
     with_os ~config (fun os ->
         let asp = Os.new_process os ~name:"app" in
         let seg = Os.map_segment os asp ~name:"d" ~bytes:(4 * 16384) ~on_swap:true in
-        ignore (Os.prefetch os asp ~vpn:seg.As.base_vpn);
+        ignore (Os.prefetch os asp ~site:Trace.no_site
+            ~urgent:false ~vpn:seg.As.base_vpn);
         check_bool "TLB entry installed by prefetch (ablation)" true
           (Vm.Tlb.hit asp.As.tlb ~vpn:seg.As.base_vpn))
   in
@@ -679,7 +685,8 @@ let test_prefetch_of_unmapped_address () =
         let asp = Os.new_process os ~name:"app" in
         let _seg = Os.map_segment os asp ~name:"d" ~bytes:16384 ~on_swap:true in
         check_bool "unmapped prefetch is a harmless no-op" true
-          (Os.prefetch os asp ~vpn:99_999 = Os.P_already))
+          (Os.prefetch os asp ~site:Trace.no_site ~urgent:false
+               ~vpn:99_999 = Os.P_already))
   in
   ignore os
 
@@ -720,7 +727,9 @@ let prop_invariants_random_load =
                 let vpn = seg.As.base_vpn + page in
                 match op with
                 | 0 -> ignore (Os.touch os asp ~vpn ~write:(page mod 3 = 0))
-                | 1 -> ignore (Os.prefetch os asp ~vpn)
+                | 1 ->
+                    ignore
+                      (Os.prefetch os asp ~site:Trace.no_site ~urgent:false ~vpn)
                 | _ -> Os.release_request os asp ~vpns:[| vpn |])
               ops;
             Engine.delay ~cat:Account.Sleep (Time_ns.ms 20))
@@ -746,7 +755,9 @@ let prop_invariants_two_processes =
                 let vpn = seg.As.base_vpn + page in
                 match op with
                 | 0 -> ignore (Os.touch os asp ~vpn ~write:(page mod 2 = 0))
-                | 1 -> ignore (Os.prefetch os asp ~vpn)
+                | 1 ->
+                    ignore
+                      (Os.prefetch os asp ~site:Trace.no_site ~urgent:false ~vpn)
                 | _ -> Os.release_request os asp ~vpns:[| vpn |])
               ops;
             Engine.delay ~cat:Account.Sleep (Time_ns.ms 20))
