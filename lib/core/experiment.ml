@@ -485,7 +485,7 @@ let run (s : setup) =
   let asp = App.asp app in
   (* The application executed inside the driver process: its account holds
      the Figure 7 time components. *)
-  let acct = driver.Engine.account in
+  let acct = Engine.account driver in
   let breakdown = breakdown_of_account acct in
   let swap = Os.swap os in
   {

@@ -35,8 +35,8 @@ type t = {
      requests (prefetches, write-behind).  Without this, one process's
      deep prefetch batches starve everyone else's demand misses. *)
   mutable arm_busy : bool;
-  demand_q : Engine.waker Queue.t;
-  background_q : Engine.waker Queue.t;
+  demand_q : Engine.queue;
+  background_q : Engine.queue;
   bus : Semaphore.t option;
   chaos : Chaos.t;
   obs : Obs.t;
@@ -59,8 +59,8 @@ let create ?(params = cheetah_4lp) ?bus ?(chaos = Chaos.none)
     id;
     params;
     arm_busy = false;
-    demand_q = Queue.create ();
-    background_q = Queue.create ();
+    demand_q = Engine.queue ();
+    background_q = Engine.queue ();
     bus;
     chaos;
     obs;
@@ -85,29 +85,22 @@ let acquire_arm ~cat t ~background =
      can overtake queued background work. *)
   if not t.arm_busy then t.arm_busy <- true
   else begin
-    let bypassed = (not background) && not (Queue.is_empty t.background_q) in
+    let bypassed = (not background) && Engine.waiting t.background_q > 0 in
     if bypassed then t.demand_bypasses <- t.demand_bypasses + 1;
-    let q = if background then t.background_q else t.demand_q in
-    let t0 = Engine.now () in
-    Engine.suspend (fun waker -> Queue.add waker q);
-    let self = Engine.self () in
-    let waited = Engine.now () - t0 in
-    Account.add self.account cat waited;
+    let waited =
+      Engine.wait ~cat (if background then t.background_q else t.demand_q)
+    in
     let rq = Obs.reqtrace t.obs in
     if (not background) && Reqtrace.enabled rq then
-      Reqtrace.note_disk_queue rq ~pid:self.Engine.pid ~start:t0 ~ns:waited
-        ~bypassed
+      Reqtrace.note_disk_queue rq ~pid:(Engine.pid (Engine.self ()))
+        ~start:(Engine.now () - waited) ~ns:waited ~bypassed
   end
 
 (* Direct handoff: the arm stays busy and ownership moves to the waiter.
    Demand waiters always drain first. *)
 let release_arm t =
-  match Queue.take_opt t.demand_q with
-  | Some waker -> waker ()
-  | None -> (
-      match Queue.take_opt t.background_q with
-      | Some waker -> waker ()
-      | None -> t.arm_busy <- false)
+  if not (Engine.wake_one t.demand_q || Engine.wake_one t.background_q) then
+    t.arm_busy <- false
 
 (* (positioning, transfer): positioning happens on the arm alone; the
    transfer additionally occupies the adapter bus. *)
@@ -192,7 +185,7 @@ let do_io ?(cat = Account.Io_stall) ?(background = false) t ~block ~bytes
   if elapsed > t.params.request_timeout_ns then t.timeouts <- t.timeouts + 1;
   let rq = Obs.reqtrace t.obs in
   if (not background) && Reqtrace.enabled rq then
-    Reqtrace.note_disk_service rq ~pid:(Engine.self ()).Engine.pid
+    Reqtrace.note_disk_service rq ~pid:(Engine.pid (Engine.self ()))
       ~start:arm_acquired
       ~ns:(Engine.now () - arm_acquired);
   (* One completion event per request, spanning queueing + positioning +
@@ -220,5 +213,5 @@ let timeouts t = t.timeouts
 let demand_bypasses t = t.demand_bypasses
 
 let queue_depth t =
-  Queue.length t.demand_q + Queue.length t.background_q
+  Engine.waiting t.demand_q + Engine.waiting t.background_q
   + if t.arm_busy then 1 else 0

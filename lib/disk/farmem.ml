@@ -58,17 +58,24 @@ let stats t = t.stats
    first; charge the elapsed wait to [cat].  Unlike the local disks'
    accounting-only [request_timeout_ns], the deadline here genuinely aborts
    the wait: the fiber resumes at the deadline and the caller re-issues.
-   The losing waker fires later into an already-woken cell, which
-   {!Engine.suspend} documents as harmless. *)
+   Only the first timer to fire calls the waker; the loser finds [fired]
+   set. *)
 let race_deadline t ~cat ~response =
   let t0 = Engine.now () in
   Engine.suspend (fun waker ->
+      let fired = ref false in
+      let first () =
+        if not !fired then begin
+          fired := true;
+          waker ()
+        end
+      in
       (match response with
-      | Some d -> Engine.wake_after t.engine d waker
+      | Some d -> Engine.wake_after t.engine d first
       | None -> ());
-      Engine.wake_after t.engine t.params.timeout_ns waker);
+      Engine.wake_after t.engine t.params.timeout_ns first);
   let elapsed = Engine.now () - t0 in
-  Account.add (Engine.self ()).Engine.account cat elapsed;
+  Account.add (Engine.account (Engine.self ())) cat elapsed;
   match response with Some d -> d <= elapsed | None -> false
 
 (* One wire attempt.  Service time is fixed RTT plus transmission, both

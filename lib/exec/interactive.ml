@@ -31,7 +31,7 @@ let create ?(data_bytes = 1024 * 1024) ?(work_per_page_ns = Time_ns.us 50) ~os
 
 let asp t = t.it_asp
 let sweeps t = List.rev t.sweep_list
-let account t = Option.map (fun p -> p.Engine.account) t.proc
+let account t = Option.map Engine.account t.proc
 
 let alone_response t = t.seg.As.npages * t.work_per_page_ns
 

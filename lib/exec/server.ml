@@ -92,7 +92,7 @@ let create ~os ~cfg () =
   }
 
 let asp t = t.asp
-let account t = Option.map (fun p -> p.Engine.account) t.proc
+let account t = Option.map Engine.account t.proc
 let finished t = t.done_
 let queue_depth t = Mailbox.length t.queue
 let arrived t = t.arrived
@@ -163,7 +163,7 @@ let touch_outcome : Os.touch_result -> Reqtrace.touch_outcome = function
 
 let serve_one t ~arrival ~key =
   let rq = t.reqtrace in
-  let pid = (Engine.self ()).Engine.pid and owner = t.asp.As.pid in
+  let pid = Engine.pid (Engine.self ()) and owner = t.asp.As.pid in
   Reqtrace.start rq ~pid ~key ~arrival ~now:(Engine.now ());
   let ivpn = index_vpn t key in
   let r = Os.touch t.os t.asp ~vpn:ivpn ~write:false in

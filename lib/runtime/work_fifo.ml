@@ -7,9 +7,7 @@ type slot = {
   mutable vpn : int;
   mutable site : int;
   mutable batch : (int * int * int) array;
-  mutable waker : Engine.waker;  (* wakes the helper from its last wait *)
-  register : Engine.waker -> unit;
-      (* [Engine.suspend]'s callback, built once per slot *)
+  parked : Engine.queue;  (* the slot's helper, while it idles *)
 }
 
 (* Waiting items: a ring of (vpn, site, kind) columns whose capacity is a
@@ -24,7 +22,7 @@ type t = {
   mutable head : int;
   mutable len : int;
   batches : (int * int * int) array Queue.t;
-  idle : slot Queue.t;  (* suspended helpers, longest idle first *)
+  idle : slot Queue.t;  (* idle helpers' slots, longest idle first *)
 }
 
 let create () =
@@ -38,21 +36,8 @@ let create () =
     idle = Queue.create ();
   }
 
-let slot t =
-  let rec s =
-    {
-      kind = Prefetch;
-      vpn = 0;
-      site = 0;
-      batch = [||];
-      waker = ignore;
-      register =
-        (fun waker ->
-          s.waker <- waker;
-          Queue.add s t.idle);
-    }
-  in
-  s
+let slot (_ : t) =
+  { kind = Prefetch; vpn = 0; site = 0; batch = [||]; parked = Engine.queue () }
 
 (* Copy the ring's live entries of [src] to the front of [dst]. *)
 let unwrap t src dst =
@@ -88,7 +73,7 @@ let send_prefetch t ~vpn ~site ~urgent =
     s.kind <- kind;
     s.vpn <- vpn;
     s.site <- site;
-    s.waker ()
+    ignore (Engine.wake_one s.parked : bool)
   end
 
 let send_release t triples =
@@ -100,7 +85,7 @@ let send_release t triples =
     let s = Queue.take t.idle in
     s.kind <- Release;
     s.batch <- triples;
-    s.waker ()
+    ignore (Engine.wake_one s.parked : bool)
   end
 
 let recv t s =
@@ -118,9 +103,8 @@ let recv t s =
   end
   else begin
     (* As [Mailbox.recv]: the wait for work is idle time. *)
-    let t0 = Engine.now () in
-    Engine.suspend s.register;
-    Account.add (Engine.self ()).account Account.Sleep (Engine.now () - t0)
+    Queue.add s t.idle;
+    ignore (Engine.wait ~cat:Account.Sleep s.parked : Time_ns.t)
   end;
   s.kind
 

@@ -4,9 +4,9 @@
     It behaves exactly as a {!Memhog_sim.Mailbox} of work items would.  An
     item sent while a helper is idle goes straight to the helper that has
     been idle longest; otherwise it joins the tail, and the next helper to
-    receive takes the head.  A helper that finds the FIFO empty suspends
-    until an item is handed to it, and the wait is charged to its
-    {!Memhog_sim.Account.Sleep} account.
+    receive takes the head.  A helper that finds the FIFO empty blocks on
+    its slot's {!Memhog_sim.Engine.queue} until an item is handed to it,
+    and the wait is charged to its {!Memhog_sim.Account.Sleep} account.
 
     A waiting item is plain ints, not a boxed message: prefetches wait in a
     struct-of-arrays ring of (vpn, site, kind) that doubles when full, and a

@@ -1,18 +1,10 @@
-type t = { name : string; waiters : Engine.waker Queue.t }
+type t = { name : string; waiters : Engine.queue }
 
-let create ?(name = "cond") () = { name; waiters = Queue.create () }
+let create ?(name = "cond") () = { name; waiters = Engine.queue () }
 
 let wait ?(cat = Account.Resource_stall) t =
-  let t0 = Engine.now () in
-  Engine.suspend (fun waker -> Queue.add waker t.waiters);
-  let waited = Engine.now () - t0 in
-  Account.add (Engine.self ()).account cat waited
+  ignore (Engine.wait ~cat t.waiters : Time_ns.t)
 
-let signal t = match Queue.take_opt t.waiters with Some w -> w () | None -> ()
-
-let broadcast t =
-  let pending = Queue.create () in
-  Queue.transfer t.waiters pending;
-  Queue.iter (fun w -> w ()) pending
-
-let waiting t = Queue.length t.waiters
+let signal t = ignore (Engine.wake_one t.waiters : bool)
+let broadcast t = Engine.wake_all t.waiters
+let waiting t = Engine.waiting t.waiters

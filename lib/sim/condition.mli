@@ -1,5 +1,8 @@
 (** Broadcast/signal condition, for "state changed" notifications such as
-    "free memory is available again" or "the paging daemon should wake". *)
+    "free memory is available again".  A named {!Engine.queue}: [wait] is
+    {!Engine.wait}, [signal] {!Engine.wake_one} and [broadcast]
+    {!Engine.wake_all}, which does nothing and allocates nothing when no
+    process waits. *)
 
 type t
 

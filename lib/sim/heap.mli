@@ -5,13 +5,14 @@
     scheduled for the same instant fire in FIFO order and runs are fully
     deterministic.
 
-    Keys and sequence numbers are stored in flat int arrays (no pointer
-    chasing during sifts).  Payloads live in a plain array seeded with a
-    caller-supplied [dummy] value, so [add] and [pop] allocate nothing on
-    the hot path; popped slots are reset to [dummy] so the heap never
-    retains a reference to an already-delivered payload (the engine stores
-    continuations here, and a pinned continuation can keep a whole
-    simulation's state alive). *)
+    Keys, sequence numbers and slot numbers are stored in flat int arrays,
+    so a sift compares and moves ints only: no pointer chasing, and no
+    write barrier per level.  Payloads live in a slot table beside them: a
+    plain array seeded with a caller-supplied [dummy], written once when an
+    entry is added and reset to [dummy] when it is popped, wherever the
+    entry moves in between.  So [add] and [pop] allocate nothing on the hot
+    path, and the heap never retains a reference to an already-delivered
+    payload (a pinned closure can keep a whole simulation's state alive). *)
 
 type 'a t
 

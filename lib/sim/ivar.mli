@@ -1,5 +1,6 @@
 (** Write-once synchronization cell ("future"), used e.g. to join on the
-    completion of another simulated process. *)
+    completion of another simulated process.  Readers that come before the
+    value block on an {!Engine.queue}; [fill] wakes them all. *)
 
 type 'a t
 

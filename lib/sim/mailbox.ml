@@ -1,31 +1,33 @@
+(* A message sent while receivers wait is handed to the longest-waiting one
+   through [handed], never through [items]: a process that calls [recv] at
+   the same instant, before the woken receiver runs, must not take it.
+   Woken receivers resume in the order they were woken, each taking the
+   head of [handed]. *)
 type 'a t = {
   name : string;
   items : 'a Queue.t;
-  receivers : ('a option ref * Engine.waker) Queue.t;
+  handed : 'a Queue.t;
+  receivers : Engine.queue;
 }
 
 let create ?(name = "mailbox") () =
-  { name; items = Queue.create (); receivers = Queue.create () }
+  {
+    name;
+    items = Queue.create ();
+    handed = Queue.create ();
+    receivers = Engine.queue ();
+  }
 
 let send t v =
-  match Queue.take_opt t.receivers with
-  | Some (cell, waker) ->
-      cell := Some v;
-      waker ()
-  | None -> Queue.add v t.items
+  if Engine.wake_one t.receivers then Queue.add v t.handed
+  else Queue.add v t.items
 
 let recv ?(cat = Account.Sleep) t =
-  match Queue.take_opt t.items with
-  | Some v -> v
-  | None ->
-      let cell = ref None in
-      let t0 = Engine.now () in
-      Engine.suspend (fun waker -> Queue.add (cell, waker) t.receivers);
-      let waited = Engine.now () - t0 in
-      Account.add (Engine.self ()).account cat waited;
-      (match !cell with
-      | Some v -> v
-      | None -> assert false (* the waker is only fired after the cell is set *))
+  if Queue.is_empty t.items then begin
+    ignore (Engine.wait ~cat t.receivers : Time_ns.t);
+    Queue.take t.handed
+  end
+  else Queue.take t.items
 
 let try_recv t = Queue.take_opt t.items
 let length t = Queue.length t.items

@@ -5,7 +5,9 @@
     server takes its requests from one.  The run-time layer's helper
     threads, whose queue runs thousands of items deep, pull work from an
     int-only FIFO with the same semantics instead
-    ([Memhog_runtime.Work_fifo]). *)
+    ([Memhog_runtime.Work_fifo]).  Receivers block on an {!Engine.queue};
+    a message sent while one waits is handed to the longest-waiting
+    receiver, never left where a later [recv] could take it first. *)
 
 type 'a t
 

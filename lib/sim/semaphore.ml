@@ -2,7 +2,7 @@ type t = {
   name : string;
   capacity : int;
   mutable avail : int;
-  waiters : Engine.waker Queue.t;
+  waiters : Engine.queue;
   mutable total_wait : int;
   mutable contended : int;
 }
@@ -13,7 +13,7 @@ let create ?(name = "sem") n =
     name;
     capacity = n;
     avail = n;
-    waiters = Queue.create ();
+    waiters = Engine.queue ();
     total_wait = 0;
     contended = 0;
   }
@@ -21,26 +21,22 @@ let create ?(name = "sem") n =
 let name t = t.name
 let capacity t = t.capacity
 let available t = t.avail
-let waiting t = Queue.length t.waiters
+let waiting t = Engine.waiting t.waiters
 
 let acquire ?(cat = Account.Resource_stall) t =
-  if t.avail > 0 && Queue.is_empty t.waiters then t.avail <- t.avail - 1
+  if t.avail > 0 && Engine.waiting t.waiters = 0 then t.avail <- t.avail - 1
   else begin
     t.contended <- t.contended + 1;
-    let t0 = Engine.now () in
-    Engine.suspend (fun waker -> Queue.add waker t.waiters);
-    let waited = Engine.now () - t0 in
-    t.total_wait <- t.total_wait + waited;
-    Account.add (Engine.self ()).account cat waited
+    t.total_wait <- t.total_wait + Engine.wait ~cat t.waiters
   end
 
+(* Direct handoff: the unit moves to the longest waiter. *)
 let release t =
-  match Queue.take_opt t.waiters with
-  | Some waker -> waker () (* direct handoff: the unit moves to the waiter *)
-  | None ->
-      if t.avail >= t.capacity then
-        invalid_arg (Printf.sprintf "Semaphore.release(%s): over-release" t.name);
-      t.avail <- t.avail + 1
+  if not (Engine.wake_one t.waiters) then begin
+    if t.avail >= t.capacity then
+      invalid_arg (Printf.sprintf "Semaphore.release(%s): over-release" t.name);
+    t.avail <- t.avail + 1
+  end
 
 let total_wait t = t.total_wait
 let contended_acquisitions t = t.contended

@@ -5,7 +5,8 @@
     {!Account.Resource_stall}; this is how "stalled for unavailable
     resources" in Figure 7 is measured.  Handoff is direct: a release passes
     ownership to the longest-waiting process, so later arrivals can never
-    barge ahead. *)
+    barge ahead.  Waiters block on an {!Engine.queue}, so a contended
+    hand-off allocates only the blocked acquirer's continuation. *)
 
 type t
 

@@ -55,8 +55,9 @@ type t = {
       (* reactive eviction (section 2.2): per-process callbacks that name a
          page the application prefers to surrender *)
   mutable stop : bool;
-  mutable daemon_waker : Engine.waker option;
-      (* fires the paging daemon's interruptible sleep early on shutdown *)
+  daemon_tick : Engine.queue;  (* the paging daemon, between ticks *)
+  end_tick : unit -> unit;
+      (* the tick's timer thunk; [shutdown] ends the tick early *)
 }
 
 let config t = t.config
@@ -371,7 +372,7 @@ and fault t asp seg ~vpn ~write =
         if Reqtrace.enabled rq then begin
           let t0 = Engine.now_of t.engine in
           Ivar.read ~cat:Account.Io_stall ivar;
-          Reqtrace.note_transit rq ~pid:(Engine.self ()).Engine.pid
+          Reqtrace.note_transit rq ~pid:(Engine.pid (Engine.self ()))
             ~start:t0
             ~ns:(Engine.now_of t.engine - t0)
         end
@@ -966,16 +967,14 @@ let daemon_scan_batch t =
    re-reference (soft fault) pages still in their working set, and it makes
    the hand's cycle time scale with memory size — the property that lets an
    idle interactive task keep its pages for a while (Figure 1). *)
-(* An interruptible tick: suspend with a timer waker that [shutdown] can
-   also fire, so a shutdown does not have to wait out the interval.  The
-   waited time is charged as [Sleep] like a plain delay would be. *)
+(* An interruptible tick: a wait that the timer ends, or [shutdown] does
+   earlier, so a shutdown does not have to wait out the interval.  The
+   waited time is charged as [Sleep] like a plain delay would be.  A timer
+   outlived by a shutdown's wake finds no daemon waiting: after a shutdown
+   the daemon never ticks again. *)
 let daemon_sleep t d =
-  let t0 = Engine.now () in
-  Engine.suspend (fun waker ->
-      t.daemon_waker <- Some waker;
-      Engine.wake_after t.engine d waker);
-  t.daemon_waker <- None;
-  Account.add (Engine.self ()).Engine.account Account.Sleep (Engine.now () - t0)
+  Engine.wake_after t.engine d t.end_tick;
+  ignore (Engine.wait ~cat:Account.Sleep t.daemon_tick : Time_ns.t)
 
 let paging_daemon_loop t () =
   let cfg = t.config in
@@ -1066,6 +1065,7 @@ let create ?swap_config ?tiers:tiers_spec ?(obs = Obs.null)
   let frames = Array.init cfg.total_frames Frame.make in
   let free = Free_list.create frames in
   Array.iter (fun f -> Free_list.push_tail free f) frames;
+  let daemon_tick = Engine.queue () in
   let t =
     {
       config = cfg;
@@ -1089,7 +1089,8 @@ let create ?swap_config ?tiers:tiers_spec ?(obs = Obs.null)
       next_pid = 0;
       next_swap_page = 0;
       stop = false;
-      daemon_waker = None;
+      daemon_tick;
+      end_tick = (fun () -> ignore (Engine.wake_one daemon_tick : bool));
     }
   in
   let trace = Obs.trace obs in
@@ -1121,10 +1122,10 @@ let shutdown t =
   if not t.stop then begin
     t.stop <- true;
     (* Wake both daemons: a poison message cuts the releaser's blocked
-       [Mailbox.recv] short, and firing the timer waker ends the paging
-       daemon's current tick early.  Both then observe [t.stop]. *)
+       [Mailbox.recv] short, and the paging daemon's current tick ends
+       early.  Both then observe [t.stop]. *)
     Mailbox.send t.releaser_box R_quit;
-    match t.daemon_waker with Some w -> w () | None -> ()
+    ignore (Engine.wake_one t.daemon_tick : bool)
   end
 
 let set_eviction_advisor t (asp : As.t) advise =

@@ -721,7 +721,7 @@ let run_fifo_program (nhelpers, bursts) ~post ~receiver =
            bursts));
   Engine.run e;
   ( List.rev !log,
-    List.map (fun p -> Account.get p.Engine.account Account.Sleep) helpers )
+    List.map (fun p -> Account.get (Engine.account p) Account.Sleep) helpers )
 
 let run_on_mailbox prog =
   let box = Mailbox.create () in

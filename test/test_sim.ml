@@ -92,19 +92,44 @@ let test_heap_clear_releases_values () =
       (Weak.check w i)
   done
 
+(* Adds and pops interleaved, so popped slots are reused, against a list
+   kept in (key, seq) order: each pop must return the least entry's
+   payload, wherever the sifts moved it. *)
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in nondecreasing key order" ~count:200
-    QCheck.(list (pair small_int small_int))
-    (fun pairs ->
-      let h = Heap.create ~dummy:0 () in
-      List.iteri (fun i (k, v) -> Heap.add h ~key:k ~seq:i v) pairs;
-      let rec drain acc =
-        match Heap.pop_min h with
-        | Some (k, _, _) -> drain (k :: acc)
-        | None -> List.rev acc
+    QCheck.(list (option (int_bound 20)))
+    (fun ops ->
+      let h = Heap.create ~dummy:(-1) () in
+      let model = ref [] and popped = ref [] and expected = ref [] in
+      let pop_model () =
+        match !model with
+        | (_, _, v) :: rest ->
+            model := rest;
+            expected := v :: !expected
+        | [] -> ()
       in
-      let keys = drain [] in
-      List.sort compare keys = keys)
+      List.iteri
+        (fun i op ->
+          match op with
+          | Some k ->
+              Heap.add h ~key:k ~seq:i i;
+              model := List.merge compare !model [ (k, i, i) ]
+          | None ->
+              (match Heap.pop_min h with
+              | Some (_, _, v) -> popped := v :: !popped
+              | None -> ());
+              pop_model ())
+        ops;
+      let rec drain () =
+        match Heap.pop_min h with
+        | Some (_, _, v) ->
+            popped := v :: !popped;
+            pop_model ();
+            drain ()
+        | None -> ()
+      in
+      drain ();
+      !model = [] && !popped = !expected)
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -429,10 +454,10 @@ let test_accounting () =
         Engine.delay ~cat:Account.User 1)
   in
   Engine.run e;
-  check_int "user" 101 (Account.get proc.Engine.account Account.User);
-  check_int "system" 30 (Account.get proc.Engine.account Account.System);
-  check_int "io" 7 (Account.get proc.Engine.account Account.Io_stall);
-  check_int "total" 138 (Account.total proc.Engine.account)
+  check_int "user" 101 (Account.get (Engine.account proc) Account.User);
+  check_int "system" 30 (Account.get (Engine.account proc) Account.System);
+  check_int "io" 7 (Account.get (Engine.account proc) Account.Io_stall);
+  check_int "total" 138 (Account.total (Engine.account proc))
 
 let test_interleaving_order () =
   let e = Engine.create () in
@@ -459,10 +484,10 @@ let test_spawn_child_and_self () =
   let names = ref [] in
   ignore
     (Engine.spawn e ~name:"parent" (fun () ->
-         names := (Engine.self ()).Engine.name :: !names;
+         names := Engine.name (Engine.self ()) :: !names;
          let _child =
            Engine.spawn_child ~name:"child" (fun () ->
-               names := (Engine.self ()).Engine.name :: !names)
+               names := Engine.name (Engine.self ()) :: !names)
          in
          Engine.delay ~cat:Account.User 1));
   Engine.run e;
@@ -547,7 +572,7 @@ let test_delay_in_suspend_callback () =
   Alcotest.check_raises "delay in suspend callback" Engine.Not_in_simulation
     (fun () -> Engine.run e);
   check_int "clock unmoved" 0 (Engine.now_of e);
-  check_int "nothing charged" 0 (Account.total p.Engine.account)
+  check_int "nothing charged" 0 (Account.total (Engine.account p))
 
 let test_delay_in_wake_after_thunk () =
   let e = Engine.create () in
@@ -567,45 +592,85 @@ let test_negative_delay_raises_in_fiber () =
   Engine.run e;
   check_bool "raised inside the fiber" true !caught;
   check_int "fiber went on" 3 (Engine.now_of e);
-  check_int "only the valid delay charged" 3 (Account.total p.Engine.account);
+  check_int "only the valid delay charged" 3 (Account.total (Engine.account p));
   check_bool "no crash" true (Engine.crashes e = [])
+
+(* A process blocks once per wake: a waker called when its process is no
+   longer blocked in that suspend (woken already, or blocked again
+   elsewhere) must fail loudly, naming the process, and leave it where it
+   is. *)
+let test_second_wake_raises () =
+  let e = Engine.create () in
+  let q = Engine.queue () in
+  let waker = ref ignore in
+  let sleeper =
+    Engine.spawn e ~name:"sleeper" (fun () ->
+        Engine.suspend (fun w -> waker := w);
+        ignore (Engine.wait ~cat:Account.Resource_stall q : int))
+  in
+  let errors = ref [] in
+  let wake () =
+    try !waker () with Invalid_argument msg -> errors := msg :: !errors
+  in
+  ignore
+    (Engine.spawn e ~name:"waker" (fun () ->
+         wake ();
+         wake ();
+         Engine.delay ~cat:Account.User 1;
+         wake ()));
+  Engine.run e;
+  let msg = "Engine: woke sleeper (pid 0), which is not blocked" in
+  Alcotest.(check (list string)) "both late wakes raise" [ msg; msg ] !errors;
+  check_bool "still blocked on the queue" true
+    (Engine.state sleeper = Engine.Blocked && Engine.waiting q = 1)
 
 (* ------------------------------------------------------------------ *)
 (* Engine against a reference model                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Random process programs run on [Engine] and on a naive model of its
-   semantics in which every delay goes through a list-based event queue
-   (scanned for the least (time, sequence) pair).  Delays that the engine
-   finishes inline must leave no trace: the same (time, pid, step) log,
-   accounts, event count and final clock. *)
+   semantics in which every event, wakes and zero-length delays included,
+   goes through one list-based event queue (scanned for the least (time,
+   sequence) pair).  Delays that the engine finishes inline, and its split
+   into a heap and a ring for the current instant, must leave no trace:
+   the same (time, pid, step) log, accounts, event count and final clock. *)
 
 type step =
   | Delay of int  (* charged to User when even, System when odd *)
   | Sleep of int  (* suspend, woken by wake_after *)
+  | Wait of int  (* block on wait queue [q], charged as Resource_stall *)
+  | Wake_one of int
+  | Wake_all of int
   | Spawn of step list  (* spawn_child running this program *)
   | Stop
 
 let cat_of d = if d land 1 = 0 then Account.User else Account.System
+let num_queues = 3
 
 type outcome = {
   o_log : (int * int * int) list;  (* (time, pid, step index), in order *)
-  o_accounts : (int * int * int) list;  (* (pid, user, system), by pid *)
+  o_accounts : (int * int * int * int) list;
+      (* (pid, user, system, resource stall), by pid *)
   o_events : int;
   o_now : int;
 }
 
 let run_engine ?max_time progs =
   let e = Engine.create ?max_time () in
+  let queues = Array.init num_queues (fun _ -> Engine.queue ()) in
   let log = ref [] and procs = ref [] in
   let rec body prog () =
-    let pid = (Engine.self ()).Engine.pid in
+    let pid = Engine.pid (Engine.self ()) in
     List.iteri
       (fun i step ->
         log := (Engine.now (), pid, i) :: !log;
         match step with
         | Delay d -> Engine.delay ~cat:(cat_of d) d
         | Sleep d -> Engine.suspend (fun w -> Engine.wake_after e d w)
+        | Wait q ->
+            ignore (Engine.wait ~cat:Account.Resource_stall queues.(q) : int)
+        | Wake_one q -> ignore (Engine.wake_one queues.(q) : bool)
+        | Wake_all q -> Engine.wake_all queues.(q)
         | Spawn child ->
             procs := Engine.spawn_child ~name:"child" (body child) :: !procs
         | Stop -> Engine.stop ())
@@ -614,9 +679,11 @@ let run_engine ?max_time progs =
   List.iter (fun prog -> procs := Engine.spawn e ~name:"p" (body prog) :: !procs) progs;
   Engine.run e;
   let account (p : Engine.proc) =
-    ( p.Engine.pid,
-      Account.get p.Engine.account Account.User,
-      Account.get p.Engine.account Account.System )
+    let a = Engine.account p in
+    ( Engine.pid p,
+      Account.get a Account.User,
+      Account.get a Account.System,
+      Account.get a Account.Resource_stall )
   in
   {
     o_log = List.rev !log;
@@ -630,13 +697,17 @@ type mproc = {
   mutable m_rest : (int * step) list;
   mutable m_user : int;
   mutable m_system : int;
+  mutable m_stall : int;
+  mutable m_since : int;  (* when its current wait began *)
 }
 
-type mevent = M_run of mproc | M_wake of mproc
+(* [M_resume p] ends a wait: it charges the wait, then runs [p]. *)
+type mevent = M_run of mproc | M_wake of mproc | M_resume of mproc
 
 let run_model ?(max_time = Time_ns.sec 10_000_000) progs =
   let now = ref 0 and seq = ref 0 and executed = ref 0 and stop = ref false in
   let events = ref [] and next_pid = ref 0 and log = ref [] and procs = ref [] in
+  let waiters = Array.make num_queues [] in  (* longest-waiting first *)
   let schedule time ev =
     incr seq;
     events := (time, !seq, ev) :: !events
@@ -648,6 +719,8 @@ let run_model ?(max_time = Time_ns.sec 10_000_000) progs =
         m_rest = List.mapi (fun i s -> (i, s)) prog;
         m_user = 0;
         m_system = 0;
+        m_stall = 0;
+        m_since = 0;
       }
     in
     incr next_pid;
@@ -667,6 +740,20 @@ let run_model ?(max_time = Time_ns.sec 10_000_000) progs =
             else p.m_system <- p.m_system + d;
             schedule (!now + d) (M_run p)
         | Sleep d -> schedule (!now + d) (M_wake p)
+        | Wait q ->
+            p.m_since <- !now;
+            waiters.(q) <- waiters.(q) @ [ p ]
+        | Wake_one q ->
+            (match waiters.(q) with
+            | w :: rest ->
+                waiters.(q) <- rest;
+                schedule !now (M_resume w)
+            | [] -> ());
+            run p
+        | Wake_all q ->
+            List.iter (fun w -> schedule !now (M_resume w)) waiters.(q);
+            waiters.(q) <- [];
+            run p
         | Spawn child ->
             spawn child;
             run p
@@ -691,7 +778,12 @@ let run_model ?(max_time = Time_ns.sec 10_000_000) progs =
           events := List.filter (fun e -> e != next) !events;
           now := time;
           incr executed;
-          (match ev with M_run p -> run p | M_wake p -> schedule !now (M_run p));
+          (match ev with
+          | M_run p -> run p
+          | M_wake p -> schedule !now (M_run p)
+          | M_resume p ->
+              p.m_stall <- p.m_stall + (!now - p.m_since);
+              run p);
           loop ()
         end
   in
@@ -699,7 +791,8 @@ let run_model ?(max_time = Time_ns.sec 10_000_000) progs =
   {
     o_log = List.rev !log;
     o_accounts =
-      List.sort compare (List.map (fun p -> (p.m_pid, p.m_user, p.m_system)) !procs);
+      List.sort compare
+        (List.map (fun p -> (p.m_pid, p.m_user, p.m_system, p.m_stall)) !procs);
     o_events = !executed;
     o_now = !now;
   }
@@ -710,21 +803,33 @@ let rec pp_steps steps =
        (function
          | Delay d -> Printf.sprintf "delay %d" d
          | Sleep d -> Printf.sprintf "sleep %d" d
+         | Wait q -> Printf.sprintf "wait q%d" q
+         | Wake_one q -> Printf.sprintf "wake_one q%d" q
+         | Wake_all q -> Printf.sprintf "wake_all q%d" q
          | Spawn c -> Printf.sprintf "spawn [%s]" (pp_steps c)
          | Stop -> "stop")
        steps)
 
 (* 2-8 fibers; delays of 0-20 ns so ties are common; children one level
-   deep.  A third of the cases may stop, a third cap [max_time] low. *)
+   deep.  A third of the cases may stop, a third cap [max_time] low.  Three
+   cases in four also wait on and wake 1-3 queues, and half of those draw
+   delays from {0, 0, 1, 2, 3} instead, so zero-length delays and wakes
+   land at instants the heap already holds entries for, and a stop often
+   finds woken processes not yet resumed. *)
 let engine_case_arb =
   let open QCheck.Gen in
-  let steps ~stop ~spawn =
+  let steps ~stop ~queues ~delay =
+    let q = int_bound (Int.max 0 (queues - 1)) in
     let rec go depth =
       list_size (int_range 0 8)
         (frequency
-           ([ (6, map (fun d -> Delay d) (int_range 0 20));
-              (2, map (fun d -> Sleep d) (int_range 0 20)) ]
-           @ (if spawn && depth > 0 then [ (1, map (fun c -> Spawn c) (go (depth - 1))) ]
+           ([ (6, map (fun d -> Delay d) delay); (2, map (fun d -> Sleep d) delay) ]
+           @ (if queues > 0 then
+                [ (3, map (fun q -> Wait q) q);
+                  (2, map (fun q -> Wake_one q) q);
+                  (1, map (fun q -> Wake_all q) q) ]
+              else [])
+           @ (if depth > 0 then [ (1, map (fun c -> Spawn c) (go (depth - 1))) ]
               else [])
            @ if stop then [ (1, return Stop) ] else []))
     in
@@ -732,7 +837,12 @@ let engine_case_arb =
   in
   let gen =
     let* mode = int_range 0 2 in
-    let* progs = list_size (int_range 2 8) (steps ~stop:(mode = 1) ~spawn:true) in
+    let* queues = int_range 0 num_queues in
+    let* short = bool in
+    let delay =
+      if queues > 0 && short then oneofl [ 0; 0; 1; 2; 3 ] else int_range 0 20
+    in
+    let* progs = list_size (int_range 2 8) (steps ~stop:(mode = 1) ~queues ~delay) in
     let* cap = int_range 0 60 in
     return (progs, if mode = 2 then Some cap else None)
   in
@@ -742,7 +852,7 @@ let engine_case_arb =
         (String.concat "\n" (List.map (fun p -> "[" ^ pp_steps p ^ "]") progs)))
 
 let prop_engine_matches_model =
-  QCheck.Test.make ~name:"engine matches a list-queue reference model" ~count:500
+  QCheck.Test.make ~name:"engine matches a list-queue reference model" ~count:1000
     engine_case_arb (fun (progs, max_time) ->
       run_engine ?max_time progs = run_model ?max_time progs)
 
@@ -806,7 +916,7 @@ let test_semaphore_wait_accounting () =
   Engine.run e;
   let p = Option.get !waiter in
   check_int "resource stall measured" 100
-    (Account.get p.Engine.account Account.Resource_stall);
+    (Account.get (Engine.account p) Account.Resource_stall);
   check_int "sem total wait" 100 (Semaphore.total_wait sem);
   check_int "contended count" 1 (Semaphore.contended_acquisitions sem)
 
@@ -826,6 +936,29 @@ let test_semaphore_counting () =
   done;
   Engine.run e;
   check_int "peak is capacity" 3 !peak
+
+(* A contended hand-off allocates only the continuation the runtime
+   captures when the acquirer blocks (2 words on OCaml 5.1; the bound
+   leaves room for a larger continuation block). *)
+let test_semaphore_handoff_allocation () =
+  let e = Engine.create () in
+  let sem = Semaphore.create 1 in
+  for i = 0 to 1 do
+    ignore
+      (Engine.spawn e ~name:(Printf.sprintf "f%d" i) (fun () ->
+           for _ = 1 to 5_000 do
+             Semaphore.acquire sem;
+             Engine.delay ~cat:Account.User 1;
+             Semaphore.release sem
+           done))
+  done;
+  let before = Gc.minor_words () in
+  Engine.run e;
+  let words = Gc.minor_words () -. before in
+  let handoffs = Semaphore.contended_acquisitions sem in
+  check_bool "10,000 contended hand-offs" true (handoffs >= 9_999);
+  let per = words /. float_of_int handoffs in
+  check_bool (Printf.sprintf "%.2f minor words per hand-off" per) true (per <= 4.0)
 
 let test_semaphore_over_release () =
   let sem = Semaphore.create 1 in
@@ -901,6 +1034,16 @@ let test_condition_signal_wakes_one () =
          Engine.stop ()));
   Engine.run e;
   check_int "one woke" 1 !woke
+
+let test_broadcast_no_waiter_allocates_nothing () =
+  let cond = Condition.create () in
+  Condition.broadcast cond;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    Condition.broadcast cond
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "no allocation" 0.0 words
 
 let test_ivar () =
   let e = Engine.create () in
@@ -1085,6 +1228,7 @@ let () =
             test_delay_in_wake_after_thunk;
           Alcotest.test_case "negative delay raises in fiber" `Quick
             test_negative_delay_raises_in_fiber;
+          Alcotest.test_case "second wake raises" `Quick test_second_wake_raises;
         ] );
       ( "semaphore",
         [
@@ -1093,6 +1237,8 @@ let () =
           Alcotest.test_case "wait accounting" `Quick test_semaphore_wait_accounting;
           Alcotest.test_case "counting" `Quick test_semaphore_counting;
           Alcotest.test_case "over-release" `Quick test_semaphore_over_release;
+          Alcotest.test_case "hand-off allocation" `Quick
+            test_semaphore_handoff_allocation;
         ] );
       ( "mailbox-cond-ivar",
         [
@@ -1100,6 +1246,8 @@ let () =
           Alcotest.test_case "mailbox try_recv" `Quick test_mailbox_nonblocking_when_full;
           Alcotest.test_case "condition broadcast" `Quick test_condition_broadcast;
           Alcotest.test_case "condition signal" `Quick test_condition_signal_wakes_one;
+          Alcotest.test_case "broadcast allocates nothing" `Quick
+            test_broadcast_no_waiter_allocates_nothing;
           Alcotest.test_case "ivar" `Quick test_ivar;
           Alcotest.test_case "ivar immediate" `Quick test_ivar_read_after_fill_is_immediate;
         ] );
