@@ -102,28 +102,29 @@ let release_arm t =
   if not (Engine.wake_one t.demand_q || Engine.wake_one t.background_q) then
     t.arm_busy <- false
 
-(* (positioning, transfer): positioning happens on the arm alone; the
-   transfer additionally occupies the adapter bus. *)
-let service_time t ~block ~bytes ~is_write =
+(* A request's service is positioning, on the arm alone, then the media
+   transfer, which additionally occupies the adapter bus. *)
+let positioning_ns t ~block ~is_write =
   let p = t.params in
-  let transfer = p.transfer_ns_per_kb * ((bytes + 1023) / 1024) in
   if is_write then
     (* Write-behind: the drive cache absorbs writes at streaming cost and
        commits them opportunistically, so writes neither pay positioning
        nor disturb the read head. *)
-    (p.overhead_ns, transfer)
+    p.overhead_ns
   else begin
     let delta = block - t.last_block in
     if delta = 1 then begin
       t.seq_hits <- t.seq_hits + 1;
-      (p.overhead_ns, transfer)
+      p.overhead_ns
     end
     else if delta > 1 && delta <= p.near_skip_span then begin
       t.near_hits <- t.near_hits + 1;
-      (p.overhead_ns + p.near_skip_ns, transfer)
+      p.overhead_ns + p.near_skip_ns
     end
-    else (p.overhead_ns + p.seek_ns + p.rotation_ns, transfer)
+    else p.overhead_ns + p.seek_ns + p.rotation_ns
   end
+
+let transfer_ns t ~bytes = t.params.transfer_ns_per_kb * ((bytes + 1023) / 1024)
 
 let scale_ns f ns = if f = 1.0 then ns else int_of_float (f *. float_of_int ns)
 
@@ -134,7 +135,7 @@ let scale_ns f ns = if f = 1.0 then ns else int_of_float (f *. float_of_int ns)
    after an error, so [last_block] is invalidated and the successful retry
    pays full positioning rather than spuriously earning the sequential or
    near-skip discount. *)
-let inject_failures ?(cat = Account.Io_stall) t ~block ~is_write =
+let inject_failures ~cat t ~block ~is_write =
   match Chaos.disk_fault t.chaos ~now:(Engine.now ()) with
   | None -> ()
   | Some (k, backoff_base) ->
@@ -156,8 +157,7 @@ let inject_failures ?(cat = Account.Io_stall) t ~block ~is_write =
       done;
       if not is_write then t.last_block <- min_int
 
-let do_io ?(cat = Account.Io_stall) ?(background = false) t ~block ~bytes
-    ~is_write =
+let request t ~cat ~background ~write:is_write ~block ~bytes =
   let started = Engine.now () in
   acquire_arm ~cat t ~background;
   let arm_acquired = Engine.now () in
@@ -167,9 +167,8 @@ let do_io ?(cat = Account.Io_stall) ?(background = false) t ~block ~bytes
     if Chaos.is_none t.chaos then 1.0
     else Chaos.disk_slow_factor t.chaos ~now:(Engine.now ())
   in
-  let positioning, transfer = service_time t ~block ~bytes ~is_write in
-  let positioning = scale_ns slow positioning
-  and transfer = scale_ns slow transfer in
+  let positioning = scale_ns slow (positioning_ns t ~block ~is_write)
+  and transfer = scale_ns slow (transfer_ns t ~bytes) in
   if not is_write then t.last_block <- block;
   if is_write then t.writes <- t.writes + 1 else t.reads <- t.reads + 1;
   t.busy <- t.busy + positioning + transfer;
@@ -195,11 +194,11 @@ let do_io ?(cat = Account.Io_stall) ?(background = false) t ~block ~bytes
     Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.disk_stream
       (Trace.Disk_io { disk = t.id; block; write = is_write; ns = elapsed })
 
-let read ?cat ?background t ~block ~bytes =
-  do_io ?cat ?background t ~block ~bytes ~is_write:false
+let read ?(cat = Account.Io_stall) ?(background = false) t ~block ~bytes =
+  request t ~cat ~background ~write:false ~block ~bytes
 
-let write ?cat ?background t ~block ~bytes =
-  do_io ?cat ?background t ~block ~bytes ~is_write:true
+let write ?(cat = Account.Io_stall) ?(background = false) t ~block ~bytes =
+  request t ~cat ~background ~write:true ~block ~bytes
 
 let reads t = t.reads
 let writes t = t.writes

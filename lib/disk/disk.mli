@@ -83,6 +83,17 @@ val write :
   bytes:int ->
   unit
 
+val request :
+  t ->
+  cat:Memhog_sim.Account.category ->
+  background:bool ->
+  write:bool ->
+  block:int ->
+  bytes:int ->
+  unit
+(** {!read} or {!write} with every argument given, so the caller boxes no
+    optional argument: the swap volume's path for every page it moves. *)
+
 (** {1 Statistics} *)
 
 val reads : t -> int

@@ -42,20 +42,27 @@ let create ?(config = default_config) ?chaos ?obs ~page_bytes () =
 
 let num_disks t = t.config.num_disks
 
-let locate t ~page =
-  let disk = t.disk_array.(page mod t.config.num_disks) in
-  let block = page / t.config.num_disks in
-  (disk, block)
+(* Page [page] lives on disk [page mod n] at block [page / n]. *)
+let request t ~cat ~background ~write ~page =
+  let n = t.config.num_disks in
+  Disk.request t.disk_array.(page mod n) ~cat ~background ~write
+    ~block:(page / n) ~bytes:t.page_bytes
 
-let read_page ?cat ?background t ~page =
+let read t ~cat ~background ~page =
   t.page_reads <- t.page_reads + 1;
-  let disk, block = locate t ~page in
-  Disk.read ?cat ?background disk ~block ~bytes:t.page_bytes
+  request t ~cat ~background ~write:false ~page
 
-let write_page ?cat ?background t ~page =
+let write t ~cat ~background ~page =
   t.page_writes <- t.page_writes + 1;
-  let disk, block = locate t ~page in
-  Disk.write ?cat ?background disk ~block ~bytes:t.page_bytes
+  request t ~cat ~background ~write:true ~page
+
+let read_page ?(cat = Memhog_sim.Account.Io_stall) ?(background = false) t
+    ~page =
+  read t ~cat ~background ~page
+
+let write_page ?(cat = Memhog_sim.Account.Io_stall) ?(background = false) t
+    ~page =
+  write t ~cat ~background ~page
 
 let page_reads t = t.page_reads
 let page_writes t = t.page_writes

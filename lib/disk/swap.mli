@@ -41,6 +41,15 @@ val read_page :
 val write_page :
   ?cat:Memhog_sim.Account.category -> ?background:bool -> t -> page:int -> unit
 
+val read :
+  t -> cat:Memhog_sim.Account.category -> background:bool -> page:int -> unit
+(** {!read_page} with every argument given, so the caller boxes no optional
+    argument: the VM's and the tier router's path for each swap read. *)
+
+val write :
+  t -> cat:Memhog_sim.Account.category -> background:bool -> page:int -> unit
+(** {!write_page} with every argument given. *)
+
 (** {1 Statistics} *)
 
 val page_reads : t -> int

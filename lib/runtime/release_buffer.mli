@@ -4,7 +4,14 @@
     priority list indexes the queues.  When memory runs short, pages are
     drained from the {e lowest}-priority queues first, round-robin across
     queues of equal priority — retaining the pages whose reuse the compiler
-    expects soonest. *)
+    expects soonest.
+
+    Everything is plain ints.  Tags are dense non-negative directive site
+    ids, so per-tag state lives in tag-indexed arrays: each tag's pages
+    wait in an int ring, and the tags at one priority are linked in
+    insertion order through int arrays.  The priority levels are a small
+    sorted int array.  Once these have grown, adding and popping allocate
+    nothing. *)
 
 type t
 
@@ -15,25 +22,19 @@ val add : t -> tag:int -> priority:int -> vpn:int -> unit
     expected", and the runtime routes such releases to the immediate-issue
     path instead of buffering them (see {!Runtime.release_page}).
 
-    @raise Invalid_argument if [priority <= 0], or if [tag] is reused at a
-    priority different from the one its buffered pages were added with. *)
+    @raise Invalid_argument if [priority <= 0], if [tag < 0], or if [tag]
+    is reused at a priority different from the one its buffered pages were
+    added with. *)
 
 val total : t -> int
 (** Buffered pages across all queues. *)
 
-val pop_lowest : t -> max:int -> (int * int * int) array
-(** Remove up to [max] pages, lowest priority first, round-robin across
-    same-priority tags.  Returns [(vpn, tag, priority)] triples in drain
-    order — the tag is the static directive site the page was buffered
-    under, preserved so the eventual OS release stays attributable to its
-    site, and the priority rides along so the tier router can key placement
-    on it.  Appending a tag and retiring an emptied one are both O(1): tag
-    queues at one priority form a doubly-linked list in insertion order. *)
-
-val flush_tag : t -> tag:int -> int array
-(** Remove and return every buffered page of one tag, in FIFO order
-    ([ [||] ] if the tag has no buffered pages).  Used when the
-    application's plans for a tagged array change wholesale — e.g. a
-    re-touch invalidates the buffered releases. *)
-
-val lowest_priority : t -> int option
+val pop_lowest : t -> max:int -> Memhog_sim.Int_ring.t -> unit
+(** Move up to [max] pages, lowest priority first, round-robin across
+    same-priority tags, to the tail of the given width-3 ring as
+    (vpn, tag, priority) records in drain order.  The tag is the static
+    directive site the page was buffered under, preserved so the eventual
+    OS release stays attributable to its site, and the priority rides along
+    so the tier router can key placement on it.  A tag whose last page
+    leaves is forgotten: it may come back at another priority.
+    @raise Invalid_argument if the ring's width is not 3. *)

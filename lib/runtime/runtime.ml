@@ -53,10 +53,14 @@ type t = {
       (* work items carry the static directive site so the OS-side events
          stay attributable after the asynchronous hop through the helpers *)
   buffer : Release_buffer.t;
-  last_release : (int, int * int) Hashtbl.t;
-      (* tag -> (page, priority) recorded when first seen, one behind; the
-         priority travels with the page so a displaced entry lands in the
-         Eq. 2 queue it was hinted with, not the successor's *)
+  mutable last_page : int array;
+  mutable last_prio : int array;
+      (* tag -> (page, priority) recorded when first seen, one behind, or
+         [no_page]; the priority travels with the page so a displaced entry
+         lands in the Eq. 2 queue it was hinted with, not the successor's *)
+  out : Int_ring.t;
+      (* the outgoing batch being staged: (vpn, site, priority) records,
+         empty between hints *)
   st : stats;
   mutable started : bool;
   gov : governor_cfg option;
@@ -85,7 +89,9 @@ let create ?(release_target = 100) ?governor ~os ~asp ~policy () =
     release_target;
     queue = Work_fifo.create ();
     buffer = Release_buffer.create ();
-    last_release = Hashtbl.create 64;
+    last_page = [||];
+    last_prio = [||];
+    out = Int_ring.create ~width:3;
     st =
       {
         rt_prefetch_requests = 0;
@@ -139,12 +145,7 @@ let thread_loop t slot () =
     match Work_fifo.recv t.queue slot with
     | Work_fifo.Prefetch -> issue_prefetch t slot ~urgent:false
     | Work_fifo.Urgent_prefetch -> issue_prefetch t slot ~urgent:true
-    | Work_fifo.Release ->
-        let triples = Work_fifo.take_batch slot in
-        Os.release_request t.os t.asp
-          ~vpns:(Array.map (fun (vpn, _, _) -> vpn) triples)
-          ~sites:(Array.map (fun (_, site, _) -> site) triples)
-          ~priorities:(Array.map (fun (_, _, prio) -> prio) triples)
+    | Work_fifo.Release -> Os.release_batch t.os t.asp (Work_fifo.batch slot)
   done
 
 (* Helper threads per process. *)
@@ -262,31 +263,51 @@ let prefetch_page ?(site = Trace.no_site) ?(urgent = false) t ~vpn =
     Work_fifo.send_prefetch t.queue ~vpn ~site ~urgent
   end
 
-let issue_release t triples =
-  if Array.length triples > 0 then begin
-    t.st.rt_release_issued <- t.st.rt_release_issued + Array.length triples;
+(* Hand the staged batch to the helpers, leaving the staging empty. *)
+let issue_release t =
+  let out = t.out in
+  let n = Int_ring.length out in
+  if n > 0 then begin
+    t.st.rt_release_issued <- t.st.rt_release_issued + n;
     if Obs.on t.obs then begin
-      Array.iter
-        (fun (vpn, site, _prio) -> emit t (Trace.Rt_release_sent { vpn; site }))
-        triples;
-      emit t (Trace.Rt_release_issued { count = Array.length triples })
+      for i = 0 to n - 1 do
+        emit t
+          (Trace.Rt_release_sent
+             { vpn = Int_ring.get out i 0; site = Int_ring.get out i 1 })
+      done;
+      emit t (Trace.Rt_release_issued { count = n })
     end;
-    Work_fifo.send_release t.queue triples
+    Work_fifo.send_release t.queue out
   end
+
+let issue_one t ~vpn ~tag ~priority =
+  Int_ring.push3 t.out vpn tag priority;
+  issue_release t
 
 (* Stale entries (pages already stolen or released behind our back) are
    cheap to drop before issuing, but not free to ignore: each one is a hint
-   the buffer held too long, so they are counted and traced. *)
-let drop_stale t triples =
-  List.filter
-    (fun (vpn, site, _prio) ->
-      let live = Os.page_resident t.asp ~vpn in
-      if not live then begin
-        t.st.rt_release_stale_dropped <- t.st.rt_release_stale_dropped + 1;
-        if Obs.on t.obs then emit t (Trace.Rt_stale_dropped { vpn; site })
+   the buffer held too long, so they are counted and traced.  Filters the
+   staged batch in place, keeping the live pages in order. *)
+let drop_stale t =
+  let out = t.out in
+  let kept = ref 0 in
+  for i = 0 to Int_ring.length out - 1 do
+    let vpn = Int_ring.get out i 0 in
+    if Os.page_resident t.asp ~vpn then begin
+      if !kept < i then begin
+        Int_ring.set out !kept 0 vpn;
+        Int_ring.set out !kept 1 (Int_ring.get out i 1);
+        Int_ring.set out !kept 2 (Int_ring.get out i 2)
       end;
-      live)
-    triples
+      incr kept
+    end
+    else begin
+      t.st.rt_release_stale_dropped <- t.st.rt_release_stale_dropped + 1;
+      if Obs.on t.obs then
+        emit t (Trace.Rt_stale_dropped { vpn; site = Int_ring.get out i 1 })
+    end
+  done;
+  Int_ring.truncate out !kept
 
 (* Drain the lowest-priority queues when usage reaches the limit the OS
    published in the shared page. *)
@@ -295,11 +316,11 @@ let maybe_drain t =
   let limit = Os.shared_upper_limit t.os t.asp in
   if usage >= limit && Release_buffer.total t.buffer > 0 then begin
     t.st.rt_buffer_drains <- t.st.rt_buffer_drains + 1;
-    let pairs = Release_buffer.pop_lowest t.buffer ~max:t.release_target in
-    let pairs = Array.of_list (drop_stale t (Array.to_list pairs)) in
+    Release_buffer.pop_lowest t.buffer ~max:t.release_target t.out;
+    drop_stale t;
     if Obs.on t.obs then
-      emit t (Trace.Rt_release_drained { count = Array.length pairs });
-    issue_release t pairs
+      emit t (Trace.Rt_release_drained { count = Int_ring.length t.out });
+    issue_release t
   end
 
 (* Handle a release that survived the one-behind filter. *)
@@ -325,11 +346,11 @@ let handle_release t ~vpn ~priority ~tag =
       else t.pol
     in
     match effective with
-    | Aggressive -> issue_release t [| (vpn, tag, priority) |]
+    | Aggressive -> issue_one t ~vpn ~tag ~priority
     | Buffered ->
         (* Non-positive priorities mean "no reuse expected": they route to
            the immediate path ([Release_buffer.add] would reject them). *)
-        if priority <= 0 then issue_release t [| (vpn, tag, priority) |]
+        if priority <= 0 then issue_one t ~vpn ~tag ~priority
         else begin
           t.st.rt_release_buffered <- t.st.rt_release_buffered + 1;
           if Obs.on t.obs then
@@ -341,7 +362,7 @@ let handle_release t ~vpn ~priority ~tag =
         (* hold everything releasable; the buffer requires positive
            priorities, so shift by one — negative priorities still mean
            "no reuse expected" and go straight out *)
-        if priority < 0 then issue_release t [| (vpn, tag, priority) |]
+        if priority < 0 then issue_one t ~vpn ~tag ~priority
         else begin
           t.st.rt_release_buffered <- t.st.rt_release_buffered + 1;
           if Obs.on t.obs then
@@ -349,7 +370,20 @@ let handle_release t ~vpn ~priority ~tag =
           Release_buffer.add t.buffer ~tag ~priority:(priority + 1) ~vpn
         end
 
+let no_page = min_int
+
+(* Make room for [tag] in the one-behind filter. *)
+let grow_filter t tag =
+  let n = Array.length t.last_page in
+  let cap = Int.max (tag + 1) (Int.max 16 (2 * n)) in
+  let page = Array.make cap no_page and prio = Array.make cap 0 in
+  Array.blit t.last_page 0 page 0 n;
+  Array.blit t.last_prio 0 prio 0 n;
+  t.last_page <- page;
+  t.last_prio <- prio
+
 let release_page t ~vpn ~priority ~tag =
+  if tag < 0 then invalid_arg "Runtime.release_page: negative tag";
   t.st.rt_release_requests <- t.st.rt_release_requests + 1;
   charge_filter ();
   gov_tick t;
@@ -366,48 +400,66 @@ let release_page t ~vpn ~priority ~tag =
        page causes the recorded one to be handled — at the priority it was
        recorded with — and the new one to take its place.  Issued releases
        thus trail the compiler's hints by one iteration. *)
-    match Hashtbl.find_opt t.last_release tag with
-    | Some (prev, _) when prev = vpn ->
+    begin
+      if tag >= Array.length t.last_page then grow_filter t tag;
+      let prev = t.last_page.(tag) in
+      if prev = vpn then begin
         t.st.rt_release_filtered_same <- t.st.rt_release_filtered_same + 1;
         if Obs.on t.obs then
           emit t (Trace.Rt_release_filtered { vpn; reason = "same"; site = tag })
-    | Some (prev, prev_priority) ->
-        Hashtbl.replace t.last_release tag (vpn, priority);
-        handle_release t ~vpn:prev ~priority:prev_priority ~tag
-    | None -> Hashtbl.replace t.last_release tag (vpn, priority)
+      end
+      else begin
+        let prev_priority = t.last_prio.(tag) in
+        t.last_page.(tag) <- vpn;
+        t.last_prio.(tag) <- priority;
+        if prev <> no_page then
+          handle_release t ~vpn:prev ~priority:prev_priority ~tag
+      end
+    end
 
 let rec advise_evict t =
-  let batch = Release_buffer.pop_lowest t.buffer ~max:1 in
-  if Array.length batch = 0 then None
-  else
-    let vpn, _site, _prio = batch.(0) in
+  Release_buffer.pop_lowest t.buffer ~max:1 t.out;
+  if Int_ring.length t.out = 0 then None
+  else begin
+    let vpn = Int_ring.get t.out 0 0 in
+    Int_ring.clear t.out;
     if Os.page_resident t.asp ~vpn then Some vpn
     else advise_evict t (* stale entry: the page is already gone *)
+  end
 
 let drain t =
   t.st.rt_buffer_drains <- t.st.rt_buffer_drains + 1;
   (* Flush the one-behind filter: at exit nothing is still in use, so every
-     recorded page is releasable (priority no longer matters).  The table
-     key is the directive tag, so each flushed page keeps its site. *)
-  let pending =
-    Hashtbl.fold
-      (fun tag (vpn, priority) acc -> (vpn, tag, priority) :: acc)
-      t.last_release []
-    (* Hashtbl.fold order is seed-dependent across stdlib versions; sort so
-       the flush (and everything downstream of it) is deterministic. *)
-    |> List.sort compare
-  in
-  Hashtbl.reset t.last_release;
-  let pending = drop_stale t pending in
-  issue_release t (Array.of_list pending);
+     recorded page is releasable (priority no longer matters).  Each page
+     keeps its tag, so its site.  The flush goes out in ascending (vpn, tag)
+     order, the order every committed baseline was produced with; a tag
+     records one page, so no two records tie on both. *)
+  let tags = ref [] in
+  Array.iteri (fun tag vpn -> if vpn <> no_page then tags := tag :: !tags)
+    t.last_page;
+  let tags = Array.of_list !tags in
+  Array.sort
+    (fun a b ->
+      let c = Int.compare t.last_page.(a) t.last_page.(b) in
+      if c <> 0 then c else Int.compare a b)
+    tags;
+  Array.iter
+    (fun tag ->
+      Int_ring.push3 t.out t.last_page.(tag) tag t.last_prio.(tag);
+      t.last_page.(tag) <- no_page)
+    tags;
+  drop_stale t;
+  let pending = Int_ring.length t.out in
+  issue_release t;
   let rec go drained =
-    let pairs = Release_buffer.pop_lowest t.buffer ~max:t.release_target in
-    if Array.length pairs > 0 then begin
-      let live = drop_stale t (Array.to_list pairs) in
-      issue_release t (Array.of_list live);
-      go (drained + List.length live)
+    Release_buffer.pop_lowest t.buffer ~max:t.release_target t.out;
+    if Int_ring.length t.out > 0 then begin
+      drop_stale t;
+      let live = Int_ring.length t.out in
+      issue_release t;
+      go (drained + live)
     end
     else drained
   in
-  let drained = go (List.length pending) in
+  let drained = go pending in
   if Obs.on t.obs then emit t (Trace.Rt_release_drained { count = drained })

@@ -102,8 +102,9 @@ val create :
 
 val start : t -> unit
 (** Spawn the 16 helper threads, each receiving prefetches and release
-    batches from the process's {!Work_fifo} into its own slot (call once,
-    from any process or before run). *)
+    batches from the process's {!Work_fifo} into its own slot and handing
+    each batch to {!Memhog_vm.Os.release_batch} (call once, from any
+    process or before run). *)
 
 val policy : t -> policy
 val stats : t -> stats
@@ -125,7 +126,12 @@ val prefetch_page : ?site:int -> ?urgent:bool -> t -> vpn:int -> unit
 val release_page : t -> vpn:int -> priority:int -> tag:int -> unit
 (** Called for each page named by a compiler release hint.  [tag] doubles
     as the directive's site id and is preserved through the one-behind
-    filter, the priority buffer and the OS queue.  Non-positive
+    filter, the priority buffer and the OS queue.  Tags are dense
+    non-negative site ids ({!Memhog_compiler.Pir.directive}[.d_tag] counts
+    up from 0): the one-behind filter and the buffer index int arrays by
+    tag, and a hint travels from here to the releaser as ints, with no
+    per-page allocation once those arrays and the queues have grown.
+    @raise Invalid_argument on a negative [tag].  Non-positive
     priorities mean "no reuse expected" and always route to the immediate
     path, never into the priority buffer (whose {!Release_buffer.add}
     rejects them): under {!Buffered}, [priority <= 0] is issued directly;

@@ -3,115 +3,108 @@ open Memhog_sim
 type kind = Prefetch | Urgent_prefetch | Release
 
 type slot = {
+  id : int;  (* its index in [slots] *)
   mutable kind : kind;
   mutable vpn : int;
   mutable site : int;
-  mutable batch : (int * int * int) array;
+  batch : Int_ring.t;  (* the release batch last received *)
   parked : Engine.queue;  (* the slot's helper, while it idles *)
 }
 
-(* Waiting items: a ring of (vpn, site, kind) columns whose capacity is a
-   power of two, [head] its oldest entry.  A release batch's triples wait in
-   [batches], in ring order; a batch handed straight to an idle helper goes
-   into its slot instead, never through [batches], where a helper that
-   finishes at the same instant would take it first. *)
+(* Waiting items: a ring of (vpn, site, kind) records, the kind as an int.
+   A release item's vpn field is its batch's page count, and the batch's
+   (vpn, site, priority) pages wait in [pages], in ring order.  A batch
+   handed straight to an idle helper goes into its slot instead, never
+   through the rings, where a helper that finishes at the same instant
+   would take it first. *)
 type t = {
-  mutable vpns : int array;
-  mutable sites : int array;
-  mutable kinds : kind array;
-  mutable head : int;
-  mutable len : int;
-  batches : (int * int * int) array Queue.t;
-  idle : slot Queue.t;  (* idle helpers' slots, longest idle first *)
+  items : Int_ring.t;
+  pages : Int_ring.t;
+  mutable slots : slot array;  (* every slot of [t], by id *)
+  idle : Int_ring.t;  (* idle helpers' slot ids, longest idle first *)
 }
+
+let k_prefetch = 0
+let k_urgent = 1
+let k_release = 2
 
 let create () =
   {
-    vpns = [||];
-    sites = [||];
-    kinds = [||];
-    head = 0;
-    len = 0;
-    batches = Queue.create ();
-    idle = Queue.create ();
+    items = Int_ring.create ~width:3;
+    pages = Int_ring.create ~width:3;
+    slots = [||];
+    idle = Int_ring.create ~width:1;
   }
 
-let slot (_ : t) =
-  { kind = Prefetch; vpn = 0; site = 0; batch = [||]; parked = Engine.queue () }
+let slot t =
+  let s =
+    {
+      id = Array.length t.slots;
+      kind = Prefetch;
+      vpn = 0;
+      site = 0;
+      batch = Int_ring.create ~width:3;
+      parked = Engine.queue ();
+    }
+  in
+  t.slots <- Array.append t.slots [| s |];
+  s
 
-(* Copy the ring's live entries of [src] to the front of [dst]. *)
-let unwrap t src dst =
-  let first = Int.min t.len (Array.length src - t.head) in
-  Array.blit src t.head dst 0 first;
-  Array.blit src 0 dst first (t.len - first)
-
-let grow t =
-  let cap = Int.max 16 (2 * Array.length t.vpns) in
-  let vpns = Array.make cap 0 and sites = Array.make cap 0 in
-  let kinds = Array.make cap Prefetch in
-  unwrap t t.vpns vpns;
-  unwrap t t.sites sites;
-  unwrap t t.kinds kinds;
-  t.vpns <- vpns;
-  t.sites <- sites;
-  t.kinds <- kinds;
-  t.head <- 0
-
-let push t kind ~vpn ~site =
-  if t.len = Array.length t.vpns then grow t;
-  let i = (t.head + t.len) land (Array.length t.vpns - 1) in
-  t.vpns.(i) <- vpn;
-  t.sites.(i) <- site;
-  t.kinds.(i) <- kind;
-  t.len <- t.len + 1
+(* The slot of the helper idle longest. *)
+let take_idle t =
+  let s = t.slots.(Int_ring.get t.idle 0 0) in
+  Int_ring.drop t.idle 1;
+  s
 
 let send_prefetch t ~vpn ~site ~urgent =
-  let kind = if urgent then Urgent_prefetch else Prefetch in
-  if Queue.is_empty t.idle then push t kind ~vpn ~site
+  if Int_ring.length t.idle = 0 then
+    Int_ring.push3 t.items vpn site (if urgent then k_urgent else k_prefetch)
   else begin
-    let s = Queue.take t.idle in
-    s.kind <- kind;
+    let s = take_idle t in
+    s.kind <- (if urgent then Urgent_prefetch else Prefetch);
     s.vpn <- vpn;
     s.site <- site;
     ignore (Engine.wake_one s.parked : bool)
   end
 
-let send_release t triples =
-  if Queue.is_empty t.idle then begin
-    push t Release ~vpn:0 ~site:0;
-    Queue.add triples t.batches
+let send_release t batch =
+  if Int_ring.width batch <> 3 then
+    invalid_arg "Work_fifo.send_release: batch must have width 3";
+  let n = Int_ring.length batch in
+  if Int_ring.length t.idle = 0 then begin
+    Int_ring.push3 t.items n 0 k_release;
+    Int_ring.transfer ~src:batch ~dst:t.pages n
   end
   else begin
-    let s = Queue.take t.idle in
+    let s = take_idle t in
     s.kind <- Release;
-    s.batch <- triples;
+    Int_ring.clear s.batch;
+    Int_ring.transfer ~src:batch ~dst:s.batch n;
     ignore (Engine.wake_one s.parked : bool)
   end
 
 let recv t s =
-  if t.len > 0 then begin
-    let i = t.head in
-    let kind = t.kinds.(i) in
-    (match kind with
-    | Release -> s.batch <- Queue.take t.batches
-    | Prefetch | Urgent_prefetch ->
-        s.vpn <- t.vpns.(i);
-        s.site <- t.sites.(i));
-    s.kind <- kind;
-    t.head <- (i + 1) land (Array.length t.vpns - 1);
-    t.len <- t.len - 1
+  if Int_ring.length t.items > 0 then begin
+    let a = Int_ring.get t.items 0 0 and k = Int_ring.get t.items 0 2 in
+    if k = k_release then begin
+      Int_ring.clear s.batch;
+      Int_ring.transfer ~src:t.pages ~dst:s.batch a;
+      s.kind <- Release
+    end
+    else begin
+      s.vpn <- a;
+      s.site <- Int_ring.get t.items 0 1;
+      s.kind <- (if k = k_urgent then Urgent_prefetch else Prefetch)
+    end;
+    Int_ring.drop t.items 1
   end
   else begin
     (* As [Mailbox.recv]: the wait for work is idle time. *)
-    Queue.add s t.idle;
+    Int_ring.push1 t.idle s.id;
     ignore (Engine.wait ~cat:Account.Sleep s.parked : Time_ns.t)
   end;
   s.kind
 
 let vpn s = s.vpn
 let site s = s.site
-
-let take_batch s =
-  let batch = s.batch in
-  s.batch <- [||];
-  batch
+let batch s = s.batch

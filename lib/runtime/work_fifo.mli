@@ -8,11 +8,12 @@
     its slot's {!Memhog_sim.Engine.queue} until an item is handed to it,
     and the wait is charged to its {!Memhog_sim.Account.Sleep} account.
 
-    A waiting item is plain ints, not a boxed message: prefetches wait in a
-    struct-of-arrays ring of (vpn, site, kind) that doubles when full, and a
-    release batch's triples wait in a FIFO of payloads beside it.  A helper
-    receives into its own {!slot}, so neither sending a prefetch nor
-    receiving allocates once the ring has grown.  The queue can run tens of
+    A waiting item is plain ints, not a boxed message: items wait in an
+    {!Memhog_sim.Int_ring} of (vpn, site, kind) records, and a release
+    batch's (vpn, site, priority) pages wait in a second ring beside it, in
+    order, and idle helpers wait in a ring of slot ids.  A helper receives
+    into its own {!slot}, so neither sending nor receiving allocates once
+    the rings and the slot have grown.  The queue can run tens of
     thousands of items deep, and boxed items that wait that long are
     promoted to the major heap. *)
 
@@ -21,7 +22,7 @@ type t
 type kind =
   | Prefetch
   | Urgent_prefetch  (** a prefetch that rides the disk's demand class *)
-  | Release  (** a batch of (vpn, site, priority) triples *)
+  | Release  (** a batch of (vpn, site, priority) pages *)
 
 type slot
 (** One helper's receive slot: the item it last received. *)
@@ -29,13 +30,15 @@ type slot
 val create : unit -> t
 
 val slot : t -> slot
-(** A fresh receive slot for one helper of [t]. *)
+(** A fresh receive slot for one helper of [t], registered with it. *)
 
 val send_prefetch : t -> vpn:int -> site:int -> urgent:bool -> unit
 (** Never blocks. *)
 
-val send_release : t -> (int * int * int) array -> unit
-(** Post a batch of (vpn, site, priority) triples.  Never blocks. *)
+val send_release : t -> Memhog_sim.Int_ring.t -> unit
+(** Post the pages of a width-3 ring of (vpn, site, priority) records as
+    one batch, moving them out of it: the ring is left empty.  Never
+    blocks.  @raise Invalid_argument if the ring's width is not 3. *)
 
 val recv : t -> slot -> kind
 (** Receive the next item into [slot] and return its kind.  Blocks (from
@@ -47,6 +50,7 @@ val vpn : slot -> int
 val site : slot -> int
 (** The directive site of the prefetch last received into the slot. *)
 
-val take_batch : slot -> (int * int * int) array
-(** The triples of the release batch last received into the slot; the slot
-    lets go of them. *)
+val batch : slot -> Memhog_sim.Int_ring.t
+(** The (vpn, site, priority) pages of the release batch last received into
+    the slot.  The receiver may move them out ({!Memhog_vm.Os.release_batch}
+    does); the next release received replaces whatever is left. *)

@@ -288,6 +288,16 @@ let wake_after t d waker =
   if d < 0 then invalid_arg "Engine.wake_after: negative";
   schedule t (t.now + d) (Ev_thunk waker)
 
+(* A timer is its event, built once: arming it queues that event. *)
+type timer = { tm_engine : t; tm_event : event }
+
+let timer t f = { tm_engine = t; tm_event = Ev_thunk f }
+
+let arm tm d =
+  if d < 0 then invalid_arg "Engine.arm: negative";
+  let t = tm.tm_engine in
+  schedule t (t.now + d) tm.tm_event
+
 let dispatch t = function
   | Ev_thunk f ->
       t.current <- dummy_proc;

@@ -112,8 +112,9 @@ val stop : unit -> unit
       handed over in FIFO order, a {!Condition} for "state changed"
       notices, an {!Ivar} for a result computed once, a {!Mailbox} for
       messages.  Use a bare queue where none fits: a disk arm's two
-      request classes, an idle helper thread's slot, the paging daemon's
-      tick (ended by its timer or by a shutdown, whichever comes first);
+      request classes, an idle helper thread's slot, the releaser daemon's
+      wait for requests, the paging daemon's tick (ended by its {!timer}
+      or by a shutdown, whichever comes first);
     - until the first of several events, {!suspend} with a {!waker}.
 
     A process waits as itself, on at most one queue: waiting and waking
@@ -157,6 +158,17 @@ type waker = unit -> unit
 val wake_after : t -> Time_ns.t -> waker -> unit
 (** Schedule [waker] to fire after the given simulated delay.  Callable from
     inside or outside processes. *)
+
+type timer
+(** A thunk whose event is built once, for a timer armed again and again
+    (the paging daemon's tick): arming it allocates nothing. *)
+
+val timer : t -> (unit -> unit) -> timer
+
+val arm : timer -> Time_ns.t -> unit
+(** Run the timer's thunk after the given simulated delay, as
+    {!wake_after} would.  A timer may be armed again before it fires; each
+    arming runs the thunk once. *)
 
 val suspend : (waker -> unit) -> unit
 (** Block until the waker passed to the callback is invoked.  The callback

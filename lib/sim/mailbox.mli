@@ -1,11 +1,11 @@
 (** Unbounded FIFO message queue with blocking receive.
 
-    Used for shallow work queues: the PagingDirected policy module posts
-    release requests to the releaser daemon's mailbox, and the kvserve
-    server takes its requests from one.  The run-time layer's helper
-    threads, whose queue runs thousands of items deep, pull work from an
-    int-only FIFO with the same semantics instead
-    ([Memhog_runtime.Work_fifo]).  Receivers block on an {!Engine.queue};
+    Used for shallow work queues: the kvserve server takes its requests
+    from one.  The run-time layer's helper threads, whose queue runs
+    thousands of items deep, pull work from an int-only FIFO with the same
+    semantics instead ([Memhog_runtime.Work_fifo]), and the releaser
+    daemon's queue is int rings ([Memhog_vm.Os.release_batch]).  Receivers
+    block on an {!Engine.queue};
     a message sent while one waits is handed to the longest-waiting
     receiver, never left where a later [recv] could take it first. *)
 

@@ -12,21 +12,6 @@ type touch_result =
 
 type prefetch_result = P_fetched | P_rescued | P_already | P_dropped
 
-type release_req = {
-  req_as : As.t;
-  req_vpns : int array;
-  req_sites : int array;
-      (* parallel to req_vpns: the directive site of each page's release,
-         Trace.no_site for unattributed requests *)
-  req_prios : int array;
-      (* parallel to req_vpns: the Eq. 2 priority each page was released
-         with — the tier router's placement key.  min_int = unattributed. *)
-}
-
-(* The releaser's mailbox carries work batches plus a poison message so
-   [shutdown] can cut a blocked [Mailbox.recv] short. *)
-type releaser_msg = R_batch of release_req | R_quit
-
 type t = {
   config : Config.t;
   engine : Engine.t;
@@ -38,8 +23,20 @@ type t = {
   free_cond : Condition.t;
   memory_lock : Semaphore.t;
   cpus : Semaphore.t;
-  spaces : (int, As.t) Hashtbl.t;
-  releaser_box : releaser_msg Mailbox.t;
+  mutable spaces : As.t array;
+      (* pid -> address space, for every pid below [next_pid] *)
+  rel_pages : Int_ring.t;
+      (* the releaser's queue: (vpn, site, priority) of each requested
+         page, in request order.  The site is Trace.no_site for
+         unattributed requests; the priority, the tier router's placement
+         key, is min_int for unattributed ones. *)
+  rel_reqs : Int_ring.t;
+      (* (owner pid, page count) of each request; its pages are the next
+         [count] of [rel_pages] *)
+  releaser_wait : Engine.queue;  (* the releaser, while its queue is empty *)
+  mutable rel_handed : bool;
+      (* a request woke the releaser: it processes the oldest request when
+         it resumes, even if a shutdown came after *)
   gstats : Vm_stats.global;
   obs : Obs.t;
   chaos : Chaos.t;
@@ -56,8 +53,8 @@ type t = {
          page the application prefers to surrender *)
   mutable stop : bool;
   daemon_tick : Engine.queue;  (* the paging daemon, between ticks *)
-  end_tick : unit -> unit;
-      (* the tick's timer thunk; [shutdown] ends the tick early *)
+  tick_timer : Engine.timer;
+      (* ends the current tick; [shutdown] ends it early *)
 }
 
 let config t = t.config
@@ -81,8 +78,8 @@ let sys_delay t d = ignore t; Engine.delay ~cat:Account.System d
    volume, byte-for-byte as before. *)
 let backing_read t ~background ~page =
   match t.tiers with
-  | None -> Swap.read_page ~background t.swap ~page
-  | Some tr -> Tiers.fetch tr ~background ~page ()
+  | None -> Swap.read t.swap ~cat:Account.Io_stall ~background ~page
+  | Some tr -> Tiers.read tr ~cat:Account.Io_stall ~background ~page
 
 (* Equation 1: the recommended upper limit on memory usage. *)
 let update_limits t (asp : As.t) =
@@ -116,20 +113,18 @@ let page_resident (asp : As.t) ~vpn =
    [Frame_reused] lifecycle event. *)
 let disassociate ?(reused = true) t (f : Frame.t) =
   if f.owner >= 0 then begin
-    (match Hashtbl.find_opt t.spaces f.owner with
-    | Some victim -> (
-        (match f.freed_by with
-        | Some Vm_stats.Daemon ->
-            victim.As.stats.lost_daemon <- victim.As.stats.lost_daemon + 1
-        | Some Vm_stats.Releaser ->
-            victim.As.stats.lost_releaser <- victim.As.stats.lost_releaser + 1
-        | None -> ());
-        match As.find_segment victim ~vpn:f.vpn with
-        | seg ->
-            if As.get_raw seg ~vpn:f.vpn = As.Pte.on_free_list f.idx then
-              As.set_raw seg ~vpn:f.vpn As.Pte.swapped
-        | exception Not_found -> ())
+    let victim = t.spaces.(f.owner) in
+    (match f.freed_by with
+    | Some Vm_stats.Daemon ->
+        victim.As.stats.lost_daemon <- victim.As.stats.lost_daemon + 1
+    | Some Vm_stats.Releaser ->
+        victim.As.stats.lost_releaser <- victim.As.stats.lost_releaser + 1
     | None -> ());
+    (match As.find_segment victim ~vpn:f.vpn with
+    | seg ->
+        if As.get_raw seg ~vpn:f.vpn = As.Pte.on_free_list f.idx then
+          As.set_raw seg ~vpn:f.vpn As.Pte.swapped
+    | exception Not_found -> ());
     if reused && f.freed_by <> None && Obs.on t.obs then
       Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.kernel_stream
         (Trace.Frame_reused { vpn = f.vpn; owner = f.owner });
@@ -176,7 +171,11 @@ let free_frame_locked t (f : Frame.t) ~(freer : Vm_stats.freer) ~site =
   f.prefetched <- false;
   f.referenced <- false;
   f.age <- 0;
-  f.freed_by <- Some freer;
+  (* constant options: a freed page allocates nothing *)
+  f.freed_by <-
+    (match freer with
+    | Vm_stats.Daemon -> Some Vm_stats.Daemon
+    | Vm_stats.Releaser -> Some Vm_stats.Releaser);
   f.free_site <- site;
   Free_list.push_tail t.free f;
   Condition.broadcast t.free_cond
@@ -198,9 +197,15 @@ let abandon_in_writeback t seg ~vpn fidx =
 (* ------------------------------------------------------------------ *)
 
 let new_process t ~name =
-  let asp = As.create ~tlb_entries:t.config.tlb_entries ~pid:t.next_pid ~name () in
-  t.next_pid <- t.next_pid + 1;
-  Hashtbl.replace t.spaces asp.As.pid asp;
+  let pid = t.next_pid in
+  let asp = As.create ~tlb_entries:t.config.tlb_entries ~pid ~name () in
+  if pid = Array.length t.spaces then begin
+    let spaces = Array.make (Int.max 4 (2 * pid)) asp in
+    Array.blit t.spaces 0 spaces 0 pid;
+    t.spaces <- spaces
+  end;
+  t.spaces.(pid) <- asp;
+  t.next_pid <- pid + 1;
   Trace.set_stream_name (Obs.trace t.obs) asp.As.pid name;
   asp
 
@@ -571,55 +576,61 @@ let prefetch t ~site ~urgent asp ~vpn =
   | P_already | P_dropped -> ());
   r
 
-let release_request t ?sites ?priorities (asp : As.t) ~vpns =
-  let sites =
-    match sites with
-    | Some s ->
-        if Array.length s <> Array.length vpns then
-          invalid_arg "Os.release_request: sites length mismatch";
-        s
-    | None -> Array.make (Array.length vpns) Trace.no_site
-  in
-  let prios =
-    match priorities with
-    | Some p ->
-        if Array.length p <> Array.length vpns then
-          invalid_arg "Os.release_request: priorities length mismatch";
-        p
-    | None -> Array.make (Array.length vpns) min_int
-  in
+let release_batch t (asp : As.t) batch =
+  if Int_ring.width batch <> 3 then
+    invalid_arg "Os.release_batch: batch must have width 3";
+  let n = Int_ring.length batch in
   let stats = asp.As.stats in
   sys_delay t t.config.pm_call_ns;
-  stats.releases_requested <- stats.releases_requested + Array.length vpns;
+  stats.releases_requested <- stats.releases_requested + n;
   (* The PM clears the residency bits at request time (section 3.1.2); any
      re-reference before the releaser acts will set them again and veto the
      release.  For the kernel to *observe* a re-reference of a still-mapped
      page, the mapping must be invalidated here: the re-reference then traps
      (a soft fault) and restores the bit.  This is also why releasing pages
      that are still in active use is not free. *)
-  Array.iter
-    (fun vpn ->
-      match As.find_segment asp ~vpn with
-      | seg ->
-          As.set_bit seg ~vpn false;
-          let p = As.get_raw seg ~vpn in
-          if As.Pte.tag p = As.Pte.tag_resident then begin
-            let f = t.frames.(As.Pte.frame p) in
-            if f.valid then begin
-              f.valid <- false;
-              f.release_invalidated <- true;
-              Tlb.invalidate asp.As.tlb ~vpn
-            end
+  for i = 0 to n - 1 do
+    let vpn = Int_ring.get batch i 0 in
+    match As.find_segment asp ~vpn with
+    | seg ->
+        As.set_bit seg ~vpn false;
+        let p = As.get_raw seg ~vpn in
+        if As.Pte.tag p = As.Pte.tag_resident then begin
+          let f = t.frames.(As.Pte.frame p) in
+          if f.valid then begin
+            f.valid <- false;
+            f.release_invalidated <- true;
+            Tlb.invalidate asp.As.tlb ~vpn
           end
-      | exception Not_found -> ())
-    vpns;
+        end
+    | exception Not_found -> ()
+  done;
   if Obs.on t.obs then
     Obs.emit t.obs ~time:(Engine.now ()) ~stream:asp.As.pid
-      (Trace.Release_requested { owner = asp.As.pid; count = Array.length vpns });
-  Mailbox.send t.releaser_box
-    (R_batch
-       { req_as = asp; req_vpns = vpns; req_sites = sites; req_prios = prios });
+      (Trace.Release_requested { owner = asp.As.pid; count = n });
+  (* Queue the request; a releaser waiting for work takes it first. *)
+  Int_ring.transfer ~src:batch ~dst:t.rel_pages n;
+  Int_ring.push2 t.rel_reqs asp.As.pid n;
+  if Engine.wake_one t.releaser_wait then t.rel_handed <- true;
   update_limits t asp
+
+let release_request t ?sites ?priorities (asp : As.t) ~vpns =
+  let n = Array.length vpns in
+  (match sites with
+  | Some s when Array.length s <> n ->
+      invalid_arg "Os.release_request: sites length mismatch"
+  | _ -> ());
+  (match priorities with
+  | Some p when Array.length p <> n ->
+      invalid_arg "Os.release_request: priorities length mismatch"
+  | _ -> ());
+  let batch = Int_ring.create ~width:3 in
+  for i = 0 to n - 1 do
+    Int_ring.push3 batch vpns.(i)
+      (match sites with Some s -> s.(i) | None -> Trace.no_site)
+      (match priorities with Some p -> p.(i) | None -> min_int)
+  done;
+  release_batch t asp batch
 
 (* ------------------------------------------------------------------ *)
 (* Releaser daemon                                                     *)
@@ -628,16 +639,18 @@ let release_request t ?sites ?priorities (asp : As.t) ~vpns =
 (* Write back a batch of stolen/released dirty pages asynchronously (one
    fiber per page, so the striped disks all work and the daemon/releaser is
    never gated on write latency), moving each frame to the free list as its
-   write completes — unless it was rescued during the write. *)
-let writeback_and_free t writebacks =
-  List.iter
-    (fun (seg, vpn, owner, (f : Frame.t), prio) ->
+   write completes — unless it was rescued during the write.  A recursion
+   rather than [List.iter], whose closure would be allocated on every call,
+   most of which (each releaser chunk of clean pages) write nothing. *)
+let rec writeback_and_free t = function
+  | [] -> ()
+  | (seg, vpn, owner, (f : Frame.t), prio) :: rest ->
       ignore
         (Engine.spawn_child ~name:"writeback" (fun () ->
              let page = As.swap_page seg ~vpn in
              (* The swap write is unconditional — it is the durable
                 failover copy every tiered placement degrades to. *)
-             Swap.write_page ~background:true t.swap ~page;
+             Swap.write t.swap ~cat:Account.Io_stall ~background:true ~page;
              (match t.tiers with
              | None -> ()
              | Some tr ->
@@ -660,77 +673,76 @@ let writeback_and_free t writebacks =
              if Obs.on t.obs then
                Obs.emit t.obs ~time:(Engine.now ())
                  ~stream:Trace.writeback_stream
-                 (Trace.Writeback_complete { vpn; owner }))))
-    writebacks
+                 (Trace.Writeback_complete { vpn; owner })));
+      writeback_and_free t rest
 
-
-
-let releaser_process_batch t (asp : As.t) (vpns : int array)
-    (sites : int array) (prios : int array) =
+(* Process the [len] oldest pages of the releaser's queue, reading them
+   straight from the ring and dropping them once read. *)
+let releaser_process_batch t (asp : As.t) len =
   let cfg = t.config in
   (* Phase A: under locks, identify pages that are still resident and have
      not been re-referenced (residency bit still clear), detach the clean
-     ones to the free list, and collect dirty ones for writeback. *)
+     ones to the free list, and collect dirty ones for writeback.  Nothing
+     here blocks between reading the pages and dropping them, so a request
+     posted meanwhile cannot move them. *)
   Semaphore.acquire asp.As.as_lock;
   Semaphore.acquire t.memory_lock;
+  let pages = t.rel_pages in
   let writebacks = ref [] in
-  let freed = ref 0 in
-  Array.iteri
-    (fun i vpn ->
-      let site = sites.(i) in
-      match As.find_segment asp ~vpn with
-      | exception Not_found -> ()
-      | seg -> (
-          if As.bit seg ~vpn then begin
-            (* Re-referenced (or re-fetched) since the request: skip. *)
-            asp.As.stats.releases_skipped <- asp.As.stats.releases_skipped + 1;
-            if Obs.on t.obs then
-              Obs.emit t.obs ~time:(Engine.now ())
-                ~stream:Trace.releaser_stream
-                (Trace.Release_skipped { vpn; owner = asp.As.pid; site })
+  for i = 0 to len - 1 do
+    let vpn = Int_ring.get pages i 0 and site = Int_ring.get pages i 1 in
+    match As.find_segment asp ~vpn with
+    | exception Not_found -> ()
+    | seg -> (
+        if As.bit seg ~vpn then begin
+          (* Re-referenced (or re-fetched) since the request: skip. *)
+          asp.As.stats.releases_skipped <- asp.As.stats.releases_skipped + 1;
+          if Obs.on t.obs then
+            Obs.emit t.obs ~time:(Engine.now ())
+              ~stream:Trace.releaser_stream
+              (Trace.Release_skipped { vpn; owner = asp.As.pid; site })
+        end
+        else
+          let p = As.get_raw seg ~vpn in
+          if As.Pte.tag p = As.Pte.tag_resident then begin
+              let fidx = As.Pte.frame p in
+              let f = t.frames.(fidx) in
+              As.set_raw seg ~vpn (As.Pte.on_free_list fidx);
+              asp.As.rss <- asp.As.rss - 1;
+              asp.As.stats.freed_by_releaser <-
+                asp.As.stats.freed_by_releaser + 1;
+              t.gstats.releaser_pages_freed <- t.gstats.releaser_pages_freed + 1;
+              if Obs.on t.obs then
+                Obs.emit t.obs ~time:(Engine.now ())
+                  ~stream:Trace.releaser_stream
+                  (Trace.Releaser_free { vpn; owner = asp.As.pid; site });
+              if f.dirty then begin
+                f.dirty <- false;
+                f.valid <- false;
+                f.prefetched <- false;
+                f.referenced <- false;
+                f.freed_by <- Some Vm_stats.Releaser;
+                f.free_site <- site;
+                asp.As.stats.writebacks <- asp.As.stats.writebacks + 1;
+                let prio = Int_ring.get pages i 2 in
+                let prio = if prio = min_int then None else Some prio in
+                writebacks := (seg, vpn, asp.As.pid, f, prio) :: !writebacks
+              end
+              else free_frame_locked t f ~freer:Vm_stats.Releaser ~site
           end
-          else
-            let p = As.get_raw seg ~vpn in
-            if As.Pte.tag p = As.Pte.tag_resident then begin
-                let fidx = As.Pte.frame p in
-                let f = t.frames.(fidx) in
-                As.set_raw seg ~vpn (As.Pte.on_free_list fidx);
-                asp.As.rss <- asp.As.rss - 1;
-                asp.As.stats.freed_by_releaser <-
-                  asp.As.stats.freed_by_releaser + 1;
-                t.gstats.releaser_pages_freed <- t.gstats.releaser_pages_freed + 1;
-                incr freed;
-                if Obs.on t.obs then
-                  Obs.emit t.obs ~time:(Engine.now ())
-                    ~stream:Trace.releaser_stream
-                    (Trace.Releaser_free { vpn; owner = asp.As.pid; site });
-                if f.dirty then begin
-                  f.dirty <- false;
-                  f.valid <- false;
-                  f.prefetched <- false;
-                  f.referenced <- false;
-                  f.freed_by <- Some Vm_stats.Releaser;
-                  f.free_site <- site;
-                  asp.As.stats.writebacks <- asp.As.stats.writebacks + 1;
-                  let prio =
-                    if prios.(i) = min_int then None else Some prios.(i)
-                  in
-                  writebacks := (seg, vpn, asp.As.pid, f, prio) :: !writebacks
-                end
-                else free_frame_locked t f ~freer:Vm_stats.Releaser ~site
-            end
-            else begin
-                (* untouched, swapped, already freed, or in transit *)
-                asp.As.stats.releases_skipped <- asp.As.stats.releases_skipped + 1;
-                if Obs.on t.obs then
-                  Obs.emit t.obs ~time:(Engine.now ())
-                    ~stream:Trace.releaser_stream
-                    (Trace.Release_skipped { vpn; owner = asp.As.pid; site })
-            end))
-    vpns;
+          else begin
+              (* untouched, swapped, already freed, or in transit *)
+              asp.As.stats.releases_skipped <- asp.As.stats.releases_skipped + 1;
+              if Obs.on t.obs then
+                Obs.emit t.obs ~time:(Engine.now ())
+                  ~stream:Trace.releaser_stream
+                  (Trace.Release_skipped { vpn; owner = asp.As.pid; site })
+          end)
+  done;
+  Int_ring.drop pages len;
   (* The releaser is specialized: little per-page work while locks are
      held. *)
-  sys_delay t (cfg.releaser_page_ns * Array.length vpns);
+  sys_delay t (cfg.releaser_page_ns * len);
   Semaphore.release t.memory_lock;
   Semaphore.release asp.As.as_lock;
   t.gstats.releaser_batches <- t.gstats.releaser_batches + 1;
@@ -755,40 +767,50 @@ let chaos_stall t who ~name =
           Engine.delay ~cat:Account.Sleep d
         end
 
+(* Take the oldest request off the queue and process its pages in
+   [releaser_batch] chunks. *)
+let releaser_request t =
+  let pid = Int_ring.get t.rel_reqs 0 0 and n = Int_ring.get t.rel_reqs 0 1 in
+  Int_ring.drop t.rel_reqs 1;
+  let asp = t.spaces.(pid) in
+  if
+    (not (Chaos.is_none t.chaos))
+    && Chaos.drop_directive t.chaos ~now:(Engine.now ())
+  then begin
+    (* Discarding a directive is safe — never corrupting: the requester
+       already cleared the residency bits and invalidated the mappings, so
+       the pages simply stay resident and the next touch soft-faults them
+       back in. *)
+    Int_ring.drop t.rel_pages n;
+    if Obs.on t.obs then
+      Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.chaos_stream
+        (Trace.Chaos_drop_directive { count = n })
+  end
+  else begin
+    chaos_stall t `Releaser ~name:"releaser";
+    let batch = t.config.releaser_batch in
+    let i = ref 0 in
+    while !i < n do
+      let len = Int.min batch (n - !i) in
+      releaser_process_batch t asp len;
+      i := !i + len
+    done
+  end
+
+(* The releaser waits for work only while its queue is empty.  A request
+   posted while it waits wakes it, and it processes that request when it
+   resumes even if a shutdown followed; a shutdown that woke it first
+   ends the loop. *)
 let releaser_loop t () =
-  let quit = ref false in
-  while not (t.stop || !quit) do
-    match Mailbox.recv t.releaser_box with
-    | R_quit -> quit := true
-    | R_batch req ->
-        if
-          (not (Chaos.is_none t.chaos))
-          && Chaos.drop_directive t.chaos ~now:(Engine.now ())
-        then begin
-          (* Discarding a directive is safe — never corrupting: the
-             requester already cleared the residency bits and invalidated
-             the mappings, so the pages simply stay resident and the next
-             touch soft-faults them back in. *)
-          if Obs.on t.obs then
-            Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.chaos_stream
-              (Trace.Chaos_drop_directive { count = Array.length req.req_vpns })
-        end
-        else begin
-          chaos_stall t `Releaser ~name:"releaser";
-          let n = Array.length req.req_vpns in
-          let batch = t.config.releaser_batch in
-          let i = ref 0 in
-          while !i < n do
-            let len = Int.min batch (n - !i) in
-            (* vpns and sites are parallel arrays: sub them in lockstep so
-               chunked batches keep each page's attribution aligned. *)
-            releaser_process_batch t req.req_as
-              (Array.sub req.req_vpns !i len)
-              (Array.sub req.req_sites !i len)
-              (Array.sub req.req_prios !i len);
-            i := !i + len
-          done
-        end
+  while not t.stop do
+    if Int_ring.length t.rel_reqs = 0 then begin
+      ignore (Engine.wait ~cat:Account.Sleep t.releaser_wait : Time_ns.t);
+      if t.rel_handed then begin
+        t.rel_handed <- false;
+        releaser_request t
+      end
+    end
+    else releaser_request t
   done
 
 (* ------------------------------------------------------------------ *)
@@ -796,9 +818,12 @@ let releaser_loop t () =
 (* ------------------------------------------------------------------ *)
 
 let over_rss t =
-  Hashtbl.fold
-    (fun _ asp acc -> acc || asp.As.rss > t.config.maxrss)
-    t.spaces false
+  let over = ref false and pid = ref 0 in
+  while (not !over) && !pid < t.next_pid do
+    over := t.spaces.(!pid).As.rss > t.config.maxrss;
+    incr pid
+  done;
+  !over
 
 let memory_pressure t = Free_list.length t.free < t.config.min_freemem || over_rss t
 
@@ -910,49 +935,47 @@ let daemon_scan_batch t =
     let f = t.frames.(t.clock_hand) in
     t.clock_hand <- (t.clock_hand + 1) mod nframes;
     if (not f.on_free_list) && f.owner >= 0 && f.freed_by = None then begin
-      match Hashtbl.find_opt t.spaces f.owner with
-      | None -> incr scanned
-      | Some asp ->
-          (* Gather the run of frames with the same owner. *)
-          Semaphore.acquire asp.As.as_lock;
-          Semaphore.acquire t.memory_lock;
-          let run = ref 0 in
-          let continue_run = ref true in
-          let current = ref f in
-          while !continue_run do
-            let fr = !current in
-            if
-              (not fr.on_free_list)
-              && fr.owner = asp.As.pid
-              && fr.freed_by = None
-            then begin
-              (match daemon_visit_frame t asp fr ~free_shortage with
-              | Some wb -> writebacks := wb :: !writebacks
-              | None -> ());
-              incr run;
-              incr scanned;
-              if !scanned >= cfg.daemon_batch then continue_run := false
-              else begin
-                let next = t.frames.(t.clock_hand) in
-                if (not next.on_free_list) && next.owner = asp.As.pid then begin
-                  t.clock_hand <- (t.clock_hand + 1) mod nframes;
-                  current := next
-                end
-                else continue_run := false
-              end
+      let asp = t.spaces.(f.owner) in
+      (* Gather the run of frames with the same owner. *)
+      Semaphore.acquire asp.As.as_lock;
+      Semaphore.acquire t.memory_lock;
+      let run = ref 0 in
+      let continue_run = ref true in
+      let current = ref f in
+      while !continue_run do
+        let fr = !current in
+        if
+          (not fr.on_free_list)
+          && fr.owner = asp.As.pid
+          && fr.freed_by = None
+        then begin
+          (match daemon_visit_frame t asp fr ~free_shortage with
+          | Some wb -> writebacks := wb :: !writebacks
+          | None -> ());
+          incr run;
+          incr scanned;
+          if !scanned >= cfg.daemon_batch then continue_run := false
+          else begin
+            let next = t.frames.(t.clock_hand) in
+            if (not next.on_free_list) && next.owner = asp.As.pid then begin
+              t.clock_hand <- (t.clock_hand + 1) mod nframes;
+              current := next
             end
             else continue_run := false
-          done;
-          (* Long lock hold: per-page processing cost for the whole run.
-             Sampling a hardware reference bit is far cheaper than
-             invalidating a mapping (no TLB shootdown IPIs). *)
-          let per_page =
-            if cfg.hw_ref_bits then cfg.daemon_page_scan_ns / 8
-            else cfg.daemon_page_scan_ns
-          in
-          sys_delay t (per_page * Int.max 1 !run);
-          Semaphore.release t.memory_lock;
-          Semaphore.release asp.As.as_lock
+          end
+        end
+        else continue_run := false
+      done;
+      (* Long lock hold: per-page processing cost for the whole run.
+         Sampling a hardware reference bit is far cheaper than
+         invalidating a mapping (no TLB shootdown IPIs). *)
+      let per_page =
+        if cfg.hw_ref_bits then cfg.daemon_page_scan_ns / 8
+        else cfg.daemon_page_scan_ns
+      in
+      sys_delay t (per_page * Int.max 1 !run);
+      Semaphore.release t.memory_lock;
+      Semaphore.release asp.As.as_lock
     end
     else incr scanned
   done;
@@ -973,7 +996,7 @@ let daemon_scan_batch t =
    outlived by a shutdown's wake finds no daemon waiting: after a shutdown
    the daemon never ticks again. *)
 let daemon_sleep t d =
-  Engine.wake_after t.engine d t.end_tick;
+  Engine.arm t.tick_timer d;
   ignore (Engine.wait ~cat:Account.Sleep t.daemon_tick : Time_ns.t)
 
 let paging_daemon_loop t () =
@@ -1077,8 +1100,11 @@ let create ?swap_config ?tiers:tiers_spec ?(obs = Obs.null)
       free_cond = Condition.create ~name:"free-memory" ();
       memory_lock = Semaphore.create ~name:"memory-lock" 1;
       cpus = Semaphore.create ~name:"cpus" cfg.num_cpus;
-      spaces = Hashtbl.create 16;
-      releaser_box = Mailbox.create ~name:"releaser" ();
+      spaces = [||];
+      rel_pages = Int_ring.create ~width:3;
+      rel_reqs = Int_ring.create ~width:2;
+      releaser_wait = Engine.queue ();
+      rel_handed = false;
       gstats = Vm_stats.create_global ();
       obs;
       chaos;
@@ -1090,7 +1116,9 @@ let create ?swap_config ?tiers:tiers_spec ?(obs = Obs.null)
       next_swap_page = 0;
       stop = false;
       daemon_tick;
-      end_tick = (fun () -> ignore (Engine.wake_one daemon_tick : bool));
+      tick_timer =
+        Engine.timer engine (fun () ->
+            ignore (Engine.wake_one daemon_tick : bool));
     }
   in
   let trace = Obs.trace obs in
@@ -1121,10 +1149,9 @@ let create ?swap_config ?tiers:tiers_spec ?(obs = Obs.null)
 let shutdown t =
   if not t.stop then begin
     t.stop <- true;
-    (* Wake both daemons: a poison message cuts the releaser's blocked
-       [Mailbox.recv] short, and the paging daemon's current tick ends
-       early.  Both then observe [t.stop]. *)
-    Mailbox.send t.releaser_box R_quit;
+    (* Wake both daemons: the releaser's wait for work and the paging
+       daemon's current tick end early.  Both then observe [t.stop]. *)
+    ignore (Engine.wake_one t.releaser_wait : bool);
     ignore (Engine.wake_one t.daemon_tick : bool)
   end
 
@@ -1134,6 +1161,10 @@ let set_eviction_advisor t (asp : As.t) advise =
 (* ------------------------------------------------------------------ *)
 (* Invariants                                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* The address space of [pid], if it names one. *)
+let space t pid =
+  if pid >= 0 && pid < t.next_pid then Some t.spaces.(pid) else None
 
 let check_invariants t =
   let ok_free_count =
@@ -1146,7 +1177,7 @@ let check_invariants t =
       (fun (f : Frame.t) ->
         if f.owner < 0 then true
         else
-          match Hashtbl.find_opt t.spaces f.owner with
+          match space t f.owner with
           | None -> false
           | Some asp -> (
               match As.find_segment asp ~vpn:f.vpn with
@@ -1157,10 +1188,9 @@ let check_invariants t =
                   | _ -> false)))
       t.frames
   in
+  let spaces = Array.sub t.spaces 0 t.next_pid in
   let ok_rss =
-    Hashtbl.fold
-      (fun _ asp acc -> acc && As.resident_pages asp = asp.As.rss)
-      t.spaces true
+    Array.for_all (fun asp -> As.resident_pages asp = asp.As.rss) spaces
   in
   (* Frame conservation: every frame falls into exactly one of four
      classes — free, resident, writeback-in-flight (owned, PTE marked for
@@ -1178,7 +1208,7 @@ let check_invariants t =
       else if f.owner < 0 then incr inflight_ct
       else
         let pte =
-          match Hashtbl.find_opt t.spaces f.owner with
+          match space t f.owner with
           | None -> None
           | Some asp -> (
               match As.find_segment asp ~vpn:f.vpn with
@@ -1191,9 +1221,7 @@ let check_invariants t =
             incr inflight_ct
         | _ -> incr unclassified)
     t.frames;
-  let total_rss =
-    Hashtbl.fold (fun _ asp acc -> acc + asp.As.rss) t.spaces 0
-  in
+  let total_rss = Array.fold_left (fun acc asp -> acc + asp.As.rss) 0 spaces in
   let ok_conservation =
     !unclassified = 0
     && !free_ct + !resident_ct + !inflight_ct = Array.length t.frames
@@ -1219,7 +1247,7 @@ let check_invariants t =
       (fun (f : Frame.t) ->
         (not f.on_free_list) || f.owner < 0
         ||
-        match Hashtbl.find_opt t.spaces f.owner with
+        match space t f.owner with
         | None -> false
         | Some asp -> (
             match As.find_segment asp ~vpn:f.vpn with
@@ -1238,7 +1266,7 @@ let check_invariants t =
     | None -> []
     | Some tr ->
         Tiers.check tr ~resident:(fun ~pid ~vpn ->
-            match Hashtbl.find_opt t.spaces pid with
+            match space t pid with
             | None -> false
             | Some asp -> (
                 match As.find_segment asp ~vpn with

@@ -143,6 +143,24 @@ val prefetch :
     of a loop must stay non-urgent or they would starve everyone else's
     demand misses. *)
 
+val release_batch : t -> Address_space.t -> Memhog_sim.Int_ring.t -> unit
+(** PagingDirected release request: clears the residency bits and queues
+    the pages for the releaser daemon.  Non-blocking apart from the trap
+    cost.  The batch is a width-3 ring of (vpn, site, priority) records,
+    and its pages move to the releaser's queue (the ring is left empty), so
+    a request allocates nothing once the queue has grown.  The site
+    ({!Memhog_sim.Trace.no_site} for none) rides through the releaser so
+    frees, skips and later rescues stay attributable; the priority
+    ([min_int] for none) is the Eq. 2 release priority the tier router
+    keys placement on, ignored without a router.
+
+    The releaser's queue is a ring of pages beside a ring of (owner, page
+    count) requests.  The releaser takes the oldest request, processes its
+    pages in [releaser_batch] chunks read straight from the ring, and
+    waits on an {!Memhog_sim.Engine.queue} while none is queued; a request
+    posted while it waits wakes it.
+    @raise Invalid_argument if the ring's width is not 3. *)
+
 val release_request :
   t ->
   ?sites:int array ->
@@ -150,14 +168,9 @@ val release_request :
   Address_space.t ->
   vpns:int array ->
   unit
-(** PagingDirected release request: clears the residency bits and posts the
-    pages to the releaser daemon's work queue.  Non-blocking apart from the
-    trap cost.  [sites] (parallel to [vpns]; defaults to all
-    {!Memhog_sim.Trace.no_site}) carries each page's directive site through
-    the releaser so frees, skips and later rescues stay attributable.
-    [priorities] (parallel to [vpns]; defaults to unattributed) carries the
-    Eq. 2 release priorities the tier router keys placement on; without a
-    router it is ignored.
+(** {!release_batch} of the pages [vpns].  [sites] (parallel to [vpns];
+    defaults to all {!Memhog_sim.Trace.no_site}) and [priorities] (parallel
+    to [vpns]; defaults to unattributed) fill the records' other fields.
     @raise Invalid_argument when [sites] or [priorities] is given with a
     different length than [vpns]. *)
 
@@ -183,10 +196,11 @@ val set_eviction_advisor : t -> Address_space.t -> (unit -> int option) -> unit
 (** {1 Control} *)
 
 val shutdown : t -> unit
-(** Stop the daemons: sets the stop flag, posts a poison message to the
-    releaser (cutting its blocked mailbox receive short) and fires the
-    paging daemon's tick timer early, so both quiesce promptly and
-    [Engine.run] can drain without an explicit [Engine.stop]. *)
+(** Stop the daemons: sets the stop flag and wakes both, ending the
+    releaser's wait for work and the paging daemon's tick early, so both
+    quiesce promptly and [Engine.run] can drain without an explicit
+    [Engine.stop].  A request that woke the releaser before the shutdown
+    is still processed; requests queued behind it are not. *)
 
 val check_invariants : t -> (string * bool) list
 (** Structural invariants (for tests): frame/PTE agreement, free-list

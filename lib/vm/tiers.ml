@@ -386,7 +386,7 @@ let demote t ~page ~pid ~vpn ~site ~priority =
    Never fails — which is what bounds every fiber's wait. *)
 let rescue t ~cat ~background ~page ~site =
   Hashtbl.remove t.locs page;
-  Swap.read_page ~cat ~background t.swap ~page;
+  Swap.read t.swap ~cat ~background ~page;
   t.rescues <- t.rescues + 1;
   if Obs.on t.obs then emit t (Trace.Tier_rescue { page; site })
 
@@ -414,15 +414,18 @@ let fetch_zram t z ~cat ~background ~page ~site =
          the invariants rule out — but recover anyway rather than trust. *)
       rescue t ~cat ~background ~page ~site
 
-let fetch t ?(cat = Account.Io_stall) ?(background = false) ~page () =
+let read t ~cat ~background ~page =
   match Hashtbl.find_opt t.locs page with
-  | None -> Swap.read_page ~cat ~background t.swap ~page
+  | None -> Swap.read t.swap ~cat ~background ~page
   | Some loc -> (
       match (loc.l_tier, t.far, t.zram) with
       | 1, Some fm, _ ->
           fetch_far t fm ~cat ~background ~page ~site:loc.l_site
       | 2, _, Some z -> fetch_zram t z ~cat ~background ~page ~site:loc.l_site
       | _ -> rescue t ~cat ~background ~page ~site:loc.l_site)
+
+let fetch t ?(cat = Account.Io_stall) ?(background = false) ~page () =
+  read t ~cat ~background ~page
 
 (* A page re-entering RAM by any route other than [fetch] (a rescue off the
    free list reinstalling the frame) must drop its fast-tier copy, or it

@@ -94,6 +94,11 @@ val fetch :
     consumed (exclusive load); unreachable copies are rescued from swap.
     Never raises, never blocks beyond the far tier's bounded retry plan. *)
 
+val read :
+  t -> cat:Account.category -> background:bool -> page:int -> unit
+(** {!fetch} with every argument given, so the caller boxes no optional
+    argument: the VM's fault and prefetch path. *)
+
 val invalidate : t -> page:int -> unit
 (** Drop any fast-tier copy (free, no simulated time): the page became
     resident by a route other than {!fetch} (free-list rescue). *)

@@ -489,7 +489,7 @@ let test_prefetch_race_with_demand_fault () =
   assert_invariants os
 
 let test_shutdown_quiesces_daemons () =
-  (* [Os.shutdown] must wake the paging daemon and poison the releaser so
+  (* [Os.shutdown] must wake the paging daemon and the releaser so
      [Engine.run] can drain without an explicit [Engine.stop]. *)
   let engine = Engine.create ~max_time:(Time_ns.sec 3600) () in
   let os = Os.create ~config:small_config ~engine () in
@@ -510,6 +510,28 @@ let test_shutdown_quiesces_daemons () =
   List.iter
     (fun (what, ok) -> check_bool what true ok)
     (Os.check_invariants os)
+
+let test_shutdown_after_request () =
+  (* A request that woke the idle releaser is processed even when a
+     shutdown follows it at the same instant. *)
+  let engine = Engine.create ~max_time:(Time_ns.sec 3600) () in
+  let os = Os.create ~config:small_config ~engine () in
+  let freed = ref (-1) in
+  ignore
+    (Engine.spawn engine ~name:"main" (fun () ->
+         let asp = Os.new_process os ~name:"app" in
+         let seg = Os.map_segment os asp ~name:"d" ~bytes:(4 * 16384) ~on_swap:true in
+         for i = 0 to 1 do
+           ignore (Os.touch os asp ~vpn:(seg.As.base_vpn + i) ~write:false)
+         done;
+         Engine.delay ~cat:Account.Sleep (Time_ns.ms 5);
+         Os.release_request os asp ~vpns:[| seg.As.base_vpn; seg.As.base_vpn + 1 |];
+         Os.shutdown os;
+         Engine.delay ~cat:Account.Sleep (Time_ns.ms 5);
+         freed := asp.As.stats.Vm.Vm_stats.freed_by_releaser));
+  Engine.run engine;
+  check_int "the waking request was processed" 2 !freed;
+  check_int "all processes (incl. daemons) exited" 0 (Engine.live_count engine)
 
 (* ------------------------------------------------------------------ *)
 (* Shared page info                                                    *)
@@ -568,6 +590,59 @@ let test_release_of_unmapped_addresses_ignored () =
         Engine.delay ~cat:Account.Sleep (Time_ns.ms 50))
   in
   assert_invariants os
+
+let test_releaser_chunks () =
+  (* The releaser frees a request in [releaser_batch] (32) chunks, each
+     holding the locks for [releaser_page_ns] (250 ns) a page: a 100-page
+     clean request goes in groups of 32, 32, 32 and 4, 8,000 ns apart,
+     and a 10-page request posted 8,000 ns after it waits for the fourth
+     group. *)
+  let config = { small_config with Vm.Config.total_frames = 256 } in
+  let trace = Trace.create () in
+  let engine = Engine.create ~max_time:(Time_ns.sec 3600) () in
+  let os = Os.create ~obs:(Obs.create ~trace ()) ~config ~engine () in
+  let base = ref 0 in
+  ignore
+    (Engine.spawn engine ~name:"main" (fun () ->
+         Fun.protect ~finally:Engine.stop (fun () ->
+             let asp = Os.new_process os ~name:"app" in
+             let seg =
+               Os.map_segment os asp ~name:"d" ~bytes:(110 * 16384) ~on_swap:true
+             in
+             base := seg.As.base_vpn;
+             for i = 0 to 109 do
+               ignore (Os.touch os asp ~vpn:(seg.As.base_vpn + i) ~write:false)
+             done;
+             Engine.delay ~cat:Account.Sleep (Time_ns.ms 10);
+             Os.release_request os asp
+               ~vpns:(Array.init 100 (fun i -> seg.As.base_vpn + i));
+             Engine.delay ~cat:Account.Sleep 8_000;
+             Os.release_request os asp
+               ~vpns:(Array.init 10 (fun i -> seg.As.base_vpn + 100 + i));
+             Engine.delay ~cat:Account.Sleep (Time_ns.ms 10))));
+  Engine.run engine;
+  (* (time, pages freed then, pages of the second request among them) *)
+  let groups = ref [] in
+  Trace.iter trace (fun ~time ~stream:_ ev ->
+      match ev with
+      | Trace.Releaser_free { vpn; _ } -> (
+          let second = if vpn >= !base + 100 then 1 else 0 in
+          match !groups with
+          | (t, n, s) :: rest when t = time ->
+              groups := (t, n + 1, s + second) :: rest
+          | _ -> groups := (time, 1, second) :: !groups)
+      | _ -> ());
+  match List.rev !groups with
+  | [ (t0, 32, 0); (t1, 32, 0); (t2, 32, 0); (t3, 4, 0); (t4, 10, 10) ] ->
+      check_int "second chunk" 8_000 (t1 - t0);
+      check_int "third chunk" 8_000 (t2 - t1);
+      check_int "fourth chunk" 8_000 (t3 - t2);
+      check_int "the second request right after the fourth chunk" 1_000
+        (t4 - t3)
+  | gs ->
+      Alcotest.failf "releaser free groups (time, pages, second request): %s"
+        (String.concat "; "
+           (List.map (fun (t, n, s) -> Printf.sprintf "(%d, %d, %d)" t n s) gs))
 
 let test_double_release_idempotent () =
   let os =
@@ -797,6 +872,7 @@ let () =
           Alcotest.test_case "release of unmapped" `Quick
             test_release_of_unmapped_addresses_ignored;
           Alcotest.test_case "double release" `Quick test_double_release_idempotent;
+          Alcotest.test_case "releaser chunks" `Quick test_releaser_chunks;
           Alcotest.test_case "release then rescue" `Quick test_release_frees_and_rescues;
           Alcotest.test_case "release vetoed by re-touch" `Quick
             test_release_skipped_when_retouch;
@@ -817,6 +893,8 @@ let () =
         [
           Alcotest.test_case "daemons quiesce" `Quick
             test_shutdown_quiesces_daemons;
+          Alcotest.test_case "a waking request survives shutdown" `Quick
+            test_shutdown_after_request;
         ] );
       ( "tlb",
         [
