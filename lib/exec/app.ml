@@ -259,7 +259,6 @@ let create ?(seed = 17) ?(runtime_policy = Runtime.Aggressive) ?release_target
         let seg =
           Os.map_segment os asp ~name:a.Ir.a_name ~bytes ~on_swap:a.Ir.a_on_swap
         in
-        Os.attach_paging_directed os asp seg;
         (a.Ir.a_name, (seg, a.Ir.a_elem_bytes)))
       prog.Pir.px_arrays
   in

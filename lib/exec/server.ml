@@ -57,8 +57,6 @@ let create ~os ~cfg () =
     Os.map_segment os asp ~name:"kv-values" ~bytes:cfg.sv_values_bytes
       ~on_swap:true
   in
-  Os.attach_paging_directed os asp index_seg;
-  Os.attach_paging_directed os asp values_seg;
   (* The runtime layer is used for its asynchronous prefetch path only; the
      indirect values array is never released (the compiler cannot reason
      about data-dependent reuse), which is exactly the paper's worst case. *)

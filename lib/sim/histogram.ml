@@ -40,13 +40,16 @@ let max_value t = if t.total = 0 then None else Some t.max_v
 let mean t =
   if t.total = 0 then 0.0 else float_of_int t.sum /. float_of_int t.total
 
-(* Position of the highest set bit of [v] > 0. *)
+(* Position of the highest set bit of [v] > 0 (0 for [v = 0]): a binary
+   search over the 63 bits, halving the window six times. *)
 let msb v =
   let r = ref 0 and v = ref v in
-  while !v > 1 do
-    incr r;
-    v := !v lsr 1
-  done;
+  if !v lsr 32 <> 0 then (v := !v lsr 32; r := 32);
+  if !v lsr 16 <> 0 then (v := !v lsr 16; r := !r + 16);
+  if !v lsr 8 <> 0 then (v := !v lsr 8; r := !r + 8);
+  if !v lsr 4 <> 0 then (v := !v lsr 4; r := !r + 4);
+  if !v lsr 2 <> 0 then (v := !v lsr 2; r := !r + 2);
+  if !v lsr 1 <> 0 then incr r;
   !r
 
 let bucket_of v =

@@ -59,6 +59,10 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Bucket geometry (exposed for tests and exporters)} *)
 
+val msb : int -> int
+(** Position of the highest set bit of a non-negative int (0 for 0 and
+    1). *)
+
 val bucket_of : int -> int
 val bucket_lo : int -> int
 val bucket_hi : int -> int

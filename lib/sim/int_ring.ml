@@ -30,33 +30,44 @@ let grow t =
 (* First cell of record [i]; callers check [i]. *)
 let[@inline] cell t i = ((t.head + i) land (t.cap - 1)) * t.width
 
-let push1 t a =
+(* A push writes exactly one record: its arity must be the ring's width.
+   The slot it writes then lies inside [data], so the stores go unchecked. *)
+let[@inline] reserve t ~arity ~fn =
+  if t.width <> arity then invalid_arg (fn ^ ": wrong width for this ring");
   if t.len = t.cap then grow t;
-  t.data.(cell t t.len) <- a;
+  cell t t.len
+
+let push1 t a =
+  let j = reserve t ~arity:1 ~fn:"Int_ring.push1" in
+  Array.unsafe_set t.data j a;
   t.len <- t.len + 1
 
 let push2 t a b =
-  if t.len = t.cap then grow t;
-  let j = cell t t.len in
-  t.data.(j) <- a;
-  t.data.(j + 1) <- b;
+  let j = reserve t ~arity:2 ~fn:"Int_ring.push2" in
+  Array.unsafe_set t.data j a;
+  Array.unsafe_set t.data (j + 1) b;
   t.len <- t.len + 1
 
 let push3 t a b c =
-  if t.len = t.cap then grow t;
-  let j = cell t t.len in
-  t.data.(j) <- a;
-  t.data.(j + 1) <- b;
-  t.data.(j + 2) <- c;
+  let j = reserve t ~arity:3 ~fn:"Int_ring.push3" in
+  Array.unsafe_set t.data j a;
+  Array.unsafe_set t.data (j + 1) b;
+  Array.unsafe_set t.data (j + 2) c;
   t.len <- t.len + 1
 
+(* [0 <= i < len] and [0 <= col < width] in one test: each difference is
+   negative exactly when its bound fails, and so is their [lor].  A field
+   that passes lies inside [data], so the access goes unchecked. *)
+let[@inline] in_range t i col =
+  i lor (t.len - 1 - i) lor col lor (t.width - 1 - col) >= 0
+
 let get t i col =
-  if i < 0 || i >= t.len then invalid_arg "Int_ring.get: no such record";
-  t.data.(cell t i + col)
+  if not (in_range t i col) then invalid_arg "Int_ring.get: no such field";
+  Array.unsafe_get t.data (cell t i + col)
 
 let set t i col v =
-  if i < 0 || i >= t.len then invalid_arg "Int_ring.set: no such record";
-  t.data.(cell t i + col) <- v
+  if not (in_range t i col) then invalid_arg "Int_ring.set: no such field";
+  Array.unsafe_set t.data (cell t i + col) v
 
 let drop t n =
   if n < 0 || n > t.len then invalid_arg "Int_ring.drop: not that many records";

@@ -20,20 +20,25 @@ val length : t -> int
 (** Records in the ring. *)
 
 val push1 : t -> int -> unit
-(** Append a record to a ring of width 1. *)
+(** Append a record to a ring of width 1.
+    @raise Invalid_argument if the ring's width is not 1. *)
 
 val push2 : t -> int -> int -> unit
-(** Append a record to a ring of width 2. *)
+(** Append a record to a ring of width 2.
+    @raise Invalid_argument if the ring's width is not 2. *)
 
 val push3 : t -> int -> int -> int -> unit
-(** Append a record to a ring of width 3. *)
+(** Append a record to a ring of width 3.
+    @raise Invalid_argument if the ring's width is not 3. *)
 
 val get : t -> int -> int -> int
 (** [get t i col] is field [col] of record [i] (0 is the oldest).
-    @raise Invalid_argument unless [0 <= i < length t]. *)
+    @raise Invalid_argument unless [0 <= i < length t] and
+    [0 <= col < width t]. *)
 
 val set : t -> int -> int -> int -> unit
-(** [set t i col v] overwrites field [col] of record [i]. *)
+(** [set t i col v] overwrites field [col] of record [i].
+    @raise Invalid_argument as {!get}. *)
 
 val drop : t -> int -> unit
 (** Remove the [n] oldest records.

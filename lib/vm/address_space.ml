@@ -12,10 +12,9 @@ type pte =
    transition is a plain array store — no [Resident of int] block allocated
    per transition on the fault/release/daemon hot paths.  [In_transit] is
    the one state that carries a pointer (the ivar other accessors wait on);
-   its word stores only the tag and the ivar lives in the segment's
-   [transit] side table, keyed by page offset — in-transit is a rare,
-   transient state (one entry per in-flight disk read), so the table stays
-   tiny. *)
+   its word stores only the tag and the ivar lives in the address space's
+   [transit] side table, keyed by vpn — in-transit is a rare, transient
+   state (one entry per in-flight disk read), so the table stays tiny. *)
 module Pte = struct
   let tag_untouched = 0
   let tag_swapped = 1
@@ -40,10 +39,6 @@ type segment = {
   base_vpn : int;
   npages : int;
   swap_base : int;
-  ptes : int array;  (* packed [Pte] words *)
-  transit : (int, unit Ivar.t) Hashtbl.t;  (* page offset -> waiters *)
-  bits : Bytes.t;
-  mutable pm_attached : bool;
 }
 
 type t = {
@@ -53,7 +48,9 @@ type t = {
   tlb : Tlb.t;
   mutable seg_arr : segment array;
   mutable nsegs : int;
-  mutable last_hit : int;
+  mutable ptes : int array array;
+  mutable bits : Bytes.t array;
+  transit : (int, unit Ivar.t) Hashtbl.t;
   mutable rss : int;
   stats : Vm_stats.proc;
   mutable current_usage : int;
@@ -61,19 +58,11 @@ type t = {
   mutable next_vpn : int;
 }
 
-(* A placeholder for unused [seg_arr] slots, so growth never retains a
-   stale segment (and all its page tables) beyond [nsegs]. *)
-let dummy_segment =
-  {
-    seg_name = "<unmapped>";
-    base_vpn = -1;
-    npages = 0;
-    swap_base = 0;
-    ptes = [||];
-    transit = Hashtbl.create 1;
-    bits = Bytes.empty;
-    pm_attached = false;
-  }
+(* A leaf covers [leaf_pages] consecutive vpns: [vpn lsr leaf_bits] picks
+   it, [vpn land leaf_mask] the entry. *)
+let leaf_bits = 10
+let leaf_pages = 1 lsl leaf_bits
+let leaf_mask = leaf_pages - 1
 
 let create ?(tlb_entries = 64) ~pid ~name () =
   {
@@ -83,7 +72,9 @@ let create ?(tlb_entries = 64) ~pid ~name () =
     tlb = Tlb.create ~entries:tlb_entries;
     seg_arr = [||];
     nsegs = 0;
-    last_hit = 0;
+    ptes = [||];
+    bits = [||];
+    transit = Hashtbl.create 8;
     rss = 0;
     stats = Vm_stats.create_proc ();
     current_usage = 0;
@@ -91,140 +82,129 @@ let create ?(tlb_entries = 64) ~pid ~name () =
     next_vpn = 0;
   }
 
+(* Append [x] at index [n], doubling [arr] when full; only the spine is
+   copied, never what its slots point to. *)
+let append arr n x =
+  let arr =
+    if n < Array.length arr then arr
+    else begin
+      let grown = Array.make (Int.max 8 (2 * n)) x in
+      Array.blit arr 0 grown 0 n;
+      grown
+    end
+  in
+  arr.(n) <- x;
+  arr
+
 let add_segment t ~name ~npages ~swap_base ~on_swap =
   if npages <= 0 then invalid_arg "Address_space.add_segment: npages <= 0";
-  let seg =
-    {
-      seg_name = name;
-      base_vpn = t.next_vpn;
-      npages;
-      swap_base;
-      ptes = Array.make npages (if on_swap then Pte.swapped else Pte.untouched);
-      transit = Hashtbl.create 8;
-      bits = Bytes.make ((npages + 7) / 8) '\000';
-      pm_attached = false;
-    }
-  in
-  t.next_vpn <- t.next_vpn + npages;
-  (* Amortized O(1) append; [base_vpn] is monotonically increasing, so the
-     array stays sorted by construction. *)
-  if t.nsegs = Array.length t.seg_arr then begin
-    let cap = Int.max 8 (2 * Array.length t.seg_arr) in
-    let arr = Array.make cap dummy_segment in
-    Array.blit t.seg_arr 0 arr 0 t.nsegs;
-    t.seg_arr <- arr
-  end;
-  t.seg_arr.(t.nsegs) <- seg;
+  let seg = { seg_name = name; base_vpn = t.next_vpn; npages; swap_base } in
+  let last = t.next_vpn + npages in
+  (* New leaves start untouched and clear; the entries already mapped stay
+     where they are. *)
+  let nleaves = ref ((t.next_vpn + leaf_mask) lsr leaf_bits) in
+  while !nleaves lsl leaf_bits < last do
+    t.ptes <- append t.ptes !nleaves (Array.make leaf_pages Pte.untouched);
+    t.bits <- append t.bits !nleaves (Bytes.make (leaf_pages / 8) '\000');
+    incr nleaves
+  done;
+  if on_swap then
+    for vpn = t.next_vpn to last - 1 do
+      t.ptes.(vpn lsr leaf_bits).(vpn land leaf_mask) <- Pte.swapped
+    done;
+  t.next_vpn <- last;
+  t.seg_arr <- append t.seg_arr t.nsegs seg;
   t.nsegs <- t.nsegs + 1;
   seg
 
-let attach_pm _t seg = seg.pm_attached <- true
+let[@inline] mapped t ~vpn = vpn >= 0 && vpn < t.next_vpn
 
-let fold_segments t ~init f =
-  let acc = ref init in
-  for i = 0 to t.nsegs - 1 do
-    acc := f !acc t.seg_arr.(i)
-  done;
-  !acc
+let unmapped vpn =
+  invalid_arg (Printf.sprintf "Address_space: vpn %d is unmapped" vpn)
 
-let segments t =
-  List.rev (fold_segments t ~init:[] (fun acc seg -> seg :: acc))
+(* Every table access is checked once against [mapped]: a vpn below
+   [next_vpn] has its leaf, so the reads behind the check need none. *)
+let[@inline] check t vpn = if not (mapped t ~vpn) then unmapped vpn
 
-(* Every page translation funnels through here, so this is the hottest
-   lookup in the VM: check the last segment hit (sequential sweeps stay in
-   one segment for thousands of touches), then binary-search the sorted
-   array. *)
-let find_segment t ~vpn =
-  if t.nsegs = 0 then raise Not_found;
-  let seg = t.seg_arr.(t.last_hit) in
-  if vpn >= seg.base_vpn && vpn < seg.base_vpn + seg.npages then seg
-  else begin
-    (* greatest base_vpn <= vpn *)
-    let lo = ref 0 and hi = ref (t.nsegs - 1) and found = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      if t.seg_arr.(mid).base_vpn <= vpn then begin
-        found := mid;
-        lo := mid + 1
-      end
-      else hi := mid - 1
-    done;
-    if !found < 0 then raise Not_found;
-    let seg = t.seg_arr.(!found) in
-    if vpn < seg.base_vpn + seg.npages then begin
-      t.last_hit <- !found;
-      seg
-    end
-    else raise Not_found
-  end
-
-let off seg vpn =
-  let o = vpn - seg.base_vpn in
-  if o < 0 || o >= seg.npages then
-    invalid_arg
-      (Printf.sprintf "Address_space: vpn %d outside segment %s" vpn seg.seg_name);
-  o
+let[@inline] leaf t vpn = Array.unsafe_get t.ptes (vpn lsr leaf_bits)
 
 (* Raw (packed) PTE access — the hot-path API.  [set_raw] refuses the
    in-transit tag because that state needs an ivar: use [set_in_transit].
    Overwriting an in-transit word drops its side-table entry, so the table
    never leaks completed transits. *)
 
-let get_raw seg ~vpn = seg.ptes.(off seg vpn)
+let[@inline] get_raw t ~vpn =
+  check t vpn;
+  Array.unsafe_get (leaf t vpn) (vpn land leaf_mask)
 
-let set_raw seg ~vpn p =
+let set_raw t ~vpn p =
   if Pte.tag p = Pte.tag_in_transit then
     invalid_arg "Address_space.set_raw: use set_in_transit";
-  let o = off seg vpn in
-  if Pte.tag seg.ptes.(o) = Pte.tag_in_transit then Hashtbl.remove seg.transit o;
-  seg.ptes.(o) <- p
+  check t vpn;
+  let l = leaf t vpn and i = vpn land leaf_mask in
+  if Pte.tag (Array.unsafe_get l i) = Pte.tag_in_transit then
+    Hashtbl.remove t.transit vpn;
+  Array.unsafe_set l i p
 
-let set_in_transit seg ~vpn ivar =
-  let o = off seg vpn in
-  Hashtbl.replace seg.transit o ivar;
-  seg.ptes.(o) <- Pte.in_transit
+let set_in_transit t ~vpn ivar =
+  check t vpn;
+  Hashtbl.replace t.transit vpn ivar;
+  Array.unsafe_set (leaf t vpn) (vpn land leaf_mask) Pte.in_transit
 
-let transit_ivar seg ~vpn = Hashtbl.find seg.transit (off seg vpn)
+let transit_ivar t ~vpn =
+  check t vpn;
+  Hashtbl.find t.transit vpn
 
 (* Variant view, for tests and cold paths. *)
 
-let decode seg o p =
+let get_pte t ~vpn =
+  let p = get_raw t ~vpn in
   let tag = Pte.tag p in
   if tag = Pte.tag_untouched then Untouched
   else if tag = Pte.tag_swapped then Swapped
   else if tag = Pte.tag_resident then Resident (Pte.frame p)
   else if tag = Pte.tag_on_free_list then On_free_list (Pte.frame p)
-  else In_transit (Hashtbl.find seg.transit o)
+  else In_transit (Hashtbl.find t.transit vpn)
 
-let get_pte seg ~vpn =
-  let o = off seg vpn in
-  decode seg o seg.ptes.(o)
-
-let set_pte seg ~vpn pte =
+let set_pte t ~vpn pte =
   match pte with
-  | Untouched -> set_raw seg ~vpn Pte.untouched
-  | Swapped -> set_raw seg ~vpn Pte.swapped
-  | Resident f -> set_raw seg ~vpn (Pte.resident f)
-  | On_free_list f -> set_raw seg ~vpn (Pte.on_free_list f)
-  | In_transit ivar -> set_in_transit seg ~vpn ivar
+  | Untouched -> set_raw t ~vpn Pte.untouched
+  | Swapped -> set_raw t ~vpn Pte.swapped
+  | Resident f -> set_raw t ~vpn (Pte.resident f)
+  | On_free_list f -> set_raw t ~vpn (Pte.on_free_list f)
+  | In_transit ivar -> set_in_transit t ~vpn ivar
 
-let swap_page seg ~vpn = seg.swap_base + off seg vpn
+(* The segment holding [vpn] is the one with the greatest [base_vpn] at or
+   below it: segments tile [0, next_vpn). *)
+let swap_page t ~vpn =
+  check t vpn;
+  let lo = ref 0 and hi = ref (t.nsegs - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if t.seg_arr.(mid).base_vpn <= vpn then lo := mid else hi := mid - 1
+  done;
+  let seg = t.seg_arr.(!lo) in
+  seg.swap_base + (vpn - seg.base_vpn)
 
-let bit seg ~vpn =
-  let o = off seg vpn in
-  Char.code (Bytes.get seg.bits (o / 8)) land (1 lsl (o mod 8)) <> 0
+let[@inline] bit t ~vpn =
+  check t vpn;
+  let o = vpn land leaf_mask in
+  Char.code (Bytes.unsafe_get (Array.unsafe_get t.bits (vpn lsr leaf_bits)) (o lsr 3))
+  land (1 lsl (o land 7))
+  <> 0
 
-let set_bit seg ~vpn value =
-  let o = off seg vpn in
-  let byte = Char.code (Bytes.get seg.bits (o / 8)) in
-  let mask = 1 lsl (o mod 8) in
+let set_bit t ~vpn value =
+  check t vpn;
+  let b = Array.unsafe_get t.bits (vpn lsr leaf_bits)
+  and o = vpn land leaf_mask in
+  let byte = Char.code (Bytes.unsafe_get b (o lsr 3)) in
+  let mask = 1 lsl (o land 7) in
   let byte = if value then byte lor mask else byte land lnot mask in
-  Bytes.set seg.bits (o / 8) (Char.chr byte)
+  Bytes.unsafe_set b (o lsr 3) (Char.unsafe_chr byte)
 
 let resident_pages t =
-  fold_segments t ~init:0 (fun acc seg ->
-      let n = ref acc in
-      Array.iter
-        (fun p -> if Pte.tag p = Pte.tag_resident then incr n)
-        seg.ptes;
-      !n)
+  let n = ref 0 in
+  for vpn = 0 to t.next_vpn - 1 do
+    if Pte.tag (get_raw t ~vpn) = Pte.tag_resident then incr n
+  done;
+  !n

@@ -96,10 +96,7 @@ let shared_upper_limit t asp =
   ignore t;
   asp.As.upper_limit
 
-let page_resident (asp : As.t) ~vpn =
-  match As.find_segment asp ~vpn with
-  | seg -> As.bit seg ~vpn
-  | exception Not_found -> false
+let page_resident (asp : As.t) ~vpn = As.mapped asp ~vpn && As.bit asp ~vpn
 
 (* ------------------------------------------------------------------ *)
 (* Frame allocation                                                    *)
@@ -120,11 +117,10 @@ let disassociate ?(reused = true) t (f : Frame.t) =
     | Some Vm_stats.Releaser ->
         victim.As.stats.lost_releaser <- victim.As.stats.lost_releaser + 1
     | None -> ());
-    (match As.find_segment victim ~vpn:f.vpn with
-    | seg ->
-        if As.get_raw seg ~vpn:f.vpn = As.Pte.on_free_list f.idx then
-          As.set_raw seg ~vpn:f.vpn As.Pte.swapped
-    | exception Not_found -> ());
+    if
+      As.mapped victim ~vpn:f.vpn
+      && As.get_raw victim ~vpn:f.vpn = As.Pte.on_free_list f.idx
+    then As.set_raw victim ~vpn:f.vpn As.Pte.swapped;
     if reused && f.freed_by <> None && Obs.on t.obs then
       Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.kernel_stream
         (Trace.Frame_reused { vpn = f.vpn; owner = f.owner });
@@ -185,12 +181,12 @@ let free_frame_locked t (f : Frame.t) ~(freer : Vm_stats.freer) ~site =
    disassociated but still marked freed so the writeback fiber returns it to
    the free list) and demand-fetches a fresh copy.  Caller holds the
    owner's as_lock. *)
-let abandon_in_writeback t seg ~vpn fidx =
+let abandon_in_writeback t asp ~vpn fidx =
   let f = t.frames.(fidx) in
   let freer = f.Frame.freed_by in
   Frame.reset_association f;
   f.Frame.freed_by <- freer;
-  As.set_raw seg ~vpn As.Pte.swapped
+  As.set_raw asp ~vpn As.Pte.swapped
 
 (* ------------------------------------------------------------------ *)
 (* Process setup                                                       *)
@@ -215,21 +211,17 @@ let map_segment t asp ~name ~bytes ~on_swap =
   t.next_swap_page <- t.next_swap_page + npages;
   As.add_segment asp ~name ~npages ~swap_base ~on_swap
 
-let attach_paging_directed t asp seg =
-  ignore t;
-  As.attach_pm asp seg
-
 (* ------------------------------------------------------------------ *)
 (* Fault handling                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let install_frame t (asp : As.t) seg ~vpn (f : Frame.t) ~write ~prefetched =
+let install_frame t (asp : As.t) ~vpn (f : Frame.t) ~write ~prefetched =
   (* A page entering RAM by any route (fetch completion, free-list rescue)
      invalidates its fast-tier copy: resident and tier-resident are
      mutually exclusive states. *)
   (match t.tiers with
   | None -> ()
-  | Some tr -> Tiers.invalidate tr ~page:(As.swap_page seg ~vpn));
+  | Some tr -> Tiers.invalidate tr ~page:(As.swap_page asp ~vpn));
   f.owner <- asp.As.pid;
   f.vpn <- vpn;
   f.dirty <- write;
@@ -239,9 +231,9 @@ let install_frame t (asp : As.t) seg ~vpn (f : Frame.t) ~write ~prefetched =
   f.age <- 0;
   f.freed_by <- None;
   f.free_site <- Trace.no_site;
-  As.set_raw seg ~vpn (As.Pte.resident f.idx);
+  As.set_raw asp ~vpn (As.Pte.resident f.idx);
   asp.As.rss <- asp.As.rss + 1;
-  As.set_bit seg ~vpn true;
+  As.set_bit asp ~vpn true;
   (* a demand-installed page enters the TLB; a prefetched page does so only
      when section 3.1.2's no-TLB-entry feature is disabled *)
   if (not prefetched) || t.config.prefetch_fills_tlb then
@@ -249,10 +241,10 @@ let install_frame t (asp : As.t) seg ~vpn (f : Frame.t) ~write ~prefetched =
   update_limits t asp
 
 let rec touch t (asp : As.t) ~vpn ~write =
-  let seg = As.find_segment asp ~vpn in
+  if not (As.mapped asp ~vpn) then raise Not_found;
   (* The packed-PTE read keeps the warm path allocation-free: one int load,
      one tag test, no variant decode. *)
-  let p = As.get_raw seg ~vpn in
+  let p = As.get_raw asp ~vpn in
   if
     As.Pte.tag p = As.Pte.tag_resident
     &&
@@ -268,9 +260,9 @@ let rec touch t (asp : As.t) ~vpn ~write =
       Engine.delay ~cat:Account.System t.config.tlb_refill_ns;
     Fast
   end
-  else fault t asp seg ~vpn ~write
+  else fault t asp ~vpn ~write
 
-and fault t asp seg ~vpn ~write =
+and fault t asp ~vpn ~write =
   let cfg = t.config in
   let stats = asp.As.stats in
   Semaphore.acquire asp.As.as_lock;
@@ -278,7 +270,7 @@ and fault t asp seg ~vpn ~write =
      Dispatch on the packed tag (if/else: tags are named constants, not
      literals, so they cannot head a pattern match). *)
   let result =
-    let p = As.get_raw seg ~vpn in
+    let p = As.get_raw asp ~vpn in
     let tag = As.Pte.tag p in
     if tag = As.Pte.tag_resident then begin
         let f = t.frames.(As.Pte.frame p) in
@@ -293,7 +285,7 @@ and fault t asp seg ~vpn ~write =
           if Obs.on t.obs then
             Obs.emit t.obs ~time:(Engine.now ()) ~stream:asp.As.pid
               (Trace.Validation_fault { vpn });
-          As.set_bit seg ~vpn true;
+          As.set_bit asp ~vpn true;
           Tlb.insert asp.As.tlb ~vpn;
           sys_delay t cfg.validation_fault_ns;
           Semaphore.release asp.As.as_lock;
@@ -313,7 +305,7 @@ and fault t asp seg ~vpn ~write =
           if not f.release_invalidated then
             stats.soft_faults_daemon <- stats.soft_faults_daemon + 1;
           f.release_invalidated <- false;
-          As.set_bit seg ~vpn true;
+          As.set_bit asp ~vpn true;
           Tlb.insert asp.As.tlb ~vpn;
           sys_delay t cfg.soft_fault_ns;
           Semaphore.release asp.As.as_lock;
@@ -331,7 +323,7 @@ and fault t asp seg ~vpn ~write =
     then begin
         (* Rescue disabled: the only way a PTE still points at a freed frame
            is a writeback in flight.  Abandon it and demand-fetch. *)
-        abandon_in_writeback t seg ~vpn (As.Pte.frame p);
+        abandon_in_writeback t asp ~vpn (As.Pte.frame p);
         Semaphore.release asp.As.as_lock;
         touch t asp ~vpn ~write
     end
@@ -340,7 +332,7 @@ and fault t asp seg ~vpn ~write =
         let fidx = As.Pte.frame p in
         Semaphore.acquire t.memory_lock;
         (* Same packed word = same state and same frame. *)
-        if As.get_raw seg ~vpn = p then begin
+        if As.get_raw asp ~vpn = p then begin
             let f = t.frames.(fidx) in
             let freer =
               match f.freed_by with Some w -> w | None -> Vm_stats.Daemon
@@ -356,7 +348,7 @@ and fault t asp seg ~vpn ~write =
               Obs.emit t.obs ~time:(Engine.now ()) ~stream:asp.As.pid
                 (Trace.Rescue
                    { vpn; for_prefetch = false; site = f.free_site });
-            install_frame t asp seg ~vpn f ~write ~prefetched:false;
+            install_frame t asp ~vpn f ~write ~prefetched:false;
             sys_delay t cfg.rescue_ns;
             Semaphore.release t.memory_lock;
             Semaphore.release asp.As.as_lock;
@@ -371,7 +363,7 @@ and fault t asp seg ~vpn ~write =
     end
     else if tag = As.Pte.tag_in_transit then begin
         (* Someone (prefetch thread or another fault) is bringing it in. *)
-        let ivar = As.transit_ivar seg ~vpn in
+        let ivar = As.transit_ivar asp ~vpn in
         Semaphore.release asp.As.as_lock;
         let rq = Obs.reqtrace t.obs in
         if Reqtrace.enabled rq then begin
@@ -388,7 +380,7 @@ and fault t asp seg ~vpn ~write =
         (* swapped or untouched *)
         let zero = tag = As.Pte.tag_untouched in
         let ivar = Ivar.create () in
-        As.set_in_transit seg ~vpn ivar;
+        As.set_in_transit asp ~vpn ivar;
         Semaphore.release asp.As.as_lock;
         let f = alloc_frame_blocking t ~for_:asp in
         sys_delay t cfg.hard_fault_cpu_ns;
@@ -404,12 +396,12 @@ and fault t asp seg ~vpn ~write =
           if Obs.on t.obs then
             Obs.emit t.obs ~time:(Engine.now ()) ~stream:asp.As.pid
               (Trace.Hard_fault { vpn });
-          backing_read t ~background:false ~page:(As.swap_page seg ~vpn)
+          backing_read t ~background:false ~page:(As.swap_page asp ~vpn)
         end;
         Semaphore.acquire asp.As.as_lock;
         (* A zero-filled page is dirty from birth: its contents exist
            nowhere else. *)
-        install_frame t asp seg ~vpn f ~write:(write || zero) ~prefetched:false;
+        install_frame t asp ~vpn f ~write:(write || zero) ~prefetched:false;
         Ivar.fill ivar ();
         Semaphore.release asp.As.as_lock;
         if zero then Zero_filled else Hard
@@ -441,11 +433,10 @@ let rec prefetch t ~site ~urgent (asp : As.t) ~vpn =
   let cfg = t.config in
   let stats = asp.As.stats in
   sys_delay t cfg.pm_call_ns;
-  match As.find_segment asp ~vpn with
-  | exception Not_found -> P_already
-  | seg -> (
+  if not (As.mapped asp ~vpn) then P_already
+  else begin
       Semaphore.acquire asp.As.as_lock;
-      let p = As.get_raw seg ~vpn in
+      let p = As.get_raw asp ~vpn in
       let tag = As.Pte.tag p in
       if tag = As.Pte.tag_resident || tag = As.Pte.tag_in_transit then begin
         stats.prefetches_useless <- stats.prefetches_useless + 1;
@@ -455,7 +446,7 @@ let rec prefetch t ~site ~urgent (asp : As.t) ~vpn =
       end
       else if tag = As.Pte.tag_on_free_list && not cfg.rescue_from_free_list
       then begin
-        abandon_in_writeback t seg ~vpn (As.Pte.frame p);
+        abandon_in_writeback t asp ~vpn (As.Pte.frame p);
         Semaphore.release asp.As.as_lock;
         prefetch t asp ~site ~urgent ~vpn
       end
@@ -464,7 +455,7 @@ let rec prefetch t ~site ~urgent (asp : As.t) ~vpn =
         Semaphore.acquire t.memory_lock;
         let result =
           (* Same packed word = same state and same frame. *)
-          if As.get_raw seg ~vpn = p then begin
+          if As.get_raw asp ~vpn = p then begin
             let f = t.frames.(fidx) in
             if f.on_free_list then Free_list.remove t.free f;
             stats.prefetch_rescues <- stats.prefetch_rescues + 1;
@@ -477,7 +468,7 @@ let rec prefetch t ~site ~urgent (asp : As.t) ~vpn =
             | Some Vm_stats.Releaser ->
                 stats.rescued_releaser <- stats.rescued_releaser + 1
             | None -> ());
-            install_frame t asp seg ~vpn f ~write:false ~prefetched:true;
+            install_frame t asp ~vpn f ~write:false ~prefetched:true;
             P_rescued
           end
           else P_already
@@ -513,12 +504,12 @@ let rec prefetch t ~site ~urgent (asp : As.t) ~vpn =
                  installed this page.  Overwriting the PTE would leak that
                  resident frame and corrupt rss, so re-check and surrender
                  the spare frame if the prefetch lost the race. *)
-              let tag' = As.Pte.tag (As.get_raw seg ~vpn) in
+              let tag' = As.Pte.tag (As.get_raw asp ~vpn) in
               if tag' = As.Pte.tag_swapped || tag' = As.Pte.tag_untouched
               then begin
                 let zero = tag' = As.Pte.tag_untouched in
                 let ivar = Ivar.create () in
-                As.set_in_transit seg ~vpn ivar;
+                As.set_in_transit asp ~vpn ivar;
                 Semaphore.release asp.As.as_lock;
                 stats.prefetches_issued <- stats.prefetches_issued + 1;
                 if Obs.on t.obs then
@@ -528,9 +519,9 @@ let rec prefetch t ~site ~urgent (asp : As.t) ~vpn =
                 if zero then sys_delay t cfg.zero_fill_ns
                 else
                   backing_read t ~background:(not urgent)
-                    ~page:(As.swap_page seg ~vpn);
+                    ~page:(As.swap_page asp ~vpn);
                 Semaphore.acquire asp.As.as_lock;
-                install_frame t asp seg ~vpn f ~write:zero ~prefetched:true;
+                install_frame t asp ~vpn f ~write:zero ~prefetched:true;
                 Ivar.fill ivar ();
                 Semaphore.release asp.As.as_lock;
                 update_limits t asp;
@@ -549,7 +540,8 @@ let rec prefetch t ~site ~urgent (asp : As.t) ~vpn =
                 Semaphore.release asp.As.as_lock;
                 update_limits t asp;
                 P_already
-              end))
+              end)
+  end
 
 (* Like [touch]: time prefetches that actually moved a page (I/O performed
    or rescued from the free list); useless and dropped requests are cheap
@@ -591,19 +583,18 @@ let release_batch t (asp : As.t) batch =
      that are still in active use is not free. *)
   for i = 0 to n - 1 do
     let vpn = Int_ring.get batch i 0 in
-    match As.find_segment asp ~vpn with
-    | seg ->
-        As.set_bit seg ~vpn false;
-        let p = As.get_raw seg ~vpn in
-        if As.Pte.tag p = As.Pte.tag_resident then begin
-          let f = t.frames.(As.Pte.frame p) in
-          if f.valid then begin
-            f.valid <- false;
-            f.release_invalidated <- true;
-            Tlb.invalidate asp.As.tlb ~vpn
-          end
+    if As.mapped asp ~vpn then begin
+      As.set_bit asp ~vpn false;
+      let p = As.get_raw asp ~vpn in
+      if As.Pte.tag p = As.Pte.tag_resident then begin
+        let f = t.frames.(As.Pte.frame p) in
+        if f.valid then begin
+          f.valid <- false;
+          f.release_invalidated <- true;
+          Tlb.invalidate asp.As.tlb ~vpn
         end
-    | exception Not_found -> ()
+      end
+    end
   done;
   if Obs.on t.obs then
     Obs.emit t.obs ~time:(Engine.now ()) ~stream:asp.As.pid
@@ -644,10 +635,11 @@ let release_request t ?sites ?priorities (asp : As.t) ~vpns =
    most of which (each releaser chunk of clean pages) write nothing. *)
 let rec writeback_and_free t = function
   | [] -> ()
-  | (seg, vpn, owner, (f : Frame.t), prio) :: rest ->
+  | ((asp : As.t), vpn, (f : Frame.t), prio) :: rest ->
+      let owner = asp.As.pid in
       ignore
         (Engine.spawn_child ~name:"writeback" (fun () ->
-             let page = As.swap_page seg ~vpn in
+             let page = As.swap_page asp ~vpn in
              (* The swap write is unconditional — it is the durable
                 failover copy every tiered placement degrades to. *)
              Swap.write t.swap ~cat:Account.Io_stall ~background:true ~page;
@@ -691,10 +683,8 @@ let releaser_process_batch t (asp : As.t) len =
   let writebacks = ref [] in
   for i = 0 to len - 1 do
     let vpn = Int_ring.get pages i 0 and site = Int_ring.get pages i 1 in
-    match As.find_segment asp ~vpn with
-    | exception Not_found -> ()
-    | seg -> (
-        if As.bit seg ~vpn then begin
+    if As.mapped asp ~vpn then begin
+        if As.bit asp ~vpn then begin
           (* Re-referenced (or re-fetched) since the request: skip. *)
           asp.As.stats.releases_skipped <- asp.As.stats.releases_skipped + 1;
           if Obs.on t.obs then
@@ -703,11 +693,11 @@ let releaser_process_batch t (asp : As.t) len =
               (Trace.Release_skipped { vpn; owner = asp.As.pid; site })
         end
         else
-          let p = As.get_raw seg ~vpn in
+          let p = As.get_raw asp ~vpn in
           if As.Pte.tag p = As.Pte.tag_resident then begin
               let fidx = As.Pte.frame p in
               let f = t.frames.(fidx) in
-              As.set_raw seg ~vpn (As.Pte.on_free_list fidx);
+              As.set_raw asp ~vpn (As.Pte.on_free_list fidx);
               asp.As.rss <- asp.As.rss - 1;
               asp.As.stats.freed_by_releaser <-
                 asp.As.stats.freed_by_releaser + 1;
@@ -726,7 +716,7 @@ let releaser_process_batch t (asp : As.t) len =
                 asp.As.stats.writebacks <- asp.As.stats.writebacks + 1;
                 let prio = Int_ring.get pages i 2 in
                 let prio = if prio = min_int then None else Some prio in
-                writebacks := (seg, vpn, asp.As.pid, f, prio) :: !writebacks
+                writebacks := (asp, vpn, f, prio) :: !writebacks
               end
               else free_frame_locked t f ~freer:Vm_stats.Releaser ~site
           end
@@ -737,7 +727,8 @@ let releaser_process_batch t (asp : As.t) len =
                 Obs.emit t.obs ~time:(Engine.now ())
                   ~stream:Trace.releaser_stream
                   (Trace.Release_skipped { vpn; owner = asp.As.pid; site })
-          end)
+          end
+    end
   done;
   Int_ring.drop pages len;
   (* The releaser is specialized: little per-page work while locks are
@@ -874,14 +865,14 @@ let rec daemon_visit_frame t (asp : As.t) (f : Frame.t) ~free_shortage =
               else
                 match advise () with
                 | None -> f
-                | Some vpn -> (
-                    match As.find_segment asp ~vpn with
-                    | exception Not_found -> pick (budget - 1)
-                    | seg ->
-                        let p = As.get_raw seg ~vpn in
-                        if As.Pte.tag p = As.Pte.tag_resident then
-                          t.frames.(As.Pte.frame p)
-                        else pick (budget - 1))
+                | Some vpn ->
+                    let p =
+                      if As.mapped asp ~vpn then As.get_raw asp ~vpn
+                      else As.Pte.untouched
+                    in
+                    if As.Pte.tag p = As.Pte.tag_resident then
+                      t.frames.(As.Pte.frame p)
+                    else pick (budget - 1)
             in
             pick 8)
         | None -> f
@@ -896,9 +887,8 @@ let rec daemon_visit_frame t (asp : As.t) (f : Frame.t) ~free_shortage =
    writeback when the page was dirty. *)
 and daemon_steal t (asp : As.t) (f : Frame.t) =
   let stats = asp.As.stats in
-  let seg = As.find_segment asp ~vpn:f.vpn in
-  As.set_raw seg ~vpn:f.vpn (As.Pte.on_free_list f.idx);
-  As.set_bit seg ~vpn:f.vpn false;
+  As.set_raw asp ~vpn:f.vpn (As.Pte.on_free_list f.idx);
+  As.set_bit asp ~vpn:f.vpn false;
   Tlb.invalidate asp.As.tlb ~vpn:f.vpn;
   asp.As.rss <- asp.As.rss - 1;
   stats.freed_by_daemon <- stats.freed_by_daemon + 1;
@@ -914,7 +904,7 @@ and daemon_steal t (asp : As.t) (f : Frame.t) =
     f.freed_by <- Some Vm_stats.Daemon;
     f.free_site <- Trace.no_site;
     stats.writebacks <- stats.writebacks + 1;
-    Some (seg, f.vpn, asp.As.pid, f, None)
+    Some (asp, f.vpn, f, None)
   end
   else begin
     free_frame_locked t f ~freer:Vm_stats.Daemon ~site:Trace.no_site;
@@ -1180,12 +1170,11 @@ let check_invariants t =
           match space t f.owner with
           | None -> false
           | Some asp -> (
-              match As.find_segment asp ~vpn:f.vpn with
-              | exception Not_found -> false
-              | seg -> (
-                  match As.get_pte seg ~vpn:f.vpn with
-                  | As.Resident i | As.On_free_list i -> i = f.idx
-                  | _ -> false)))
+              As.mapped asp ~vpn:f.vpn
+              &&
+              match As.get_pte asp ~vpn:f.vpn with
+              | As.Resident i | As.On_free_list i -> i = f.idx
+              | _ -> false))
       t.frames
   in
   let spaces = Array.sub t.spaces 0 t.next_pid in
@@ -1210,10 +1199,9 @@ let check_invariants t =
         let pte =
           match space t f.owner with
           | None -> None
-          | Some asp -> (
-              match As.find_segment asp ~vpn:f.vpn with
-              | exception Not_found -> None
-              | seg -> Some (As.get_pte seg ~vpn:f.vpn))
+          | Some asp ->
+              if As.mapped asp ~vpn:f.vpn then Some (As.get_pte asp ~vpn:f.vpn)
+              else None
         in
         match pte with
         | Some (As.Resident i) when i = f.idx -> incr resident_ct
@@ -1250,12 +1238,11 @@ let check_invariants t =
         match space t f.owner with
         | None -> false
         | Some asp -> (
-            match As.find_segment asp ~vpn:f.vpn with
-            | exception Not_found -> false
-            | seg -> (
-                match As.get_pte seg ~vpn:f.vpn with
-                | As.On_free_list i -> i = f.idx
-                | _ -> false)))
+            As.mapped asp ~vpn:f.vpn
+            &&
+            match As.get_pte asp ~vpn:f.vpn with
+            | As.On_free_list i -> i = f.idx
+            | _ -> false))
       t.frames
   in
   (* Tiered store: reconcile the router's location map against frame-table
@@ -1268,13 +1255,9 @@ let check_invariants t =
         Tiers.check tr ~resident:(fun ~pid ~vpn ->
             match space t pid with
             | None -> false
-            | Some asp -> (
-                match As.find_segment asp ~vpn with
-                | exception Not_found -> false
-                | seg -> (
-                    match As.get_pte seg ~vpn with
-                    | As.Resident _ -> true
-                    | _ -> false)))
+            | Some asp ->
+                As.mapped asp ~vpn
+                && As.Pte.tag (As.get_raw asp ~vpn) = As.Pte.tag_resident)
   in
   [
     ("free-list count matches frame flags", ok_free_count);

@@ -29,7 +29,7 @@ type touch_result =
 type prefetch_result =
   | P_fetched       (** I/O performed; page now resident (unvalidated) *)
   | P_rescued       (** satisfied from the free list *)
-  | P_already       (** already resident or in transit *)
+  | P_already       (** already resident or in transit, or not mapped *)
   | P_dropped       (** discarded: no free memory (section 3.1.2) *)
 
 val create :
@@ -123,12 +123,11 @@ val map_segment :
 (** Allocate a segment of the given size (rounded up to whole pages),
     backed by freshly assigned swap space. *)
 
-val attach_paging_directed : t -> Address_space.t -> Address_space.segment -> unit
-
 (** {1 Memory operations (called from process context)} *)
 
 val touch : t -> Address_space.t -> vpn:int -> write:bool -> touch_result
-(** Reference one virtual page, faulting as needed. *)
+(** Reference one virtual page, faulting as needed.
+    @raise Not_found when [vpn] is not mapped ({!Address_space.mapped}). *)
 
 val prefetch :
   t -> site:int -> urgent:bool -> Address_space.t -> vpn:int -> prefetch_result
@@ -148,7 +147,8 @@ val release_batch : t -> Address_space.t -> Memhog_sim.Int_ring.t -> unit
     the pages for the releaser daemon.  Non-blocking apart from the trap
     cost.  The batch is a width-3 ring of (vpn, site, priority) records,
     and its pages move to the releaser's queue (the ring is left empty), so
-    a request allocates nothing once the queue has grown.  The site
+    a request allocates nothing once the queue has grown.  An unmapped
+    page is skipped, here and by the releaser.  The site
     ({!Memhog_sim.Trace.no_site} for none) rides through the releaser so
     frees, skips and later rescues stay attributable; the priority
     ([min_int] for none) is the Eq. 2 release priority the tier router
@@ -182,7 +182,7 @@ val shared_upper_limit : t -> Address_space.t -> int
     memory activity of this process. *)
 
 val page_resident : Address_space.t -> vpn:int -> bool
-(** Read the shared-page residency bit. *)
+(** Read the shared-page residency bit; false for an unmapped [vpn]. *)
 
 val set_eviction_advisor : t -> Address_space.t -> (unit -> int option) -> unit
 (** Register a {e reactive} eviction advisor for the process (the VINO-style

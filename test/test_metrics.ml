@@ -76,6 +76,29 @@ let prop_bucket_bounds =
       let b = H.bucket_of v in
       H.bucket_lo b <= v && v <= H.bucket_hi b && H.bucket_of (H.bucket_lo b) = b)
 
+(* [H.msb] against the shift-by-one loop it replaced, on random
+   non-negative ints and at every power of two and its neighbours. *)
+let msb_loop v =
+  let r = ref 0 and v = ref v in
+  while !v > 1 do
+    incr r;
+    v := !v lsr 1
+  done;
+  !r
+
+let prop_msb_matches_loop =
+  QCheck.Test.make ~name:"msb equals the shift loop" ~count:1000
+    QCheck.(map (fun v -> v land max_int) int)
+    (fun v -> H.msb v = msb_loop v)
+
+let test_msb_at_powers_of_two () =
+  for k = 0 to 61 do
+    List.iter
+      (fun v -> check_int (Printf.sprintf "msb %d" v) (msb_loop v) (H.msb v))
+      [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]
+  done;
+  check_int "msb max_int" 61 (H.msb max_int)
+
 let prop_restore_roundtrip =
   QCheck.Test.make ~name:"restore (to_alist h) == h" ~count:300 nonempty_arb
     (fun xs ->
@@ -490,8 +513,11 @@ let () =
             prop_percentiles_monotone;
             prop_bucket_bounds;
             prop_restore_roundtrip;
+            prop_msb_matches_loop;
           ]
         @ [
+            Alcotest.test_case "msb at powers of two" `Quick
+              test_msb_at_powers_of_two;
             Alcotest.test_case "empty" `Quick test_empty_histogram;
             Alcotest.test_case "exact stats" `Quick test_exact_stats;
           ] );

@@ -278,7 +278,6 @@ let with_rt ?(policy = Runtime.Aggressive) ?(config = small_config)
   let seg =
     Os.map_segment os asp ~name:"data" ~bytes:(seg_pages * 16384) ~on_swap:true
   in
-  Os.attach_paging_directed os asp seg;
   let rt = Runtime.create ?governor ~os ~asp ~policy () in
   ignore
     (Engine.spawn engine ~name:"main" (fun () ->

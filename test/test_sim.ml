@@ -1181,6 +1181,197 @@ let prop_series_mean_bounded =
           && s.Telemetry.ts_mean <= s.Telemetry.ts_max +. 1e-9
       | None -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Int_ring against a list model                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Two rings of the test's width, each beside a list of its records,
+   oldest first.  Positions are per mille of [length + 2] (so the two
+   indices past the end come up) or negative; counts run from -1 past any
+   small length.  A call the model deems out of range must raise
+   [Invalid_argument] and leave both rings as they were. *)
+type ring_op =
+  | R_push of int * int * int  (* ring, arity (0: the ring's width), value *)
+  | R_get of int * int * int  (* ring, position, column *)
+  | R_set of int * int * int * int  (* ring, position, column, value *)
+  | R_drop of int * int  (* ring, count *)
+  | R_truncate of int * int
+  | R_clear of int
+  | R_transfer of int * int  (* source ring, count; to the other ring *)
+  | R_transfer_bad of int  (* to itself, and to a ring of another width *)
+
+let ring_op_print = function
+  | R_push (r, a, v) -> Printf.sprintf "push%d r%d %d" a r v
+  | R_get (r, i, c) -> Printf.sprintf "get r%d %d %d" r i c
+  | R_set (r, i, c, v) -> Printf.sprintf "set r%d %d %d %d" r i c v
+  | R_drop (r, n) -> Printf.sprintf "drop r%d %d" r n
+  | R_truncate (r, n) -> Printf.sprintf "truncate r%d %d" r n
+  | R_clear r -> Printf.sprintf "clear r%d" r
+  | R_transfer (r, n) -> Printf.sprintf "transfer r%d %d" r n
+  | R_transfer_bad r -> Printf.sprintf "transfer_bad r%d" r
+
+let ring_case_arb =
+  let open QCheck.Gen in
+  let ring = int_bound 1
+  and pos = frequency [ (20, int_bound 1000); (1, int_range (-2) (-1)) ]
+  and col = int_range (-1) 3
+  and count = int_range (-1) 24 in
+  let op =
+    frequency
+      [
+        ( 12,
+          map3
+            (fun r a v -> R_push (r, a, v))
+            ring
+            (frequency [ (6, return 0); (1, int_range 1 3) ])
+            small_signed_int );
+        (4, map3 (fun r i c -> R_get (r, i, c)) ring pos col);
+        ( 2,
+          map3 (fun (r, i) c v -> R_set (r, i, c, v)) (pair ring pos) col
+            small_signed_int );
+        (2, map2 (fun r n -> R_drop (r, n)) ring count);
+        (1, map2 (fun r n -> R_truncate (r, n)) ring count);
+        (1, map (fun r -> R_clear r) ring);
+        (2, map2 (fun r n -> R_transfer (r, n)) ring count);
+        (1, map (fun r -> R_transfer_bad r) ring);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (w, ops) ->
+      Printf.sprintf "width %d: %s" w
+        (String.concat "; " (List.map ring_op_print ops)))
+    (pair (int_range 1 3) (list_size (0 -- 400) op))
+
+let prop_int_ring_matches_model =
+  QCheck.Test.make ~name:"int ring matches a list model" ~count:300
+    ring_case_arb (fun (w, ops) ->
+      let rings = [| Int_ring.create ~width:w; Int_ring.create ~width:w |] in
+      let other = Int_ring.create ~width:((w mod 3) + 1) in
+      let model = [| []; [] |] in
+      let raises f =
+        match f () with exception Invalid_argument _ -> true | _ -> false
+      in
+      let len r = List.length model.(r) in
+      let index r k = if k < 0 then k else k * (len r + 2) / 1000 in
+      let field_ok r i c = i >= 0 && i < len r && c >= 0 && c < w in
+      let count_ok r n = n >= 0 && n <= len r in
+      let rec split n l =
+        if n = 0 then ([], l)
+        else
+          match l with
+          | x :: rest ->
+              let a, b = split (n - 1) rest in
+              (x :: a, b)
+          | [] -> ([], [])
+      in
+      let agrees r =
+        Int_ring.width rings.(r) = w
+        && Int_ring.length rings.(r) = len r
+        && List.for_all Fun.id
+             (List.mapi
+                (fun i record ->
+                  Array.for_all Fun.id
+                    (Array.mapi
+                       (fun c v -> Int_ring.get rings.(r) i c = v)
+                       record))
+                model.(r))
+      in
+      let step = function
+        | R_push (r, a, v) ->
+            let a = if a = 0 then w else a in
+            let push () =
+              match a with
+              | 1 -> Int_ring.push1 rings.(r) v
+              | 2 -> Int_ring.push2 rings.(r) v (v + 1)
+              | _ -> Int_ring.push3 rings.(r) v (v + 1) (v + 2)
+            in
+            if a <> w then raises push
+            else begin
+              push ();
+              model.(r) <- model.(r) @ [ Array.init a (fun k -> v + k) ];
+              true
+            end
+        | R_get (r, k, c) ->
+            let i = index r k in
+            if field_ok r i c then
+              Int_ring.get rings.(r) i c = (List.nth model.(r) i).(c)
+            else raises (fun () -> Int_ring.get rings.(r) i c)
+        | R_set (r, k, c, v) ->
+            let i = index r k in
+            if field_ok r i c then begin
+              Int_ring.set rings.(r) i c v;
+              (List.nth model.(r) i).(c) <- v;
+              true
+            end
+            else raises (fun () -> Int_ring.set rings.(r) i c v)
+        | R_drop (r, n) ->
+            if count_ok r n then begin
+              Int_ring.drop rings.(r) n;
+              model.(r) <- snd (split n model.(r));
+              true
+            end
+            else raises (fun () -> Int_ring.drop rings.(r) n)
+        | R_truncate (r, n) ->
+            if count_ok r n then begin
+              Int_ring.truncate rings.(r) n;
+              model.(r) <- fst (split n model.(r));
+              true
+            end
+            else raises (fun () -> Int_ring.truncate rings.(r) n)
+        | R_clear r ->
+            Int_ring.clear rings.(r);
+            model.(r) <- [];
+            true
+        | R_transfer (r, n) ->
+            let d = 1 - r in
+            if count_ok r n then begin
+              Int_ring.transfer ~src:rings.(r) ~dst:rings.(d) n;
+              let moved, kept = split n model.(r) in
+              model.(r) <- kept;
+              model.(d) <- model.(d) @ moved;
+              true
+            end
+            else raises (fun () -> Int_ring.transfer ~src:rings.(r) ~dst:rings.(d) n)
+        | R_transfer_bad r ->
+            raises (fun () -> Int_ring.transfer ~src:rings.(r) ~dst:rings.(r) 0)
+            && raises (fun () -> Int_ring.transfer ~src:rings.(r) ~dst:other 0)
+      in
+      List.iter
+        (fun op ->
+          if not (step op && agrees 0 && agrees 1) then
+            QCheck.Test.fail_reportf "%s disagrees" (ring_op_print op))
+        ops;
+      Int_ring.length other = 0)
+
+(* The two misfits the ring once let through: a push of the wrong arity
+   into a wrapped, nearly full ring, and a column past the width, which
+   read the next record's first field. *)
+let test_int_ring_rejects_misfits () =
+  let r = Int_ring.create ~width:1 in
+  for v = 0 to 15 do
+    Int_ring.push1 r v
+  done;
+  Int_ring.drop r 8;
+  for v = 16 to 21 do
+    Int_ring.push1 r v
+  done;
+  Alcotest.check_raises "push3 into width 1"
+    (Invalid_argument "Int_ring.push3: wrong width for this ring") (fun () ->
+      Int_ring.push3 r 97 98 99);
+  check_int "length kept" 14 (Int_ring.length r);
+  check_int "oldest kept" 8 (Int_ring.get r 0 0);
+  check_int "newest kept" 21 (Int_ring.get r 13 0);
+  let r3 = Int_ring.create ~width:3 in
+  Int_ring.push3 r3 1 2 3;
+  Int_ring.push3 r3 4 5 6;
+  Alcotest.check_raises "column 3 of width 3"
+    (Invalid_argument "Int_ring.get: no such field") (fun () ->
+      ignore (Int_ring.get r3 0 3));
+  Alcotest.check_raises "column -1"
+    (Invalid_argument "Int_ring.set: no such field") (fun () ->
+      Int_ring.set r3 1 (-1) 0);
+  check_int "record 1 untouched" 4 (Int_ring.get r3 1 0)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1259,6 +1450,9 @@ let () =
           Alcotest.test_case "time pp" `Quick test_time_pp_units;
           Alcotest.test_case "series single" `Quick test_series_single_sample;
         ] );
+      ( "int-ring",
+        [ Alcotest.test_case "rejects misfits" `Quick test_int_ring_rejects_misfits ]
+      );
       ( "series",
         [
           Alcotest.test_case "stats" `Quick test_series_stats;
@@ -1276,5 +1470,6 @@ let () =
           prop_engine_deterministic;
           prop_engine_matches_model;
           prop_series_mean_bounded;
+          prop_int_ring_matches_model;
         ];
     ]

@@ -48,21 +48,24 @@ let assert_invariants os =
 let test_segments_and_bits () =
   let asp = As.create ~pid:0 ~name:"p" () in
   let s1 = As.add_segment asp ~name:"a" ~npages:10 ~swap_base:0 ~on_swap:true in
-  let s2 = As.add_segment asp ~name:"b" ~npages:5 ~swap_base:10 ~on_swap:false in
+  let s2 = As.add_segment asp ~name:"b" ~npages:5 ~swap_base:40 ~on_swap:false in
+  check_int "first segment at vpn 0" 0 s1.As.base_vpn;
   check_int "segment placement" 10 s2.As.base_vpn;
-  check_bool "find" true (As.find_segment asp ~vpn:12 == s2);
-  check_bool "find first" true (As.find_segment asp ~vpn:9 == s1);
-  Alcotest.check_raises "unmapped" Not_found (fun () ->
-      ignore (As.find_segment asp ~vpn:15));
-  check_bool "initial pte swapped" true (As.get_pte s1 ~vpn:0 = As.Swapped);
-  check_bool "initial pte untouched" true (As.get_pte s2 ~vpn:10 = As.Untouched);
-  check_int "swap page" 3 (As.swap_page s1 ~vpn:3);
-  check_bool "bit starts clear" false (As.bit s1 ~vpn:7);
-  As.set_bit s1 ~vpn:7 true;
-  check_bool "bit set" true (As.bit s1 ~vpn:7);
-  check_bool "neighbours untouched" false (As.bit s1 ~vpn:6 || As.bit s1 ~vpn:8);
-  As.set_bit s1 ~vpn:7 false;
-  check_bool "bit cleared" false (As.bit s1 ~vpn:7)
+  check_bool "mapped" true (As.mapped asp ~vpn:0 && As.mapped asp ~vpn:14);
+  check_bool "unmapped" false (As.mapped asp ~vpn:15 || As.mapped asp ~vpn:(-1));
+  Alcotest.check_raises "unmapped read"
+    (Invalid_argument "Address_space: vpn 15 is unmapped") (fun () ->
+      ignore (As.get_raw asp ~vpn:15));
+  check_bool "initial pte swapped" true (As.get_pte asp ~vpn:0 = As.Swapped);
+  check_bool "initial pte untouched" true (As.get_pte asp ~vpn:10 = As.Untouched);
+  check_int "swap page" 3 (As.swap_page asp ~vpn:3);
+  check_int "swap page, second segment" 42 (As.swap_page asp ~vpn:12);
+  check_bool "bit starts clear" false (As.bit asp ~vpn:7);
+  As.set_bit asp ~vpn:7 true;
+  check_bool "bit set" true (As.bit asp ~vpn:7);
+  check_bool "neighbours untouched" false (As.bit asp ~vpn:6 || As.bit asp ~vpn:8);
+  As.set_bit asp ~vpn:7 false;
+  check_bool "bit cleared" false (As.bit asp ~vpn:7)
 
 let prop_bitmap_independent =
   QCheck.Test.make ~name:"bitmap bits are independent" ~count:100
@@ -70,9 +73,9 @@ let prop_bitmap_independent =
     (fun (a, b) ->
       QCheck.assume (a <> b);
       let asp = As.create ~pid:0 ~name:"p" () in
-      let seg = As.add_segment asp ~name:"s" ~npages:64 ~swap_base:0 ~on_swap:true in
-      As.set_bit seg ~vpn:a true;
-      As.bit seg ~vpn:a && not (As.bit seg ~vpn:b))
+      ignore (As.add_segment asp ~name:"s" ~npages:64 ~swap_base:0 ~on_swap:true);
+      As.set_bit asp ~vpn:a true;
+      As.bit asp ~vpn:a && not (As.bit asp ~vpn:b))
 
 (* Packed-PTE roundtrip: each of the five states survives encode -> decode
    across the full frame range (0 .. Pte.max_frame), the raw tag/frame
@@ -83,45 +86,238 @@ let prop_pte_roundtrip =
     QCheck.(pair (int_bound 4) (map (fun n -> abs n land As.Pte.max_frame) int))
     (fun (state, frame) ->
       let asp = As.create ~pid:0 ~name:"p" () in
-      let seg =
-        As.add_segment asp ~name:"s" ~npages:4 ~swap_base:0 ~on_swap:false
-      in
+      ignore (As.add_segment asp ~name:"s" ~npages:4 ~swap_base:0 ~on_swap:false);
       let vpn = 2 in
       match state with
       | 0 ->
-          As.set_pte seg ~vpn As.Untouched;
-          As.get_pte seg ~vpn = As.Untouched
-          && As.get_raw seg ~vpn = As.Pte.untouched
+          As.set_pte asp ~vpn As.Untouched;
+          As.get_pte asp ~vpn = As.Untouched
+          && As.get_raw asp ~vpn = As.Pte.untouched
       | 1 ->
-          As.set_pte seg ~vpn As.Swapped;
-          As.get_pte seg ~vpn = As.Swapped
-          && As.get_raw seg ~vpn = As.Pte.swapped
+          As.set_pte asp ~vpn As.Swapped;
+          As.get_pte asp ~vpn = As.Swapped
+          && As.get_raw asp ~vpn = As.Pte.swapped
       | 2 ->
-          As.set_pte seg ~vpn (As.Resident frame);
-          As.get_pte seg ~vpn = As.Resident frame
+          As.set_pte asp ~vpn (As.Resident frame);
+          As.get_pte asp ~vpn = As.Resident frame
           &&
-          let p = As.get_raw seg ~vpn in
+          let p = As.get_raw asp ~vpn in
           As.Pte.tag p = As.Pte.tag_resident && As.Pte.frame p = frame
       | 3 ->
-          As.set_pte seg ~vpn (As.On_free_list frame);
-          As.get_pte seg ~vpn = As.On_free_list frame
+          As.set_pte asp ~vpn (As.On_free_list frame);
+          As.get_pte asp ~vpn = As.On_free_list frame
           &&
-          let p = As.get_raw seg ~vpn in
+          let p = As.get_raw asp ~vpn in
           As.Pte.tag p = As.Pte.tag_on_free_list && As.Pte.frame p = frame
       | _ ->
           let ivar = Ivar.create () in
-          As.set_pte seg ~vpn (As.In_transit ivar);
-          (match As.get_pte seg ~vpn with
-          | As.In_transit iv -> iv == ivar && As.transit_ivar seg ~vpn == ivar
+          As.set_pte asp ~vpn (As.In_transit ivar);
+          (match As.get_pte asp ~vpn with
+          | As.In_transit iv -> iv == ivar && As.transit_ivar asp ~vpn == ivar
           | _ -> false)
-          && As.Pte.tag (As.get_raw seg ~vpn) = As.Pte.tag_in_transit
+          && As.Pte.tag (As.get_raw asp ~vpn) = As.Pte.tag_in_transit
           && begin
                (* overwriting the in-transit word must clear the side table *)
-               As.set_raw seg ~vpn (As.Pte.resident frame);
-               match As.transit_ivar seg ~vpn with
+               As.set_raw asp ~vpn (As.Pte.resident frame);
+               match As.transit_ivar asp ~vpn with
                | exception Not_found -> true
                | _ -> false
              end)
+
+(* The page table against the per-segment layout it replaced: each
+   segment keeps its own PTE words, residency bits and transit table, and
+   a vpn is found by a linear search of the segments.  Layouts of 1-6
+   segments of 1-3,000 pages cross leaf boundaries.  Besides mapped vpns,
+   every operation is tried on -1, [next_vpn] and [next_vpn + leaf_pages],
+   which must read as unmapped, never as another page's entry. *)
+type model_seg = {
+  m_base : int;
+  m_swap : int;
+  m_ptes : int array;
+  m_bits : bool array;
+  m_transit : (int, unit Ivar.t) Hashtbl.t;
+}
+
+type pt_op =
+  | Pt_set_raw of int * int  (* vpn selector, packed non-transit word *)
+  | Pt_set_in_transit of int
+  | Pt_get_pte of int
+  | Pt_set_bit of int * bool
+  | Pt_bit of int
+  | Pt_swap_page of int
+
+let pt_op_print = function
+  | Pt_set_raw (v, p) -> Printf.sprintf "set_raw %d %d" v p
+  | Pt_set_in_transit v -> Printf.sprintf "set_in_transit %d" v
+  | Pt_get_pte v -> Printf.sprintf "get_pte %d" v
+  | Pt_set_bit (v, b) -> Printf.sprintf "set_bit %d %b" v b
+  | Pt_bit v -> Printf.sprintf "bit %d" v
+  | Pt_swap_page v -> Printf.sprintf "swap_page %d" v
+
+(* A vpn selector is a position in [0, 1_000_000) scaled to the mapped
+   range, or -1, -2, -3 for the three unmapped probes. *)
+let pt_op_gen =
+  let open QCheck.Gen in
+  let sel = frequency [ (9, int_bound 999_999); (1, int_range (-3) (-1)) ] in
+  let word =
+    map2
+      (fun tag frame ->
+        if tag = 0 then As.Pte.untouched
+        else if tag = 1 then As.Pte.swapped
+        else if tag = 2 then As.Pte.resident frame
+        else As.Pte.on_free_list frame)
+      (int_bound 3) (int_bound 100_000)
+  in
+  frequency
+    [
+      (4, map2 (fun v p -> Pt_set_raw (v, p)) sel word);
+      (1, map (fun v -> Pt_set_in_transit v) sel);
+      (4, map (fun v -> Pt_get_pte v) sel);
+      (3, map2 (fun v b -> Pt_set_bit (v, b)) sel bool);
+      (3, map (fun v -> Pt_bit v) sel);
+      (2, map (fun v -> Pt_swap_page v) sel);
+    ]
+
+let pt_case_arb =
+  let open QCheck in
+  let layout =
+    Gen.(
+      list_size (1 -- 6)
+        (triple (int_range 1 3_000) (int_bound 5_000) bool))
+  in
+  make
+    ~print:(fun (segs, ops) ->
+      Printf.sprintf "segments %s; ops %s"
+        (Print.(list (triple int int bool)) segs)
+        (String.concat "; " (List.map pt_op_print ops)))
+    Gen.(pair layout (list_size (0 -- 400) pt_op_gen))
+
+let prop_page_table_matches_model =
+  QCheck.Test.make ~name:"page table matches per-segment model" ~count:200
+    pt_case_arb (fun (layout, ops) ->
+      let asp = As.create ~pid:0 ~name:"p" () in
+      let swap = ref 0 in
+      let model =
+        List.mapi
+          (fun i (npages, gap, on_swap) ->
+            let swap_base = !swap + gap in
+            swap := swap_base + npages;
+            let seg =
+              As.add_segment asp ~name:(string_of_int i) ~npages ~swap_base
+                ~on_swap
+            in
+            {
+              m_base = seg.As.base_vpn;
+              m_swap = swap_base;
+              m_ptes =
+                Array.make npages
+                  (if on_swap then As.Pte.swapped else As.Pte.untouched);
+              m_bits = Array.make npages false;
+              m_transit = Hashtbl.create 8;
+            })
+          layout
+      in
+      let next = asp.As.next_vpn in
+      let find vpn =
+        List.find_opt
+          (fun m -> vpn >= m.m_base && vpn < m.m_base + Array.length m.m_ptes)
+          model
+      in
+      let vpn_of sel =
+        if sel = -1 then -1
+        else if sel = -2 then next
+        else if sel = -3 then next + As.leaf_pages
+        else sel * next / 1_000_000
+      in
+      let unmapped f =
+        match f () with exception Invalid_argument _ -> true | _ -> false
+      in
+      let step op =
+        let vpn =
+          match op with
+          | Pt_set_raw (v, _) | Pt_set_in_transit v | Pt_get_pte v
+          | Pt_set_bit (v, _) | Pt_bit v | Pt_swap_page v ->
+              vpn_of v
+        in
+        match find vpn with
+        | None ->
+            (not (As.mapped asp ~vpn))
+            &&
+            (match op with
+            | Pt_set_raw (_, p) -> unmapped (fun () -> As.set_raw asp ~vpn p)
+            | Pt_set_in_transit _ ->
+                unmapped (fun () -> As.set_in_transit asp ~vpn (Ivar.create ()))
+            | Pt_get_pte _ ->
+                unmapped (fun () -> As.get_pte asp ~vpn)
+                && unmapped (fun () -> As.get_raw asp ~vpn)
+            | Pt_set_bit (_, b) -> unmapped (fun () -> As.set_bit asp ~vpn b)
+            | Pt_bit _ -> unmapped (fun () -> As.bit asp ~vpn)
+            | Pt_swap_page _ -> unmapped (fun () -> As.swap_page asp ~vpn))
+        | Some m -> (
+            let o = vpn - m.m_base in
+            As.mapped asp ~vpn
+            &&
+            match op with
+            | Pt_set_raw (_, p) ->
+                As.set_raw asp ~vpn p;
+                Hashtbl.remove m.m_transit o;
+                m.m_ptes.(o) <- p;
+                true
+            | Pt_set_in_transit _ ->
+                let iv = Ivar.create () in
+                As.set_in_transit asp ~vpn iv;
+                Hashtbl.replace m.m_transit o iv;
+                m.m_ptes.(o) <- As.Pte.in_transit;
+                true
+            | Pt_get_pte _ -> (
+                let p = m.m_ptes.(o) in
+                As.get_raw asp ~vpn = p
+                &&
+                match As.get_pte asp ~vpn with
+                | As.In_transit iv ->
+                    p = As.Pte.in_transit
+                    && iv == Hashtbl.find m.m_transit o
+                    && As.transit_ivar asp ~vpn == iv
+                | As.Untouched -> p = As.Pte.untouched
+                | As.Swapped -> p = As.Pte.swapped
+                | As.Resident f -> p = As.Pte.resident f
+                | As.On_free_list f -> p = As.Pte.on_free_list f)
+            | Pt_set_bit (_, b) ->
+                As.set_bit asp ~vpn b;
+                m.m_bits.(o) <- b;
+                true
+            | Pt_bit _ -> As.bit asp ~vpn = m.m_bits.(o)
+            | Pt_swap_page _ -> As.swap_page asp ~vpn = m.m_swap + o)
+      in
+      List.iter
+        (fun op ->
+          if not (step op) then
+            QCheck.Test.fail_reportf "%s disagrees (next_vpn %d)"
+              (pt_op_print op) next)
+        ops;
+      let resident =
+        List.fold_left
+          (fun n m ->
+            Array.fold_left
+              (fun n p ->
+                if As.Pte.tag p = As.Pte.tag_resident then n + 1 else n)
+              n m.m_ptes)
+          0 model
+      in
+      As.resident_pages asp = resident)
+
+(* Mapping a small segment after a large one adds leaves and copies no
+   entry: 4 pages after MATVEC's 25,600-page matrix (paper machine). *)
+let test_add_segment_copies_no_entries () =
+  let asp = As.create ~pid:0 ~name:"p" () in
+  ignore (As.add_segment asp ~name:"a" ~npages:25_600 ~swap_base:0 ~on_swap:true);
+  let before = Gc.allocated_bytes () in
+  ignore (As.add_segment asp ~name:"x" ~npages:4 ~swap_base:25_600 ~on_swap:true);
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  if words >= 2_000. then
+    Alcotest.failf "adding 4 pages allocated %.0f words (limit 2,000)" words;
+  check_bool "old entries kept" true (As.get_pte asp ~vpn:25_599 = As.Swapped);
+  check_bool "new entries mapped" true (As.get_pte asp ~vpn:25_603 = As.Swapped)
 
 (* ------------------------------------------------------------------ *)
 (* Free list                                                           *)
@@ -482,7 +678,7 @@ let test_prefetch_race_with_demand_fault () =
         check_int "prefetch noticed it lost the race" 1
           asp.As.stats.Vm.Vm_stats.prefetches_useless;
         check_bool "page resident exactly once" true
-          (match As.get_pte seg ~vpn:target with
+          (match As.get_pte asp ~vpn:target with
           | As.Resident _ -> true
           | _ -> false))
   in
@@ -591,6 +787,36 @@ let test_release_of_unmapped_addresses_ignored () =
   in
   assert_invariants os
 
+(* Every entry point that takes a vpn, on one just below the first
+   segment and one just past the last: a touch raises [Not_found], the
+   residency bit reads false, a prefetch does nothing, and a release skips
+   the page without counting it. *)
+let test_unmapped_vpns_at_every_entry_point () =
+  let os =
+    with_os (fun os ->
+        let asp = Os.new_process os ~name:"app" in
+        let seg = Os.map_segment os asp ~name:"d" ~bytes:(3 * 16384) ~on_swap:true in
+        let past = seg.As.base_vpn + seg.As.npages in
+        ignore (Os.touch os asp ~vpn:seg.As.base_vpn ~write:true);
+        List.iter
+          (fun vpn ->
+            Alcotest.check_raises "touch" Not_found (fun () ->
+                ignore (Os.touch os asp ~vpn ~write:false));
+            check_bool "page_resident" false (Os.page_resident asp ~vpn);
+            check_bool "prefetch" true
+              (Os.prefetch os asp ~site:Trace.no_site ~urgent:false ~vpn
+              = Os.P_already))
+          [ -1; past ];
+        Os.release_request os asp ~vpns:[| -1; past |];
+        Engine.delay ~cat:Account.Sleep (Time_ns.ms 50);
+        let st = asp.As.stats in
+        check_int "nothing freed" 0 st.Vm.Vm_stats.freed_by_releaser;
+        check_int "nothing skipped" 0 st.Vm.Vm_stats.releases_skipped;
+        check_int "nothing fetched" 0 st.Vm.Vm_stats.prefetches_issued;
+        check_int "mapped page still resident" 1 asp.As.rss)
+  in
+  assert_invariants os
+
 let test_releaser_chunks () =
   (* The releaser frees a request in [releaser_batch] (32) chunks, each
      holding the locks for [releaser_page_ns] (250 ns) a page: a 100-page
@@ -671,7 +897,7 @@ let test_two_processes_isolated_page_tables () =
         check_int "b rss" 1 b.As.rss;
         (* same vpn numbers in different spaces are different pages *)
         check_bool "distinct swap pages" true
-          (As.swap_page sa ~vpn:sa.As.base_vpn <> As.swap_page sb ~vpn:sb.As.base_vpn))
+          (As.swap_page a ~vpn:sa.As.base_vpn <> As.swap_page b ~vpn:sb.As.base_vpn))
   in
   assert_invariants os
 
@@ -845,6 +1071,9 @@ let () =
       ( "address-space",
         [
           Alcotest.test_case "segments and bits" `Quick test_segments_and_bits;
+          Alcotest.test_case "adding a segment copies no entries" `Quick
+            test_add_segment_copies_no_entries;
+          QCheck_alcotest.to_alcotest prop_page_table_matches_model;
         ] );
       ( "free-list",
         [
@@ -871,6 +1100,8 @@ let () =
             test_release_of_nonresident_pages_is_noop;
           Alcotest.test_case "release of unmapped" `Quick
             test_release_of_unmapped_addresses_ignored;
+          Alcotest.test_case "unmapped vpns at every entry point" `Quick
+            test_unmapped_vpns_at_every_entry_point;
           Alcotest.test_case "double release" `Quick test_double_release_idempotent;
           Alcotest.test_case "releaser chunks" `Quick test_releaser_chunks;
           Alcotest.test_case "release then rescue" `Quick test_release_frees_and_rescues;
