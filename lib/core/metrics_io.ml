@@ -556,8 +556,8 @@ let ledger_json (r : E.result) =
         ("rel_refaulted", num_of_int sr.L.sr_rel_refaulted);
         ("rel_reused", num_of_int sr.L.sr_rel_reused);
         ("rel_unreclaimed", num_of_int sr.L.sr_rel_unreclaimed);
-        ("priority_mean", num_of_float sr.L.sr_priority_mean);
-        ("refault_pct", num_of_float sr.L.sr_refault_pct);
+        ("priority_mean", num_of_float (L.priority_mean sr));
+        ("refault_pct", num_of_float (L.refault_pct sr));
       ]
   in
   Obj

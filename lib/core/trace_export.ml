@@ -65,9 +65,9 @@ let event_row ~time ~stream ev =
         (ts_of_time (time - ns))
         (ts_of_time ns) block
   | ev ->
+      let name, args = Trace.describe ev in
       Printf.sprintf "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",%s,\"args\":{%s}}"
-        (Trace.event_name ev) common
-        (args_json (Trace.event_args ev))
+        name common (args_json args)
 
 (* ------------------------------------------------------------------ *)
 (* Flow events: directive -> OS action -> fault/rescue                  *)

@@ -34,7 +34,6 @@ and t = {
   mutable seq : int;
   mutable next_pid : int;
   mutable stop_requested : bool;
-  mutable live : int;
   max_time : int;
   mutable crash_list : (string * exn) list;
   mutable executed : int;
@@ -112,7 +111,6 @@ and dummy_engine =
     seq = 0;
     next_pid = 0;
     stop_requested = true;
-    live = 0;
     max_time = 0;
     crash_list = [];
     executed = 0;
@@ -133,7 +131,6 @@ let create ?(max_time = Time_ns.sec 10_000_000) () =
     seq = 0;
     next_pid = 0;
     stop_requested = false;
-    live = 0;
     max_time;
     crash_list = [];
     executed = 0;
@@ -160,7 +157,6 @@ let now_of t = t.now
 let events_executed t = t.executed
 let stopped t = t.stop_requested
 let crashes t = List.rev t.crash_list
-let live_count t = t.live
 let pid p = p.pid
 let name p = p.name
 let account p = p.account
@@ -212,14 +208,10 @@ let ready p =
 let rec start_fiber t proc f =
   proc.state <- Ready;
   t.current <- proc;
-  let retc () =
-    proc.state <- Finished;
-    t.live <- t.live - 1
-  in
+  let retc () = proc.state <- Finished in
   let exnc e =
     proc.state <- Crashed;
-    t.crash_list <- (proc.name, e) :: t.crash_list;
-    t.live <- t.live - 1
+    t.crash_list <- (proc.name, e) :: t.crash_list
   in
   (* Handler closures are allocated once per fiber, not once per performed
      effect: the [effc] branches below return these preexisting options. *)
@@ -280,7 +272,6 @@ and spawn : t -> name:string -> (unit -> unit) -> proc =
     }
   in
   t.next_pid <- t.next_pid + 1;
-  t.live <- t.live + 1;
   schedule t t.now (Ev_thunk (fun () -> start_fiber t proc f));
   proc
 

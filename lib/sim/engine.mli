@@ -73,8 +73,6 @@ val run : t -> unit
 
 val stopped : t -> bool
 val crashes : t -> (string * exn) list
-val live_count : t -> int
-(** Number of processes spawned and not yet finished. *)
 
 (** {1 Operations available inside processes} *)
 
@@ -113,8 +111,7 @@ val stop : unit -> unit
       notices, an {!Ivar} for a result computed once, a {!Mailbox} for
       messages.  Use a bare queue where none fits: a disk arm's two
       request classes, an idle helper thread's slot, the releaser daemon's
-      wait for requests, the paging daemon's tick (ended by its {!timer}
-      or by a shutdown, whichever comes first);
+      wait for requests, the paging daemon's tick (ended by its {!timer});
     - until the first of several events, {!suspend} with a {!waker}.
 
     A process waits as itself, on at most one queue: waiting and waking

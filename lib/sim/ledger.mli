@@ -19,10 +19,14 @@
       (the frame was never reused and the page never touched again).
 
     Page states are ints in per-process arrays indexed by vpn, and the
-    per-site tallies sit in an array indexed by site, so {!observe} does no
+    per-site rows sit in an array indexed by site, so {!observe} does no
     hashing and allocates only when an array grows.  Pids and vpns are
     dense from 0 (address spaces number their pages from 0); sites are
     {!Trace.no_site} or a directive tag.
+
+    The ledger counts in the records it reports: each site's counts in its
+    {!site_row}, the run's tallies in a {!summary}.  {!summarize} returns
+    copies of them.
 
     Driven only by simulated-time events inside one experiment cell, with
     sorted summary tables, so the output is byte-identical at any [--jobs]. *)
@@ -53,64 +57,87 @@ val observe : t -> time:Time_ns.t -> stream:int -> Trace.event -> unit
     @raise Invalid_argument when the event names a page by a negative pid
     or vpn, or carries a site below {!Trace.no_site}. *)
 
-(** One row of the per-directive-site efficacy table. *)
+(** One row of the per-directive-site efficacy table.  The ledger counts
+    in its own rows; the ones {!summarize} returns are copies. *)
 type site_row = {
   sr_site : int;  (** directive tag; {!Trace.no_site} = unattributed *)
-  sr_pf_sent : int;  (** prefetch intents accepted by the run-time layer *)
-  sr_pf_issued : int;  (** asynchronous fetches the OS started *)
-  sr_pf_dropped : int;  (** dropped: no free frame / queue full *)
-  sr_pf_raced : int;  (** page already resident when the OS looked *)
-  sr_pf_done : int;  (** fetches (or free-list rescues) that completed *)
-  sr_pf_referenced : int;  (** prefetched pages later touched *)
-  sr_pf_useless : int;  (** prefetched pages never touched *)
-  sr_pf_late : int;  (** demand fault beat the prefetch *)
-  sr_pf_saved_ns : int;  (** I/O ns hidden by referenced prefetches *)
-  sr_rel_hints : int;  (** release hints from the application *)
-  sr_rel_filtered : int;  (** dropped by the one-behind/bitmap filters *)
-  sr_rel_buffered : int;  (** parked in the release buffer *)
-  sr_rel_stale : int;  (** invalidated in the buffer before draining *)
-  sr_rel_sent : int;  (** forwarded to the OS *)
-  sr_rel_skipped : int;  (** OS saw a re-reference and kept the page *)
-  sr_rel_freed : int;  (** freed by the releaser *)
-  sr_rel_rescued : int;  (** freed page rescued off the free list *)
-  sr_rel_refaulted : int;  (** freed page hard-refaulted later *)
-  sr_rel_reused : int;  (** freed frame reused by another allocation *)
-  sr_rel_unreclaimed : int;  (** freed but never reused nor re-touched *)
-  sr_priority_mean : float;  (** mean Eq. 2 priority of this site's hints *)
-  sr_refault_pct : float;  (** (rescued + refaulted) / freed, percent *)
+  mutable sr_pf_sent : int;
+      (** prefetch intents accepted by the run-time layer *)
+  mutable sr_pf_issued : int;  (** asynchronous fetches the OS started *)
+  mutable sr_pf_dropped : int;  (** dropped: no free frame / queue full *)
+  mutable sr_pf_raced : int;  (** page already resident when the OS looked *)
+  mutable sr_pf_done : int;
+      (** fetches (or free-list rescues) that completed *)
+  mutable sr_pf_referenced : int;  (** prefetched pages later touched *)
+  mutable sr_pf_useless : int;  (** prefetched pages never touched *)
+  mutable sr_pf_late : int;  (** demand fault beat the prefetch *)
+  mutable sr_pf_saved_ns : int;  (** I/O ns hidden by referenced prefetches *)
+  mutable sr_rel_hints : int;  (** release hints from the application *)
+  mutable sr_rel_filtered : int;
+      (** dropped by the one-behind/bitmap filters *)
+  mutable sr_rel_buffered : int;  (** parked in the release buffer *)
+  mutable sr_rel_stale : int;  (** invalidated in the buffer before draining *)
+  mutable sr_rel_sent : int;  (** forwarded to the OS *)
+  mutable sr_rel_skipped : int;  (** OS saw a re-reference and kept the page *)
+  mutable sr_rel_freed : int;  (** freed by the releaser *)
+  mutable sr_rel_rescued : int;  (** freed page rescued off the free list *)
+  mutable sr_rel_refaulted : int;  (** freed page hard-refaulted later *)
+  mutable sr_rel_reused : int;  (** freed frame reused by another allocation *)
+  mutable sr_rel_unreclaimed : int;
+      (** freed but never reused nor re-touched *)
+  mutable sr_priority_sum : int;
+      (** sum of this site's hints' Eq. 2 priorities *)
+  mutable sr_priority_n : int;  (** hints in [sr_priority_sum] *)
 }
 
+(** The run's tallies.  The ledger counts in one of these; {!summarize}
+    returns a copy with the site rows and the close-out residue added. *)
 type summary = {
   ls_sites : site_row list;  (** ascending site id; unattributed row first *)
-  ls_pages_tracked : int;
-  ls_useless_prefetches : int;
-  ls_late_prefetches : int;
-  ls_early_rescued : int;
-  ls_early_refaulted : int;
-  ls_useful_releases : int;
-  ls_unnecessary_releases : int;
-  ls_hard_faults : int;  (** reconciles with Vm_stats hard_faults *)
-  ls_soft_faults : int;
-  ls_validation_faults : int;
-  ls_zero_fills : int;
-  ls_rescues : int;  (** reconciles with rescued_daemon + rescued_releaser *)
-  ls_prefetches_issued : int;
-  ls_prefetches_dropped : int;  (** reconciles with prefetches_dropped *)
-  ls_releases_freed : int;
-  ls_releases_skipped : int;
-  ls_tier_demotions : int;  (** pages placed in a fast tier on release *)
-  ls_tier_fetches : int;  (** faults/prefetches served from a fast tier *)
-  ls_tier_failovers : int;  (** demotions redirected off an unhealthy tier *)
-  ls_tier_rescues : int;  (** dead-tier reads served from the failover copy *)
+  mutable ls_pages_tracked : int;
+  mutable ls_useless_prefetches : int;
+  mutable ls_late_prefetches : int;
+  mutable ls_early_rescued : int;
+  mutable ls_early_refaulted : int;
+  mutable ls_useful_releases : int;
+  mutable ls_unnecessary_releases : int;
+  mutable ls_hard_faults : int;  (** reconciles with Vm_stats hard_faults *)
+  mutable ls_soft_faults : int;
+  mutable ls_validation_faults : int;
+  mutable ls_zero_fills : int;
+  mutable ls_rescues : int;
+      (** reconciles with rescued_daemon + rescued_releaser *)
+  mutable ls_prefetches_issued : int;
+  mutable ls_prefetches_dropped : int;
+      (** reconciles with prefetches_dropped *)
+  mutable ls_releases_freed : int;
+  mutable ls_releases_skipped : int;
+  mutable ls_tier_demotions : int;
+      (** pages placed in a fast tier on release *)
+  mutable ls_tier_fetches : int;
+      (** faults/prefetches served from a fast tier *)
+  mutable ls_tier_failovers : int;
+      (** demotions redirected off an unhealthy tier *)
+  mutable ls_tier_rescues : int;
+      (** dead-tier reads served from the failover copy *)
 }
 
 val summarize : t -> summary
 (** Close out the run: pages still prefetched-unreferenced become useless
     prefetches, pages still on the free list become unnecessary releases.
-    Pure — never mutates the ledger, safe to call repeatedly. *)
+    Pure: the summary and its rows are fresh copies, so the ledger is never
+    mutated, writing to what it returns leaves the next call unchanged, and
+    it is safe to call repeatedly. *)
 
 val empty_summary : summary
-(** What [summarize null] returns: all zeros, no site rows. *)
+(** What [summarize null] returns: all zeros, no site rows.  Shared: write
+    to a copy. *)
+
+val priority_mean : site_row -> float
+(** Mean Eq. 2 priority of the site's release hints; 0 without hints. *)
+
+val refault_pct : site_row -> float
+(** (rescued + refaulted) / freed, percent; 0 when nothing was freed. *)
 
 val invariants_ok : summary -> bool
 (** Structural legality of a summary: counters non-negative, per-site sums

@@ -301,177 +301,112 @@ let clear t =
   t.len <- 0;
   t.dropped <- 0
 
-let event_name = function
-  | Hard_fault _ -> "hard_fault"
-  | Soft_fault _ -> "soft_fault"
-  | Validation_fault _ -> "validation_fault"
-  | Zero_fill _ -> "zero_fill"
-  | Rescue _ -> "rescue"
-  | Prefetch_issued _ -> "prefetch_issued"
-  | Prefetch_dropped _ -> "prefetch_dropped"
-  | Prefetch_raced _ -> "prefetch_raced"
-  | Prefetch_done _ -> "prefetch_done"
-  | Daemon_steal _ -> "daemon_steal"
-  | Daemon_invalidate _ -> "daemon_invalidate"
-  | Releaser_free _ -> "releaser_free"
-  | Release_requested _ -> "release_requested"
-  | Release_skipped _ -> "release_skipped"
-  | Writeback_complete _ -> "writeback_complete"
-  | Frame_reused _ -> "frame_reused"
-  | Rt_prefetch_sent _ -> "rt_prefetch_sent"
-  | Rt_release_hint _ -> "rt_release_hint"
-  | Rt_release_sent _ -> "rt_release_sent"
-  | Rt_release_filtered _ -> "rt_release_filtered"
-  | Rt_release_buffered _ -> "rt_release_buffered"
-  | Rt_release_issued _ -> "rt_release_issued"
-  | Rt_release_drained _ -> "rt_release_drained"
-  | Rt_stale_dropped _ -> "rt_stale_dropped"
-  | Disk_io _ -> "disk_io"
-  | Free_depth _ -> "free_depth"
-  | Rss_sample _ -> "rss_sample"
-  | Upper_limit_sample _ -> "upper_limit_sample"
-  | Queue_depth _ -> "queue_depth"
-  | Phase_begin _ -> "phase_begin"
-  | Phase_end _ -> "phase_end"
-  | Chaos_disk_fault _ -> "chaos_disk_fault"
-  | Chaos_stall _ -> "chaos_stall"
-  | Chaos_drop_directive _ -> "chaos_drop_directive"
-  | Chaos_pressure _ -> "chaos_pressure"
-  | Chaos_pressure_end _ -> "chaos_pressure_end"
-  | Governor_transition _ -> "governor_transition"
-  | Tier_demote _ -> "tier_demote"
-  | Tier_fetch _ -> "tier_fetch"
-  | Tier_timeout _ -> "tier_timeout"
-  | Tier_failover _ -> "tier_failover"
-  | Tier_rescue _ -> "tier_rescue"
-  | Breaker_transition _ -> "breaker_transition"
-  | Alert_fire _ -> "alert_fire"
-  | Alert_clear _ -> "alert_clear"
-
-let event_args = function
-  | Hard_fault { vpn }
-  | Soft_fault { vpn }
-  | Validation_fault { vpn }
-  | Zero_fill { vpn } ->
-      [ ("vpn", string_of_int vpn) ]
+let describe ev =
+  let i = string_of_int and b = string_of_bool in
+  match ev with
+  | Hard_fault { vpn } -> ("hard_fault", [ ("vpn", i vpn) ])
+  | Soft_fault { vpn } -> ("soft_fault", [ ("vpn", i vpn) ])
+  | Validation_fault { vpn } -> ("validation_fault", [ ("vpn", i vpn) ])
+  | Zero_fill { vpn } -> ("zero_fill", [ ("vpn", i vpn) ])
   | Rescue { vpn; for_prefetch; site } ->
-      [
-        ("vpn", string_of_int vpn);
-        ("for_prefetch", string_of_bool for_prefetch);
-        ("site", string_of_int site);
-      ]
-  | Prefetch_issued { vpn; site }
-  | Prefetch_dropped { vpn; site }
-  | Prefetch_raced { vpn; site }
-  | Rt_prefetch_sent { vpn; site }
-  | Rt_release_sent { vpn; site }
-  | Rt_stale_dropped { vpn; site } ->
-      [ ("vpn", string_of_int vpn); ("site", string_of_int site) ]
+      ( "rescue",
+        [ ("vpn", i vpn); ("for_prefetch", b for_prefetch); ("site", i site) ] )
+  | Prefetch_issued { vpn; site } ->
+      ("prefetch_issued", [ ("vpn", i vpn); ("site", i site) ])
+  | Prefetch_dropped { vpn; site } ->
+      ("prefetch_dropped", [ ("vpn", i vpn); ("site", i site) ])
+  | Prefetch_raced { vpn; site } ->
+      ("prefetch_raced", [ ("vpn", i vpn); ("site", i site) ])
   | Prefetch_done { vpn; site; ns } ->
-      [
-        ("vpn", string_of_int vpn);
-        ("site", string_of_int site);
-        ("ns", string_of_int ns);
-      ]
-  | Daemon_steal { vpn; owner }
-  | Daemon_invalidate { vpn; owner }
-  | Writeback_complete { vpn; owner }
-  | Frame_reused { vpn; owner } ->
-      [ ("vpn", string_of_int vpn); ("owner", string_of_int owner) ]
-  | Releaser_free { vpn; owner; site } | Release_skipped { vpn; owner; site } ->
-      [
-        ("vpn", string_of_int vpn);
-        ("owner", string_of_int owner);
-        ("site", string_of_int site);
-      ]
+      ("prefetch_done", [ ("vpn", i vpn); ("site", i site); ("ns", i ns) ])
+  | Daemon_steal { vpn; owner } ->
+      ("daemon_steal", [ ("vpn", i vpn); ("owner", i owner) ])
+  | Daemon_invalidate { vpn; owner } ->
+      ("daemon_invalidate", [ ("vpn", i vpn); ("owner", i owner) ])
+  | Releaser_free { vpn; owner; site } ->
+      ( "releaser_free",
+        [ ("vpn", i vpn); ("owner", i owner); ("site", i site) ] )
   | Release_requested { owner; count } ->
-      [ ("owner", string_of_int owner); ("count", string_of_int count) ]
+      ("release_requested", [ ("owner", i owner); ("count", i count) ])
+  | Release_skipped { vpn; owner; site } ->
+      ( "release_skipped",
+        [ ("vpn", i vpn); ("owner", i owner); ("site", i site) ] )
+  | Writeback_complete { vpn; owner } ->
+      ("writeback_complete", [ ("vpn", i vpn); ("owner", i owner) ])
+  | Frame_reused { vpn; owner } ->
+      ("frame_reused", [ ("vpn", i vpn); ("owner", i owner) ])
+  | Rt_prefetch_sent { vpn; site } ->
+      ("rt_prefetch_sent", [ ("vpn", i vpn); ("site", i site) ])
   | Rt_release_hint { vpn; site; priority } ->
-      [
-        ("vpn", string_of_int vpn);
-        ("site", string_of_int site);
-        ("priority", string_of_int priority);
-      ]
+      ( "rt_release_hint",
+        [ ("vpn", i vpn); ("site", i site); ("priority", i priority) ] )
+  | Rt_release_sent { vpn; site } ->
+      ("rt_release_sent", [ ("vpn", i vpn); ("site", i site) ])
   | Rt_release_filtered { vpn; reason; site } ->
-      [
-        ("vpn", string_of_int vpn);
-        ("reason", reason);
-        ("site", string_of_int site);
-      ]
+      ( "rt_release_filtered",
+        [ ("vpn", i vpn); ("reason", reason); ("site", i site) ] )
   | Rt_release_buffered { vpn; tag; priority } ->
-      [
-        ("vpn", string_of_int vpn);
-        ("tag", string_of_int tag);
-        ("priority", string_of_int priority);
-      ]
-  | Rt_release_issued { count } | Rt_release_drained { count } ->
-      [ ("count", string_of_int count) ]
+      ( "rt_release_buffered",
+        [ ("vpn", i vpn); ("tag", i tag); ("priority", i priority) ] )
+  | Rt_release_issued { count } -> ("rt_release_issued", [ ("count", i count) ])
+  | Rt_release_drained { count } ->
+      ("rt_release_drained", [ ("count", i count) ])
+  | Rt_stale_dropped { vpn; site } ->
+      ("rt_stale_dropped", [ ("vpn", i vpn); ("site", i site) ])
   | Disk_io { disk; block; write; ns } ->
-      [
-        ("disk", string_of_int disk);
-        ("block", string_of_int block);
-        ("write", string_of_bool write);
-        ("ns", string_of_int ns);
-      ]
-  | Free_depth { pages } -> [ ("pages", string_of_int pages) ]
-  | Rss_sample { owner; pages } | Upper_limit_sample { owner; pages } ->
-      [ ("owner", string_of_int owner); ("pages", string_of_int pages) ]
+      ( "disk_io",
+        [ ("disk", i disk); ("block", i block); ("write", b write);
+          ("ns", i ns) ] )
+  | Free_depth { pages } -> ("free_depth", [ ("pages", i pages) ])
+  | Rss_sample { owner; pages } ->
+      ("rss_sample", [ ("owner", i owner); ("pages", i pages) ])
+  | Upper_limit_sample { owner; pages } ->
+      ("upper_limit_sample", [ ("owner", i owner); ("pages", i pages) ])
   | Queue_depth { owner; depth } ->
-      [ ("owner", string_of_int owner); ("depth", string_of_int depth) ]
-  | Phase_begin { name } | Phase_end { name } -> [ ("name", name) ]
+      ("queue_depth", [ ("owner", i owner); ("depth", i depth) ])
+  | Phase_begin { name } -> ("phase_begin", [ ("name", name) ])
+  | Phase_end { name } -> ("phase_end", [ ("name", name) ])
   | Chaos_disk_fault { disk; block; attempt } ->
-      [
-        ("disk", string_of_int disk);
-        ("block", string_of_int block);
-        ("attempt", string_of_int attempt);
-      ]
-  | Chaos_stall { who; until } -> [ ("who", who); ("until", string_of_int until) ]
-  | Chaos_drop_directive { count } -> [ ("count", string_of_int count) ]
+      ( "chaos_disk_fault",
+        [ ("disk", i disk); ("block", i block); ("attempt", i attempt) ] )
+  | Chaos_stall { who; until } ->
+      ("chaos_stall", [ ("who", who); ("until", i until) ])
+  | Chaos_drop_directive { count } ->
+      ("chaos_drop_directive", [ ("count", i count) ])
   | Chaos_pressure { pages; hold } ->
-      [ ("pages", string_of_int pages); ("hold", string_of_int hold) ]
-  | Chaos_pressure_end { pages } -> [ ("pages", string_of_int pages) ]
+      ("chaos_pressure", [ ("pages", i pages); ("hold", i hold) ])
+  | Chaos_pressure_end { pages } ->
+      ("chaos_pressure_end", [ ("pages", i pages) ])
   | Governor_transition { level_from; level_to; drop_pct; stale_pct } ->
-      [
-        ("level_from", string_of_int level_from);
-        ("level_to", string_of_int level_to);
-        ("drop_pct", string_of_int drop_pct);
-        ("stale_pct", string_of_int stale_pct);
-      ]
+      ( "governor_transition",
+        [ ("level_from", i level_from); ("level_to", i level_to);
+          ("drop_pct", i drop_pct); ("stale_pct", i stale_pct) ] )
   | Tier_demote { page; tier; site } ->
-      [
-        ("page", string_of_int page);
-        ("tier", string_of_int tier);
-        ("site", string_of_int site);
-      ]
+      ("tier_demote", [ ("page", i page); ("tier", i tier); ("site", i site) ])
   | Tier_fetch { page; tier } ->
-      [ ("page", string_of_int page); ("tier", string_of_int tier) ]
+      ("tier_fetch", [ ("page", i page); ("tier", i tier) ])
   | Tier_timeout { page; tier; attempt } ->
-      [
-        ("page", string_of_int page);
-        ("tier", string_of_int tier);
-        ("attempt", string_of_int attempt);
-      ]
+      ( "tier_timeout",
+        [ ("page", i page); ("tier", i tier); ("attempt", i attempt) ] )
   | Tier_failover { page; tier_from; tier_to } ->
-      [
-        ("page", string_of_int page);
-        ("tier_from", string_of_int tier_from);
-        ("tier_to", string_of_int tier_to);
-      ]
+      ( "tier_failover",
+        [ ("page", i page); ("tier_from", i tier_from);
+          ("tier_to", i tier_to) ] )
   | Tier_rescue { page; site } ->
-      [ ("page", string_of_int page); ("site", string_of_int site) ]
+      ("tier_rescue", [ ("page", i page); ("site", i site) ])
   | Breaker_transition { tier; state_from; state_to } ->
-      [
-        ("tier", string_of_int tier);
-        ("state_from", string_of_int state_from);
-        ("state_to", string_of_int state_to);
-      ]
-  | Alert_fire { rule; value_ppm } | Alert_clear { rule; value_ppm } ->
-      [ ("rule", rule); ("value_ppm", string_of_int value_ppm) ]
+      ( "breaker_transition",
+        [ ("tier", i tier); ("state_from", i state_from);
+          ("state_to", i state_to) ] )
+  | Alert_fire { rule; value_ppm } ->
+      ("alert_fire", [ ("rule", rule); ("value_ppm", i value_ppm) ])
+  | Alert_clear { rule; value_ppm } ->
+      ("alert_clear", [ ("rule", rule); ("value_ppm", i value_ppm) ])
 
 let counts t =
   let tbl = Hashtbl.create 32 in
   iter t (fun ~time:_ ~stream:_ ev ->
-      let name = event_name ev in
+      let name, _ = describe ev in
       let n = Option.value (Hashtbl.find_opt tbl name) ~default:0 in
       Hashtbl.replace tbl name (n + 1));
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []

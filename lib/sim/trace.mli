@@ -149,14 +149,16 @@ val iter : t -> (time:Time_ns.t -> stream:int -> event -> unit) -> unit
 
 val clear : t -> unit
 
-val event_name : event -> string
-(** Short stable identifier, e.g. ["hard_fault"]. *)
-
-val event_args : event -> (string * string) list
-(** Payload fields as key/value strings, for exporters. *)
+val describe : event -> string * (string * string) list
+(** The event's kind as a short stable name (e.g. ["hard_fault"]), beside
+    its payload fields as key/value strings in declaration order: ints in
+    decimal, bools as ["true"]/["false"], strings as they are.  Exporters
+    and {!counts} name events by it, so a kind's name and fields are
+    written in this one place. *)
 
 val counts : t -> (string * int) list
-(** Retained event tally by [event_name], sorted by name. *)
+(** Retained event tally by the name {!describe} gives each event, sorted
+    by name. *)
 
 (** {1 Reserved daemon stream ids} *)
 

@@ -34,9 +34,6 @@ type t = {
       (* (owner pid, page count) of each request; its pages are the next
          [count] of [rel_pages] *)
   releaser_wait : Engine.queue;  (* the releaser, while its queue is empty *)
-  mutable rel_handed : bool;
-      (* a request woke the releaser: it processes the oldest request when
-         it resumes, even if a shutdown came after *)
   gstats : Vm_stats.global;
   obs : Obs.t;
   chaos : Chaos.t;
@@ -51,10 +48,8 @@ type t = {
   advisors : (int, unit -> int option) Hashtbl.t;
       (* reactive eviction (section 2.2): per-process callbacks that name a
          page the application prefers to surrender *)
-  mutable stop : bool;
   daemon_tick : Engine.queue;  (* the paging daemon, between ticks *)
-  tick_timer : Engine.timer;
-      (* ends the current tick; [shutdown] ends it early *)
+  tick_timer : Engine.timer;  (* ends the current tick *)
 }
 
 let config t = t.config
@@ -602,24 +597,13 @@ let release_batch t (asp : As.t) batch =
   (* Queue the request; a releaser waiting for work takes it first. *)
   Int_ring.transfer ~src:batch ~dst:t.rel_pages n;
   Int_ring.push2 t.rel_reqs asp.As.pid n;
-  if Engine.wake_one t.releaser_wait then t.rel_handed <- true;
+  ignore (Engine.wake_one t.releaser_wait : bool);
   update_limits t asp
 
-let release_request t ?sites ?priorities (asp : As.t) ~vpns =
-  let n = Array.length vpns in
-  (match sites with
-  | Some s when Array.length s <> n ->
-      invalid_arg "Os.release_request: sites length mismatch"
-  | _ -> ());
-  (match priorities with
-  | Some p when Array.length p <> n ->
-      invalid_arg "Os.release_request: priorities length mismatch"
-  | _ -> ());
+let release_request t (asp : As.t) ~vpns =
   let batch = Int_ring.create ~width:3 in
-  for i = 0 to n - 1 do
-    Int_ring.push3 batch vpns.(i)
-      (match sites with Some s -> s.(i) | None -> Trace.no_site)
-      (match priorities with Some p -> p.(i) | None -> min_int)
+  for i = 0 to Array.length vpns - 1 do
+    Int_ring.push3 batch vpns.(i) Trace.no_site min_int
   done;
   release_batch t asp batch
 
@@ -788,20 +772,14 @@ let releaser_request t =
     done
   end
 
-(* The releaser waits for work only while its queue is empty.  A request
-   posted while it waits wakes it, and it processes that request when it
-   resumes even if a shutdown followed; a shutdown that woke it first
-   ends the loop. *)
+(* The releaser waits for work only while its queue is empty; the request
+   whose post woke it is queued when it resumes. *)
 let releaser_loop t () =
-  while not t.stop do
-    if Int_ring.length t.rel_reqs = 0 then begin
-      ignore (Engine.wait ~cat:Account.Sleep t.releaser_wait : Time_ns.t);
-      if t.rel_handed then begin
-        t.rel_handed <- false;
-        releaser_request t
-      end
-    end
-    else releaser_request t
+  while true do
+    while Int_ring.length t.rel_reqs = 0 do
+      ignore (Engine.wait ~cat:Account.Sleep t.releaser_wait : Time_ns.t)
+    done;
+    releaser_request t
   done
 
 (* ------------------------------------------------------------------ *)
@@ -980,11 +958,10 @@ let daemon_scan_batch t =
    re-reference (soft fault) pages still in their working set, and it makes
    the hand's cycle time scale with memory size — the property that lets an
    idle interactive task keep its pages for a while (Figure 1). *)
-(* An interruptible tick: a wait that the timer ends, or [shutdown] does
-   earlier, so a shutdown does not have to wait out the interval.  The
-   waited time is charged as [Sleep] like a plain delay would be.  A timer
-   outlived by a shutdown's wake finds no daemon waiting: after a shutdown
-   the daemon never ticks again. *)
+(* A tick is the timer's event and the daemon's wait for it, the waited
+   time charged as [Sleep] like a plain delay's.  That is two engine events
+   where a delay would be one; perfbench's seed-42 digests count engine
+   events, so the tick keeps both. *)
 let daemon_sleep t d =
   Engine.arm t.tick_timer d;
   ignore (Engine.wait ~cat:Account.Sleep t.daemon_tick : Time_ns.t)
@@ -992,14 +969,13 @@ let daemon_sleep t d =
 let paging_daemon_loop t () =
   let cfg = t.config in
   let active = ref false in
-  while not t.stop do
+  while true do
     daemon_sleep t cfg.daemon_interval_ns;
     chaos_stall t `Daemon ~name:"daemon";
     if Obs.on t.obs then
       Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.kernel_stream
         (Trace.Free_depth { pages = Free_list.length t.free });
-    if t.stop then ()
-    else if !active then begin
+    if !active then begin
       if reached_target t then active := false
       else begin
         daemon_scan_batch t;
@@ -1035,34 +1011,32 @@ let chaos_phantom_loop t spikes () =
     (fun (start, pages, hold) ->
       let now = Engine.now () in
       if start > now then Engine.delay ~cat:Account.Sleep (start - now);
-      if not t.stop then begin
+      Semaphore.acquire t.memory_lock;
+      let grabbed = ref [] in
+      let n = ref 0 in
+      let exhausted = ref false in
+      while (not !exhausted) && !n < pages do
+        match Free_list.pop_head t.free with
+        | Some f ->
+            disassociate t f;
+            grabbed := f :: !grabbed;
+            incr n
+        | None -> exhausted := true
+      done;
+      Semaphore.release t.memory_lock;
+      if !n > 0 then begin
+        Chaos.note_pressure t.chaos ~pages:!n;
+        if Obs.on t.obs then
+          Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.chaos_stream
+            (Trace.Chaos_pressure { pages = !n; hold });
+        Engine.delay ~cat:Account.Sleep hold;
         Semaphore.acquire t.memory_lock;
-        let grabbed = ref [] in
-        let n = ref 0 in
-        let exhausted = ref false in
-        while (not !exhausted) && !n < pages do
-          match Free_list.pop_head t.free with
-          | Some f ->
-              disassociate t f;
-              grabbed := f :: !grabbed;
-              incr n
-          | None -> exhausted := true
-        done;
+        List.iter (fun f -> Free_list.push_tail t.free f) !grabbed;
+        Condition.broadcast t.free_cond;
         Semaphore.release t.memory_lock;
-        if !n > 0 then begin
-          Chaos.note_pressure t.chaos ~pages:!n;
-          if Obs.on t.obs then
-            Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.chaos_stream
-              (Trace.Chaos_pressure { pages = !n; hold });
-          Engine.delay ~cat:Account.Sleep hold;
-          Semaphore.acquire t.memory_lock;
-          List.iter (fun f -> Free_list.push_tail t.free f) !grabbed;
-          Condition.broadcast t.free_cond;
-          Semaphore.release t.memory_lock;
-          if Obs.on t.obs then
-            Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.chaos_stream
-              (Trace.Chaos_pressure_end { pages = !n })
-        end
+        if Obs.on t.obs then
+          Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.chaos_stream
+            (Trace.Chaos_pressure_end { pages = !n })
       end)
     spikes
 
@@ -1094,7 +1068,6 @@ let create ?swap_config ?tiers:tiers_spec ?(obs = Obs.null)
       rel_pages = Int_ring.create ~width:3;
       rel_reqs = Int_ring.create ~width:2;
       releaser_wait = Engine.queue ();
-      rel_handed = false;
       gstats = Vm_stats.create_global ();
       obs;
       chaos;
@@ -1104,7 +1077,6 @@ let create ?swap_config ?tiers:tiers_spec ?(obs = Obs.null)
       clock_hand = 0;
       next_pid = 0;
       next_swap_page = 0;
-      stop = false;
       daemon_tick;
       tick_timer =
         Engine.timer engine (fun () ->
@@ -1135,15 +1107,6 @@ let create ?swap_config ?tiers:tiers_spec ?(obs = Obs.null)
       ignore
         (Engine.spawn engine ~name:"chaos-phantom" (chaos_phantom_loop t spikes)));
   t
-
-let shutdown t =
-  if not t.stop then begin
-    t.stop <- true;
-    (* Wake both daemons: the releaser's wait for work and the paging
-       daemon's current tick end early.  Both then observe [t.stop]. *)
-    ignore (Engine.wake_one t.releaser_wait : bool);
-    ignore (Engine.wake_one t.daemon_tick : bool)
-  end
 
 let set_eviction_advisor t (asp : As.t) advise =
   Hashtbl.replace t.advisors asp.As.pid advise

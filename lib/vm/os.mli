@@ -161,18 +161,9 @@ val release_batch : t -> Address_space.t -> Memhog_sim.Int_ring.t -> unit
     posted while it waits wakes it.
     @raise Invalid_argument if the ring's width is not 3. *)
 
-val release_request :
-  t ->
-  ?sites:int array ->
-  ?priorities:int array ->
-  Address_space.t ->
-  vpns:int array ->
-  unit
-(** {!release_batch} of the pages [vpns].  [sites] (parallel to [vpns];
-    defaults to all {!Memhog_sim.Trace.no_site}) and [priorities] (parallel
-    to [vpns]; defaults to unattributed) fill the records' other fields.
-    @raise Invalid_argument when [sites] or [priorities] is given with a
-    different length than [vpns]. *)
+val release_request : t -> Address_space.t -> vpns:int array -> unit
+(** {!release_batch} of the pages [vpns], each unattributed: site
+    {!Memhog_sim.Trace.no_site}, priority [min_int]. *)
 
 (** {1 Shared-page information (read-only to applications)} *)
 
@@ -193,14 +184,7 @@ val set_eviction_advisor : t -> Address_space.t -> (unit -> int option) -> unit
     protect other applications — is demonstrated by
     [bench/main.exe ext-reactive]. *)
 
-(** {1 Control} *)
-
-val shutdown : t -> unit
-(** Stop the daemons: sets the stop flag and wakes both, ending the
-    releaser's wait for work and the paging daemon's tick early, so both
-    quiesce promptly and [Engine.run] can drain without an explicit
-    [Engine.stop].  A request that woke the releaser before the shutdown
-    is still processed; requests queued behind it are not. *)
+(** {1 Invariants} *)
 
 val check_invariants : t -> (string * bool) list
 (** Structural invariants (for tests): frame/PTE agreement, free-list

@@ -684,51 +684,6 @@ let test_prefetch_race_with_demand_fault () =
   in
   assert_invariants os
 
-let test_shutdown_quiesces_daemons () =
-  (* [Os.shutdown] must wake the paging daemon and the releaser so
-     [Engine.run] can drain without an explicit [Engine.stop]. *)
-  let engine = Engine.create ~max_time:(Time_ns.sec 3600) () in
-  let os = Os.create ~config:small_config ~engine () in
-  ignore
-    (Engine.spawn engine ~name:"main" (fun () ->
-         let asp = Os.new_process os ~name:"app" in
-         let seg = Os.map_segment os asp ~name:"d" ~bytes:(4 * 16384) ~on_swap:true in
-         ignore (Os.touch os asp ~vpn:seg.As.base_vpn ~write:false);
-         Engine.delay ~cat:Account.Sleep (Time_ns.ms 5);
-         Os.shutdown os));
-  Engine.run engine;
-  (match Engine.crashes engine with
-  | [] -> ()
-  | (name, e) :: _ ->
-      Alcotest.failf "process %s crashed: %s" name (Printexc.to_string e));
-  check_bool "run returned without Engine.stop" false (Engine.stopped engine);
-  check_int "all processes (incl. daemons) exited" 0 (Engine.live_count engine);
-  List.iter
-    (fun (what, ok) -> check_bool what true ok)
-    (Os.check_invariants os)
-
-let test_shutdown_after_request () =
-  (* A request that woke the idle releaser is processed even when a
-     shutdown follows it at the same instant. *)
-  let engine = Engine.create ~max_time:(Time_ns.sec 3600) () in
-  let os = Os.create ~config:small_config ~engine () in
-  let freed = ref (-1) in
-  ignore
-    (Engine.spawn engine ~name:"main" (fun () ->
-         let asp = Os.new_process os ~name:"app" in
-         let seg = Os.map_segment os asp ~name:"d" ~bytes:(4 * 16384) ~on_swap:true in
-         for i = 0 to 1 do
-           ignore (Os.touch os asp ~vpn:(seg.As.base_vpn + i) ~write:false)
-         done;
-         Engine.delay ~cat:Account.Sleep (Time_ns.ms 5);
-         Os.release_request os asp ~vpns:[| seg.As.base_vpn; seg.As.base_vpn + 1 |];
-         Os.shutdown os;
-         Engine.delay ~cat:Account.Sleep (Time_ns.ms 5);
-         freed := asp.As.stats.Vm.Vm_stats.freed_by_releaser));
-  Engine.run engine;
-  check_int "the waking request was processed" 2 !freed;
-  check_int "all processes (incl. daemons) exited" 0 (Engine.live_count engine)
-
 (* ------------------------------------------------------------------ *)
 (* Shared page info                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -1119,13 +1074,6 @@ let () =
             test_prefetch_of_unmapped_address;
           Alcotest.test_case "blocking prefetch races demand fault" `Quick
             test_prefetch_race_with_demand_fault;
-        ] );
-      ( "shutdown",
-        [
-          Alcotest.test_case "daemons quiesce" `Quick
-            test_shutdown_quiesces_daemons;
-          Alcotest.test_case "a waking request survives shutdown" `Quick
-            test_shutdown_after_request;
         ] );
       ( "tlb",
         [
