@@ -3,6 +3,8 @@
    Subcommands:
      list       the benchmark suite (Table 2)
      machine    the simulated machine (Table 1)
+     paper      the paper's tables, figures and ablations, and the matrix's
+                metrics document
      compile    run the compiler on a benchmark and dump analysis + code
      run        run one experiment and print its metrics document's tables
                 (the Metrics_io.render of what --metrics writes, as serve
@@ -84,12 +86,15 @@ let distinct_list conv =
 let jobs_term =
   Arg.(
     value
-    & opt (checked ~expected:"at least 1 job" (fun n -> n >= 1) Arg.int) 1
+    & opt
+        (checked ~expected:"at least 1 job" (fun n -> n >= 1) Arg.int)
+        (Pool.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Run the independent simulations on $(docv) worker domains.  \
-           Results are bit-identical to --jobs 1: each simulation owns its \
-           engine, OS and RNG.")
+          "Run the independent simulations on $(docv) worker domains \
+           (default: the machine's recommended domain count).  Results are \
+           bit-identical to --jobs 1: each simulation owns its engine, OS \
+           and RNG.")
 
 let rate_conv =
   checked ~expected:"a positive rate"
@@ -121,13 +126,17 @@ let out_path_conv =
   in
   Arg.conv (parse, Format.pp_print_string)
 
-let chaos_conv =
+(* A fault plan, parsed (and so rejected) before anything runs. *)
+let chaos_arg ~doc =
   let parse s =
     match Memhog_sim.Chaos.parse s with
     | Ok _ -> Ok s
     | Error e -> Error (`Msg e)
   in
-  Arg.conv (parse, Format.pp_print_string)
+  Arg.(
+    value
+    & opt (some (conv (parse, Format.pp_print_string))) None
+    & info [ "chaos" ] ~docv:"SPEC" ~doc)
 
 (* ------------------------------------------------------------------ *)
 (* list                                                                *)
@@ -180,14 +189,9 @@ let compile_cmd =
     let ann = Memhog_compiler.Compile.analyze ~target prog in
     Format.printf "=== analysis ===@.%a@.@." Memhog_compiler.Analysis.pp ann;
     if not analysis_only then begin
-      let pir_variant =
-        match variant with
-        | Experiment.O -> Memhog_compiler.Pir.V_original
-        | Experiment.P -> Memhog_compiler.Pir.V_prefetch
-        | Experiment.R | Experiment.B -> Memhog_compiler.Pir.V_release
-      in
       let compiled =
-        Memhog_compiler.Compile.compile ~target ~variant:pir_variant prog
+        Memhog_compiler.Compile.compile ~target
+          ~variant:(Experiment.pir_variant variant) prog
       in
       Format.printf "=== generated code ===@.%a@." Memhog_compiler.Pir.pp compiled
     end;
@@ -201,6 +205,16 @@ let compile_cmd =
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
 (* ------------------------------------------------------------------ *)
+
+(* Every simulating verb runs its cells through the one checked runner: a
+   cell that crashes or fails its check is reported by name on stderr, and
+   the verb exits 1 with nothing on stdout. *)
+let simulate verb ?jobs ?log cells =
+  match Figures.simulate ?jobs ?log cells with
+  | l -> l
+  | exception Failure msg ->
+      Format.eprintf "memhog %s: %s@." verb msg;
+      exit 1
 
 (* [run], [serve] and [tiers] print the tables of the document their
    --metrics writes. *)
@@ -219,9 +233,8 @@ let metrics_arg =
     & opt (some out_path_conv) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Write the metrics document whose tables the verb prints as \
-           canonical JSON, readable by $(b,memhog report) and $(b,memhog \
-           compare).")
+          "Write the verb's metrics document as canonical JSON, readable by \
+           $(b,memhog report) and $(b,memhog compare).")
 
 let run_cmd =
   let variant =
@@ -285,16 +298,13 @@ let run_cmd =
              JSON, loadable in chrome://tracing or Perfetto.")
   in
   let chaos =
-    Arg.(
-      value
-      & opt (some chaos_conv) None
-      & info [ "chaos" ] ~docv:"SPEC"
-          ~doc:
-            "Inject faults from this plan (e.g. \
-             $(b,disk-fault@10s-20s:p=0.5;pressure@30s-31s:pages=128)).  \
-             The plan is seeded with the machine seed, so repeated runs \
-             inject the identical schedule.  Also enables the run-time \
-             layer's graceful-degradation governor.")
+    chaos_arg
+      ~doc:
+        "Inject faults from this plan (e.g. \
+         $(b,disk-fault@10s-20s:p=0.5;pressure@30s-31s:pages=128)).  The \
+         plan is seeded with the machine seed, so repeated runs inject the \
+         identical schedule.  Also enables the run-time layer's \
+         graceful-degradation governor."
   in
   let serve_rate =
     Arg.(
@@ -329,22 +339,18 @@ let run_cmd =
   in
   let run machine workload variant interactive iterations conservative telemetry
       csv trace metrics chaos serve_rate tiers =
-    let interactive_sleep = Option.map Time_ns.of_sec_f interactive in
-    let min_sim_time =
-      Option.fold ~none:0 ~some:Experiment.run_length interactive_sleep
+    let cell =
+      Figures.corun
+        ?sleep:(Option.map Time_ns.of_sec_f interactive)
+        ?iterations ~conservative ?chaos ~traced:(trace <> None)
+        ?serve:
+          (Option.map
+             (fun rate_rps -> Experiment.serve_cfg ~machine ~rate_rps ())
+             serve_rate)
+        ?tiers ~telemetry:(telemetry <> None) machine workload.Workload.w_name
+        variant
     in
-    let trace_buf = Option.map (fun _ -> Memhog_sim.Trace.create ()) trace in
-    let serve =
-      Option.map
-        (fun rate_rps -> Experiment.serve_cfg ~machine ~rate_rps ())
-        serve_rate
-    in
-    let r =
-      Experiment.run
-        (Experiment.setup ~machine ?interactive_sleep ?iterations ~min_sim_time
-           ~conservative ?trace:trace_buf ?chaos ?serve ?tiers
-           ~telemetry:(telemetry <> None) ~workload ~variant ())
-    in
+    let r = Figures.result (simulate "run" [ cell ]) cell in
     let label =
       Printf.sprintf "%s %s/%s" machine.Machine.m_name r.Experiment.r_workload
         (Experiment.variant_name r.Experiment.r_variant)
@@ -378,9 +384,7 @@ let run_cmd =
         Format.printf "trace written to %s@." path
     | None -> ());
     write_metrics doc metrics;
-    Format.printf "invariants: %s@."
-      (if r.Experiment.r_invariants_ok then "ok" else "VIOLATED");
-    if r.Experiment.r_invariants_ok then 0 else 1
+    0
   in
   Cmd.v
     (Cmd.info "run"
@@ -414,7 +418,7 @@ let sweep_cmd =
     let e =
       Figures.fig10a ~workload:workload.Workload.w_name ~sleeps_s:sleeps machine
     in
-    print_string (e.Figures.render (Figures.simulate ~jobs e.Figures.cells));
+    print_string (e.Figures.render (simulate "sweep" ~jobs e.Figures.cells));
     0
   in
   Cmd.v
@@ -464,13 +468,7 @@ let serve_cmd =
       & info [ "duration" ] ~docv:"S"
           ~doc:"Arrival-window length, in simulated seconds.")
   in
-  let chaos =
-    Arg.(
-      value
-      & opt (some chaos_conv) None
-      & info [ "chaos" ] ~docv:"SPEC"
-          ~doc:"Apply this fault-injection plan to every cell.")
-  in
+  let chaos = chaos_arg ~doc:"Apply this fault-injection plan to every cell." in
   let trace =
     Arg.(
       value
@@ -482,14 +480,13 @@ let serve_cmd =
              as Chrome trace-event JSON, openable in Perfetto.")
   in
   let run machine rates variants hog slo duration chaos jobs metrics trace =
-    let t =
-      Serve.run ~machine ~workload:hog.Workload.w_name ~rates ~variants
+    let cells, read =
+      Serve.plan ~machine ~workload:hog.Workload.w_name ~rates ~variants
         ~slo:(Time_ns.of_sec_f slo)
         ~duration:(Time_ns.of_sec_f duration)
-        ?chaos ~jobs
-        ~log:(fun m -> Format.eprintf "%s@." m)
-        ()
+        ?chaos ()
     in
+    let t = read (simulate "serve" ~jobs ~log:prerr_endline cells) in
     let doc = Serve.metrics t in
     print_render doc;
     print_newline ();
@@ -543,11 +540,8 @@ let tiers_cmd =
           if machine.Machine.m_name = Machine.quick.Machine.m_name then 1600.0
           else 3200.0
     in
-    let t =
-      Tier_exp.run ~machine ~rate ~jobs
-        ~log:(fun m -> Format.eprintf "%s@." m)
-        ()
-    in
+    let cells, read = Tier_exp.plan ~machine ~rate () in
+    let t = read (simulate "tiers" ~jobs ~log:prerr_endline cells) in
     let doc = Tier_exp.metrics t in
     print_render doc;
     write_metrics doc metrics;
@@ -567,6 +561,86 @@ let tiers_cmd =
           rescued, the circuit breaker must cycle, and post-window SLO \
           attainment must recover.")
     Term.(const run $ machine_term $ rate $ jobs_term $ metrics_arg)
+
+(* ------------------------------------------------------------------ *)
+(* paper                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let paper_cmd =
+  let ids =
+    List.map
+      (fun e -> (e.Figures.id, e.Figures.id))
+      (Figures.experiments Machine.paper)
+  in
+  let selected =
+    Arg.(
+      value
+      & pos_all (enum ids) []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:
+            ("Experiments to print, in order (default: all): "
+            ^ doc_alts_enum ids ^ "."))
+  in
+  let chaos =
+    chaos_arg ~doc:"Inject this fault plan into every Figure 7 matrix cell."
+  in
+  let trace =
+    Arg.(
+      value
+      & opt (some dir) None
+      & info [ "trace" ] ~docv:"DIR"
+          ~doc:
+            "Write each Figure 7 matrix cell's event trace into $(docv) as \
+             Chrome trace_event JSON, one $(b,WORKLOAD-VARIANT.trace.json) \
+             per cell.")
+  in
+  let run machine jobs metrics chaos trace selected =
+    let t0 = Unix.gettimeofday () in
+    let log msg =
+      Printf.eprintf "  [%7.1fs] %s\n%!" (Unix.gettimeofday () -. t0) msg
+    in
+    let traced = trace <> None in
+    let registry = Figures.experiments ?chaos ~traced machine in
+    let to_run =
+      if selected = [] then registry
+      else
+        List.map
+          (fun id -> List.find (fun e -> e.Figures.id = id) registry)
+          selected
+    in
+    let mcells, read_matrix = Figures.matrix ~machine ?chaos ~traced () in
+    let cells =
+      List.concat_map (fun e -> e.Figures.cells) to_run
+      @ if metrics = None then [] else mcells
+    in
+    log (Printf.sprintf "machine: %s | jobs: %d" machine.Machine.m_name jobs);
+    let l = simulate "paper" ~jobs ~log cells in
+    let rule = String.make 72 '=' in
+    List.iter
+      (fun e ->
+        Printf.printf "\n%s\n%s\n%s\n%s\n%!" rule e.Figures.id rule
+          (e.Figures.render l))
+      to_run;
+    Option.iter (fun dir -> Figures.write_traces ~log ~dir l) trace;
+    if metrics <> None then
+      write_metrics (Metrics.of_matrix (read_matrix l)) metrics;
+    log "done";
+    0
+  in
+  Cmd.v
+    (Cmd.info "paper"
+       ~doc:
+         "Print the paper's evaluation: Tables 1-3, Figures 1 and 7-10, the \
+          ablations and the extensions.  The selected experiments' cells \
+          form one plan, and each distinct simulation runs once, whichever \
+          experiments read it.  Nothing prints until every cell has \
+          finished; a cell that fails its check ends the run with no table \
+          printed.  $(b,--metrics) writes the Figure 7 matrix's metrics \
+          document, simulating the matrix if no selected experiment reads \
+          it; $(b,--chaos) and $(b,--trace) reach the matrix cells only.")
+    Term.(
+      const run $ machine_term $ jobs_term $ metrics_arg $ chaos $ trace
+      $ selected)
 
 (* ------------------------------------------------------------------ *)
 (* report / compare                                                    *)
@@ -599,8 +673,8 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Render metrics JSON files (written by $(b,run --metrics) or \
-          $(b,bench/main.exe --json)) as human-readable tables.")
+         "Render metrics JSON files (written by a verb's $(b,--metrics)) as \
+          human-readable tables.")
     Term.(const run $ files)
 
 let compare_cmd =
@@ -933,7 +1007,7 @@ let () =
        (Cmd.group
           (Cmd.info "memhog" ~version:"1.0.0" ~doc)
           [
-            list_cmd; machine_cmd; compile_cmd; run_cmd; sweep_cmd;
+            list_cmd; machine_cmd; paper_cmd; compile_cmd; run_cmd; sweep_cmd;
             serve_cmd; tiers_cmd; report_cmd; compare_cmd;
             gate_cmd; top_cmd;
           ]))

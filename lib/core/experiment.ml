@@ -199,6 +199,13 @@ let check_crashes ~what engine =
         (Printf.sprintf "%s: process %s crashed: %s" what name
            (Printexc.to_string e))
 
+let check_invariants ~what os =
+  match List.find_opt (fun (_, ok) -> not ok) (Os.check_invariants os) with
+  | Some (name, _) ->
+      failwith
+        (Printf.sprintf "%s: OS invariant %S violated after the run" what name)
+  | None -> ()
+
 let check_result ~what r =
   if not r.r_invariants_ok then
     failwith (what ^ ": OS invariants violated after the run");
@@ -551,7 +558,12 @@ let run_interactive_alone ?(machine = Machine.paper) ~sleep ~duration () =
          Engine.delay ~cat:Account.Sleep duration;
          Engine.stop ()));
   Engine.run engine;
-  check_crashes engine ~what:"interactive task alone";
+  let what =
+    Printf.sprintf "interactive alone sleep %s on %s" (Time_ns.to_string sleep)
+      machine.Machine.m_name
+  in
+  check_crashes engine ~what;
+  check_invariants ~what os;
   summarize_interactive ~sleep task
 
 let ledger_reconciliation r =

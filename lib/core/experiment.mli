@@ -13,6 +13,10 @@ type variant = O | P | R | B
 val variant_name : variant -> string
 val all_variants : variant list
 
+val pir_variant : variant -> Memhog_compiler.Pir.variant
+(** The code a variant compiles to: O the original, P prefetching, R and B
+    prefetching and releasing (they differ in the run-time policy). *)
+
 type interactive_summary = {
   is_sleep : Memhog_sim.Time_ns.t;
   is_avg_response : Memhog_sim.Time_ns.t option; (** None: too few sweeps *)
@@ -214,6 +218,13 @@ val check_crashes : what:string -> Memhog_sim.Engine.t -> unit
     that crashed, if any did.  {!run} and {!run_interactive_alone} call it,
     so a crash never yields a result built from a partial run. *)
 
+val check_invariants : what:string -> Memhog_vm.Os.t -> unit
+(** After [Engine.run]: @raise Failure naming [what] and the first of
+    {!Memhog_vm.Os.check_invariants} that does not hold.
+    {!run_interactive_alone} calls it, as does the two-hog cell of
+    {!Figures}; {!run} records the verdict in [r_invariants_ok] for
+    {!check_result}. *)
+
 val check_result : what:string -> result -> unit
 (** The oracle every simulated grid cell passes ({!Figures.simulate} calls
     it once per co-run result): @raise Failure naming [what] when the OS
@@ -231,7 +242,8 @@ val run_interactive_alone :
   unit ->
   interactive_summary
 (** Baseline: the interactive task with the machine to itself.
-    @raise Failure if the task crashed ({!check_crashes}). *)
+    @raise Failure if the task crashed ({!check_crashes}) or an OS
+    invariant does not hold after the run ({!check_invariants}). *)
 
 val ledger_reconciliation : result -> (string * int * int) list
 (** The page-lifecycle ledger's totals beside the VM's own counters for

@@ -16,6 +16,7 @@ type corun = {
   c_workload : string;
   c_variant : E.variant;
   c_sleep : Time_ns.t option;
+  c_iterations : int option;
   c_conservative : bool;
   c_reactive : bool;
   c_release_target : int option;
@@ -33,15 +34,16 @@ type cell =
   | Alone of Machine.t * Time_ns.t
   | Two_hogs of Machine.t * Pir.variant
 
-let corun ?sleep ?(conservative = false) ?(reactive = false) ?release_target
-    ?chaos ?(traced = false) ?serve ?tiers ?(telemetry = false) ?governor
-    ?(ledger = true) machine workload variant =
+let corun ?sleep ?iterations ?(conservative = false) ?(reactive = false)
+    ?release_target ?chaos ?(traced = false) ?serve ?tiers ?(telemetry = false)
+    ?governor ?(ledger = true) machine workload variant =
   Corun
     {
       c_machine = machine;
       c_workload = workload;
       c_variant = variant;
       c_sleep = sleep;
+      c_iterations = iterations;
       c_conservative = conservative;
       c_reactive = reactive;
       c_release_target = release_target;
@@ -61,6 +63,7 @@ let label = function
       String.concat " "
         ((Printf.sprintf "%s/%s" c.c_workload (E.variant_name c.c_variant)
          :: opt (fun s -> "sleep " ^ Time_ns.to_string s) c.c_sleep)
+        @ opt (Printf.sprintf "passes %d") c.c_iterations
         @ flag c.c_conservative "conservative"
         @ flag c.c_reactive "reactive"
         @ opt (Printf.sprintf "target %d") c.c_release_target
@@ -128,8 +131,9 @@ let two_hogs machine variant =
   in
   let matvec = spawn "MATVEC" and embar = spawn "EMBAR" in
   Engine.run engine;
-  let what = "two hogs, both " ^ Pir.variant_letter variant in
+  let what = label (Two_hogs (machine, variant)) in
   E.check_crashes ~what engine;
+  E.check_invariants ~what os;
   if !finished < 2 then
     failwith
       (Printf.sprintf "%s: %d of 2 hogs finished before the %s cap" what
@@ -147,6 +151,7 @@ let simulate_cell cell =
       let r =
         E.run
           (E.setup ~machine:c.c_machine ?interactive_sleep:c.c_sleep
+             ?iterations:c.c_iterations
              ~min_sim_time:(Option.fold ~none:0 ~some:E.run_length c.c_sleep)
              ~conservative:c.c_conservative ~reactive:c.c_reactive
              ?release_target:c.c_release_target
@@ -169,8 +174,9 @@ let no_log _ = ()
 (* Every cell owns its engine, OS and RNG, so it is deterministic on its
    own and [jobs] moves only the wall time.  Cells run on worker domains;
    one lock keeps the caller's log lines whole.  This is the one place a
-   grid of simulations runs, so it is the one place each co-run result is
-   checked ([simulate_cell]). *)
+   grid of simulations runs, so it is the one place each cell is checked:
+   a co-run result in [simulate_cell], the other cells where they build
+   their OS. *)
 let simulate ?(jobs = 1) ?(log = no_log) cells =
   let cells = distinct cells in
   let n = List.length cells in

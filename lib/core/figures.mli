@@ -21,6 +21,8 @@ type corun = {
   c_sleep : Memhog_sim.Time_ns.t option;
       (** [Some s]: co-run the interactive task at sleep [s], for
           {!Experiment.run_length}[ s]; [None]: a batch cell *)
+  c_iterations : int option;
+      (** main-computation passes; [None]: the workload's default *)
   c_conservative : bool;
   c_reactive : bool;
   c_release_target : int option;
@@ -53,6 +55,7 @@ type cell =
 
 val corun :
   ?sleep:Memhog_sim.Time_ns.t ->
+  ?iterations:int ->
   ?conservative:bool ->
   ?reactive:bool ->
   ?release_target:int ->
@@ -80,11 +83,13 @@ val simulate : ?jobs:int -> ?log:(string -> unit) -> cell list -> lookup
 (** Run each {!distinct} cell once, on [jobs] (default 1) worker domains
     (a {!Pool}).  Every cell owns its engine, OS and RNG, so the lookup
     is identical for any [jobs].  [log] gets one line per cell when it
-    starts; calls may come from worker domains but are serialized.  Each
-    co-run result passes {!Experiment.check_result}, which names the cell
-    by its inputs, before anything reads it.  The first exception a cell
-    raises is re-raised: at [jobs <= 1] the cells after it never run; with
-    more jobs it is re-raised after every other cell has finished. *)
+    starts; calls may come from worker domains but are serialized.  Every
+    cell is checked, by a [Failure] that names it by its inputs, before
+    anything reads it: a co-run result passes {!Experiment.check_result},
+    and an {!Alone} or {!Two_hogs} cell's OS passes
+    {!Experiment.check_invariants}.  The first exception a cell raises is
+    re-raised: at [jobs <= 1] the cells after it never run; with more jobs
+    it is re-raised after every other cell has finished. *)
 
 val result : lookup -> cell -> Experiment.result
 (** A co-run cell's result.
@@ -104,7 +109,7 @@ type experiment = {
 }
 
 val experiments : ?chaos:string -> ?traced:bool -> Machine.t -> experiment list
-(** The 19 experiments of [bench/main.exe], in order:
+(** The 19 experiments of [memhog paper], in order:
     - [table1]: hardware characteristics;
     - [table2]: benchmark characteristics, with the compiler's analysis
       statistics;

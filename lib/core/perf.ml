@@ -50,10 +50,6 @@ let plan ?(cells = default_cells) ~machine () =
           ("cells", Arr (List.map (work l) cells));
         ] )
 
-let run ?cells ~machine ~jobs () =
-  let cells, read = plan ?cells ~machine () in
-  read (Figures.simulate ~jobs cells)
-
 let load_file ~path =
   match read_file ~path with
   | Error e -> Error e

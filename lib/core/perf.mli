@@ -23,10 +23,6 @@ val plan :
     "soft_faults", "iterations", "sim_ns"}}, ...]}] back from a lookup
     that holds them. *)
 
-val run :
-  ?cells:cell list -> machine:Machine.t -> jobs:int -> unit -> Metrics_io.json
-(** {!plan}, simulated on [jobs] worker domains. *)
-
 val load_file : path:string -> (Metrics_io.json, string) result
 (** Parse a perf file; fails when unreadable, malformed, or not carrying
     [schema = "memhog-perf"] / the expected [schema_version]. *)

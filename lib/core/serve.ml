@@ -63,13 +63,6 @@ let plan ?(machine = Machine.paper) ?(workload = default_hog)
         s_cells = List.map (fun c -> (c, Figures.result l (cell c))) grid;
       } )
 
-let run ?machine ?workload ?rates ?variants ?slo ?duration ?chaos ?jobs ?log
-    () =
-  let cells, read =
-    plan ?machine ?workload ?rates ?variants ?slo ?duration ?chaos ()
-  in
-  read (Figures.simulate ?jobs ?log cells)
-
 let serving_exn (r : E.result) =
   match r.E.r_serving with
   | Some s -> s

@@ -48,23 +48,9 @@ val plan :
 (** The grid's cells, rate-major, and how to read it back from a lookup
     that holds them.  [chaos] applies the same fault-injection spec to
     every cell (rebuilt per cell from the machine seed, preserving
-    determinism). *)
-
-val run :
-  ?machine:Machine.t ->
-  ?workload:string ->
-  ?rates:float list ->
-  ?variants:Experiment.variant list ->
-  ?slo:Memhog_sim.Time_ns.t ->
-  ?duration:Memhog_sim.Time_ns.t ->
-  ?chaos:string ->
-  ?jobs:int ->
-  ?log:(string -> unit) ->
-  unit ->
-  t
-(** {!plan}, simulated on [jobs] worker domains; [log] gets the runner's
-    [cell i/N:] lines.
-    @raise Failure when [workload] is unknown or a cell fails its check. *)
+    determinism).  An unknown [workload] fails when the cells are
+    simulated: {!Figures.simulate} raises [Failure] naming the valid
+    set. *)
 
 val cells : t -> (cell * Experiment.result) list
 val results : t -> Experiment.result list

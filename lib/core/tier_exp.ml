@@ -82,10 +82,6 @@ let plan ?(machine = Machine.paper) ~rate () =
         tx_partition = Figures.result l partition;
       } )
 
-let run ?machine ~rate ?jobs ?log () =
-  let cells, read = plan ?machine ~rate () in
-  read (Figures.simulate ?jobs ?log cells)
-
 let tiers_exn (r : E.result) =
   match r.E.r_tiers with
   | Some s -> s

@@ -47,17 +47,6 @@ val plan :
     [rate] rps, and how to read the experiment back from a lookup that
     holds them. *)
 
-val run :
-  ?machine:Machine.t ->
-  rate:float ->
-  ?jobs:int ->
-  ?log:(string -> unit) ->
-  unit ->
-  t
-(** {!plan}, simulated on [jobs] worker domains; [log] gets the runner's
-    [cell i/N:] lines.
-    @raise Failure when a cell fails the runner's check. *)
-
 val metrics : t -> Metrics.t
 (** The experiment's document: the matrix cells in mix order, then the
     partition cell, labelled [tiers MACHINE] like

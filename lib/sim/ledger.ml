@@ -75,10 +75,6 @@ type summary = {
   mutable ls_prefetches_dropped : int;
   mutable ls_releases_freed : int;
   mutable ls_releases_skipped : int;
-  mutable ls_tier_demotions : int;
-  mutable ls_tier_fetches : int;
-  mutable ls_tier_failovers : int;
-  mutable ls_tier_rescues : int;
 }
 
 let new_row site =
@@ -150,10 +146,6 @@ let make ~enabled =
         ls_prefetches_dropped = 0;
         ls_releases_freed = 0;
         ls_releases_skipped = 0;
-        ls_tier_demotions = 0;
-        ls_tier_fetches = 0;
-        ls_tier_failovers = 0;
-        ls_tier_rescues = 0;
       };
   }
 
@@ -373,17 +365,14 @@ let observe t ~time:_ ~stream ev =
           a.(vpn) <- state gone site
         end
         else if tag = freed_daemon then a.(vpn) <- not_resident
-    (* ---- cross-tier transitions (tiered backing store) ---- *)
-    | Tier_demote _ -> c.ls_tier_demotions <- c.ls_tier_demotions + 1
-    | Tier_fetch _ -> c.ls_tier_fetches <- c.ls_tier_fetches + 1
-    | Tier_failover _ -> c.ls_tier_failovers <- c.ls_tier_failovers + 1
-    | Tier_rescue _ -> c.ls_tier_rescues <- c.ls_tier_rescues + 1
-    (* ---- everything else is not page-lifecycle material ---- *)
+    (* ---- everything else is not page-lifecycle material; tier traffic
+       is [Tiers.summary]'s ---- *)
     | Release_requested _ | Rt_release_issued _ | Rt_release_drained _
     | Disk_io _ | Free_depth _ | Rss_sample _ | Upper_limit_sample _
     | Queue_depth _ | Phase_begin _ | Phase_end _ | Chaos_disk_fault _
     | Chaos_stall _ | Chaos_drop_directive _ | Chaos_pressure _
-    | Chaos_pressure_end _ | Governor_transition _ | Tier_timeout _
+    | Chaos_pressure_end _ | Governor_transition _ | Tier_demote _
+    | Tier_fetch _ | Tier_failover _ | Tier_rescue _ | Tier_timeout _
     | Breaker_transition _ | Alert_fire _ | Alert_clear _ ->
         ()
 

@@ -112,14 +112,6 @@ type summary = {
       (** reconciles with prefetches_dropped *)
   mutable ls_releases_freed : int;
   mutable ls_releases_skipped : int;
-  mutable ls_tier_demotions : int;
-      (** pages placed in a fast tier on release *)
-  mutable ls_tier_fetches : int;
-      (** faults/prefetches served from a fast tier *)
-  mutable ls_tier_failovers : int;
-      (** demotions redirected off an unhealthy tier *)
-  mutable ls_tier_rescues : int;
-      (** dead-tier reads served from the failover copy *)
 }
 
 val summarize : t -> summary

@@ -182,7 +182,7 @@ val set_eviction_advisor : t -> Address_space.t -> (unit -> int option) -> unit
     application would rather surrender.  Section 2.2's argument — that a
     reactive scheme improves the application's own replacement but cannot
     protect other applications — is demonstrated by
-    [bench/main.exe ext-reactive]. *)
+    [memhog paper ext-reactive]. *)
 
 (** {1 Invariants} *)
 
@@ -192,4 +192,5 @@ val check_invariants : t -> (string * bool) list
     one of free / resident / in-flight, and the classes sum to the frame
     count), duplicate-free free-list membership, and the rescue-marking
     rule (no page both on the free list and mapped [Resident]).  Asserted
-    after every chaos scenario in the test suite. *)
+    after every chaos scenario in the test suite, and after every cell the
+    experiment runner simulates. *)

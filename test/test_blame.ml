@@ -7,6 +7,7 @@
 
 open Memhog_sim
 module E = Memhog_core.Experiment
+module Figures = Memhog_core.Figures
 module Machine = Memhog_core.Machine
 module Metrics = Memhog_core.Metrics
 module Mio = Memhog_core.Metrics_io
@@ -182,8 +183,11 @@ let test_prefetch_io_keyed_by_owner () =
 (* ------------------------------------------------------------------ *)
 
 let run_grid ~jobs () =
-  Serve.run ~machine:Machine.quick ~rates:[ 3840.0 ]
-    ~duration:(Time_ns.sec 10) ~jobs ()
+  let cells, read =
+    Serve.plan ~machine:Machine.quick ~rates:[ 3840.0 ]
+      ~duration:(Time_ns.sec 10) ()
+  in
+  read (Figures.simulate ~jobs cells)
 
 let grid = lazy (run_grid ~jobs:2 ())
 

@@ -212,6 +212,28 @@ let test_check_result () =
         Some { sv with Server.sm_completed = sv.Server.sm_completed - 1 };
     }
 
+(* The interactive-alone and two-hog cells build their own OS, so the
+   runner checks it directly: the failure names the cell and the first
+   invariant that does not hold. *)
+let test_check_invariants () =
+  let module Os = Memhog_vm.Os in
+  let machine = Machine.quick in
+  let os =
+    Os.create ~swap_config:machine.Machine.m_swap
+      ~config:machine.Machine.m_config
+      ~engine:(Memhog_sim.Engine.create ())
+      ()
+  in
+  let asp = Os.new_process os ~name:"p" in
+  E.check_invariants ~what:"fresh OS" os;
+  asp.Memhog_vm.Address_space.rss <- 1;
+  match E.check_invariants ~what:"miscounted cell" os with
+  | () -> Alcotest.fail "a miscounted rss passed the check"
+  | exception Failure msg ->
+      check_bool ("names the cell and the invariant: " ^ msg) true
+        (contains msg "miscounted cell"
+        && contains msg "rss counters match page tables")
+
 let test_run_length () =
   let sec = Memhog_sim.Time_ns.sec in
   check_int "floor" (sec 45) (E.run_length (sec 2));
@@ -247,6 +269,8 @@ let () =
             test_check_crashes;
           Alcotest.test_case "result check names the cell" `Quick
             test_check_result;
+          Alcotest.test_case "invariant check names the cell" `Quick
+            test_check_invariants;
           Alcotest.test_case "run length" `Quick test_run_length;
         ] );
     ]

@@ -78,8 +78,7 @@ let scribble (s : Ledger.summary) =
   s.ls_soft_faults <- -1; s.ls_validation_faults <- -1;
   s.ls_zero_fills <- -1; s.ls_rescues <- -1; s.ls_prefetches_issued <- -1;
   s.ls_prefetches_dropped <- -1; s.ls_releases_freed <- -1;
-  s.ls_releases_skipped <- -1; s.ls_tier_demotions <- -1;
-  s.ls_tier_fetches <- -1; s.ls_tier_failovers <- -1; s.ls_tier_rescues <- -1
+  s.ls_releases_skipped <- -1
 
 let test_null_and_empty () =
   check_bool "null disabled" false (Ledger.enabled Ledger.null);
@@ -182,11 +181,6 @@ module Ref = struct
     mutable early_rescued : int;
     mutable early_refaulted : int;
     mutable useful_releases : int;
-    (* Cross-tier transitions (tiered backing store; zero without --tiers). *)
-    mutable tier_demotions : int;
-    mutable tier_fetches : int;
-    mutable tier_failovers : int;
-    mutable tier_rescues : int;
   }
 
   let create () =
@@ -208,10 +202,6 @@ module Ref = struct
       early_rescued = 0;
       early_refaulted = 0;
       useful_releases = 0;
-      tier_demotions = 0;
-      tier_fetches = 0;
-      tier_failovers = 0;
-      tier_rescues = 0;
     }
 
 
@@ -402,17 +392,13 @@ module Ref = struct
               p.st <- Gone site
           | Freed_daemon -> p.st <- Not_resident
           | _ -> ())
-      (* ---- cross-tier transitions (tiered backing store) ---- *)
-      | Tier_demote _ -> t.tier_demotions <- t.tier_demotions + 1
-      | Tier_fetch _ -> t.tier_fetches <- t.tier_fetches + 1
-      | Tier_failover _ -> t.tier_failovers <- t.tier_failovers + 1
-      | Tier_rescue _ -> t.tier_rescues <- t.tier_rescues + 1
       (* ---- everything else is not page-lifecycle material ---- *)
       | Release_requested _ | Rt_release_issued _ | Rt_release_drained _
       | Disk_io _ | Free_depth _ | Rss_sample _ | Upper_limit_sample _
       | Queue_depth _ | Phase_begin _ | Phase_end _ | Chaos_disk_fault _
       | Chaos_stall _ | Chaos_drop_directive _ | Chaos_pressure _
-      | Chaos_pressure_end _ | Governor_transition _ | Tier_timeout _
+      | Chaos_pressure_end _ | Governor_transition _ | Tier_demote _
+      | Tier_fetch _ | Tier_failover _ | Tier_rescue _ | Tier_timeout _
       | Breaker_transition _ | Alert_fire _ | Alert_clear _ ->
           ()
 
@@ -528,10 +514,6 @@ module Ref = struct
       ls_prefetches_dropped = t.prefetches_dropped;
       ls_releases_freed = t.releases_freed;
       ls_releases_skipped = t.releases_skipped;
-      ls_tier_demotions = t.tier_demotions;
-      ls_tier_fetches = t.tier_fetches;
-      ls_tier_failovers = t.tier_failovers;
-      ls_tier_rescues = t.tier_rescues;
     }
 end
 

@@ -3,6 +3,7 @@
    counters it records. *)
 
 module E = Memhog_core.Experiment
+module Figures = Memhog_core.Figures
 module Machine = Memhog_core.Machine
 module Mio = Memhog_core.Metrics_io
 module Perf = Memhog_core.Perf
@@ -20,7 +21,8 @@ let cells =
   ]
 
 let document ~jobs =
-  Mio.to_string (Perf.run ~cells ~machine:Machine.quick ~jobs ())
+  let cells, read = Perf.plan ~cells ~machine:Machine.quick () in
+  Mio.to_string (read (Figures.simulate ~jobs cells))
 
 let test_jobs_determinism () =
   check_str "--jobs 1 == --jobs 8" (document ~jobs:1) (document ~jobs:8)

@@ -69,7 +69,7 @@ let distinct_count exps =
     (Figures.distinct
        (List.concat_map (fun (e : Figures.experiment) -> e.Figures.cells) exps))
 
-(* What bench/main.exe reads at paper scale, counted without simulating.
+(* What memhog paper reads at paper scale, counted without simulating.
    The six matrix readers declare one list, which a harness without a
    shared plan simulated once, so equal lists count once. *)
 let test_plan_counts () =
@@ -89,6 +89,23 @@ let test_plan_counts () =
        (Figures.experiments ~chaos:"disk-slow@2s-6s:factor=4" Machine.paper));
   check_int "distinct cells, traced matrix" 92
     (distinct_count (Figures.experiments ~traced:true Machine.paper))
+
+(* A pass count is an input like any other: the cell that sets it is a
+   different simulation from the one that does not, its label (the
+   runner's log line) names it, and the run makes that many passes. *)
+let test_iterations_cell () =
+  let machine = Machine.quick in
+  let default = Figures.corun machine "EMBAR" Experiment.O
+  and three = Figures.corun ~iterations:3 machine "EMBAR" Experiment.O in
+  check_int "distinct keeps both" 2
+    (List.length (Figures.distinct [ default; three; default ]));
+  let lines = ref [] in
+  let l = Figures.simulate ~log:(fun m -> lines := m :: !lines) [ three ] in
+  Alcotest.(check (list string))
+    "label names the passes"
+    [ "cell 1/1: EMBAR/O passes 3 on " ^ machine.Machine.m_name ]
+    !lines;
+  check_int "passes run" 3 (Figures.result l three).Experiment.r_iterations
 
 (* The harness's hard guarantee: an experiment's text depends only on its
    cells, not on the job count or on what else shares the plan.  The
@@ -132,7 +149,10 @@ let () =
             test_simulations_in_workers;
         ] );
       ( "plan",
-        [ Alcotest.test_case "cell counts" `Quick test_plan_counts ] );
+        [
+          Alcotest.test_case "cell counts" `Quick test_plan_counts;
+          Alcotest.test_case "iterations cell" `Quick test_iterations_cell;
+        ] );
       ( "matrix",
         [
           Alcotest.test_case "deterministic across jobs" `Slow

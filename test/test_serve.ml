@@ -5,6 +5,7 @@
 
 open Memhog_sim
 module E = Memhog_core.Experiment
+module Figures = Memhog_core.Figures
 module Machine = Memhog_core.Machine
 module Serve = Memhog_core.Serve
 module Server = Memhog_exec.Server
@@ -16,8 +17,11 @@ let check_int = Alcotest.(check int)
    but long enough that p999 rests on thousands of recorded responses. *)
 let grid =
   lazy
-    (Serve.run ~machine:Machine.quick ~rates:[ 3840.0 ]
-       ~duration:(Time_ns.sec 10) ~jobs:2 ())
+    (let cells, read =
+       Serve.plan ~machine:Machine.quick ~rates:[ 3840.0 ]
+         ~duration:(Time_ns.sec 10) ()
+     in
+     read (Figures.simulate ~jobs:2 cells))
 
 let find_cell t v =
   let _, r =
@@ -60,8 +64,9 @@ let test_summary_conserves_requests () =
     (Serve.cells t)
 
 let test_unknown_hog_rejected () =
-  check_bool "Serve.run raises on unknown hog" true
-    (match Serve.run ~workload:"nope" ~rates:[ 100.0 ] () with
+  let cells, _ = Serve.plan ~workload:"nope" ~rates:[ 100.0 ] () in
+  check_bool "simulating an unknown hog raises" true
+    (match Figures.simulate cells with
     | _ -> false
     | exception Failure msg ->
         (* the error must name the offender and the valid set *)
