@@ -18,12 +18,13 @@ val pir_variant : variant -> Memhog_compiler.Pir.variant
     prefetching and releasing (they differ in the run-time policy). *)
 
 type interactive_summary = {
-  is_sleep : Memhog_sim.Time_ns.t;
   is_avg_response : Memhog_sim.Time_ns.t option; (** None: too few sweeps *)
   is_avg_hard_faults : float option;
-  is_sweeps : int;
   is_alone_response : Memhog_sim.Time_ns.t;
-      (** ideal warm response (no faults) *)
+      (** the task with the machine to itself: its ideal warm response
+          ({!Memhog_exec.Interactive.alone_response}, pure compute, no
+          faults), the baseline of Figures 1 and 10(a) and the normalizer
+          of Figure 10(b) *)
 }
 
 type breakdown = {
@@ -70,6 +71,8 @@ type result = {
   r_disk_busy : Memhog_sim.Time_ns.t;
       (** summed busy time across disks (parallelism = busy / elapsed) *)
   r_invariants_ok : bool;
+      (** true in any result {!run} returns: a run whose OS invariants do
+          not hold raises instead ({!check_invariants}) *)
   r_trace : Memhog_sim.Trace.t;
       (** the event trace collected during the run ({!Memhog_sim.Trace.null}
           when tracing was not requested in the setup) *)
@@ -123,11 +126,10 @@ type setup = {
   workload : Memhog_workloads.Workload.t;
   variant : variant;
   interactive_sleep : Memhog_sim.Time_ns.t option;
-      (** [Some s]: co-run the section-1.1 interactive task with sleep [s] *)
+      (** [Some s]: co-run the section-1.1 interactive task with sleep
+          [s], repeating the main computation for at least
+          {!run_length}[ s] *)
   iterations : int option;  (** override the workload's default *)
-  min_sim_time : Memhog_sim.Time_ns.t;
-      (** keep repeating the main computation at least this long, so the
-          interactive task completes enough sweeps *)
   conservative : bool;      (** section-2.3.2 insertion rule ablation *)
   reactive : bool;
       (** section-2.2 alternative: run the release variant's code under the
@@ -175,9 +177,8 @@ val serve_cfg :
   unit ->
   Memhog_exec.Server.cfg
 (** Machine-relative serving configuration: keyspace shapes from
-    {!Memhog_workloads.Kvserve.sizing}, seeded with the machine seed; 32
-    warm-up requests, 200 us of compute per request, arrival-time
-    prefetching on.  Defaults: 30 ms SLO, 20 s arrival window.  [mark]
+    {!Memhog_workloads.Kvserve.sizing}, seeded with the machine seed.
+    Defaults: 30 ms SLO, 20 s arrival window.  [mark]
     (default off) additionally tallies SLO attainment over requests
     arriving after that offset — the recovery figure of the chaos
     scenarios. *)
@@ -186,7 +187,6 @@ val setup :
   ?machine:Machine.t ->
   ?interactive_sleep:Memhog_sim.Time_ns.t ->
   ?iterations:int ->
-  ?min_sim_time:Memhog_sim.Time_ns.t ->
   ?conservative:bool ->
   ?reactive:bool ->
   ?release_target:int ->
@@ -207,43 +207,33 @@ val setup :
     positive — before anything is simulated. *)
 
 val run_length : Memhog_sim.Time_ns.t -> Memhog_sim.Time_ns.t
-(** [run_length sleep] = max 45 s (8·sleep + 20 s): how long a co-run with
-    the interactive task at this sleep keeps repeating the hog's main
-    computation (its [min_sim_time]), and how long the interactive task
-    runs alone for its baseline, so every sleep gets enough sweeps to
-    average over. *)
+(** [run_length sleep] = max 45 s (8·sleep + 20 s): how long {!run} keeps
+    repeating the hog's main computation next to the interactive task at
+    this sleep, so every sleep gets enough sweeps to average over. *)
 
 val check_crashes : what:string -> Memhog_sim.Engine.t -> unit
 (** After [Engine.run]: @raise Failure naming [what] and the first process
-    that crashed, if any did.  {!run} and {!run_interactive_alone} call it,
-    so a crash never yields a result built from a partial run. *)
+    that crashed, if any did.  {!run} calls it, as does the two-hog cell of
+    {!Figures}, so a crash never yields a result built from a partial
+    run. *)
 
 val check_invariants : what:string -> Memhog_vm.Os.t -> unit
 (** After [Engine.run]: @raise Failure naming [what] and the first of
-    {!Memhog_vm.Os.check_invariants} that does not hold.
-    {!run_interactive_alone} calls it, as does the two-hog cell of
-    {!Figures}; {!run} records the verdict in [r_invariants_ok] for
-    {!check_result}. *)
+    {!Memhog_vm.Os.check_invariants} that does not hold.  {!run} calls it
+    after {!check_crashes}, as does the two-hog cell of {!Figures}: each
+    cell's OS is checked by the code that built it. *)
 
 val check_result : what:string -> result -> unit
 (** The oracle every simulated grid cell passes ({!Figures.simulate} calls
-    it once per co-run result): @raise Failure naming [what] when the OS
-    invariants do not hold after the run, or when a serving cell did not
-    complete every request that arrived (a fiber blocked forever). *)
+    it once per co-run result): @raise Failure naming [what] when a
+    serving cell did not complete every request that arrived (a fiber
+    blocked forever). *)
 
 val run : setup -> result
 (** Simulate the cell; the engine cuts it off after 3600 s of simulated
-    time.  @raise Failure if a process crashed ({!check_crashes}). *)
-
-val run_interactive_alone :
-  ?machine:Machine.t ->
-  sleep:Memhog_sim.Time_ns.t ->
-  duration:Memhog_sim.Time_ns.t ->
-  unit ->
-  interactive_summary
-(** Baseline: the interactive task with the machine to itself.
-    @raise Failure if the task crashed ({!check_crashes}) or an OS
-    invariant does not hold after the run ({!check_invariants}). *)
+    time.  @raise Failure naming the workload and variant if a process
+    crashed ({!check_crashes}) or an OS invariant does not hold after the
+    run ({!check_invariants}). *)
 
 val ledger_reconciliation : result -> (string * int * int) list
 (** The page-lifecycle ledger's totals beside the VM's own counters for

@@ -29,10 +29,7 @@ type corun = {
   c_ledger : bool;
 }
 
-type cell =
-  | Corun of corun
-  | Alone of Machine.t * Time_ns.t
-  | Two_hogs of Machine.t * Pir.variant
+type cell = Corun of corun | Two_hogs of Machine.t * Pir.variant
 
 let corun ?sleep ?iterations ?(conservative = false) ?(reactive = false)
     ?release_target ?chaos ?(traced = false) ?serve ?tiers ?(telemetry = false)
@@ -77,9 +74,6 @@ let label = function
         @ flag (c.c_governor <> None) "governor"
         @ flag (not c.c_ledger) "ledger off"
         @ [ "on " ^ c.c_machine.Machine.m_name ])
-  | Alone (machine, sleep) ->
-      Printf.sprintf "interactive alone sleep %s on %s" (Time_ns.to_string sleep)
-        machine.Machine.m_name
   | Two_hogs (machine, variant) ->
       Printf.sprintf "MATVEC + EMBAR, both %s, on %s"
         (Pir.variant_letter variant) machine.Machine.m_name
@@ -92,7 +86,6 @@ let distinct cells =
 
 type outcome =
   | Result of E.result
-  | Alone_summary of E.interactive_summary
   | Pair of { matvec_done : Time_ns.t; embar_done : Time_ns.t; stolen : int }
 
 type lookup = (cell * outcome) list
@@ -148,25 +141,24 @@ let two_hogs machine variant =
 let simulate_cell cell =
   match cell with
   | Corun c ->
+      let what = label cell in
       let r =
-        E.run
-          (E.setup ~machine:c.c_machine ?interactive_sleep:c.c_sleep
-             ?iterations:c.c_iterations
-             ~min_sim_time:(Option.fold ~none:0 ~some:E.run_length c.c_sleep)
-             ~conservative:c.c_conservative ~reactive:c.c_reactive
-             ?release_target:c.c_release_target
-             ?trace:(if c.c_traced then Some (Trace.create ()) else None)
-             ?chaos:c.c_chaos ?governor:c.c_governor ~ledger_on:c.c_ledger
-             ?serve:c.c_serve ?tiers:c.c_tiers ~telemetry:c.c_telemetry
-             ~workload:(Workload.find c.c_workload)
-             ~variant:c.c_variant ())
+        (* [run]'s own crash and invariant checks name only the workload
+           and variant; the label names the cell. *)
+        try
+          E.run
+            (E.setup ~machine:c.c_machine ?interactive_sleep:c.c_sleep
+               ?iterations:c.c_iterations ~conservative:c.c_conservative
+               ~reactive:c.c_reactive ?release_target:c.c_release_target
+               ?trace:(if c.c_traced then Some (Trace.create ()) else None)
+               ?chaos:c.c_chaos ?governor:c.c_governor ~ledger_on:c.c_ledger
+               ?serve:c.c_serve ?tiers:c.c_tiers ~telemetry:c.c_telemetry
+               ~workload:(Workload.find c.c_workload)
+               ~variant:c.c_variant ())
+        with Failure m -> failwith (what ^ ": " ^ m)
       in
-      E.check_result ~what:(label cell) r;
+      E.check_result ~what r;
       Result r
-  | Alone (machine, sleep) ->
-      Alone_summary
-        (E.run_interactive_alone ~machine ~sleep ~duration:(E.run_length sleep)
-           ())
   | Two_hogs (machine, variant) -> two_hogs machine variant
 
 let no_log _ = ()
@@ -175,8 +167,7 @@ let no_log _ = ()
    own and [jobs] moves only the wall time.  Cells run on worker domains;
    one lock keeps the caller's log lines whole.  This is the one place a
    grid of simulations runs, so it is the one place each cell is checked:
-   a co-run result in [simulate_cell], the other cells where they build
-   their OS. *)
+   a co-run result in [simulate_cell], and every OS where it is built. *)
 let simulate ?(jobs = 1) ?(log = no_log) cells =
   let cells = distinct cells in
   let n = List.length cells in
@@ -195,11 +186,6 @@ let find (l : lookup) c =
 
 let result l c =
   match find l c with Result r -> r | _ -> invalid_arg "Figures.result"
-
-let alone_summary l c =
-  match find l c with
-  | Alone_summary a -> a
-  | _ -> invalid_arg "Figures.alone_summary"
 
 let write_traces ?(log = no_log) ~dir (l : lookup) =
   List.iter
@@ -225,7 +211,6 @@ type matrix = {
   mx_machine : Machine.t;
   mx_sleep : Time_ns.t;
   mx_results : (string * (E.variant * E.result) list) list;
-  mx_alone : E.interactive_summary;
 }
 
 let matrix_results m =
@@ -235,9 +220,7 @@ let matrix_results m =
 let matrix ~machine ?(workloads = Workload.names) ?chaos ?(traced = false) () =
   let sleep = Time_ns.sec 5 in
   let cell w v = corun ~sleep ?chaos ~traced machine w v in
-  let alone = Alone (machine, sleep) in
-  ( List.concat_map (fun w -> List.map (cell w) E.all_variants) workloads
-    @ [ alone ],
+  ( List.concat_map (fun w -> List.map (cell w) E.all_variants) workloads,
     fun l ->
       {
         mx_machine = machine;
@@ -247,7 +230,6 @@ let matrix ~machine ?(workloads = Workload.names) ?chaos ?(traced = false) () =
             (fun w ->
               (w, List.map (fun v -> (v, result l (cell w v))) E.all_variants))
             workloads;
-        mx_alone = alone_summary l alone;
       } )
 
 let render f = Format.asprintf "@[<v>%t@]" f
@@ -307,24 +289,30 @@ let interactive_response (r : E.result) =
   | Some i -> Report.ns_opt i.E.is_avg_response
   | None -> "-"
 
+(* The task's response with the machine to itself, as a co-run next to it
+   reports it. *)
+let alone_response (r : E.result) =
+  match r.E.r_interactive with
+  | Some i -> i.E.is_alone_response
+  | None -> invalid_arg "Figures.alone_response: no interactive task"
+
 (* One row per sleep: the interactive task alone, then next to each of
    [variants] (column header, variant). *)
 let response_sweep ~id ~title ~variants ~workload ~sleeps_s machine =
-  let alone s = Alone (machine, Time_ns.of_sec_f s) in
   let cell s v = corun ~sleep:(Time_ns.of_sec_f s) machine workload v in
   {
     id;
     cells =
       List.concat_map
-        (fun s -> alone s :: List.map (fun (_, v) -> cell s v) variants)
+        (fun s -> List.map (fun (_, v) -> cell s v) variants)
         sleeps_s;
     render =
       (fun l ->
         let row s =
+          let rs = List.map (fun (_, v) -> result l (cell s v)) variants in
           Printf.sprintf "%.1f" s
-          :: Report.ns_opt (alone_summary l (alone s)).E.is_avg_response
-          :: List.map (fun (_, v) -> interactive_response (result l (cell s v)))
-               variants
+          :: Report.ns (alone_response (List.hd rs))
+          :: List.map interactive_response rs
         in
         render (fun fmt ->
             Report.table ~title
@@ -505,16 +493,11 @@ let fig9 (m : matrix) =
 (* Figures 10b, 10c                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let interactive_cell ~alone (r : E.result) f =
-  match r.E.r_interactive with Some i -> f i alone | None -> "-"
+let interactive_cell (r : E.result) f =
+  match r.E.r_interactive with Some i -> f i | None -> "-"
 
 let fig10b (m : matrix) =
-  let alone = m.mx_alone in
-  let alone_resp =
-    match alone.E.is_avg_response with
-    | Some t -> float_of_int t
-    | None -> float_of_int alone.E.is_alone_response
-  in
+  let alone = alone_response (List.hd (matrix_results m)) in
   let rows =
     List.map
       (fun (name, per_variant) ->
@@ -523,9 +506,10 @@ let fig10b (m : matrix) =
              (fun v ->
                match List.assoc_opt v per_variant with
                | Some r ->
-                   interactive_cell ~alone r (fun i _ ->
+                   interactive_cell r (fun i ->
                        match i.E.is_avg_response with
-                       | Some t -> Report.ratio (float_of_int t /. alone_resp)
+                       | Some t ->
+                           Report.ratio (float_of_int t /. float_of_int alone)
                        | None -> "-")
                | None -> "-")
              E.all_variants)
@@ -538,7 +522,7 @@ let fig10b (m : matrix) =
              "Figure 10(b): interactive response at %s sleep, normalized to \
               running alone (alone = %s)"
              (Time_ns.to_string m.mx_sleep)
-             (Report.ns_opt alone.E.is_avg_response))
+             (Report.ns alone))
         ~header:[ "benchmark"; "O"; "P"; "R"; "B" ]
         ~rows fmt ())
 
@@ -551,7 +535,7 @@ let fig10c (m : matrix) =
              (fun v ->
                match List.assoc_opt v per_variant with
                | Some r ->
-                   interactive_cell ~alone:m.mx_alone r (fun i _ ->
+                   interactive_cell r (fun i ->
                        match i.E.is_avg_hard_faults with
                        | Some f -> Report.f1 f
                        | None -> "-")

@@ -47,9 +47,6 @@ type corun = {
     simulation. *)
 type cell =
   | Corun of corun  (** {!Experiment.run}, with or without the interactive task *)
-  | Alone of Machine.t * Memhog_sim.Time_ns.t
-      (** the interactive task alone at this sleep
-          ({!Experiment.run_interactive_alone}) *)
   | Two_hogs of Machine.t * Memhog_compiler.Pir.variant
       (** MATVEC and EMBAR, two passes each, sharing one OS *)
 
@@ -85,11 +82,12 @@ val simulate : ?jobs:int -> ?log:(string -> unit) -> cell list -> lookup
     is identical for any [jobs].  [log] gets one line per cell when it
     starts; calls may come from worker domains but are serialized.  Every
     cell is checked, by a [Failure] that names it by its inputs, before
-    anything reads it: a co-run result passes {!Experiment.check_result},
-    and an {!Alone} or {!Two_hogs} cell's OS passes
-    {!Experiment.check_invariants}.  The first exception a cell raises is
-    re-raised: at [jobs <= 1] the cells after it never run; with more jobs
-    it is re-raised after every other cell has finished. *)
+    anything reads it: every cell's OS passes
+    {!Experiment.check_invariants} where it is built ({!Experiment.run}
+    for a co-run), and a co-run result passes {!Experiment.check_result}.
+    The first exception a cell raises is re-raised: at [jobs <= 1] the
+    cells after it never run; with more jobs it is re-raised after every
+    other cell has finished. *)
 
 val result : lookup -> cell -> Experiment.result
 (** A co-run cell's result.
@@ -119,7 +117,8 @@ val experiments : ?chaos:string -> ?traced:bool -> Machine.t -> experiment list
       read six ways: normalized execution time by component; soft faults
       from the daemon's reference-bit invalidations; daemon activations and
       steals, O vs R; who freed pages and how many were rescued; interactive
-      response normalized to alone; interactive hard faults per sweep;
+      response normalized to alone ({!Experiment.interactive_summary}'s
+      [is_alone_response]); interactive hard faults per sweep;
     - [fig10a]: {!fig10a} on MATVEC;
     - [ablation-batch]: the run-time layer's release batch size (the paper
       fixes 100 pages);
@@ -143,8 +142,9 @@ val experiments : ?chaos:string -> ?traced:bool -> Machine.t -> experiment list
 val fig10a :
   ?workload:string -> ?sleeps_s:float list -> Machine.t -> experiment
 (** Interactive response vs sleep time next to [workload] (default
-    MATVEC) for all four variants, plus the task alone, at each of
-    [sleeps_s] (default 0, 0.5, 1, 2, 5, 10, 20 and 30 s). *)
+    MATVEC) for all four variants at each of [sleeps_s] (default 0, 0.5,
+    1, 2, 5, 10, 20 and 30 s).  Its "alone" column, like fig1's, is the
+    [is_alone_response] the row's co-runs report. *)
 
 (** {1 The Figure 7 matrix} *)
 
@@ -152,7 +152,6 @@ type matrix = {
   mx_machine : Machine.t;
   mx_sleep : Memhog_sim.Time_ns.t;
   mx_results : (string * (Experiment.variant * Experiment.result) list) list;
-  mx_alone : Experiment.interactive_summary;
 }
 
 val matrix :
@@ -164,9 +163,8 @@ val matrix :
   cell list * (lookup -> matrix)
 (** The matrix's cells and how to read it back from a lookup that holds
     them: 4 variants per workload (default: all six), each next to the
-    interactive task at a 5 s sleep (the setting of Figures 7-10b/c), plus
-    the interactive-alone baseline.  [chaos] applies to every out-of-core
-    cell, never to the baseline; [traced] attaches a trace ring to each
+    interactive task at a 5 s sleep (the setting of Figures 7-10b/c).
+    [chaos] applies to every cell; [traced] attaches a trace ring to each
     of them ({!write_traces}). *)
 
 val matrix_results : matrix -> Experiment.result list

@@ -10,7 +10,7 @@
 
     The grid is {!Figures.cell}s run by {!Figures.simulate}: every cell is
     an independent simulation, so results are bit-identical at any [jobs]
-    level, and each passes {!Experiment.check_result} (invariants, every
+    level, and each passes the runner's checks (OS invariants, every
     arrived request completed). *)
 
 type cell = { sc_rate : float; sc_variant : Experiment.variant }

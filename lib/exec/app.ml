@@ -16,7 +16,6 @@ type t = {
   os : Os.t;
   asp : As.t;
   rt : Runtime.t;
-  name : string;
   segs : (string * (As.segment * int (* elem bytes *))) list;
   mutable touches : int;
   mutable main : unit -> unit;
@@ -266,9 +265,7 @@ let create ?(seed = 17) ?(runtime_policy = Runtime.Aggressive) ?release_target
     Runtime.create ?release_target ?governor ~os ~asp
       ~policy:runtime_policy ()
   in
-  let t =
-    { os; asp; rt; name = prog.Pir.px_name; segs; touches = 0; main = ignore }
-  in
+  let t = { os; asp; rt; segs; touches = 0; main = ignore } in
   (* the last binding of a repeated parameter wins, as in [Ir.env_of_list] *)
   let env =
     Array.map
@@ -304,8 +301,3 @@ let run t ~iterations =
     exec_main t
   done;
   finish t
-
-let spawn t ~iterations ~on_done =
-  Engine.spawn (Os.engine t.os) ~name:t.name (fun () ->
-      run t ~iterations;
-      on_done ())

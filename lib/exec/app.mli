@@ -49,9 +49,5 @@ val exec_main : t -> unit
 val finish : t -> unit
 (** Flush the run-time layer's buffered releases (application exit). *)
 
-val spawn : t -> iterations:int -> on_done:(unit -> unit) -> Memhog_sim.Engine.proc
-(** Convenience: spawn a process named after the program that [run]s it and
-    then calls [on_done]. *)
-
 val touched_pages : t -> int
 (** Total page touches executed (for tests). *)

@@ -15,25 +15,27 @@ type t = {
   it_asp : As.t;
   seg : As.segment;
   sleep : Time_ns.t;
-  work_per_page_ns : Time_ns.t;
   mutable sweep_list : sweep list; (* newest first *)
   mutable proc : Engine.proc option; (* set by [spawn] *)
 }
 
-let create ?(data_bytes = 1024 * 1024) ?(work_per_page_ns = Time_ns.us 50) ~os
-    ~sleep () =
+(* Section 1.1's task: 1 MB of data, 50 us of compute per page touched. *)
+let data_bytes = 1024 * 1024
+let work_per_page_ns = Time_ns.us 50
+
+let create ~os ~sleep () =
   let it_asp = Os.new_process os ~name:"interactive" in
   let seg =
     Os.map_segment os it_asp ~name:"interactive-data" ~bytes:data_bytes
       ~on_swap:true
   in
-  { os; it_asp; seg; sleep; work_per_page_ns; sweep_list = []; proc = None }
+  { os; it_asp; seg; sleep; sweep_list = []; proc = None }
 
 let asp t = t.it_asp
 let sweeps t = List.rev t.sweep_list
 let account t = Option.map Engine.account t.proc
 
-let alone_response t = t.seg.As.npages * t.work_per_page_ns
+let alone_response t = t.seg.As.npages * work_per_page_ns
 
 (* Sweep [index]'s phase boundary; the name is built only when the bus
    is on. *)
@@ -54,7 +56,7 @@ let loop t () =
     emit_phase t ~begin_:true !index;
     for p = 0 to t.seg.As.npages - 1 do
       ignore (Os.touch t.os t.it_asp ~vpn:(t.seg.As.base_vpn + p) ~write:false);
-      Engine.delay ~cat:Account.User t.work_per_page_ns
+      Engine.delay ~cat:Account.User work_per_page_ns
     done;
     emit_phase t ~begin_:false !index;
     let sweep =

@@ -1,10 +1,11 @@
 (** The simulated interactive task of section 1.1.
 
-    A process repeatedly touches a small data set (1 MB by default), then
-    sleeps for a fixed time.  The time to touch the entire data set is the
-    "response time"; varying the sleep time controls how often each page is
-    referenced — long sleeps leave the task defenseless against a global
-    replacement policy.  Per-sweep hard-fault counts give Figure 10(c). *)
+    A process repeatedly touches a 1 MB data set, spending 50 us of
+    compute on each page, then sleeps for a fixed time.  The time to touch
+    the entire data set is the "response time"; varying the sleep time
+    controls how often each page is referenced — long sleeps leave the
+    task defenseless against a global replacement policy.  Per-sweep
+    hard-fault counts give Figure 10(c). *)
 
 type sweep = {
   sw_index : int;
@@ -15,13 +16,7 @@ type sweep = {
 
 type t
 
-val create :
-  ?data_bytes:int ->
-  ?work_per_page_ns:Memhog_sim.Time_ns.t ->
-  os:Memhog_vm.Os.t ->
-  sleep:Memhog_sim.Time_ns.t ->
-  unit ->
-  t
+val create : os:Memhog_vm.Os.t -> sleep:Memhog_sim.Time_ns.t -> unit -> t
 
 val spawn : t -> Memhog_sim.Engine.proc
 (** Start the task; it sweeps and sleeps until the simulation stops. *)
@@ -46,4 +41,6 @@ val account : t -> Memhog_sim.Account.t option
 (** The task's per-category time account, once {!spawn} has run. *)
 
 val alone_response : t -> Memhog_sim.Time_ns.t
-(** The ideal warm response time: pure compute, no faults. *)
+(** The ideal warm response time: pure compute, no faults.  With the
+    machine to itself the task's warm sweeps take no faults, so its
+    {!avg_response} is exactly this, at any sleep. *)

@@ -10,13 +10,15 @@ type cfg = {
   sv_values_bytes : int;
   sv_rate_rps : float;
   sv_duration : Time_ns.t;
-  sv_warmup : int;
-  sv_work_ns : Time_ns.t;
   sv_slo : Time_ns.t;
-  sv_prefetch : bool;
   sv_seed : int;
   sv_mark : Time_ns.t option;
 }
+
+(* Completed requests skipped before recording, and each request's
+   compute cost. *)
+let warmup = 32
+let work_ns = Time_ns.us 200
 
 type request = Req of { arrival : Time_ns.t; key : int } | Stop
 
@@ -128,24 +130,22 @@ let arrivals t () =
     else begin
       let key = Rng.zipf t.key_rng t.zipf in
       t.arrived <- t.arrived + 1;
-      if t.cfg.sv_prefetch then begin
-        (* The run-ahead slice for a[b[i]]: prefetch both the index page
-           and the (data-dependent) value page as soon as the request is
-           visible, overlapping the fetches with each other and with the
-           queue's residence time.  These prefetches have a deadline — the
-           request is already queued behind them — so they ride the disk's
-           demand class, unlike the hog's capacity-driven sweeps. *)
-        Runtime.prefetch_page t.rt ~urgent:true ~vpn:(index_vpn t key);
-        Runtime.prefetch_page t.rt ~urgent:true ~vpn:(value_vpn t key);
-        if Reqtrace.enabled t.reqtrace then begin
-          (* Stamp the issue times so the serving fiber can settle the
-             prefetch race (hidden vs lost, slack) at touch time. *)
-          let now = Engine.now () and owner = t.asp.As.pid in
-          Reqtrace.note_prefetch_issued t.reqtrace ~owner ~vpn:(index_vpn t key)
-            ~now;
-          Reqtrace.note_prefetch_issued t.reqtrace ~owner ~vpn:(value_vpn t key)
-            ~now
-        end
+      (* The run-ahead slice for a[b[i]]: prefetch both the index page and
+         the (data-dependent) value page as soon as the request is visible,
+         overlapping the fetches with each other and with the queue's
+         residence time.  These prefetches have a deadline — the request
+         is already queued behind them — so they ride the disk's demand
+         class, unlike the hog's capacity-driven sweeps. *)
+      Runtime.prefetch_page t.rt ~urgent:true ~vpn:(index_vpn t key);
+      Runtime.prefetch_page t.rt ~urgent:true ~vpn:(value_vpn t key);
+      if Reqtrace.enabled t.reqtrace then begin
+        (* Stamp the issue times so the serving fiber can settle the
+           prefetch race (hidden vs lost, slack) at touch time. *)
+        let now = Engine.now () and owner = t.asp.As.pid in
+        Reqtrace.note_prefetch_issued t.reqtrace ~owner ~vpn:(index_vpn t key)
+          ~now;
+        Reqtrace.note_prefetch_issued t.reqtrace ~owner ~vpn:(value_vpn t key)
+          ~now
       end;
       Mailbox.send t.queue (Req { arrival = Engine.now (); key });
       let depth = Mailbox.length t.queue in
@@ -171,19 +171,16 @@ let serve_one t ~arrival ~key =
   let r = Os.touch t.os t.asp ~vpn:vvpn ~write:false in
   Reqtrace.note_touch rq ~pid ~owner ~kind:Reqtrace.Value ~vpn:vvpn
     ~outcome:(touch_outcome r) ~now:(Engine.now ());
-  (if t.cfg.sv_work_ns > 0 then begin
-     let cpus = Os.cpus t.os in
-     Semaphore.acquire cpus;
-     Reqtrace.note_cpu_acquired rq ~pid ~now:(Engine.now ());
-     Engine.delay ~cat:Account.User t.cfg.sv_work_ns;
-     Semaphore.release cpus
-   end
-   else Reqtrace.note_cpu_acquired rq ~pid ~now:(Engine.now ()));
+  let cpus = Os.cpus t.os in
+  Semaphore.acquire cpus;
+  Reqtrace.note_cpu_acquired rq ~pid ~now:(Engine.now ());
+  Engine.delay ~cat:Account.User work_ns;
+  Semaphore.release cpus;
   (* Response measured from arrival: queueing delay under memory pressure
      is charged to the request, not silently dropped. *)
   let response = Engine.now () - arrival in
   t.completed <- t.completed + 1;
-  let recorded = t.completed > t.cfg.sv_warmup in
+  let recorded = t.completed > warmup in
   Reqtrace.finish rq ~pid ~commit:recorded ~now:(Engine.now ());
   if recorded then begin
     Histogram.record t.hist response;

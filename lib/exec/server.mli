@@ -11,12 +11,14 @@
 
     Load is {e open-loop}: a generator fiber produces Poisson arrivals at a
     configured offered rate with Zipfian key popularity, timestamps each
-    request {e at arrival}, and enqueues it on an unbounded FIFO.  The
-    server fiber dequeues, touches the pages, burns the per-request compute
-    cost, and records [completion - arrival] — so queueing delay that
-    builds up while the server stalls on hard faults is charged to the
-    response, as tail-latency SLOs require.  The generator itself never
-    touches paged memory and so never throttles under memory pressure.
+    request {e at arrival}, prefetches its index and value pages, and
+    enqueues it on an unbounded FIFO.  The server fiber dequeues, touches
+    the pages, burns 200 us of compute on a CPU, and records
+    [completion - arrival] for every request after the first 32 (the
+    warm-up) — so queueing delay that builds up while the server stalls on
+    hard faults is charged to the response, as tail-latency SLOs require.
+    The generator itself never touches paged memory and so never throttles
+    under memory pressure.
 
     All randomness comes from private {!Memhog_sim.Rng} streams seeded
     from [sv_seed]; a cell's histogram is a pure function of its
@@ -29,10 +31,7 @@ type cfg = {
   sv_values_bytes : int;    (** the a\[\] region *)
   sv_rate_rps : float;      (** offered load, requests per second *)
   sv_duration : Memhog_sim.Time_ns.t;  (** arrival-window length *)
-  sv_warmup : int;          (** completed requests skipped before recording *)
-  sv_work_ns : Memhog_sim.Time_ns.t;   (** per-request compute cost *)
   sv_slo : Memhog_sim.Time_ns.t;       (** per-request response target *)
-  sv_prefetch : bool;       (** issue arrival-time index/value prefetches *)
   sv_seed : int;
   sv_mark : Memhog_sim.Time_ns.t option;
       (** [Some off]: additionally tally SLO attainment over requests

@@ -50,7 +50,6 @@ type alert = {
 }
 
 type t = {
-  tl_enabled : bool;
   tl_capacity : int;
   tl_obs : Obs.t;
   tl_index : (string, series) Hashtbl.t;
@@ -64,7 +63,6 @@ type t = {
 let create ?(capacity = 720) ?(obs = Obs.null) () =
   if capacity < 1 then invalid_arg "Telemetry.create: capacity must be >= 1";
   {
-    tl_enabled = true;
     tl_capacity = capacity;
     tl_obs = obs;
     tl_index = Hashtbl.create 32;
@@ -75,20 +73,6 @@ let create ?(capacity = 720) ?(obs = Obs.null) () =
     tl_alerts = [];
   }
 
-let null =
-  {
-    tl_enabled = false;
-    tl_capacity = 1;
-    tl_obs = Obs.null;
-    tl_index = Hashtbl.create 1;
-    tl_series = [];
-    tl_rules = [];
-    tl_scrapes = 0;
-    tl_last_time = min_int;
-    tl_alerts = [];
-  }
-
-let enabled t = t.tl_enabled
 let scrapes t = t.tl_scrapes
 
 (* ------------------------------------------------------------------ *)
@@ -96,30 +80,28 @@ let scrapes t = t.tl_scrapes
 (* ------------------------------------------------------------------ *)
 
 let register t ~kind ~help ~name probe =
-  if t.tl_enabled then begin
-    if Hashtbl.mem t.tl_index name then
-      invalid_arg
-        (Printf.sprintf "Telemetry.register: duplicate series %S" name);
-    let s =
-      {
-        se_name = name;
-        se_help = help;
-        se_kind = kind;
-        se_probe = probe;
-        r_times = Array.make t.tl_capacity 0;
-        r_values = Array.make t.tl_capacity 0.0;
-        r_start = 0;
-        r_len = 0;
-        a_count = 0;
-        a_last = 0.0;
-        a_min = infinity;
-        a_max = neg_infinity;
-        a_sum = 0.0;
-      }
-    in
-    Hashtbl.add t.tl_index name s;
-    t.tl_series <- s :: t.tl_series
-  end
+  if Hashtbl.mem t.tl_index name then
+    invalid_arg
+      (Printf.sprintf "Telemetry.register: duplicate series %S" name);
+  let s =
+    {
+      se_name = name;
+      se_help = help;
+      se_kind = kind;
+      se_probe = probe;
+      r_times = Array.make t.tl_capacity 0;
+      r_values = Array.make t.tl_capacity 0.0;
+      r_start = 0;
+      r_len = 0;
+      a_count = 0;
+      a_last = 0.0;
+      a_min = infinity;
+      a_max = neg_infinity;
+      a_sum = 0.0;
+    }
+  in
+  Hashtbl.add t.tl_index name s;
+  t.tl_series <- s :: t.tl_series
 
 let register_gauge t ?(help = "") ~name probe =
   register t ~kind:Gauge ~help ~name probe
@@ -134,36 +116,34 @@ let find_exn t ~what name =
       invalid_arg (Printf.sprintf "Telemetry.add_rule: unknown %s %S" what name)
 
 let add_rule t ~name ~series ?(window = 1) ~signal ~direction ~fire ~clear () =
-  if t.tl_enabled then begin
-    if window < 1 || window > t.tl_capacity then
-      invalid_arg "Telemetry.add_rule: window out of range";
-    (match direction with
-    | Above when not (clear < fire) ->
-        invalid_arg "Telemetry.add_rule: Above needs clear < fire"
-    | Below when not (clear > fire) ->
-        invalid_arg "Telemetry.add_rule: Below needs clear > fire"
-    | _ -> ());
-    let se = find_exn t ~what:"series" series in
-    let denom =
-      match signal with
-      | Window_ratio d -> Some (find_exn t ~what:"ratio denominator" d)
-      | _ -> None
-    in
-    let r =
-      {
-        ru_name = name;
-        ru_series = se;
-        ru_denom = denom;
-        ru_signal = signal;
-        ru_window = window;
-        ru_direction = direction;
-        ru_fire = fire;
-        ru_clear = clear;
-        ru_active = false;
-      }
-    in
-    t.tl_rules <- r :: t.tl_rules
-  end
+  if window < 1 || window > t.tl_capacity then
+    invalid_arg "Telemetry.add_rule: window out of range";
+  (match direction with
+  | Above when not (clear < fire) ->
+      invalid_arg "Telemetry.add_rule: Above needs clear < fire"
+  | Below when not (clear > fire) ->
+      invalid_arg "Telemetry.add_rule: Below needs clear > fire"
+  | _ -> ());
+  let se = find_exn t ~what:"series" series in
+  let denom =
+    match signal with
+    | Window_ratio d -> Some (find_exn t ~what:"ratio denominator" d)
+    | _ -> None
+  in
+  let r =
+    {
+      ru_name = name;
+      ru_series = se;
+      ru_denom = denom;
+      ru_signal = signal;
+      ru_window = window;
+      ru_direction = direction;
+      ru_fire = fire;
+      ru_clear = clear;
+      ru_active = false;
+    }
+  in
+  t.tl_rules <- r :: t.tl_rules
 
 (* ------------------------------------------------------------------ *)
 (* Scraping                                                            *)
@@ -261,14 +241,12 @@ let eval_rule t ~time r =
   else if r.ru_active && crossed_clear then transition false
 
 let scrape t ~time =
-  if t.tl_enabled then begin
-    if time < t.tl_last_time then
-      invalid_arg "Telemetry.scrape: time went backwards";
-    t.tl_last_time <- time;
-    t.tl_scrapes <- t.tl_scrapes + 1;
-    List.iter (fun s -> push s ~time (s.se_probe ())) (List.rev t.tl_series);
-    List.iter (fun r -> eval_rule t ~time r) (List.rev t.tl_rules)
-  end
+  if time < t.tl_last_time then
+    invalid_arg "Telemetry.scrape: time went backwards";
+  t.tl_last_time <- time;
+  t.tl_scrapes <- t.tl_scrapes + 1;
+  List.iter (fun s -> push s ~time (s.se_probe ())) (List.rev t.tl_series);
+  List.iter (fun r -> eval_rule t ~time r) (List.rev t.tl_rules)
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)

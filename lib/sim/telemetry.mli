@@ -25,18 +25,11 @@
 type t
 
 val create : ?capacity:int -> ?obs:Obs.t -> unit -> t
-(** A live registry.  [capacity] (default 720) is the per-series retained
+(** An empty registry.  [capacity] (default 720) is the per-series retained
     ring size — at the harness's 100 ms scrape cadence, 72 s of history.
     All-time aggregates (count/last/min/max/mean) are exact regardless of
     what the ring has dropped.  Alert fire/clear events are emitted on
     [obs] (default {!Obs.null}). *)
-
-val null : t
-(** The disabled registry: {!register_gauge}, {!register_counter},
-    {!add_rule} and {!scrape} are no-ops; every query reports emptiness.
-    Threading [null] through a run costs one branch per call. *)
-
-val enabled : t -> bool
 
 (** {1 Registration}
 

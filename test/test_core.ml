@@ -179,9 +179,9 @@ let test_check_crashes () =
       check_bool ("names the process: " ^ msg) true
         (contains msg "cell" && contains msg "boom" && contains msg "injected")
 
-(* The runner's oracle: a co-run cell whose OS invariants fail, or whose
-   server left an arrived request unserved, fails naming the cell instead
-   of handing its numbers to a table. *)
+(* The runner's oracle: a co-run cell whose server left an arrived request
+   unserved fails naming the cell instead of handing its numbers to a
+   table. *)
 let test_check_result () =
   let module Server = Memhog_exec.Server in
   let machine = Machine.quick in
@@ -203,7 +203,6 @@ let test_check_result () =
     | exception Failure msg ->
         check_bool ("names the cell: " ^ msg) true (contains msg what)
   in
-  fails "EMBAR/O" { batch with E.r_invariants_ok = false };
   let sv = Option.get served.E.r_serving in
   fails "EMBAR/B serve"
     {
@@ -212,9 +211,9 @@ let test_check_result () =
         Some { sv with Server.sm_completed = sv.Server.sm_completed - 1 };
     }
 
-(* The interactive-alone and two-hog cells build their own OS, so the
-   runner checks it directly: the failure names the cell and the first
-   invariant that does not hold. *)
+(* The code that builds an OS checks it ([Experiment.run] and the two-hog
+   cell): the failure names the cell and the first invariant that does not
+   hold. *)
 let test_check_invariants () =
   let module Os = Memhog_vm.Os in
   let machine = Machine.quick in

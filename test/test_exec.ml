@@ -314,32 +314,52 @@ let test_negative_offsets_clamped () =
 (* Interactive task                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The task with the machine to itself: after the cold sweep every sweep
+   is pure compute, so its mean response is exactly [alone_response] — the
+   "alone" baseline Figures 1, 10(a) and 10(b) read from a co-run's
+   summary.  Run for as long as a co-run at that sleep runs, on a small
+   machine and on the quick and paper machines, at each sleep the figures
+   sweep. *)
 let test_interactive_alone_response () =
-  let engine = Engine.create ~max_time:(Time_ns.sec 3600) () in
-  let os = Os.create ~config:small_config ~engine () in
-  let task = Interactive.create ~os ~sleep:(Time_ns.ms 100) () in
-  ignore (Interactive.spawn task);
-  ignore
-    (Engine.spawn engine ~name:"stopper" (fun () ->
-         Engine.delay ~cat:Account.Sleep (Time_ns.sec 3);
-         Engine.stop ()));
-  Engine.run engine;
-  let sweeps = Interactive.sweeps task in
-  check_bool "many sweeps" true (List.length sweeps > 10);
-  (* after warm-up, response equals the ideal compute-only time *)
-  (match Interactive.avg_response task with
-  | Some avg ->
-      check_bool "warm response = alone response" true
-        (avg <= Interactive.alone_response task + Time_ns.ms 1)
-  | None -> Alcotest.fail "no response measured");
-  (* first sweep pays the demand paging *)
-  (match sweeps with
-  | first :: _ ->
-      check_int "cold sweep faults whole data set" 64 first.Interactive.sw_hard_faults
-  | [] -> Alcotest.fail "no sweeps");
-  match Interactive.avg_hard_faults task with
-  | Some f -> check_bool "warm sweeps fault-free" true (f < 0.5)
-  | None -> Alcotest.fail "no fault average"
+  let module Machine = Memhog_core.Machine in
+  let machine (m : Machine.t) =
+    (m.Machine.m_name, m.Machine.m_config, Some m.Machine.m_swap)
+  in
+  List.iter
+    (fun (name, config, swap_config) ->
+      List.iter
+        (fun sleep_s ->
+          let what = Printf.sprintf "%s, sleep %g s" name sleep_s in
+          let sleep = Time_ns.of_sec_f sleep_s in
+          let engine = Engine.create ~max_time:(Time_ns.sec 3600) () in
+          let os = Os.create ?swap_config ~config ~engine () in
+          let task = Interactive.create ~os ~sleep () in
+          ignore (Interactive.spawn task);
+          ignore
+            (Engine.spawn engine ~name:"stopper" (fun () ->
+                 Engine.delay ~cat:Account.Sleep
+                   (Memhog_core.Experiment.run_length sleep);
+                 Engine.stop ()));
+          Engine.run engine;
+          Alcotest.(check (option int))
+            (what ^ ": warm response = alone response")
+            (Some (Interactive.alone_response task))
+            (Interactive.avg_response task);
+          Alcotest.(check (option (float 0.0)))
+            (what ^ ": warm sweeps fault-free") (Some 0.0)
+            (Interactive.avg_hard_faults task);
+          (* the first sweep pays the demand paging *)
+          match Interactive.sweeps task with
+          | first :: _ ->
+              check_int (what ^ ": cold sweep faults whole data set") 64
+                first.Interactive.sw_hard_faults
+          | [] -> Alcotest.fail (what ^ ": no sweeps"))
+        [ 0.0; 0.5; 1.0; 2.0; 5.0; 10.0; 20.0; 30.0 ])
+    [
+      ("small", small_config, None);
+      machine Machine.quick;
+      machine Machine.paper;
+    ]
 
 (* avg_response must round to nearest, not truncate: the mean of the
    sweep responses is a rational number of ns and truncation biases every

@@ -53,7 +53,7 @@ let test_entry_cells_distinct () =
       check_int (e.Gate.name ^ " cell count")
         (List.assoc e.Gate.name
            [
-             ("smoke", 5); ("chaos", 3); ("serve", 4); ("tiers", 5); ("obs", 1);
+             ("smoke", 4); ("chaos", 3); ("serve", 4); ("tiers", 5); ("obs", 1);
              ("perf", 4);
            ])
         n)

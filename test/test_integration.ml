@@ -12,9 +12,9 @@ let check_bool = Alcotest.(check bool)
 
 let machine = Machine.quick
 
-let run ?interactive_sleep ?min_sim_time ?iterations ~workload variant =
+let run ?interactive_sleep ?iterations ~workload variant =
   E.run
-    (E.setup ~machine ?interactive_sleep ?min_sim_time ?iterations
+    (E.setup ~machine ?interactive_sleep ?iterations
        ~workload:(Workload.find workload) ~variant ())
 
 (* Cache: MATVEC O/P/R/B dedicated-machine runs are shared across tests. *)
@@ -81,8 +81,7 @@ let test_determinism () =
 
 let sleep = Time_ns.sec 2
 
-let co_run v =
-  run ~workload:"MATVEC" ~interactive_sleep:sleep ~min_sim_time:(Time_ns.sec 25) v
+let co_run v = run ~workload:"MATVEC" ~interactive_sleep:sleep v
 
 let interactive_response (r : E.result) =
   match r.E.r_interactive with
@@ -117,10 +116,7 @@ let test_fftpde_buffering_is_the_exception () =
   (* The paper's one negative result: FFTPDE's buffered releases carry
      false temporal reuse, so B retains pages with no future use, the
      daemon reactivates, and the interactive task suffers relative to R. *)
-  let run v =
-    run ~workload:"FFTPDE" ~interactive_sleep:sleep
-      ~min_sim_time:(Time_ns.sec 25) v
-  in
+  let run v = run ~workload:"FFTPDE" ~interactive_sleep:sleep v in
   let r = run E.R and b = run E.B in
   check_bool "B reactivates the daemon" true
     (b.E.r_global.VS.daemon_pages_stolen > 3 * r.E.r_global.VS.daemon_pages_stolen);

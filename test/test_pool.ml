@@ -75,19 +75,19 @@ let distinct_count exps =
 let test_plan_counts () =
   let exps = Figures.experiments Machine.paper in
   check_int "experiments" 19 (List.length exps);
-  check_int "cells read" 125
+  check_int "cells read" 108
     (List.length
        (List.concat
           (List.sort_uniq compare
              (List.map (fun (e : Figures.experiment) -> e.Figures.cells) exps))));
-  check_int "distinct cells" 86 (distinct_count exps);
+  check_int "distinct cells" 78 (distinct_count exps);
   (* A fault plan or a trace ring on the matrix makes its co-run cells
      different simulations from fig10a's 5 s row and ext-reactive's P/R
-     rows; the interactive-alone baseline stays shared. *)
-  check_int "distinct cells, chaos on the matrix" 92
+     rows. *)
+  check_int "distinct cells, chaos on the matrix" 84
     (distinct_count
        (Figures.experiments ~chaos:"disk-slow@2s-6s:factor=4" Machine.paper));
-  check_int "distinct cells, traced matrix" 92
+  check_int "distinct cells, traced matrix" 84
     (distinct_count (Figures.experiments ~traced:true Machine.paper))
 
 (* A pass count is an input like any other: the cell that sets it is a
@@ -109,7 +109,7 @@ let test_iterations_cell () =
 
 (* The harness's hard guarantee: an experiment's text depends only on its
    cells, not on the job count or on what else shares the plan.  The
-   EMBAR matrix and the EMBAR sweep at 5 s read the same five cells, so
+   EMBAR matrix and the EMBAR sweep at 5 s read the same four cells, so
    one serial plan of those cells is each experiment's own plan.  Results
    carry live registries (probe closures), so the matrix is compared
    through the canonical metrics serialization — the same bytes the CI
@@ -126,14 +126,12 @@ let test_matrix_deterministic_across_jobs () =
       ~log:(fun _ -> incr simulated)
       (cells @ sweep.Figures.cells)
   in
-  check_int "combined plan simulates each cell once" 5 !simulated;
+  check_int "combined plan simulates each cell once" 4 !simulated;
   let own = Figures.simulate ~jobs:1 sweep.Figures.cells in
   let metrics l =
     Metrics_io.to_string (Metrics_io.metrics_json (Metrics.of_matrix (read l)))
   in
   Alcotest.(check string) "results identical" (metrics own) (metrics both);
-  check_bool "alone identical" true
-    ((read own).Figures.mx_alone = (read both).Figures.mx_alone);
   Alcotest.(check string)
     "sweep identical" (sweep.Figures.render own) (sweep.Figures.render both)
 

@@ -230,20 +230,6 @@ let test_openmetrics_well_formed () =
      n >= 6 && String.sub text (n - 6) 6 = "# EOF\n")
 
 (* ------------------------------------------------------------------ *)
-(* The null registry                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_null_registry_inert () =
-  let tl = Telemetry.null in
-  check_bool "disabled" true (not (Telemetry.enabled tl));
-  Telemetry.register_gauge tl ~name:"x" (fun () ->
-      Alcotest.fail "null registry must never call a probe");
-  Telemetry.scrape tl ~time:0;
-  check_int "no scrapes" 0 (Telemetry.scrapes tl);
-  check_bool "no series" true (Telemetry.series_names tl = []);
-  check_bool "no summaries" true (Telemetry.summaries tl = [])
-
-(* ------------------------------------------------------------------ *)
 (* Jobs determinism of the telemetry metrics object                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -306,8 +292,6 @@ let () =
         [
           Alcotest.test_case "openmetrics well-formed" `Quick
             test_openmetrics_well_formed;
-          Alcotest.test_case "null registry inert" `Quick
-            test_null_registry_inert;
         ] );
       ( "harness",
         [
