@@ -718,8 +718,7 @@ let compare_cmd =
         | diffs ->
             Format.printf "@[<v>%d metric(s) drifted beyond %g%% (%s vs %s):@,%a@]@."
               (List.length diffs) tolerance baseline current
-              (Metrics_io.pp_diffs ?limit:None)
-              diffs;
+              Metrics_io.pp_diffs diffs;
             1)
   in
   Cmd.v
@@ -955,9 +954,7 @@ let gate_cmd =
               | diffs ->
                   Error
                     (Format.asprintf "@[<v>%d number(s) differ from %s:@,%a@]"
-                       (List.length diffs) path
-                       (Metrics_io.pp_diffs ?limit:None)
-                       diffs)))
+                       (List.length diffs) path Metrics_io.pp_diffs diffs)))
   in
   let run names update =
     match Gate.select names with

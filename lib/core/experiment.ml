@@ -24,17 +24,19 @@ let runtime_policy = function
   | B -> Runtime.Buffered
   | O | P | R -> Runtime.Aggressive
 
-type interactive_summary = {
-  is_avg_response : Time_ns.t option;
-  is_avg_hard_faults : float option;
-  is_alone_response : Time_ns.t;
-}
-
 type breakdown = {
   b_user : Time_ns.t;
   b_system : Time_ns.t;
   b_io_stall : Time_ns.t;
   b_resource_stall : Time_ns.t;
+}
+
+type interactive_summary = {
+  is_avg_response : Time_ns.t option;
+  is_avg_hard_faults : float option;
+  is_alone_response : Time_ns.t;
+  is_breakdown : breakdown;
+  is_response_hist : Histogram.t;
 }
 
 let breakdown_total b = b.b_user + b.b_system + b.b_io_stall + b.b_resource_stall
@@ -54,7 +56,6 @@ type result = {
   r_iterations : int;
   r_breakdown : breakdown;
   r_account : Account.t;
-  r_inter_breakdown : breakdown option;
   r_app_stats : Vm_stats.proc;
   r_global : Vm_stats.global;
   r_runtime : Runtime.stats option;
@@ -68,7 +69,6 @@ type result = {
   r_trace : Trace.t;
   r_fault_hist : Histogram.t;
   r_prefetch_hist : Histogram.t;
-  r_response_hist : Histogram.t option;
   r_chaos : Chaos.stats option;
   r_disk_timeouts : int;
   r_disk_bypasses : int;
@@ -103,8 +103,8 @@ type setup = {
    window and a 30 ms SLO — far above a warm response (two resident
    touches and the server's 200 us of compute) and below a couple of hard
    faults' worth of stall, so attainment separates the variants. *)
-let serve_cfg ?(slo = Time_ns.ms 30) ?(duration = Time_ns.sec 20)
-    ?(machine = Machine.paper) ?mark ~rate_rps () =
+let serve_cfg ?(slo = Time_ns.ms 30) ?(duration = Time_ns.sec 20) ~machine
+    ?mark ~rate_rps () =
   let s =
     Kvserve.sizing
       ~mem_bytes:(Machine.mem_bytes machine)
@@ -174,6 +174,9 @@ let summarize_interactive (task : Interactive.t) =
     is_avg_response = Interactive.avg_response task;
     is_avg_hard_faults = Interactive.avg_hard_faults task;
     is_alone_response = Interactive.alone_response task;
+    (* [run] spawns the task as it creates it *)
+    is_breakdown = breakdown_of_account (Option.get (Interactive.account task));
+    is_response_hist = Interactive.response_histogram task;
   }
 
 (* A run that outlives this much simulated time is cut off by the engine. *)
@@ -493,9 +496,6 @@ let run (s : setup) =
     r_iterations = max 1 !iterations_done;
     r_breakdown = breakdown;
     r_account = acct;
-    r_inter_breakdown =
-      Option.bind task (fun t ->
-          Option.map breakdown_of_account (Interactive.account t));
     r_app_stats = asp.Memhog_vm.Address_space.stats;
     r_global = Os.global_stats os;
     r_runtime =
@@ -512,7 +512,6 @@ let run (s : setup) =
     r_trace = trace;
     r_fault_hist = Os.fault_histogram os;
     r_prefetch_hist = Os.prefetch_histogram os;
-    r_response_hist = Option.map (fun t -> Interactive.response_histogram t) task;
     r_chaos = (if s.chaos = None then None else Some (Chaos.stats chaos));
     r_disk_timeouts =
       Array.fold_left

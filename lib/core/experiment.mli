@@ -17,16 +17,6 @@ val pir_variant : variant -> Memhog_compiler.Pir.variant
 (** The code a variant compiles to: O the original, P prefetching, R and B
     prefetching and releasing (they differ in the run-time policy). *)
 
-type interactive_summary = {
-  is_avg_response : Memhog_sim.Time_ns.t option; (** None: too few sweeps *)
-  is_avg_hard_faults : float option;
-  is_alone_response : Memhog_sim.Time_ns.t;
-      (** the task with the machine to itself: its ideal warm response
-          ({!Memhog_exec.Interactive.alone_response}, pure compute, no
-          faults), the baseline of Figures 1 and 10(a) and the normalizer
-          of Figure 10(b) *)
-}
-
 type breakdown = {
   b_user : Memhog_sim.Time_ns.t;
   b_system : Memhog_sim.Time_ns.t;
@@ -40,6 +30,19 @@ val breakdown_of_account : Memhog_sim.Account.t -> breakdown
 (** Project an account onto the four Figure 7 components (dropping
     [Sleep]). *)
 
+type interactive_summary = {
+  is_avg_response : Memhog_sim.Time_ns.t option; (** None: too few sweeps *)
+  is_avg_hard_faults : float option;
+  is_alone_response : Memhog_sim.Time_ns.t;
+      (** the task with the machine to itself: its ideal warm response
+          ({!Memhog_exec.Interactive.alone_response}, pure compute, no
+          faults), the baseline of Figures 1 and 10(a) and the normalizer
+          of Figure 10(b) *)
+  is_breakdown : breakdown;  (** the task's Figure 7 components *)
+  is_response_hist : Memhog_sim.Histogram.t;
+      (** per-sweep response times, warm-up sweep skipped *)
+}
+
 type result = {
   r_workload : string;
   r_variant : variant;
@@ -50,8 +53,6 @@ type result = {
       (** the app driver's raw per-category account ([r_breakdown]'s
           source), kept so totals can be built with
           {!Memhog_sim.Account.add_to} *)
-  r_inter_breakdown : breakdown option;
-      (** the interactive task's Figure 7 components, when present *)
   r_app_stats : Memhog_vm.Vm_stats.proc;
   r_global : Memhog_vm.Vm_stats.global;
   r_runtime : Memhog_runtime.Runtime.stats option;
@@ -80,8 +81,6 @@ type result = {
       (** demand-fault service times (simulated ns), from {!Memhog_vm.Os} *)
   r_prefetch_hist : Memhog_sim.Histogram.t;
       (** completed-prefetch service times (simulated ns) *)
-  r_response_hist : Memhog_sim.Histogram.t option;
-      (** interactive per-sweep response times, warm-up sweep skipped *)
   r_chaos : Memhog_sim.Chaos.stats option;
       (** injected-fault counters, when a chaos spec was active *)
   r_disk_timeouts : int;
@@ -171,7 +170,7 @@ type setup = {
 val serve_cfg :
   ?slo:Memhog_sim.Time_ns.t ->
   ?duration:Memhog_sim.Time_ns.t ->
-  ?machine:Machine.t ->
+  machine:Machine.t ->
   ?mark:Memhog_sim.Time_ns.t ->
   rate_rps:float ->
   unit ->

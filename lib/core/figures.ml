@@ -234,6 +234,19 @@ let matrix ~machine ?(workloads = Workload.names) ?chaos ?(traced = false) () =
 
 let render f = Format.asprintf "@[<v>%t@]" f
 
+let table ~title ~header rows =
+  render (fun fmt -> Report.table ~title ~header ~rows fmt ())
+
+(* One row per benchmark of the matrix, one column per variant, each cell
+   [f] of that run's result. *)
+let pivot ~title f (m : matrix) =
+  table ~title
+    ~header:("benchmark" :: List.map E.variant_name E.all_variants)
+    (List.map
+       (fun (name, per_variant) ->
+         name :: List.map (fun (_, r) -> f r) per_variant)
+       m.mx_results)
+
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -272,11 +285,10 @@ let table2 ?(machine = Machine.paper) () =
         ])
       Workload.all
   in
-  render (fun fmt ->
-      Report.table ~title:"Table 2: benchmark characteristics"
-        ~header:
-          [ "name"; "description"; "data set"; "traits"; "direct"; "indirect"; "unk-loops" ]
-        ~rows fmt ())
+  table ~title:"Table 2: benchmark characteristics"
+    ~header:
+      [ "name"; "description"; "data set"; "traits"; "direct"; "indirect"; "unk-loops" ]
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Response-time sweeps (Figures 1 and 10a)                            *)
@@ -314,10 +326,9 @@ let response_sweep ~id ~title ~variants ~workload ~sleeps_s machine =
           :: Report.ns (alone_response (List.hd rs))
           :: List.map interactive_response rs
         in
-        render (fun fmt ->
-            Report.table ~title
-              ~header:("sleep (s)" :: "alone" :: List.map fst variants)
-              ~rows:(List.map row sleeps_s) fmt ()));
+        table ~title
+          ~header:("sleep (s)" :: "alone" :: List.map fst variants)
+          (List.map row sleeps_s));
   }
 
 let fig1 machine =
@@ -388,29 +399,14 @@ let fig7 (m : matrix) =
 (* Figure 8                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let fig8 (m : matrix) =
-  let rows =
-    List.map
-      (fun (name, per_variant) ->
-        name
-        :: List.map
-             (fun v ->
-               match List.assoc_opt v per_variant with
-               | Some r ->
-                   Report.count
-                     (r.E.r_app_stats.VS.soft_faults_daemon
-                     / max 1 r.E.r_iterations)
-               | None -> "-")
-             E.all_variants)
-      m.mx_results
-  in
-  render (fun fmt ->
-      Report.table
-        ~title:
-          "Figure 8: soft page faults induced by the paging daemon's \
-           invalidations (per pass)"
-        ~header:[ "benchmark"; "O"; "P"; "R"; "B" ]
-        ~rows fmt ())
+let fig8 =
+  pivot
+    ~title:
+      "Figure 8: soft page faults induced by the paging daemon's \
+       invalidations (per pass)"
+    (fun r ->
+      Report.count
+        (r.E.r_app_stats.VS.soft_faults_daemon / max 1 r.E.r_iterations))
 
 (* ------------------------------------------------------------------ *)
 (* Table 3                                                             *)
@@ -434,21 +430,18 @@ let table3 (m : matrix) =
         | _ -> None)
       m.mx_results
   in
-  render (fun fmt ->
-      Report.table
-        ~title:
-          "Table 3: page reclamation activity (original vs \
-           prefetch+release)"
-        ~header:
-          [
-            "benchmark";
-            "O activations";
-            "O stolen";
-            "R activations";
-            "R stolen";
-            "R released";
-          ]
-        ~rows fmt ())
+  table
+    ~title:"Table 3: page reclamation activity (original vs prefetch+release)"
+    ~header:
+      [
+        "benchmark";
+        "O activations";
+        "O stolen";
+        "R activations";
+        "R stolen";
+        "R released";
+      ]
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Figure 9                                                            *)
@@ -475,19 +468,17 @@ let fig9 (m : matrix) =
           per_variant)
       m.mx_results
   in
-  render (fun fmt ->
-      Report.table
-        ~title:"Figure 9: outcomes of freed pages (out-of-core application)"
-        ~header:
-          [
-            "run";
-            "freed by daemon";
-            "freed by release";
-            "daemon share";
-            "rescued (daemon)";
-            "rescued (release)";
-          ]
-        ~rows fmt ())
+  table ~title:"Figure 9: outcomes of freed pages (out-of-core application)"
+    ~header:
+      [
+        "run";
+        "freed by daemon";
+        "freed by release";
+        "daemon share";
+        "rescued (daemon)";
+        "rescued (release)";
+      ]
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Figures 10b, 10c                                                    *)
@@ -498,58 +489,30 @@ let interactive_cell (r : E.result) f =
 
 let fig10b (m : matrix) =
   let alone = alone_response (List.hd (matrix_results m)) in
-  let rows =
-    List.map
-      (fun (name, per_variant) ->
-        name
-        :: List.map
-             (fun v ->
-               match List.assoc_opt v per_variant with
-               | Some r ->
-                   interactive_cell r (fun i ->
-                       match i.E.is_avg_response with
-                       | Some t ->
-                           Report.ratio (float_of_int t /. float_of_int alone)
-                       | None -> "-")
-               | None -> "-")
-             E.all_variants)
-      m.mx_results
-  in
-  render (fun fmt ->
-      Report.table
-        ~title:
-          (Printf.sprintf
-             "Figure 10(b): interactive response at %s sleep, normalized to \
-              running alone (alone = %s)"
-             (Time_ns.to_string m.mx_sleep)
-             (Report.ns alone))
-        ~header:[ "benchmark"; "O"; "P"; "R"; "B" ]
-        ~rows fmt ())
+  pivot
+    ~title:
+      (Printf.sprintf
+         "Figure 10(b): interactive response at %s sleep, normalized to \
+          running alone (alone = %s)"
+         (Time_ns.to_string m.mx_sleep)
+         (Report.ns alone))
+    (fun r ->
+      interactive_cell r (fun i ->
+          match i.E.is_avg_response with
+          | Some t -> Report.ratio (float_of_int t /. float_of_int alone)
+          | None -> "-"))
+    m
 
-let fig10c (m : matrix) =
-  let rows =
-    List.map
-      (fun (name, per_variant) ->
-        name
-        :: List.map
-             (fun v ->
-               match List.assoc_opt v per_variant with
-               | Some r ->
-                   interactive_cell r (fun i ->
-                       match i.E.is_avg_hard_faults with
-                       | Some f -> Report.f1 f
-                       | None -> "-")
-               | None -> "-")
-             E.all_variants)
-      m.mx_results
-  in
-  render (fun fmt ->
-      Report.table
-        ~title:
-          "Figure 10(c): interactive hard page faults per sweep (64 pages = \
-           whole data set)"
-        ~header:[ "benchmark"; "O"; "P"; "R"; "B" ]
-        ~rows fmt ())
+let fig10c =
+  pivot
+    ~title:
+      "Figure 10(c): interactive hard page faults per sweep (64 pages = \
+       whole data set)"
+    (fun r ->
+      interactive_cell r (fun i ->
+          match i.E.is_avg_hard_faults with
+          | Some f -> Report.f1 f
+          | None -> "-"))
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
@@ -561,11 +524,7 @@ let cell_table ~id ~title ~header rows =
     id;
     cells = List.map fst rows;
     render =
-      (fun l ->
-        render (fun fmt ->
-            Report.table ~title ~header
-              ~rows:(List.map (fun (c, row) -> row (result l c)) rows)
-              fmt ()));
+      (fun l -> table ~title ~header (List.map (fun (c, row) -> row (result l c)) rows));
   }
 
 let with_config (machine : Machine.t) suffix f =
@@ -766,27 +725,23 @@ let ext_two_hogs machine =
     cells = List.map snd rows;
     render =
       (fun l ->
-        render (fun fmt ->
-            Report.table
-              ~title:
-                "Extension: two out-of-core programs sharing the machine (2 \
-                 passes each)"
-              ~header:
-                [ "configuration"; "MATVEC done"; "EMBAR done"; "daemon stole" ]
-              ~rows:
-                (List.map
-                   (fun (label, c) ->
-                     match find l c with
-                     | Pair p ->
-                         [
-                           label;
-                           Report.ns p.matvec_done;
-                           Report.ns p.embar_done;
-                           Report.count p.stolen;
-                         ]
-                     | _ -> invalid_arg "Figures.ext_two_hogs")
-                   rows)
-              fmt ()));
+        table
+          ~title:
+            "Extension: two out-of-core programs sharing the machine (2 \
+             passes each)"
+          ~header:[ "configuration"; "MATVEC done"; "EMBAR done"; "daemon stole" ]
+          (List.map
+             (fun (label, c) ->
+               match find l c with
+               | Pair p ->
+                   [
+                     label;
+                     Report.ns p.matvec_done;
+                     Report.ns p.embar_done;
+                     Report.count p.stolen;
+                   ]
+               | _ -> invalid_arg "Figures.ext_two_hogs")
+             rows));
   }
 
 let ext_reactive machine =

@@ -680,11 +680,13 @@ let cell_json (r : E.result) =
       ("elapsed_ns", num_of_int r.E.r_elapsed);
       ("iterations", num_of_int r.E.r_iterations);
       ("app_breakdown", breakdown_json r.E.r_breakdown);
-      ("interactive_breakdown", opt breakdown_json r.E.r_inter_breakdown);
+      ( "interactive_breakdown",
+        opt (fun i -> breakdown_json i.E.is_breakdown) r.E.r_interactive );
       ("fault_hist", hist_json r.E.r_fault_hist);
       ("prefetch_hist", hist_json r.E.r_prefetch_hist);
       (* interactive per-sweep response times, warm-up sweep skipped *)
-      ("response_hist", opt hist_json r.E.r_response_hist);
+      ( "response_hist",
+        opt (fun i -> hist_json i.E.is_response_hist) r.E.r_interactive );
       ("interactive", opt interactive_json r.E.r_interactive);
       ("release_accuracy", release_json r);
       ("telemetry", telemetry_json r.E.r_telemetry);
@@ -762,7 +764,9 @@ let totals_json (results : E.result list) =
       VS.add_global global r.E.r_global;
       Histogram.merge ~into:fault r.E.r_fault_hist;
       Histogram.merge ~into:prefetch r.E.r_prefetch_hist;
-      Option.iter (Histogram.merge ~into:response) r.E.r_response_hist)
+      Option.iter
+        (fun i -> Histogram.merge ~into:response i.E.is_response_hist)
+        r.E.r_interactive)
     results;
   Obj
     [
@@ -920,9 +924,9 @@ let compare_json ~tolerance a b =
   go "" a b;
   List.rev !diffs
 
-let pp_diffs ?(limit = 8) fmt diffs =
+let pp_diffs fmt diffs =
   let total = List.length diffs in
-  let shown = if limit <= 0 then diffs else List.filteri (fun i _ -> i < limit) diffs in
+  let shown = List.filteri (fun i _ -> i < 8) diffs in
   List.iter
     (fun d ->
       Format.fprintf fmt "  %s@,    expected %s@,    got      %s  (%s)@,"

@@ -69,12 +69,11 @@ val compare_json : tolerance:float -> json -> json -> diff list
     |a-b| / max(|a|,|b|) must not exceed [tolerance] percent.
     @raise Invalid_argument unless [tolerance] is finite and at least 0. *)
 
-val pp_diffs : ?limit:int -> Format.formatter -> diff list -> unit
-(** Regression-gate failure report: for the first [limit] (default 8)
-    mismatches print the full JSON path, the expected and observed values,
-    and the reason (with the tolerance that was applied); any remainder is
-    summarised as a count.  Assumes the formatter is inside a vertical
-    box. *)
+val pp_diffs : Format.formatter -> diff list -> unit
+(** Regression-gate failure report: for the first 8 mismatches print the
+    full JSON path, the expected and observed values, and the reason (with
+    the tolerance that was applied); any remainder is summarised as a
+    count.  Assumes the formatter is inside a vertical box. *)
 
 (** {1 Rendering} *)
 

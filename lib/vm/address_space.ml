@@ -64,12 +64,12 @@ let leaf_bits = 10
 let leaf_pages = 1 lsl leaf_bits
 let leaf_mask = leaf_pages - 1
 
-let create ?(tlb_entries = 64) ~pid ~name () =
+let create ~pid ~name =
   {
     pid;
     as_name = name;
     as_lock = Semaphore.create ~name:(Printf.sprintf "as-lock:%s" name) 1;
-    tlb = Tlb.create ~entries:tlb_entries;
+    tlb = Tlb.create ~entries:Config.tlb_entries;
     seg_arr = [||];
     nsegs = 0;
     ptes = [||];

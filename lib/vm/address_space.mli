@@ -99,7 +99,8 @@ type t = {
 val leaf_pages : int
 (** vpns per leaf of the page table (1024). *)
 
-val create : ?tlb_entries:int -> pid:int -> name:string -> unit -> t
+val create : pid:int -> name:string -> t
+(** An empty address space with a {!Config.tlb_entries}-entry TLB. *)
 
 val add_segment :
   t -> name:string -> npages:int -> swap_base:int -> on_swap:bool -> segment

@@ -65,7 +65,11 @@ let chaos t = t.chaos
 let fault_histogram t = t.h_fault
 let prefetch_histogram t = t.h_prefetch
 
-let sys_delay t d = ignore t; Engine.delay ~cat:Account.System d
+let sys_delay d = Engine.delay ~cat:Account.System d
+
+(* Put [ev] on the observation bus at the current simulated time.  Call
+   sites test [Obs.on] first, so a run without sinks builds no event. *)
+let emit t ~stream ev = Obs.emit t.obs ~time:(Engine.now ()) ~stream ev
 
 (* Backing-store indirection: with a tier router installed, reads go to
    wherever the page currently lives (far memory, compressed RAM, or the
@@ -117,48 +121,56 @@ let disassociate ?(reused = true) t (f : Frame.t) =
       && As.get_raw victim ~vpn:f.vpn = As.Pte.on_free_list f.idx
     then As.set_raw victim ~vpn:f.vpn As.Pte.swapped;
     if reused && f.freed_by <> None && Obs.on t.obs then
-      Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.kernel_stream
+      emit t ~stream:Trace.kernel_stream
         (Trace.Frame_reused { vpn = f.vpn; owner = f.owner });
     Frame.reset_association f
   end
 
-(* Pop a frame from the free list, blocking until one is available.
-   Returns with no locks held. *)
-let rec alloc_frame_blocking t ~(for_ : As.t) =
-  Semaphore.acquire t.memory_lock;
-  match Free_list.pop_head t.free with
-  | Some f ->
-      disassociate t f;
-      t.gstats.allocations <- t.gstats.allocations + 1;
-      Semaphore.release t.memory_lock;
-      f
-  | None ->
-      t.gstats.allocation_waits <- t.gstats.allocation_waits + 1;
-      Semaphore.release t.memory_lock;
-      Condition.wait t.free_cond;
-      alloc_frame_blocking t ~for_
-
-(* Non-blocking variant for prefetch: section 3.1.2 — "if there is no free
-   memory, the request is discarded immediately". *)
+(* Pop a frame from the free list, or [None] when it is empty: section
+   3.1.2 — "if there is no free memory, the request is discarded
+   immediately".  Returns with no locks held. *)
 let alloc_frame_opt t =
   Semaphore.acquire t.memory_lock;
-  let result =
-    match Free_list.pop_head t.free with
-    | Some f ->
-        disassociate t f;
-        t.gstats.allocations <- t.gstats.allocations + 1;
-        Some f
-    | None -> None
-  in
+  let result = Free_list.pop_head t.free in
+  (match result with
+  | Some f ->
+      disassociate t f;
+      t.gstats.allocations <- t.gstats.allocations + 1
+  | None -> ());
   Semaphore.release t.memory_lock;
   result
 
-(* Put a frame on the free list tail, remembering the page it held so it can
-   be rescued.  Caller holds [memory_lock] and the owner's as_lock, and has
-   already updated the PTE to [On_free_list]. *)
-let free_frame_locked t (f : Frame.t) ~(freer : Vm_stats.freer) ~site =
+(* Pop a frame, waiting for one while the free list is empty. *)
+let rec alloc_frame t =
+  match alloc_frame_opt t with
+  | Some f -> f
+  | None ->
+      t.gstats.allocation_waits <- t.gstats.allocation_waits + 1;
+      Condition.wait t.free_cond;
+      alloc_frame t
+
+(* Put a frame on the free-list tail and wake waiting allocators.  Caller
+   holds [memory_lock]. *)
+let list_frame t f =
+  Free_list.push_tail t.free f;
+  Condition.broadcast t.free_cond
+
+(* Take a resident page off its frame on behalf of [freer]: the PTE keeps
+   the frame for a rescue, marked [On_free_list], and the owner's rss
+   falls.  A clean frame goes to the free-list tail at once; a dirty one is
+   consed onto [writebacks] with its release [priority] (min_int for none),
+   to be listed when its write completes.  With rescue disabled a clean
+   page's contents are lost at once.  Caller holds the owner's as_lock and
+   [memory_lock]. *)
+let detach t (asp : As.t) (f : Frame.t) ~(freer : Vm_stats.freer) ~site
+    ~priority writebacks =
+  As.set_raw asp ~vpn:f.vpn (As.Pte.on_free_list f.idx);
+  asp.As.rss <- asp.As.rss - 1;
+  let dirty = f.dirty in
+  if not (dirty || t.config.rescue_from_free_list) then
+    disassociate ~reused:false t f;
+  f.dirty <- false;
   f.valid <- false;
-  if not t.config.rescue_from_free_list then disassociate ~reused:false t f;
   f.prefetched <- false;
   f.referenced <- false;
   f.age <- 0;
@@ -168,8 +180,15 @@ let free_frame_locked t (f : Frame.t) ~(freer : Vm_stats.freer) ~site =
     | Vm_stats.Daemon -> Some Vm_stats.Daemon
     | Vm_stats.Releaser -> Some Vm_stats.Releaser);
   f.free_site <- site;
-  Free_list.push_tail t.free f;
-  Condition.broadcast t.free_cond
+  if dirty then begin
+    asp.As.stats.writebacks <- asp.As.stats.writebacks + 1;
+    let priority = if priority = min_int then None else Some priority in
+    (asp, f.vpn, f, priority) :: writebacks
+  end
+  else begin
+    list_frame t f;
+    writebacks
+  end
 
 (* With rescue disabled, a page whose writeback is still in flight cannot
    be reclaimed by its owner: the toucher abandons it (PTE -> Swapped, frame
@@ -189,7 +208,7 @@ let abandon_in_writeback t asp ~vpn fidx =
 
 let new_process t ~name =
   let pid = t.next_pid in
-  let asp = As.create ~tlb_entries:t.config.tlb_entries ~pid ~name () in
+  let asp = As.create ~pid ~name in
   if pid = Array.length t.spaces then begin
     let spaces = Array.make (Int.max 4 (2 * pid)) asp in
     Array.blit t.spaces 0 spaces 0 pid;
@@ -207,7 +226,7 @@ let map_segment t asp ~name ~bytes ~on_swap =
   As.add_segment asp ~name ~npages ~swap_base ~on_swap
 
 (* ------------------------------------------------------------------ *)
-(* Fault handling                                                      *)
+(* Page transitions shared by faults and prefetches                    *)
 (* ------------------------------------------------------------------ *)
 
 let install_frame t (asp : As.t) ~vpn (f : Frame.t) ~write ~prefetched =
@@ -235,6 +254,62 @@ let install_frame t (asp : As.t) ~vpn (f : Frame.t) ~write ~prefetched =
     Tlb.insert asp.As.tlb ~vpn;
   update_limits t asp
 
+(* Make a resident, invalid page valid again (a soft or validation fault):
+   charge [ns] of kernel time and unlock.  Caller holds the owner's
+   as_lock. *)
+let revalidate (asp : As.t) (f : Frame.t) ~vpn ~write ns =
+  f.valid <- true;
+  f.referenced <- true;
+  f.age <- 0;
+  if write then f.dirty <- true;
+  As.set_bit asp ~vpn true;
+  Tlb.insert asp.As.tlb ~vpn;
+  sys_delay ns;
+  Semaphore.release asp.As.as_lock
+
+(* Take a freed page's frame back, off the free list or out of its pending
+   writeback (install_frame clears the freed marker the writer checks
+   before listing the frame), and map it again; returns who had freed it.
+   Caller holds the owner's as_lock and [memory_lock], and has checked that
+   the PTE still names [f]. *)
+let rescue t (asp : As.t) (f : Frame.t) ~vpn ~write ~prefetched =
+  let stats = asp.As.stats in
+  let freer = match f.freed_by with Some w -> w | None -> Vm_stats.Daemon in
+  if f.on_free_list then Free_list.remove t.free f;
+  (match freer with
+  | Vm_stats.Daemon -> stats.rescued_daemon <- stats.rescued_daemon + 1
+  | Vm_stats.Releaser -> stats.rescued_releaser <- stats.rescued_releaser + 1);
+  if Obs.on t.obs then
+    emit t ~stream:asp.As.pid
+      (Trace.Rescue { vpn; for_prefetch = prefetched; site = f.free_site });
+  install_frame t asp ~vpn f ~write ~prefetched;
+  freer
+
+(* Page-in, first half: mark a swapped or untouched page in transit and
+   unlock.  A fault or prefetch that finds it in transit waits on the
+   returned ivar.  Caller holds the owner's as_lock. *)
+let start_page_in (asp : As.t) ~vpn =
+  let ivar = Ivar.create () in
+  As.set_in_transit asp ~vpn ivar;
+  Semaphore.release asp.As.as_lock;
+  ivar
+
+(* Page-in, second half: zero-fill or read the page into [f], install it
+   (a zero-filled page is dirty from birth: its contents exist nowhere
+   else), fill the ivar and unlock. *)
+let finish_page_in t (asp : As.t) ~vpn f ivar ~zero ~write ~prefetched
+    ~background =
+  if zero then sys_delay Config.zero_fill_ns
+  else backing_read t ~background ~page:(As.swap_page asp ~vpn);
+  Semaphore.acquire asp.As.as_lock;
+  install_frame t asp ~vpn f ~write:(write || zero) ~prefetched;
+  Ivar.fill ivar ();
+  Semaphore.release asp.As.as_lock
+
+(* ------------------------------------------------------------------ *)
+(* Fault handling                                                      *)
+(* ------------------------------------------------------------------ *)
+
 let rec touch t (asp : As.t) ~vpn ~write =
   if not (As.mapped asp ~vpn) then raise Not_found;
   (* The packed-PTE read keeps the warm path allocation-free: one int load,
@@ -252,157 +327,109 @@ let rec touch t (asp : As.t) ~vpn ~write =
     (* the MIPS TLB is refilled in software: a miss on a mapped, valid
        page still costs a trap *)
     if not (Tlb.access asp.As.tlb ~vpn) then
-      Engine.delay ~cat:Account.System t.config.tlb_refill_ns;
+      Engine.delay ~cat:Account.System Config.tlb_refill_ns;
     Fast
   end
   else fault t asp ~vpn ~write
 
 and fault t asp ~vpn ~write =
-  let cfg = t.config in
   let stats = asp.As.stats in
   Semaphore.acquire asp.As.as_lock;
   (* Re-examine under the lock: the world may have changed while waiting.
      Dispatch on the packed tag (if/else: tags are named constants, not
      literals, so they cannot head a pattern match). *)
-  let result =
-    let p = As.get_raw asp ~vpn in
-    let tag = As.Pte.tag p in
-    if tag = As.Pte.tag_resident then begin
-        let f = t.frames.(As.Pte.frame p) in
-        if f.prefetched then begin
-          (* First touch of a prefetched page: cheap validation fault. *)
-          f.prefetched <- false;
-          f.valid <- true;
-          f.referenced <- true;
-          f.age <- 0;
-          if write then f.dirty <- true;
-          stats.validation_faults <- stats.validation_faults + 1;
-          if Obs.on t.obs then
-            Obs.emit t.obs ~time:(Engine.now ()) ~stream:asp.As.pid
-              (Trace.Validation_fault { vpn });
-          As.set_bit asp ~vpn true;
-          Tlb.insert asp.As.tlb ~vpn;
-          sys_delay t cfg.validation_fault_ns;
-          Semaphore.release asp.As.as_lock;
-          Validated
-        end
-        else if not f.valid then begin
-          (* Soft fault: revalidate after an invalidation (by the daemon's
-             reference sampling, or by a release request). *)
-          f.valid <- true;
-          f.referenced <- true;
-          f.age <- 0;
-          if write then f.dirty <- true;
-          stats.soft_faults <- stats.soft_faults + 1;
-          if Obs.on t.obs then
-            Obs.emit t.obs ~time:(Engine.now ()) ~stream:asp.As.pid
-              (Trace.Soft_fault { vpn });
-          if not f.release_invalidated then
-            stats.soft_faults_daemon <- stats.soft_faults_daemon + 1;
-          f.release_invalidated <- false;
-          As.set_bit asp ~vpn true;
-          Tlb.insert asp.As.tlb ~vpn;
-          sys_delay t cfg.soft_fault_ns;
-          Semaphore.release asp.As.as_lock;
-          Soft
-        end
-        else begin
-          (* Lost the race benignly: page became valid while we waited. *)
-          f.referenced <- true;
-          if write then f.dirty <- true;
-          Semaphore.release asp.As.as_lock;
-          Fast
-        end
+  let p = As.get_raw asp ~vpn in
+  let tag = As.Pte.tag p in
+  if tag = As.Pte.tag_resident then begin
+    let f = t.frames.(As.Pte.frame p) in
+    if f.prefetched then begin
+      (* First touch of a prefetched page: cheap validation fault. *)
+      f.prefetched <- false;
+      stats.validation_faults <- stats.validation_faults + 1;
+      if Obs.on t.obs then
+        emit t ~stream:asp.As.pid (Trace.Validation_fault { vpn });
+      revalidate asp f ~vpn ~write Config.validation_fault_ns;
+      Validated
     end
-    else if tag = As.Pte.tag_on_free_list && not cfg.rescue_from_free_list
-    then begin
-        (* Rescue disabled: the only way a PTE still points at a freed frame
-           is a writeback in flight.  Abandon it and demand-fetch. *)
-        abandon_in_writeback t asp ~vpn (As.Pte.frame p);
-        Semaphore.release asp.As.as_lock;
-        touch t asp ~vpn ~write
-    end
-    else if tag = As.Pte.tag_on_free_list then begin
-        (* Rescue path. *)
-        let fidx = As.Pte.frame p in
-        Semaphore.acquire t.memory_lock;
-        (* Same packed word = same state and same frame. *)
-        if As.get_raw asp ~vpn = p then begin
-            let f = t.frames.(fidx) in
-            let freer =
-              match f.freed_by with Some w -> w | None -> Vm_stats.Daemon
-            in
-            if f.on_free_list then Free_list.remove t.free f;
-            (* else: writeback still pending; the writer re-checks the PTE
-               before pushing, so claiming the frame here is safe. *)
-            (match freer with
-            | Vm_stats.Daemon -> stats.rescued_daemon <- stats.rescued_daemon + 1
-            | Vm_stats.Releaser ->
-                stats.rescued_releaser <- stats.rescued_releaser + 1);
-            if Obs.on t.obs then
-              Obs.emit t.obs ~time:(Engine.now ()) ~stream:asp.As.pid
-                (Trace.Rescue
-                   { vpn; for_prefetch = false; site = f.free_site });
-            install_frame t asp ~vpn f ~write ~prefetched:false;
-            sys_delay t cfg.rescue_ns;
-            Semaphore.release t.memory_lock;
-            Semaphore.release asp.As.as_lock;
-            Rescued freer
-        end
-        else begin
-            (* The frame was reallocated while we took the lock: retry. *)
-            Semaphore.release t.memory_lock;
-            Semaphore.release asp.As.as_lock;
-            touch t asp ~vpn ~write
-        end
-    end
-    else if tag = As.Pte.tag_in_transit then begin
-        (* Someone (prefetch thread or another fault) is bringing it in. *)
-        let ivar = As.transit_ivar asp ~vpn in
-        Semaphore.release asp.As.as_lock;
-        let rq = Obs.reqtrace t.obs in
-        if Reqtrace.enabled rq then begin
-          let t0 = Engine.now_of t.engine in
-          Ivar.read ~cat:Account.Io_stall ivar;
-          Reqtrace.note_transit rq ~pid:(Engine.pid (Engine.self ()))
-            ~start:t0
-            ~ns:(Engine.now_of t.engine - t0)
-        end
-        else Ivar.read ~cat:Account.Io_stall ivar;
-        touch t asp ~vpn ~write
+    else if not f.valid then begin
+      (* Soft fault: revalidate after an invalidation (by the daemon's
+         reference sampling, or by a release request). *)
+      stats.soft_faults <- stats.soft_faults + 1;
+      if Obs.on t.obs then emit t ~stream:asp.As.pid (Trace.Soft_fault { vpn });
+      if not f.release_invalidated then
+        stats.soft_faults_daemon <- stats.soft_faults_daemon + 1;
+      f.release_invalidated <- false;
+      revalidate asp f ~vpn ~write Config.soft_fault_ns;
+      Soft
     end
     else begin
-        (* swapped or untouched *)
-        let zero = tag = As.Pte.tag_untouched in
-        let ivar = Ivar.create () in
-        As.set_in_transit asp ~vpn ivar;
-        Semaphore.release asp.As.as_lock;
-        let f = alloc_frame_blocking t ~for_:asp in
-        sys_delay t cfg.hard_fault_cpu_ns;
-        if zero then begin
-          stats.zero_fills <- stats.zero_fills + 1;
-          if Obs.on t.obs then
-            Obs.emit t.obs ~time:(Engine.now ()) ~stream:asp.As.pid
-              (Trace.Zero_fill { vpn });
-          sys_delay t cfg.zero_fill_ns
-        end
-        else begin
-          stats.hard_faults <- stats.hard_faults + 1;
-          if Obs.on t.obs then
-            Obs.emit t.obs ~time:(Engine.now ()) ~stream:asp.As.pid
-              (Trace.Hard_fault { vpn });
-          backing_read t ~background:false ~page:(As.swap_page asp ~vpn)
-        end;
-        Semaphore.acquire asp.As.as_lock;
-        (* A zero-filled page is dirty from birth: its contents exist
-           nowhere else. *)
-        install_frame t asp ~vpn f ~write:(write || zero) ~prefetched:false;
-        Ivar.fill ivar ();
-        Semaphore.release asp.As.as_lock;
-        if zero then Zero_filled else Hard
+      (* Lost the race benignly: page became valid while we waited. *)
+      f.referenced <- true;
+      if write then f.dirty <- true;
+      Semaphore.release asp.As.as_lock;
+      Fast
     end
-  in
-  result
+  end
+  else if tag = As.Pte.tag_on_free_list && not t.config.rescue_from_free_list
+  then begin
+    (* Rescue disabled: the only way a PTE still points at a freed frame
+       is a writeback in flight.  Abandon it and demand-fetch. *)
+    abandon_in_writeback t asp ~vpn (As.Pte.frame p);
+    Semaphore.release asp.As.as_lock;
+    touch t asp ~vpn ~write
+  end
+  else if tag = As.Pte.tag_on_free_list then begin
+    Semaphore.acquire t.memory_lock;
+    (* Same packed word = same state and same frame. *)
+    if As.get_raw asp ~vpn = p then begin
+      let freer =
+        rescue t asp t.frames.(As.Pte.frame p) ~vpn ~write ~prefetched:false
+      in
+      sys_delay Config.rescue_ns;
+      Semaphore.release t.memory_lock;
+      Semaphore.release asp.As.as_lock;
+      Rescued freer
+    end
+    else begin
+      (* The frame was reallocated while we took the lock: retry. *)
+      Semaphore.release t.memory_lock;
+      Semaphore.release asp.As.as_lock;
+      touch t asp ~vpn ~write
+    end
+  end
+  else if tag = As.Pte.tag_in_transit then begin
+    (* Someone (prefetch thread or another fault) is bringing it in. *)
+    let ivar = As.transit_ivar asp ~vpn in
+    Semaphore.release asp.As.as_lock;
+    let rq = Obs.reqtrace t.obs in
+    if Reqtrace.enabled rq then begin
+      let t0 = Engine.now_of t.engine in
+      Ivar.read ~cat:Account.Io_stall ivar;
+      Reqtrace.note_transit rq ~pid:(Engine.pid (Engine.self ()))
+        ~start:t0
+        ~ns:(Engine.now_of t.engine - t0)
+    end
+    else Ivar.read ~cat:Account.Io_stall ivar;
+    touch t asp ~vpn ~write
+  end
+  else begin
+    (* swapped or untouched *)
+    let zero = tag = As.Pte.tag_untouched in
+    let ivar = start_page_in asp ~vpn in
+    let f = alloc_frame t in
+    sys_delay Config.hard_fault_cpu_ns;
+    if zero then begin
+      stats.zero_fills <- stats.zero_fills + 1;
+      if Obs.on t.obs then emit t ~stream:asp.As.pid (Trace.Zero_fill { vpn })
+    end
+    else begin
+      stats.hard_faults <- stats.hard_faults + 1;
+      if Obs.on t.obs then emit t ~stream:asp.As.pid (Trace.Hard_fault { vpn })
+    end;
+    finish_page_in t asp ~vpn f ivar ~zero ~write ~prefetched:false
+      ~background:false;
+    if zero then Zero_filled else Hard
+  end
 
 (* Public entry point: time every demand fault from the first trap to
    service completion — including lock waits, blocking frame allocation and
@@ -425,117 +452,94 @@ let touch t asp ~vpn ~write =
 (* ------------------------------------------------------------------ *)
 
 let rec prefetch t ~site ~urgent (asp : As.t) ~vpn =
-  let cfg = t.config in
   let stats = asp.As.stats in
-  sys_delay t cfg.pm_call_ns;
+  sys_delay Config.pm_call_ns;
   if not (As.mapped asp ~vpn) then P_already
   else begin
-      Semaphore.acquire asp.As.as_lock;
-      let p = As.get_raw asp ~vpn in
-      let tag = As.Pte.tag p in
-      if tag = As.Pte.tag_resident || tag = As.Pte.tag_in_transit then begin
-        stats.prefetches_useless <- stats.prefetches_useless + 1;
-        Semaphore.release asp.As.as_lock;
-        update_limits t asp;
-        P_already
-      end
-      else if tag = As.Pte.tag_on_free_list && not cfg.rescue_from_free_list
-      then begin
-        abandon_in_writeback t asp ~vpn (As.Pte.frame p);
-        Semaphore.release asp.As.as_lock;
-        prefetch t asp ~site ~urgent ~vpn
-      end
-      else if tag = As.Pte.tag_on_free_list then begin
-        let fidx = As.Pte.frame p in
-        Semaphore.acquire t.memory_lock;
-        let result =
-          (* Same packed word = same state and same frame. *)
-          if As.get_raw asp ~vpn = p then begin
-            let f = t.frames.(fidx) in
-            if f.on_free_list then Free_list.remove t.free f;
-            stats.prefetch_rescues <- stats.prefetch_rescues + 1;
+    Semaphore.acquire asp.As.as_lock;
+    let p = As.get_raw asp ~vpn in
+    let tag = As.Pte.tag p in
+    if tag = As.Pte.tag_resident || tag = As.Pte.tag_in_transit then begin
+      stats.prefetches_useless <- stats.prefetches_useless + 1;
+      Semaphore.release asp.As.as_lock;
+      update_limits t asp;
+      P_already
+    end
+    else if tag = As.Pte.tag_on_free_list && not t.config.rescue_from_free_list
+    then begin
+      abandon_in_writeback t asp ~vpn (As.Pte.frame p);
+      Semaphore.release asp.As.as_lock;
+      prefetch t asp ~site ~urgent ~vpn
+    end
+    else if tag = As.Pte.tag_on_free_list then begin
+      Semaphore.acquire t.memory_lock;
+      let result =
+        (* Same packed word = same state and same frame. *)
+        if As.get_raw asp ~vpn = p then begin
+          stats.prefetch_rescues <- stats.prefetch_rescues + 1;
+          ignore
+            (rescue t asp t.frames.(As.Pte.frame p) ~vpn ~write:false
+               ~prefetched:true
+              : Vm_stats.freer);
+          P_rescued
+        end
+        else P_already
+      in
+      Semaphore.release t.memory_lock;
+      Semaphore.release asp.As.as_lock;
+      update_limits t asp;
+      result
+    end
+    else
+      match
+        if t.config.drop_prefetch_when_low then alloc_frame_opt t
+        else begin
+          (* Blocking for a frame gives up the as_lock; the PTE must be
+             re-examined once it is reacquired (below). *)
+          Semaphore.release asp.As.as_lock;
+          let f = alloc_frame t in
+          Semaphore.acquire asp.As.as_lock;
+          Some f
+        end
+      with
+      | None ->
+          stats.prefetches_dropped <- stats.prefetches_dropped + 1;
+          if Obs.on t.obs then
+            emit t ~stream:asp.As.pid (Trace.Prefetch_dropped { vpn; site });
+          Semaphore.release asp.As.as_lock;
+          update_limits t asp;
+          P_dropped
+      | Some f ->
+          (* While blocked in [alloc_frame] the as_lock was free: a
+             concurrent demand fault (or another prefetch) may have
+             installed this page.  Overwriting the PTE would leak that
+             resident frame and corrupt rss, so re-check and surrender the
+             spare frame if the prefetch lost the race. *)
+          let tag' = As.Pte.tag (As.get_raw asp ~vpn) in
+          if tag' = As.Pte.tag_swapped || tag' = As.Pte.tag_untouched then begin
+            let ivar = start_page_in asp ~vpn in
+            stats.prefetches_issued <- stats.prefetches_issued + 1;
             if Obs.on t.obs then
-              Obs.emit t.obs ~time:(Engine.now ()) ~stream:asp.As.pid
-                (Trace.Rescue { vpn; for_prefetch = true; site = f.free_site });
-            (match f.freed_by with
-            | Some Vm_stats.Daemon ->
-                stats.rescued_daemon <- stats.rescued_daemon + 1
-            | Some Vm_stats.Releaser ->
-                stats.rescued_releaser <- stats.rescued_releaser + 1
-            | None -> ());
-            install_frame t asp ~vpn f ~write:false ~prefetched:true;
-            P_rescued
+              emit t ~stream:asp.As.pid (Trace.Prefetch_issued { vpn; site });
+            sys_delay Config.hard_fault_cpu_ns;
+            finish_page_in t asp ~vpn f ivar
+              ~zero:(tag' = As.Pte.tag_untouched) ~write:false
+              ~prefetched:true ~background:(not urgent);
+            update_limits t asp;
+            P_fetched
           end
-          else P_already
-        in
-        Semaphore.release t.memory_lock;
-        Semaphore.release asp.As.as_lock;
-        update_limits t asp;
-        result
-      end
-      else (
-          match
-            (if t.config.drop_prefetch_when_low then alloc_frame_opt t
-             else begin
-               (* Blocking for a frame gives up the as_lock; the PTE must be
-                  re-examined once it is reacquired (below). *)
-               Semaphore.release asp.As.as_lock;
-               let f = alloc_frame_blocking t ~for_:asp in
-               Semaphore.acquire asp.As.as_lock;
-               Some f
-             end)
-          with
-          | None ->
-              stats.prefetches_dropped <- stats.prefetches_dropped + 1;
-              if Obs.on t.obs then
-                Obs.emit t.obs ~time:(Engine.now ()) ~stream:asp.As.pid
-                  (Trace.Prefetch_dropped { vpn; site });
-              Semaphore.release asp.As.as_lock;
-              update_limits t asp;
-              P_dropped
-          | Some f ->
-              (* While blocked in alloc_frame_blocking the as_lock was free:
-                 a concurrent demand fault (or another prefetch) may have
-                 installed this page.  Overwriting the PTE would leak that
-                 resident frame and corrupt rss, so re-check and surrender
-                 the spare frame if the prefetch lost the race. *)
-              let tag' = As.Pte.tag (As.get_raw asp ~vpn) in
-              if tag' = As.Pte.tag_swapped || tag' = As.Pte.tag_untouched
-              then begin
-                let zero = tag' = As.Pte.tag_untouched in
-                let ivar = Ivar.create () in
-                As.set_in_transit asp ~vpn ivar;
-                Semaphore.release asp.As.as_lock;
-                stats.prefetches_issued <- stats.prefetches_issued + 1;
-                if Obs.on t.obs then
-                  Obs.emit t.obs ~time:(Engine.now ()) ~stream:asp.As.pid
-                    (Trace.Prefetch_issued { vpn; site });
-                sys_delay t cfg.hard_fault_cpu_ns;
-                if zero then sys_delay t cfg.zero_fill_ns
-                else
-                  backing_read t ~background:(not urgent)
-                    ~page:(As.swap_page asp ~vpn);
-                Semaphore.acquire asp.As.as_lock;
-                install_frame t asp ~vpn f ~write:zero ~prefetched:true;
-                Ivar.fill ivar ();
-                Semaphore.release asp.As.as_lock;
-                update_limits t asp;
-                P_fetched
-              end
-              else begin
-                (* resident, in transit, or back on the free list *)
-                stats.prefetches_useless <- stats.prefetches_useless + 1;
-                if Obs.on t.obs then
-                  Obs.emit t.obs ~time:(Engine.now ()) ~stream:asp.As.pid
-                    (Trace.Prefetch_raced { vpn; site });
-                Semaphore.acquire t.memory_lock;
-                Free_list.push_tail t.free f;
-                Condition.broadcast t.free_cond;
-                Semaphore.release t.memory_lock;
-                Semaphore.release asp.As.as_lock;
-                update_limits t asp;
-                P_already
-              end)
+          else begin
+            (* resident, in transit, or back on the free list *)
+            stats.prefetches_useless <- stats.prefetches_useless + 1;
+            if Obs.on t.obs then
+              emit t ~stream:asp.As.pid (Trace.Prefetch_raced { vpn; site });
+            Semaphore.acquire t.memory_lock;
+            list_frame t f;
+            Semaphore.release t.memory_lock;
+            Semaphore.release asp.As.as_lock;
+            update_limits t asp;
+            P_already
+          end
   end
 
 (* Like [touch]: time prefetches that actually moved a page (I/O performed
@@ -555,8 +559,7 @@ let prefetch t ~site ~urgent asp ~vpn =
          actually touched, and the blame layer nets it out of the touching
          request's prefetch slack. *)
       if Obs.on t.obs then
-        Obs.emit t.obs ~time:(Engine.now ()) ~stream:asp.As.pid
-          (Trace.Prefetch_done { vpn; site; ns });
+        emit t ~stream:asp.As.pid (Trace.Prefetch_done { vpn; site; ns });
       let rq = Obs.reqtrace t.obs in
       if Reqtrace.enabled rq then
         Reqtrace.note_prefetch_done rq ~owner:asp.As.pid ~vpn ~ns
@@ -568,7 +571,7 @@ let release_batch t (asp : As.t) batch =
     invalid_arg "Os.release_batch: batch must have width 3";
   let n = Int_ring.length batch in
   let stats = asp.As.stats in
-  sys_delay t t.config.pm_call_ns;
+  sys_delay Config.pm_call_ns;
   stats.releases_requested <- stats.releases_requested + n;
   (* The PM clears the residency bits at request time (section 3.1.2); any
      re-reference before the releaser acts will set them again and veto the
@@ -592,7 +595,7 @@ let release_batch t (asp : As.t) batch =
     end
   done;
   if Obs.on t.obs then
-    Obs.emit t.obs ~time:(Engine.now ()) ~stream:asp.As.pid
+    emit t ~stream:asp.As.pid
       (Trace.Release_requested { owner = asp.As.pid; count = n });
   (* Queue the request; a releaser waiting for work takes it first. *)
   Int_ring.transfer ~src:batch ~dst:t.rel_pages n;
@@ -639,23 +642,20 @@ let rec writeback_and_free t = function
              Semaphore.acquire t.memory_lock;
              (* Still marked freed and not yet listed: return it.  A rescue
                 during the write clears the marker (install_frame). *)
-             (if f.freed_by <> None && not f.on_free_list then begin
-                Free_list.push_tail t.free f;
-                if not t.config.rescue_from_free_list then
-                  disassociate ~reused:false t f;
-                Condition.broadcast t.free_cond
-              end);
+             if f.freed_by <> None && not f.on_free_list then begin
+               if not t.config.rescue_from_free_list then
+                 disassociate ~reused:false t f;
+               list_frame t f
+             end;
              Semaphore.release t.memory_lock;
              if Obs.on t.obs then
-               Obs.emit t.obs ~time:(Engine.now ())
-                 ~stream:Trace.writeback_stream
+               emit t ~stream:Trace.writeback_stream
                  (Trace.Writeback_complete { vpn; owner })));
       writeback_and_free t rest
 
 (* Process the [len] oldest pages of the releaser's queue, reading them
    straight from the ring and dropping them once read. *)
 let releaser_process_batch t (asp : As.t) len =
-  let cfg = t.config in
   (* Phase A: under locks, identify pages that are still resident and have
      not been re-referenced (residency bit still clear), detach the clean
      ones to the free list, and collect dirty ones for writeback.  Nothing
@@ -664,60 +664,36 @@ let releaser_process_batch t (asp : As.t) len =
   Semaphore.acquire asp.As.as_lock;
   Semaphore.acquire t.memory_lock;
   let pages = t.rel_pages in
+  let stats = asp.As.stats in
   let writebacks = ref [] in
   for i = 0 to len - 1 do
     let vpn = Int_ring.get pages i 0 and site = Int_ring.get pages i 1 in
     if As.mapped asp ~vpn then begin
-        if As.bit asp ~vpn then begin
-          (* Re-referenced (or re-fetched) since the request: skip. *)
-          asp.As.stats.releases_skipped <- asp.As.stats.releases_skipped + 1;
-          if Obs.on t.obs then
-            Obs.emit t.obs ~time:(Engine.now ())
-              ~stream:Trace.releaser_stream
-              (Trace.Release_skipped { vpn; owner = asp.As.pid; site })
-        end
-        else
-          let p = As.get_raw asp ~vpn in
-          if As.Pte.tag p = As.Pte.tag_resident then begin
-              let fidx = As.Pte.frame p in
-              let f = t.frames.(fidx) in
-              As.set_raw asp ~vpn (As.Pte.on_free_list fidx);
-              asp.As.rss <- asp.As.rss - 1;
-              asp.As.stats.freed_by_releaser <-
-                asp.As.stats.freed_by_releaser + 1;
-              t.gstats.releaser_pages_freed <- t.gstats.releaser_pages_freed + 1;
-              if Obs.on t.obs then
-                Obs.emit t.obs ~time:(Engine.now ())
-                  ~stream:Trace.releaser_stream
-                  (Trace.Releaser_free { vpn; owner = asp.As.pid; site });
-              if f.dirty then begin
-                f.dirty <- false;
-                f.valid <- false;
-                f.prefetched <- false;
-                f.referenced <- false;
-                f.freed_by <- Some Vm_stats.Releaser;
-                f.free_site <- site;
-                asp.As.stats.writebacks <- asp.As.stats.writebacks + 1;
-                let prio = Int_ring.get pages i 2 in
-                let prio = if prio = min_int then None else Some prio in
-                writebacks := (asp, vpn, f, prio) :: !writebacks
-              end
-              else free_frame_locked t f ~freer:Vm_stats.Releaser ~site
-          end
-          else begin
-              (* untouched, swapped, already freed, or in transit *)
-              asp.As.stats.releases_skipped <- asp.As.stats.releases_skipped + 1;
-              if Obs.on t.obs then
-                Obs.emit t.obs ~time:(Engine.now ())
-                  ~stream:Trace.releaser_stream
-                  (Trace.Release_skipped { vpn; owner = asp.As.pid; site })
-          end
+      let p = As.get_raw asp ~vpn in
+      if (not (As.bit asp ~vpn)) && As.Pte.tag p = As.Pte.tag_resident then begin
+        stats.freed_by_releaser <- stats.freed_by_releaser + 1;
+        t.gstats.releaser_pages_freed <- t.gstats.releaser_pages_freed + 1;
+        if Obs.on t.obs then
+          emit t ~stream:Trace.releaser_stream
+            (Trace.Releaser_free { vpn; owner = asp.As.pid; site });
+        writebacks :=
+          detach t asp t.frames.(As.Pte.frame p) ~freer:Vm_stats.Releaser
+            ~site ~priority:(Int_ring.get pages i 2) !writebacks
+      end
+      else begin
+        (* Re-referenced (or re-fetched) since the request, or untouched,
+           swapped, already freed, or in transit: skip. *)
+        stats.releases_skipped <- stats.releases_skipped + 1;
+        if Obs.on t.obs then
+          emit t ~stream:Trace.releaser_stream
+            (Trace.Release_skipped { vpn; owner = asp.As.pid; site })
+      end
     end
   done;
   Int_ring.drop pages len;
   (* The releaser is specialized: little per-page work while locks are
      held. *)
-  sys_delay t (cfg.releaser_page_ns * len);
+  sys_delay (Config.releaser_page_ns * len);
   Semaphore.release t.memory_lock;
   Semaphore.release asp.As.as_lock;
   t.gstats.releaser_batches <- t.gstats.releaser_batches + 1;
@@ -736,14 +712,14 @@ let chaos_stall t who ~name =
         let d = until - Engine.now () in
         if d > 0 then begin
           if Obs.on t.obs then
-            Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.chaos_stream
+            emit t ~stream:Trace.chaos_stream
               (Trace.Chaos_stall { who = name; until });
           Chaos.note_stall t.chaos who d;
           Engine.delay ~cat:Account.Sleep d
         end
 
 (* Take the oldest request off the queue and process its pages in
-   [releaser_batch] chunks. *)
+   [Config.releaser_batch] chunks. *)
 let releaser_request t =
   let pid = Int_ring.get t.rel_reqs 0 0 and n = Int_ring.get t.rel_reqs 0 1 in
   Int_ring.drop t.rel_reqs 1;
@@ -758,15 +734,14 @@ let releaser_request t =
        back in. *)
     Int_ring.drop t.rel_pages n;
     if Obs.on t.obs then
-      Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.chaos_stream
+      emit t ~stream:Trace.chaos_stream
         (Trace.Chaos_drop_directive { count = n })
   end
   else begin
     chaos_stall t `Releaser ~name:"releaser";
-    let batch = t.config.releaser_batch in
     let i = ref 0 in
     while !i < n do
-      let len = Int.min batch (n - !i) in
+      let len = Int.min Config.releaser_batch (n - !i) in
       releaser_process_batch t asp len;
       i := !i + len
     done
@@ -798,9 +773,9 @@ let memory_pressure t = Free_list.length t.free < t.config.min_freemem || over_r
 
 let reached_target t = Free_list.length t.free >= t.config.desfree && not (over_rss t)
 
-(* Process one frame under the owner's locks; returns a pending writeback if
-   the frame was stolen dirty. *)
-let rec daemon_visit_frame t (asp : As.t) (f : Frame.t) ~free_shortage =
+(* Process one frame under the owner's locks; a frame stolen dirty is
+   consed onto [writebacks], which is returned. *)
+let daemon_visit_frame t (asp : As.t) (f : Frame.t) ~free_shortage writebacks =
   let cfg = t.config in
   let stats = asp.As.stats in
   t.gstats.daemon_frames_scanned <- t.gstats.daemon_frames_scanned + 1;
@@ -822,16 +797,16 @@ let rec daemon_visit_frame t (asp : As.t) (f : Frame.t) ~free_shortage =
       stats.invalidations <- stats.invalidations + 1;
       t.gstats.daemon_invalidations <- t.gstats.daemon_invalidations + 1;
       if Obs.on t.obs then
-        Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.daemon_stream
+        emit t ~stream:Trace.daemon_stream
           (Trace.Daemon_invalidate { vpn = f.vpn; owner = asp.As.pid })
     end;
     f.age <- 0;
-    None
+    writebacks
   end
   else begin
     f.age <- f.age + 1;
     let eligible = free_shortage || asp.As.rss > cfg.maxrss in
-    if f.age >= cfg.clock_ages_to_steal && eligible then begin
+    if f.age >= Config.clock_ages_to_steal && eligible then begin
       (* Steal: the application may have registered a reactive eviction
          advisor (section 2.2) naming a page it would rather surrender;
          otherwise the clock's choice stands. *)
@@ -855,38 +830,17 @@ let rec daemon_visit_frame t (asp : As.t) (f : Frame.t) ~free_shortage =
             pick 8)
         | None -> f
       in
-      daemon_steal t asp victim
+      As.set_bit asp ~vpn:victim.vpn false;
+      Tlb.invalidate asp.As.tlb ~vpn:victim.vpn;
+      stats.freed_by_daemon <- stats.freed_by_daemon + 1;
+      t.gstats.daemon_pages_stolen <- t.gstats.daemon_pages_stolen + 1;
+      if Obs.on t.obs then
+        emit t ~stream:Trace.daemon_stream
+          (Trace.Daemon_steal { vpn = victim.vpn; owner = asp.As.pid });
+      detach t asp victim ~freer:Vm_stats.Daemon ~site:Trace.no_site
+        ~priority:min_int writebacks
     end
-    else None
-  end
-
-(* Detach [f] from its owner to the free list on the daemon's behalf.
-   Caller holds the owner's as_lock and the memory lock.  Returns a pending
-   writeback when the page was dirty. *)
-and daemon_steal t (asp : As.t) (f : Frame.t) =
-  let stats = asp.As.stats in
-  As.set_raw asp ~vpn:f.vpn (As.Pte.on_free_list f.idx);
-  As.set_bit asp ~vpn:f.vpn false;
-  Tlb.invalidate asp.As.tlb ~vpn:f.vpn;
-  asp.As.rss <- asp.As.rss - 1;
-  stats.freed_by_daemon <- stats.freed_by_daemon + 1;
-  t.gstats.daemon_pages_stolen <- t.gstats.daemon_pages_stolen + 1;
-  if Obs.on t.obs then
-    Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.daemon_stream
-      (Trace.Daemon_steal { vpn = f.vpn; owner = asp.As.pid });
-  if f.dirty then begin
-    f.dirty <- false;
-    f.valid <- false;
-    f.prefetched <- false;
-    f.referenced <- false;
-    f.freed_by <- Some Vm_stats.Daemon;
-    f.free_site <- Trace.no_site;
-    stats.writebacks <- stats.writebacks + 1;
-    Some (asp, f.vpn, f, None)
-  end
-  else begin
-    free_frame_locked t f ~freer:Vm_stats.Daemon ~site:Trace.no_site;
-    None
+    else writebacks
   end
 
 (* Scan up to [daemon_batch] frames from the clock hand.  Frames are grouped
@@ -917,9 +871,7 @@ let daemon_scan_batch t =
           && fr.owner = asp.As.pid
           && fr.freed_by = None
         then begin
-          (match daemon_visit_frame t asp fr ~free_shortage with
-          | Some wb -> writebacks := wb :: !writebacks
-          | None -> ());
+          writebacks := daemon_visit_frame t asp fr ~free_shortage !writebacks;
           incr run;
           incr scanned;
           if !scanned >= cfg.daemon_batch then continue_run := false
@@ -938,10 +890,10 @@ let daemon_scan_batch t =
          Sampling a hardware reference bit is far cheaper than
          invalidating a mapping (no TLB shootdown IPIs). *)
       let per_page =
-        if cfg.hw_ref_bits then cfg.daemon_page_scan_ns / 8
-        else cfg.daemon_page_scan_ns
+        if cfg.hw_ref_bits then Config.daemon_page_scan_ns / 8
+        else Config.daemon_page_scan_ns
       in
-      sys_delay t (per_page * Int.max 1 !run);
+      sys_delay (per_page * Int.max 1 !run);
       Semaphore.release t.memory_lock;
       Semaphore.release asp.As.as_lock
     end
@@ -973,7 +925,7 @@ let paging_daemon_loop t () =
     daemon_sleep t cfg.daemon_interval_ns;
     chaos_stall t `Daemon ~name:"daemon";
     if Obs.on t.obs then
-      Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.kernel_stream
+      emit t ~stream:Trace.kernel_stream
         (Trace.Free_depth { pages = Free_list.length t.free });
     if !active then begin
       if reached_target t then active := false
@@ -1027,15 +979,14 @@ let chaos_phantom_loop t spikes () =
       if !n > 0 then begin
         Chaos.note_pressure t.chaos ~pages:!n;
         if Obs.on t.obs then
-          Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.chaos_stream
+          emit t ~stream:Trace.chaos_stream
             (Trace.Chaos_pressure { pages = !n; hold });
         Engine.delay ~cat:Account.Sleep hold;
         Semaphore.acquire t.memory_lock;
-        List.iter (fun f -> Free_list.push_tail t.free f) !grabbed;
-        Condition.broadcast t.free_cond;
+        List.iter (list_frame t) !grabbed;
         Semaphore.release t.memory_lock;
         if Obs.on t.obs then
-          Obs.emit t.obs ~time:(Engine.now ()) ~stream:Trace.chaos_stream
+          emit t ~stream:Trace.chaos_stream
             (Trace.Chaos_pressure_end { pages = !n })
       end)
     spikes
@@ -1063,7 +1014,7 @@ let create ?swap_config ?tiers:tiers_spec ?(obs = Obs.null)
       free;
       free_cond = Condition.create ~name:"free-memory" ();
       memory_lock = Semaphore.create ~name:"memory-lock" 1;
-      cpus = Semaphore.create ~name:"cpus" cfg.num_cpus;
+      cpus = Semaphore.create ~name:"cpus" Config.num_cpus;
       spaces = [||];
       rel_pages = Int_ring.create ~width:3;
       rel_reqs = Int_ring.create ~width:2;

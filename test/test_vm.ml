@@ -20,11 +20,11 @@ let small_config =
 
 (* Run [f] as the "main" process of a fresh machine; stop the simulation when
    it finishes so the daemons do not keep the event loop alive. *)
-let with_os ?(config = small_config) f =
+let with_os ?(config = small_config) ?obs f =
   (* Cap simulated time so a genuine deadlock (application blocked while the
      daemons keep polling) terminates instead of spinning forever. *)
   let engine = Engine.create ~max_time:(Time_ns.sec 3600) () in
-  let os = Os.create ~config ~engine () in
+  let os = Os.create ?obs ~config ~engine () in
   ignore
     (Engine.spawn engine ~name:"main" (fun () ->
          Fun.protect ~finally:Engine.stop (fun () -> f os)));
@@ -46,7 +46,7 @@ let assert_invariants os =
 (* ------------------------------------------------------------------ *)
 
 let test_segments_and_bits () =
-  let asp = As.create ~pid:0 ~name:"p" () in
+  let asp = As.create ~pid:0 ~name:"p" in
   let s1 = As.add_segment asp ~name:"a" ~npages:10 ~swap_base:0 ~on_swap:true in
   let s2 = As.add_segment asp ~name:"b" ~npages:5 ~swap_base:40 ~on_swap:false in
   check_int "first segment at vpn 0" 0 s1.As.base_vpn;
@@ -72,7 +72,7 @@ let prop_bitmap_independent =
     QCheck.(pair (int_bound 63) (int_bound 63))
     (fun (a, b) ->
       QCheck.assume (a <> b);
-      let asp = As.create ~pid:0 ~name:"p" () in
+      let asp = As.create ~pid:0 ~name:"p" in
       ignore (As.add_segment asp ~name:"s" ~npages:64 ~swap_base:0 ~on_swap:true);
       As.set_bit asp ~vpn:a true;
       As.bit asp ~vpn:a && not (As.bit asp ~vpn:b))
@@ -85,7 +85,7 @@ let prop_pte_roundtrip =
   QCheck.Test.make ~name:"packed pte roundtrip" ~count:500
     QCheck.(pair (int_bound 4) (map (fun n -> abs n land As.Pte.max_frame) int))
     (fun (state, frame) ->
-      let asp = As.create ~pid:0 ~name:"p" () in
+      let asp = As.create ~pid:0 ~name:"p" in
       ignore (As.add_segment asp ~name:"s" ~npages:4 ~swap_base:0 ~on_swap:false);
       let vpn = 2 in
       match state with
@@ -195,7 +195,7 @@ let pt_case_arb =
 let prop_page_table_matches_model =
   QCheck.Test.make ~name:"page table matches per-segment model" ~count:200
     pt_case_arb (fun (layout, ops) ->
-      let asp = As.create ~pid:0 ~name:"p" () in
+      let asp = As.create ~pid:0 ~name:"p" in
       let swap = ref 0 in
       let model =
         List.mapi
@@ -309,7 +309,7 @@ let prop_page_table_matches_model =
 (* Mapping a small segment after a large one adds leaves and copies no
    entry: 4 pages after MATVEC's 25,600-page matrix (paper machine). *)
 let test_add_segment_copies_no_entries () =
-  let asp = As.create ~pid:0 ~name:"p" () in
+  let asp = As.create ~pid:0 ~name:"p" in
   ignore (As.add_segment asp ~name:"a" ~npages:25_600 ~swap_base:0 ~on_swap:true);
   let before = Gc.allocated_bytes () in
   ignore (As.add_segment asp ~name:"x" ~npages:4 ~swap_base:25_600 ~on_swap:true);
@@ -586,6 +586,68 @@ let test_released_page_lost_after_reallocation () =
         check_bool "lost-release recorded" true
           (asp.As.stats.Vm.Vm_stats.lost_releaser >= 1))
   in
+  assert_invariants os
+
+(* A freed page comes back through either entry point: a prefetch
+   rescues a page the releaser freed, leaving it unvalidated, and a touch
+   rescues a page the daemon stole.  Each rescue counts against its freer
+   and is one [Rescue] event. *)
+let test_rescue_from_either_side () =
+  let trace = Trace.create () in
+  let released = ref (-1) and stolen = ref (-1) in
+  let on_free_list asp vpn =
+    match As.get_pte asp ~vpn with As.On_free_list _ -> true | _ -> false
+  in
+  let os =
+    with_os ~obs:(Obs.create ~trace ()) (fun os ->
+        let asp = Os.new_process os ~name:"app" in
+        let st = asp.As.stats in
+        let seg = Os.map_segment os asp ~name:"d" ~bytes:(80 * 16384) ~on_swap:true in
+        let vpn = seg.As.base_vpn in
+        released := vpn;
+        ignore (Os.touch os asp ~vpn ~write:false);
+        Os.release_request os asp ~vpns:[| vpn |];
+        Engine.delay ~cat:Account.Sleep (Time_ns.ms 10);
+        check_bool "released page on the free list" true (on_free_list asp vpn);
+        check_bool "prefetch rescues it" true
+          (Os.prefetch os asp ~site:Trace.no_site ~urgent:false ~vpn
+          = Os.P_rescued);
+        check_int "the releaser's rescue" 1 st.Vm.Vm_stats.rescued_releaser;
+        check_int "a prefetch rescue" 1 st.Vm.Vm_stats.prefetch_rescues;
+        check_bool "resident" true
+          (Os.page_resident asp ~vpn
+          && match As.get_pte asp ~vpn with As.Resident _ -> true | _ -> false);
+        check_bool "no TLB entry" false (Vm.Tlb.hit asp.As.tlb ~vpn);
+        check_bool "first touch validates" true
+          (Os.touch os asp ~vpn ~write:false = Os.Validated);
+        (* Touch more pages than memory holds, then let the daemon steal
+           back to its target; no allocation follows, so every page it
+           left on the free list can still be rescued. *)
+        for i = 1 to 79 do
+          ignore (Os.touch os asp ~vpn:(vpn + i) ~write:false)
+        done;
+        Engine.delay ~cat:Account.Sleep (Time_ns.ms 50);
+        let v = ref (vpn + 79) in
+        while not (on_free_list asp !v) do
+          decr v
+        done;
+        stolen := !v;
+        check_bool "touch rescues a stolen page" true
+          (Os.touch os asp ~vpn:!v ~write:false = Os.Rescued Vm.Vm_stats.Daemon);
+        check_int "the daemon's rescue" 1 st.Vm.Vm_stats.rescued_daemon;
+        check_int "still one releaser rescue" 1 st.Vm.Vm_stats.rescued_releaser;
+        check_int "still one prefetch rescue" 1 st.Vm.Vm_stats.prefetch_rescues)
+  in
+  let rescues = ref [] in
+  Trace.iter trace (fun ~time:_ ~stream:_ ev ->
+      match ev with
+      | Trace.Rescue { vpn; for_prefetch; _ } ->
+          rescues := (vpn, for_prefetch) :: !rescues
+      | _ -> ());
+  Alcotest.(check (list (pair int bool)))
+    "rescue events (vpn, for_prefetch)"
+    [ (!released, true); (!stolen, false) ]
+    (List.rev !rescues);
   assert_invariants os
 
 (* ------------------------------------------------------------------ *)
@@ -1064,6 +1126,8 @@ let () =
             test_release_skipped_when_retouch;
           Alcotest.test_case "release lost after reallocation" `Quick
             test_released_page_lost_after_reallocation;
+          Alcotest.test_case "rescue from either side" `Quick
+            test_rescue_from_either_side;
         ] );
       ( "prefetch",
         [
