@@ -920,7 +920,7 @@ let gate_cmd =
       & info [] ~docv:"NAME"
           ~doc:
             "Registry entries to run, in order (default: all of them — \
-             smoke, chaos, serve, tiers, obs, perf).")
+             smoke, chaos, serve, tiers, obs, perf, ablations).")
   in
   let update =
     Arg.(

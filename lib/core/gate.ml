@@ -325,7 +325,37 @@ let perf =
   let read l = { doc = read l; artifacts = [] } in
   { name = "perf"; baseline = "PERF_metrics.json"; cells; read }
 
-let entries = [ smoke; chaos; serve; tiers; obs; perf ]
+(* ------------------------------------------------------------------ *)
+(* ablations: the machines that set an ablation switch                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The ablation experiments' cells whose machine flips one of Config's
+   four switches: hardware reference bits, rescue off, blocking prefetch,
+   and a prefetch that fills the TLB.  Only these cells reach the VM's
+   rescue-off, blocking-prefetch and hardware-bit paths. *)
+let ablations =
+  let switched = function
+    | Figures.Corun c ->
+        c.Figures.c_machine.Machine.m_config <> machine.Machine.m_config
+    | Figures.Two_hogs _ -> false
+  in
+  let ids =
+    [ "ablation-hwbits"; "ablation-rescue"; "ablation-drop"; "ablation-tlb" ]
+  in
+  let cells =
+    List.concat_map
+      (fun (x : Figures.experiment) ->
+        if List.mem x.Figures.id ids then List.filter switched x.Figures.cells
+        else [])
+      (Figures.experiments machine)
+  in
+  let read l =
+    let label = "ablation machines, " ^ machine.Machine.m_name in
+    { doc = metrics ~label (List.map (Figures.result l) cells); artifacts = [] }
+  in
+  { name = "ablations"; baseline = "ABLATION_metrics.json"; cells; read }
+
+let entries = [ smoke; chaos; serve; tiers; obs; perf; ablations ]
 
 let select names =
   let find n = List.find_opt (fun e -> e.name = n) entries in

@@ -30,8 +30,10 @@ type entry = {
 val entries : entry list
 (** [smoke] (BENCH), [chaos] (CHAOS), [serve] (SERVE, plus the slowest
     request's critical path), [tiers] (TIER), [obs] (OBS, plus the
-    OpenMetrics snapshot) and [perf] (PERF, the throughput cells' work
-    counters). *)
+    OpenMetrics snapshot), [perf] (PERF, the throughput cells' work
+    counters) and [ablations] (ABLATION, the nine ablation-experiment
+    cells whose machine sets one of {!Memhog_vm.Config}'s four ablation
+    switches). *)
 
 val select : string list -> (entry list, string) result
 (** The named entries in the order given, or every entry for [[]].  An

@@ -1,6 +1,7 @@
 open Memhog_sim
 module As = Address_space
 module Swap = Memhog_disk.Swap
+module Fl = Free_list
 
 type touch_result =
   | Fast
@@ -18,7 +19,7 @@ type t = {
   swap : Swap.t;
   mutable tiers : Tiers.t option;
       (* tiered backing store router; None = plain striped swap *)
-  frames : Frame.t array;
+  frames : Fl.frame array;
   free : Free_list.t;
   free_cond : Condition.t;
   memory_lock : Semaphore.t;
@@ -50,6 +51,8 @@ type t = {
          page the application prefers to surrender *)
   daemon_tick : Engine.queue;  (* the paging daemon, between ticks *)
   tick_timer : Engine.timer;  (* ends the current tick *)
+  mutable unconserved_at : Time_ns.t option;
+      (* the first paging-daemon tick at which frame conservation failed *)
 }
 
 let config t = t.config
@@ -101,40 +104,39 @@ let page_resident (asp : As.t) ~vpn = As.mapped asp ~vpn && As.bit asp ~vpn
 (* Frame allocation                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Break a free frame's association with its previous page: the previous
-   owner loses its chance to rescue.  Caller holds [memory_lock].
-   [reused] is true when the frame is being handed to a new allocation (the
-   free genuinely relieved pressure) and false when the disassociation is
-   bookkeeping at free time (rescue disabled) — only the former is a
-   [Frame_reused] lifecycle event. *)
-let disassociate ?(reused = true) t (f : Frame.t) =
-  if f.owner >= 0 then begin
-    let victim = t.spaces.(f.owner) in
-    (match f.freed_by with
-    | Some Vm_stats.Daemon ->
-        victim.As.stats.lost_daemon <- victim.As.stats.lost_daemon + 1
-    | Some Vm_stats.Releaser ->
-        victim.As.stats.lost_releaser <- victim.As.stats.lost_releaser + 1
-    | None -> ());
-    if
-      As.mapped victim ~vpn:f.vpn
-      && As.get_raw victim ~vpn:f.vpn = As.Pte.on_free_list f.idx
-    then As.set_raw victim ~vpn:f.vpn As.Pte.swapped;
-    if reused && f.freed_by <> None && Obs.on t.obs then
-      emit t ~stream:Trace.kernel_stream
-        (Trace.Frame_reused { vpn = f.vpn; owner = f.owner });
-    Frame.reset_association f
-  end
+(* Move a frame to [next], losing the freed page it keeps, if any: its
+   owner can no longer rescue it, and the loss counts against its freer.
+   [next] is [Held] for a new allocation (the one [Frame_reused] lifecycle
+   event); with rescue disabled, [Free] at the free or [Abandoned] when the
+   owner fetches a page in writeback again.  Caller holds [memory_lock],
+   or the owner's as_lock for [Abandoned]. *)
+let disassociate t (f : Fl.frame) next =
+  (match Fl.state f with
+  | (Rescuable_daemon | Rescuable_releaser | Writeback_daemon
+    | Writeback_releaser) as st ->
+      let victim = t.spaces.(f.owner) in
+      (match Fl.freer st with
+      | Vm_stats.Daemon ->
+          victim.As.stats.lost_daemon <- victim.As.stats.lost_daemon + 1
+      | Vm_stats.Releaser ->
+          victim.As.stats.lost_releaser <- victim.As.stats.lost_releaser + 1);
+      As.set_raw victim ~vpn:f.vpn As.Pte.swapped;
+      if next = Fl.Held && Obs.on t.obs then
+        emit t ~stream:Trace.kernel_stream
+          (Trace.Frame_reused { vpn = f.vpn; owner = f.owner });
+      f.free_site <- Trace.no_site
+  | _ -> ());
+  Fl.set t.free f next
 
-(* Pop a frame from the free list, or [None] when it is empty: section
-   3.1.2 — "if there is no free memory, the request is discarded
-   immediately".  Returns with no locks held. *)
+(* Take the free list's head, or [None] when it is empty: section 3.1.2 —
+   "if there is no free memory, the request is discarded immediately".
+   Returns with no locks held. *)
 let alloc_frame_opt t =
   Semaphore.acquire t.memory_lock;
-  let result = Free_list.pop_head t.free in
+  let result = Fl.head t.free in
   (match result with
   | Some f ->
-      disassociate t f;
+      disassociate t f Held;
       t.gstats.allocations <- t.gstats.allocations + 1
   | None -> ());
   Semaphore.release t.memory_lock;
@@ -149,10 +151,10 @@ let rec alloc_frame t =
       Condition.wait t.free_cond;
       alloc_frame t
 
-(* Put a frame on the free-list tail and wake waiting allocators.  Caller
-   holds [memory_lock]. *)
-let list_frame t f =
-  Free_list.push_tail t.free f;
+(* Put a frame on the free-list tail in a listed [state] and wake waiting
+   allocators.  Caller holds [memory_lock]. *)
+let list_frame t f state =
+  Fl.set t.free f state;
   Condition.broadcast t.free_cond
 
 (* Take a resident page off its frame on behalf of [freer]: the PTE keeps
@@ -162,45 +164,22 @@ let list_frame t f =
    to be listed when its write completes.  With rescue disabled a clean
    page's contents are lost at once.  Caller holds the owner's as_lock and
    [memory_lock]. *)
-let detach t (asp : As.t) (f : Frame.t) ~(freer : Vm_stats.freer) ~site
+let detach t (asp : As.t) (f : Fl.frame) ~(freer : Vm_stats.freer) ~site
     ~priority writebacks =
   As.set_raw asp ~vpn:f.vpn (As.Pte.on_free_list f.idx);
   asp.As.rss <- asp.As.rss - 1;
-  let dirty = f.dirty in
-  if not (dirty || t.config.rescue_from_free_list) then
-    disassociate ~reused:false t f;
-  f.dirty <- false;
-  f.valid <- false;
-  f.prefetched <- false;
-  f.referenced <- false;
-  f.age <- 0;
-  (* constant options: a freed page allocates nothing *)
-  f.freed_by <-
-    (match freer with
-    | Vm_stats.Daemon -> Some Vm_stats.Daemon
-    | Vm_stats.Releaser -> Some Vm_stats.Releaser);
   f.free_site <- site;
-  if dirty then begin
+  if f.dirty then begin
+    Fl.set t.free f (Fl.writeback freer);
     asp.As.stats.writebacks <- asp.As.stats.writebacks + 1;
     let priority = if priority = min_int then None else Some priority in
     (asp, f.vpn, f, priority) :: writebacks
   end
   else begin
-    list_frame t f;
+    list_frame t f (Fl.rescuable freer);
+    if not t.config.rescue_from_free_list then disassociate t f Free;
     writebacks
   end
-
-(* With rescue disabled, a page whose writeback is still in flight cannot
-   be reclaimed by its owner: the toucher abandons it (PTE -> Swapped, frame
-   disassociated but still marked freed so the writeback fiber returns it to
-   the free list) and demand-fetches a fresh copy.  Caller holds the
-   owner's as_lock. *)
-let abandon_in_writeback t asp ~vpn fidx =
-  let f = t.frames.(fidx) in
-  let freer = f.Frame.freed_by in
-  Frame.reset_association f;
-  f.Frame.freed_by <- freer;
-  As.set_raw asp ~vpn As.Pte.swapped
 
 (* ------------------------------------------------------------------ *)
 (* Process setup                                                       *)
@@ -229,7 +208,7 @@ let map_segment t asp ~name ~bytes ~on_swap =
 (* Page transitions shared by faults and prefetches                    *)
 (* ------------------------------------------------------------------ *)
 
-let install_frame t (asp : As.t) ~vpn (f : Frame.t) ~write ~prefetched =
+let install_frame t (asp : As.t) ~vpn (f : Fl.frame) ~write ~prefetched =
   (* A page entering RAM by any route (fetch completion, free-list rescue)
      invalidates its fast-tier copy: resident and tier-resident are
      mutually exclusive states. *)
@@ -243,9 +222,9 @@ let install_frame t (asp : As.t) ~vpn (f : Frame.t) ~write ~prefetched =
   f.referenced <- not prefetched;
   f.prefetched <- prefetched;
   f.age <- 0;
-  f.freed_by <- None;
   f.free_site <- Trace.no_site;
   As.set_raw asp ~vpn (As.Pte.resident f.idx);
+  Fl.set t.free f Resident;
   asp.As.rss <- asp.As.rss + 1;
   As.set_bit asp ~vpn true;
   (* a demand-installed page enters the TLB; a prefetched page does so only
@@ -257,7 +236,7 @@ let install_frame t (asp : As.t) ~vpn (f : Frame.t) ~write ~prefetched =
 (* Make a resident, invalid page valid again (a soft or validation fault):
    charge [ns] of kernel time and unlock.  Caller holds the owner's
    as_lock. *)
-let revalidate (asp : As.t) (f : Frame.t) ~vpn ~write ns =
+let revalidate (asp : As.t) (f : Fl.frame) ~vpn ~write ns =
   f.valid <- true;
   f.referenced <- true;
   f.age <- 0;
@@ -268,14 +247,13 @@ let revalidate (asp : As.t) (f : Frame.t) ~vpn ~write ns =
   Semaphore.release asp.As.as_lock
 
 (* Take a freed page's frame back, off the free list or out of its pending
-   writeback (install_frame clears the freed marker the writer checks
-   before listing the frame), and map it again; returns who had freed it.
-   Caller holds the owner's as_lock and [memory_lock], and has checked that
-   the PTE still names [f]. *)
-let rescue t (asp : As.t) (f : Frame.t) ~vpn ~write ~prefetched =
+   writeback (install_frame makes it [Resident], so the writer no longer
+   lists it), and map it again; returns who had freed it.  Caller holds the
+   owner's as_lock and [memory_lock], and has checked that the PTE still
+   names [f]. *)
+let rescue t (asp : As.t) (f : Fl.frame) ~vpn ~write ~prefetched =
   let stats = asp.As.stats in
-  let freer = match f.freed_by with Some w -> w | None -> Vm_stats.Daemon in
-  if f.on_free_list then Free_list.remove t.free f;
+  let freer = Fl.freer (Fl.state f) in
   (match freer with
   | Vm_stats.Daemon -> stats.rescued_daemon <- stats.rescued_daemon + 1
   | Vm_stats.Releaser -> stats.rescued_releaser <- stats.rescued_releaser + 1);
@@ -373,8 +351,9 @@ and fault t asp ~vpn ~write =
   else if tag = As.Pte.tag_on_free_list && not t.config.rescue_from_free_list
   then begin
     (* Rescue disabled: the only way a PTE still points at a freed frame
-       is a writeback in flight.  Abandon it and demand-fetch. *)
-    abandon_in_writeback t asp ~vpn (As.Pte.frame p);
+       is a writeback in flight.  Abandon it (the PTE turns [Swapped], the
+       frame waits for its write) and demand-fetch. *)
+    disassociate t t.frames.(As.Pte.frame p) Abandoned;
     Semaphore.release asp.As.as_lock;
     touch t asp ~vpn ~write
   end
@@ -467,7 +446,7 @@ let rec prefetch t ~site ~urgent (asp : As.t) ~vpn =
     end
     else if tag = As.Pte.tag_on_free_list && not t.config.rescue_from_free_list
     then begin
-      abandon_in_writeback t asp ~vpn (As.Pte.frame p);
+      disassociate t t.frames.(As.Pte.frame p) Abandoned;
       Semaphore.release asp.As.as_lock;
       prefetch t asp ~site ~urgent ~vpn
     end
@@ -534,7 +513,7 @@ let rec prefetch t ~site ~urgent (asp : As.t) ~vpn =
             if Obs.on t.obs then
               emit t ~stream:asp.As.pid (Trace.Prefetch_raced { vpn; site });
             Semaphore.acquire t.memory_lock;
-            list_frame t f;
+            list_frame t f Free;
             Semaphore.release t.memory_lock;
             Semaphore.release asp.As.as_lock;
             update_limits t asp;
@@ -617,12 +596,13 @@ let release_request t (asp : As.t) ~vpns =
 (* Write back a batch of stolen/released dirty pages asynchronously (one
    fiber per page, so the striped disks all work and the daemon/releaser is
    never gated on write latency), moving each frame to the free list as its
-   write completes — unless it was rescued during the write.  A recursion
-   rather than [List.iter], whose closure would be allocated on every call,
-   most of which (each releaser chunk of clean pages) write nothing. *)
+   write completes — unless it left writeback during the write.  A
+   recursion rather than [List.iter], whose closure would be allocated on
+   every call, most of which (each releaser chunk of clean pages) write
+   nothing. *)
 let rec writeback_and_free t = function
   | [] -> ()
-  | ((asp : As.t), vpn, (f : Frame.t), prio) :: rest ->
+  | ((asp : As.t), vpn, (f : Fl.frame), prio) :: rest ->
       let owner = asp.As.pid in
       ignore
         (Engine.spawn_child ~name:"writeback" (fun () ->
@@ -638,15 +618,22 @@ let rec writeback_and_free t = function
                  (* Rescued while the write or placement was in flight:
                     the page is resident again, so the fast copy placed
                     a moment ago must go. *)
-                 if f.freed_by = None then Tiers.invalidate tr ~page);
+                 match Fl.state f with
+                 | Free | Resident | Held -> Tiers.invalidate tr ~page
+                 | _ -> ());
              Semaphore.acquire t.memory_lock;
-             (* Still marked freed and not yet listed: return it.  A rescue
-                during the write clears the marker (install_frame). *)
-             if f.freed_by <> None && not f.on_free_list then begin
-               if not t.config.rescue_from_free_list then
-                 disassociate ~reused:false t f;
-               list_frame t f
-             end;
+             (* Still in writeback: list it, rescuable unless rescue is
+                disabled.  A rescue during the write made it [Resident]
+                (install_frame); a frame rescued, dirtied and freed again
+                is in writeback again, and the first of its writes to
+                complete lists it.  An abandoned frame is listed free. *)
+             (match Fl.state f with
+             | (Writeback_daemon | Writeback_releaser) as st ->
+                 list_frame t f (Fl.rescuable (Fl.freer st));
+                 if not t.config.rescue_from_free_list then
+                   disassociate t f Free
+             | Abandoned -> list_frame t f Free
+             | _ -> ());
              Semaphore.release t.memory_lock;
              if Obs.on t.obs then
                emit t ~stream:Trace.writeback_stream
@@ -769,13 +756,22 @@ let over_rss t =
   done;
   !over
 
-let memory_pressure t = Free_list.length t.free < t.config.min_freemem || over_rss t
+let memory_pressure t = Fl.length t.free < t.config.min_freemem || over_rss t
 
-let reached_target t = Free_list.length t.free >= t.config.desfree && not (over_rss t)
+let reached_target t = Fl.length t.free >= t.config.desfree && not (over_rss t)
+
+(* Frame conservation from the state counts, in O(processes): checked at
+   every daemon tick and by [check_invariants]. *)
+let conserved t =
+  let rss = ref 0 in
+  for pid = 0 to t.next_pid - 1 do
+    rss := !rss + t.spaces.(pid).As.rss
+  done;
+  Fl.conserved t.free ~resident:!rss
 
 (* Process one frame under the owner's locks; a frame stolen dirty is
    consed onto [writebacks], which is returned. *)
-let daemon_visit_frame t (asp : As.t) (f : Frame.t) ~free_shortage writebacks =
+let daemon_visit_frame t (asp : As.t) (f : Fl.frame) ~free_shortage writebacks =
   let cfg = t.config in
   let stats = asp.As.stats in
   t.gstats.daemon_frames_scanned <- t.gstats.daemon_frames_scanned + 1;
@@ -856,7 +852,7 @@ let daemon_scan_batch t =
   while !scanned < cfg.daemon_batch do
     let f = t.frames.(t.clock_hand) in
     t.clock_hand <- (t.clock_hand + 1) mod nframes;
-    if (not f.on_free_list) && f.owner >= 0 && f.freed_by = None then begin
+    if Fl.state f = Resident then begin
       let asp = t.spaces.(f.owner) in
       (* Gather the run of frames with the same owner. *)
       Semaphore.acquire asp.As.as_lock;
@@ -866,18 +862,24 @@ let daemon_scan_batch t =
       let current = ref f in
       while !continue_run do
         let fr = !current in
-        if
-          (not fr.on_free_list)
-          && fr.owner = asp.As.pid
-          && fr.freed_by = None
-        then begin
+        if Fl.state fr = Resident && fr.owner = asp.As.pid then begin
           writebacks := daemon_visit_frame t asp fr ~free_shortage !writebacks;
           incr run;
           incr scanned;
           if !scanned >= cfg.daemon_batch then continue_run := false
           else begin
             let next = t.frames.(t.clock_hand) in
-            if (not next.on_free_list) && next.owner = asp.As.pid then begin
+            (* A frame of this owner in writeback continues the run too,
+               and the test above then ends it: the hand passes that frame
+               without counting it as scanned.  Testing [Resident] alone
+               here would move the hand, and every gate with it: a
+               behaviour change, not a cleanup. *)
+            if
+              match Fl.state next with
+              | Resident | Writeback_daemon | Writeback_releaser ->
+                  next.owner = asp.As.pid
+              | _ -> false
+            then begin
               t.clock_hand <- (t.clock_hand + 1) mod nframes;
               current := next
             end
@@ -923,6 +925,8 @@ let paging_daemon_loop t () =
   let active = ref false in
   while true do
     daemon_sleep t cfg.daemon_interval_ns;
+    if Option.is_none t.unconserved_at && not (conserved t) then
+      t.unconserved_at <- Some (Engine.now ());
     chaos_stall t `Daemon ~name:"daemon";
     if Obs.on t.obs then
       emit t ~stream:Trace.kernel_stream
@@ -955,8 +959,7 @@ let paging_daemon_loop t () =
 (* Walk the plan's pressure spikes: at each start time grab up to [pages]
    frames straight off the free list (slamming [tot_freemem] the way a
    surging sibling process would), hold them, then give them back.  Grabbed
-   frames are disassociated (owner -1, not on the list), so they sit in the
-   same "unowned in-flight" class as frames being filled by a fault and the
+   frames are [Held], like frames being filled by a fault, so the
    structural invariants keep holding mid-spike. *)
 let chaos_phantom_loop t spikes () =
   List.iter
@@ -968,9 +971,9 @@ let chaos_phantom_loop t spikes () =
       let n = ref 0 in
       let exhausted = ref false in
       while (not !exhausted) && !n < pages do
-        match Free_list.pop_head t.free with
+        match Fl.head t.free with
         | Some f ->
-            disassociate t f;
+            disassociate t f Held;
             grabbed := f :: !grabbed;
             incr n
         | None -> exhausted := true
@@ -983,7 +986,7 @@ let chaos_phantom_loop t spikes () =
             (Trace.Chaos_pressure { pages = !n; hold });
         Engine.delay ~cat:Account.Sleep hold;
         Semaphore.acquire t.memory_lock;
-        List.iter (list_frame t) !grabbed;
+        List.iter (fun f -> list_frame t f Free) !grabbed;
         Semaphore.release t.memory_lock;
         if Obs.on t.obs then
           emit t ~stream:Trace.chaos_stream
@@ -1000,9 +1003,7 @@ let create ?swap_config ?tiers:tiers_spec ?(obs = Obs.null)
   let swap =
     Swap.create ?config:swap_config ~chaos ~obs ~page_bytes:cfg.page_bytes ()
   in
-  let frames = Array.init cfg.total_frames Frame.make in
-  let free = Free_list.create frames in
-  Array.iter (fun f -> Free_list.push_tail free f) frames;
+  let free = Fl.create cfg.total_frames in
   let daemon_tick = Engine.queue () in
   let t =
     {
@@ -1010,7 +1011,7 @@ let create ?swap_config ?tiers:tiers_spec ?(obs = Obs.null)
       engine;
       swap;
       tiers = None;
-      frames;
+      frames = Fl.frames free;
       free;
       free_cond = Condition.create ~name:"free-memory" ();
       memory_lock = Semaphore.create ~name:"memory-lock" 1;
@@ -1032,6 +1033,7 @@ let create ?swap_config ?tiers:tiers_spec ?(obs = Obs.null)
       tick_timer =
         Engine.timer engine (fun () ->
             ignore (Engine.wake_one daemon_tick : bool));
+      unconserved_at = None;
     }
   in
   let trace = Obs.trace obs in
@@ -1071,94 +1073,42 @@ let space t pid =
   if pid >= 0 && pid < t.next_pid then Some t.spaces.(pid) else None
 
 let check_invariants t =
-  let ok_free_count =
-    let n = ref 0 in
-    Array.iter (fun (f : Frame.t) -> if f.on_free_list then incr n) t.frames;
-    !n = Free_list.length t.free
+  (* One walk over the frame table: a frame that keeps a page is the one
+     its owner's PTE names, [Resident] while resident and [On_free_list]
+     while listed for a rescue or in writeback.  Free, held and abandoned
+     frames keep no page. *)
+  let maps (f : Fl.frame) word =
+    match space t f.owner with
+    | None -> false
+    | Some asp -> As.mapped asp ~vpn:f.vpn && As.get_raw asp ~vpn:f.vpn = word
   in
-  let ok_frame_pte =
+  let ok_frames =
     Array.for_all
-      (fun (f : Frame.t) ->
-        if f.owner < 0 then true
-        else
-          match space t f.owner with
-          | None -> false
-          | Some asp -> (
-              As.mapped asp ~vpn:f.vpn
-              &&
-              match As.get_pte asp ~vpn:f.vpn with
-              | As.Resident i | As.On_free_list i -> i = f.idx
-              | _ -> false))
+      (fun (f : Fl.frame) ->
+        match Fl.state f with
+        | Resident -> maps f (As.Pte.resident f.idx)
+        | Rescuable_daemon | Rescuable_releaser | Writeback_daemon
+        | Writeback_releaser ->
+            maps f (As.Pte.on_free_list f.idx)
+        | _ -> true)
       t.frames
   in
-  let spaces = Array.sub t.spaces 0 t.next_pid in
   let ok_rss =
-    Array.for_all (fun asp -> As.resident_pages asp = asp.As.rss) spaces
-  in
-  (* Frame conservation: every frame falls into exactly one of four
-     classes — free, resident, writeback-in-flight (owned, PTE marked for
-     rescue, waiting for its write to finish) or unowned-in-flight (popped
-     by an allocator or the chaos phantom, not yet installed) — and the
-     class populations sum back to the frame count.  A frame that fits no
-     class (e.g. owned but pointing at someone else's PTE) is a leak. *)
-  let free_ct = ref 0
-  and resident_ct = ref 0
-  and inflight_ct = ref 0
-  and unclassified = ref 0 in
-  Array.iter
-    (fun (f : Frame.t) ->
-      if f.on_free_list then incr free_ct
-      else if f.owner < 0 then incr inflight_ct
-      else
-        let pte =
-          match space t f.owner with
-          | None -> None
-          | Some asp ->
-              if As.mapped asp ~vpn:f.vpn then Some (As.get_pte asp ~vpn:f.vpn)
-              else None
-        in
-        match pte with
-        | Some (As.Resident i) when i = f.idx -> incr resident_ct
-        | Some (As.On_free_list i) when i = f.idx && f.freed_by <> None ->
-            incr inflight_ct
-        | _ -> incr unclassified)
-    t.frames;
-  let total_rss = Array.fold_left (fun acc asp -> acc + asp.As.rss) 0 spaces in
-  let ok_conservation =
-    !unclassified = 0
-    && !free_ct + !resident_ct + !inflight_ct = Array.length t.frames
-    && !resident_ct = total_rss
-    && !free_ct = Free_list.length t.free
-  in
-  (* Free-list structure: every linked frame is flagged, no duplicates. *)
-  let ok_free_membership =
-    let seen = Array.make (Array.length t.frames) false in
-    let ok = ref true in
-    Free_list.iter t.free (fun f ->
-        if seen.(f.Frame.idx) || not f.Frame.on_free_list then ok := false;
-        seen.(f.Frame.idx) <- true);
-    !ok
-  in
-  (* No page both on the free list and mapped without rescue marking: a
-     listed frame still owned by a process must be reachable only through
-     an [On_free_list] PTE (the rescue marking); a [Resident] PTE pointing
-     at a listed frame would let the owner use memory the allocator is
-     about to hand to someone else. *)
-  let ok_rescue_marking =
     Array.for_all
-      (fun (f : Frame.t) ->
-        (not f.on_free_list) || f.owner < 0
-        ||
-        match space t f.owner with
-        | None -> false
-        | Some asp -> (
-            As.mapped asp ~vpn:f.vpn
-            &&
-            match As.get_pte asp ~vpn:f.vpn with
-            | As.On_free_list i -> i = f.idx
-            | _ -> false))
-      t.frames
+      (fun asp -> As.resident_pages asp = asp.As.rss)
+      (Array.sub t.spaces 0 t.next_pid)
   in
+  (* Every linked frame is listed and the links number the list's length,
+     so with conservation they reach each listed frame once.  (A frame
+     linked twice closes a cycle, which this walk would not leave.) *)
+  let ok_links =
+    let linked = ref 0 and ok = ref true in
+    Fl.iter t.free (fun f ->
+        incr linked;
+        if not (Fl.listed (Fl.state f)) then ok := false);
+    !ok && !linked = Fl.length t.free
+  in
+  let in_run = "frame conservation held at every paging-daemon tick" in
   (* Tiered store: reconcile the router's location map against frame-table
      residency — a page must never be simultaneously resident and
      tier-resident — and the zram occupancy against the map. *)
@@ -1174,11 +1124,14 @@ let check_invariants t =
                 && As.Pte.tag (As.get_raw asp ~vpn) = As.Pte.tag_resident)
   in
   [
-    ("free-list count matches frame flags", ok_free_count);
-    ("owned frames agree with PTEs", ok_frame_pte);
+    ("frames agree with their owners' PTEs", ok_frames);
     ("rss counters match page tables", ok_rss);
-    ("frame conservation: free + resident + in-flight = total", ok_conservation);
-    ("free-list membership is consistent and duplicate-free", ok_free_membership);
-    ("listed frames are mapped only via rescue marking", ok_rescue_marking);
+    ( "frame conservation: the state counts sum to the frames, resident = \
+       rss, listed = free-list length",
+      conserved t );
+    (match t.unconserved_at with
+    | None -> (in_run, true)
+    | Some at -> (in_run ^ ": first broken at " ^ Time_ns.to_string at, false));
+    ("free-list links reach each listed frame once", ok_links);
   ]
   @ tier_checks

@@ -187,10 +187,10 @@ val set_eviction_advisor : t -> Address_space.t -> (unit -> int option) -> unit
 (** {1 Invariants} *)
 
 val check_invariants : t -> (string * bool) list
-(** Structural invariants (for tests): frame/PTE agreement, free-list
-    consistency, rss counters, frame conservation (every frame is exactly
-    one of free / resident / in-flight, and the classes sum to the frame
-    count), duplicate-free free-list membership, and the rescue-marking
-    rule (no page both on the free list and mapped [Resident]).  Asserted
-    after every chaos scenario in the test suite, and after every cell the
-    experiment runner simulates. *)
+(** Structural invariants by name, asserted after every chaos scenario in
+    the test suite and every cell the experiment runner simulates: each
+    frame's {!Free_list.state} agrees with its owner's PTE (one walk over
+    the frame table); rss counters match the page tables; frame
+    conservation from the state counts ({!Free_list.conserved}), now and at
+    every paging-daemon tick (that entry names the first tick it failed);
+    the free list's links; and the tier router's checks. *)

@@ -18,9 +18,11 @@ type proc = {
   mutable zero_fills : int;
   mutable rescued_daemon : int;   (** rescues of pages the daemon freed *)
   mutable rescued_releaser : int; (** rescues of pages freed by release *)
-  mutable lost_daemon : int;      (** daemon-freed pages reallocated before
-                                      they could be rescued *)
-  mutable lost_releaser : int;
+  mutable lost_daemon : int;
+      (** daemon-freed pages lost before a rescue: the frame was reallocated,
+          or rescue is disabled (a clean page at its free, a dirty one when
+          its write completes or its owner refetches it, if sooner) *)
+  mutable lost_releaser : int;    (** the same for released pages *)
   mutable freed_by_daemon : int;  (** pages of this process stolen by daemon *)
   mutable freed_by_releaser : int;(** pages of this process explicitly released *)
   mutable releases_requested : int;

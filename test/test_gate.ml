@@ -54,7 +54,7 @@ let test_entry_cells_distinct () =
         (List.assoc e.Gate.name
            [
              ("smoke", 4); ("chaos", 3); ("serve", 4); ("tiers", 5); ("obs", 1);
-             ("perf", 4);
+             ("perf", 4); ("ablations", 9);
            ])
         n)
     Gate.entries

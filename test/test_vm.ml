@@ -323,74 +323,78 @@ let test_add_segment_copies_no_entries () =
 (* Free list                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_free_list_fifo_and_remove () =
-  let frames = Array.init 8 Vm.Frame.make in
-  let fl = Vm.Free_list.create frames in
-  Vm.Free_list.push_tail fl frames.(3);
-  Vm.Free_list.push_tail fl frames.(5);
-  Vm.Free_list.push_tail fl frames.(1);
-  check_int "len" 3 (Vm.Free_list.length fl);
-  (* remove from the middle *)
-  Vm.Free_list.remove fl frames.(5);
-  check_int "len after remove" 2 (Vm.Free_list.length fl);
-  check_bool "not mem" false (Vm.Free_list.mem fl frames.(5));
-  (match Vm.Free_list.pop_head fl with
-  | Some f -> check_int "fifo head" 3 f.Vm.Frame.idx
-  | None -> Alcotest.fail "expected head");
-  (match Vm.Free_list.pop_head fl with
-  | Some f -> check_int "fifo next" 1 f.Vm.Frame.idx
-  | None -> Alcotest.fail "expected second");
-  check_bool "empty" true (Vm.Free_list.is_empty fl)
+module Fl = Vm.Free_list
 
-let test_free_list_mem_checks_this_list () =
-  (* [mem] must test membership in the given list, not just the frame's
-     own flag: a frame on some other list's backing array is no member. *)
-  let frames_a = Array.init 4 Vm.Frame.make in
-  let frames_b = Array.init 4 Vm.Frame.make in
-  let la = Vm.Free_list.create frames_a in
-  let lb = Vm.Free_list.create frames_b in
-  Vm.Free_list.push_tail la frames_a.(2);
-  check_bool "member of its own list" true (Vm.Free_list.mem la frames_a.(2));
-  check_bool "not member of a different list" false
-    (Vm.Free_list.mem lb frames_a.(2));
-  check_bool "unlisted frame of the other array" false
-    (Vm.Free_list.mem la frames_b.(2));
-  Vm.Free_list.remove la frames_a.(2);
-  check_bool "not member after remove" false (Vm.Free_list.mem la frames_a.(2))
+(* The head frame leaves the list held, or -1 when the list is empty. *)
+let take fl =
+  match Fl.head fl with
+  | Some f ->
+      Fl.set fl f Fl.Held;
+      f.Fl.idx
+  | None -> -1
+
+let test_free_list_fifo_and_remove () =
+  let fl = Fl.create 8 in
+  let frames = Fl.frames fl in
+  Alcotest.(check (list int))
+    "created free, in index order" [ 0; 1; 2; 3; 4; 5; 6; 7; -1 ]
+    (List.init 9 (fun _ -> take fl));
+  Fl.set fl frames.(3) Fl.Free;
+  Fl.set fl frames.(5) Fl.Rescuable_releaser;
+  Fl.set fl frames.(1) Fl.Free;
+  check_int "len" 3 (Fl.length fl);
+  (* a rescue takes a frame from the middle *)
+  Fl.set fl frames.(5) Fl.Resident;
+  check_int "len after remove" 2 (Fl.length fl);
+  (* a listed frame that loses its page keeps its place *)
+  Fl.set fl frames.(3) Fl.Rescuable_daemon;
+  Fl.set fl frames.(3) Fl.Free;
+  Alcotest.(check (list int)) "fifo" [ 3; 1; -1 ] (List.init 3 (fun _ -> take fl));
+  check_int "held" 7 (Fl.count fl Fl.Held);
+  check_int "resident" 1 (Fl.count fl Fl.Resident);
+  check_bool "conserved" true (Fl.conserved fl ~resident:1);
+  Alcotest.check_raises "no move to the same state"
+    (Invalid_argument "Free_list.set: the frame is in that state")
+    (fun () -> Fl.set fl frames.(5) Fl.Resident)
 
 let prop_free_list_model =
-  (* Compare against a list model under random push/pop/remove. *)
+  (* Compare against a list model under random list/take/remove: a frame
+     off the list joins its tail in a listed state, the head is taken
+     (held), and a listed frame is removed from anywhere (resident). *)
   QCheck.Test.make ~name:"free list behaves like a FIFO with removal" ~count:200
     QCheck.(list (pair (int_bound 2) (int_bound 15)))
     (fun ops ->
-      let frames = Array.init 16 Vm.Frame.make in
-      let fl = Vm.Free_list.create frames in
-      let model = ref [] in
+      let fl = Fl.create 16 in
+      let frames = Fl.frames fl in
+      let model = ref (List.init 16 Fun.id) and resident = ref 0 in
       List.iter
         (fun (op, i) ->
           let f = frames.(i) in
+          let listed = Fl.listed (Fl.state f) in
           match op with
           | 0 ->
-              if not f.Vm.Frame.on_free_list then begin
-                Vm.Free_list.push_tail fl f;
+              if not listed then begin
+                if Fl.state f = Fl.Resident then decr resident;
+                Fl.set fl f (if i mod 2 = 0 then Fl.Free else Fl.Rescuable_daemon);
                 model := !model @ [ i ]
               end
           | 1 -> (
-              match Vm.Free_list.pop_head fl with
-              | Some g ->
-                  (match !model with
-                  | m :: rest when m = g.Vm.Frame.idx -> model := rest
-                  | _ -> failwith "model mismatch on pop")
-              | None -> if !model <> [] then failwith "pop missed")
+              match (take fl, !model) with
+              | -1, [] -> ()
+              | g, m :: rest when g = m -> model := rest
+              | _ -> failwith "model mismatch on take")
           | _ ->
-              if f.Vm.Frame.on_free_list then begin
-                Vm.Free_list.remove fl f;
+              if listed then begin
+                Fl.set fl f Fl.Resident;
+                incr resident;
                 model := List.filter (fun x -> x <> i) !model
               end)
         ops;
       let order = ref [] in
-      Vm.Free_list.iter fl (fun f -> order := f.Vm.Frame.idx :: !order);
-      List.rev !order = !model && Vm.Free_list.length fl = List.length !model)
+      Fl.iter fl (fun f -> order := f.Fl.idx :: !order);
+      List.rev !order = !model
+      && Fl.length fl = List.length !model
+      && Fl.conserved fl ~resident:!resident)
 
 (* ------------------------------------------------------------------ *)
 (* Fault handling                                                      *)
@@ -588,6 +592,52 @@ let test_released_page_lost_after_reallocation () =
   in
   assert_invariants os
 
+let on_free_list asp vpn =
+  match As.get_pte asp ~vpn with As.On_free_list _ -> true | _ -> false
+
+(* With rescue disabled no freed page comes back, so every freed page is
+   lost, counted against its freer: a clean page when it is freed, a dirty
+   one when its writeback completes or when its owner fetches it again,
+   whichever comes first. *)
+let test_rescue_off_counts_every_loss () =
+  let config = { small_config with Vm.Config.rescue_from_free_list = false } in
+  let os =
+    with_os ~config (fun os ->
+        let asp = Os.new_process os ~name:"app" in
+        let st = asp.As.stats in
+        let seg = Os.map_segment os asp ~name:"d" ~bytes:(2 * 16384) ~on_swap:true in
+        let big = Os.map_segment os asp ~name:"big" ~bytes:(80 * 16384) ~on_swap:true in
+        let dirty = seg.As.base_vpn and clean = seg.As.base_vpn + 1 in
+        ignore (Os.touch os asp ~vpn:dirty ~write:true);
+        ignore (Os.touch os asp ~vpn:clean ~write:false);
+        Os.release_request os asp ~vpns:[| dirty; clean |];
+        Engine.delay ~cat:Account.Sleep (Time_ns.ms 50);
+        for i = 0 to 79 do
+          ignore (Os.touch os asp ~vpn:(big.As.base_vpn + i) ~write:false)
+        done;
+        check_bool "the dirty page is read back" true
+          (Os.touch os asp ~vpn:dirty ~write:false = Os.Hard);
+        check_bool "the clean page is read back" true
+          (Os.touch os asp ~vpn:clean ~write:false = Os.Hard);
+        check_int "both released pages lost" 2 st.Vm.Vm_stats.lost_releaser;
+        check_bool "the daemon stole" true (st.Vm.Vm_stats.freed_by_daemon > 0);
+        check_int "every stolen page lost" st.Vm.Vm_stats.freed_by_daemon
+          st.Vm.Vm_stats.lost_daemon;
+        (* A dirty page touched while its write is in flight is abandoned:
+           lost then, and not again when the write completes. *)
+        let vpn = big.As.base_vpn + 79 in
+        ignore (Os.touch os asp ~vpn ~write:true);
+        Os.release_request os asp ~vpns:[| vpn |];
+        Engine.delay ~cat:Account.Sleep (Time_ns.us 100);
+        check_bool "in writeback" true (on_free_list asp vpn);
+        check_bool "the page in writeback is read back" true
+          (Os.touch os asp ~vpn ~write:false = Os.Hard);
+        check_int "abandoned page lost" 3 st.Vm.Vm_stats.lost_releaser;
+        Engine.delay ~cat:Account.Sleep (Time_ns.ms 50);
+        check_int "and counted once" 3 st.Vm.Vm_stats.lost_releaser)
+  in
+  assert_invariants os
+
 (* A freed page comes back through either entry point: a prefetch
    rescues a page the releaser freed, leaving it unvalidated, and a touch
    rescues a page the daemon stole.  Each rescue counts against its freer
@@ -595,9 +645,6 @@ let test_released_page_lost_after_reallocation () =
 let test_rescue_from_either_side () =
   let trace = Trace.create () in
   let released = ref (-1) and stolen = ref (-1) in
-  let on_free_list asp vpn =
-    match As.get_pte asp ~vpn with As.On_free_list _ -> true | _ -> false
-  in
   let os =
     with_os ~obs:(Obs.create ~trace ()) (fun os ->
         let asp = Os.new_process os ~name:"app" in
@@ -1026,16 +1073,56 @@ let test_daemon_invalidation_clears_tlb () =
   ignore os
 
 (* ------------------------------------------------------------------ *)
-(* Invariants under random load                                        *)
+(* Invariants                                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* The paging daemon checks frame conservation at every tick.  An rss
+   counter wrong from 10.5 ms to 13.5 ms passes every end-of-run check but
+   the in-run one, which names the first tick in that window: the idle
+   daemon ticks every millisecond. *)
+let test_conservation_checked_every_tick () =
+  let os =
+    with_os (fun os ->
+        let asp = Os.new_process os ~name:"app" in
+        let seg = Os.map_segment os asp ~name:"d" ~bytes:16384 ~on_swap:false in
+        ignore (Os.touch os asp ~vpn:seg.As.base_vpn ~write:false);
+        Engine.delay ~cat:Account.Sleep (Time_ns.us 10_500 - Engine.now ());
+        asp.As.rss <- asp.As.rss + 1;
+        Engine.delay ~cat:Account.Sleep (Time_ns.ms 3);
+        asp.As.rss <- asp.As.rss - 1;
+        Engine.delay ~cat:Account.Sleep (Time_ns.ms 3))
+  in
+  match List.filter (fun (_, ok) -> not ok) (Os.check_invariants os) with
+  | [ (name, _) ] ->
+      Alcotest.(check string)
+        "the in-run check names the first tick in the window"
+        ("frame conservation held at every paging-daemon tick: first broken at "
+        ^ Time_ns.to_string (Time_ns.ms 11))
+        name
+  | failed ->
+      Alcotest.failf "expected the in-run check alone to fail, got [%s]"
+        (String.concat "; " (List.map fst failed))
+
+(* The random loads draw the machine's ablation switches too: rescue off
+   (its writeback and abandon transitions), hardware reference bits, and
+   prefetches that block for memory. *)
+let switches = QCheck.(triple bool bool bool)
+
+let switched (rescue, hw, drop) =
+  {
+    small_config with
+    Vm.Config.rescue_from_free_list = rescue;
+    hw_ref_bits = hw;
+    drop_prefetch_when_low = drop;
+  }
 
 let prop_invariants_random_load =
   QCheck.Test.make ~name:"VM invariants hold under random touch/release/prefetch"
     ~count:30
-    QCheck.(pair (int_bound 1000) (list (pair (int_bound 2) (int_bound 95))))
-    (fun (_seed, ops) ->
+    QCheck.(pair switches (list (pair (int_bound 2) (int_bound 95))))
+    (fun (sw, ops) ->
       let os =
-        with_os (fun os ->
+        with_os ~config:(switched sw) (fun os ->
             let asp = Os.new_process os ~name:"app" in
             let seg =
               Os.map_segment os asp ~name:"d" ~bytes:(96 * 16384) ~on_swap:true
@@ -1059,10 +1146,10 @@ let prop_invariants_two_processes =
      invariants must survive the contention. *)
   QCheck.Test.make
     ~name:"VM invariants hold with two competing processes" ~count:20
-    QCheck.(list (tup3 bool (int_bound 2) (int_bound 63)))
-    (fun ops ->
+    QCheck.(pair switches (list (tup3 bool (int_bound 2) (int_bound 63))))
+    (fun (sw, ops) ->
       let os =
-        with_os (fun os ->
+        with_os ~config:(switched sw) (fun os ->
             let a = Os.new_process os ~name:"a" in
             let b = Os.new_process os ~name:"b" in
             let sa = Os.map_segment os a ~name:"d" ~bytes:(64 * 16384) ~on_swap:true in
@@ -1095,8 +1182,6 @@ let () =
       ( "free-list",
         [
           Alcotest.test_case "fifo and remove" `Quick test_free_list_fifo_and_remove;
-          Alcotest.test_case "mem checks this list" `Quick
-            test_free_list_mem_checks_this_list;
         ] );
       ( "faults",
         [
@@ -1128,6 +1213,8 @@ let () =
             test_released_page_lost_after_reallocation;
           Alcotest.test_case "rescue from either side" `Quick
             test_rescue_from_either_side;
+          Alcotest.test_case "rescue off counts every loss" `Quick
+            test_rescue_off_counts_every_loss;
         ] );
       ( "prefetch",
         [
@@ -1157,6 +1244,11 @@ let () =
           Alcotest.test_case "process isolation" `Quick
             test_two_processes_isolated_page_tables;
           Alcotest.test_case "maxrss trim" `Quick test_maxrss_trim;
+        ] );
+      ( "invariants",
+        [
+          Alcotest.test_case "conservation checked at every tick" `Quick
+            test_conservation_checked_every_tick;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
